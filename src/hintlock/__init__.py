@@ -9,7 +9,6 @@ calculators.  Everything is exact or bracketed -- no Monte-Carlo estimates.
 from .prob import (
     Pmf,
     JointPmf,
-    CondPmf,
     RenyiOrder,
     renyi_cond_entropy,
     kl_divergence,

@@ -1,9 +1,18 @@
-"""Exact adversary oracles shared by the two-hint and multi-disk schemes.
+"""The adversary layer: one float view of a realized law, and the oracles on it.
 
-A realized scheme is flattened into *cells*: one positive-mass realization
-(prob, x, views), where `views` lists the contexts the adversary's accomplice
-can steer this realization into (one per revealable hint subset, each context
-id already carrying the side information and the revealed values).
+Every scheme flattens its exact realized law {(x, y, hints...): prob} once
+into *cells* through `cells(law, views)`: one `Cell(prob, x, views)` per
+positive-mass realization, with the probability converted to float once.
+`views` lists the contexts an observer can be shown for this realization (one
+per revealable hint subset, each context id already carrying the side
+information and the revealed values).  All ambiguities come from three
+oracles on cells:
+
+- the guessing moment of X given a routed context (`moment_for_assignment`,
+  built on the one kernel `guessing.sorted_moment`);
+- the decoding-list moment, the support size of X given the views reduced by
+  min (a list-forming Eve) or max (a worst-case Bob): `support_moment`;
+- Eve's accomplice-optimal guessing moment: `eve_ambiguity`.
 
 Eve's exact ambiguity, min over accomplice maps of the optimal guessing
 moment given (context, revealed values), reduces to a min-cost assignment:
@@ -25,6 +34,7 @@ from itertools import permutations, product
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .guessing import group_masses, grouped_moment, sorted_moment
 from .prob import BudgetExceededError
 
 
@@ -35,27 +45,56 @@ class Cell:
     views: tuple  # hashable context ids, one per revealable subset
 
 
-def _aggregate_moment(groups: dict, rho: float) -> float:
-    """Sum over contexts of the optimal (posterior-sorted) guessing moment."""
-    total = 0.0
-    for by_x in groups.values():
-        masses = sorted(by_x.values(), reverse=True)
-        total += sum(p * (r + 1) ** rho for r, p in enumerate(masses))
-    return total
+def cells(law: dict, views) -> list[Cell]:
+    """The float view of a realized law {(x, ...): prob}: `views(key)` gives the contexts."""
+    return [Cell(float(p), key[0], views(key)) for key, p in law.items() if p > 0]
+
+
+@dataclass(frozen=True)
+class AmbiguityResult:
+    value: float | None  # exact value when available
+    lower: float
+    upper: float
+    method: str
+
+    @property
+    def exact(self) -> bool:
+        return self.value is not None
 
 
 def moment_for_assignment(cells: list[Cell], choice: list[int], rho: float) -> float:
     """Objective for one accomplice map: cells routed per `choice`, then sorted."""
-    groups: dict = {}
-    for cell, k in zip(cells, choice):
-        ctx = cell.views[k]
-        groups.setdefault(ctx, {})
-        groups[ctx][cell.x] = groups[ctx].get(cell.x, 0.0) + cell.prob
-    return _aggregate_moment(groups, rho)
+    return grouped_moment(((c.views[k], c.x, c.prob) for c, k in zip(cells, choice)), rho)
 
 
 def moment_for_constant(cells: list[Cell], k: int, rho: float) -> float:
     return moment_for_assignment(cells, [k] * len(cells), rho)
+
+
+def support_moment(cells: list[Cell], rho: float, reduce=max) -> float:
+    """E[reduce over views of |{x : x possible given the view}|^rho].
+
+    Decoding-list sizes are support sizes, so membership is exact: every
+    positive-mass cell counts.  Mass is summed per views tuple, in first-seen
+    order, before the sizes are applied.
+    """
+    supports: dict = {}
+    mass: dict = {}
+    for c in cells:
+        for v in c.views:
+            supports.setdefault(v, set()).add(c.x)
+        mass[c.views] = mass.get(c.views, 0.0) + c.prob
+    return sum(m * reduce(len(supports[v]) for v in views) ** rho for views, m in mass.items())
+
+
+def _context_ranks(triples) -> tuple[dict, dict]:
+    """Grouped masses and the optimal rank of each (context, x); ties by repr(x)."""
+    groups = group_masses(triples)
+    ranks: dict = {}
+    for ctx, by_x in groups.items():
+        for r, x in enumerate(sorted(by_x, key=lambda x: (-by_x[x], repr(x))), start=1):
+            ranks[(ctx, x)] = r
+    return groups, ranks
 
 
 def has_mergeable_cells(cells: list[Cell]) -> bool:
@@ -182,8 +221,7 @@ def _enumerate_component_tables(comp, rho, options, contexts) -> float:
                 if mask >> t & 1:
                     x, p = members[t]
                     by_x[x] = by_x.get(x, 0.0) + p
-            present = sorted(by_x.values(), reverse=True)
-            table[mask] = sum(p * (r + 1) ** rho for r, p in enumerate(present))
+            table[mask] = sorted_moment(by_x.values(), rho)
         tables.append(table)
     strides = np.ones(len(comp), dtype=np.int64)
     for i in range(len(comp) - 2, -1, -1):
@@ -214,33 +252,19 @@ def eve_local_search(cells: list[Cell], rho: float, rounds: int = 50) -> float:
     reachable value.  Every iterate corresponds to an actual deterministic
     accomplice map, so the result always upper-bounds the exact minimum.
     """
-    n = len(cells)
     n_opt = max(len(c.views) for c in cells)
     best = math.inf
     starts = [[k % len(c.views) for c in cells] for k in range(n_opt)]
     for choice in starts:
         val = moment_for_assignment(cells, choice, rho)
         for _ in range(rounds):
-            ranks: dict = {}
-            groups: dict = {}
-            for cell, k in zip(cells, choice):
-                ctx = cell.views[k]
-                groups.setdefault(ctx, {})
-                groups[ctx][cell.x] = groups[ctx].get(cell.x, 0.0) + cell.prob
-            for ctx, by_x in groups.items():
-                for r, (x, _) in enumerate(
-                    sorted(by_x.items(), key=lambda kv: (-kv[1], repr(kv[0]))), start=1
-                ):
-                    ranks[(ctx, x)] = r
-            new_choice = []
-            for cell in cells:
-                # unseen (ctx, x) would enter at the context's next free rank
-                sizes = {ctx: len(by_x) for ctx, by_x in groups.items()}
-                options = []
-                for k, ctx in enumerate(cell.views):
-                    r = ranks.get((ctx, cell.x), sizes.get(ctx, 0) + 1)
-                    options.append((r, k))
-                new_choice.append(min(options)[1])
+            groups, ranks = _context_ranks((c.views[k], c.x, c.prob) for c, k in zip(cells, choice))
+            # unseen (ctx, x) would enter at the context's next free rank
+            sizes = {ctx: len(by_x) for ctx, by_x in groups.items()}
+            new_choice = [
+                min((ranks.get((ctx, c.x), sizes.get(ctx, 0) + 1), k) for k, ctx in enumerate(c.views))[1]
+                for c in cells
+            ]
             new_val = moment_for_assignment(cells, new_choice, rho)
             if new_val >= val - 1e-15:
                 break
@@ -287,18 +311,40 @@ def bob_minmax_bracket(cells: list[Cell], rho: float) -> tuple[float, float]:
         raise ValueError("all cells must offer the same number of views")
     k_count = n_opt.pop()
     lower = max(moment_for_constant(cells, k, rho) for k in range(k_count))
-    groups: dict = {}
-    for cell in cells:
-        for ctx in cell.views:
-            groups.setdefault(ctx, {})
-            groups[ctx][cell.x] = groups[ctx].get(cell.x, 0.0) + cell.prob
-    ranks: dict = {}
-    for ctx, by_x in groups.items():
-        for r, (x, _) in enumerate(
-            sorted(by_x.items(), key=lambda kv: (-kv[1], repr(kv[0]))), start=1
-        ):
-            ranks[(ctx, x)] = r
+    _, ranks = _context_ranks((ctx, c.x, c.prob) for c in cells for ctx in c.views)
     upper = sum(
         cell.prob * max(ranks[(ctx, cell.x)] for ctx in cell.views) ** rho for cell in cells
     )
     return lower, upper
+
+
+def eve_ambiguity(cells: list[Cell], rho: float, floor, budget_bits: int = 26) -> AmbiguityResult:
+    """Eve's accomplice-optimal guessing moment: matching, else enumeration, else bounds.
+
+    `floor` is a zero-argument callable returning a certified lower bound on
+    Eve's moment; it is called only when neither exact oracle fits the
+    budget, and the result is then the bracket [floor(), best reachable
+    deterministic accomplice map].  With `floor=None` that case raises
+    BudgetExceededError instead.
+    """
+    try:
+        val = eve_exact_matching(cells, rho)
+        return AmbiguityResult(val, val, val, "matching")
+    except BudgetExceededError:
+        pass
+    try:
+        val = eve_exact_enumeration(cells, rho, budget_bits)
+        return AmbiguityResult(val, val, val, "enumeration")
+    except BudgetExceededError:
+        if floor is None:
+            raise
+    return eve_bracket(cells, rho, floor())
+
+
+def eve_bracket(cells: list[Cell], rho: float, lower: float) -> AmbiguityResult:
+    """Certified bracket for Eve: a given floor, and the best reachable accomplice map."""
+    upper = min(
+        eve_local_search(cells, rho),
+        min(moment_for_constant(cells, k, rho) for k in range(len(cells[0].views))),
+    )
+    return AmbiguityResult(None, lower, upper, "bounds")

@@ -11,13 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import disks as disks_mod
 from . import twohint as twohint_mod
@@ -25,6 +21,7 @@ from .distortion import (
     DistortionSpec,
     brute_optimal_distortion_guesser,
     greedy_cover_guesser,
+    tuple_product,
 )
 from .exponents import RdQuery, rd_exponent_functional, rd_privacy_exponent
 from .guessing import arikan_bounds, ceil_moment, optimal_guess_moment, side_info_lower_bound
@@ -212,16 +209,9 @@ def cmd_distortion(cfg: dict, args) -> list[ReportRow]:
         inst = f"rho={fmt(rho)},n={n}"
         _, opt = brute_optimal_distortion_guesser(spec, joint, n, rho)
         greedy = greedy_cover_guesser(spec, joint, n, rho)
-        gval = greedy.moment(_product(joint, n), rho)
+        gval = greedy.moment(tuple_product(joint, n), rho)
         rows.append(ReportRow("distortion", inst, "greedy-above-oracle", ">=", gval, opt))
     return rows
-
-
-def _product(joint: JointPmf, n: int) -> JointPmf:
-    from .distortion import _tuple_wrap
-    from .prob import product_pmf
-
-    return product_pmf(joint, n) if n > 1 else _tuple_wrap(joint)
 
 
 def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
@@ -282,34 +272,17 @@ def cmd_verify_all(cfg: dict, args) -> list[ReportRow]:
     skew = JointPmf.from_marginal(
         Pmf.of([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)], exact=True)
     )
-    tasks = []
+    rows = []
     for rho in rho_list:
         for name, joint in (("uniform4", uniform4), ("skew4", skew)):
-            for cs, c1, c2 in ((1, 4, 4), (2, 2, 2), (4, 1, 1)):
-                tasks.append(("twohint", name, joint, rho, (cs, c1, c2)))
-    jobs = args.jobs
-
-    def run(task):
-        _, name, joint, rho, triple = task
-        rows = []
-        for version in ("guessing", "list"):
-            size = triple[0] * triple[1] * triple[2]
-            if version == "list" and not size > math.log2(len(joint.x_alphabet)) + 2:
-                continue
-            scheme = twohint_mod.build_two_hint(joint, *triple, version, 4, 4)
-            rows.extend(
-                twohint_mod.verify_finite_blocklength(
-                    scheme, rho, version, f"{name},cs={triple[0]},c1={triple[1]},c2={triple[2]},rho={fmt(rho)}"
-                )
-            )
-        return rows
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(run, tasks))
-    else:
-        chunks = [run(t) for t in tasks]
-    rows = [r for chunk in chunks for r in chunk]
+            for triple in ((1, 4, 4), (2, 2, 2), (4, 1, 1)):
+                inst = f"{name},cs={triple[0]},c1={triple[1]},c2={triple[2]},rho={fmt(rho)}"
+                for version in ("guessing", "list"):
+                    size = triple[0] * triple[1] * triple[2]
+                    if version == "list" and not size > math.log2(len(joint.x_alphabet)) + 2:
+                        continue
+                    scheme = twohint_mod.build_two_hint(joint, *triple, version, 4, 4)
+                    rows.extend(twohint_mod.verify_finite_blocklength(scheme, rho, version, inst))
     for rho in rho_list:
         scheme = disks_mod.build_delta_scheme(uniform4, 3, 2, 1, 2, 2, 0, "guessing")
         rows.extend(disks_mod.verify_disk_theorems(scheme, rho, "guessing", f"delta,rho={fmt(rho)}"))
@@ -334,6 +307,18 @@ COMMANDS = {
 }
 
 
+def _read_config(arg: str) -> dict:
+    """The JSON config in file `arg`, or `arg` itself as a literal document."""
+    try:
+        text, where = Path(arg).read_text(), f" in {arg}"
+    except OSError:  # no such file, or too long to be a file name: a literal
+        text, where = arg, ""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SystemExit(f"config parse error{where}: line {e.lineno}, col {e.colno}: {e.msg}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="hintlock", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
@@ -341,26 +326,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=1 << 22)
     parser.add_argument("--rational", action="store_true", help="exact rational probabilities")
-    parser.add_argument("--jobs", type=int, default=int(os.environ.get("HINTLOCK_JOBS", "1")))
     parser.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
     args = parser.parse_args(argv)
 
-    if args.config is None:
-        cfg = {}
-    else:
-        path = Path(args.config)
-        if path.exists():
-            try:
-                cfg = json.loads(path.read_text())
-            except json.JSONDecodeError as e:
-                raise SystemExit(f"config parse error in {path}: line {e.lineno}, col {e.colno}: {e.msg}")
-        else:
-            try:
-                cfg = json.loads(args.config)
-            except json.JSONDecodeError as e:
-                raise SystemExit(f"config parse error: line {e.lineno}, col {e.colno}: {e.msg}")
-
-    np.random.default_rng(args.seed)  # seed recorded; suites derive their own generators
+    cfg = {} if args.config is None else _read_config(args.config)
     rows = COMMANDS[args.command](cfg, args)
     rows = [
         ReportRow(r.suite, r.instance, r.check, r.relation, r.lhs, r.rhs, note=(r.note + f" seed={args.seed}").strip())

@@ -16,19 +16,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .adversary import (
+    AmbiguityResult,
     Cell,
     bob_minmax_bracket,
-    eve_exact_enumeration,
-    eve_exact_matching,
-    eve_local_search,
-    moment_for_constant,
+    cells,
+    eve_ambiguity,
+    support_moment,
 )
+from .adversary import eve_exact_matching  # noqa: F401  (re-exported: perfbench reaches the oracle here)
 from .gf import field_make, rs_generator
+from .guessing import grouped_moment
 from .prob import (
     BudgetExceededError,
     DomainError,
@@ -37,8 +40,7 @@ from .prob import (
     renyi_cond_entropy,
 )
 from .report import ReportRow
-from .tasks import encoder_from_guessing, s_alphabet_size
-from .guessing import optimal_guesser
+from .tasks import descriptor_map
 
 LN = math.log
 
@@ -65,21 +67,13 @@ class DeltaHintScheme:
     descriptor: dict  # (x, y) -> (V tuple, W tuple)
     law: dict  # (x, y, hints tuple) -> prob
 
+    @cached_property
     def bob_cells(self) -> list[Cell]:
-        subsets = list(combinations(range(self.delta), self.nu))
-        return [
-            Cell(float(p), x, tuple(("B", b, y, tuple(m[i] for i in b)) for b in subsets))
-            for (x, y, m), p in self.law.items()
-            if p > 0
-        ]
+        return cells(self.law, _subset_views("B", self.delta, self.nu))
 
+    @cached_property
     def eve_cells(self) -> list[Cell]:
-        subsets = list(combinations(range(self.delta), self.eta))
-        return [
-            Cell(float(p), x, tuple(("E", e, y, tuple(m[i] for i in e)) for e in subsets))
-            for (x, y, m), p in self.law.items()
-            if p > 0
-        ]
+        return cells(self.law, _subset_views("E", self.delta, self.eta))
 
     def share_blob(self, hints: tuple) -> bytes:
         width = max(1, (self.s + 7) // 8)
@@ -92,6 +86,12 @@ class DeltaHintScheme:
 
     def split_hint(self, h: int) -> tuple[int, int]:
         return h >> self.r, h & ((1 << self.r) - 1)
+
+
+def _subset_views(tag: str, delta: int, size: int):
+    """Views of a law keyed (x, y, hints): one context per size-`size` hint subset."""
+    subsets = list(combinations(range(delta), size))
+    return lambda key: tuple((tag, b, key[1], tuple(key[2][i] for i in b)) for b in subsets)
 
 
 def _int_to_symbols(z: int, count: int, bits: int) -> tuple:
@@ -128,16 +128,7 @@ def build_delta_scheme(
     if support << (eta * r) > budget:
         raise BudgetExceededError("realized support exceeds the enumeration budget")
 
-    size = 1 << desc_bits
-    g = optimal_guesser(joint)
-    if version == "guessing":
-        zmap = {
-            (x, y): (g.rank(x, y) - 1) % size for y in joint.y_alphabet for x in joint.x_alphabet
-        }
-    else:
-        feasible = [w for w in range(1, nx + 1) if w * s_alphabet_size(nx, w) <= size]
-        enc = encoder_from_guessing(g, max(feasible), size)
-        zmap = {k: enc.mapping[k] for k in enc.mapping}
+    zmap = descriptor_map(joint, 1 << desc_bits, version)
 
     fp = field_make(p) if p > 0 else None
     fr = field_make(r) if r > 0 else None
@@ -151,25 +142,20 @@ def build_delta_scheme(
         w_sym = _int_to_symbols(z & ((1 << w_bits) - 1), nu - eta, r)
         descriptor[key] = (v_sym, w_sym)
 
-    exact = joint.exact
     n_pad = 1 << (eta * r)
-    inv_pad = Fraction(1, n_pad) if exact else 1.0 / n_pad
+    inv_pad = Fraction(1, n_pad) if joint.exact else 1.0 / n_pad
     law: dict = {}
-    for i, x in enumerate(joint.x_alphabet):
-        for j, y in enumerate(joint.y_alphabet):
-            prob = joint.table[i][j]
-            if prob <= 0:
-                continue
-            v_sym, w_sym = descriptor[(x, y)]
-            mp = g_v.encode(np.array(v_sym)) if g_v is not None else np.zeros(delta, dtype=np.int64)
-            for pad_idx in range(n_pad):
-                u_sym = _int_to_symbols(pad_idx, eta, r)
-                if g_uw is not None:
-                    mr = g_uw.encode(np.array(u_sym + w_sym))
-                else:
-                    mr = np.zeros(delta, dtype=np.int64)
-                hints = tuple(int(a) << r | int(b) for a, b in zip(mp, mr))
-                law[(x, y, hints)] = prob * inv_pad
+    for x, y, prob in joint.support_items():
+        v_sym, w_sym = descriptor[(x, y)]
+        mp = g_v.encode(np.array(v_sym)) if g_v is not None else np.zeros(delta, dtype=np.int64)
+        for pad_idx in range(n_pad):
+            u_sym = _int_to_symbols(pad_idx, eta, r)
+            if g_uw is not None:
+                mr = g_uw.encode(np.array(u_sym + w_sym))
+            else:
+                mr = np.zeros(delta, dtype=np.int64)
+            hints = tuple(int(a) << r | int(b) for a, b in zip(mp, mr))
+            law[(x, y, hints)] = prob * inv_pad
     return DeltaHintScheme(joint, delta, nu, eta, s, p, r, version, descriptor, law)
 
 
@@ -200,9 +186,8 @@ def check_eta_independence(scheme: DeltaHintScheme) -> bool:
     """
     if scheme.eta == 0:
         return True
-    target = Fraction(1, 1 << (scheme.eta * scheme.r)) if scheme.joint.exact else 2.0 ** -(
-        scheme.eta * scheme.r
-    )
+    exact = scheme.joint.exact
+    target = Fraction(1, 1 << (scheme.eta * scheme.r)) if exact else 2.0 ** -(scheme.eta * scheme.r)
     for e in combinations(range(scheme.delta), scheme.eta):
         cond: dict = {}
         total: dict = {}
@@ -213,9 +198,10 @@ def check_eta_independence(scheme: DeltaHintScheme) -> bool:
             cond[(x, y, rparts)] = cond.get((x, y, rparts), 0) + p
             total[(x, y)] = total.get((x, y), 0) + p
         for (x, y, _), mass in cond.items():
-            if mass != target * total[(x, y)]:
-                if abs(float(mass) - float(target * total[(x, y)])) > 1e-12:
-                    return False
+            want = target * total[(x, y)]
+            # rational laws compare exactly; only float laws get a tolerance
+            if mass != want and (exact or abs(mass - want) > 1e-12):
+                return False
     return True
 
 
@@ -224,38 +210,14 @@ def check_eta_independence(scheme: DeltaHintScheme) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AmbiguityResult:
-    value: float | None  # exact value when available
-    lower: float
-    upper: float
-    method: str
-
-    @property
-    def exact(self) -> bool:
-        return self.value is not None
-
-
 def bob_ambiguity_minmax(scheme: DeltaHintScheme, rho: float, version: str | None = None) -> AmbiguityResult:
     """Bob's min-max ambiguity; exact for the list version and whenever the
     per-subset-optimal bracket closes (it does for every built scheme)."""
     version = version or scheme.version
     if version == "list":
-        supports: dict = {}
-        subsets = list(combinations(range(scheme.delta), scheme.nu))
-        for (x, y, m), p in scheme.law.items():
-            if p <= 0:
-                continue
-            for b in subsets:
-                supports.setdefault((b, y, tuple(m[i] for i in b)), set()).add(x)
-        val = 0.0
-        for (x, y, m), p in scheme.law.items():
-            if p <= 0:
-                continue
-            worst = max(len(supports[(b, y, tuple(m[i] for i in b))]) for b in subsets)
-            val += float(p) * worst**rho
+        val = support_moment(scheme.bob_cells, rho, max)
         return AmbiguityResult(val, val, val, "exact-list")
-    lower, upper = bob_minmax_bracket(scheme.bob_cells(), rho)
+    lower, upper = bob_minmax_bracket(scheme.bob_cells, rho)
     if upper - lower <= 1e-12 * max(1.0, upper):
         return AmbiguityResult(upper, lower, upper, "bracket-closed")
     return AmbiguityResult(None, lower, upper, "bracket")
@@ -265,68 +227,21 @@ def eve_ambiguity_minmin(
     scheme: DeltaHintScheme, rho: float, budget_bits: int = 26
 ) -> AmbiguityResult:
     """Eve's exact min-min ambiguity, or a certified bracket when over budget."""
-    cells = scheme.eve_cells()
-    try:
-        val = eve_exact_matching(cells, rho)
-        return AmbiguityResult(val, val, val, "matching")
-    except BudgetExceededError:
-        pass
-    try:
-        val = eve_exact_enumeration(cells, rho, budget_bits)
-        return AmbiguityResult(val, val, val, "enumeration")
-    except BudgetExceededError:
-        lower, upper = eve_bounds(scheme, rho)
-        return AmbiguityResult(None, lower, upper, "bounds")
+    return eve_ambiguity(scheme.eve_cells, rho, lambda: _eve_floor(scheme, rho), budget_bits)
 
 
-def eve_bounds(scheme: DeltaHintScheme, rho: float) -> tuple[float, float]:
-    """Certified Eve bracket when exact enumeration is out of budget.
+def _eve_floor(scheme: DeltaHintScheme, rho: float) -> float:
+    """Certified lower bound on Eve when the exact oracles are out of budget.
 
-    Lower: revealing the accomplice's subset index and eta hints multiplies
-    the moment by at most (#subsets * 2^(eta*s))^-rho; evaluated on the exact
-    pad-lifted law, which is valid because eta hints pin the pad given (X, Y)
-    through the top MDS rows.  Upper: best reachable deterministic accomplice.
+    Revealing the accomplice's subset index and eta hints multiplies the
+    moment by at most (#subsets * 2^(eta*s))^-rho; evaluated on the moment of
+    (X, hints) given Y, which refines (X, pad) because the hints are a
+    function of (x, y, pad), and eta hints pin the pad given (X, Y) through
+    the top MDS rows.
     """
-    cells = scheme.eve_cells()
-    n_sub = math.comb(scheme.delta, scheme.eta)
-    upper = min(
-        eve_local_search(cells, rho),
-        min(moment_for_constant(cells, k, rho) for k in range(n_sub)),
-    )
-    pair = _pair_moment_with_pad(scheme, rho)
-    reveal = n_sub * 2 ** (scheme.eta * scheme.s)
-    lower = max(1.0, reveal ** (-rho) * pair)
-    return lower, upper
-
-
-def _pair_moment_with_pad(scheme: DeltaHintScheme, rho: float) -> float:
-    """Optimal moment of (X, pad) given Y; the pad is the uniform 2^(eta*r)-ary U."""
-    groups: dict = {}
-    for (x, y, m), p in scheme.law.items():
-        if p <= 0:
-            continue
-        groups.setdefault(y, {})
-        groups[y][(x, m)] = groups[y].get((x, m), 0.0) + float(p)
-    # (x, m) refines (x, pad): m is a function of (x, y, pad)
-    total = 0.0
-    for by_cell in groups.values():
-        masses = sorted(by_cell.values(), reverse=True)
-        total += sum(q * (rk + 1) ** rho for rk, q in enumerate(masses))
-    return total
-
-
-def eve_fixed_subset_optimum(scheme: DeltaHintScheme, rho: float) -> float:
-    """min over fixed eta-subsets of the optimal moment (accomplice ignores (X,Y))."""
-    cells = scheme.eve_cells()
-    n_sub = math.comb(scheme.delta, scheme.eta)
-    return min(moment_for_constant(cells, k, rho) for k in range(n_sub))
-
-
-def bob_fixed_subset_optimum(scheme: DeltaHintScheme, rho: float) -> float:
-    """max over fixed nu-subsets of the per-subset optimal moment."""
-    cells = scheme.bob_cells()
-    n_sub = math.comb(scheme.delta, scheme.nu)
-    return max(moment_for_constant(cells, k, rho) for k in range(n_sub))
+    pair = grouped_moment(((y, (x, m), float(p)) for (x, y, m), p in scheme.law.items() if p > 0), rho)
+    reveal = math.comb(scheme.delta, scheme.eta) * 2 ** (scheme.eta * scheme.s)
+    return max(1.0, reveal ** (-rho) * pair)
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +301,9 @@ def verify_unequal_converse(
     h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
     nx = len(joint.x_alphabet)
     ssort = sorted(sizes)
-    sub_b = list(combinations(range(delta), nu))
-    sub_e = list(combinations(range(delta), eta))
-    bob_cells = [
-        Cell(float(p), x, tuple(("B", b, y, tuple(m[i] for i in b)) for b in sub_b))
-        for (x, y, m), p in law.items()
-        if p > 0
-    ]
-    eve_cells = [
-        Cell(float(p), x, tuple(("E", e, y, tuple(m[i] for i in e)) for e in sub_e))
-        for (x, y, m), p in law.items()
-        if p > 0
-    ]
-    bob_lo, bob_hi = bob_minmax_bracket(bob_cells, rho)
-    try:
-        eve_val = eve_exact_matching(eve_cells, rho)
-    except BudgetExceededError:
-        eve_val = eve_exact_enumeration(eve_cells, rho)
+    bob_lo, _ = bob_minmax_bracket(cells(law, _subset_views("B", delta, nu)), rho)
+    eve = eve_ambiguity(cells(law, _subset_views("E", delta, eta)), rho, lambda: 1.0)
+    eve_val = eve.upper  # certified side for the "<=" check
     bob_conv_g = max(1.0, 2 ** (rho * (h - sum(ssort[:nu]) - math.log2(1 + LN(nx)))))
     eve_conv = min(2 ** (rho * sum(ssort[: nu - eta])) * bob_lo, 2 ** (rho * h))
     suite = "disks-unequal"

@@ -19,8 +19,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .guessing import GuessingFunction
-from .prob import BudgetExceededError, DomainError, JointPmf, product_pmf
+from .guessing import GuessingFunction, rank_row
+from .prob import BudgetExceededError, DomainError, JointPmf, product_pmf, tuple_alphabet
+from .tasks import ranks_from_lists
 
 BALL_SLACK = 1e-12  # float-mode boundary slack for "within Delta"
 
@@ -74,13 +75,6 @@ def avg_distortion(x_tuple, xhat_tuple, spec: DistortionSpec) -> float:
 
 def within(x_tuple, xhat_tuple, spec: DistortionSpec) -> bool:
     return avg_distortion(x_tuple, xhat_tuple, spec) <= spec.delta + BALL_SLACK
-
-
-def tuple_alphabet(alphabet, n: int) -> tuple:
-    out = [()]
-    for _ in range(n):
-        out = [t + (s,) for t in out for s in alphabet]
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,7 @@ def brute_optimal_distortion_guesser(
     This is the independent oracle every other distortion routine is checked
     against.  Contexts are optimized separately (the objective is additive).
     """
-    big = product_pmf(joint, n) if n > 1 else _tuple_wrap(joint)
+    big = tuple_product(joint, n)
     xhat_tuples = tuple_alphabet(spec.xhat_alphabet, n)
     if len(xhat_tuples) > budget:
         raise BudgetExceededError(f"|Xhat|^n = {len(xhat_tuples)} exceeds budget {budget}")
@@ -154,12 +148,7 @@ def brute_optimal_distortion_guesser(
         k = int(moments.argmin())
         total += float(moments[k])
         best_rows.append(perms[k])
-    rank_rows = []
-    for row in best_rows:
-        rr = [0] * nh
-        for pos, idx in enumerate(row, start=1):
-            rr[idx] = pos
-        rank_rows.append(tuple(rr))
+    rank_rows = [rank_row(row) for row in best_rows]
     ghat = GuessingFunction(xhat_tuples, big.y_alphabet, tuple(rank_rows))
     sf = success_function(ghat, spec, big, certified=True)
     return sf, total
@@ -169,7 +158,7 @@ def greedy_cover_guesser(spec: DistortionSpec, joint: JointPmf, n: int, rho: flo
     """Heuristic: repeatedly guess the reconstruction covering the most
     remaining posterior mass (ties by index).  Not certified optimal; measure
     its gap against the brute-force oracle where that is feasible."""
-    big = product_pmf(joint, n) if n > 1 else _tuple_wrap(joint)
+    big = tuple_product(joint, n)
     xhat_tuples = tuple_alphabet(spec.xhat_alphabet, n)
     balls = _ball_matrix(big.x_alphabet, xhat_tuples, spec)
     nh = len(xhat_tuples)
@@ -186,10 +175,7 @@ def greedy_cover_guesser(spec: DistortionSpec, joint: JointPmf, n: int, rho: flo
             unused.remove(h)
             remaining = np.where(balls[:, h], 0.0, remaining)
         order.extend(unused)
-        rr = [0] * nh
-        for pos, idx in enumerate(order, start=1):
-            rr[idx] = pos
-        rank_rows.append(tuple(rr))
+        rank_rows.append(rank_row(order))
     ghat = GuessingFunction(xhat_tuples, big.y_alphabet, tuple(rank_rows))
     return success_function(ghat, spec, big)
 
@@ -203,7 +189,8 @@ def _tuple_wrap(joint: JointPmf) -> JointPmf:
     )
 
 
-def _sf_joint(sf: SuccessFunction, joint: JointPmf, n: int) -> JointPmf:
+def tuple_product(joint: JointPmf, n: int) -> JointPmf:
+    """The n-fold IID product on n-tuple symbols, for every n >= 1."""
     return product_pmf(joint, n) if n > 1 else _tuple_wrap(joint)
 
 
@@ -218,7 +205,7 @@ def rd_side_info_encoder(
     """
     if not sf.certified_optimal:
         raise DomainError("side-information construction needs an oracle-certified optimal input")
-    big = _sf_joint(sf, joint, n)
+    big = tuple_product(joint, n)
     enc = {
         (x, c): (sf.ghat.rank(sf.recon[(x, c)], c) - 1) % z_count
         for c in big.y_alphabet
@@ -272,7 +259,7 @@ def rd_encoder_from_guessing(
     satisfy the fidelity requirement by construction (they contain the
     realized reconstruction) and E[|L|^rho] <= E[ceil(G_Delta/omega)^rho].
     """
-    big = _sf_joint(sf, joint, n)
+    big = tuple_product(joint, n)
     nh = len(sf.ghat.x_alphabet)
     ns = 1 + math.floor(math.log2(math.ceil(nh / omega)))
     if not 1 <= omega <= nh:
@@ -309,7 +296,7 @@ def rd_guessing_from_lists(
     to z.  Every positive-mass (x, ctx) must have a within-Delta member in its
     list (fidelity); violations raise DomainError.
     """
-    big = product_pmf(joint, n) if n > 1 else _tuple_wrap(joint)
+    big = tuple_product(joint, n)
     for i, x in enumerate(big.x_alphabet):
         for j, c in enumerate(big.y_alphabet):
             if float(big.table[i][j]) > 0:
@@ -317,27 +304,9 @@ def rd_guessing_from_lists(
                 if not any(within(x, xh, spec) for xh in members):
                     raise DomainError(f"fidelity violation at ({x!r}, {c!r})")
     xhat_tuples = tuple_alphabet(spec.xhat_alphabet, n)
-    hi = {xh: i for i, xh in enumerate(xhat_tuples)}
-    rank_rows = []
-    for c in big.y_alphabet:
-        ctx_lists = sorted(
-            ((z, mem) for (cc, z), mem in lists.items() if cc == c),
-            key=lambda kv: (len(kv[1]), repr(kv[0])),
-        )
-        order: list = []
-        seen = set()
-        for _, mem in ctx_lists:
-            for xh in sorted(mem, key=lambda t: hi[t]):
-                if xh not in seen:
-                    seen.add(xh)
-                    order.append(xh)
-        for xh in xhat_tuples:
-            if xh not in seen:
-                seen.add(xh)
-                order.append(xh)
-        rr = [0] * len(xhat_tuples)
-        for pos, xh in enumerate(order, start=1):
-            rr[hi[xh]] = pos
-        rank_rows.append(tuple(rr))
+    rank_rows = [
+        ranks_from_lists({z: mem for (cc, z), mem in lists.items() if cc == c}, xhat_tuples)
+        for c in big.y_alphabet
+    ]
     ghat = GuessingFunction(xhat_tuples, big.y_alphabet, tuple(rank_rows))
     return success_function(ghat, spec, big)

@@ -58,12 +58,16 @@ def optimal_guesser(joint: JointPmf) -> GuessingFunction:
     rank_rows = []
     for j in range(len(joint.y_alphabet)):
         col = [float(p) for p in joint.y_column(j)]
-        order = sorted(range(nx), key=lambda i: (-col[i], i))
-        row = [0] * nx
-        for r, i in enumerate(order, start=1):
-            row[i] = r
-        rank_rows.append(tuple(row))
+        rank_rows.append(rank_row(sorted(range(nx), key=lambda i: (-col[i], i))))
     return GuessingFunction(joint.x_alphabet, joint.y_alphabet, tuple(rank_rows))
+
+
+def rank_row(order) -> tuple:
+    """Ranks 1..n of the indices 0..n-1 when they are guessed in `order`."""
+    row = [0] * len(order)
+    for r, i in enumerate(order, start=1):
+        row[i] = r
+    return tuple(row)
 
 
 def guess_moment(g: GuessingFunction, joint: JointPmf, rho: float) -> float:
@@ -80,12 +84,41 @@ def guess_moment(g: GuessingFunction, joint: JointPmf, rho: float) -> float:
     return total
 
 
+def group_masses(triples) -> dict:
+    """{context: {key: summed mass}} from (context, key, mass) triples, first-seen order."""
+    groups: dict = {}
+    for ctx, key, p in triples:
+        by_key = groups.setdefault(ctx, {})
+        by_key[key] = by_key.get(key, 0.0) + p
+    return groups
+
+
+def sorted_moment(masses, rho: float) -> float:
+    """Sum of p * rank^rho over masses guessed in descending order.
+
+    This is the one place the optimal guessing moment of a context is summed;
+    every guessing ambiguity in the package reduces to it.
+    """
+    return sum(p * (r + 1) ** rho for r, p in enumerate(sorted(masses, reverse=True)))
+
+
+def grouped_moment(triples, rho: float) -> float:
+    """Optimal guessing moment of the key given the context, from (context, key, mass).
+
+    Masses of one (context, key) add up; contexts are summed in first-seen
+    order, each over its masses in descending order.
+    """
+    total = 0.0
+    for by_key in group_masses(triples).values():
+        total += sorted_moment(by_key.values(), rho)
+    return total
+
+
 def optimal_guess_moment(joint: JointPmf, rho: float) -> float:
     """min over guessing functions of E[G(X|ctx)^rho]: sort each context."""
     total = 0.0
     for j in range(len(joint.y_alphabet)):
-        col = sorted((float(p) for p in joint.y_column(j)), reverse=True)
-        total += sum(p * (r + 1) ** rho for r, p in enumerate(col) if p > 0)
+        total += sorted_moment((float(p) for p in joint.y_column(j)), rho)
     return total
 
 
@@ -138,19 +171,15 @@ def encoder_guess_moment(joint: JointPmf, encoder: dict, rho: float) -> float:
     `encoder` maps (x, ctx) to a descriptor value; the decoder observes the
     pair (ctx, z) and guesses with the posterior-sorted order.
     """
-    cells: dict[tuple, float] = {}
-    for j, c in enumerate(joint.y_alphabet):
-        for i, x in enumerate(joint.x_alphabet):
-            p = float(joint.table[i][j])
-            if p > 0:
-                key = (c, encoder[(x, c)])
-                cells.setdefault(key, {})
-                cells[key][x] = cells[key].get(x, 0.0) + p
-    total = 0.0
-    for group in cells.values():
-        probs = sorted(group.values(), reverse=True)
-        total += sum(p * (r + 1) ** rho for r, p in enumerate(probs))
-    return total
+    return grouped_moment(
+        (
+            ((c, encoder[(x, c)]), x, float(joint.table[i][j]))
+            for j, c in enumerate(joint.y_alphabet)
+            for i, x in enumerate(joint.x_alphabet)
+            if joint.table[i][j] > 0
+        ),
+        rho,
+    )
 
 
 def stochastic_side_info_moment(joint: JointPmf, z_rows: np.ndarray, rho: float) -> float:
@@ -160,14 +189,12 @@ def stochastic_side_info_moment(joint: JointPmf, z_rows: np.ndarray, rho: float)
     Used to certify that the deterministic remainder encoder beats random
     descriptor laws of the same cardinality.
     """
-    nx, ny, nz = z_rows.shape
     total = 0.0
-    for j in range(ny):
+    for j in range(z_rows.shape[1]):
         col = np.array([float(p) for p in joint.y_column(j)])
         mass = col[:, None] * z_rows[:, j, :]  # shape (nx, nz): P(x, Z=z | ctx total mass)
-        ranked = np.sort(mass, axis=0)[::-1]
-        ranks = (np.arange(1, nx + 1) ** rho)[:, None]
-        total += float((ranked * ranks).sum())
+        for masses in mass.T.tolist():  # each (ctx, z) is a context of its own
+            total += sorted_moment(masses, rho)
     return total
 
 

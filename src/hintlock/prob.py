@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 NORM_TOL = 1e-9
 
@@ -44,6 +44,8 @@ class BudgetExceededError(RuntimeError):
 
 
 def _check_probs(probs: Sequence[Number], exact: bool) -> None:
+    if exact and any(isinstance(p, float) for p in probs):
+        raise NormalizationError("table mixes Fraction and float entries; use one kind")
     total = sum(probs)
     for p in probs:
         if p < 0:
@@ -159,6 +161,13 @@ class JointPmf:
         ny = len(self.y_alphabet)
         return Pmf(self.y_alphabet, tuple(sum(row[j] for row in self.table) for j in range(ny)))
 
+    def support_items(self):
+        """(x, y, P(x, y)) for every positive-mass pair, x-major."""
+        for x, row in zip(self.x_alphabet, self.table):
+            for y, p in zip(self.y_alphabet, row):
+                if p > 0:
+                    yield x, y, p
+
     def y_column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.table)
 
@@ -184,28 +193,6 @@ class JointPmf:
             tuple(Fraction(v) if isinstance(v, str) else float(v) for v in row) for row in doc["p"]
         )
         return cls(tuple(doc["x"]), tuple(doc["y"]), table)
-
-
-@dataclass(frozen=True)
-class CondPmf:
-    """A conditional law: one Pmf over `to_alphabet` per source context."""
-
-    from_alphabet: tuple
-    to_alphabet: tuple
-    rows: tuple  # tuple of Pmf, aligned with from_alphabet
-
-    def __post_init__(self):
-        object.__setattr__(self, "from_alphabet", tuple(self.from_alphabet))
-        object.__setattr__(self, "to_alphabet", tuple(self.to_alphabet))
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if len(self.rows) != len(self.from_alphabet):
-            raise NormalizationError("one row per source context required")
-        for r in self.rows:
-            if r.symbols != self.to_alphabet:
-                raise AlphabetMismatchError("row alphabet differs from to_alphabet")
-
-    def row(self, ctx) -> Pmf:
-        return self.rows[self.from_alphabet.index(ctx)]
 
 
 @dataclass(frozen=True)
@@ -306,6 +293,14 @@ def kl_divergence(q: JointPmf | Pmf, p: JointPmf | Pmf) -> float:
     return div
 
 
+def tuple_alphabet(alphabet, n: int) -> tuple:
+    """All n-tuples over `alphabet`, in lexicographic order of positions."""
+    out = [()]
+    for _ in range(n):
+        out = [t + (s,) for t in out for s in alphabet]
+    return tuple(out)
+
+
 def product_pmf(joint: JointPmf, n: int, budget: int = 1 << 22) -> JointPmf:
     """The n-fold IID product, on n-tuple alphabets.
 
@@ -320,14 +315,8 @@ def product_pmf(joint: JointPmf, n: int, budget: int = 1 << 22) -> JointPmf:
     if n == 1:
         return joint
 
-    def tuples(alphabet):
-        out = [()]
-        for _ in range(n):
-            out = [t + (s,) for t in out for s in alphabet]
-        return out
-
-    xt = tuples(joint.x_alphabet)
-    yt = tuples(joint.y_alphabet)
+    xt = tuple_alphabet(joint.x_alphabet, n)
+    yt = tuple_alphabet(joint.y_alphabet, n)
     xi = {s: i for i, s in enumerate(joint.x_alphabet)}
     yi = {s: i for i, s in enumerate(joint.y_alphabet)}
     one: Number = Fraction(1) if joint.exact else 1.0
@@ -371,20 +360,3 @@ def validate(obj) -> list[str]:
     if gap > NORM_TOL:
         issues.append(f"normalization gap {gap:.3e} exceeds {NORM_TOL}")
     return issues
-
-
-def pair_alphabet(a: Iterable, b: Iterable) -> tuple:
-    """Cartesian product alphabet of pairs, row-major in `a`."""
-    return tuple((x, y) for x in a for y in b)
-
-
-def group_joint(cells: dict, x_alphabet: Sequence, ctx_alphabet: Sequence) -> JointPmf:
-    """Assemble a JointPmf over (X, context) from sparse {(x, ctx): prob} cells."""
-    xi = {s: i for i, s in enumerate(x_alphabet)}
-    ci = {s: j for j, s in enumerate(ctx_alphabet)}
-    exact = any(isinstance(v, Fraction) for v in cells.values())
-    zero: Number = Fraction(0) if exact else 0.0
-    table = [[zero] * len(ctx_alphabet) for _ in x_alphabet]
-    for (x, c), v in cells.items():
-        table[xi[x]][ci[c]] = table[xi[x]][ci[c]] + v
-    return JointPmf(tuple(x_alphabet), tuple(ctx_alphabet), tuple(tuple(r) for r in table))

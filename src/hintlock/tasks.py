@@ -23,7 +23,7 @@ from .prob import (
     RenyiOrder,
     renyi_cond_entropy,
 )
-from .guessing import GuessingFunction
+from .guessing import GuessingFunction, optimal_guesser, rank_row
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,29 @@ def s_alphabet_size(nx: int, omega: int) -> int:
     return 1 + math.floor(math.log2(math.ceil(nx / omega)))
 
 
+def descriptor_map(joint: JointPmf, size: int, version: str) -> dict:
+    """Deterministic descriptor (x, y) -> z in {0..size-1} for the scheme builders.
+
+    Guessing version: remainder of the optimal rank, which attains the
+    ceil-moment equality.  List version: the offset/refinement construction
+    with the largest feasible offset cardinality.
+    """
+    g = optimal_guesser(joint)
+    if version == "guessing":
+        return {
+            (x, y): (g.rank(x, y) - 1) % size
+            for y in joint.y_alphabet
+            for x in joint.x_alphabet
+        }
+    if version != "list":
+        raise DomainError(f"unknown version {version!r}")
+    nx = len(joint.x_alphabet)
+    feasible = [w for w in range(1, nx + 1) if w * s_alphabet_size(nx, w) <= size]
+    if not feasible:
+        raise DomainError(f"descriptor size {size} cannot host an offset/refinement pair")
+    return encoder_from_guessing(g, max(feasible), size).mapping
+
+
 def encoder_from_guessing(g: GuessingFunction, omega: int, z_count: int) -> DetTaskEncoder:
     """Two-step descriptor built from a guessing function.
 
@@ -182,37 +205,36 @@ def encoder_from_guessing(g: GuessingFunction, omega: int, z_count: int) -> DetT
     return DetTaskEncoder(g.x_alphabet, g.context_alphabet, tuple(range(z_count)), mapping)
 
 
+def ranks_from_lists(lists_by_z: dict, alphabet: tuple) -> tuple:
+    """Rank row that guesses shortest lists first, then the rest of `alphabet`.
+
+    Lists go by (size, repr of z); members by alphabet index; repeats are
+    skipped.  Returns rank[i] for alphabet[i].
+    """
+    index = {s: i for i, s in enumerate(alphabet)}
+    order: dict = {}  # insertion-ordered set
+    for _, members in sorted(lists_by_z.items(), key=lambda kv: (len(kv[1]), repr(kv[0]))):
+        for s in sorted(members, key=index.__getitem__):
+            order.setdefault(s)
+    for s in alphabet:
+        order.setdefault(s)
+    return rank_row([index[s] for s in order])
+
+
 def guessing_from_lists(lists: DecodingListTable, joint: JointPmf) -> GuessingFunction:
     """Guess shortest lists first, members by symbol index, skipping repeats.
 
     Requires the lists to cover every positive-mass symbol per context.  The
     induced moment satisfies E[G^rho] <= |Z|^rho * E[|L|^rho].
     """
-    xi = {x: i for i, x in enumerate(joint.x_alphabet)}
     rank_rows = []
     for j, c in enumerate(joint.y_alphabet):
-        ctx_lists = sorted(
-            ((z, members) for (cc, z), members in lists.lists.items() if cc == c),
-            key=lambda kv: (len(kv[1]), repr(kv[0])),
-        )
-        order: list = []
-        seen = set()
-        for _, members in ctx_lists:
-            for x in sorted(members, key=lambda s: xi[s]):
-                if x not in seen:
-                    seen.add(x)
-                    order.append(x)
-        for i, x in enumerate(joint.x_alphabet):
-            if joint.table[i][j] > 0 and x not in seen:
+        ctx_lists = {z: members for (cc, z), members in lists.lists.items() if cc == c}
+        covered = {x for members in ctx_lists.values() for x in members}
+        for x, p in zip(joint.x_alphabet, joint.y_column(j)):
+            if p > 0 and x not in covered:
                 raise DomainError(f"lists do not cover positive-mass symbol {x!r} in context {c!r}")
-        for x in joint.x_alphabet:
-            if x not in seen:
-                seen.add(x)
-                order.append(x)
-        row = [0] * len(joint.x_alphabet)
-        for r, x in enumerate(order, start=1):
-            row[xi[x]] = r
-        rank_rows.append(tuple(row))
+        rank_rows.append(ranks_from_lists(ctx_lists, joint.x_alphabet))
     return GuessingFunction(joint.x_alphabet, joint.y_alphabet, tuple(rank_rows))
 
 

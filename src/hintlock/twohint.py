@@ -18,107 +18,54 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .adversary import (
-    Cell,
-    eve_exact_enumeration,
-    eve_exact_matching,
-    eve_local_search,
-    moment_for_constant,
-)
-from .guessing import optimal_guesser
-from .prob import (
-    BudgetExceededError,
-    DomainError,
-    JointPmf,
-    RenyiOrder,
-    renyi_cond_entropy,
-)
+from .adversary import Cell, cells, eve_ambiguity, moment_for_constant, support_moment
+from .adversary import eve_exact_matching  # noqa: F401  (re-exported: perfbench reaches the oracle here)
+from .guessing import grouped_moment
+from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow
-from .tasks import encoder_from_guessing, s_alphabet_size
+from .tasks import descriptor_map
 
 LN = math.log
 
 
 # ---------------------------------------------------------------------------
-# Realized-law helpers.  A law is a dict {(x, y, obs...) : prob} over the
-# support; observation coordinates differ per scheme variant.
+# Realized laws.  Every scheme keeps its exact law {(x, y, obs...): prob} for
+# the structural checks, and builds its float Bob and Eve cell views from it
+# once (`adversary.cells`); every ambiguity below is computed on those views.
 # ---------------------------------------------------------------------------
 
 
-def _law_guess_moment(law: dict, obs_of, rho: float) -> float:
-    """Optimal guessing moment of X given the observation key."""
-    groups: dict = {}
-    for key, p in law.items():
-        if p <= 0:
-            continue
-        obs = obs_of(key)
-        groups.setdefault(obs, {})
-        groups[obs][key[0]] = groups[obs].get(key[0], 0.0) + float(p)
-    total = 0.0
-    for by_x in groups.values():
-        masses = sorted(by_x.values(), reverse=True)
-        total += sum(p * (r + 1) ** rho for r, p in enumerate(masses))
-    return total
+class _SchemeCells:
+    """Bob sees every hint, key[1:]; Eve's contexts come from `eve_views`."""
+
+    @staticmethod
+    def eve_views(key) -> tuple:  # the accomplice reveals M1 or M2
+        return (("h1", key[1], key[2]), ("h2", key[1], key[3]))
+
+    @cached_property
+    def bob_cells(self) -> list[Cell]:
+        return cells(self.law, lambda key: (key[1:],))
+
+    @cached_property
+    def eve_cells(self) -> list[Cell]:
+        return cells(self.law, self.eve_views)
 
 
-def _law_list_moment(law: dict, obs_of, rho: float) -> float:
-    """E[|support of X given observation|^rho]; membership is exact-zero based."""
-    supports: dict = {}
-    mass: dict = {}
-    for key, p in law.items():
-        if p <= 0:
-            continue
-        obs = obs_of(key)
-        supports.setdefault(obs, set()).add(key[0])
-        mass[obs] = mass.get(obs, 0.0) + float(p)
-    return sum(mass[obs] * len(supports[obs]) ** rho for obs in supports)
+def _padded_law(items, cs: int, c1: int, c2: int, exact: bool) -> dict:
+    """Spread each (x, y, (v_s, v_1, v_2), mass) uniformly over the pad U.
 
-
-def _law_min_list_moment(law: dict, obs_list, rho: float) -> float:
-    """E[min_k |support given obs_k|^rho] (the list-forming Eve)."""
-    supports: dict = {}
-    for key, p in law.items():
-        if p <= 0:
-            continue
-        for k, obs_of in enumerate(obs_list):
-            supports.setdefault((k, obs_of(key)), set()).add(key[0])
-    total = 0.0
-    for key, p in law.items():
-        if p <= 0:
-            continue
-        best = min(len(supports[(k, obs_of(key))]) for k, obs_of in enumerate(obs_list))
-        total += float(p) * best**rho
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Descriptor construction shared by all variants.
-# ---------------------------------------------------------------------------
-
-
-def _descriptor_map(joint: JointPmf, size: int, version: str) -> dict:
-    """Deterministic descriptor (x, y) -> z in {0..size-1}.
-
-    Guessing version: remainder of the optimal rank, which attains the
-    ceil-moment equality.  List version: the offset/refinement construction
-    with the largest feasible offset cardinality.
+    M1 = ((v_s + U) mod cs) * c1 + v_1 and M2 = U * c2 + v_2, each of the cs
+    pad values carrying mass / cs.
     """
-    g = optimal_guesser(joint)
-    if version == "guessing":
-        return {
-            (x, y): (g.rank(x, y) - 1) % size
-            for y in joint.y_alphabet
-            for x in joint.x_alphabet
-        }
-    if version != "list":
-        raise DomainError(f"unknown version {version!r}")
-    nx = len(joint.x_alphabet)
-    feasible = [w for w in range(1, nx + 1) if w * s_alphabet_size(nx, w) <= size]
-    if not feasible:
-        raise DomainError(f"descriptor size {size} cannot host an offset/refinement pair")
-    enc = encoder_from_guessing(g, max(feasible), size)
-    return {(x, y): enc.mapping[(x, y)] for y in joint.y_alphabet for x in joint.x_alphabet}
+    inv_cs = Fraction(1, cs) if exact else 1.0 / cs
+    law: dict = {}
+    for x, y, (vs, v1, v2), w in items:
+        for u in range(cs):
+            key = (x, y, ((vs + u) % cs) * c1 + v1, u * c2 + v2)
+            law[key] = law.get(key, 0) + w * inv_cs
+    return law
 
 
 def _split3(z: int, cs: int, c1: int) -> tuple[int, int, int]:
@@ -126,7 +73,7 @@ def _split3(z: int, cs: int, c1: int) -> tuple[int, int, int]:
 
 
 @dataclass(frozen=True)
-class TwoHintScheme:
+class TwoHintScheme(_SchemeCells):
     joint: JointPmf
     cs: int
     c1: int
@@ -136,13 +83,6 @@ class TwoHintScheme:
     version: str
     descriptor: dict  # (x, y) -> (v_s, v_1, v_2)
     law: dict  # (x, y, m1, m2) -> prob; m1 = vtilde*c1+v1, m2 = u*c2+v2
-
-    def eve_cells(self) -> list[Cell]:
-        return [
-            Cell(float(p), x, (("h1", y, m1), ("h2", y, m2)))
-            for (x, y, m1, m2), p in self.law.items()
-            if p > 0
-        ]
 
     def pad_coordinate_laws(self) -> tuple[dict, dict]:
         """Conditional laws of M1's padded coordinate and M2's pad, per (x, y).
@@ -184,19 +124,9 @@ class TwoHintScheme:
         joint = JointPmf.from_json(json.dumps(doc["source"]))
         cs, c1, c2 = doc["cs"], doc["c1"], doc["c2"]
         descriptor = {tuple(k): tuple(v) for k, v in doc["descriptor"]}
-        exact = joint.exact
-        inv_cs = Fraction(1, cs) if exact else 1.0 / cs
-        law: dict = {}
-        for i, x in enumerate(joint.x_alphabet):
-            for j, y in enumerate(joint.y_alphabet):
-                p = joint.table[i][j]
-                if p <= 0:
-                    continue
-                vs, v1, v2 = descriptor[(x, y)]
-                for u in range(cs):
-                    m1 = ((vs + u) % cs) * c1 + v1
-                    m2 = u * c2 + v2
-                    law[(x, y, m1, m2)] = p * inv_cs
+        law = _padded_law(
+            ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
+        )
         return cls(joint, cs, c1, c2, doc["m1_size"], doc["m2_size"], doc["version"], descriptor, law)
 
 
@@ -225,21 +155,11 @@ def build_two_hint(
         raise DomainError(
             f"list version needs cs*c1*c2 > log2|X|+2: {size} <= {math.log2(len(joint.x_alphabet)) + 2:.3f}"
         )
-    zmap = _descriptor_map(joint, size, version)
+    zmap = descriptor_map(joint, size, version)
     descriptor = {k: _split3(z, cs, c1) for k, z in zmap.items()}
-    exact = joint.exact
-    inv_cs = Fraction(1, cs) if exact else 1.0 / cs
-    law: dict = {}
-    for i, x in enumerate(joint.x_alphabet):
-        for j, y in enumerate(joint.y_alphabet):
-            p = joint.table[i][j]
-            if p <= 0:
-                continue
-            vs, v1, v2 = descriptor[(x, y)]
-            for u in range(cs):
-                m1 = ((vs + u) % cs) * c1 + v1
-                m2 = u * c2 + v2
-                law[(x, y, m1, m2)] = p * inv_cs
+    law = _padded_law(
+        ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
+    )
     return TwoHintScheme(joint, cs, c1, c2, m1_size, m2_size, version, descriptor, law)
 
 
@@ -256,13 +176,12 @@ def scheme_from_law(
 
 
 def bob_ambiguity(scheme, rho: float, version: str | None = None) -> float:
-    """Bob's exact ambiguity from the realized law (guessing moment or list moment)."""
+    """Bob's exact ambiguity given every hint (guessing moment or list moment)."""
     version = version or scheme.version
-    obs = lambda key: key[1:]
     if version == "guessing":
-        return _law_guess_moment(scheme.law, obs, rho)
+        return moment_for_constant(scheme.bob_cells, 0, rho)
     if version == "list":
-        return _law_list_moment(scheme.law, obs, rho)
+        return support_moment(scheme.bob_cells, rho)
     raise DomainError(f"unknown version {version!r}")
 
 
@@ -270,55 +189,28 @@ def eve_ambiguity_exact(scheme, rho: float, budget_bits: int = 26) -> float:
     """Exact accomplice-optimal guessing moment for Eve.
 
     Uses the assignment reduction when valid, otherwise exhaustive map
-    enumeration; raises BudgetExceededError when neither fits the budget
-    (callers then fall back to `eve_ambiguity_bounds`).
+    enumeration; raises BudgetExceededError when neither fits the budget.
     """
-    cells = scheme.eve_cells()
-    try:
-        return eve_exact_matching(cells, rho)
-    except BudgetExceededError:
-        return eve_exact_enumeration(cells, rho, budget_bits)
+    return eve_ambiguity(scheme.eve_cells, rho, None, budget_bits).value
 
 
-def eve_ambiguity_bounds(scheme, rho: float) -> tuple[float, float]:
-    """Certified (lower, upper) bracket for Eve when the exact oracle is out of budget.
+def _eve_floor(scheme: TwoHintScheme, rho: float) -> float:
+    """Certified lower bound on Eve when the exact oracles are out of budget.
 
-    Lower: revealing the accomplice's index and both coordinates can shrink
-    the moment by at most the revealed cardinality; evaluated on the exact
-    pad-augmented law.  Upper: best reachable deterministic accomplice map.
+    Revealing the accomplice's index and both coordinates can shrink the
+    moment by at most the revealed cardinality; evaluated on the moment of
+    (X, U) given Y, U the uniform pad, and on the moment of X given Y.
     """
-    cells = scheme.eve_cells()
-    upper = min(
-        eve_local_search(cells, rho),
-        min(moment_for_constant(cells, k, rho) for k in range(2)),
-    )
-    aug = _law_guess_moment(scheme.law, lambda key: (key[1],), rho)  # given Y only
+    pos = [(x, y, m2 // scheme.c2, float(p)) for (x, y, _, m2), p in scheme.law.items() if p > 0]
+    aug = grouped_moment(((y, x, p) for x, y, _, p in pos), rho)
+    pair = grouped_moment(((y, (x, u), p) for x, y, u, p in pos), rho)
     z_count = scheme.cs * (scheme.c1 + scheme.c2)
-    pair = _pair_moment_with_pad(scheme, rho)
-    lower = max(1.0, z_count ** (-rho) * pair, (scheme.m1_size * scheme.m2_size) ** (-rho) * aug)
-    return lower, upper
-
-
-def _pair_moment_with_pad(scheme: TwoHintScheme, rho: float) -> float:
-    """Optimal moment of the pair (X, U) given Y; U is the uniform pad."""
-    groups: dict = {}
-    for (x, y, m1, m2), p in scheme.law.items():
-        if p > 0:
-            u = m2 // scheme.c2
-            groups.setdefault(y, {})
-            groups[y][(x, u)] = groups[y].get((x, u), 0.0) + float(p)
-    total = 0.0
-    for by_xu in groups.values():
-        masses = sorted(by_xu.values(), reverse=True)
-        total += sum(p * (r + 1) ** rho for r, p in enumerate(masses))
-    return total
+    return max(1.0, z_count ** (-rho) * pair, (scheme.m1_size * scheme.m2_size) ** (-rho) * aug)
 
 
 def eve_ambiguity_weak(scheme, rho: float) -> float:
     """Accomplice picks the hint before seeing the realization: min of two moments."""
-    m1 = _law_guess_moment(scheme.law, lambda key: (key[1], key[2]), rho)
-    m2 = _law_guess_moment(scheme.law, lambda key: (key[1], key[3]), rho)
-    return min(m1, m2)
+    return min(moment_for_constant(scheme.eve_cells, k, rho) for k in range(2))
 
 
 def verify_finite_blocklength(
@@ -332,13 +224,9 @@ def verify_finite_blocklength(
     cs, c1, c2 = scheme.cs, scheme.c1, scheme.c2
     m1, m2 = scheme.m1_size, scheme.m2_size
     a_b = bob_ambiguity(scheme, rho, version)
-    note = ""
-    try:
-        a_e = eve_ambiguity_exact(scheme, rho)
-        a_e_low = a_e_high = a_e
-    except BudgetExceededError:
-        a_e_low, a_e_high = eve_ambiguity_bounds(scheme, rho)
-        note = "eve: bounds-only"
+    eve = eve_ambiguity(scheme.eve_cells, rho, lambda: _eve_floor(scheme, rho))
+    a_e_low, a_e_high = eve.lower, eve.upper
+    note = "" if eve.exact else "eve: bounds-only"
     a_e_weak = eve_ambiguity_weak(scheme, rho)
     suite = f"two-hint-{version}"
     tag = version[0]  # g / l
@@ -458,13 +346,17 @@ def _largest_k(pred, upper: int) -> int:
 
 
 @dataclass(frozen=True)
-class SecretHintScheme:
+class SecretHintScheme(_SchemeCells):
     joint: JointPmf
     c: int
     mp_size: int
     ms_size: int
     version: str
     law: dict  # (x, y, m_public, m_secret) -> prob (deterministic descriptor)
+
+    @staticmethod
+    def eve_views(key) -> tuple:  # the public hint only
+        return ((key[1], key[2]),)
 
 
 def build_secret_hint(
@@ -479,36 +371,35 @@ def build_secret_hint(
             raise DomainError("list version needs |Mp||Ms| > log2|X| + 2")
         if not c * ms_size > math.log2(nx) + 2:
             raise DomainError("list version needs c*|Ms| > log2|X| + 2")
-    zmap = _descriptor_map(joint, c * ms_size, version)
-    law: dict = {}
-    for i, x in enumerate(joint.x_alphabet):
-        for j, y in enumerate(joint.y_alphabet):
-            p = joint.table[i][j]
-            if p <= 0:
-                continue
-            z = zmap[(x, y)]
-            law[(x, y, z % c, z // c)] = p
+    zmap = descriptor_map(joint, c * ms_size, version)
+    law = {(x, y, zmap[(x, y)] % c, zmap[(x, y)] // c): p for x, y, p in joint.support_items()}
     return SecretHintScheme(joint, c, mp_size, ms_size, version, law)
 
 
-def verify_secret_hint(scheme: SecretHintScheme, rho: float, instance: str = "") -> list[ReportRow]:
+def _verify_fixed_eve_hint(
+    scheme, rho: float, instance: str, suite: str, desc_size: int, bob_size: int, secret_size: int
+) -> list[ReportRow]:
+    """Rows for schemes where Eve always sees the same one hint.
+
+    `desc_size` is the descriptor cardinality Bob decodes, `bob_size` the
+    cardinality of everything Bob is shown, `secret_size` the cardinality of
+    what Eve never sees.
+    """
     joint = scheme.joint
     h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
     nx = len(joint.x_alphabet)
-    c, mp, ms = scheme.c, scheme.mp_size, scheme.ms_size
     version = scheme.version
+    a_b = bob_ambiguity(scheme, rho)
     if version == "guessing":
-        a_b = _law_guess_moment(scheme.law, lambda key: key[1:], rho)
-        bob_dir = 1 + 2 ** (rho * (h - math.log2(c * ms) + 1))
-        bob_conv = max(1.0, (1 + LN(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(mp * ms))))
+        bob_dir = 1 + 2 ** (rho * (h - math.log2(desc_size) + 1))
+        bob_conv = max(1.0, (1 + LN(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(bob_size))))
     else:
-        a_b = _law_list_moment(scheme.law, lambda key: key[1:], rho)
-        bob_dir = 1 + 2 ** (rho * (h - math.log2(c * ms - math.log2(nx) - 2) + 2))
-        bob_conv = max(1.0, 2 ** (rho * (h - math.log2(mp * ms))))
-    a_e = _law_guess_moment(scheme.law, lambda key: (key[1], key[2]), rho)
-    eve_dir = (1 + LN(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(c)))
-    eve_conv = min(ms**rho * a_b, 2 ** (rho * h))
-    suite = f"secret-hint-{version}"
+        bob_dir = 1 + 2 ** (rho * (h - math.log2(desc_size - math.log2(nx) - 2) + 2))
+        bob_conv = max(1.0, 2 ** (rho * (h - math.log2(bob_size))))
+    a_e = moment_for_constant(scheme.eve_cells, 0, rho)
+    eve_dir = (1 + LN(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(scheme.c)))
+    eve_conv = min(secret_size**rho * a_b, 2 ** (rho * h))
+    suite = f"{suite}-{version}"
     tag = version[0]
     return [
         ReportRow(suite, instance, f"bob-direct-{tag}", "<", a_b, bob_dir),
@@ -518,19 +409,28 @@ def verify_secret_hint(scheme: SecretHintScheme, rho: float, instance: str = "")
     ]
 
 
+def verify_secret_hint(scheme: SecretHintScheme, rho: float, instance: str = "") -> list[ReportRow]:
+    c, mp, ms = scheme.c, scheme.mp_size, scheme.ms_size
+    return _verify_fixed_eve_hint(scheme, rho, instance, "secret-hint", c * ms, mp * ms, ms)
+
+
 # ---------------------------------------------------------------------------
 # Secret key: one public hint, the shared key pads the sensitive coordinate.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SecretKeyScheme:
+class SecretKeyScheme(_SchemeCells):
     joint: JointPmf
     c: int
     k_size: int
     m_size: int
     version: str
     law: dict  # (x, y, k, m) -> prob with m = (ms + k mod |K|)*c + mp
+
+    @staticmethod
+    def eve_views(key) -> tuple:  # the stored hint, never the key
+        return ((key[1], key[3]),)
 
 
 def build_secret_key(
@@ -547,48 +447,21 @@ def build_secret_key(
             raise DomainError("list version needs floor(|M|/|K|)*|K| > log2|X| + 2")
         if not c * k_size > math.log2(nx) + 2:
             raise DomainError("list version needs c*|K| > log2|X| + 2")
-    zmap = _descriptor_map(joint, c * k_size, version)
-    exact = joint.exact
-    inv_k = Fraction(1, k_size) if exact else 1.0 / k_size
+    zmap = descriptor_map(joint, c * k_size, version)
+    inv_k = Fraction(1, k_size) if joint.exact else 1.0 / k_size
     law: dict = {}
-    for i, x in enumerate(joint.x_alphabet):
-        for j, y in enumerate(joint.y_alphabet):
-            p = joint.table[i][j]
-            if p <= 0:
-                continue
-            z = zmap[(x, y)]
-            ms, mp = z % k_size, z // k_size
-            for k in range(k_size):
-                m = ((ms + k) % k_size) * c + mp
-                law[(x, y, k, m)] = p * inv_k
+    for x, y, p in joint.support_items():
+        z = zmap[(x, y)]
+        ms, mp = z % k_size, z // k_size
+        for k in range(k_size):
+            m = ((ms + k) % k_size) * c + mp
+            law[(x, y, k, m)] = p * inv_k
     return SecretKeyScheme(joint, c, k_size, m_size, version, law)
 
 
 def verify_secret_key(scheme: SecretKeyScheme, rho: float, instance: str = "") -> list[ReportRow]:
-    joint = scheme.joint
-    h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
-    nx = len(joint.x_alphabet)
     c, ksz, msz = scheme.c, scheme.k_size, scheme.m_size
-    version = scheme.version
-    if version == "guessing":
-        a_b = _law_guess_moment(scheme.law, lambda key: key[1:], rho)
-        bob_dir = 1 + 2 ** (rho * (h - math.log2(c * ksz) + 1))
-        bob_conv = max(1.0, (1 + LN(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(msz))))
-    else:
-        a_b = _law_list_moment(scheme.law, lambda key: key[1:], rho)
-        bob_dir = 1 + 2 ** (rho * (h - math.log2(c * ksz - math.log2(nx) - 2) + 2))
-        bob_conv = max(1.0, 2 ** (rho * (h - math.log2(msz))))
-    a_e = _law_guess_moment(scheme.law, lambda key: (key[1], key[3]), rho)
-    eve_dir = (1 + LN(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(c)))
-    eve_conv = min(ksz**rho * a_b, 2 ** (rho * h))
-    suite = f"secret-key-{version}"
-    tag = version[0]
-    return [
-        ReportRow(suite, instance, f"bob-direct-{tag}", "<", a_b, bob_dir),
-        ReportRow(suite, instance, f"eve-direct-{tag}", ">=", a_e, eve_dir),
-        ReportRow(suite, instance, f"bob-converse-{tag}", ">=", a_b, bob_conv),
-        ReportRow(suite, instance, f"eve-converse-{tag}", "<=", a_e, eve_conv),
-    ]
+    return _verify_fixed_eve_hint(scheme, rho, instance, "secret-key", c * ksz, msz, ksz)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +470,7 @@ def verify_secret_key(scheme: SecretKeyScheme, rho: float, instance: str = "") -
 
 
 @dataclass(frozen=True)
-class EveListScheme:
+class EveListScheme(_SchemeCells):
     joint: JointPmf
     cs: int
     c1: int
@@ -624,7 +497,7 @@ def build_eve_list_scheme(
     c1, c2 = m1_size // cs, m2_size // cs
     if 1 - 2.0**-epsilon * (1 + 1.0 / (c1 * c2)) < 0:
         raise DomainError(f"epsilon {epsilon} makes the mixing weight negative")
-    zmap = _descriptor_map(joint, c1 * c2, "guessing")
+    zmap = descriptor_map(joint, c1 * c2, "guessing")
     exact = joint.exact and float(epsilon).is_integer() and epsilon >= 0
     if exact:
         move_total = Fraction(1, 2 ** int(epsilon))
@@ -633,58 +506,47 @@ def build_eve_list_scheme(
         move_total = 2.0**-epsilon
         stay = 1.0 - move_total
     # posterior-sorted ranks of X given (y, v1', v2') under the smoothed law
-    cells: dict = {}
-    for i, x in enumerate(joint.x_alphabet):
-        for j, y in enumerate(joint.y_alphabet):
-            p = joint.table[i][j]
-            if p <= 0:
-                continue
-            z = zmap[(x, y)]
-            for zp in range(c1 * c2):
-                if c1 * c2 == 1:
-                    w = p
-                elif zp == z:
-                    w = p * stay
-                else:
-                    w = p * move_total / (c1 * c2 - 1)
-                if w > 0:
-                    cells[(x, y, zp)] = cells.get((x, y, zp), 0) + w
+    smoothed: dict = {}
+    for x, y, p in joint.support_items():
+        z = zmap[(x, y)]
+        for zp in range(c1 * c2):
+            if c1 * c2 == 1:
+                w = p
+            elif zp == z:
+                w = p * stay
+            else:
+                w = p * move_total / (c1 * c2 - 1)
+            if w > 0:
+                smoothed[(x, y, zp)] = smoothed.get((x, y, zp), 0) + w
     ranks: dict = {}
     groups: dict = {}
     xi = {x: i for i, x in enumerate(joint.x_alphabet)}
-    for (x, y, zp), w in cells.items():
+    for (x, y, zp), w in smoothed.items():
         groups.setdefault((y, zp), []).append((x, w))
     for ctx, members in groups.items():
         ordered = sorted(members, key=lambda kv: (-float(kv[1]), xi[kv[0]]))
         for r, (x, _) in enumerate(ordered, start=1):
             ranks[(ctx, x)] = r
-    inv_cs = Fraction(1, cs) if exact else 1.0 / cs
-    law: dict = {}
-    for (x, y, zp), w in cells.items():
-        vs = math.floor(math.log2(ranks[((y, zp), x)]))
-        v1, v2 = zp % c1, zp // c1
-        for u in range(cs):
-            m1 = ((vs + u) % cs) * c1 + v1
-            m2 = u * c2 + v2
-            key = (x, y, m1, m2)
-            law[key] = law.get(key, 0) + w * inv_cs
+    items = (
+        (x, y, (math.floor(math.log2(ranks[((y, zp), x)])), zp % c1, zp // c1), w)
+        for (x, y, zp), w in smoothed.items()
+    )
+    law = _padded_law(items, cs, c1, c2, exact)
     return EveListScheme(joint, cs, c1, c2, m1_size, m2_size, epsilon, law)
 
 
 def eve_list_ambiguity(scheme: EveListScheme, rho: float) -> float:
     """E[min(|L given (Y, M1)|, |L given (Y, M2)|)^rho]."""
-    return _law_min_list_moment(
-        scheme.law, [lambda key: (key[1], key[2]), lambda key: (key[1], key[3])], rho
-    )
+    return support_moment(scheme.eve_cells, rho, min)
 
 
 def verify_eve_list(scheme: EveListScheme, rho: float, instance: str = "") -> list[ReportRow]:
     joint = scheme.joint
     h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
     nx = len(joint.x_alphabet)
-    a_b = _law_list_moment(scheme.law, lambda key: key[1:], rho)
+    a_b = bob_ambiguity(scheme, rho, "list")
     a_e = eve_list_ambiguity(scheme, rho)
-    no_hint = _law_list_moment(scheme.law, lambda key: (key[1],), rho)
+    no_hint = support_moment(cells(scheme.law, lambda key: ((key[1],),)), rho)
     bob_dir = 1 + 2 ** (
         rho
         * (

@@ -38,6 +38,7 @@ from hintlock.guessing import (
     arikan_bounds,
     ceil_moment,
     encoder_guess_moment,
+    grouped_moment,
     optimal_guess_moment,
     optimal_guesser,
     random_joint,
@@ -55,8 +56,6 @@ from hintlock.tasks import (
     s_alphabet_size,
 )
 from hintlock.twohint import (
-    _law_guess_moment,
-    _pair_moment_with_pad,
     bob_ambiguity,
     build_eve_list_scheme,
     build_two_hint,
@@ -289,7 +288,11 @@ def test_criterion_10_exponent_calculators_and_trend():
         prev = b
         if n == 8:
             z = s.cs * (s.c1 + s.c2)
-            floor8 = z ** (-1.0) * _pair_moment_with_pad(s, 1.0)
+            # optimal moment of the pair (X, U) given Y, U the uniform pad
+            pair = grouped_moment(
+                ((y, (x, m2 // s.c2), float(p)) for (x, y, _, m2), p in s.law.items() if p > 0), 1.0
+            )
+            floor8 = z ** (-1.0) * pair
     ok &= prev == 1.0
     ok &= abs(math.log2(floor8) / 8 - 1.0) <= 0.25
     report(10, "exponent-calculators", ok, time.time() - t0, 120.0)

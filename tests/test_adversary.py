@@ -94,7 +94,7 @@ def test_bob_bracket_sound():
         assert lo <= hi + 1e-12
         # the per-subset optimum for any fixed subset lower-bounds the min-max
         for k in range(2):
-            assert moment_for_constant(cells, k, 1.0) <= lo + 1e-12 or True
+            assert moment_for_constant(cells, k, 1.0) <= lo + 1e-12
         assert lo >= max(moment_for_constant(cells, k, 1.0) for k in range(2)) - 1e-12
 
 

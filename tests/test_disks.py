@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -5,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hintlock.adversary import eve_exact_enumeration
+from hintlock.adversary import eve_bracket, eve_exact_enumeration
 from hintlock.disks import (
     bob_ambiguity_minmax,
     build_delta_scheme,
@@ -14,8 +15,8 @@ from hintlock.disks import (
     choose_pr,
     disk_exponents,
     equal_size_envelope_rows,
+    _eve_floor,
     eve_ambiguity_minmin,
-    eve_bounds,
     verify_disk_theorems,
     verify_unequal_converse,
 )
@@ -32,6 +33,20 @@ def test_acceptance_instance_structure():
     assert check_reconstruction(sch)
     assert check_eta_independence(sch)
     assert bob_ambiguity_minmax(sch, 1.0).value == pytest.approx(1.0)
+
+
+def test_eta_independence_exact_in_rational_mode():
+    # moving 1e-15 of mass between two pad entries of one (x, y) leaves the
+    # rational law non-uniform; the exact check must see it
+    sch = build_delta_scheme(U16, 3, 2, 1, 4, 2, 2, "guessing")
+    law = dict(sch.law)
+    first, second = [k for k in law if k[:2] == (0, 0)][:2]
+    law[first] += Fraction(1, 10**15)
+    law[second] -= Fraction(1, 10**15)
+    assert not check_eta_independence(dataclasses.replace(sch, law=law))
+    # float laws keep their tolerance
+    floats = build_delta_scheme(JointPmf.from_marginal(Pmf.uniform(16)), 3, 2, 1, 4, 2, 2, "guessing")
+    assert check_eta_independence(floats)
 
 
 def test_admissibility_errors():
@@ -72,7 +87,7 @@ def test_eve_oracle_vs_enumeration_small():
     sch = build_delta_scheme(u2, 3, 2, 1, 4, 2, 2, "guessing")
     res = eve_ambiguity_minmin(sch, 1.0)
     assert res.exact
-    brute = eve_exact_enumeration(sch.eve_cells(), 1.0, budget_bits=14)
+    brute = eve_exact_enumeration(sch.eve_cells, 1.0, budget_bits=14)
     assert res.value == pytest.approx(brute, abs=1e-12)
 
 
@@ -104,7 +119,8 @@ def test_degenerate_full_visibility():
 def test_eve_bounds_bracket_sound():
     sch = build_delta_scheme(U16, 3, 2, 1, 4, 2, 2, "guessing")
     exact = eve_ambiguity_minmin(sch, 1.0).value
-    lo, hi = eve_bounds(sch, 1.0)
+    bracket = eve_bracket(sch.eve_cells, 1.0, _eve_floor(sch, 1.0))
+    lo, hi = bracket.lower, bracket.upper
     assert lo - 1e-12 <= exact <= hi + 1e-12
 
 

@@ -173,3 +173,12 @@ def test_renyi_order_and_domain():
         RenyiOrder(-0.1)
     with pytest.raises(Exception):
         renyi_cond_entropy(JointPmf.from_marginal(Pmf.uniform(2)), -1.0)
+
+
+def test_mixed_fraction_float_tables_rejected():
+    # Fraction + float sums to the float 1.0, so no exact normalisation check exists
+    with pytest.raises(NormalizationError):
+        JointPmf((0, 1), (0,), ((Fraction(1, 3),), (0.6666666666666666,)))
+    with pytest.raises(NormalizationError):
+        Pmf((0, 1), (Fraction(1, 2), 0.5))
+    assert JointPmf((0, 1), (0,), ((Fraction(1, 3),), (Fraction(2, 3),))).exact

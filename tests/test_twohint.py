@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hintlock.guessing import optimal_guesser, random_joint
+from hintlock.adversary import cells, eve_bracket, support_moment
+from hintlock.guessing import grouped_moment, optimal_guesser, random_joint
 from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy
 from hintlock.report import all_passed
 from hintlock.twohint import (
     InfeasibleBoundError,
+    _eve_floor,
     bob_ambiguity,
     build_eve_list_scheme,
     build_secret_hint,
@@ -24,8 +26,6 @@ from hintlock.twohint import (
     verify_finite_blocklength,
     verify_secret_hint,
     verify_secret_key,
-    _law_guess_moment,
-    _law_list_moment,
 )
 
 BIT = JointPmf.from_marginal(Pmf.of([Fraction(1, 2), Fraction(1, 2)], exact=True))
@@ -33,6 +33,23 @@ U4 = JointPmf.from_marginal(Pmf.of([Fraction(1, 4)] * 4, exact=True))
 SKEW4 = JointPmf.from_marginal(
     Pmf.of([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)], exact=True)
 )
+
+
+def guess_moment_given(law, obs, rho):
+    """Optimal guessing moment of X given obs(key), by the shared kernel."""
+    return grouped_moment(((obs(k), k[0], float(p)) for k, p in law.items() if p > 0), rho)
+
+
+def list_moment_given(law, obs, rho):
+    """E[|support of X given obs(key)|^rho], by the shared support moment."""
+    return support_moment(cells(law, lambda k: (obs(k),)), rho)
+
+
+def pad_pair_moment(scheme, rho):
+    """Optimal moment of the pair (X, U) given Y; U is the uniform pad."""
+    return grouped_moment(
+        ((y, (x, m2 // scheme.c2), float(p)) for (x, y, _, m2), p in scheme.law.items() if p > 0), rho
+    )
 
 
 def admissible_triples(m1, m2):
@@ -91,6 +108,17 @@ def test_eve_examples_from_fixed_laws():
     assert eve_ambiguity_weak(otp, 1.0) == pytest.approx(1.5, abs=1e-12)
 
 
+def test_eve_bounds_bracket_exact():
+    # the certified bracket used when the exact oracles are out of budget
+    for joint in (U4, SKEW4):
+        for triple in ((1, 2, 2), (2, 2, 2), (4, 1, 1)):
+            s = build_two_hint(joint, *triple, m1_size=4, m2_size=4)
+            for rho in (0.5, 1.0, 2.0):
+                exact = eve_ambiguity_exact(s, rho)
+                bracket = eve_bracket(s.eve_cells, rho, _eve_floor(s, rho))
+                assert bracket.lower - 1e-12 <= exact <= bracket.upper + 1e-12
+
+
 def test_eve_exact_never_exceeds_weak():
     rng = np.random.default_rng(4)
     for _ in range(25):
@@ -136,8 +164,8 @@ def test_universal_converses_on_random_schemes():
         s = scheme_from_law(j, law, m1, m2)
         for rho in (0.5, 1.0, 2.0):
             h = renyi_cond_entropy(j, RenyiOrder.from_rho(rho))
-            a_bg = _law_guess_moment(law, lambda key: key[1:], rho)
-            a_bl = _law_list_moment(law, lambda key: key[1:], rho)
+            a_bg = guess_moment_given(law, lambda key: key[1:], rho)
+            a_bl = list_moment_given(law, lambda key: key[1:], rho)
             a_e = eve_ambiguity_exact(s, rho)
             a_ew = eve_ambiguity_weak(s, rho)
             assert a_bg >= max(1.0, (1 + math.log(nx)) ** -rho * 2 ** (rho * (h - math.log2(m1 * m2)))) - 1e-9
@@ -189,16 +217,16 @@ def test_secret_hint_examples_and_verify():
             assert all_passed(rows), [r for r in rows if not r.passed]
     # c = |X| with trivial secret part: the public hint reveals X
     sch = build_secret_hint(U4, 4, 1)
-    a_e = _law_guess_moment(sch.law, lambda k: (k[1], k[2]), 1.0)
+    a_e = guess_moment_given(sch.law, lambda k: (k[1], k[2]), 1.0)
     assert a_e == pytest.approx(1.0)
 
 
 def test_secret_key_examples_and_verify():
     sk = build_secret_key(U4, 1, 4)
-    a_e = _law_guess_moment(sk.law, lambda k: (k[1], k[3]), 1.0)
+    a_e = guess_moment_given(sk.law, lambda k: (k[1], k[3]), 1.0)
     assert a_e == pytest.approx(2.5)  # hint independent of X
     sk2 = build_secret_key(U4, 4, 1)
-    a_e2 = _law_guess_moment(sk2.law, lambda k: (k[1], k[3]), 1.0)
+    a_e2 = guess_moment_given(sk2.law, lambda k: (k[1], k[3]), 1.0)
     assert a_e2 == pytest.approx(1.0)
     for version in ("guessing", "list"):
         for c, ks in ((2, 2), (1, 8), (2, 4)):
@@ -275,7 +303,7 @@ def test_remark_guessing_to_list_pipeline():
                 (x, y, (m1, math.floor(math.log2(ranks[((y, m1, m2), x)]))), m2): p
                 for (x, y, m1, m2), p in s.law.items()
             }
-            a_l = _law_list_moment(aug_law, lambda key: key[1:], 1.0)
+            a_l = list_moment_given(aug_law, lambda key: key[1:], 1.0)
             assert a_l <= a_g + 1e-12
 
 
@@ -295,8 +323,6 @@ def test_scheme_json_round_trip():
 def test_exponent_trend_finite_n():
     # IID uniform bit, R1 = R2 = 1: Bob pinned at 1, Eve's certified floor
     # exponent climbs to within 0.25 of rho*min(R1,R2,H) = 1 by n = 8
-    from hintlock.twohint import _pair_moment_with_pad
-
     prev_bob = math.inf
     floors = {}
     for n in range(1, 9):
@@ -307,7 +333,7 @@ def test_exponent_trend_finite_n():
         assert bob <= prev_bob + 1e-12
         prev_bob = bob
         z = s.cs * (s.c1 + s.c2)
-        floors[n] = z ** (-1.0) * _pair_moment_with_pad(s, 1.0)
+        floors[n] = z ** (-1.0) * pad_pair_moment(s, 1.0)
     assert prev_bob == pytest.approx(1.0)
     rate = math.log2(floors[8]) / 8
     assert abs(rate - 1.0) <= 0.25
