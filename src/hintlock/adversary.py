@@ -23,6 +23,17 @@ is exact whenever no two distinct cells share the same (x, context) pair;
 otherwise routing both into that context would merge their posterior mass,
 which the matching cannot price, and we fall back to exhaustive enumeration
 of accomplice maps (or certified bounds when over budget).
+
+The slot graph is sparse.  A context incident to d cells owns positions
+1..d, and a cell is joined only to positions 1..q of each of its own
+contexts, where q counts that context's incident cells with mass at least
+the cell's own, ties included.  Some optimal assignment lists every context
+by descending mass, so a cell at position t there has t - 1 predecessors of
+no smaller mass, and t <= q: the truncated graph keeps an optimal
+assignment.  Each connected component is solved by LAPJVsp (scipy's
+`min_weight_full_bipartite_matching`, imported on first use).  Float-zero
+cells (a positive Fraction below the float range) are left out: they fit
+after every positive cell of a context and add 0.
 """
 
 from __future__ import annotations
@@ -32,7 +43,6 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .guessing import group_masses, grouped_moment, sorted_moment
 from .prob import BudgetExceededError
@@ -134,7 +144,7 @@ def _components(cells: list[Cell]) -> list[list[Cell]]:
 
 
 def eve_exact_matching(cells: list[Cell], rho: float) -> float:
-    """Exact accomplice-optimal moment via min-cost assignment.
+    """Exact accomplice-optimal moment via a sparse min-cost assignment.
 
     Raises BudgetExceededError if cells can merge (see module docstring); the
     caller should then use `eve_exact_enumeration` or bounds.
@@ -142,29 +152,44 @@ def eve_exact_matching(cells: list[Cell], rho: float) -> float:
     if has_mergeable_cells(cells):
         raise BudgetExceededError("mergeable cells: matching reduction is not exact here")
     total = 0.0
-    for comp in _components(cells):
-        incident: dict = {}
-        for i, cell in enumerate(comp):
-            for ctx in set(cell.views):
-                incident.setdefault(ctx, []).append(i)
-        slots = []  # (ctx, position)
-        for ctx, members in incident.items():
-            slots.extend((ctx, t) for t in range(1, len(members) + 1))
-        big = 1e18
-        cost = np.full((len(comp), len(slots)), big)
-        slot_of_ctx: dict = {}
-        for s, (ctx, t) in enumerate(slots):
-            slot_of_ctx.setdefault(ctx, []).append((s, t))
-        for i, cell in enumerate(comp):
-            for ctx in set(cell.views):
-                for s, t in slot_of_ctx[ctx]:
-                    cost[i, s] = cell.prob * t**rho
-        rows, cols = linear_sum_assignment(cost)
-        comp_cost = float(cost[rows, cols].sum())
-        if comp_cost >= big:
-            raise RuntimeError("assignment failed to avoid forbidden slots")
-        total += comp_cost
+    for comp in _components([c for c in cells if c.prob > 0]):
+        total += _matching_cost(comp, rho)
     return total
+
+
+def _matching_cost(comp: list[Cell], rho: float) -> float:
+    """Min-cost assignment of one component's cells to their truncated slots."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    ctx_ids: dict = {}
+    inc_cell, inc_ctx = [], []
+    for i, cell in enumerate(comp):
+        for view in dict.fromkeys(cell.views):
+            inc_cell.append(i)
+            inc_ctx.append(ctx_ids.setdefault(view, len(ctx_ids)))
+    prob = np.array([c.prob for c in comp])
+    inc_cell, inc_ctx = np.array(inc_cell), np.array(inc_ctx)
+    order = np.lexsort((-prob[inc_cell], inc_ctx))  # by context, then descending mass
+    cell, ctx, mass = inc_cell[order], inc_ctx[order], prob[inc_cell[order]]
+    # Sorted incidence j is also slot column j: context c owns the columns
+    # start..start + degree - 1, and column j is its position j - start + 1.
+    idx = np.arange(len(order))
+    new_ctx = np.r_[True, ctx[1:] != ctx[:-1]]
+    start = np.maximum.accumulate(np.where(new_ctx, idx, 0))
+    # q: the cells of this context with mass >= this one's, ties included.
+    run_ends = np.r_[new_ctx[1:] | (mass[1:] != mass[:-1]), True]
+    last = np.minimum.accumulate(np.where(run_ends, idx, len(idx))[::-1])[::-1]
+    q = last - start + 1
+    offset = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)  # position - 1
+    # Python's float pow, so each weight is the same float as prob * t**rho.
+    powers = np.array([t**rho for t in range(1, int(q.max()) + 1)])
+    graph = csr_array(
+        (np.repeat(mass, q) * powers[offset], (np.repeat(cell, q), np.repeat(start, q) + offset)),
+        shape=(len(comp), len(order)),
+    )
+    rows, cols = min_weight_full_bipartite_matching(graph)  # every row, sorted
+    return float((prob[rows] * powers[cols - start[cols]]).sum())
 
 
 def eve_exact_enumeration(cells: list[Cell], rho: float, budget_bits: int = 26) -> float:

@@ -144,18 +144,24 @@ def build_delta_scheme(
 
     n_pad = 1 << (eta * r)
     inv_pad = Fraction(1, n_pad) if joint.exact else 1.0 / n_pad
+    # Both codes are linear, so encode(u || w) = encode(u || 0) XOR encode(0 || w):
+    # each pad and each distinct V or W symbol tuple is encoded once.
+    def encode(g, sym: tuple) -> np.ndarray:
+        return g.encode(np.array(sym)) if g is not None else np.zeros(delta, dtype=np.int64)
+
+    pad_parts = np.array([encode(g_uw, _int_to_symbols(i, eta, r) + (0,) * (nu - eta)) for i in range(n_pad)])
+    v_parts: dict = {}
+    w_parts: dict = {}
     law: dict = {}
     for x, y, prob in joint.support_items():
         v_sym, w_sym = descriptor[(x, y)]
-        mp = g_v.encode(np.array(v_sym)) if g_v is not None else np.zeros(delta, dtype=np.int64)
-        for pad_idx in range(n_pad):
-            u_sym = _int_to_symbols(pad_idx, eta, r)
-            if g_uw is not None:
-                mr = g_uw.encode(np.array(u_sym + w_sym))
-            else:
-                mr = np.zeros(delta, dtype=np.int64)
-            hints = tuple(int(a) << r | int(b) for a, b in zip(mp, mr))
-            law[(x, y, hints)] = prob * inv_pad
+        if v_sym not in v_parts:
+            v_parts[v_sym] = encode(g_v, v_sym) << r
+        if w_sym not in w_parts:
+            w_parts[w_sym] = encode(g_uw, (0,) * eta + w_sym)
+        mass = prob * inv_pad
+        for hints in (v_parts[v_sym] | (pad_parts ^ w_parts[w_sym])).tolist():
+            law[(x, y, tuple(hints))] = mass
     return DeltaHintScheme(joint, delta, nu, eta, s, p, r, version, descriptor, law)
 
 

@@ -123,6 +123,12 @@ def _ball_matrix(x_tuples, xhat_tuples, spec: DistortionSpec) -> np.ndarray:
     return np.array([[within(x, xh, spec) for xh in xhat_tuples] for x in x_tuples])
 
 
+def _first_hit_weights(balls: np.ndarray, perms: np.ndarray, rho: float) -> np.ndarray:
+    """(position of the first within-Delta guess)^rho per (x, order); the same for every context."""
+    first = balls[:, perms].argmax(axis=2) + 1  # (nx, nperms)
+    return first.astype(float) ** rho
+
+
 def brute_optimal_distortion_guesser(
     spec: DistortionSpec, joint: JointPmf, n: int, rho: float, budget: int = 8
 ) -> tuple[SuccessFunction, float]:
@@ -138,13 +144,12 @@ def brute_optimal_distortion_guesser(
     balls = _ball_matrix(big.x_alphabet, xhat_tuples, spec)
     nh = len(xhat_tuples)
     perms = np.array(list(permutations(range(nh))))
+    weights = _first_hit_weights(balls, perms, rho)
     best_rows = []
     total = 0.0
     for j in range(len(big.y_alphabet)):
         col = np.array([float(p) for p in big.y_column(j)])
-        hits = balls[:, perms]  # (nx, nperms, nh)
-        first = hits.argmax(axis=2) + 1  # first within-Delta position per (x, perm)
-        moments = (col[:, None] * first.astype(float) ** rho).sum(axis=0)
+        moments = (col[:, None] * weights).sum(axis=0)
         k = int(moments.argmin())
         total += float(moments[k])
         best_rows.append(perms[k])
@@ -237,15 +242,13 @@ def _optimal_rd_moment_given(big: JointPmf, spec: DistortionSpec, enc: dict, rho
     nh = len(xhat_tuples)
     if math.factorial(nh) > 50000:
         raise BudgetExceededError("refined-context oracle needs |Xhat|^n small")
-    perms = np.array(list(permutations(range(nh))))
+    weights = _first_hit_weights(balls, np.array(list(permutations(range(nh)))), rho)
     total = 0.0
     for members in groups.values():
         col = np.zeros(len(big.x_alphabet))
         for x, p in members:
             col[xi[x]] += p
-        hits = balls[:, perms]
-        first = hits.argmax(axis=2) + 1
-        moments = (col[:, None] * first.astype(float) ** rho).sum(axis=0)
+        moments = (col[:, None] * weights).sum(axis=0)
         total += float(moments.min())
     return total
 

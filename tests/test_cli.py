@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hintlock
 from hintlock.cli import main
 
 
@@ -22,6 +26,25 @@ def test_entropy_uniform_constant_column(tmp_path, capsys):
     values = {line.split(",")[4] for line in lines[1:] if line.split(",")[1].startswith("alpha")}
     assert values == {"2"}  # 2.0 bits at every order
     assert "0 failures" in err
+
+
+def test_import_and_entropy_load_no_scipy(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"source": {"uniform": 4}, "alpha": [0.5, 2]}))
+    script = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "import hintlock\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "from hintlock.cli import main\n"
+        f"assert main(['entropy', {str(cfg)!r}]) == 0\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+    )
+    src = str(Path(hintlock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_guess_and_task_commands(capsys):
