@@ -71,6 +71,11 @@ class AmbiguityResult:
     def exact(self) -> bool:
         return self.value is not None
 
+    @property
+    def bracket(self) -> tuple[float, float]:
+        """(lower, upper), both the exact value when there is one."""
+        return (self.value, self.value) if self.exact else (self.lower, self.upper)
+
 
 def moment_for_assignment(cells: list[Cell], choice: list[int], rho: float) -> float:
     """Objective for one accomplice map: cells routed per `choice`, then sorted."""
@@ -270,11 +275,11 @@ def _enumerate_component_tables(comp, rho, options, contexts) -> float:
     return best
 
 
-def eve_local_search(cells: list[Cell], rho: float, rounds: int = 50) -> float:
+def eve_local_search(cells: list[Cell], rho: float) -> float:
     """Alternating accomplice/guesser descent; a certified upper bound on Eve.
 
-    Starts from each constant route and from a per-cell greedy, keeps the best
-    reachable value.  Every iterate corresponds to an actual deterministic
+    Starts from each constant route, descends for at most 50 rounds, and keeps
+    the best reachable value.  Every iterate corresponds to an actual deterministic
     accomplice map, so the result always upper-bounds the exact minimum.
     """
     n_opt = max(len(c.views) for c in cells)
@@ -282,7 +287,7 @@ def eve_local_search(cells: list[Cell], rho: float, rounds: int = 50) -> float:
     starts = [[k % len(c.views) for c in cells] for k in range(n_opt)]
     for choice in starts:
         val = moment_for_assignment(cells, choice, rho)
-        for _ in range(rounds):
+        for _ in range(50):
             groups, ranks = _context_ranks((c.views[k], c.x, c.prob) for c, k in zip(cells, choice))
             # unseen (ctx, x) would enter at the context's next free rank
             sizes = {ctx: len(by_x) for ctx, by_x in groups.items()}
@@ -298,16 +303,16 @@ def eve_local_search(cells: list[Cell], rho: float, rounds: int = 50) -> float:
     return best
 
 
-def eve_strategy_pair_bruteforce(cells: list[Cell], x_alphabet: tuple, rho: float, budget: int = 10**7) -> float:
+def eve_strategy_pair_bruteforce(cells: list[Cell], x_alphabet: tuple, rho: float) -> float:
     """min over per-context rank tables of E[min over views of rank(x)]^rho.
 
     Factorial cross-check of the accomplice formulation; only for tiny
-    instances.
+    instances (at most 10^7 table combinations).
     """
     contexts = sorted({ctx for c in cells for ctx in c.views}, key=repr)
     n = len(x_alphabet)
     perms = list(permutations(range(1, n + 1)))
-    if len(perms) ** len(contexts) > budget:
+    if len(perms) ** len(contexts) > 10**7:
         raise BudgetExceededError("strategy-pair enumeration too large")
     xi = {x: i for i, x in enumerate(x_alphabet)}
     best = math.inf
@@ -343,7 +348,7 @@ def bob_minmax_bracket(cells: list[Cell], rho: float) -> tuple[float, float]:
     return lower, upper
 
 
-def eve_ambiguity(cells: list[Cell], rho: float, floor, budget_bits: int = 26) -> AmbiguityResult:
+def eve_ambiguity(cells: list[Cell], rho: float, floor) -> AmbiguityResult:
     """Eve's accomplice-optimal guessing moment: matching, else enumeration, else bounds.
 
     `floor` is a zero-argument callable returning a certified lower bound on
@@ -358,7 +363,7 @@ def eve_ambiguity(cells: list[Cell], rho: float, floor, budget_bits: int = 26) -
     except BudgetExceededError:
         pass
     try:
-        val = eve_exact_enumeration(cells, rho, budget_bits)
+        val = eve_exact_enumeration(cells, rho)
         return AmbiguityResult(val, val, val, "enumeration")
     except BudgetExceededError:
         if floor is None:

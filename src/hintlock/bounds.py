@@ -1,0 +1,105 @@
+"""The right-hand sides of the scheme theorems, written once.
+
+Every scheme's theorem is the same four inequalities on Bob's and Eve's
+ambiguities, with h = H_{1/(1+rho)}(X|Y) in bits: Bob's direct bound for a
+descriptor of z values (task-encoding and guessing: Bunte-Lapidoth 2014,
+Arikan 1996), Bob's converse when all he is shown takes m values, Eve's
+direct bound when her view leaks `leak` values, and Eve's converse when
+`secret` values stay hidden from her.  Only these four cardinalities change
+from scheme to scheme, and the privacy exponents only Bob's and Eve's rates.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
+from .report import ReportRow
+
+
+def list_room(z: int, nx: int) -> bool:
+    """True when z > log2|X| + 2, the room the list version's direct bound needs."""
+    return z > math.log2(nx) + 2
+
+
+def bob_direct(h: float, rho: float, z: int, nx: int | None, version: str) -> float:
+    """Bob's ambiguity is below this for a descriptor of z values (list: inf without `list_room`)."""
+    if version == "guessing":
+        return 1 + 2 ** (rho * (h - math.log2(z) + 1))
+    if not list_room(z, nx):
+        return math.inf
+    return 1 + 2 ** (rho * (h - math.log2(z - math.log2(nx) - 2) + 2))
+
+
+def bob_converse(h: float, rho: float, m: int, nx: int, version: str) -> float:
+    """Bob's ambiguity is at least this when all he is shown takes m values."""
+    if version == "guessing":
+        return max(1.0, (1 + math.log(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(m))))
+    return max(1.0, 2 ** (rho * (h - math.log2(m))))
+
+
+def eve_direct(h: float, rho: float, leak: int, nx: int) -> float:
+    """Eve's guessing ambiguity is at least this when her view leaks `leak` values."""
+    return (1 + math.log(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(leak)))
+
+
+def eve_converse(h: float, rho: float, secret: int, bob: float) -> float:
+    """Eve's ambiguity is at most this when `secret` values hide X beyond Bob's `bob`."""
+    return min(secret**rho * bob, 2 ** (rho * h))
+
+
+def theorem_rows(
+    suite: str, instance: str, joint: JointPmf, rho: float, version: str,
+    bob: tuple, eve: tuple, sizes: tuple, note: str = "",
+) -> list[ReportRow]:
+    """The four theorem rows for Bob's and Eve's (lower, upper) ambiguities.
+
+    `sizes` is the scheme's (z, m, leak, secret).  Each row checks the end of
+    a bracket that makes a pass sound; Eve's converse rides on Bob's lower end.
+    """
+    h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
+    nx = len(joint.x_alphabet)
+    z, m, leak, secret = sizes
+    (bob_lo, bob_hi), (eve_lo, eve_hi) = bob, eve
+    checks = [
+        ("bob-direct", "<", bob_hi, bob_direct(h, rho, z, nx, version)),
+        ("eve-direct", ">=", eve_lo, eve_direct(h, rho, leak, nx)),
+        ("bob-converse", ">=", bob_lo, bob_converse(h, rho, m, nx, version)),
+        ("eve-converse", "<=", eve_hi, eve_converse(h, rho, secret, bob_lo)),
+    ]
+    tag = version[0]  # g / l
+    return [ReportRow(suite, instance, f"{c}-{tag}", rel, lhs, rhs, note) for c, rel, lhs, rhs in checks]
+
+
+@dataclass(frozen=True)
+class ExponentOutcome:
+    value: float  # -inf when Bob's constraint cannot be met
+    witness: tuple | None  # (rate_pad, rate_1, rate_2) splitting, when achievable
+    boundary: bool = False  # True when the rate sum sits exactly on the threshold
+
+    def __float__(self):
+        return self.value
+
+
+def privacy_exponent(
+    bob_rate: float, eve_rate: float, rho: float, h: float, e_bob: float | None = None
+) -> ExponentOutcome:
+    """Privacy exponent (e_bob None) or modest privacy exponent, entropy rate h.
+
+    Bob reads `bob_rate` bits per source symbol and `eve_rate` of them stay
+    hidden from Eve.  The plain exponent is undetermined exactly at
+    bob_rate = h; that input returns the achievable-side value with
+    `boundary=True`.
+    """
+    if rho <= 0 or h < 0:
+        raise DomainError("rho must be > 0 and the entropy rate >= 0")
+    if e_bob is None:
+        if bob_rate < h:
+            return ExponentOutcome(-math.inf, None)
+        return ExponentOutcome(rho * min(eve_rate, h), None, bob_rate == h)
+    if e_bob < 0:
+        raise DomainError("e_bob must be >= 0")
+    if bob_rate < h - e_bob / rho:
+        return ExponentOutcome(-math.inf, None)
+    return ExponentOutcome(min(rho * eve_rate + e_bob, rho * h), None, False)

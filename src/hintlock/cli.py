@@ -3,7 +3,8 @@
 One JSON config document drives each subcommand; outputs are RFC-4180 CSV
 plus a markdown summary on stdout.  Runs are deterministic given --seed: no
 timestamps ever enter the report body, and the seed is recorded in a column.
-The process exits nonzero iff any checked inequality fails.
+The process exits 1 iff any checked inequality fails, and 2 with a one-line
+message on stderr when the config is malformed or a parameter inadmissible.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from . import disks as disks_mod
 from . import twohint as twohint_mod
+from .bounds import list_room
 from .distortion import (
     DistortionSpec,
     brute_optimal_distortion_guesser,
@@ -25,27 +27,50 @@ from .distortion import (
 )
 from .exponents import RdQuery, rd_exponent_functional, rd_privacy_exponent
 from .guessing import arikan_bounds, ceil_moment, optimal_guess_moment, side_info_lower_bound
-from .prob import JointPmf, Pmf, RenyiOrder, renyi_cond_entropy, validate
+from .prob import (
+    BudgetExceededError,
+    DomainError,
+    JointPmf,
+    NormalizationError,
+    Pmf,
+    RenyiOrder,
+    renyi_cond_entropy,
+    validate,
+)
 from .report import ReportRow, all_passed, fmt, rows_to_csv, rows_to_markdown
 from .tasks import bunte_bounds, fact1_census
+
+
+class ConfigError(Exception):
+    """A malformed config: `main` prints the message as one line and exits 2."""
+
+
+def _fields(section: dict, name: str, *keys: str) -> list:
+    """The values of `keys` in a config section; a missing one is a config error."""
+    missing = [k for k in keys if k not in section]
+    if missing:
+        raise ConfigError(f"config error: {name} needs {', '.join(map(repr, missing))}")
+    return [section[k] for k in keys]
 
 
 def _load_source(cfg: dict, rational: bool) -> JointPmf:
     src = cfg.get("source")
     if src is None:
-        raise SystemExit("config error: missing 'source'")
+        raise ConfigError("config error: missing 'source'")
     if isinstance(src, dict) and "path" in src:
         path = Path(src["path"])
         if not path.exists():
-            raise SystemExit(f"config error: source file {path} does not exist")
+            raise ConfigError(f"config error: source file {path} does not exist")
         src = json.loads(path.read_text())
     if isinstance(src, dict) and "uniform" in src:
         n = int(src["uniform"])
+        if n < 1:
+            raise ConfigError(f"config error: a uniform source needs at least one symbol, got {n}")
         p = [Fraction(1, n)] * n if rational else [1.0 / n] * n
         return JointPmf.from_marginal(Pmf.of(p, exact=rational))
     issues = validate(src)
     if issues:
-        raise SystemExit("config error in source: " + "; ".join(issues))
+        raise ConfigError("config error in source: " + "; ".join(issues))
     if "y" not in src or src.get("y") in (None, []):
         probs = src["p"][0] if isinstance(src["p"][0], list) else src["p"]
         vals = [Fraction(str(v)) if rational else float(v) for v in probs]
@@ -113,29 +138,20 @@ def cmd_task(cfg: dict, args) -> list[ReportRow]:
 def _build_scheme(cfg: dict, joint: JointPmf, version: str):
     sch = cfg.get("scheme", {})
     kind = sch.get("kind", "two-hint")
+    name = f"a {kind} scheme"
     if kind == "two-hint":
-        return twohint_mod.build_two_hint(
-            joint,
-            int(sch["cs"]),
-            int(sch["c1"]),
-            int(sch["c2"]),
-            version,
-            sch.get("m1_size"),
-            sch.get("m2_size"),
-        )
+        cs, c1, c2 = map(int, _fields(sch, name, "cs", "c1", "c2"))
+        return twohint_mod.build_two_hint(joint, cs, c1, c2, version, sch.get("m1_size"), sch.get("m2_size"))
     if kind == "secret-hint":
-        return twohint_mod.build_secret_hint(
-            joint, int(sch["c"]), int(sch["ms_size"]), version, sch.get("mp_size")
-        )
+        c, ms = map(int, _fields(sch, name, "c", "ms_size"))
+        return twohint_mod.build_secret_hint(joint, c, ms, version, sch.get("mp_size"))
     if kind == "secret-key":
-        return twohint_mod.build_secret_key(
-            joint, int(sch["c"]), int(sch["k_size"]), version, sch.get("m_size")
-        )
+        c, k = map(int, _fields(sch, name, "c", "k_size"))
+        return twohint_mod.build_secret_key(joint, c, k, version, sch.get("m_size"))
     if kind == "eve-list":
-        return twohint_mod.build_eve_list_scheme(
-            joint, int(sch["m1_size"]), int(sch["m2_size"]), float(sch["epsilon"])
-        )
-    raise SystemExit(f"config error: unknown scheme kind {kind!r}")
+        m1, m2, eps = _fields(sch, name, "m1_size", "m2_size", "epsilon")
+        return twohint_mod.build_eve_list_scheme(joint, int(m1), int(m2), float(eps))
+    raise ConfigError(f"config error: unknown scheme kind {kind!r}")
 
 
 def cmd_twohint(cfg: dict, args) -> list[ReportRow]:
@@ -159,18 +175,8 @@ def cmd_twohint(cfg: dict, args) -> list[ReportRow]:
 def cmd_disks(cfg: dict, args) -> list[ReportRow]:
     joint = _load_source(cfg, args.rational)
     version = cfg.get("version", "guessing")
-    sch = cfg.get("scheme", {})
-    scheme = disks_mod.build_delta_scheme(
-        joint,
-        int(sch["delta"]),
-        int(sch["nu"]),
-        int(sch["eta"]),
-        int(sch["s"]),
-        int(sch["p"]),
-        int(sch["r"]),
-        version,
-        budget=args.budget,
-    )
+    params = map(int, _fields(cfg.get("scheme", {}), "a disk scheme", "delta", "nu", "eta", "s", "p", "r"))
+    scheme = disks_mod.build_delta_scheme(joint, *params, version, budget=args.budget)
     rows = [
         ReportRow(
             "disks",
@@ -194,15 +200,17 @@ def cmd_disks(cfg: dict, args) -> list[ReportRow]:
     return rows
 
 
+def _distortion_spec(joint: JointPmf, dcfg: dict) -> DistortionSpec:
+    delta = float(dcfg.get("delta", 0.0))
+    if dcfg.get("hamming"):
+        return DistortionSpec.hamming(joint.x_alphabet, delta)
+    xhat, d = _fields(dcfg, "a non-Hamming 'distortion'", "xhat", "d")
+    return DistortionSpec(joint.x_alphabet, tuple(xhat), d, delta)
+
+
 def cmd_distortion(cfg: dict, args) -> list[ReportRow]:
     joint = _load_source(cfg, args.rational)
-    dcfg = cfg.get("distortion", {"hamming": True, "delta": 0.0})
-    if dcfg.get("hamming"):
-        spec = DistortionSpec.hamming(joint.x_alphabet, float(dcfg.get("delta", 0.0)))
-    else:
-        spec = DistortionSpec(
-            joint.x_alphabet, tuple(dcfg["xhat"]), dcfg["d"], float(dcfg.get("delta", 0.0))
-        )
+    spec = _distortion_spec(joint, cfg.get("distortion", {"hamming": True, "delta": 0.0}))
     n = int(cfg.get("n", 1))
     rows = []
     for rho in _rho_list(cfg):
@@ -217,51 +225,35 @@ def cmd_distortion(cfg: dict, args) -> list[ReportRow]:
 def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
     rows = []
     rates = cfg.get("rates", {})
+    if "rate_s" not in rates and "r1" not in rates:
+        raise ConfigError("config error: 'rates' needs r1/r2 or rate_s")
     h = cfg.get("entropy_rate")
+    if h is None and ("rate_s" in rates or cfg.get("distortion") is None):
+        raise ConfigError("config error: missing 'entropy_rate'")
     for rho in _rho_list(cfg):
         inst = f"rho={fmt(rho)}"
         if "rate_s" in rates:
-            out = disks_mod.disk_exponents(
-                float(rates["rate_s"]),
-                int(rates["nu"]),
-                int(rates["eta"]),
-                rho,
-                float(h),
-                rates.get("e_bob"),
-            )
+            rate_s, nu, eta = _fields(rates, "'rates'", "rate_s", "nu", "eta")
+            e_bob = rates.get("e_bob")
+            out = disks_mod.disk_exponents(float(rate_s), int(nu), int(eta), rho, float(h), e_bob)
             rows.append(ReportRow("exponent", inst, "disk-exponent", "==", out.value, out.value))
-        elif "r1" in rates:
+        else:
+            r1, r2 = (float(r) for r in _fields(rates, "'rates'", "r1", "r2"))
             if cfg.get("distortion") is not None:
                 joint = _load_source(cfg, args.rational)
-                dcfg = cfg["distortion"]
-                spec = (
-                    DistortionSpec.hamming(joint.x_alphabet, float(dcfg.get("delta", 0.0)))
-                    if dcfg.get("hamming")
-                    else DistortionSpec(
-                        joint.x_alphabet,
-                        tuple(dcfg["xhat"]),
-                        dcfg["d"],
-                        float(dcfg.get("delta", 0.0)),
-                    )
-                )
+                spec = _distortion_spec(joint, cfg["distortion"])
                 controls = RdQuery(grid_points=int(cfg.get("grid_points", 400)), seed=args.seed)
                 func = rd_exponent_functional(joint, spec, rho, controls)
-                out = rd_privacy_exponent(
-                    float(rates["r1"]), float(rates["r2"]), rho, func.value, rates.get("e_bob")
-                )
+                out = rd_privacy_exponent(r1, r2, rho, func.value, rates.get("e_bob"))
                 rows.append(
                     ReportRow("exponent", inst, "rd-functional", "==", func.value, func.value)
                 )
                 if cfg.get("dump_witness"):
                     Path(cfg["dump_witness"]).write_text(func.witness.to_json())
             else:
-                out = twohint_mod.two_hint_exponents(
-                    float(rates["r1"]), float(rates["r2"]), rho, float(h), rates.get("e_bob")
-                )
-            label = "boundary-flagged" if getattr(out, "boundary", False) else "two-hint-exponent"
+                out = twohint_mod.two_hint_exponents(r1, r2, rho, float(h), rates.get("e_bob"))
+            label = "boundary-flagged" if out.boundary else "two-hint-exponent"
             rows.append(ReportRow("exponent", inst, label, "==", out.value, out.value))
-        else:
-            raise SystemExit("config error: 'rates' needs r1/r2 or rate_s")
     return rows
 
 
@@ -278,8 +270,7 @@ def cmd_verify_all(cfg: dict, args) -> list[ReportRow]:
             for triple in ((1, 4, 4), (2, 2, 2), (4, 1, 1)):
                 inst = f"{name},cs={triple[0]},c1={triple[1]},c2={triple[2]},rho={fmt(rho)}"
                 for version in ("guessing", "list"):
-                    size = triple[0] * triple[1] * triple[2]
-                    if version == "list" and not size > math.log2(len(joint.x_alphabet)) + 2:
+                    if version == "list" and not list_room(math.prod(triple), len(joint.x_alphabet)):
                         continue
                     scheme = twohint_mod.build_two_hint(joint, *triple, version, 4, 4)
                     rows.extend(twohint_mod.verify_finite_blocklength(scheme, rho, version, inst))
@@ -314,9 +305,12 @@ def _read_config(arg: str) -> dict:
     except OSError:  # no such file, or too long to be a file name: a literal
         text, where = arg, ""
     try:
-        return json.loads(text)
+        cfg = json.loads(text)
     except json.JSONDecodeError as e:
-        raise SystemExit(f"config parse error{where}: line {e.lineno}, col {e.colno}: {e.msg}")
+        raise ConfigError(f"config parse error{where}: line {e.lineno}, col {e.colno}: {e.msg}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config error{where}: the config must be a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -329,8 +323,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
     args = parser.parse_args(argv)
 
-    cfg = {} if args.config is None else _read_config(args.config)
-    rows = COMMANDS[args.command](cfg, args)
+    try:
+        cfg = {} if args.config is None else _read_config(args.config)
+        rows = COMMANDS[args.command](cfg, args)
+    except (ConfigError, DomainError, NormalizationError, BudgetExceededError) as e:
+        print(e if isinstance(e, ConfigError) else f"config error: {e}", file=sys.stderr)
+        return 2
     rows = [
         ReportRow(r.suite, r.instance, r.check, r.relation, r.lhs, r.rhs, note=(r.note + f" seed={args.seed}").strip())
         for r in rows

@@ -30,6 +30,16 @@ from .adversary import (
     support_moment,
 )
 from .adversary import eve_exact_matching  # noqa: F401  (re-exported: perfbench reaches the oracle here)
+from .bounds import (
+    ExponentOutcome,
+    bob_converse,
+    bob_direct,
+    eve_converse,
+    eve_direct,
+    list_room,
+    privacy_exponent,
+    theorem_rows,
+)
 from .gf import field_make, rs_generator
 from .guessing import grouped_moment
 from .prob import (
@@ -41,8 +51,6 @@ from .prob import (
 )
 from .report import ReportRow
 from .tasks import descriptor_map
-
-LN = math.log
 
 
 def _admissible_pr(p: int, r: int, s: int, delta: int) -> None:
@@ -120,10 +128,9 @@ def build_delta_scheme(
     if not 0 <= eta < nu <= delta:
         raise DomainError(f"need 0 <= eta < nu <= delta, got eta={eta}, nu={nu}, delta={delta}")
     _admissible_pr(p, r, s, delta)
-    nx = len(joint.x_alphabet)
     desc_bits = nu * s - eta * r  # = nu*p + (nu-eta)*r
-    if version == "list" and not 2**desc_bits > math.log2(nx) + 2:
-        raise DomainError(f"list version needs 2^(nu*s - eta*r) > log2|X| + 2")
+    if version == "list" and not list_room(2**desc_bits, len(joint.x_alphabet)):
+        raise DomainError("list version needs 2^(nu*s - eta*r) > log2|X| + 2")
     support = sum(1 for row in joint.table for v in row if v > 0)
     if support << (eta * r) > budget:
         raise BudgetExceededError("realized support exceeds the enumeration budget")
@@ -229,11 +236,9 @@ def bob_ambiguity_minmax(scheme: DeltaHintScheme, rho: float, version: str | Non
     return AmbiguityResult(None, lower, upper, "bracket")
 
 
-def eve_ambiguity_minmin(
-    scheme: DeltaHintScheme, rho: float, budget_bits: int = 26
-) -> AmbiguityResult:
+def eve_ambiguity_minmin(scheme: DeltaHintScheme, rho: float) -> AmbiguityResult:
     """Eve's exact min-min ambiguity, or a certified bracket when over budget."""
-    return eve_ambiguity(scheme.eve_cells, rho, lambda: _eve_floor(scheme, rho), budget_bits)
+    return eve_ambiguity(scheme.eve_cells, rho, lambda: _eve_floor(scheme, rho))
 
 
 def _eve_floor(scheme: DeltaHintScheme, rho: float) -> float:
@@ -259,33 +264,16 @@ def verify_disk_theorems(
     scheme: DeltaHintScheme, rho: float, version: str | None = None, instance: str = ""
 ) -> list[ReportRow]:
     version = version or scheme.version
-    joint = scheme.joint
-    h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
-    nx = len(joint.x_alphabet)
     delta, nu, eta, s, r = scheme.delta, scheme.nu, scheme.eta, scheme.s, scheme.r
     bob = bob_ambiguity_minmax(scheme, rho, version)
     eve = eve_ambiguity_minmin(scheme, rho)
     note = "" if (bob.exact and eve.exact) else "bounds-only sides flagged"
-    bob_hi = bob.value if bob.exact else bob.upper
-    bob_lo = bob.value if bob.exact else bob.lower
-    eve_hi = eve.value if eve.exact else eve.upper
-    eve_lo = eve.value if eve.exact else eve.lower
-    if version == "guessing":
-        bob_dir = 1 + 2 ** (rho * (h - nu * s + eta * r + 1))
-        bob_conv = max(1.0, 2 ** (rho * (h - nu * s - math.log2(1 + LN(nx)))))
-    else:
-        bob_dir = 1 + 2 ** (rho * (h - math.log2(2 ** (nu * s - eta * r) - math.log2(nx) - 2) + 2))
-        bob_conv = max(1.0, 2 ** (rho * (h - nu * s)))
-    eve_dir = 2 ** (rho * (h - eta * (s - r) - eta * math.log2(delta) - math.log2(1 + LN(nx))))
-    eve_conv = min(2 ** (rho * (nu - eta) * s) * bob_lo, 2 ** (rho * h))
+    # (z, m, leak, secret): Bob decodes nu*s - eta*r of his nu*s bits; Eve's
+    # eta hints leak their eta*p bits and which of at most delta^eta index
+    # tuples they are; (nu - eta)*s bits stay hidden from her.
+    sizes = (2 ** (nu * s - eta * r), 2 ** (nu * s), delta**eta * 2 ** (eta * (s - r)), 2 ** ((nu - eta) * s))
     suite = f"disks-{version}"
-    tag = version[0]
-    return [
-        ReportRow(suite, instance, f"bob-direct-{tag}", "<", bob_hi, bob_dir, note),
-        ReportRow(suite, instance, f"eve-direct-{tag}", ">=", eve_lo, eve_dir, note),
-        ReportRow(suite, instance, f"bob-converse-{tag}", ">=", bob_lo, bob_conv, note),
-        ReportRow(suite, instance, f"eve-converse-{tag}", "<=", eve_hi, eve_conv, note),
-    ]
+    return theorem_rows(suite, instance, scheme.joint, rho, version, bob.bracket, eve.bracket, sizes, note)
 
 
 def verify_unequal_converse(
@@ -310,8 +298,8 @@ def verify_unequal_converse(
     bob_lo, _ = bob_minmax_bracket(cells(law, _subset_views("B", delta, nu)), rho)
     eve = eve_ambiguity(cells(law, _subset_views("E", delta, eta)), rho, lambda: 1.0)
     eve_val = eve.upper  # certified side for the "<=" check
-    bob_conv_g = max(1.0, 2 ** (rho * (h - sum(ssort[:nu]) - math.log2(1 + LN(nx)))))
-    eve_conv = min(2 ** (rho * sum(ssort[: nu - eta])) * bob_lo, 2 ** (rho * h))
+    bob_conv_g = bob_converse(h, rho, 2 ** sum(ssort[:nu]), nx, "guessing")
+    eve_conv = eve_converse(h, rho, 2 ** sum(ssort[: nu - eta]), bob_lo)
     suite = "disks-unequal"
     return [
         ReportRow(suite, instance, "bob-converse-unequal-g", ">=", bob_lo, bob_conv_g),
@@ -336,20 +324,20 @@ def equal_size_envelope_rows(
     admissible_r = [0] + [r for r in range(need, sbar - need + 1)] + ([sbar] if sbar >= need else [])
     factor = (
         (2 * delta) ** (rho * eta)
-        * (delta**eta * (1 + LN(nx))) ** rho
+        * (delta**eta * (1 + math.log(nx))) ** rho
         * 2 ** (rho * (nu + 2))
-        * (1 + LN(nx)) ** rho
+        * (1 + math.log(nx)) ** rho
     )
-    b_floor = max(1.0, 2 ** (rho * (h - sum(ssort[:nu]) - math.log2(1 + LN(nx)))))
+    b_floor = bob_converse(h, rho, 2 ** sum(ssort[:nu]), nx, "guessing")
     base = 2 ** (rho * (h - nu * sbar + 1))
     rows = []
     for t in range(grid):
         b = b_floor * 2 ** (rho * t)
-        e = min(2 ** (rho * sum(ssort[: nu - eta])) * b, 2 ** (rho * h))
+        e = eve_converse(h, rho, 2 ** sum(ssort[: nu - eta]), b)
         ok = False
         for r in admissible_r:
-            bob_rhs = 1 + 2 ** (rho * (h - nu * sbar + eta * r + 1))
-            eve_floor = 2 ** (rho * (h - eta * (sbar - r) - eta * math.log2(delta) - math.log2(1 + LN(nx))))
+            bob_rhs = bob_direct(h, rho, 2 ** (nu * sbar - eta * r), nx, "guessing")
+            eve_floor = eve_direct(h, rho, delta**eta * 2 ** (eta * (sbar - r)), nx)
             if bob_rhs <= 1 + factor * max(b - 1, base) and factor * eve_floor >= e:
                 ok = True
                 break
@@ -382,57 +370,32 @@ def choose_pr(
     version: str = "guessing",
     nx: int | None = None,
 ) -> tuple[int, int]:
-    """Pick an admissible (p, r) making Bob's direct bound beat u_bound.
+    """Pick an admissible (p, r) whose Bob direct bound is at most u_bound.
 
-    Clamps the ideal pad width into {0} union [ceil(log2 delta), s] respecting
-    the admissibility constraints; raises on infeasible u_bound.
+    The widest pad wins: r is the largest width with r and p = s - r each 0
+    or at least ceil(log2 delta) whose descriptor of nu*s - eta*r bits fits
+    `bounds.bob_direct` under u_bound; raises DomainError when none does.
     """
-    h = renyi_value
-    if version == "guessing":
-        if not u_bound >= 1 + 2 ** (rho * (h - nu * s + 1)):
-            raise DomainError("u_bound below the achievability threshold")
-        r_tilde = (nu * s + math.log2(u_bound - 1) / rho - h - 1) / eta if eta else s
-    else:
-        if nx is None:
-            raise DomainError("list version needs nx")
-        if not u_bound >= 1 + 2 ** (rho * (h - math.log2(2 ** (nu * s) - math.log2(nx) - 2) + 2)):
-            raise DomainError("u_bound below the achievability threshold")
-        inner = 2 ** (h - math.log2(u_bound - 1) / rho + 2) + math.log2(nx) + 2
-        r_tilde = (nu * s - math.log2(inner)) / eta if eta else s
-    log_d = math.log2(delta)
-    fl = math.floor(r_tilde)
-    if fl < log_d:
-        r = 0
-    elif fl < s - log_d:
-        r = fl
-    elif fl < s:
-        r = s - math.ceil(log_d)
-    else:
-        r = s
-    if r not in (0, s) and r < math.ceil(log_d):
-        r = 0
-    p = s - r
-    if p not in (0,) and p < math.ceil(log_d):
+    if version == "list" and nx is None:
+        raise DomainError("list version needs nx")
+
+    def fits(r: int) -> bool:
+        return bob_direct(renyi_value, rho, 2 ** (nu * s - eta * r), nx, version) <= u_bound
+
+    if not fits(0):
+        raise DomainError("u_bound below the achievability threshold")
+    need = math.ceil(math.log2(delta))
+    admissible = [r for r in range(s + 1) if all(v == 0 or v >= need for v in (r, s - r))]
+    r = max((r for r in admissible if fits(r)), default=None)
+    if r is None:
         raise DomainError(f"no admissible split for s={s}, delta={delta}")
-    return p, r
+    return s - r, r
 
 
 def disk_exponents(
     rate_s: float, nu: int, eta: int, rho: float, entropy_rate: float, e_bob: float | None = None
-):
+) -> ExponentOutcome:
     """Privacy exponent (or modest variant) for per-disk rate rate_s."""
-    from .twohint import ExponentOutcome
-
-    if rate_s < 0 or rho <= 0 or entropy_rate < 0:
-        raise DomainError("rates and rho must be nonnegative (rho positive)")
-    h = entropy_rate
-    if e_bob is None:
-        if nu * rate_s < h:
-            return ExponentOutcome(-math.inf, None)
-        boundary = nu * rate_s == h
-        return ExponentOutcome(rho * min(rate_s * (nu - eta), h), None, boundary)
-    if e_bob < 0:
-        raise DomainError("e_bob must be >= 0")
-    if nu * rate_s < h - e_bob / rho:
-        return ExponentOutcome(-math.inf, None)
-    return ExponentOutcome(min(rho * rate_s * (nu - eta) + e_bob, rho * h), None, False)
+    if rate_s < 0:
+        raise DomainError("rate_s must be >= 0")
+    return privacy_exponent(nu * rate_s, rate_s * (nu - eta), rho, entropy_rate, e_bob)

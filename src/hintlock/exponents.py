@@ -6,9 +6,10 @@ The conditional rate-distortion function is computed by alternating
 minimization per context slice under a Lagrange sweep with bisection
 refinement; an independent fine-grid channel search certifies it at small
 alphabets.  The tilted-source functional sup_Q [R(Q, Delta) - D(Q||P)/rho]
-is maximized by seeded multi-start search and reported with an honest
-bracket: the best evaluated point from below, the zero-distortion entropy
-from above.
+is maximized by seeded multi-start search and reported with a bracket whose
+upper end, the zero-distortion entropy, is a bound; its lower end is the
+optimizer's best point, and that point's R is itself a primal (upper)
+estimate, so the lower end is not certified.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .distortion import DistortionSpec
 from .prob import DomainError, JointPmf, RenyiOrder, kl_divergence, renyi_cond_entropy
+from .twohint import two_hint_exponents
 
 LOG2 = math.log(2.0)
 
@@ -113,8 +115,10 @@ def rd_function(q_joint: JointPmf, spec: DistortionSpec, controls: RdQuery = RdQ
     """Conditional rate-distortion R_{X|Y}(Q, Delta) in bits.
 
     Lagrange sweep (log-spaced multipliers plus bisection on the distortion)
-    with per-context alternating minimization; the returned value is the best
-    feasible mutual information found, certified against the dual lower bound.
+    with per-context alternating minimization; the returned value is the
+    smallest mutual information found at a feasible multiplier, an estimate
+    from above.  The dual value is tracked but not used, so nothing certifies
+    the result from below.
     """
     if tuple(q_joint.x_alphabet) != spec.x_alphabet:
         raise DomainError("joint and distortion spec disagree on the source alphabet")
@@ -272,8 +276,9 @@ def rd_exponent_functional(
 
     Multi-start seeded search: the base law, the tilted closed-form optimum of
     the zero-distortion case, quasi-random Dirichlet draws, then local polish
-    around the leaders.  The certified bracket is [best found, H_a(X|Y)] since
-    the functional is monotone in Delta and equals the entropy at Delta = 0.
+    around the leaders.  The bracket is [best found, H_a(X|Y)]: the functional
+    is monotone in Delta and equals the entropy at Delta = 0, while the best
+    found is only the optimizer's estimate.
     """
     if not rho > 0:
         raise DomainError("rho must be positive")
@@ -350,8 +355,6 @@ def rd_privacy_exponent(
     r1: float, r2: float, rho: float, functional_value: float, e_bob: float | None = None
 ):
     """Privacy exponent with the functional standing in for the entropy rate."""
-    from .twohint import two_hint_exponents
-
     return two_hint_exponents(r1, r2, rho, functional_value, e_bob)
 
 

@@ -180,10 +180,9 @@ def _batched_nonsingular(mats: np.ndarray, field: FieldTable) -> np.ndarray:
     return ok
 
 
-def mds_check(m: GenMatrix, field: FieldTable | None = None, batch: int = 4096) -> bool:
+def mds_check(m: GenMatrix) -> bool:
     """Exhaustively test that every k x k column submatrix is nonsingular."""
-    field = field or m.field
-    k, n = m.k, m.n
+    k, n, batch = m.k, m.n, 4096
     if k > n:
         raise DomainError("k must not exceed n")
     cols = list(combinations(range(n), k))
@@ -191,6 +190,6 @@ def mds_check(m: GenMatrix, field: FieldTable | None = None, batch: int = 4096) 
         chunk = cols[start : start + batch]
         sel = np.array(chunk)  # (b, k) column indices
         mats = m.entries[:, sel].transpose(1, 0, 2)  # (b, k, k)
-        if not _batched_nonsingular(mats, field).all():
+        if not _batched_nonsingular(mats, m.field).all():
             return False
     return True

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bounds import bob_converse
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 
 
@@ -131,9 +132,8 @@ def arikan_bounds(joint: JointPmf, rho: float) -> tuple[float, float]:
     if not rho > 0:
         raise DomainError("rho must be > 0")
     h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
-    upper = 2.0 ** (rho * h)
-    lower = max(1.0, (1.0 + math.log(len(joint.x_alphabet))) ** (-rho) * upper)
-    return lower, upper
+    # the floor is Bob's converse when he is shown nothing (one value)
+    return bob_converse(h, rho, 1, len(joint.x_alphabet), "guessing"), 2.0 ** (rho * h)
 
 
 def side_info_encoder(joint: JointPmf, z_count: int) -> dict:

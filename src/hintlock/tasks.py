@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import bob_converse, bob_direct, list_room
 from .prob import (
     AlphabetMismatchError,
     DomainError,
@@ -143,13 +144,9 @@ def bunte_bounds(joint: JointPmf, z_count: int, rho: float) -> tuple[float | Non
     if not rho > 0:
         raise DomainError("rho must be > 0")
     h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
-    log_x = math.log2(len(joint.x_alphabet))
-    converse = max(1.0, 2.0 ** (rho * (h - math.log2(z_count))))
-    if z_count > log_x + 2:
-        ach = 1.0 + 2.0 ** (rho * (h - math.log2(z_count - log_x - 2) + 2))
-    else:
-        ach = None
-    return ach, converse
+    nx = len(joint.x_alphabet)
+    ach = bob_direct(h, rho, z_count, nx, "list") if list_room(z_count, nx) else None
+    return ach, bob_converse(h, rho, z_count, nx, "list")
 
 
 def s_alphabet_size(nx: int, omega: int) -> int:

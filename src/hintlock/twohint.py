@@ -16,18 +16,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 from .adversary import Cell, cells, eve_ambiguity, moment_for_constant, support_moment
 from .adversary import eve_exact_matching  # noqa: F401  (re-exported: perfbench reaches the oracle here)
+from .bounds import ExponentOutcome, bob_converse, bob_direct, list_room, privacy_exponent, theorem_rows
 from .guessing import grouped_moment
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow
 from .tasks import descriptor_map
-
-LN = math.log
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +151,8 @@ def build_two_hint(
     if c2 > m2_size // cs:
         raise DomainError(f"c2={c2} exceeds floor(|M2|/cs)={m2_size // cs}")
     size = cs * c1 * c2
-    if version == "list" and not size > math.log2(len(joint.x_alphabet)) + 2:
-        raise DomainError(
-            f"list version needs cs*c1*c2 > log2|X|+2: {size} <= {math.log2(len(joint.x_alphabet)) + 2:.3f}"
-        )
+    if version == "list" and not list_room(size, len(joint.x_alphabet)):
+        raise DomainError(f"list version needs cs*c1*c2 > log2|X|+2: {size} is too small")
     zmap = descriptor_map(joint, size, version)
     descriptor = {k: _split3(z, cs, c1) for k, z in zmap.items()}
     law = _padded_law(
@@ -185,13 +183,13 @@ def bob_ambiguity(scheme, rho: float, version: str | None = None) -> float:
     raise DomainError(f"unknown version {version!r}")
 
 
-def eve_ambiguity_exact(scheme, rho: float, budget_bits: int = 26) -> float:
+def eve_ambiguity_exact(scheme, rho: float) -> float:
     """Exact accomplice-optimal guessing moment for Eve.
 
     Uses the assignment reduction when valid, otherwise exhaustive map
     enumeration; raises BudgetExceededError when neither fits the budget.
     """
-    return eve_ambiguity(scheme.eve_cells, rho, None, budget_bits).value
+    return eve_ambiguity(scheme.eve_cells, rho, None).value
 
 
 def _eve_floor(scheme: TwoHintScheme, rho: float) -> float:
@@ -218,35 +216,19 @@ def verify_finite_blocklength(
 ) -> list[ReportRow]:
     """Check the achievability and converse inequalities on the built scheme."""
     version = version or scheme.version
-    joint = scheme.joint
-    h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
-    nx = len(joint.x_alphabet)
-    cs, c1, c2 = scheme.cs, scheme.c1, scheme.c2
     m1, m2 = scheme.m1_size, scheme.m2_size
     a_b = bob_ambiguity(scheme, rho, version)
     eve = eve_ambiguity(scheme.eve_cells, rho, lambda: _eve_floor(scheme, rho))
-    a_e_low, a_e_high = eve.lower, eve.upper
     note = "" if eve.exact else "eve: bounds-only"
     a_e_weak = eve_ambiguity_weak(scheme, rho)
     suite = f"two-hint-{version}"
-    tag = version[0]  # g / l
-    if version == "guessing":
-        bob_dir = 1 + 2 ** (rho * (h - math.log2(cs * c1 * c2) + 1))
-        bob_conv = max(1.0, (1 + LN(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(m1 * m2))))
-    else:
-        bob_dir = 1 + 2 ** (rho * (h - math.log2(cs * c1 * c2 - math.log2(nx) - 2) + 2))
-        bob_conv = max(1.0, 2 ** (rho * (h - math.log2(m1 * m2))))
-    eve_dir = (1 + LN(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(c1 + c2)))
-    eve_conv = min(min(m1, m2) ** rho * a_b, 2 ** (rho * h))
-    rows = [
-        ReportRow(suite, instance, f"bob-direct-{tag}", "<", a_b, bob_dir, note),
-        ReportRow(suite, instance, f"eve-direct-{tag}", ">=", a_e_low, eve_dir, note),
-        ReportRow(suite, instance, f"bob-converse-{tag}", ">=", a_b, bob_conv, note),
-        ReportRow(suite, instance, f"eve-converse-{tag}", "<=", a_e_high, eve_conv, note),
-        ReportRow(suite, instance, f"eve-weak-converse-{tag}", "<=", a_e_weak, eve_conv, note),
-        ReportRow(suite, instance, "eve-exact-below-weak", "<=", a_e_low, a_e_weak, note),
+    sizes = (scheme.cs * scheme.c1 * scheme.c2, m1 * m2, scheme.c1 + scheme.c2, min(m1, m2))
+    rows = theorem_rows(suite, instance, scheme.joint, rho, version, (a_b, a_b), eve.bracket, sizes, note)
+    return [
+        *rows,  # the last is Eve's converse, which caps the weak accomplice too
+        ReportRow(suite, instance, f"eve-weak-converse-{version[0]}", "<=", a_e_weak, rows[-1].rhs, note),
+        ReportRow(suite, instance, "eve-exact-below-weak", "<=", eve.lower, a_e_weak, note),
     ]
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +251,11 @@ def choose_triple(
 ) -> tuple[int, int, int]:
     """Pick (cs, c1, c2) guaranteeing Bob's ambiguity < u_bound.
 
-    Implements the three-case rule; the returned triple is admissible and the
-    matching direct bound is below u_bound.  Raises InfeasibleBoundError when
-    u_bound is under the converse floor, DomainError when it is above the
-    floor but below the achievability threshold this rule needs.
+    Implements the three-case rule; the returned triple is admissible and its
+    direct bound `bounds.bob_direct` is at most u_bound.  Raises
+    InfeasibleBoundError when u_bound is under the converse floor,
+    DomainError when it is above the floor but below the achievability
+    threshold this rule needs.
     """
     h = renyi_value
     if version == "list" and nx is None:
@@ -280,64 +263,28 @@ def choose_triple(
     swapped = m2_size > m1_size
     big, small = (m2_size, m1_size) if swapped else (m1_size, m2_size)
 
-    if version == "guessing":
-        floor = max(1.0, (1 + LN(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(big * small)))) if nx else 1.0
-        threshold = 1 + 2**rho * (big * small) ** (-rho) * 2 ** (rho * h)
-        if nx is not None and u_bound < floor:
-            raise InfeasibleBoundError(f"u_bound {u_bound} below converse floor {floor}")
-        if u_bound < threshold:
-            raise DomainError(f"u_bound {u_bound} below achievability threshold {threshold}")
-        if u_bound >= 1 + 2 ** (rho * (h - math.log2(small) + 1)):
-            triple = (small, 1, 1)
-        elif u_bound >= 1 + (big // small) ** (-rho) * 2 ** (rho * (h - math.log2(small) + 1)):
-            c1 = math.ceil(2 ** (h - math.log2(small) + 1 - math.log2(u_bound - 1) / rho))
-            triple = (small, max(1, min(c1, big // small)), 1)
-        else:
-            k = _largest_k(
-                lambda k: 1
-                + 2**rho * (k * (big // k) * (small // k)) ** (-rho) * 2 ** (rho * h)
-                <= u_bound,
-                small,
-            )
-            triple = (k, big // k, small // k)
-    else:
-        lx = math.log2(nx)
-        if not big * small > lx + 2:
-            raise DomainError("list version needs |M1||M2| > log2|X| + 2")
-        floor = max(1.0, (big * small) ** (-rho) * 2 ** (rho * h))
-        threshold = 1 + 2 ** (rho * (h - math.log2(big * small - lx - 2) + 2))
+    def fits(z: int) -> bool:
+        return bob_direct(h, rho, z, nx, version) <= u_bound
+
+    if version == "list" and not list_room(big * small, nx):
+        raise DomainError("list version needs |M1||M2| > log2|X| + 2")
+    if nx is not None:
+        floor = bob_converse(h, rho, big * small, nx, version)
         if u_bound < floor:
             raise InfeasibleBoundError(f"u_bound {u_bound} below converse floor {floor}")
-        if u_bound < threshold:
-            raise DomainError(f"u_bound {u_bound} below achievability threshold {threshold}")
-        if small > lx + 2 and u_bound >= 1 + 2 ** (rho * (h - math.log2(small - lx - 2) + 2)):
-            triple = (small, 1, 1)
-        elif small * (big // small) > lx + 2 and u_bound >= 1 + 2 ** (
-            rho * (h - math.log2(small * (big // small) - lx - 2) + 2)
-        ):
-            c1 = math.ceil((2 ** (h + 2 - math.log2(u_bound - 1) / rho) + lx + 2) / small)
-            triple = (small, max(1, min(c1, big // small)), 1)
-        else:
-            k = _largest_k(
-                lambda k: k * (big // k) * (small // k) > lx + 2
-                and 1
-                + 2 ** (rho * (h - math.log2(k * (big // k) * (small // k) - lx - 2) + 2))
-                <= u_bound,
-                small,
-            )
-            triple = (k, big // k, small // k)
+    if not fits(big * small):
+        raise DomainError(f"u_bound {u_bound} below the achievability threshold")
+    if fits(small):
+        triple = (small, 1, 1)
+    elif fits(small * (big // small)):
+        # the smallest multiplier that fits: the direct bound falls as it grows
+        cb = 1 + bisect_left(range(1, big // small + 1), True, key=lambda c: fits(small * c))
+        triple = (small, cb, 1)
+    else:  # k = 1 fits: it is the big * small descriptor
+        k = max(k for k in range(1, small + 1) if fits(k * (big // k) * (small // k)))
+        triple = (k, big // k, small // k)
     cs, cb, csm = triple
     return (cs, csm, cb) if swapped else (cs, cb, csm)
-
-
-def _largest_k(pred, upper: int) -> int:
-    best = None
-    for k in range(1, upper + 1):
-        if pred(k):
-            best = k
-    if best is None:
-        raise DomainError("no feasible cardinality; u_bound too tight for this rule")
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -365,53 +312,25 @@ def build_secret_hint(
     mp_size = mp_size if mp_size is not None else c
     if not 1 <= c <= mp_size:
         raise DomainError(f"need 1 <= c <= |Mp|, got c={c}, |Mp|={mp_size}")
-    nx = len(joint.x_alphabet)
-    if version == "list":
-        if not mp_size * ms_size > math.log2(nx) + 2:
-            raise DomainError("list version needs |Mp||Ms| > log2|X| + 2")
-        if not c * ms_size > math.log2(nx) + 2:
-            raise DomainError("list version needs c*|Ms| > log2|X| + 2")
+    if version == "list" and not list_room(c * ms_size, len(joint.x_alphabet)):
+        raise DomainError("list version needs c*|Ms| > log2|X| + 2")
     zmap = descriptor_map(joint, c * ms_size, version)
     law = {(x, y, zmap[(x, y)] % c, zmap[(x, y)] // c): p for x, y, p in joint.support_items()}
     return SecretHintScheme(joint, c, mp_size, ms_size, version, law)
 
 
-def _verify_fixed_eve_hint(
-    scheme, rho: float, instance: str, suite: str, desc_size: int, bob_size: int, secret_size: int
-) -> list[ReportRow]:
-    """Rows for schemes where Eve always sees the same one hint.
-
-    `desc_size` is the descriptor cardinality Bob decodes, `bob_size` the
-    cardinality of everything Bob is shown, `secret_size` the cardinality of
-    what Eve never sees.
-    """
-    joint = scheme.joint
-    h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
-    nx = len(joint.x_alphabet)
-    version = scheme.version
+def _verify_fixed_eve_hint(scheme, rho: float, instance: str, suite: str, sizes: tuple) -> list[ReportRow]:
+    """Theorem rows for schemes where Eve always sees the same one hint."""
     a_b = bob_ambiguity(scheme, rho)
-    if version == "guessing":
-        bob_dir = 1 + 2 ** (rho * (h - math.log2(desc_size) + 1))
-        bob_conv = max(1.0, (1 + LN(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(bob_size))))
-    else:
-        bob_dir = 1 + 2 ** (rho * (h - math.log2(desc_size - math.log2(nx) - 2) + 2))
-        bob_conv = max(1.0, 2 ** (rho * (h - math.log2(bob_size))))
     a_e = moment_for_constant(scheme.eve_cells, 0, rho)
-    eve_dir = (1 + LN(nx)) ** (-rho) * 2 ** (rho * (h - math.log2(scheme.c)))
-    eve_conv = min(secret_size**rho * a_b, 2 ** (rho * h))
+    version = scheme.version
     suite = f"{suite}-{version}"
-    tag = version[0]
-    return [
-        ReportRow(suite, instance, f"bob-direct-{tag}", "<", a_b, bob_dir),
-        ReportRow(suite, instance, f"eve-direct-{tag}", ">=", a_e, eve_dir),
-        ReportRow(suite, instance, f"bob-converse-{tag}", ">=", a_b, bob_conv),
-        ReportRow(suite, instance, f"eve-converse-{tag}", "<=", a_e, eve_conv),
-    ]
+    return theorem_rows(suite, instance, scheme.joint, rho, version, (a_b, a_b), (a_e, a_e), sizes)
 
 
 def verify_secret_hint(scheme: SecretHintScheme, rho: float, instance: str = "") -> list[ReportRow]:
     c, mp, ms = scheme.c, scheme.mp_size, scheme.ms_size
-    return _verify_fixed_eve_hint(scheme, rho, instance, "secret-hint", c * ms, mp * ms, ms)
+    return _verify_fixed_eve_hint(scheme, rho, instance, "secret-hint", (c * ms, mp * ms, c, ms))
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +360,8 @@ def build_secret_key(
         raise DomainError("need |K| <= |M|")
     if c * k_size > m_size:
         raise DomainError(f"need c*|K| <= |M|: {c}*{k_size} > {m_size}")
-    nx = len(joint.x_alphabet)
-    if version == "list":
-        if not (m_size // k_size) * k_size > math.log2(nx) + 2:
-            raise DomainError("list version needs floor(|M|/|K|)*|K| > log2|X| + 2")
-        if not c * k_size > math.log2(nx) + 2:
-            raise DomainError("list version needs c*|K| > log2|X| + 2")
+    if version == "list" and not list_room(c * k_size, len(joint.x_alphabet)):
+        raise DomainError("list version needs c*|K| > log2|X| + 2")
     zmap = descriptor_map(joint, c * k_size, version)
     inv_k = Fraction(1, k_size) if joint.exact else 1.0 / k_size
     law: dict = {}
@@ -461,7 +376,7 @@ def build_secret_key(
 
 def verify_secret_key(scheme: SecretKeyScheme, rho: float, instance: str = "") -> list[ReportRow]:
     c, ksz, msz = scheme.c, scheme.k_size, scheme.m_size
-    return _verify_fixed_eve_hint(scheme, rho, instance, "secret-key", c * ksz, msz, ksz)
+    return _verify_fixed_eve_hint(scheme, rho, instance, "secret-key", (c * ksz, msz, c, ksz))
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +462,11 @@ def verify_eve_list(scheme: EveListScheme, rho: float, instance: str = "") -> li
     a_b = bob_ambiguity(scheme, rho, "list")
     a_e = eve_list_ambiguity(scheme, rho)
     no_hint = support_moment(cells(scheme.law, lambda key: ((key[1],),)), rho)
-    bob_dir = 1 + 2 ** (
-        rho
-        * (
-            h
-            - math.log2(scheme.m1_size * scheme.m2_size)
-            + 2 * math.log2(1 + math.floor(math.log2(nx)))
-            + 3
-        )
-    )
-    bob_conv = max(1.0, 2 ** (rho * (h - math.log2(scheme.m1_size * scheme.m2_size))))
+    m = scheme.m1_size * scheme.m2_size
+    # 1 + 2^(rho (h - log2|M1||M2| + 2 log2 cs + 3)): the guessing-form direct
+    # bound at |M1||M2| / (4 cs^2) values, cs = 1 + floor(log2|X|)
+    bob_dir = bob_direct(h, rho, m / (4 * scheme.cs**2), nx, "guessing")
+    bob_conv = bob_converse(h, rho, m, nx, "list")
     suite = "eve-list"
     return [
         ReportRow(suite, instance, "bob-direct-list", "<=", a_b, bob_dir),
@@ -571,16 +481,6 @@ def verify_eve_list(scheme: EveListScheme, rho: float, instance: str = "") -> li
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentOutcome:
-    value: float  # -inf when Bob's constraint cannot be met
-    witness: tuple | None  # (rate_pad, rate_1, rate_2) splitting, when achievable
-    boundary: bool = False  # True when the rate sum sits exactly on the threshold
-
-    def __float__(self):
-        return self.value
-
-
 def two_hint_exponents(
     r1: float, r2: float, rho: float, entropy_rate: float, e_bob: float | None = None
 ) -> ExponentOutcome:
@@ -591,22 +491,11 @@ def two_hint_exponents(
     """
     if r1 <= 0 or r2 <= 0:
         raise DomainError("rates must be positive")
-    if rho <= 0 or entropy_rate < 0:
-        raise DomainError("rho must be > 0 and the entropy rate >= 0")
-    h = entropy_rate
-    if e_bob is None:
-        if r1 + r2 < h:
-            return ExponentOutcome(-math.inf, None)
-        boundary = r1 + r2 == h
-        value = rho * min(r1, r2, h)
-        return ExponentOutcome(value, _rate_split(r1, r2, h), boundary)
-    if e_bob < 0:
-        raise DomainError("e_bob must be >= 0")
-    heff = h - e_bob / rho
-    if r1 + r2 < heff:
-        return ExponentOutcome(-math.inf, None)
-    value = min(rho * min(r1, r2) + e_bob, rho * h)
-    return ExponentOutcome(value, _rate_split(r1, r2, max(heff, 0.0)), False)
+    out = privacy_exponent(r1 + r2, min(r1, r2), rho, entropy_rate, e_bob)
+    if out.value == -math.inf:
+        return out
+    heff = entropy_rate if e_bob is None else max(entropy_rate - e_bob / rho, 0.0)
+    return replace(out, witness=_rate_split(r1, r2, heff))
 
 
 def _rate_split(r1: float, r2: float, h: float) -> tuple[float, float, float]:

@@ -16,6 +16,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _child_env() -> dict:
+    """The environment for a child Python that imports this hintlock."""
+    src = str(Path(hintlock.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_entropy_uniform_constant_column(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"source": {"uniform": 4}, "alpha": [0, 0.5, 1, 2, "inf"]}))
@@ -41,9 +47,7 @@ def test_import_and_entropy_load_no_scipy(tmp_path):
         f"assert main(['entropy', {str(cfg)!r}]) == 0\n"
         "assert not scipy_modules(), scipy_modules()\n"
     )
-    src = str(Path(hintlock.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -119,15 +123,41 @@ def test_verify_all_passes(tmp_path, capsys):
 
 
 def test_config_parse_error_diagnostics(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["entropy", "{bad json"])
-    assert "line" in str(exc.value) and "col" in str(exc.value)
+    code, out, err = run(capsys, "entropy", "{bad json")
+    assert code == 2 and out == ""
+    assert err.startswith("config parse error") and "line" in err and "col" in err
 
 
 def test_missing_source_file(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["entropy", json.dumps({"source": {"path": "/nonexistent/p.json"}})])
-    assert "does not exist" in str(exc.value)
+    code, _, err = run(capsys, "entropy", json.dumps({"source": {"path": "/nonexistent/p.json"}}))
+    assert code == 2 and "does not exist" in err
+
+
+MALFORMED = {
+    "no-entropy-rate": ["exponent", {"rho": 1, "rates": {"r1": 0.5, "r2": 0.5}}],
+    "two-hint-without-c1": ["twohint", {"source": {"uniform": 4}, "scheme": {"kind": "two-hint", "cs": 2, "c2": 1}}],
+    "empty-uniform": ["entropy", {"source": {"uniform": 0}}],
+    "not-an-object": ["entropy", [1, 2]],
+    "inadmissible-p": [
+        "disks",
+        {"source": {"uniform": 4}, "scheme": {"delta": 3, "nu": 2, "eta": 1, "s": 2, "p": 1, "r": 1}},
+    ],
+}
+
+
+@pytest.mark.parametrize("command, config", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_config_exits_2_with_one_line(command, config):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hintlock.cli", command, json.dumps(config)],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("config error"), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_long_literal_config(capsys):
