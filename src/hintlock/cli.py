@@ -45,12 +45,41 @@ class ConfigError(Exception):
     """A malformed config: `main` prints the message as one line and exits 2."""
 
 
-def _fields(section: dict, name: str, *keys: str) -> list:
-    """The values of `keys` in a config section; a missing one is a config error."""
-    missing = [k for k in keys if k not in section]
+def _number(value, kind: type, key: str):
+    """`value` read as `kind` (int or float); a value of another type is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config error: {key!r} must be a number, not {value!r}") from None
+
+
+def _section(cfg: dict, key: str, default=None) -> dict:
+    """The config section `key` (`default` when absent); a non-object is a config error."""
+    section = cfg.get(key, {} if default is None else default)
+    if not isinstance(section, dict):
+        raise ConfigError(f"config error: {key!r} must be a JSON object, not {type(section).__name__}")
+    return section
+
+
+def _fields(section: dict, name: str, **kinds) -> list:
+    """The values of the keys in `kinds` in a config section, each read as its
+    kind (int, float, or None for as is); a missing key is a config error."""
+    missing = [k for k in kinds if k not in section]
     if missing:
         raise ConfigError(f"config error: {name} needs {', '.join(map(repr, missing))}")
-    return [section[k] for k in keys]
+    return [section[k] if kind is None else _number(section[k], kind, k) for k, kind in kinds.items()]
+
+
+def _optional(section: dict, key: str, kind: type, default=None):
+    """The number `key` of a config section read as `kind`; `default` when absent."""
+    value = section.get(key, default)
+    return None if value is None else _number(value, kind, key)
+
+
+def _numbers(cfg: dict, key: str, default) -> list:
+    """A number or a list of numbers under `key`, unconverted."""
+    value = cfg.get(key, default)
+    return value if isinstance(value, list) else [value]
 
 
 def _load_source(cfg: dict, rational: bool) -> JointPmf:
@@ -62,8 +91,10 @@ def _load_source(cfg: dict, rational: bool) -> JointPmf:
         if not path.exists():
             raise ConfigError(f"config error: source file {path} does not exist")
         src = json.loads(path.read_text())
-    if isinstance(src, dict) and "uniform" in src:
-        n = int(src["uniform"])
+    if not isinstance(src, dict):
+        raise ConfigError(f"config error: 'source' must be a JSON object, not {type(src).__name__}")
+    if "uniform" in src:
+        n = _number(src["uniform"], int, "uniform")
         if n < 1:
             raise ConfigError(f"config error: a uniform source needs at least one symbol, got {n}")
         p = [Fraction(1, n)] * n if rational else [1.0 / n] * n
@@ -82,17 +113,14 @@ def _load_source(cfg: dict, rational: bool) -> JointPmf:
 
 
 def _rho_list(cfg: dict) -> list[float]:
-    rho = cfg.get("rho", 1.0)
-    return [float(r) for r in (rho if isinstance(rho, list) else [rho])]
+    return [_number(r, float, "rho") for r in _numbers(cfg, "rho", 1.0)]
 
 
 def cmd_entropy(cfg: dict, args) -> list[ReportRow]:
     joint = _load_source(cfg, args.rational)
-    alphas = cfg.get("alpha", [0.0, 0.5, 1.0, 2.0, "inf"])
     rows = []
-    for a in alphas:
-        av = math.inf if a in ("inf", "Infinity") else float(a)
-        h = renyi_cond_entropy(joint, av)
+    for a in _numbers(cfg, "alpha", [0.0, 0.5, 1.0, 2.0, "inf"]):
+        h = renyi_cond_entropy(joint, _number(a, float, "alpha"))
         rows.append(ReportRow("entropy", f"alpha={a}", "H_alpha(X|Y)", "==", h, h))
     for rho in _rho_list(cfg):
         h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
@@ -102,7 +130,7 @@ def cmd_entropy(cfg: dict, args) -> list[ReportRow]:
 
 def cmd_guess(cfg: dict, args) -> list[ReportRow]:
     joint = _load_source(cfg, args.rational)
-    z_count = int(cfg.get("z_count", 1))
+    z_count = _optional(cfg, "z_count", int, 1)
     rows = []
     for rho in _rho_list(cfg):
         moment = optimal_guess_moment(joint, rho)
@@ -121,7 +149,7 @@ def cmd_guess(cfg: dict, args) -> list[ReportRow]:
 
 def cmd_task(cfg: dict, args) -> list[ReportRow]:
     joint = _load_source(cfg, args.rational)
-    z_count = int(cfg.get("z_count", 4))
+    z_count = _optional(cfg, "z_count", int, 4)
     rows = []
     for rho in _rho_list(cfg):
         inst = f"rho={fmt(rho)},z={z_count}"
@@ -130,27 +158,28 @@ def cmd_task(cfg: dict, args) -> list[ReportRow]:
             rows.append(ReportRow("task", inst, "achievability-defined", ">=", ach, conv))
         else:
             rows.append(ReportRow("task", inst, "achievability-not-applicable", "==", 0.0, 0.0))
-        k = int(cfg.get("census_k", 5))
+        k = _optional(cfg, "census_k", int, 5)
         rows.append(ReportRow("task", inst, f"census-le-k({k})", "<=", fact1_census(k), k))
     return rows
 
 
 def _build_scheme(cfg: dict, joint: JointPmf, version: str):
-    sch = cfg.get("scheme", {})
+    sch = _section(cfg, "scheme")
     kind = sch.get("kind", "two-hint")
     name = f"a {kind} scheme"
     if kind == "two-hint":
-        cs, c1, c2 = map(int, _fields(sch, name, "cs", "c1", "c2"))
-        return twohint_mod.build_two_hint(joint, cs, c1, c2, version, sch.get("m1_size"), sch.get("m2_size"))
+        cs, c1, c2 = _fields(sch, name, cs=int, c1=int, c2=int)
+        m1, m2 = _optional(sch, "m1_size", int), _optional(sch, "m2_size", int)
+        return twohint_mod.build_two_hint(joint, cs, c1, c2, version, m1, m2)
     if kind == "secret-hint":
-        c, ms = map(int, _fields(sch, name, "c", "ms_size"))
-        return twohint_mod.build_secret_hint(joint, c, ms, version, sch.get("mp_size"))
+        c, ms = _fields(sch, name, c=int, ms_size=int)
+        return twohint_mod.build_secret_hint(joint, c, ms, version, _optional(sch, "mp_size", int))
     if kind == "secret-key":
-        c, k = map(int, _fields(sch, name, "c", "k_size"))
-        return twohint_mod.build_secret_key(joint, c, k, version, sch.get("m_size"))
+        c, k = _fields(sch, name, c=int, k_size=int)
+        return twohint_mod.build_secret_key(joint, c, k, version, _optional(sch, "m_size", int))
     if kind == "eve-list":
-        m1, m2, eps = _fields(sch, name, "m1_size", "m2_size", "epsilon")
-        return twohint_mod.build_eve_list_scheme(joint, int(m1), int(m2), float(eps))
+        m1, m2, eps = _fields(sch, name, m1_size=int, m2_size=int, epsilon=float)
+        return twohint_mod.build_eve_list_scheme(joint, m1, m2, eps)
     raise ConfigError(f"config error: unknown scheme kind {kind!r}")
 
 
@@ -175,7 +204,7 @@ def cmd_twohint(cfg: dict, args) -> list[ReportRow]:
 def cmd_disks(cfg: dict, args) -> list[ReportRow]:
     joint = _load_source(cfg, args.rational)
     version = cfg.get("version", "guessing")
-    params = map(int, _fields(cfg.get("scheme", {}), "a disk scheme", "delta", "nu", "eta", "s", "p", "r"))
+    params = _fields(_section(cfg, "scheme"), "a disk scheme", delta=int, nu=int, eta=int, s=int, p=int, r=int)
     scheme = disks_mod.build_delta_scheme(joint, *params, version, budget=args.budget)
     rows = [
         ReportRow(
@@ -201,17 +230,22 @@ def cmd_disks(cfg: dict, args) -> list[ReportRow]:
 
 
 def _distortion_spec(joint: JointPmf, dcfg: dict) -> DistortionSpec:
-    delta = float(dcfg.get("delta", 0.0))
+    delta = _optional(dcfg, "delta", float, 0.0)
     if dcfg.get("hamming"):
         return DistortionSpec.hamming(joint.x_alphabet, delta)
-    xhat, d = _fields(dcfg, "a non-Hamming 'distortion'", "xhat", "d")
+    xhat, d = _fields(dcfg, "a non-Hamming 'distortion'", xhat=None, d=None)
+    table = isinstance(d, list) and all(
+        isinstance(row, list) and all(isinstance(v, (int, float)) for v in row) for row in d
+    )
+    if not isinstance(xhat, list) or not table:
+        raise ConfigError("config error: a non-Hamming 'distortion' needs a list 'xhat' and a table 'd' of numbers")
     return DistortionSpec(joint.x_alphabet, tuple(xhat), d, delta)
 
 
 def cmd_distortion(cfg: dict, args) -> list[ReportRow]:
     joint = _load_source(cfg, args.rational)
-    spec = _distortion_spec(joint, cfg.get("distortion", {"hamming": True, "delta": 0.0}))
-    n = int(cfg.get("n", 1))
+    spec = _distortion_spec(joint, _section(cfg, "distortion", {"hamming": True, "delta": 0.0}))
+    n = _optional(cfg, "n", int, 1)
     rows = []
     for rho in _rho_list(cfg):
         inst = f"rho={fmt(rho)},n={n}"
@@ -224,34 +258,34 @@ def cmd_distortion(cfg: dict, args) -> list[ReportRow]:
 
 def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
     rows = []
-    rates = cfg.get("rates", {})
+    rates = _section(cfg, "rates")
     if "rate_s" not in rates and "r1" not in rates:
         raise ConfigError("config error: 'rates' needs r1/r2 or rate_s")
-    h = cfg.get("entropy_rate")
+    h = _optional(cfg, "entropy_rate", float)
     if h is None and ("rate_s" in rates or cfg.get("distortion") is None):
         raise ConfigError("config error: missing 'entropy_rate'")
+    e_bob = _optional(rates, "e_bob", float)
     for rho in _rho_list(cfg):
         inst = f"rho={fmt(rho)}"
         if "rate_s" in rates:
-            rate_s, nu, eta = _fields(rates, "'rates'", "rate_s", "nu", "eta")
-            e_bob = rates.get("e_bob")
-            out = disks_mod.disk_exponents(float(rate_s), int(nu), int(eta), rho, float(h), e_bob)
+            rate_s, nu, eta = _fields(rates, "'rates'", rate_s=float, nu=int, eta=int)
+            out = disks_mod.disk_exponents(rate_s, nu, eta, rho, h, e_bob)
             rows.append(ReportRow("exponent", inst, "disk-exponent", "==", out.value, out.value))
         else:
-            r1, r2 = (float(r) for r in _fields(rates, "'rates'", "r1", "r2"))
+            r1, r2 = _fields(rates, "'rates'", r1=float, r2=float)
             if cfg.get("distortion") is not None:
                 joint = _load_source(cfg, args.rational)
-                spec = _distortion_spec(joint, cfg["distortion"])
-                controls = RdQuery(grid_points=int(cfg.get("grid_points", 400)), seed=args.seed)
+                spec = _distortion_spec(joint, _section(cfg, "distortion"))
+                controls = RdQuery(grid_points=_optional(cfg, "grid_points", int, 400), seed=args.seed)
                 func = rd_exponent_functional(joint, spec, rho, controls)
-                out = rd_privacy_exponent(r1, r2, rho, func.value, rates.get("e_bob"))
+                out = rd_privacy_exponent(r1, r2, rho, func.value, e_bob)
                 rows.append(
                     ReportRow("exponent", inst, "rd-functional", "==", func.value, func.value)
                 )
                 if cfg.get("dump_witness"):
                     Path(cfg["dump_witness"]).write_text(func.witness.to_json())
             else:
-                out = twohint_mod.two_hint_exponents(r1, r2, rho, float(h), rates.get("e_bob"))
+                out = twohint_mod.two_hint_exponents(r1, r2, rho, h, e_bob)
             label = "boundary-flagged" if out.boundary else "two-hint-exponent"
             rows.append(ReportRow("exponent", inst, label, "==", out.value, out.value))
     return rows

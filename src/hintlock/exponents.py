@@ -2,14 +2,17 @@
 functional, rate-distortion privacy exponents, and the variational identity
 for conditional Renyi entropy.
 
-The conditional rate-distortion function is computed by alternating
-minimization per context slice under a Lagrange sweep with bisection
-refinement; an independent fine-grid channel search certifies it at small
-alphabets.  The tilted-source functional sup_Q [R(Q, Delta) - D(Q||P)/rho]
-is maximized by seeded multi-start search and reported with a bracket whose
-upper end, the zero-distortion entropy, is a bound; its lower end is the
-optimizer's best point, and that point's R is itself a primal (upper)
-estimate, so the lower end is not certified.
+The conditional rate-distortion function is computed by one batched
+Blahut-Arimoto solver: each row of a (batch, nx, nh) tensor is one (law,
+Lagrange multiplier, context slice) triple over the shared distortion matrix.
+Every law runs its own sweep (log-spaced multipliers, then bisection on the
+distortion), and each sweep step of all laws is one solve.  An independent
+fine-grid channel search certifies R at small alphabets.  The tilted-source
+functional sup_Q [R(Q, Delta) - D(Q||P)/rho] is maximized by seeded
+multi-start search, with all starts scored in one batched call, and reported
+with a bracket whose upper end, the zero-distortion entropy, is a bound; its
+lower end is the optimizer's best point, and that point's R is itself a
+primal (upper) estimate, so the lower end is not certified.
 """
 
 from __future__ import annotations
@@ -41,8 +44,12 @@ class RdQuery:
     bisect_iters: int = 60
 
     def __post_init__(self):
-        if self.grid_points <= 0 or self.polish_runs < 0:
+        if self.grid_points <= 0 or self.polish_runs < 0 or self.polish_steps < 0:
             raise DomainError("invalid controls")
+        if self.lambda_points < 1 or self.ba_iters < 1 or self.bisect_iters < 0:
+            raise DomainError("the rate-distortion sweep needs a multiplier and an iteration")
+        if not self.ba_tol > 0:
+            raise DomainError("ba_tol must be positive")
         if not 0 < self.eps <= 1e-6:
             raise DomainError("eps must be positive and at most 1e-6")
 
@@ -60,127 +67,144 @@ class ExponentResult:
 
 
 # ---------------------------------------------------------------------------
-# Conditional rate-distortion via per-slice alternating minimization.
+# Conditional rate-distortion by batched Blahut-Arimoto.
 # ---------------------------------------------------------------------------
 
+_CHUNK = 256  # laws per batched solve; bounds the tensors at a few MB
 
-def _slice_ba(px: np.ndarray, dmat: np.ndarray, lam: float, iters: int, tol: float):
-    """min over channels of I(X; Xhat) + lam * E[d] for one context slice.
 
-    Returns (mutual information bits, expected distortion) at the optimizer.
+def _blahut_arimoto(px: np.ndarray, lams: np.ndarray, d: np.ndarray, iters: int, tol: float):
+    """min over channels of I(X; Xhat) + lam * E[d], one row per context slice.
+
+    Row b pairs the slice law px[b] with the multiplier lams[b] over the shared
+    distortion matrix d.  A row iterates until its reconstruction law moves by
+    less than tol, or `iters` times, and then leaves the active set.  Returns
+    (mutual information bits, expected distortion) at each row's optimizer.
     """
-    nx, nh = dmat.shape
-    q = np.full(nh, 1.0 / nh)
-    w = np.exp(-lam * LOG2 * dmat)  # base-2 exponent tilt
+    w = np.exp((-lams * LOG2)[:, None, None] * d)  # base-2 exponent tilt
+    support = w > 0
+    fallback = support / np.maximum(support.sum(axis=2, keepdims=True), 1)
 
-    def normalize(raw: np.ndarray) -> np.ndarray:
-        sums = raw.sum(axis=1, keepdims=True)
-        fallback = (w > 0) / np.maximum((w > 0).sum(axis=1, keepdims=True), 1)
+    def channel(q, w, fallback):
+        raw = q[:, None, :] * w
+        sums = raw.sum(axis=2, keepdims=True)
         return np.where(sums > 0, raw / np.maximum(sums, 1e-300), fallback)
 
+    q = np.full((len(px), d.shape[1]), 1.0 / d.shape[1])
+    rows, qa, wa, fa, pa = np.arange(len(px)), q, w, fallback, px[:, None, :]  # the active rows
     for _ in range(iters):
-        ch = normalize(q[None, :] * w)
-        q_new = px @ ch
-        if np.abs(q_new - q).max() < tol:
-            q = q_new
+        q_new = (pa @ channel(qa, wa, fa))[:, 0]
+        done = np.abs(q_new - qa).max(axis=1) < tol
+        qa = q_new
+        if done.any():
+            q[rows[done]] = qa[done]
+            going = ~done
+            rows, qa, wa, fa, pa = rows[going], qa[going], wa[going], fa[going], pa[going]
+            if not len(rows):
+                break
+    q[rows] = qa
+    ch = channel(q, w, fallback)
+    joint = px[:, :, None] * ch
+    ratio = np.where(joint > 0, ch / np.maximum(q[:, None, :], 1e-300), 1.0)
+    mi = (joint * np.log2(np.maximum(ratio, 1e-300))).reshape(len(px), -1).sum(axis=1)
+    ed = (joint * d).reshape(len(px), -1).sum(axis=1)
+    return np.maximum(mi, 0.0), ed
+
+
+def _rates(laws: list, spec: DistortionSpec, controls: RdQuery) -> list:
+    """R_{X|Y}(Q, Delta) in bits for each law Q, every solve batched across laws.
+
+    Each law runs its own Lagrange sweep (log-spaced multipliers, then
+    bisection on the distortion), and every sweep step of all laws is one
+    Blahut-Arimoto solve over their context slices.
+    """
+    if len(laws) > _CHUNK:
+        return _rates(laws[:_CHUNK], spec, controls) + _rates(laws[_CHUNK:], spec, controls)
+    if any(tuple(law.x_alphabet) != spec.x_alphabet for law in laws):
+        raise DomainError("joint and distortion spec disagree on the source alphabet")
+    d = np.array(spec.d, dtype=float)
+    delta = spec.delta
+    columns = [np.array([[float(v) for v in row] for row in law.table]).T.copy() for law in laws]
+    slices = []  # per law: the context weights p(y) > 0 and the slice laws p(x|y)
+    for cols in columns:
+        py = cols.sum(axis=1)
+        slices.append((py[py > 0], cols[py > 0] / py[py > 0, None]))
+
+    def sweep(points: list, lams: list, d: np.ndarray, iters: int, tol: float) -> list:
+        """(I, E[d]) at each (law, multiplier) point: p(y)-weighted sums over the
+        law's slices, in order."""
+        if not points:
+            return []
+        px = np.concatenate([slices[k][1] for k in points])
+        lam_rows = np.repeat(np.asarray(lams, dtype=float), [len(slices[k][0]) for k in points])
+        mi, ed = _blahut_arimoto(px, lam_rows, d, iters, tol)
+        out, row = [], 0
+        for k in points:
+            mi_tot, ed_tot = 0.0, 0.0
+            for py in slices[k][0]:
+                mi_tot += py * mi[row]
+                ed_tot += py * ed[row]
+                row += 1
+            out.append((mi_tot, ed_tot))
+        return out
+
+    if delta == 0.0:
+        # R(Q, 0): a huge multiplier pins the channel onto the zero-distortion support
+        big = np.where(d == 0.0, 0.0, 1e9)
+        return [mi for mi, _ in sweep(list(range(len(laws))), [1.0] * len(laws), big, 2000, 1e-13)]
+    live = []  # laws that no per-context constant reconstruction serves within Delta
+    for k, cols in enumerate(columns):
+        corner = 0.0
+        for col in cols:
+            corner += float((col[:, None] * d).sum(axis=0).min())
+        if corner > delta + 1e-15:
+            live.append(k)
+    best, lo, hi = [None] * len(laws), [None] * len(laws), [None] * len(laws)
+
+    def feasible(points: list, lams: list) -> list:
+        """Sweep the points, keep each law's smallest feasible I, and return
+        (law, multiplier, whether it meets Delta) per point."""
+        res = sweep(points, lams, d, controls.ba_iters, controls.ba_tol)
+        for k, (mi, ed) in zip(points, res):
+            if ed <= delta:
+                best[k] = mi if best[k] is None else min(best[k], mi)
+        return [(k, lam, ed <= delta) for k, lam, (_, ed) in zip(points, lams, res)]
+
+    lams = np.logspace(-3, 3, controls.lambda_points)
+    for k, lam, ok in feasible([k for k in live for _ in lams], [lam for _ in live for lam in lams]):
+        if ok:
+            hi[k] = lam if hi[k] is None else min(hi[k], lam)
+        else:
+            lo[k] = lam if lo[k] is None else max(lo[k], lam)
+    stuck = [k for k in live if best[k] is None]  # every grid multiplier missed Delta
+    for k, lam, ok in feasible(stuck, [1e7] * len(stuck)):
+        if not ok:
+            raise DomainError("distortion target unreachable; check the spec")
+        hi[k] = lam
+    active = [k for k in live if lo[k] is not None]
+    for _ in range(controls.bisect_iters):
+        if not active:
             break
-        q = q_new
-    ch = normalize(q[None, :] * w)
-    mask = (px[:, None] * ch) > 0
-    ratio = np.where(mask, ch / np.maximum(q[None, :], 1e-300), 1.0)
-    mi = float((px[:, None] * ch * np.log2(np.maximum(ratio, 1e-300)))[mask].sum())
-    ed = float((px[:, None] * ch * dmat).sum())
-    return max(mi, 0.0), ed
-
-
-def _zero_distortion_rate(q_joint: JointPmf, spec: DistortionSpec) -> float:
-    """R(Q, 0): minimum I over channels supported on zero-distortion pairs."""
-    total = 0.0
-    d = np.array(spec.d)
-    for j in range(len(q_joint.y_alphabet)):
-        col = np.array([float(p) for p in q_joint.y_column(j)])
-        py = col.sum()
-        if py <= 0:
-            continue
-        px = col / py
-        allowed = d == 0.0
-        # huge lambda pins the channel onto the zero-distortion support
-        big = np.where(allowed, 0.0, 1e9)
-        mi, _ = _slice_ba(px, big, 1.0, 2000, 1e-13)
-        total += py * mi
-    return total
+        for k, mid, ok in feasible(active, [math.sqrt(lo[k] * hi[k]) for k in active]):
+            if ok:
+                hi[k] = mid
+            else:
+                lo[k] = mid
+        active = [k for k in active if not hi[k] / lo[k] < 1 + 1e-12]
+    return [0.0 if b is None else max(b, 0.0) for b in best]
 
 
 def rd_function(q_joint: JointPmf, spec: DistortionSpec, controls: RdQuery = RdQuery()) -> float:
     """Conditional rate-distortion R_{X|Y}(Q, Delta) in bits.
 
-    Lagrange sweep (log-spaced multipliers plus bisection on the distortion)
-    with per-context alternating minimization; the returned value is the
-    smallest mutual information found at a feasible multiplier, an estimate
-    from above.  The dual value is tracked but not used, so nothing certifies
-    the result from below.
+    The one-law case of the batched solver: all `lambda_points` log-spaced
+    multipliers and all context slices go into one Blahut-Arimoto solve, then
+    each bisection step on the distortion is one solve over the slices.  The
+    returned value is the smallest mutual information found at a feasible
+    multiplier, a primal estimate from above; no dual bound certifies it from
+    below.
     """
-    if tuple(q_joint.x_alphabet) != spec.x_alphabet:
-        raise DomainError("joint and distortion spec disagree on the source alphabet")
-    delta = spec.delta
-    if delta == 0.0:
-        return _zero_distortion_rate(q_joint, spec)
-    d = np.array(spec.d)
-    ny = len(q_joint.y_alphabet)
-    # zero-rate corner: a per-context constant reconstruction already meets Delta
-    corner = 0.0
-    for j in range(ny):
-        col = np.array([float(p) for p in q_joint.y_column(j)])
-        corner += float((col[:, None] * d).sum(axis=0).min())
-    if corner <= delta + 1e-15:
-        return 0.0
-    slices = []
-    for j in range(ny):
-        col = np.array([float(p) for p in q_joint.y_column(j)])
-        py = col.sum()
-        if py > 0:
-            slices.append((py, col / py))
-
-    def sweep(lam: float):
-        mi_tot, ed_tot = 0.0, 0.0
-        for py, px in slices:
-            mi, ed = _slice_ba(px, d, lam, controls.ba_iters, controls.ba_tol)
-            mi_tot += py * mi
-            ed_tot += py * ed
-        return mi_tot, ed_tot
-
-    lams = np.logspace(-3, 3, controls.lambda_points)
-    best_feasible = None
-    best_dual = 0.0
-    lo, hi = None, None
-    for lam in lams:
-        mi, ed = sweep(float(lam))
-        best_dual = max(best_dual, mi + lam * (ed - delta))
-        if ed <= delta:
-            best_feasible = mi if best_feasible is None else min(best_feasible, mi)
-            hi = lam if hi is None else min(hi, lam)
-        else:
-            lo = lam if lo is None else max(lo, lam)
-    if best_feasible is None:
-        lo = lo if lo is not None else 1e3
-        hi = 1e7
-        mi, ed = sweep(hi)
-        if ed > delta:
-            raise DomainError("distortion target unreachable; check the spec")
-        best_feasible = mi
-    if lo is not None and hi is not None:
-        for _ in range(controls.bisect_iters):
-            mid = math.sqrt(lo * hi)
-            mi, ed = sweep(mid)
-            best_dual = max(best_dual, mi + mid * (ed - delta))
-            if ed <= delta:
-                best_feasible = min(best_feasible, mi)
-                hi = mid
-            else:
-                lo = mid
-            if hi / lo < 1 + 1e-12:
-                break
-    return max(best_feasible, 0.0)
+    return _rates([q_joint], spec, controls)[0]
 
 
 def rd_function_grid_oracle(
@@ -275,10 +299,12 @@ def rd_exponent_functional(
     """sup over source laws Q of [R(Q, Delta) - D(Q||P)/rho], with witness.
 
     Multi-start seeded search: the base law, the tilted closed-form optimum of
-    the zero-distortion case, quasi-random Dirichlet draws, then local polish
-    around the leaders.  The bracket is [best found, H_a(X|Y)]: the functional
-    is monotone in Delta and equals the entropy at Delta = 0, while the best
-    found is only the optimizer's estimate.
+    the zero-distortion case and quasi-random Dirichlet draws are scored in
+    one batched rate-distortion call (their bisections run in lockstep), then
+    the leaders are polished one move at a time.  The bracket is [best found,
+    H_a(X|Y)]: the functional is monotone in Delta and equals the entropy at
+    Delta = 0, so only the upper end is a bound; the best found is the
+    optimizer's estimate.
     """
     if not rho > 0:
         raise DomainError("rho must be positive")
@@ -306,13 +332,17 @@ def rd_exponent_functional(
         bisect_iters=16,
     )
 
+    def objectives(vecs: list, query: RdQuery) -> list:
+        laws = [q_of(v) for v in vecs]
+        divs = [kl_divergence(qj, p_joint) for qj in laws]
+        finite = [k for k, div in enumerate(divs) if not math.isinf(div)]
+        vals = [-math.inf] * len(vecs)
+        for k, r in zip(finite, _rates([laws[k] for k in finite], spec, query)):
+            vals[k] = r - divs[k] / rho
+        return vals
+
     def objective(vec: np.ndarray, fine: bool = False) -> float:
-        qj = q_of(vec)
-        div = kl_divergence(qj, p_joint)
-        if math.isinf(div):
-            return -math.inf
-        r = rd_function(qj, spec, controls if fine else fast)
-        return r - div / rho
+        return objectives([vec], controls if fine else fast)[0]
 
     rng = np.random.default_rng(controls.seed)
     tilt = 1.0 / (1.0 + rho)
@@ -321,7 +351,7 @@ def rd_exponent_functional(
     n_grid = max(controls.grid_points - len(starts), 0)
     if n_grid:
         starts.extend(rng.dirichlet(np.ones(nx * ny), size=n_grid))
-    scored = sorted(((objective(v), i) for i, v in enumerate(starts)), reverse=True)
+    scored = sorted(zip(objectives(starts, fast), range(len(starts))), reverse=True)
     best_val, best_vec = -math.inf, None
     for _, i in scored[: max(controls.polish_runs, 1)]:
         vec = np.array(starts[i], dtype=float)

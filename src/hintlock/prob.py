@@ -335,8 +335,9 @@ def product_pmf(joint: JointPmf, n: int, budget: int = 1 << 22) -> JointPmf:
 def validate(obj) -> list[str]:
     """Diagnostics for a mapping {'x':..., 'p':...} or {'x','y','p'}; [] if ok.
 
-    Unlike the constructors this never raises: it reports negative mass,
-    normalization gaps beyond 1e-9, and duplicate symbols as strings.
+    Unlike the constructors this never raises: it reports fields that are not
+    lists, masses that are not numbers, negative mass, normalization gaps
+    beyond 1e-9, and duplicate symbols as strings.
     """
     issues: list[str] = []
     if isinstance(obj, (Pmf, JointPmf)):
@@ -345,14 +346,19 @@ def validate(obj) -> list[str]:
     p = obj.get("p")
     if x is None or p is None:
         return ["missing 'x' or 'p' field"]
+    if not isinstance(x, (list, tuple)) or not isinstance(p, (list, tuple)):
+        return ["'x' and 'p' must be lists"]
     if len(set(map(repr, x))) != len(x):
         issues.append("duplicate symbol ids in 'x'")
     flat: list[float] = []
-    if p and isinstance(p[0], (list, tuple)):
-        for row in p:
-            flat.extend(float(Fraction(v)) if isinstance(v, str) else float(v) for v in row)
-    else:
-        flat = [float(Fraction(v)) if isinstance(v, str) else float(v) for v in p]
+    try:
+        if p and isinstance(p[0], (list, tuple)):
+            for row in p:
+                flat.extend(float(Fraction(v)) if isinstance(v, str) else float(v) for v in row)
+        else:
+            flat = [float(Fraction(v)) if isinstance(v, str) else float(v) for v in p]
+    except (TypeError, ValueError, ZeroDivisionError):
+        return issues + ["'p' holds a mass that is not a number"]
     for v in flat:
         if v < 0:
             issues.append(f"negative mass {v}")

@@ -142,6 +142,11 @@ MALFORMED = {
         "disks",
         {"source": {"uniform": 4}, "scheme": {"delta": 3, "nu": 2, "eta": 1, "s": 2, "p": 1, "r": 1}},
     ],
+    "string-cs": ["twohint", {"source": {"uniform": 4}, "scheme": {"kind": "two-hint", "cs": "a", "c1": 2, "c2": 1}}],
+    "string-rho": ["entropy", {"source": {"uniform": 4}, "rho": "x"}],
+    "scheme-not-an-object": ["twohint", {"source": {"uniform": 4}, "scheme": [1]}],
+    "mass-not-a-number": ["entropy", {"source": {"x": [0, 1], "p": ["a", 0.5]}}],
+    "d-not-a-table": ["distortion", {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": 5}}],
 }
 
 

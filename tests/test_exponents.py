@@ -135,7 +135,23 @@ def test_exponent_result_validates_bracket():
 
 
 def test_controls_validation():
-    with pytest.raises(DomainError):
-        RdQuery(grid_points=0)
-    with pytest.raises(DomainError):
-        RdQuery(eps=1e-3)
+    # such sweeps give wrong rates: on p = 0.3, Delta = 0.1 (R = 0.412), no grid gives H(X), no iteration 0.531
+    for bad in (
+        {"grid_points": 0},
+        {"eps": 1e-3},
+        {"lambda_points": 0},
+        {"ba_iters": 0},
+        {"bisect_iters": -1},
+        {"polish_steps": -1},
+        {"ba_tol": 0.0},
+        {"ba_tol": -1e-9},
+    ):
+        with pytest.raises(DomainError):
+            RdQuery(**bad)
+
+
+def test_controls_at_their_smallest_admissible_values():
+    q = JointPmf.from_marginal(Pmf.of([0.3, 0.7]))
+    spec = DistortionSpec.hamming((0, 1), 0.1)
+    val = rd_function(q, spec, RdQuery(lambda_points=1, bisect_iters=0, polish_steps=0))
+    assert h2(0.3) - h2(0.1) - 1e-9 <= val <= h2(0.3) + 1e-9
