@@ -79,10 +79,8 @@ from .exponents import (
     RdQuery,
     ExponentResult,
     rd_function,
-    rd_function_grid_oracle,
     rd_exponent_functional,
     rd_privacy_exponent,
-    variational_renyi_check,
 )
 from .report import ReportRow, rows_to_csv, rows_to_markdown
 

@@ -8,11 +8,23 @@ per revealable hint subset, each context id already carrying the side
 information and the revealed values).  All ambiguities come from three
 oracles on cells:
 
-- the guessing moment of X given a routed context (`moment_for_assignment`,
-  built on the one kernel `guessing.sorted_moment`);
+- the guessing moment of X given a routed context (`moment_for_constant`
+  on a prepared view, `moment_for_assignment` for any accomplice map);
 - the decoding-list moment, the support size of X given the views reduced by
   min (a list-forming Eve) or max (a worst-case Bob): `support_moment`;
 - Eve's accomplice-optimal guessing moment: `eve_ambiguity`.
+
+`cells` returns a `CellView`: a list of cells that keeps, from first use,
+the structure the descending-posterior order fixes for every rho (grouped,
+sorted masses per view position, each cell's largest rank, list sizes per
+views tuple, Eve's components and slot graphs).  Each rho then costs a
+t**rho table (Python's pow), one product per entry and one LAPJVsp call per
+component.  Sums keep the per-call order, so every float is unchanged:
+contexts over descending masses, then contexts, cells and views tuples in
+first-seen order (added rank by rank and by `cumsum`, as np.sum is
+pairwise).  The structure lives on the view, never in a module-level cache,
+so it goes with the scheme holding the view; a plain list is prepared anew
+on each call.
 
 Eve's exact ambiguity, min over accomplice maps of the optimal guessing
 moment given (context, revealed values), reduces to a min-cost assignment:
@@ -40,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
 
 import numpy as np
 
@@ -55,9 +66,59 @@ class Cell:
     views: tuple  # hashable context ids, one per revealable subset
 
 
-def cells(law: dict, views) -> list[Cell]:
+class CellView(list):
+    """Cells that keep their rho-independent structure; do not change them once read."""
+
+
+def cells(law: dict, views) -> CellView:
     """The float view of a realized law {(x, ...): prob}: `views(key)` gives the contexts."""
-    return [Cell(float(p), key[0], views(key)) for key, p in law.items() if p > 0]
+    # float(p) > 0 settles all but float-zero cells without a slow Fraction comparison
+    return CellView(Cell(f, key[0], views(key)) for key, p in law.items() if (f := float(p)) > 0 or p > 0)
+
+
+def _prepared(cells: list[Cell], key, build):
+    """`build(cells)`, kept on a CellView; a plain list is prepared on each call."""
+    if not isinstance(cells, CellView):
+        return build(cells)
+    memo = vars(cells).setdefault("memo", {})
+    if key not in memo:
+        memo[key] = build(cells)
+    return memo[key]
+
+
+def _powers(n: int, rho: float) -> np.ndarray:
+    """t**rho for t = 1..n, each the float Python's pow gives."""
+    return np.array([t**rho for t in range(1, n + 1)], dtype=float)
+
+
+def _in_order(terms: np.ndarray) -> float:
+    """The sequential sum of `terms` in array order (np.sum adds pairwise)."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+
+
+class _RankTable:
+    """Masses grouped by (context, key), each context in descending order.
+
+    Contexts are laid out by decreasing size, so those holding rank t are a
+    prefix; `moment` adds the terms rank by rank, then the contexts in
+    first-seen order: `guessing.grouped_moment`'s order, float for float.
+    """
+
+    def __init__(self, triples):
+        groups = [sorted(by_key.values(), reverse=True) for by_key in group_masses(triples).values()]
+        by_size = sorted(range(len(groups)), key=lambda i: -len(groups[i]))
+        self.columns = [
+            np.array([groups[i][t] for i in by_size if len(groups[i]) > t])
+            for t in range(len(groups[by_size[0]]) if groups else 0)
+        ]
+        self.first_seen = np.argsort(by_size)  # layout position of each context
+
+    def moment(self, rho: float) -> float:
+        powers = _powers(len(self.columns), rho)
+        acc = np.zeros(len(self.first_seen))
+        for t, column in enumerate(self.columns):
+            acc[: len(column)] += column * powers[t]
+        return _in_order(acc[self.first_seen])
 
 
 @dataclass(frozen=True)
@@ -83,7 +144,14 @@ def moment_for_assignment(cells: list[Cell], choice: list[int], rho: float) -> f
 
 
 def moment_for_constant(cells: list[Cell], k: int, rho: float) -> float:
-    return moment_for_assignment(cells, [k] * len(cells), rho)
+    """The optimal guessing moment given view position k (every cell routed to it)."""
+    table = _prepared(cells, ("rank", k), lambda cs: _RankTable((c.views[k], c.x, c.prob) for c in cs))
+    return table.moment(rho)
+
+
+def _weighted(masses: np.ndarray, sizes: np.ndarray, rho: float) -> float:
+    """Sum of mass * size^rho in order, sizes positive integers."""
+    return _in_order(masses * _powers(int(sizes.max(initial=0)), rho)[sizes - 1])
 
 
 def support_moment(cells: list[Cell], rho: float, reduce=max) -> float:
@@ -93,13 +161,19 @@ def support_moment(cells: list[Cell], rho: float, reduce=max) -> float:
     positive-mass cell counts.  Mass is summed per views tuple, in first-seen
     order, before the sizes are applied.
     """
+    return _weighted(*_prepared(cells, ("support", reduce), lambda cs: _list_sizes(cs, reduce)), rho)
+
+
+def _list_sizes(cells: list[Cell], reduce) -> tuple[np.ndarray, np.ndarray]:
+    """Mass and reduced list size of each views tuple, in first-seen order."""
     supports: dict = {}
     mass: dict = {}
     for c in cells:
         for v in c.views:
             supports.setdefault(v, set()).add(c.x)
         mass[c.views] = mass.get(c.views, 0.0) + c.prob
-    return sum(m * reduce(len(supports[v]) for v in views) ** rho for views, m in mass.items())
+    sizes = [reduce(len(supports[v]) for v in views) for views in mass]
+    return np.array(list(mass.values()), dtype=float), np.array(sizes, dtype=np.int64)
 
 
 def _context_ranks(triples) -> tuple[dict, dict]:
@@ -154,18 +228,25 @@ def eve_exact_matching(cells: list[Cell], rho: float) -> float:
     Raises BudgetExceededError if cells can merge (see module docstring); the
     caller should then use `eve_exact_enumeration` or bounds.
     """
-    if has_mergeable_cells(cells):
+    graphs = _prepared(cells, "slot graphs", _slot_graphs)
+    if graphs is None:
         raise BudgetExceededError("mergeable cells: matching reduction is not exact here")
     total = 0.0
-    for comp in _components([c for c in cells if c.prob > 0]):
-        total += _matching_cost(comp, rho)
+    for graph in graphs:
+        total += _matching_cost(graph, rho)
     return total
 
 
-def _matching_cost(comp: list[Cell], rho: float) -> float:
-    """Min-cost assignment of one component's cells to their truncated slots."""
+def _slot_graphs(cells: list[Cell]):
+    """Each component's slot graph, or None when cells can merge."""
+    if has_mergeable_cells(cells):
+        return None
+    return [_slot_graph(comp) for comp in _components([c for c in cells if c.prob > 0])]
+
+
+def _slot_graph(comp: list[Cell]) -> tuple:
+    """One component's truncated slot graph, up to its rho-dependent weights."""
     from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
     ctx_ids: dict = {}
     inc_cell, inc_ctx = [], []
@@ -187,13 +268,22 @@ def _matching_cost(comp: list[Cell], rho: float) -> float:
     last = np.minimum.accumulate(np.where(run_ends, idx, len(idx))[::-1])[::-1]
     q = last - start + 1
     offset = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)  # position - 1
-    # Python's float pow, so each weight is the same float as prob * t**rho.
-    powers = np.array([t**rho for t in range(1, int(q.max()) + 1)])
-    graph = csr_array(
-        (np.repeat(mass, q) * powers[offset], (np.repeat(cell, q), np.repeat(start, q) + offset)),
-        shape=(len(comp), len(order)),
-    )
-    rows, cols = min_weight_full_bipartite_matching(graph)  # every row, sorted
+    # The CSR layout of the edges; `data` numbers them, so edge e sits at data[e] - 1.
+    shape = (len(comp), len(order))
+    layout = csr_array((np.arange(1.0, len(offset) + 1), (np.repeat(cell, q), np.repeat(start, q) + offset)), shape=shape)
+    edge = layout.data.astype(np.int64) - 1
+    return prob, start, np.repeat(mass, q)[edge], offset[edge], layout.indices, layout.indptr, shape
+
+
+def _matching_cost(graph: tuple, rho: float) -> float:
+    """Min-cost assignment of one component's cells to their truncated slots."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    prob, start, edge_mass, offset, indices, indptr, shape = graph
+    powers = _powers(int(offset.max()) + 1, rho)  # each weight is the float prob * t**rho
+    weights = csr_array((edge_mass * powers[offset], indices, indptr), shape=shape)
+    rows, cols = min_weight_full_bipartite_matching(weights)  # every row, sorted
     return float((prob[rows] * powers[cols - start[cols]]).sum())
 
 
@@ -303,30 +393,6 @@ def eve_local_search(cells: list[Cell], rho: float) -> float:
     return best
 
 
-def eve_strategy_pair_bruteforce(cells: list[Cell], x_alphabet: tuple, rho: float) -> float:
-    """min over per-context rank tables of E[min over views of rank(x)]^rho.
-
-    Factorial cross-check of the accomplice formulation; only for tiny
-    instances (at most 10^7 table combinations).
-    """
-    contexts = sorted({ctx for c in cells for ctx in c.views}, key=repr)
-    n = len(x_alphabet)
-    perms = list(permutations(range(1, n + 1)))
-    if len(perms) ** len(contexts) > 10**7:
-        raise BudgetExceededError("strategy-pair enumeration too large")
-    xi = {x: i for i, x in enumerate(x_alphabet)}
-    best = math.inf
-    for combo in product(perms, repeat=len(contexts)):
-        table = dict(zip(contexts, combo))
-        val = 0.0
-        for cell in cells:
-            r = min(table[ctx][xi[cell.x]] for ctx in cell.views)
-            val += cell.prob * r**rho
-        if val < best:
-            best = val
-    return best
-
-
 def bob_minmax_bracket(cells: list[Cell], rho: float) -> tuple[float, float]:
     """(lower, upper) for Bob's min-max guessing ambiguity.
 
@@ -339,13 +405,15 @@ def bob_minmax_bracket(cells: list[Cell], rho: float) -> tuple[float, float]:
     n_opt = {len(c.views) for c in cells}
     if len(n_opt) != 1:
         raise ValueError("all cells must offer the same number of views")
-    k_count = n_opt.pop()
-    lower = max(moment_for_constant(cells, k, rho) for k in range(k_count))
+    lower = max(moment_for_constant(cells, k, rho) for k in range(n_opt.pop()))
+    return lower, _weighted(*_prepared(cells, "max ranks", _max_ranks), rho)
+
+
+def _max_ranks(cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's mass and its largest optimal rank over its views."""
     _, ranks = _context_ranks((ctx, c.x, c.prob) for c in cells for ctx in c.views)
-    upper = sum(
-        cell.prob * max(ranks[(ctx, cell.x)] for ctx in cell.views) ** rho for cell in cells
-    )
-    return lower, upper
+    worst = [max(ranks[(ctx, c.x)] for ctx in c.views) for c in cells]
+    return np.array([c.prob for c in cells], dtype=float), np.array(worst, dtype=np.int64)
 
 
 def eve_ambiguity(cells: list[Cell], rho: float, floor) -> AmbiguityResult:

@@ -47,6 +47,7 @@ from .prob import (
     DomainError,
     JointPmf,
     RenyiOrder,
+    common_denominator,
     renyi_cond_entropy,
 )
 from .report import ReportRow
@@ -173,21 +174,50 @@ def build_delta_scheme(
 
 
 # ---------------------------------------------------------------------------
-# Exact recovery / secrecy checks on the realized law.
+# Exact recovery / secrecy checks on the realized law, on integer-coded arrays.
 # ---------------------------------------------------------------------------
+
+
+def _support(scheme: DeltaHintScheme) -> tuple[list, np.ndarray, list, int | None]:
+    """Positive-mass keys, their hints as a matrix, their masses (`common_denominator`)."""
+    nums, scale = common_denominator(scheme.law.values())
+    keys = [key for key, n in zip(scheme.law, nums) if n > 0]
+    hints = np.array([key[2] for key in keys], dtype=np.int64).reshape(len(keys), scheme.delta)
+    return keys, hints, [n for n in nums if n > 0], scale
+
+
+def _ids(values) -> np.ndarray:
+    """First-seen integer ids of hashable values."""
+    ids: dict = {}
+    return np.array([ids.setdefault(v, len(ids)) for v in values], dtype=np.int64)
+
+
+def _row_ids(*columns: np.ndarray) -> np.ndarray:
+    """Dense ids 0..k-1 of the rows of nonnegative integer columns: equal rows, equal ids."""
+    ids = np.zeros(len(columns[0]), dtype=np.int64)
+    for col in columns:
+        ids = np.unique(ids * (int(col.max()) + 1) + col, return_inverse=True)[1]
+    return ids
+
+
+def _sums(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-id sums, each added up in array order."""
+    out = np.zeros(int(ids.max()) + 1, dtype=values.dtype)
+    np.add.at(out, ids, values)
+    return out
 
 
 def check_reconstruction(scheme: DeltaHintScheme) -> bool:
     """Every size-nu subset of hints determines (V, W, pad) on the support."""
+    keys, hints, _, _ = _support(scheme)
+    if not keys:
+        return True
+    y = _ids(key[1] for key in keys)
+    whole = _row_ids(_ids(scheme.descriptor[key[:2]] for key in keys), *hints.T)
     for b in combinations(range(scheme.delta), scheme.nu):
-        seen: dict = {}
-        for (x, y, m), p in scheme.law.items():
-            if p <= 0:
-                continue
-            key = (y, tuple(m[i] for i in b))
-            val = (scheme.descriptor[(x, y)], tuple(m))
-            if seen.setdefault(key, val) != val:
-                return False
+        shown = _row_ids(y, *hints[:, b].T)
+        if _row_ids(shown, whole).max() != shown.max():  # some shown hints fit two realizations
+            return False
     return True
 
 
@@ -195,26 +225,32 @@ def check_eta_independence(scheme: DeltaHintScheme) -> bool:
     """The r-parts of any eta hints are uniform and independent of (X, Y, W).
 
     Exact: conditional mass of each observed r-part tuple must be exactly
-    2^(-eta*r) for every positive-mass (x, y).
+    2^(-eta*r) for every positive-mass (x, y).  A rational law compares
+    integer numerators as Python ints, exact at any size; only a float law
+    gets a tolerance.
     """
     if scheme.eta == 0:
         return True
-    exact = scheme.joint.exact
-    target = Fraction(1, 1 << (scheme.eta * scheme.r)) if exact else 2.0 ** -(scheme.eta * scheme.r)
+    keys, hints, masses, scale = _support(scheme)
+    if not keys:
+        return True
+    n_pad = 1 << (scheme.eta * scheme.r)
+    mass = np.array(masses, dtype=float if scale is None else object)
+    xy = _ids(key[:2] for key in keys)
+    total = _sums(xy, mass)
+    rparts = scheme.split_hint(hints)[1]
     for e in combinations(range(scheme.delta), scheme.eta):
-        cond: dict = {}
-        total: dict = {}
-        for (x, y, m), p in scheme.law.items():
-            if p <= 0:
-                continue
-            rparts = tuple(scheme.split_hint(m[i])[1] for i in e)
-            cond[(x, y, rparts)] = cond.get((x, y, rparts), 0) + p
-            total[(x, y)] = total.get((x, y), 0) + p
-        for (x, y, _), mass in cond.items():
-            want = target * total[(x, y)]
-            # rational laws compare exactly; only float laws get a tolerance
-            if mass != want and (exact or abs(mass - want) > 1e-12):
-                return False
+        group = _row_ids(xy, *rparts[:, e].T)
+        cond = _sums(group, mass)
+        owner = np.empty(len(cond), dtype=np.int64)
+        owner[group] = xy
+        if scale is not None:
+            ok = cond * n_pad == total[owner]
+        else:
+            want = 2.0 ** -(scheme.eta * scheme.r) * total[owner]
+            ok = (cond == want) | (np.abs(cond - want) <= 1e-12)
+        if not np.all(ok):
+            return False
     return True
 
 

@@ -6,8 +6,8 @@ The conditional rate-distortion function is computed by one batched
 Blahut-Arimoto solver: each row of a (batch, nx, nh) tensor is one (law,
 Lagrange multiplier, context slice) triple over the shared distortion matrix.
 Every law runs its own sweep (log-spaced multipliers, then bisection on the
-distortion), and each sweep step of all laws is one solve.  An independent
-fine-grid channel search certifies R at small alphabets.  The tilted-source
+distortion), and each sweep step of all laws is one solve (the tests check
+R against a fine-grid channel search at small alphabets).  The tilted-source
 functional sup_Q [R(Q, Delta) - D(Q||P)/rho] is maximized by seeded
 multi-start search, with all starts scored in one batched call, and reported
 with a bracket whose upper end, the zero-distortion entropy, is a bound; its
@@ -207,87 +207,6 @@ def rd_function(q_joint: JointPmf, spec: DistortionSpec, controls: RdQuery = RdQ
     return _rates([q_joint], spec, controls)[0]
 
 
-def rd_function_grid_oracle(
-    q_joint: JointPmf, spec: DistortionSpec, steps: int | None = None, zoom: int | None = None
-) -> float:
-    """Independent certification of R(Q, Delta) by direct channel search.
-
-    Only for a null context and |X|, |Xhat| <= 3: iteratively refined grids
-    over the channel simplex, keeping the best feasible mutual information.
-    Binary channels get a deep enough zoom for 1e-6 agreement.
-    """
-    if len(q_joint.y_alphabet) != 1:
-        raise DomainError("grid oracle handles a null context only")
-    nx, nh = len(spec.x_alphabet), len(spec.xhat_alphabet)
-    if nx > 3 or nh > 3:
-        raise DomainError("grid oracle limited to 3x3")
-    if steps is None:
-        steps = 81 if nh <= 2 else 9
-    if zoom is None:
-        zoom = 18 if nh <= 2 else 10
-    px = np.array([float(p) for p in q_joint.y_column(0)])
-    px = px / px.sum()
-    d = np.array(spec.d)
-    det_rows = np.eye(nh)[np.argmin(d, axis=1)]  # zero-distortion anchor channel
-
-    def batch_eval(chans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = np.einsum("i,bij->bj", px, chans)
-        joint = px[None, :, None] * chans
-        ratio = np.where(joint > 0, chans / np.maximum(q[:, None, :], 1e-300), 1.0)
-        mi = np.sum(joint * np.log2(np.maximum(ratio, 1e-300)), axis=(1, 2))
-        ed = np.einsum("bij,ij->b", joint, d)
-        return mi, ed
-
-    center = det_rows.copy()
-    width = 1.0
-    best = math.inf
-    for _ in range(zoom):
-        row_opts = []
-        for i in range(nx):
-            opts = _simplex_rows(nh, steps, center[i], width)
-            opts.append(center[i])
-            opts.append(det_rows[i])
-            row_opts.append(np.array(opts))
-        counts = [len(o) for o in row_opts]
-        idx = np.indices(counts).reshape(nx, -1)
-        chans = np.stack([row_opts[i][idx[i]] for i in range(nx)], axis=1)
-        chunk = 1 << 18
-        best_ch = None
-        for start in range(0, chans.shape[0], chunk):
-            part = chans[start : start + chunk]
-            mi, ed = batch_eval(part)
-            ok = ed <= spec.delta + 1e-15
-            if ok.any():
-                k = int(np.where(ok, mi, np.inf).argmin())
-                if mi[k] < best:
-                    best = float(mi[k])
-                    best_ch = part[k]
-        if best_ch is not None:
-            center = best_ch
-        width *= 0.35
-        steps = max(7, int(steps * 0.8))
-    if not math.isfinite(best):
-        raise DomainError("oracle found no feasible channel")
-    return max(best, 0.0)
-
-
-def _simplex_rows(nh: int, steps: int, center: np.ndarray, width: float) -> list[np.ndarray]:
-    """Probability rows of length nh gridded around `center`."""
-    if nh == 1:
-        return [np.array([1.0])]
-    axes = [np.clip(np.linspace(c - width, c + width, steps), 0.0, 1.0) for c in center[:-1]]
-    rows = []
-    if nh == 2:
-        for a in axes[0]:
-            rows.append(np.array([a, 1.0 - a]))
-        return rows
-    for a in axes[0]:
-        for b in axes[1]:
-            if a + b <= 1.0 + 1e-12:
-                rows.append(np.array([a, b, max(0.0, 1.0 - a - b)]))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # The tilted-source functional and its privacy exponents.
 # ---------------------------------------------------------------------------
@@ -419,45 +338,3 @@ def variational_optimum(p_joint: JointPmf, rho: float) -> tuple[np.ndarray, np.n
     q = weights / weights.sum()
     value = math.log2(weights.sum()) / rho
     return q, v, value
-
-
-def variational_value(p_joint: JointPmf, q: np.ndarray, v: np.ndarray, rho: float) -> float:
-    """H(V|Q) - D(Q x V || P) / rho for explicit (Q, V)."""
-    p = np.array([[float(t) for t in row] for row in p_joint.table])
-    total = 0.0
-    ny = p.shape[1]
-    for j in range(ny):
-        if q[j] <= 0:
-            continue
-        col = v[:, j]
-        for i, vi in enumerate(col):
-            if vi <= 0:
-                continue
-            if p[i, j] <= 0:
-                return -math.inf
-            total += q[j] * vi * (-math.log2(vi) - (math.log2(q[j] * vi / p[i, j])) / rho)
-    return total
-
-
-def variational_renyi_check(p_joint: JointPmf, rho: float, samples: int, seed: int = 7) -> float:
-    """Max gap H_a(X|Y) - sup over sampled (Q, V); the optimizer closes it.
-
-    Every sampled pair must stay below the entropy (the easy direction); the
-    returned gap uses the closed-form optimizer and should be ~1e-12.
-    """
-    if samples < 1:
-        raise DomainError("need at least one sample")
-    h = renyi_cond_entropy(p_joint, RenyiOrder.from_rho(rho))
-    nx, ny = len(p_joint.x_alphabet), len(p_joint.y_alphabet)
-    rng = np.random.default_rng(seed)
-    best = -math.inf
-    for _ in range(samples):
-        q = rng.dirichlet(np.ones(ny))
-        v = rng.dirichlet(np.ones(nx), size=ny).T
-        val = variational_value(p_joint, q, v, rho)
-        if val > h + 1e-9:
-            raise AssertionError(f"variational lower bound exceeded the entropy: {val} > {h}")
-        best = max(best, val)
-    q, v, closed = variational_optimum(p_joint, rho)
-    best = max(best, variational_value(p_joint, q, v, rho), closed)
-    return h - best

@@ -43,6 +43,17 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured budget."""
 
 
+def common_denominator(masses) -> tuple[list, int | None]:
+    """(numerators, denominator): rational masses over their least common
+    denominator, to sum and compare exactly at integer speed; (masses, None)
+    if any mass is a float."""
+    masses = list(masses)
+    if not all(isinstance(p, (Fraction, int)) for p in masses):
+        return masses, None
+    scale = math.lcm(*{p.denominator for p in masses})
+    return [p.numerator * (scale // p.denominator) for p in masses], scale
+
+
 def _check_probs(probs: Sequence[Number], exact: bool) -> None:
     if exact and any(isinstance(p, float) for p in probs):
         raise NormalizationError("table mixes Fraction and float entries; use one kind")
@@ -154,13 +165,6 @@ class JointPmf:
     def prob(self, x, y) -> Number:
         return self.table[self.x_alphabet.index(x)][self.y_alphabet.index(y)]
 
-    def marginal_x(self) -> Pmf:
-        return Pmf(self.x_alphabet, tuple(sum(row) for row in self.table))
-
-    def marginal_y(self) -> Pmf:
-        ny = len(self.y_alphabet)
-        return Pmf(self.y_alphabet, tuple(sum(row[j] for row in self.table) for j in range(ny)))
-
     def support_items(self):
         """(x, y, P(x, y)) for every positive-mass pair, x-major."""
         for x, row in zip(self.x_alphabet, self.table):
@@ -170,14 +174,6 @@ class JointPmf:
 
     def y_column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.table)
-
-    def swap(self) -> "JointPmf":
-        nx, ny = len(self.x_alphabet), len(self.y_alphabet)
-        return JointPmf(
-            self.y_alphabet,
-            self.x_alphabet,
-            tuple(tuple(self.table[i][j] for i in range(nx)) for j in range(ny)),
-        )
 
     def to_json(self) -> str:
         if self.exact:
@@ -336,8 +332,8 @@ def validate(obj) -> list[str]:
     """Diagnostics for a mapping {'x':..., 'p':...} or {'x','y','p'}; [] if ok.
 
     Unlike the constructors this never raises: it reports fields that are not
-    lists, masses that are not numbers, negative mass, normalization gaps
-    beyond 1e-9, and duplicate symbols as strings.
+    lists, columns that miss 'y', masses that are not numbers, negative mass,
+    normalization gaps beyond 1e-9, and duplicate symbols as strings.
     """
     issues: list[str] = []
     if isinstance(obj, (Pmf, JointPmf)):
@@ -348,6 +344,12 @@ def validate(obj) -> list[str]:
         return ["missing 'x' or 'p' field"]
     if not isinstance(x, (list, tuple)) or not isinstance(p, (list, tuple)):
         return ["'x' and 'p' must be lists"]
+    y = obj.get("y")
+    if y not in (None, []):
+        if not isinstance(y, (list, tuple)):
+            return ["'y' must be a list"]
+        if not all(isinstance(row, (list, tuple)) and len(row) == len(y) for row in p):
+            return [f"'p' must be a table with one column per 'y' symbol ({len(y)})"]
     if len(set(map(repr, x))) != len(x):
         issues.append("duplicate symbol ids in 'x'")
     flat: list[float] = []

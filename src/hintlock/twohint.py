@@ -25,7 +25,7 @@ from .adversary import Cell, cells, eve_ambiguity, moment_for_constant, support_
 from .adversary import eve_exact_matching  # noqa: F401  (re-exported: perfbench reaches the oracle here)
 from .bounds import ExponentOutcome, bob_converse, bob_direct, list_room, privacy_exponent, theorem_rows
 from .guessing import grouped_moment
-from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
+from .prob import DomainError, JointPmf, RenyiOrder, common_denominator, renyi_cond_entropy
 from .report import ReportRow
 from .tasks import descriptor_map
 
@@ -89,16 +89,23 @@ class TwoHintScheme(_SchemeCells):
 
         Both must be exactly uniform over {0..cs-1} for every positive-mass
         (x, y): either hint alone then carries nothing through that slot.
+        Rational masses are summed as integer numerators over one common
+        denominator (`prob.common_denominator`) and returned as Fractions.
         """
+        nums, scale = common_denominator(self.law.values())
         pad1: dict = {}
         pad2: dict = {}
-        for (x, y, m1, m2), p in self.law.items():
-            if p > 0:
-                pad1.setdefault((x, y), {})
-                pad2.setdefault((x, y), {})
+        for (x, y, m1, m2), n in zip(self.law, nums):
+            if n > 0:
+                by_vt, by_u = pad1.setdefault((x, y), {}), pad2.setdefault((x, y), {})
                 vt, u = m1 // self.c1, m2 // self.c2
-                pad1[(x, y)][vt] = pad1[(x, y)].get(vt, 0) + p
-                pad2[(x, y)][u] = pad2[(x, y)].get(u, 0) + p
+                by_vt[vt] = by_vt.get(vt, 0) + n
+                by_u[u] = by_u.get(u, 0) + n
+        if scale is not None:
+            fractions: dict = {}  # one Fraction per distinct numerator
+            for by_pad in (*pad1.values(), *pad2.values()):
+                for k, n in by_pad.items():
+                    by_pad[k] = fractions[n] if n in fractions else fractions.setdefault(n, Fraction(n, scale))
         return pad1, pad2
 
     def to_json(self) -> str:
@@ -395,6 +402,10 @@ class EveListScheme(_SchemeCells):
     epsilon: float
     law: dict  # (x, y, m1, m2) -> prob
 
+    @cached_property
+    def no_hint_cells(self) -> list[Cell]:  # the list Eve forms from Y alone
+        return cells(self.law, lambda key: ((key[1],),))
+
 
 def build_eve_list_scheme(
     joint: JointPmf, m1_size: int, m2_size: int, epsilon: float
@@ -461,7 +472,7 @@ def verify_eve_list(scheme: EveListScheme, rho: float, instance: str = "") -> li
     nx = len(joint.x_alphabet)
     a_b = bob_ambiguity(scheme, rho, "list")
     a_e = eve_list_ambiguity(scheme, rho)
-    no_hint = support_moment(cells(scheme.law, lambda key: ((key[1],),)), rho)
+    no_hint = support_moment(scheme.no_hint_cells, rho)
     m = scheme.m1_size * scheme.m2_size
     # 1 + 2^(rho (h - log2|M1||M2| + 2 log2 cs + 3)): the guessing-form direct
     # bound at |M1||M2| / (4 cs^2) values, cs = 1 + floor(log2|X|)

@@ -31,7 +31,6 @@ from hintlock.exponents import (
     RdQuery,
     rd_exponent_functional,
     rd_function,
-    rd_function_grid_oracle,
     rd_privacy_exponent,
 )
 from hintlock.guessing import (
@@ -68,6 +67,7 @@ from hintlock.twohint import (
     verify_finite_blocklength,
 )
 from hintlock.guessing import guess_moment
+from oracles import rd_function_grid_oracle
 
 
 def report(num: int, name: str, ok: bool, elapsed: float, limit: float):

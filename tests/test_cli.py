@@ -146,6 +146,7 @@ MALFORMED = {
     "string-rho": ["entropy", {"source": {"uniform": 4}, "rho": "x"}],
     "scheme-not-an-object": ["twohint", {"source": {"uniform": 4}, "scheme": [1]}],
     "mass-not-a-number": ["entropy", {"source": {"x": [0, 1], "p": ["a", 0.5]}}],
+    "y-not-a-list": ["entropy", {"source": {"x": [0, 1], "y": 5, "p": [[0.5], [0.5]]}}],
     "d-not-a-table": ["distortion", {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": 5}}],
 }
 

@@ -5,7 +5,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from hintlock.adversary import eve_bracket, eve_exact_enumeration
 from hintlock.disks import (
     _int_to_symbols,
@@ -81,6 +84,60 @@ def test_eta_independence_exact_in_rational_mode():
     # float laws keep their tolerance
     floats = build_delta_scheme(JointPmf.from_marginal(Pmf.uniform(16)), 3, 2, 1, 4, 2, 2, "guessing")
     assert check_eta_independence(floats)
+
+
+DISK_PARAMS = [(3, 2, 1, 4, 2, 2), (4, 2, 1, 4, 2, 2), (3, 2, 1, 2, 0, 2), (2, 2, 0, 1, 1, 0), (4, 3, 2, 4, 2, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(DISK_PARAMS), st.booleans(), st.data())
+def test_integer_checks_equal_fraction_reference(seed, params, exact, data):
+    """The integer-coded checks give the Fraction reference's verdict, on
+    built laws and on laws with one mass shifted or one hint tuple copied."""
+    joint = random_joint(np.random.default_rng(seed), 4, 3, exact=exact, zeros=0.2)
+    sch = build_delta_scheme(joint, *params, "guessing")
+    law = dict(sch.law)
+    keys = list(law)
+    mutation = data.draw(st.sampled_from(["none", "shift", "copy"]))
+    if mutation == "shift":
+        k = data.draw(st.sampled_from(keys))
+        law[k] += Fraction(1, 2**40) if exact else 2.0**-40
+    elif mutation == "copy":  # realization b shows the hints of a, same y
+        a = data.draw(st.sampled_from(keys))
+        b = data.draw(st.sampled_from([k for k in keys if k[1] == a[1]]))
+        law[(b[0], b[1], a[2])] = law.pop(b)
+    sch = dataclasses.replace(sch, law=law)
+    assert check_reconstruction(sch) == oracles.check_reconstruction(sch)
+    assert check_eta_independence(sch) == oracles.check_eta_independence(sch)
+
+
+def test_integer_check_mutations():
+    sch = build_delta_scheme(U16, 3, 2, 1, 4, 2, 2, "guessing")
+    # one rational pad mass off by 2^-40
+    law = dict(sch.law)
+    law[next(iter(law))] += Fraction(1, 2**40)
+    assert not check_eta_independence(dataclasses.replace(sch, law=law))
+    # two support cells shown the same hints with different descriptors
+    law = dict(sch.law)
+    first: dict = {}
+    for key in law:
+        first.setdefault(key[0], key)
+    a, b = first[0], first[1]  # y = 0 for both
+    assert sch.descriptor[a[:2]] != sch.descriptor[b[:2]]
+    law[(b[0], b[1], a[2])] = law.pop(b)
+    assert not check_reconstruction(dataclasses.replace(sch, law=law))
+
+
+def test_eta_independence_with_huge_denominators():
+    # numerators over 3^41 exceed int64: the check must stay exact
+    tiny = Fraction(1, 3**41)
+    joint = JointPmf.from_marginal(Pmf.of([tiny, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3) - tiny], exact=True))
+    sch = build_delta_scheme(joint, 3, 2, 1, 4, 2, 2, "guessing")
+    assert check_eta_independence(sch) and check_reconstruction(sch)
+    law = dict(sch.law)
+    law[next(iter(law))] += tiny
+    assert not check_eta_independence(dataclasses.replace(sch, law=law))
+    assert not oracles.check_eta_independence(dataclasses.replace(sch, law=law))
 
 
 def test_admissibility_errors():

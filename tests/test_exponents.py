@@ -9,13 +9,11 @@ from hintlock.exponents import (
     RdQuery,
     rd_exponent_functional,
     rd_function,
-    rd_function_grid_oracle,
     rd_privacy_exponent,
     variational_optimum,
-    variational_renyi_check,
-    variational_value,
 )
 from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy, shannon_cond_entropy
+from oracles import rd_function_grid_oracle, variational_renyi_check, variational_value
 
 
 def h2(p: float) -> float:

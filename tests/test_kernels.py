@@ -1,7 +1,6 @@
-"""Property tests: the shared moment kernels, Eve's oracle and the batched
-Blahut-Arimoto solver against slow oracles."""
+"""Property tests: the shared moment kernels, the prepared cell view, Eve's
+oracle and the batched Blahut-Arimoto solver against slow oracles."""
 
-import math
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -11,33 +10,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hintlock.adversary import (
     Cell,
-    _components,
+    CellView,
+    bob_minmax_bracket,
     cells,
     eve_ambiguity,
     eve_exact_enumeration,
     eve_exact_matching,
-    eve_strategy_pair_bruteforce,
-    has_mergeable_cells,
+    moment_for_constant,
     support_moment,
 )
 from hintlock import exponents
+from hintlock.disks import build_delta_scheme
 from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, rd_exponent_functional, rd_function
-from hintlock.guessing import grouped_moment
-from hintlock.prob import DomainError, JointPmf
+from hintlock.guessing import grouped_moment, random_joint
+from hintlock.prob import BudgetExceededError, DomainError, JointPmf
+from hintlock.twohint import build_two_hint
+from oracles import dense_matching, eve_strategy_pair_bruteforce, reference_rd_function
 
 RHOS = st.sampled_from([0.5, 1.0, 2.0])
 MASSES = st.floats(min_value=0.01, max_value=1.0)
 
 
 @st.composite
-def cell_lists(draw, n_x=3, n_ctx=3, max_views=3, max_cells=7):
+def cell_lists(draw, n_x=3, n_ctx=3, max_views=3, max_cells=7, masses=MASSES):
     n_views = draw(st.integers(1, max_views))
     return [
         Cell(
-            draw(MASSES),
+            draw(masses),
             draw(st.integers(0, n_x - 1)),
             tuple((k, draw(st.integers(0, n_ctx - 1))) for k in range(n_views)),
         )
@@ -81,27 +84,6 @@ def test_eve_ambiguity_matches_slow_oracles(cells, rho):
     assert res.value == pytest.approx(eve_strategy_pair_bruteforce(cells, (0, 1, 2), rho), rel=1e-9)
 
 
-def dense_matching(cells, rho):
-    """Reference oracle: every cell against every slot of its views, dense assignment."""
-    from scipy.optimize import linear_sum_assignment
-
-    assert not has_mergeable_cells(cells)
-    total = 0.0
-    for comp in _components(cells):
-        slots = {}  # (ctx, position) -> column
-        for ctx in dict.fromkeys(ctx for c in comp for ctx in c.views):
-            degree = sum(ctx in c.views for c in comp)
-            slots.update({(ctx, t): len(slots) + t - 1 for t in range(1, degree + 1)})
-        cost = np.full((len(comp), len(slots)), 1e18)
-        for i, cell in enumerate(comp):
-            for (ctx, t), col in slots.items():
-                if ctx in cell.views:
-                    cost[i, col] = cell.prob * t**rho
-        rows, cols = linear_sum_assignment(cost)
-        total += float(cost[rows, cols].sum())
-    return total
-
-
 TIED_MASSES = st.sampled_from([0.0, 0.05, 0.1, 0.1, 0.25, 0.5])
 
 
@@ -134,6 +116,52 @@ def test_sparse_matching_equals_enumeration(cells, rho):
     assert sparse == pytest.approx(eve_exact_enumeration(cells, rho), rel=1e-9, abs=1e-15)
 
 
+RHO_RUNS = st.lists(RHOS, min_size=1, max_size=4)
+
+
+def assert_same_as_per_call_code(view, reference: list, rhos) -> None:
+    """Every oracle on `view` gives the per-call code's float (==, not approx)
+    over `rhos` and back, and a mergeable list raises on every call."""
+    for rho in rhos + rhos[::-1]:
+        for k in range(len(reference[0].views)):
+            assert moment_for_constant(view, k, rho) == oracles.moment_for_constant(reference, k, rho)
+        for reduce in (min, max):
+            assert support_moment(view, rho, reduce) == oracles.support_moment(reference, rho, reduce)
+        assert bob_minmax_bracket(view, rho) == oracles.bob_minmax_bracket(reference, rho)
+        try:
+            expected = oracles.eve_exact_matching(reference, rho)
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
+                eve_exact_matching(view, rho)
+        else:
+            assert eve_exact_matching(view, rho) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell_lists(n_ctx=4, max_cells=12, masses=st.one_of(st.just(0.0), MASSES)), RHO_RUNS)
+def test_prepared_view_equals_per_call_code(cell_list, rhos):
+    # a 0.0 mass stands for a float-zero cell; many of these lists are mergeable
+    assert_same_as_per_call_code(CellView(cell_list), cell_list, rhos)
+    assert_same_as_per_call_code(cell_list, cell_list, rhos)  # a plain list, prepared per call
+
+
+@settings(max_examples=100, deadline=None)
+@given(unmergeable_cells(max_cells=30), RHO_RUNS)
+def test_prepared_matching_equals_per_call_code(cell_list, rhos):
+    view = CellView(cell_list)
+    for rho in rhos + rhos[::-1]:
+        assert eve_exact_matching(view, rho) == oracles.eve_exact_matching(cell_list, rho)
+
+
+def test_scheme_views_equal_per_call_code():
+    joint = random_joint(np.random.default_rng(5), 6, 4, exact=True)
+    two_hint = build_two_hint(joint, 2, 2, 2)
+    disk = build_delta_scheme(joint, 3, 2, 1, 4, 2, 2)
+    for view in (two_hint.bob_cells, two_hint.eve_cells, disk.bob_cells, disk.eve_cells):
+        assert isinstance(view, CellView)
+        assert_same_as_per_call_code(view, list(view), [2.0, 0.5, 1.0])
+
+
 def test_zero_mass_cells_add_nothing():
     # a positive Fraction below the float range becomes a float-zero cell
     law = {(0, "a"): Fraction(1, 2), (1, "a"): Fraction(1, 10**400), (2, "b"): Fraction(1, 2)}
@@ -142,102 +170,6 @@ def test_zero_mass_cells_add_nothing():
     for rho in (0.5, 1.0, 2.0):
         assert eve_exact_matching(zs, rho) == eve_exact_enumeration(zs, rho) == 1.0
     assert eve_exact_matching([Cell(0.0, 0, ("c",))], 1.0) == 0.0
-
-
-LOG2 = math.log(2.0)
-
-
-def _slice_ba(px: np.ndarray, dmat: np.ndarray, lam: float, iters: int, tol: float):
-    """Reference: min over channels of I(X; Xhat) + lam * E[d] for one context slice."""
-    nx, nh = dmat.shape
-    q = np.full(nh, 1.0 / nh)
-    w = np.exp(-lam * LOG2 * dmat)  # base-2 exponent tilt
-
-    def normalize(raw: np.ndarray) -> np.ndarray:
-        sums = raw.sum(axis=1, keepdims=True)
-        fallback = (w > 0) / np.maximum((w > 0).sum(axis=1, keepdims=True), 1)
-        return np.where(sums > 0, raw / np.maximum(sums, 1e-300), fallback)
-
-    for _ in range(iters):
-        ch = normalize(q[None, :] * w)
-        q_new = px @ ch
-        if np.abs(q_new - q).max() < tol:
-            q = q_new
-            break
-        q = q_new
-    ch = normalize(q[None, :] * w)
-    mask = (px[:, None] * ch) > 0
-    ratio = np.where(mask, ch / np.maximum(q[None, :], 1e-300), 1.0)
-    mi = float((px[:, None] * ch * np.log2(np.maximum(ratio, 1e-300)))[mask].sum())
-    ed = float((px[:, None] * ch * dmat).sum())
-    return max(mi, 0.0), ed
-
-
-def reference_rd_function(q_joint: JointPmf, spec: DistortionSpec, controls: RdQuery) -> float:
-    """Reference: the per-slice, per-multiplier Lagrange sweep with bisection."""
-    delta = spec.delta
-    d = np.array(spec.d)
-    if delta == 0.0:
-        total = 0.0
-        for j in range(len(q_joint.y_alphabet)):
-            col = np.array([float(p) for p in q_joint.y_column(j)])
-            py = col.sum()
-            if py <= 0:
-                continue
-            mi, _ = _slice_ba(col / py, np.where(d == 0.0, 0.0, 1e9), 1.0, 2000, 1e-13)
-            total += py * mi
-        return total
-    ny = len(q_joint.y_alphabet)
-    corner = 0.0
-    for j in range(ny):
-        col = np.array([float(p) for p in q_joint.y_column(j)])
-        corner += float((col[:, None] * d).sum(axis=0).min())
-    if corner <= delta + 1e-15:
-        return 0.0
-    slices = []
-    for j in range(ny):
-        col = np.array([float(p) for p in q_joint.y_column(j)])
-        py = col.sum()
-        if py > 0:
-            slices.append((py, col / py))
-
-    def sweep(lam: float):
-        mi_tot, ed_tot = 0.0, 0.0
-        for py, px in slices:
-            mi, ed = _slice_ba(px, d, lam, controls.ba_iters, controls.ba_tol)
-            mi_tot += py * mi
-            ed_tot += py * ed
-        return mi_tot, ed_tot
-
-    lams = np.logspace(-3, 3, controls.lambda_points)
-    best_feasible = None
-    lo, hi = None, None
-    for lam in lams:
-        mi, ed = sweep(float(lam))
-        if ed <= delta:
-            best_feasible = mi if best_feasible is None else min(best_feasible, mi)
-            hi = lam if hi is None else min(hi, lam)
-        else:
-            lo = lam if lo is None else max(lo, lam)
-    if best_feasible is None:
-        lo = lo if lo is not None else 1e3
-        hi = 1e7
-        mi, ed = sweep(hi)
-        if ed > delta:
-            raise DomainError("distortion target unreachable; check the spec")
-        best_feasible = mi
-    if lo is not None and hi is not None:
-        for _ in range(controls.bisect_iters):
-            mid = math.sqrt(lo * hi)
-            mi, ed = sweep(mid)
-            if ed <= delta:
-                best_feasible = min(best_feasible, mi)
-                hi = mid
-            else:
-                lo = mid
-            if hi / lo < 1 + 1e-12:
-                break
-    return max(best_feasible, 0.0)
 
 
 # The functional's fast controls for scoring and polishing.

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from hintlock.adversary import cells, eve_bracket, support_moment
 from hintlock.guessing import grouped_moment, optimal_guesser, random_joint
 from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy
@@ -93,6 +95,23 @@ def test_pad_coordinates_exactly_uniform():
         for (x, y), row in pad1.items():
             total = sum(row.values())
             assert all(v * 2 == total for v in row.values())
+
+
+def typed_items(laws) -> list:
+    """Pad laws as nested item lists, with each value's type: order and types count."""
+    return [[(xy, [(k, type(v), v) for k, v in by_pad.items()]) for xy, by_pad in law.items()] for law in laws]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("triple", [(2, 2, 2), (3, 1, 2), (4, 4, 4)])
+def test_pad_coordinate_laws_equal_fraction_reference(exact, triple):
+    joint = random_joint(np.random.default_rng(sum(triple)), 5, 3, exact=exact, zeros=0.2)
+    s = build_two_hint(joint, *triple)
+    assert typed_items(s.pad_coordinate_laws()) == typed_items(oracles.pad_coordinate_laws(s))
+    law = dict(s.law)  # one mass off: the sums still agree
+    law[next(iter(law))] += Fraction(1, 2**40) if exact else 2.0**-40
+    off = dataclasses.replace(s, law=law)
+    assert typed_items(off.pad_coordinate_laws()) == typed_items(oracles.pad_coordinate_laws(off))
 
 
 def test_eve_examples_from_fixed_laws():
