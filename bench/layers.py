@@ -1,0 +1,174 @@
+"""Builders-layer record: each scheme builder, its cell views and its first-rho
+evaluation, timed on two commits in perfbench reference seconds.
+
+    python bench/layers.py --base HEAD~1 --change HEAD --out BENCH_builders.json
+    python bench/layers.py --base HEAD --change . --out BENCH_builders.json  # the working tree
+
+Run it from the root of the repository.  Each commit's tree is exported with
+`git archive` into a temporary directory (`.` measures the working tree as it
+is) and measured by fresh interpreters, base and change alternating, each
+pinned to one core like `perfbench/run.py` and with that tree's `src` first on
+its path.  The sources are those of the benchmark's scheme-sweep-exact
+workload: three seeded 16x32 rational joints.  Per builder, three stages are
+timed on a new scheme each time:
+
+- `build`: the builder call;
+- `views`: reading the scheme's cached cell views (Bob, Eve, and the eve-list
+  scheme's no-hint view);
+- `first_rho`: the scheme's verifier at rho = 1, which pays for the
+  rho-independent preparation as well as for one rho.
+
+Every stage runs between two runs of perfbench's calibration kernel and is
+reported as seconds / kernel seconds * REFERENCE_S (see perfbench/calibrate.py),
+summed over the three sources; the file keeps the median and quartiles over
+all repetitions of each commit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from io import BytesIO
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RHO = 1.0
+SEED = 1  # the benchmark's default seed
+
+
+def _builders(hl, twohint):
+    """name -> (build(joint), view attributes, verify(scheme, rho)): the scheme-sweep-exact jobs."""
+    views, two_hint = ("bob_cells", "eve_cells"), hl.verify_finite_blocklength
+    eve_list = (lambda j: hl.build_eve_list_scheme(j, 8, 8, 20), (*views, "no_hint_cells"), twohint.verify_eve_list)
+    return {
+        "two-hint-guessing": (lambda j: hl.build_two_hint(j, 4, 4, 4, "guessing"), views, two_hint),
+        "two-hint-list": (lambda j: hl.build_two_hint(j, 4, 4, 4, "list"), views, two_hint),
+        "secret-hint": (lambda j: hl.build_secret_hint(j, 4, 4), views, twohint.verify_secret_hint),
+        "secret-key": (lambda j: hl.build_secret_key(j, 4, 4), views, twohint.verify_secret_key),
+        "eve-list": eve_list,
+        "delta-disk": (lambda j: hl.build_delta_scheme(j, 4, 2, 1, 4, 2, 2), views, hl.verify_disk_theorems),
+    }
+
+
+def child(reps: int) -> dict:
+    """Reference seconds per builder and stage, one sum over the sources per repetition."""
+    import numpy as np
+    from calibrate import REFERENCE_S, kernel_seconds
+
+    import hintlock as hl
+    from hintlock import twohint
+
+    rng = np.random.default_rng(SEED)
+    sources = [hl.random_joint(rng, 16, 32, exact=True) for _ in range(3)]
+    builders = _builders(hl, twohint)
+    out = {name: {"build": [], "views": [], "first_rho": []} for name in builders}
+    clock = [kernel_seconds()]  # the latest kernel time
+
+    def measured(run):
+        """run() and its reference seconds, against the kernel runs just before and after."""
+        start = time.perf_counter()
+        result = run()
+        elapsed = time.perf_counter() - start
+        clock.append(kernel_seconds())
+        return result, elapsed / ((clock[-2] + clock[-1]) / 2) * REFERENCE_S
+
+    for _ in range(reps):
+        for name, (build, views, verify) in builders.items():
+            totals = dict.fromkeys(out[name], 0.0)
+            for joint in sources:
+                scheme, seconds = measured(lambda: build(joint))
+                totals["build"] += seconds
+                totals["views"] += measured(lambda: [getattr(scheme, v) for v in views])[1]
+                totals["first_rho"] += measured(lambda: verify(scheme, RHO))[1]
+            for stage, value in totals.items():
+                out[name][stage].append(value)
+    return out
+
+
+def _export(rev: str, into: Path) -> Path:
+    """The tree of `rev` written into `into` (`.`: the working tree itself)."""
+    if rev == ".":
+        return ROOT
+    blob = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=BytesIO(blob)) as tar:
+        tar.extractall(into, filter="data")
+    return into
+
+
+def _describe(rev: str) -> str:
+    """The short commit id of `rev`; for `.`, that of HEAD under the working tree."""
+    git = ["git", "rev-parse", "--short", "HEAD" if rev == "." else rev]
+    short = subprocess.run(git, cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+    return f"working tree on {short}" if rev == "." else short
+
+
+def _quartiles(values: list) -> dict:
+    if len(values) < 2:
+        values = values * 2  # one sample: its own quartiles
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6), "n": len(values)}
+
+
+def _cpu() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD~1")
+    parser.add_argument("--change", default="HEAD")
+    parser.add_argument("--rounds", type=int, default=3, help="interpreters per commit, alternating")
+    parser.add_argument("--reps", type=int, default=5, help="repetitions per interpreter")
+    parser.add_argument("--out", default="BENCH_builders.json")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(args.reps)))
+        return 0
+    if hasattr(os, "sched_setaffinity"):  # one core for every interpreter, as in perfbench/run.py
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    samples: dict = {"base": {}, "change": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: _export(getattr(args, side), Path(tmp) / side) for side in samples}
+        for _ in range(args.rounds):
+            for side, tree in trees.items():
+                env = {**os.environ, "PYTHONPATH": f"{tree / 'src'}{os.pathsep}{ROOT / 'perfbench'}"}
+                env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+                cmd = [sys.executable, str(Path(__file__).resolve()), "--child"]
+                cmd += ["--reps", str(args.reps)]
+                result = json.loads(subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout)
+                for name, stages in result.items():
+                    for stage, values in stages.items():
+                        samples[side].setdefault(name, {}).setdefault(stage, []).extend(values)
+    record = {
+        "layer": "builders",
+        "unit": "reference seconds (perfbench/calibrate.py), summed over the three sources",
+        "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints",
+        "stages": {"build": "builder call", "views": "cached cell views", "first_rho": f"verifier at rho = {RHO}"},
+        "commits": {side: _describe(getattr(args, side)) for side in samples},
+        "machine": f"{_cpu()}, {os.cpu_count()} cores, one pinned; Python {platform.python_version()}",
+        "builders": {
+            name: {stage: {side: _quartiles(samples[side][name][stage]) for side in samples} for stage in stages}
+            for name, stages in samples["change"].items()
+        },
+    }
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

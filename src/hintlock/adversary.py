@@ -1,30 +1,32 @@
-"""The adversary layer: one float view of a realized law, and the oracles on it.
+"""The adversary layer: a realized law as columns, and the oracles on its cells.
 
-Every scheme flattens its exact realized law {(x, y, hints...): prob} once
-into *cells* through `cells(law, views)`: one `Cell(prob, x, views)` per
-positive-mass realization, with the probability converted to float once.
-`views` lists the contexts an observer can be shown for this realization (one
-per revealable hint subset, each context id already carrying the side
-information and the revealed values).  All ambiguities come from three
-oracles on cells:
+Every scheme builds its exact realized law {(x, y, hints...): prob} as a
+`Law`: numpy columns over the positive-mass support, in law order -- int codes
+for x and y, an int matrix of hints, float64 masses and, for a rational law,
+Python-int numerators over one common denominator (exact checks sum integers
+at any size).  A float mass is the float of its Fraction; numerator /
+denominator in float64 is that only while both are at most 2^53, so beyond
+that the division is Python's, on ints.  Read as a mapping, a `Law` is the
+dict, built on first read; a dict handed to a scheme is coded once.
 
-- the guessing moment of X given a routed context (`moment_for_constant`
-  on a prepared view, `moment_for_assignment` for any accomplice map);
-- the decoding-list moment, the support size of X given the views reduced by
-  min (a list-forming Eve) or max (a worst-case Bob): `support_moment`;
-- Eve's accomplice-optimal guessing moment: `eve_ambiguity`.
+`Law.view(positions)` gives a `CellView`: per realization, one context id per
+view position (a revealable hint subset; the context carries y and the hints
+shown), ids numbered by first appearance.  On it: the guessing moment given a
+routed context (`moment_for_constant`, `moment_for_assignment`), the list
+moment with views reduced by min (list-forming Eve) or max (worst-case Bob)
+(`support_moment`), and Eve's accomplice-optimal moment (`eve_ambiguity`).
+A plain list of `Cell`s is coded into a view once per call.
 
-`cells` returns a `CellView`: a list of cells that keeps, from first use,
-the structure the descending-posterior order fixes for every rho (grouped,
-sorted masses per view position, each cell's largest rank, list sizes per
-views tuple, Eve's components and slot graphs).  Each rho then costs a
-t**rho table (Python's pow), one product per entry and one LAPJVsp call per
-component.  Sums keep the per-call order, so every float is unchanged:
-contexts over descending masses, then contexts, cells and views tuples in
-first-seen order (added rank by rank and by `cumsum`, as np.sum is
-pairwise).  The structure lives on the view, never in a module-level cache,
-so it goes with the scheme holding the view; a plain list is prepared anew
-on each call.
+A view keeps, from first use, what the descending-posterior order fixes for
+every rho, grouped in numpy (unique, lexsort, add.at): per position the
+ranked (context, x) masses; each cell's largest rank (Bob's upper end); per
+`reduce` the mass and list size of each views tuple; Eve's mergeable verdict,
+components and slot graphs.  A rho then costs a t**rho table (Python's pow),
+one product per entry and one LAPJVsp call per component.  Sums keep the
+per-call code's order, so every float is its float: a (context, x) merge in
+law order; in a context, descending masses in sequence; contexts, cells and
+views tuples in first-seen order, in sequence (`cumsum`, as np.sum is
+pairwise).  Rank ties go by repr(x).  Nothing is cached at module level.
 
 Eve's exact ambiguity, min over accomplice maps of the optimal guessing
 moment given (context, revealed values), reduces to a min-cost assignment:
@@ -51,12 +53,14 @@ after every positive cell of a context and add 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .guessing import group_masses, grouped_moment, sorted_moment
-from .prob import BudgetExceededError
+from .guessing import grouped_moment, sorted_moment
+from .prob import BudgetExceededError, common_denominator
 
 
 @dataclass(frozen=True)
@@ -66,24 +70,141 @@ class Cell:
     views: tuple  # hashable context ids, one per revealable subset
 
 
-class CellView(list):
-    """Cells that keep their rho-independent structure; do not change them once read."""
+def row_ids(*columns: np.ndarray) -> np.ndarray:
+    """Dense ids 0..k-1 of the rows of nonnegative integer columns: equal rows, equal ids."""
+    ids, span = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for col in columns:
+        base = int(col.max(initial=0)) + 1
+        if span * base >= 1 << 62:  # re-densify before the mixed radix overflows
+            ids = np.unique(ids, return_inverse=True)[1]
+            span = int(ids.max(initial=0)) + 1
+        ids, span = ids * base + col, span * base
+    return np.unique(ids, return_inverse=True)[1]
 
 
-def cells(law: dict, views) -> CellView:
-    """The float view of a realized law {(x, ...): prob}: `views(key)` gives the contexts."""
-    # float(p) > 0 settles all but float-zero cells without a slow Fraction comparison
-    return CellView(Cell(f, key[0], views(key)) for key, p in law.items() if (f := float(p)) > 0 or p > 0)
+def _first_seen(ids: np.ndarray) -> np.ndarray:
+    """The same partition as `ids`, numbered by first appearance in row-major order."""
+    uniq, first, inv = np.unique(ids.ravel(), return_index=True, return_inverse=True)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(uniq))
+    return rank[inv].reshape(ids.shape)
 
 
-def _prepared(cells: list[Cell], key, build):
-    """`build(cells)`, kept on a CellView; a plain list is prepared on each call."""
-    if not isinstance(cells, CellView):
-        return build(cells)
-    memo = vars(cells).setdefault("memo", {})
-    if key not in memo:
-        memo[key] = build(cells)
-    return memo[key]
+class Law(Mapping):
+    """A realized law {(x, y, hints...): prob} as columns over its positive-mass support.
+
+    `x`, `y`: int codes into `xs`, `ys`; `hints`: one int column per hint (the
+    key's tail, or its third entry when `nested`); `mass`: float64; `nums`:
+    Python-int numerators over `scale` (a rational law) or None.
+    """
+
+    def __init__(self, xs, ys, x, y, hints, nums, scale=None, nested=False, law=None):
+        self.xs, self.ys, self.x, self.y, self.hints = tuple(xs), tuple(ys), x, y, hints
+        self.nums, self.scale, self.nested, self._dict = (None if scale is None else nums), scale, nested, law
+        if scale is None:
+            self.mass = np.asarray(nums, dtype=float)
+        elif scale <= 1 << 53 and max(nums, default=0) <= 1 << 53:  # exact in float64: one rounding
+            self.mass = np.array(nums, dtype=np.int64) / float(scale)
+        else:
+            self.mass = np.array([n / scale for n in nums], dtype=float)
+
+    @classmethod
+    def coded(cls, law) -> "Law":
+        """`law` itself if it is a Law, else the dict coded into columns."""
+        if isinstance(law, Law):
+            return law
+        items = [(key, p) for key, p in law.items() if p > 0]
+        nested = bool(items) and isinstance(items[0][0][2], tuple)
+        xs, ys = {}, {}
+        x = np.array([xs.setdefault(key[0], len(xs)) for key, _ in items], dtype=np.int64)
+        y = np.array([ys.setdefault(key[1], len(ys)) for key, _ in items], dtype=np.int64)
+        hints = np.array([key[2] if nested else key[2:] for key, _ in items], dtype=np.int64)
+        nums, scale = common_denominator(p for _, p in items)
+        return cls(xs, ys, x, y, hints.reshape(len(items), -1) if items else hints, nums, scale, nested, law)
+
+    @classmethod
+    def spread(cls, joint, rows, hints: np.ndarray, copies: int, exact: bool, nested: bool = False) -> "Law":
+        """`copies` consecutive realizations per (x, y, mass) row of a source,
+        each with mass / copies, and one row of `hints` per realization."""
+        alphabets = (joint.x_alphabet, joint.y_alphabet)
+        codes = [{v: i for i, v in enumerate(alphabet)} for alphabet in alphabets]
+        x, y = (np.repeat(np.array([codes[k][row[k]] for row in rows], dtype=np.int64), copies) for k in range(2))
+        if not exact:
+            masses = np.repeat(np.array([float(w) for _, _, w in rows]) * (1.0 / copies), copies)
+            return cls(*alphabets, x, y, hints, masses, nested=nested)
+        nums, scale = common_denominator(w for _, _, w in rows)
+        return cls(*alphabets, x, y, hints, np.repeat(np.array(nums, dtype=object), copies), scale * copies, nested)
+
+    def as_dict(self) -> dict:
+        if self._dict is None:
+            xs, ys = self.xs, self.ys
+            values = self.mass.tolist() if self.scale is None else [Fraction(n, self.scale) for n in self.nums]
+            rows = zip(self.x.tolist(), self.y.tolist(), map(tuple, self.hints.tolist()))
+            keys = ((xs[x], ys[y], h) if self.nested else (xs[x], ys[y], *h) for x, y, h in rows)
+            self._dict = dict(zip(keys, values))
+        return self._dict
+
+    def __getitem__(self, key):
+        return self.as_dict()[key]
+
+    def __iter__(self):
+        return iter(self.as_dict())
+
+    def __len__(self) -> int:
+        return len(self.mass) if self._dict is None else len(self._dict)
+
+    def view(self, positions) -> "CellView":
+        """The cells whose view k shows y and the hint columns `positions[k]`."""
+        local = [row_ids(self.y, *self.hints[:, list(cols)].T) for cols in positions]
+        offsets = np.cumsum([0] + [int(ids.max(initial=-1)) + 1 for ids in local[:-1]])
+        return CellView(self.mass, self.x, _first_seen(np.stack(local, axis=1) + offsets), self.xs)
+
+
+class CellView:
+    """Cells as columns: float mass, x code, context ids (-1 past a cell's last view).
+
+    Iterating gives `Cell`s with context ids as views.  Do not change the
+    columns once read: the view keeps its rho-independent structure."""
+
+    def __init__(self, prob: np.ndarray, x: np.ndarray, ctx: np.ndarray, xs: tuple):
+        self.prob, self.x, self.ctx, self.xs = prob, x, ctx, xs
+        # the rank of each x code in repr order (numpy compares str by code point, as Python does)
+        self.xkey = np.argsort(np.argsort(np.array([repr(v) for v in xs], dtype=str), kind="stable"))
+        self.n_contexts = int(ctx.max(initial=-1)) + 1
+        self.memo: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.prob)
+
+    def __iter__(self):
+        xs = self.xs
+        for p, x, views in zip(self.prob.tolist(), self.x.tolist(), self.ctx.tolist()):
+            yield Cell(p, xs[x], tuple(v for v in views if v >= 0))
+
+    def prepared(self, key, build):
+        """`build(self)`, kept on the view."""
+        if key not in self.memo:
+            self.memo[key] = build(self)
+        return self.memo[key]
+
+    @property
+    def incidences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cell, position, context) of every view, row-major."""
+        cell, pos = np.nonzero(self.ctx >= 0)
+        return cell, pos, self.ctx[cell, pos]
+
+
+def as_view(cells) -> CellView:
+    """A CellView as it is; a list of `Cell`s coded into one."""
+    if isinstance(cells, CellView):
+        return cells
+    cells = list(cells)
+    xs, ctx_ids = {}, {}
+    ctx = np.full((len(cells), max((len(c.views) for c in cells), default=0)), -1, dtype=np.int64)
+    for i, c in enumerate(cells):
+        ctx[i, : len(c.views)] = [ctx_ids.setdefault(v, len(ctx_ids)) for v in c.views]
+    x = np.array([xs.setdefault(c.x, len(xs)) for c in cells], dtype=np.int64)
+    return CellView(np.array([c.prob for c in cells], dtype=float), x, ctx, tuple(xs))
 
 
 def _powers(n: int, rho: float) -> np.ndarray:
@@ -96,29 +217,24 @@ def _in_order(terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
-class _RankTable:
-    """Masses grouped by (context, key), each context in descending order.
+def _group_starts(keys: np.ndarray) -> np.ndarray:
+    """For sorted `keys`, the index where each entry's run of equal keys starts."""
+    idx = np.arange(len(keys))
+    return np.maximum.accumulate(np.where(np.r_[True, keys[1:] != keys[:-1]], idx, 0))
 
-    Contexts are laid out by decreasing size, so those holding rank t are a
-    prefix; `moment` adds the terms rank by rank, then the contexts in
-    first-seen order: `guessing.grouped_moment`'s order, float for float.
-    """
 
-    def __init__(self, triples):
-        groups = [sorted(by_key.values(), reverse=True) for by_key in group_masses(triples).values()]
-        by_size = sorted(range(len(groups)), key=lambda i: -len(groups[i]))
-        self.columns = [
-            np.array([groups[i][t] for i in by_size if len(groups[i]) > t])
-            for t in range(len(groups[by_size[0]]) if groups else 0)
-        ]
-        self.first_seen = np.argsort(by_size)  # layout position of each context
-
-    def moment(self, rho: float) -> float:
-        powers = _powers(len(self.columns), rho)
-        acc = np.zeros(len(self.first_seen))
-        for t, column in enumerate(self.columns):
-            acc[: len(column)] += column * powers[t]
-        return _in_order(acc[self.first_seen])
+def _ranked(view: CellView, cell: np.ndarray, ctx: np.ndarray):
+    """The (context, x) pairs of the entries (keys context * |x codes| + x, sorted),
+    their masses merged in entry order, their ranks from 1 in each context by
+    descending mass (ties by repr(x)), and the pair of each entry."""
+    nx = len(view.xs)
+    keys, pair = np.unique(ctx * nx + view.x[cell], return_inverse=True)
+    mass = np.zeros(len(keys))
+    np.add.at(mass, pair, view.prob[cell])
+    order = np.lexsort((view.xkey[keys % nx], -mass, keys // nx))
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys)) - _group_starts(keys[order] // nx) + 1
+    return keys, mass, rank, pair
 
 
 @dataclass(frozen=True)
@@ -138,15 +254,31 @@ class AmbiguityResult:
         return (self.value, self.value) if self.exact else (self.lower, self.upper)
 
 
-def moment_for_assignment(cells: list[Cell], choice: list[int], rho: float) -> float:
+def moment_for_assignment(cells, choice, rho: float) -> float:
     """Objective for one accomplice map: cells routed per `choice`, then sorted."""
-    return grouped_moment(((c.views[k], c.x, c.prob) for c, k in zip(cells, choice)), rho)
+    view = as_view(cells)
+    routed = view.ctx[np.arange(len(view)), np.asarray(choice, dtype=np.int64)]
+    return grouped_moment(zip(routed.tolist(), view.x.tolist(), view.prob.tolist()), rho)
 
 
-def moment_for_constant(cells: list[Cell], k: int, rho: float) -> float:
+def moment_for_constant(cells, k: int, rho: float) -> float:
     """The optimal guessing moment given view position k (every cell routed to it)."""
-    table = _prepared(cells, ("rank", k), lambda cs: _RankTable((c.views[k], c.x, c.prob) for c in cs))
-    return table.moment(rho)
+    columns, n_ctx = as_view(cells).prepared(("rank", k), lambda v: _rank_table(v, k))
+    powers = _powers(len(columns), rho)
+    acc = np.zeros(n_ctx)
+    for t, (seen, mass) in enumerate(columns):  # each context at most once per rank
+        acc[seen] += mass * powers[t]
+    return _in_order(acc)
+
+
+def _rank_table(view: CellView, k: int) -> tuple[list, int]:
+    """Per rank t, the first-seen index of each context holding rank t and its mass there."""
+    ctx = _first_seen(view.ctx[:, k])
+    keys, mass, rank, _ = _ranked(view, np.arange(len(view)), ctx)
+    seen = keys // len(view.xs)
+    order = np.lexsort((seen, rank))
+    bounds = np.cumsum(np.bincount(rank, minlength=1)[1:])[:-1]
+    return list(zip(np.split(seen[order], bounds), np.split(mass[order], bounds))), int(ctx.max(initial=-1)) + 1
 
 
 def _weighted(masses: np.ndarray, sizes: np.ndarray, rho: float) -> float:
@@ -154,81 +286,61 @@ def _weighted(masses: np.ndarray, sizes: np.ndarray, rho: float) -> float:
     return _in_order(masses * _powers(int(sizes.max(initial=0)), rho)[sizes - 1])
 
 
-def support_moment(cells: list[Cell], rho: float, reduce=max) -> float:
-    """E[reduce over views of |{x : x possible given the view}|^rho].
+def support_moment(cells, rho: float, reduce=max) -> float:
+    """E[reduce over views of |{x : x possible given the view}|^rho], reduce min or max.
 
     Decoding-list sizes are support sizes, so membership is exact: every
     positive-mass cell counts.  Mass is summed per views tuple, in first-seen
     order, before the sizes are applied.
     """
-    return _weighted(*_prepared(cells, ("support", reduce), lambda cs: _list_sizes(cs, reduce)), rho)
+    view = as_view(cells)
+    return _weighted(*view.prepared(("support", reduce), lambda v: _list_sizes(v, reduce)), rho)
 
 
-def _list_sizes(cells: list[Cell], reduce) -> tuple[np.ndarray, np.ndarray]:
+def _list_sizes(view: CellView, reduce) -> tuple[np.ndarray, np.ndarray]:
     """Mass and reduced list size of each views tuple, in first-seen order."""
-    supports: dict = {}
-    mass: dict = {}
-    for c in cells:
-        for v in c.views:
-            supports.setdefault(v, set()).add(c.x)
-        mass[c.views] = mass.get(c.views, 0.0) + c.prob
-    sizes = [reduce(len(supports[v]) for v in views) for views in mass]
-    return np.array(list(mass.values()), dtype=float), np.array(sizes, dtype=np.int64)
+    cell, pos, ctx = view.incidences
+    nx = len(view.xs)
+    support = np.bincount(np.unique(ctx * nx + view.x[cell]) // nx, minlength=view.n_contexts)
+    fill = 0 if reduce is max else np.iinfo(np.int64).max
+    per_view = np.full(view.ctx.shape, fill, dtype=np.int64)
+    per_view[cell, pos] = support[ctx]
+    size = per_view.max(axis=1, initial=0) if reduce is max else per_view.min(axis=1, initial=fill)
+    _, first, tuples = np.unique(row_ids(*(view.ctx + 1).T), return_index=True, return_inverse=True)
+    mass = np.zeros(len(first))
+    np.add.at(mass, tuples, view.prob)
+    seen = np.argsort(first)
+    return mass[seen], size[first[seen]]
 
 
-def _context_ranks(triples) -> tuple[dict, dict]:
-    """Grouped masses and the optimal rank of each (context, x); ties by repr(x)."""
-    groups = group_masses(triples)
-    ranks: dict = {}
-    for ctx, by_x in groups.items():
-        for r, x in enumerate(sorted(by_x, key=lambda x: (-by_x[x], repr(x))), start=1):
-            ranks[(ctx, x)] = r
-    return groups, ranks
-
-
-def has_mergeable_cells(cells: list[Cell]) -> bool:
+def _mergeable(view: CellView) -> bool:
     """True if two distinct cells could land in one context with the same x."""
-    seen = set()
-    for cell in cells:
-        for ctx in set(cell.views):
-            key = (cell.x, ctx)
-            if key in seen:
-                return True
-            seen.add(key)
-    return False
+    cell, _, ctx = view.incidences
+    own = np.unique(cell * view.n_contexts + ctx)  # each cell's distinct contexts
+    return len(np.unique(own % view.n_contexts * len(view.xs) + view.x[own // view.n_contexts])) < len(own)
 
 
-def _components(cells: list[Cell]) -> list[list[Cell]]:
-    """Split cells into connected components of the shared-context graph."""
-    parent = list(range(len(cells)))
+def _components(view: CellView, keep: np.ndarray) -> list[np.ndarray]:
+    """The cells of `keep` (ascending) per component of the shared-context
+    graph, components in the order of their first cell."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_ctx: dict = {}
-    for i, cell in enumerate(cells):
-        for ctx in cell.views:
-            by_ctx.setdefault(ctx, []).append(i)
-    for members in by_ctx.values():
-        for j in members[1:]:
-            a, b = find(members[0]), find(j)
-            parent[a] = b
-    comps: dict = {}
-    for i in range(len(cells)):
-        comps.setdefault(find(i), []).append(cells[i])
-    return list(comps.values())
+    cell, _, ctx = view.incidences
+    mask = np.isin(cell, keep)
+    size = len(view) + view.n_contexts
+    graph = coo_array((np.ones(int(mask.sum())), (cell[mask], len(view) + ctx[mask])), shape=(size, size))
+    labels = _first_seen(connected_components(graph, directed=False)[1][keep])
+    return np.split(keep[np.argsort(labels, kind="stable")], np.cumsum(np.bincount(labels))[:-1]) if len(keep) else []
 
 
-def eve_exact_matching(cells: list[Cell], rho: float) -> float:
+def eve_exact_matching(cells, rho: float) -> float:
     """Exact accomplice-optimal moment via a sparse min-cost assignment.
 
     Raises BudgetExceededError if cells can merge (see module docstring); the
     caller should then use `eve_exact_enumeration` or bounds.
     """
-    graphs = _prepared(cells, "slot graphs", _slot_graphs)
+    graphs = as_view(cells).prepared("slot graphs", _slot_graphs)
     if graphs is None:
         raise BudgetExceededError("mergeable cells: matching reduction is not exact here")
     total = 0.0
@@ -237,29 +349,27 @@ def eve_exact_matching(cells: list[Cell], rho: float) -> float:
     return total
 
 
-def _slot_graphs(cells: list[Cell]):
-    """Each component's slot graph, or None when cells can merge."""
-    if has_mergeable_cells(cells):
+def _slot_graphs(view: CellView) -> list | None:
+    """Each component's truncated slot graph, up to its rho-dependent weights,
+    or None when cells can merge."""
+    if _mergeable(view):
         return None
-    return [_slot_graph(comp) for comp in _components([c for c in cells if c.prob > 0])]
-
-
-def _slot_graph(comp: list[Cell]) -> tuple:
-    """One component's truncated slot graph, up to its rho-dependent weights."""
-    from scipy.sparse import csr_array
-
-    ctx_ids: dict = {}
-    inc_cell, inc_ctx = [], []
-    for i, cell in enumerate(comp):
-        for view in dict.fromkeys(cell.views):
-            inc_cell.append(i)
-            inc_ctx.append(ctx_ids.setdefault(view, len(ctx_ids)))
-    prob = np.array([c.prob for c in comp])
-    inc_cell, inc_ctx = np.array(inc_cell), np.array(inc_ctx)
-    order = np.lexsort((-prob[inc_cell], inc_ctx))  # by context, then descending mass
-    cell, ctx, mass = inc_cell[order], inc_ctx[order], prob[inc_cell[order]]
+    cell, _, ctx = view.incidences
+    positive = view.prob[cell] > 0
+    cell, ctx = cell[positive], ctx[positive]
+    first = np.sort(np.unique(cell * view.n_contexts + ctx, return_index=True)[1])  # each view once
+    cell, ctx = cell[first], ctx[first]
+    if not len(cell):
+        return []
+    rows = _components(view, np.flatnonzero(view.prob > 0))
+    comp, local = np.zeros(len(view), dtype=np.int64), np.zeros(len(view), dtype=np.int64)
+    for c, members in enumerate(rows):
+        comp[members], local[members] = c, np.arange(len(members))  # component, and row in it
+    ctx = _first_seen(ctx)  # contexts by first appearance among these incidences
     # Sorted incidence j is also slot column j: context c owns the columns
     # start..start + degree - 1, and column j is its position j - start + 1.
+    order = np.lexsort((-view.prob[cell], ctx, comp[cell]))  # by context, then descending mass
+    cell, ctx, mass = cell[order], ctx[order], view.prob[cell[order]]
     idx = np.arange(len(order))
     new_ctx = np.r_[True, ctx[1:] != ctx[:-1]]
     start = np.maximum.accumulate(np.where(new_ctx, idx, 0))
@@ -268,11 +378,18 @@ def _slot_graph(comp: list[Cell]) -> tuple:
     last = np.minimum.accumulate(np.where(run_ends, idx, len(idx))[::-1])[::-1]
     q = last - start + 1
     offset = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)  # position - 1
-    # The CSR layout of the edges; `data` numbers them, so edge e sits at data[e] - 1.
-    shape = (len(comp), len(order))
-    layout = csr_array((np.arange(1.0, len(offset) + 1), (np.repeat(cell, q), np.repeat(start, q) + offset)), shape=shape)
-    edge = layout.data.astype(np.int64) - 1
-    return prob, start, np.repeat(mass, q)[edge], offset[edge], layout.indices, layout.indptr, shape
+    e_cell, e_col = np.repeat(cell, q), np.repeat(start, q) + offset
+    csr = np.lexsort((e_col, local[e_cell], comp[e_cell]))  # each component's CSR edge order
+    e_cell, e_col, e_mass, offset = e_cell[csr], e_col[csr], np.repeat(mass, q)[csr], offset[csr]
+    inc_bounds = np.flatnonzero(np.r_[True, comp[cell[1:]] != comp[cell[:-1]], True])
+    edge_bounds = np.flatnonzero(np.r_[True, comp[e_cell[1:]] != comp[e_cell[:-1]], True])
+    graphs = []
+    for c, members in enumerate(rows):
+        (i0, i1), (e0, e1) = inc_bounds[c : c + 2], edge_bounds[c : c + 2]
+        indptr = np.r_[0, np.cumsum(np.bincount(local[e_cell[e0:e1]], minlength=len(members)))]
+        graph = (view.prob[members], start[i0:i1] - i0, e_mass[e0:e1], offset[e0:e1], e_col[e0:e1] - i0, indptr)
+        graphs.append((*graph, (len(members), int(i1 - i0))))
+    return graphs
 
 
 def _matching_cost(graph: tuple, rho: float) -> float:
@@ -287,65 +404,53 @@ def _matching_cost(graph: tuple, rho: float) -> float:
     return float((prob[rows] * powers[cols - start[cols]]).sum())
 
 
-def eve_exact_enumeration(cells: list[Cell], rho: float, budget_bits: int = 26) -> float:
+def eve_exact_enumeration(cells, rho: float, budget_bits: int = 26) -> float:
     """Exact accomplice-optimal moment by exhausting deterministic maps.
 
     Valid for arbitrary cells (handles merging).  Components are enumerated
     independently; each must satisfy n_cells * log2(n_views) <= budget_bits.
     """
+    view = as_view(cells)
+    n_views = (view.ctx >= 0).sum(axis=1)
     total = 0.0
-    for comp in _components(cells):
-        options = [len(c.views) for c in comp]
+    for comp in _components(view, np.arange(len(view))):
+        options = n_views[comp].tolist()
         bits = sum(math.log2(o) for o in options if o > 1)
         if bits > budget_bits:
-            raise BudgetExceededError(
-                f"component needs {bits:.1f} assignment bits > budget {budget_bits}"
-            )
+            raise BudgetExceededError(f"component needs {bits:.1f} assignment bits > budget {budget_bits}")
         if all(o == 1 for o in options):
-            total += moment_for_constant(comp, 0, rho)
+            total += grouped_moment(zip(*(a[comp].tolist() for a in (view.ctx[:, 0], view.x, view.prob))), rho)
             continue
-        total += _enumerate_component(comp, rho)
+        total += _enumerate_component(view, comp, rho, options)
     return total
 
 
-def _enumerate_component(comp: list[Cell], rho: float) -> float:
-    options = [len(c.views) for c in comp]
-    contexts = sorted({ctx for c in comp for ctx in c.views}, key=repr)
-    return _enumerate_component_tables(comp, rho, options, contexts)
-
-
-def _enumerate_component_tables(comp, rho, options, contexts) -> float:
+def _enumerate_component(view: CellView, comp: np.ndarray, rho, options) -> float:
     """Vectorized enumeration: per-context moment tables indexed by sub-mask.
 
-    Table entries aggregate masses by x before sorting, so cells that merge
-    inside a context are priced correctly.
+    Contexts are taken in id order.  Table entries aggregate masses by x
+    before sorting, so cells that merge inside a context are priced correctly.
     """
+    views = view.ctx[comp].tolist()
+    members_of = list(zip(view.x[comp].tolist(), view.prob[comp].tolist()))
     incidence = []  # per context: list of (cell index, option indices routing here)
-    for ctx in contexts:
-        inc = []
-        for i, cell in enumerate(comp):
-            ks = tuple(k for k, v in enumerate(cell.views) if v == ctx)
-            if ks:
-                inc.append((i, ks))
+    for ctx in np.unique(view.ctx[comp][view.ctx[comp] >= 0]).tolist():
+        inc = [(i, ks) for i, vs in enumerate(views) if (ks := tuple(k for k, v in enumerate(vs) if v == ctx))]
         if len(inc) > 22:
             raise BudgetExceededError(f"context incident to {len(inc)} cells: table too large")
         incidence.append(inc)
     tables = []
     for inc in incidence:
-        d = len(inc)
-        table = np.zeros(1 << d)
-        members = [(comp[i].x, comp[i].prob) for i, _ in inc]
-        for mask in range(1, 1 << d):
+        members = [members_of[i] for i, _ in inc]
+        table = np.zeros(1 << len(inc))
+        for mask in range(1, 1 << len(inc)):
             by_x: dict = {}
-            for t in range(d):
+            for t, (x, p) in enumerate(members):
                 if mask >> t & 1:
-                    x, p = members[t]
                     by_x[x] = by_x.get(x, 0.0) + p
             table[mask] = sorted_moment(by_x.values(), rho)
         tables.append(table)
-    strides = np.ones(len(comp), dtype=np.int64)
-    for i in range(len(comp) - 2, -1, -1):
-        strides[i] = strides[i + 1] * options[i + 1]
+    strides = np.cumprod([1] + options[:0:-1])[::-1]  # the product of the later cells' options
     total_assignments = int(strides[0]) * options[0]
     best = math.inf
     chunk = 1 << 18
@@ -365,27 +470,32 @@ def _enumerate_component_tables(comp, rho, options, contexts) -> float:
     return best
 
 
-def eve_local_search(cells: list[Cell], rho: float) -> float:
+def eve_local_search(cells, rho: float) -> float:
     """Alternating accomplice/guesser descent; a certified upper bound on Eve.
 
     Starts from each constant route, descends for at most 50 rounds, and keeps
     the best reachable value.  Every iterate corresponds to an actual deterministic
     accomplice map, so the result always upper-bounds the exact minimum.
     """
-    n_opt = max(len(c.views) for c in cells)
+    view = as_view(cells)
+    rows = np.arange(len(view))
+    n_views = (view.ctx >= 0).sum(axis=1)
+    cell, pos, ctx = view.incidences
+    nx = len(view.xs)
     best = math.inf
-    starts = [[k % len(c.views) for c in cells] for k in range(n_opt)]
-    for choice in starts:
-        val = moment_for_assignment(cells, choice, rho)
+    for k in range(view.ctx.shape[1]):
+        choice = k % n_views
+        val = moment_for_assignment(view, choice, rho)
         for _ in range(50):
-            groups, ranks = _context_ranks((c.views[k], c.x, c.prob) for c, k in zip(cells, choice))
+            keys, _, rank, _ = _ranked(view, rows, view.ctx[rows, choice])
             # unseen (ctx, x) would enter at the context's next free rank
-            sizes = {ctx: len(by_x) for ctx, by_x in groups.items()}
-            new_choice = [
-                min((ranks.get((ctx, c.x), sizes.get(ctx, 0) + 1), k) for k, ctx in enumerate(c.views))[1]
-                for c in cells
-            ]
-            new_val = moment_for_assignment(cells, new_choice, rho)
+            sizes = np.bincount(keys // nx, minlength=view.n_contexts)
+            wanted = ctx * nx + view.x[cell]
+            at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+            cost = np.full(view.ctx.shape, np.iinfo(np.int64).max, dtype=np.int64)
+            cost[cell, pos] = np.where(keys[at] == wanted, rank[at], sizes[ctx] + 1)
+            new_choice = cost.argmin(axis=1)  # the first best view
+            new_val = moment_for_assignment(view, new_choice, rho)
             if new_val >= val - 1e-15:
                 break
             choice, val = new_choice, new_val
@@ -393,7 +503,7 @@ def eve_local_search(cells: list[Cell], rho: float) -> float:
     return best
 
 
-def bob_minmax_bracket(cells: list[Cell], rho: float) -> tuple[float, float]:
+def bob_minmax_bracket(cells, rho: float) -> tuple[float, float]:
     """(lower, upper) for Bob's min-max guessing ambiguity.
 
     lower: best fixed subset, i.e. max over view positions of the per-subset
@@ -402,21 +512,23 @@ def bob_minmax_bracket(cells: list[Cell], rho: float) -> tuple[float, float]:
     revealable subset pins down the same posterior (true for every scheme
     built here).
     """
-    n_opt = {len(c.views) for c in cells}
-    if len(n_opt) != 1:
+    view = as_view(cells)
+    if not len(view) or (view.ctx < 0).any():
         raise ValueError("all cells must offer the same number of views")
-    lower = max(moment_for_constant(cells, k, rho) for k in range(n_opt.pop()))
-    return lower, _weighted(*_prepared(cells, "max ranks", _max_ranks), rho)
+    lower = max(moment_for_constant(view, k, rho) for k in range(view.ctx.shape[1]))
+    return lower, _weighted(*view.prepared("max ranks", _max_ranks), rho)
 
 
-def _max_ranks(cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's mass and its largest optimal rank over its views."""
-    _, ranks = _context_ranks((ctx, c.x, c.prob) for c in cells for ctx in c.views)
-    worst = [max(ranks[(ctx, c.x)] for ctx in c.views) for c in cells]
-    return np.array([c.prob for c in cells], dtype=float), np.array(worst, dtype=np.int64)
+def _max_ranks(view: CellView) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's mass and its largest optimal rank over its views (views pooled)."""
+    cell, pos, ctx = view.incidences
+    _, _, rank, pair = _ranked(view, cell, ctx)
+    per_view = np.zeros(view.ctx.shape, dtype=np.int64)
+    per_view[cell, pos] = rank[pair]
+    return view.prob, per_view.max(axis=1)
 
 
-def eve_ambiguity(cells: list[Cell], rho: float, floor) -> AmbiguityResult:
+def eve_ambiguity(cells, rho: float, floor) -> AmbiguityResult:
     """Eve's accomplice-optimal guessing moment: matching, else enumeration, else bounds.
 
     `floor` is a zero-argument callable returning a certified lower bound on
@@ -425,24 +537,23 @@ def eve_ambiguity(cells: list[Cell], rho: float, floor) -> AmbiguityResult:
     deterministic accomplice map].  With `floor=None` that case raises
     BudgetExceededError instead.
     """
+    view = as_view(cells)
     try:
-        val = eve_exact_matching(cells, rho)
+        val = eve_exact_matching(view, rho)
         return AmbiguityResult(val, val, val, "matching")
     except BudgetExceededError:
         pass
     try:
-        val = eve_exact_enumeration(cells, rho)
+        val = eve_exact_enumeration(view, rho)
         return AmbiguityResult(val, val, val, "enumeration")
     except BudgetExceededError:
         if floor is None:
             raise
-    return eve_bracket(cells, rho, floor())
+    return eve_bracket(view, rho, floor())
 
 
-def eve_bracket(cells: list[Cell], rho: float, lower: float) -> AmbiguityResult:
+def eve_bracket(cells, rho: float, lower: float) -> AmbiguityResult:
     """Certified bracket for Eve: a given floor, and the best reachable accomplice map."""
-    upper = min(
-        eve_local_search(cells, rho),
-        min(moment_for_constant(cells, k, rho) for k in range(len(cells[0].views))),
-    )
-    return AmbiguityResult(None, lower, upper, "bounds")
+    view = as_view(cells)
+    constant = (moment_for_constant(view, k, rho) for k in range(int((view.ctx[0] >= 0).sum())))
+    return AmbiguityResult(None, lower, min(eve_local_search(view, rho), min(constant)), "bounds")

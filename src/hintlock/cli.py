@@ -70,10 +70,14 @@ def _fields(section: dict, name: str, **kinds) -> list:
     return [section[k] if kind is None else _number(section[k], kind, k) for k, kind in kinds.items()]
 
 
-def _optional(section: dict, key: str, kind: type, default=None):
-    """The number `key` of a config section read as `kind`; `default` when absent."""
+def _optional(section: dict, key: str, kind: type, default=None, least=None):
+    """The number `key` of a config section read as `kind`; `default` when absent.
+    A value below `least` is a config error."""
     value = section.get(key, default)
-    return None if value is None else _number(value, kind, key)
+    value = None if value is None else _number(value, kind, key)
+    if least is not None and value < least:
+        raise ConfigError(f"config error: {key!r} must be at least {least}, got {value}")
+    return value
 
 
 def _numbers(cfg: dict, key: str, default) -> list:
@@ -130,7 +134,7 @@ def cmd_entropy(cfg: dict, args) -> list[ReportRow]:
 
 def cmd_guess(cfg: dict, args) -> list[ReportRow]:
     joint = _load_source(cfg, args.rational)
-    z_count = _optional(cfg, "z_count", int, 1)
+    z_count = _optional(cfg, "z_count", int, 1, least=1)
     rows = []
     for rho in _rho_list(cfg):
         moment = optimal_guess_moment(joint, rho)
@@ -149,7 +153,7 @@ def cmd_guess(cfg: dict, args) -> list[ReportRow]:
 
 def cmd_task(cfg: dict, args) -> list[ReportRow]:
     joint = _load_source(cfg, args.rational)
-    z_count = _optional(cfg, "z_count", int, 4)
+    z_count = _optional(cfg, "z_count", int, 4, least=1)
     rows = []
     for rho in _rho_list(cfg):
         inst = f"rho={fmt(rho)},z={z_count}"
@@ -206,27 +210,30 @@ def cmd_disks(cfg: dict, args) -> list[ReportRow]:
     version = cfg.get("version", "guessing")
     params = _fields(_section(cfg, "scheme"), "a disk scheme", delta=int, nu=int, eta=int, s=int, p=int, r=int)
     scheme = disks_mod.build_delta_scheme(joint, *params, version, budget=args.budget)
-    rows = [
-        ReportRow(
-            "disks",
-            "structure",
-            "nu-subset-recovery",
-            "==",
-            1.0 if disks_mod.check_reconstruction(scheme) else 0.0,
-            1.0,
-        ),
-        ReportRow(
-            "disks",
-            "structure",
-            "eta-subset-independence",
-            "==",
-            1.0 if disks_mod.check_eta_independence(scheme) else 0.0,
-            1.0,
-        ),
-    ]
+    delta, nu, eta, s = params[:4]
+    sizes = _unequal_sizes(cfg, delta, s)
+    structure = {"nu-subset-recovery": disks_mod.check_reconstruction(scheme)}
+    structure["eta-subset-independence"] = disks_mod.check_eta_independence(scheme)
+    rows = [ReportRow("disks", "structure", name, "==", 1.0 if ok else 0.0, 1.0) for name, ok in structure.items()]
     for rho in _rho_list(cfg):
         rows.extend(disks_mod.verify_disk_theorems(scheme, rho, version, f"rho={fmt(rho)}"))
+        if sizes is not None:
+            inst = f"sizes={sizes},rho={fmt(rho)}"
+            rows.extend(disks_mod.verify_unequal_converse(joint, scheme.law, sizes, nu, eta, rho, inst))
+            h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
+            rows.extend(disks_mod.equal_size_envelope_rows(sizes, nu, eta, rho, h, len(joint.x_alphabet)))
     return rows
+
+
+def _unequal_sizes(cfg: dict, delta: int, s: int) -> tuple | None:
+    """Opt-in disk sizes in bits, one per disk, for the unequal-disk converse and
+    envelope rows; each must hold the scheme's s-bit hints."""
+    sizes = cfg.get("unequal_sizes")
+    if sizes is None:
+        return None
+    if not isinstance(sizes, list) or len(sizes) != delta or min(_number(v, int, "unequal_sizes") for v in sizes) < s:
+        raise ConfigError(f"config error: 'unequal_sizes' must list {delta} disk sizes of at least s = {s} bits")
+    return tuple(int(v) for v in sizes)
 
 
 def _distortion_spec(joint: JointPmf, dcfg: dict) -> DistortionSpec:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -23,10 +22,11 @@ import numpy as np
 
 from .adversary import (
     AmbiguityResult,
-    Cell,
+    CellView,
+    Law,
     bob_minmax_bracket,
-    cells,
     eve_ambiguity,
+    row_ids,
     support_moment,
 )
 from .adversary import eve_exact_matching  # noqa: F401  (re-exported: perfbench reaches the oracle here)
@@ -47,10 +47,9 @@ from .prob import (
     DomainError,
     JointPmf,
     RenyiOrder,
-    common_denominator,
     renyi_cond_entropy,
 )
-from .report import ReportRow
+from .report import ReportRow, fmt
 from .tasks import descriptor_map
 
 
@@ -74,15 +73,18 @@ class DeltaHintScheme:
     r: int
     version: str
     descriptor: dict  # (x, y) -> (V tuple, W tuple)
-    law: dict  # (x, y, hints tuple) -> prob
+    law: Law  # (x, y, hints tuple) -> prob
+
+    def __post_init__(self):
+        object.__setattr__(self, "law", Law.coded(self.law))
 
     @cached_property
-    def bob_cells(self) -> list[Cell]:
-        return cells(self.law, _subset_views("B", self.delta, self.nu))
+    def bob_cells(self) -> CellView:
+        return self.law.view(list(combinations(range(self.delta), self.nu)))
 
     @cached_property
-    def eve_cells(self) -> list[Cell]:
-        return cells(self.law, _subset_views("E", self.delta, self.eta))
+    def eve_cells(self) -> CellView:
+        return self.law.view(list(combinations(range(self.delta), self.eta)))
 
     def share_blob(self, hints: tuple) -> bytes:
         width = max(1, (self.s + 7) // 8)
@@ -95,12 +97,6 @@ class DeltaHintScheme:
 
     def split_hint(self, h: int) -> tuple[int, int]:
         return h >> self.r, h & ((1 << self.r) - 1)
-
-
-def _subset_views(tag: str, delta: int, size: int):
-    """Views of a law keyed (x, y, hints): one context per size-`size` hint subset."""
-    subsets = list(combinations(range(delta), size))
-    return lambda key: tuple((tag, b, key[1], tuple(key[2][i] for i in b)) for b in subsets)
 
 
 def _int_to_symbols(z: int, count: int, bits: int) -> tuple:
@@ -151,7 +147,6 @@ def build_delta_scheme(
         descriptor[key] = (v_sym, w_sym)
 
     n_pad = 1 << (eta * r)
-    inv_pad = Fraction(1, n_pad) if joint.exact else 1.0 / n_pad
     # Both codes are linear, so encode(u || w) = encode(u || 0) XOR encode(0 || w):
     # each pad and each distinct V or W symbol tuple is encoded once.
     def encode(g, sym: tuple) -> np.ndarray:
@@ -160,44 +155,23 @@ def build_delta_scheme(
     pad_parts = np.array([encode(g_uw, _int_to_symbols(i, eta, r) + (0,) * (nu - eta)) for i in range(n_pad)])
     v_parts: dict = {}
     w_parts: dict = {}
-    law: dict = {}
-    for x, y, prob in joint.support_items():
+    rows = list(joint.support_items())
+    for x, y, _ in rows:
         v_sym, w_sym = descriptor[(x, y)]
         if v_sym not in v_parts:
             v_parts[v_sym] = encode(g_v, v_sym) << r
         if w_sym not in w_parts:
             w_parts[w_sym] = encode(g_uw, (0,) * eta + w_sym)
-        mass = prob * inv_pad
-        for hints in (v_parts[v_sym] | (pad_parts ^ w_parts[w_sym])).tolist():
-            law[(x, y, tuple(hints))] = mass
+    v = np.array([v_parts[descriptor[(x, y)][0]] for x, y, _ in rows]).reshape(len(rows), 1, delta)
+    w = np.array([w_parts[descriptor[(x, y)][1]] for x, y, _ in rows]).reshape(len(rows), 1, delta)
+    hints = (v | (pad_parts[None] ^ w)).reshape(len(rows) * n_pad, delta)
+    law = Law.spread(joint, rows, hints, n_pad, joint.exact, nested=True)
     return DeltaHintScheme(joint, delta, nu, eta, s, p, r, version, descriptor, law)
 
 
 # ---------------------------------------------------------------------------
 # Exact recovery / secrecy checks on the realized law, on integer-coded arrays.
 # ---------------------------------------------------------------------------
-
-
-def _support(scheme: DeltaHintScheme) -> tuple[list, np.ndarray, list, int | None]:
-    """Positive-mass keys, their hints as a matrix, their masses (`common_denominator`)."""
-    nums, scale = common_denominator(scheme.law.values())
-    keys = [key for key, n in zip(scheme.law, nums) if n > 0]
-    hints = np.array([key[2] for key in keys], dtype=np.int64).reshape(len(keys), scheme.delta)
-    return keys, hints, [n for n in nums if n > 0], scale
-
-
-def _ids(values) -> np.ndarray:
-    """First-seen integer ids of hashable values."""
-    ids: dict = {}
-    return np.array([ids.setdefault(v, len(ids)) for v in values], dtype=np.int64)
-
-
-def _row_ids(*columns: np.ndarray) -> np.ndarray:
-    """Dense ids 0..k-1 of the rows of nonnegative integer columns: equal rows, equal ids."""
-    ids = np.zeros(len(columns[0]), dtype=np.int64)
-    for col in columns:
-        ids = np.unique(ids * (int(col.max()) + 1) + col, return_inverse=True)[1]
-    return ids
 
 
 def _sums(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -209,14 +183,16 @@ def _sums(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def check_reconstruction(scheme: DeltaHintScheme) -> bool:
     """Every size-nu subset of hints determines (V, W, pad) on the support."""
-    keys, hints, _, _ = _support(scheme)
-    if not keys:
+    law, ids = scheme.law, {}
+    if not len(law.mass):
         return True
-    y = _ids(key[1] for key in keys)
-    whole = _row_ids(_ids(scheme.descriptor[key[:2]] for key in keys), *hints.T)
+    xy = row_ids(law.x, law.y)
+    first = np.unique(xy, return_index=True)[1]
+    desc = [ids.setdefault(scheme.descriptor[(law.xs[law.x[i]], law.ys[law.y[i]])], len(ids)) for i in first.tolist()]
+    whole = row_ids(np.array(desc, dtype=np.int64)[xy], *law.hints.T)
     for b in combinations(range(scheme.delta), scheme.nu):
-        shown = _row_ids(y, *hints[:, b].T)
-        if _row_ids(shown, whole).max() != shown.max():  # some shown hints fit two realizations
+        shown = row_ids(law.y, *law.hints[:, b].T)
+        if row_ids(shown, whole).max() != shown.max():  # some shown hints fit two realizations
             return False
     return True
 
@@ -231,20 +207,20 @@ def check_eta_independence(scheme: DeltaHintScheme) -> bool:
     """
     if scheme.eta == 0:
         return True
-    keys, hints, masses, scale = _support(scheme)
-    if not keys:
+    law = scheme.law
+    if not len(law.mass):
         return True
     n_pad = 1 << (scheme.eta * scheme.r)
-    mass = np.array(masses, dtype=float if scale is None else object)
-    xy = _ids(key[:2] for key in keys)
+    mass = law.mass if law.scale is None else np.array(law.nums, dtype=object)
+    xy = row_ids(law.x, law.y)
     total = _sums(xy, mass)
-    rparts = scheme.split_hint(hints)[1]
+    rparts = scheme.split_hint(law.hints)[1]
     for e in combinations(range(scheme.delta), scheme.eta):
-        group = _row_ids(xy, *rparts[:, e].T)
+        group = row_ids(xy, *rparts[:, e].T)
         cond = _sums(group, mass)
         owner = np.empty(len(cond), dtype=np.int64)
         owner[group] = xy
-        if scale is not None:
+        if law.scale is not None:
             ok = cond * n_pad == total[owner]
         else:
             want = 2.0 ** -(scheme.eta * scheme.r) * total[owner]
@@ -286,7 +262,8 @@ def _eve_floor(scheme: DeltaHintScheme, rho: float) -> float:
     function of (x, y, pad), and eta hints pin the pad given (X, Y) through
     the top MDS rows.
     """
-    pair = grouped_moment(((y, (x, m), float(p)) for (x, y, m), p in scheme.law.items() if p > 0), rho)
+    law = scheme.law
+    pair = grouped_moment(zip(law.y.tolist(), row_ids(law.x, *law.hints.T).tolist(), law.mass.tolist()), rho)
     reveal = math.comb(scheme.delta, scheme.eta) * 2 ** (scheme.eta * scheme.s)
     return max(1.0, reveal ** (-rho) * pair)
 
@@ -327,12 +304,12 @@ def verify_unequal_converse(
     sizes[l] bits).  Uses certifiable sides of the ambiguity brackets, so a
     pass is always sound.
     """
-    delta = len(sizes)
+    law = Law.coded(law)
     h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
     nx = len(joint.x_alphabet)
     ssort = sorted(sizes)
-    bob_lo, _ = bob_minmax_bracket(cells(law, _subset_views("B", delta, nu)), rho)
-    eve = eve_ambiguity(cells(law, _subset_views("E", delta, eta)), rho, lambda: 1.0)
+    bob_lo, _ = bob_minmax_bracket(law.view(list(combinations(range(len(sizes)), nu))), rho)
+    eve = eve_ambiguity(law.view(list(combinations(range(len(sizes)), eta))), rho, lambda: 1.0)
     eve_val = eve.upper  # certified side for the "<=" check
     bob_conv_g = bob_converse(h, rho, 2 ** sum(ssort[:nu]), nx, "guessing")
     eve_conv = eve_converse(h, rho, 2 ** sum(ssort[: nu - eta]), bob_lo)
@@ -377,16 +354,8 @@ def equal_size_envelope_rows(
             if bob_rhs <= 1 + factor * max(b - 1, base) and factor * eve_floor >= e:
                 ok = True
                 break
-        rows.append(
-            ReportRow(
-                "disks-envelope",
-                f"sizes={sizes},b-step={t}",
-                "equal-size-covers-corner",
-                ">=",
-                1.0 if ok else 0.0,
-                1.0,
-            )
-        )
+        instance = f"sizes={sizes},rho={fmt(rho)},b-step={t}"
+        rows.append(ReportRow("disks-envelope", instance, "equal-size-covers-corner", ">=", 1.0 if ok else 0.0, 1.0))
     return rows
 
 

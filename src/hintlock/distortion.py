@@ -10,8 +10,6 @@ source symbol, which guarantees the scan terminates.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -57,14 +55,6 @@ class DistortionSpec:
 
     def dist(self, x, xhat) -> float:
         return self.d[self.x_alphabet.index(x)][self.xhat_alphabet.index(xhat)]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["", *map(repr, self.xhat_alphabet)])
-        for x, row in zip(self.x_alphabet, self.d):
-            w.writerow([repr(x), *row])
-        return buf.getvalue()
 
 
 def avg_distortion(x_tuple, xhat_tuple, spec: DistortionSpec) -> float:

@@ -85,22 +85,17 @@ def guess_moment(g: GuessingFunction, joint: JointPmf, rho: float) -> float:
     return total
 
 
-def group_masses(triples) -> dict:
-    """{context: {key: summed mass}} from (context, key, mass) triples, first-seen order."""
-    groups: dict = {}
-    for ctx, key, p in triples:
-        by_key = groups.setdefault(ctx, {})
-        by_key[key] = by_key.get(key, 0.0) + p
-    return groups
-
-
 def sorted_moment(masses, rho: float) -> float:
     """Sum of p * rank^rho over masses guessed in descending order.
 
     This is the one place the optimal guessing moment of a context is summed;
-    every guessing ambiguity in the package reduces to it.
+    every guessing ambiguity in the package reduces to it.  Terms are added in
+    sequence, as in the prepared cell view (from Python 3.12 `sum` compensates).
     """
-    return sum(p * (r + 1) ** rho for r, p in enumerate(sorted(masses, reverse=True)))
+    total = 0.0
+    for r, p in enumerate(sorted(masses, reverse=True), start=1):
+        total += p * r**rho
+    return total
 
 
 def grouped_moment(triples, rho: float) -> float:
@@ -109,8 +104,12 @@ def grouped_moment(triples, rho: float) -> float:
     Masses of one (context, key) add up; contexts are summed in first-seen
     order, each over its masses in descending order.
     """
+    groups: dict = {}
+    for ctx, key, p in triples:
+        by_key = groups.setdefault(ctx, {})
+        by_key[key] = by_key.get(key, 0.0) + p
     total = 0.0
-    for by_key in group_masses(triples).values():
+    for by_key in groups.values():
         total += sorted_moment(by_key.values(), rho)
     return total
 
@@ -162,39 +161,6 @@ def ceil_moment(joint: JointPmf, z_count: int, rho: float) -> float:
             pf = float(p)
             if pf > 0:
                 total += pf * math.ceil(row[i] / z_count) ** rho
-    return total
-
-
-def encoder_guess_moment(joint: JointPmf, encoder: dict, rho: float) -> float:
-    """Optimal guessing moment given (ctx, Z) for a deterministic descriptor map.
-
-    `encoder` maps (x, ctx) to a descriptor value; the decoder observes the
-    pair (ctx, z) and guesses with the posterior-sorted order.
-    """
-    return grouped_moment(
-        (
-            ((c, encoder[(x, c)]), x, float(joint.table[i][j]))
-            for j, c in enumerate(joint.y_alphabet)
-            for i, x in enumerate(joint.x_alphabet)
-            if joint.table[i][j] > 0
-        ),
-        rho,
-    )
-
-
-def stochastic_side_info_moment(joint: JointPmf, z_rows: np.ndarray, rho: float) -> float:
-    """Optimal guessing moment given (ctx, Z) for a stochastic Z-law.
-
-    `z_rows[i, j, :]` is the conditional law of Z given (x_i, ctx_j).
-    Used to certify that the deterministic remainder encoder beats random
-    descriptor laws of the same cardinality.
-    """
-    total = 0.0
-    for j in range(z_rows.shape[1]):
-        col = np.array([float(p) for p in joint.y_column(j)])
-        mass = col[:, None] * z_rows[:, j, :]  # shape (nx, nz): P(x, Z=z | ctx total mass)
-        for masses in mass.T.tolist():  # each (ctx, z) is a context of its own
-            total += sorted_moment(masses, rho)
     return total
 
 

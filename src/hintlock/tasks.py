@@ -14,7 +14,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bounds import bob_converse, bob_direct, list_room
 from .prob import (
@@ -242,24 +241,3 @@ def fact1_census(k: int) -> int:
     count = 2 ** math.floor(math.log2(k))
     assert count <= k
     return count
-
-
-def random_stoch_encoder(rng, joint: JointPmf, z_count: int, exact: bool = True) -> StochTaskEncoder:
-    """Seeded random stochastic encoder with planted zero entries.
-
-    Rows are rational by default so downstream support logic is exact.
-    """
-    z_alphabet = tuple(range(z_count))
-    rows = {}
-    for c in joint.y_alphabet:
-        for x in joint.x_alphabet:
-            k = int(rng.integers(1, z_count + 1))
-            chosen = sorted(rng.choice(z_count, size=k, replace=False).tolist())
-            weights = rng.integers(1, 8, size=k)
-            denom = int(weights.sum())
-            if exact:
-                row = {z_alphabet[z]: Fraction(int(w), denom) for z, w in zip(chosen, weights)}
-            else:
-                row = {z_alphabet[z]: float(w) / denom for z, w in zip(chosen, weights)}
-            rows[(x, c)] = row
-    return StochTaskEncoder(joint.x_alphabet, joint.y_alphabet, z_alphabet, rows)

@@ -21,55 +21,54 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .adversary import Cell, cells, eve_ambiguity, moment_for_constant, support_moment
+import numpy as np
+
+from .adversary import CellView, Law, eve_ambiguity, moment_for_constant, row_ids, support_moment
 from .adversary import eve_exact_matching  # noqa: F401  (re-exported: perfbench reaches the oracle here)
 from .bounds import ExponentOutcome, bob_converse, bob_direct, list_room, privacy_exponent, theorem_rows
 from .guessing import grouped_moment
-from .prob import DomainError, JointPmf, RenyiOrder, common_denominator, renyi_cond_entropy
+from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow
 from .tasks import descriptor_map
 
 
 # ---------------------------------------------------------------------------
-# Realized laws.  Every scheme keeps its exact law {(x, y, obs...): prob} for
-# the structural checks, and builds its float Bob and Eve cell views from it
-# once (`adversary.cells`); every ambiguity below is computed on those views.
+# Realized laws.  Every scheme keeps its exact law {(x, y, h_1, h_2): prob} as
+# columns (`adversary.Law`) for the structural checks, and builds its float Bob
+# and Eve cell views from them once; every ambiguity below is computed on those.
 # ---------------------------------------------------------------------------
 
 
 class _SchemeCells:
-    """Bob sees every hint, key[1:]; Eve's contexts come from `eve_views`."""
+    """Bob sees y and both hints; Eve's view k shows y and the hints `eve_positions[k]`."""
 
-    @staticmethod
-    def eve_views(key) -> tuple:  # the accomplice reveals M1 or M2
-        return (("h1", key[1], key[2]), ("h2", key[1], key[3]))
+    eve_positions = ((0,), (1,))  # the accomplice reveals M1 or M2
 
-    @cached_property
-    def bob_cells(self) -> list[Cell]:
-        return cells(self.law, lambda key: (key[1:],))
+    def __post_init__(self):
+        object.__setattr__(self, "law", Law.coded(self.law))
 
     @cached_property
-    def eve_cells(self) -> list[Cell]:
-        return cells(self.law, self.eve_views)
+    def bob_cells(self) -> CellView:
+        return self.law.view([(0, 1)])
+
+    @cached_property
+    def eve_cells(self) -> CellView:
+        return self.law.view(self.eve_positions)
 
 
-def _padded_law(items, cs: int, c1: int, c2: int, exact: bool) -> dict:
+def _padded_law(joint: JointPmf, items, cs: int, c1: int, c2: int, exact: bool) -> Law:
     """Spread each (x, y, (v_s, v_1, v_2), mass) uniformly over the pad U.
 
     M1 = ((v_s + U) mod cs) * c1 + v_1 and M2 = U * c2 + v_2, each of the cs
     pad values carrying mass / cs.
     """
-    inv_cs = Fraction(1, cs) if exact else 1.0 / cs
-    law: dict = {}
-    for x, y, (vs, v1, v2), w in items:
-        for u in range(cs):
-            key = (x, y, ((vs + u) % cs) * c1 + v1, u * c2 + v2)
-            law[key] = law.get(key, 0) + w * inv_cs
-    return law
-
-
-def _split3(z: int, cs: int, c1: int) -> tuple[int, int, int]:
-    return z % cs, (z // cs) % c1, z // (cs * c1)
+    items = list(items)
+    vs, v1, v2 = (np.repeat(np.array([d[k] for _, _, d, _ in items], dtype=np.int64), cs) for k in range(3))
+    if not ((0 <= vs) & (vs < cs) & (0 <= v1) & (v1 < c1) & (0 <= v2) & (v2 < c2)).all():
+        raise DomainError(f"a descriptor lies outside cs={cs}, c1={c1}, c2={c2}")
+    u = np.tile(np.arange(cs), len(items))
+    hints = np.stack([((vs + u) % cs) * c1 + v1, u * c2 + v2], axis=1)
+    return Law.spread(joint, [(x, y, w) for x, y, _, w in items], hints, cs, exact)
 
 
 @dataclass(frozen=True)
@@ -82,30 +81,28 @@ class TwoHintScheme(_SchemeCells):
     m2_size: int
     version: str
     descriptor: dict  # (x, y) -> (v_s, v_1, v_2)
-    law: dict  # (x, y, m1, m2) -> prob; m1 = vtilde*c1+v1, m2 = u*c2+v2
+    law: Law  # (x, y, m1, m2) -> prob; m1 = vtilde*c1+v1, m2 = u*c2+v2
 
     def pad_coordinate_laws(self) -> tuple[dict, dict]:
         """Conditional laws of M1's padded coordinate and M2's pad, per (x, y).
 
         Both must be exactly uniform over {0..cs-1} for every positive-mass
         (x, y): either hint alone then carries nothing through that slot.
-        Rational masses are summed as integer numerators over one common
-        denominator (`prob.common_denominator`) and returned as Fractions.
+        Rational masses are summed as the law's integer numerators over its
+        common denominator and returned as Fractions.
         """
-        nums, scale = common_denominator(self.law.values())
-        pad1: dict = {}
-        pad2: dict = {}
-        for (x, y, m1, m2), n in zip(self.law, nums):
-            if n > 0:
-                by_vt, by_u = pad1.setdefault((x, y), {}), pad2.setdefault((x, y), {})
-                vt, u = m1 // self.c1, m2 // self.c2
-                by_vt[vt] = by_vt.get(vt, 0) + n
-                by_u[u] = by_u.get(u, 0) + n
-        if scale is not None:
+        law, pad1, pad2 = self.law, {}, {}
+        pads = ((law.hints[:, 0] // self.c1).tolist(), (law.hints[:, 1] // self.c2).tolist())
+        values = law.mass.tolist() if law.nums is None else law.nums
+        for x, y, vt, u, n in zip(law.x.tolist(), law.y.tolist(), *pads, values):
+            for laws, pad in ((pad1, vt), (pad2, u)):
+                by_pad = laws.setdefault((law.xs[x], law.ys[y]), {})
+                by_pad[pad] = by_pad.get(pad, 0) + n
+        if law.nums is not None:
             fractions: dict = {}  # one Fraction per distinct numerator
             for by_pad in (*pad1.values(), *pad2.values()):
                 for k, n in by_pad.items():
-                    by_pad[k] = fractions[n] if n in fractions else fractions.setdefault(n, Fraction(n, scale))
+                    by_pad[k] = fractions[n] if n in fractions else fractions.setdefault(n, Fraction(n, law.scale))
         return pad1, pad2
 
     def to_json(self) -> str:
@@ -132,7 +129,7 @@ class TwoHintScheme(_SchemeCells):
         cs, c1, c2 = doc["cs"], doc["c1"], doc["c2"]
         descriptor = {tuple(k): tuple(v) for k, v in doc["descriptor"]}
         law = _padded_law(
-            ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
+            joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
         )
         return cls(joint, cs, c1, c2, doc["m1_size"], doc["m2_size"], doc["version"], descriptor, law)
 
@@ -161,9 +158,9 @@ def build_two_hint(
     if version == "list" and not list_room(size, len(joint.x_alphabet)):
         raise DomainError(f"list version needs cs*c1*c2 > log2|X|+2: {size} is too small")
     zmap = descriptor_map(joint, size, version)
-    descriptor = {k: _split3(z, cs, c1) for k, z in zmap.items()}
+    descriptor = {k: (z % cs, (z // cs) % c1, z // (cs * c1)) for k, z in zmap.items()}
     law = _padded_law(
-        ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
+        joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
     )
     return TwoHintScheme(joint, cs, c1, c2, m1_size, m2_size, version, descriptor, law)
 
@@ -206,9 +203,10 @@ def _eve_floor(scheme: TwoHintScheme, rho: float) -> float:
     moment by at most the revealed cardinality; evaluated on the moment of
     (X, U) given Y, U the uniform pad, and on the moment of X given Y.
     """
-    pos = [(x, y, m2 // scheme.c2, float(p)) for (x, y, _, m2), p in scheme.law.items() if p > 0]
-    aug = grouped_moment(((y, x, p) for x, y, _, p in pos), rho)
-    pair = grouped_moment(((y, (x, u), p) for x, y, u, p in pos), rho)
+    law = scheme.law
+    y, mass = law.y.tolist(), law.mass.tolist()
+    aug = grouped_moment(zip(y, law.x.tolist(), mass), rho)
+    pair = grouped_moment(zip(y, row_ids(law.x, law.hints[:, 1] // scheme.c2).tolist(), mass), rho)
     z_count = scheme.cs * (scheme.c1 + scheme.c2)
     return max(1.0, z_count ** (-rho) * pair, (scheme.m1_size * scheme.m2_size) ** (-rho) * aug)
 
@@ -306,11 +304,9 @@ class SecretHintScheme(_SchemeCells):
     mp_size: int
     ms_size: int
     version: str
-    law: dict  # (x, y, m_public, m_secret) -> prob (deterministic descriptor)
+    law: Law  # (x, y, m_public, m_secret) -> prob (deterministic descriptor)
 
-    @staticmethod
-    def eve_views(key) -> tuple:  # the public hint only
-        return ((key[1], key[2]),)
+    eve_positions = ((0,),)  # the public hint only
 
 
 def build_secret_hint(
@@ -322,7 +318,9 @@ def build_secret_hint(
     if version == "list" and not list_room(c * ms_size, len(joint.x_alphabet)):
         raise DomainError("list version needs c*|Ms| > log2|X| + 2")
     zmap = descriptor_map(joint, c * ms_size, version)
-    law = {(x, y, zmap[(x, y)] % c, zmap[(x, y)] // c): p for x, y, p in joint.support_items()}
+    rows = list(joint.support_items())
+    z = np.array([zmap[(x, y)] for x, y, _ in rows], dtype=np.int64)
+    law = Law.spread(joint, rows, np.stack([z % c, z // c], axis=1), 1, joint.exact)
     return SecretHintScheme(joint, c, mp_size, ms_size, version, law)
 
 
@@ -352,11 +350,9 @@ class SecretKeyScheme(_SchemeCells):
     k_size: int
     m_size: int
     version: str
-    law: dict  # (x, y, k, m) -> prob with m = (ms + k mod |K|)*c + mp
+    law: Law  # (x, y, k, m) -> prob with m = (ms + k mod |K|)*c + mp
 
-    @staticmethod
-    def eve_views(key) -> tuple:  # the stored hint, never the key
-        return ((key[1], key[3]),)
+    eve_positions = ((1,),)  # the stored hint, never the key
 
 
 def build_secret_key(
@@ -370,14 +366,11 @@ def build_secret_key(
     if version == "list" and not list_room(c * k_size, len(joint.x_alphabet)):
         raise DomainError("list version needs c*|K| > log2|X| + 2")
     zmap = descriptor_map(joint, c * k_size, version)
-    inv_k = Fraction(1, k_size) if joint.exact else 1.0 / k_size
-    law: dict = {}
-    for x, y, p in joint.support_items():
-        z = zmap[(x, y)]
-        ms, mp = z % k_size, z // k_size
-        for k in range(k_size):
-            m = ((ms + k) % k_size) * c + mp
-            law[(x, y, k, m)] = p * inv_k
+    rows = list(joint.support_items())
+    z = np.repeat(np.array([zmap[(x, y)] for x, y, _ in rows], dtype=np.int64), k_size)
+    k = np.tile(np.arange(k_size), len(rows))
+    hints = np.stack([k, ((z % k_size + k) % k_size) * c + z // k_size], axis=1)
+    law = Law.spread(joint, rows, hints, k_size, joint.exact)
     return SecretKeyScheme(joint, c, k_size, m_size, version, law)
 
 
@@ -400,11 +393,11 @@ class EveListScheme(_SchemeCells):
     m1_size: int
     m2_size: int
     epsilon: float
-    law: dict  # (x, y, m1, m2) -> prob
+    law: Law  # (x, y, m1, m2) -> prob
 
     @cached_property
-    def no_hint_cells(self) -> list[Cell]:  # the list Eve forms from Y alone
-        return cells(self.law, lambda key: ((key[1],),))
+    def no_hint_cells(self) -> CellView:  # the list Eve forms from Y alone
+        return self.law.view([()])
 
 
 def build_eve_list_scheme(
@@ -425,40 +418,26 @@ def build_eve_list_scheme(
         raise DomainError(f"epsilon {epsilon} makes the mixing weight negative")
     zmap = descriptor_map(joint, c1 * c2, "guessing")
     exact = joint.exact and float(epsilon).is_integer() and epsilon >= 0
-    if exact:
-        move_total = Fraction(1, 2 ** int(epsilon))
-        stay = 1 - move_total
-    else:
-        move_total = 2.0**-epsilon
-        stay = 1.0 - move_total
-    # posterior-sorted ranks of X given (y, v1', v2') under the smoothed law
-    smoothed: dict = {}
-    for x, y, p in joint.support_items():
-        z = zmap[(x, y)]
-        for zp in range(c1 * c2):
-            if c1 * c2 == 1:
-                w = p
-            elif zp == z:
-                w = p * stay
-            else:
-                w = p * move_total / (c1 * c2 - 1)
-            if w > 0:
-                smoothed[(x, y, zp)] = smoothed.get((x, y, zp), 0) + w
-    ranks: dict = {}
+    move_total = Fraction(1, 2 ** int(epsilon)) if exact else 2.0**-epsilon
+    stay = 1 - move_total
+    n = c1 * c2
+    # the smoothed law of (x, y, v1' v2'), and the posterior-sorted rank of X given (y, v1', v2')
+    smoothed = [
+        (x, y, zp, w)
+        for x, y, p in joint.support_items()
+        for zp in range(n)
+        if (w := p if n == 1 else p * stay if zp == zmap[(x, y)] else p * move_total / (n - 1)) > 0
+    ]
     groups: dict = {}
+    for i, (_, y, zp, _) in enumerate(smoothed):
+        groups.setdefault((y, zp), []).append(i)
     xi = {x: i for i, x in enumerate(joint.x_alphabet)}
-    for (x, y, zp), w in smoothed.items():
-        groups.setdefault((y, zp), []).append((x, w))
-    for ctx, members in groups.items():
-        ordered = sorted(members, key=lambda kv: (-float(kv[1]), xi[kv[0]]))
-        for r, (x, _) in enumerate(ordered, start=1):
-            ranks[(ctx, x)] = r
-    items = (
-        (x, y, (math.floor(math.log2(ranks[((y, zp), x)])), zp % c1, zp // c1), w)
-        for (x, y, zp), w in smoothed.items()
-    )
-    law = _padded_law(items, cs, c1, c2, exact)
-    return EveListScheme(joint, cs, c1, c2, m1_size, m2_size, epsilon, law)
+    rank = [0] * len(smoothed)
+    for members in groups.values():
+        for r, i in enumerate(sorted(members, key=lambda i: (-float(smoothed[i][3]), xi[smoothed[i][0]])), start=1):
+            rank[i] = r
+    items = ((x, y, (math.floor(math.log2(r)), zp % c1, zp // c1), w) for r, (x, y, zp, w) in zip(rank, smoothed))
+    return EveListScheme(joint, cs, c1, c2, m1_size, m2_size, epsilon, _padded_law(joint, items, cs, c1, c2, exact))
 
 
 def eve_list_ambiguity(scheme: EveListScheme, rho: float) -> float:

@@ -1,9 +1,11 @@
 """Slow, independent oracles that the tests check the package against.
 
 Nothing in `src/` imports this module.  It holds the brute-force and grid
-cross-checks, and the earlier per-call implementations that the prepared
-cell view, the batched rate-distortion solver and the integer-coded disk
-checks must reproduce: the same floats, and the same exact verdicts.
+cross-checks, and the earlier implementations that the columnar laws, the
+prepared cell view, the batched rate-distortion solver and the integer-coded
+disk checks must reproduce: the same laws, the same floats, and the same
+exact verdicts.  Sums here add their terms one by one, left to right, so the
+references do not depend on how a Python version's `sum` adds floats.
 """
 
 import math
@@ -11,17 +13,187 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import numpy as np
+import pytest
 
-from hintlock.adversary import Cell, _components, _context_ranks, has_mergeable_cells
+from hintlock import adversary
+from hintlock.adversary import Cell
+from hintlock.disks import _int_to_symbols
 from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, variational_optimum
-from hintlock.guessing import grouped_moment
+from hintlock.gf import field_make, rs_generator
+from hintlock.guessing import grouped_moment, sorted_moment
 from hintlock.prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
+from hintlock.tasks import StochTaskEncoder, descriptor_map
+
+
+def in_sequence(terms) -> float:
+    """The float sum of `terms`, added left to right."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Realized laws as dicts: the builders and the cell views the columns replaced.
+# ---------------------------------------------------------------------------
+
+
+def cells(law: dict, views) -> list[Cell]:
+    """The float view of a realized law {(x, ...): prob}: `views(key)` gives the contexts."""
+    return [Cell(f, key[0], views(key)) for key, p in law.items() if (f := float(p)) > 0 or p > 0]
+
+
+def two_hint_eve_views(key) -> tuple:
+    return (("h1", key[1], key[2]), ("h2", key[1], key[3]))
+
+
+def bob_views(key) -> tuple:
+    return (key[1:],)
+
+
+def subset_views(tag: str, delta: int, size: int):
+    """Views of a law keyed (x, y, hints): one context per size-`size` hint subset."""
+    subsets = list(combinations(range(delta), size))
+    return lambda key: tuple((tag, b, key[1], tuple(key[2][i] for i in b)) for b in subsets)
+
+
+def padded_law(items, cs: int, c1: int, c2: int, exact: bool) -> dict:
+    """Spread each (x, y, (v_s, v_1, v_2), mass) uniformly over the pad U."""
+    inv_cs = Fraction(1, cs) if exact else 1.0 / cs
+    law: dict = {}
+    for x, y, (vs, v1, v2), w in items:
+        for u in range(cs):
+            key = (x, y, ((vs + u) % cs) * c1 + v1, u * c2 + v2)
+            law[key] = law.get(key, 0) + w * inv_cs
+    return law
+
+
+def two_hint_law(joint, cs: int, c1: int, c2: int, version: str) -> dict:
+    zmap = descriptor_map(joint, cs * c1 * c2, version)
+    split = {k: (z % cs, (z // cs) % c1, z // (cs * c1)) for k, z in zmap.items()}
+    return padded_law(((x, y, split[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact)
+
+
+def secret_hint_law(joint, c: int, ms_size: int, version: str) -> dict:
+    zmap = descriptor_map(joint, c * ms_size, version)
+    return {(x, y, zmap[(x, y)] % c, zmap[(x, y)] // c): p for x, y, p in joint.support_items()}
+
+
+def secret_key_law(joint, c: int, k_size: int, version: str) -> dict:
+    zmap = descriptor_map(joint, c * k_size, version)
+    inv_k = Fraction(1, k_size) if joint.exact else 1.0 / k_size
+    law: dict = {}
+    for x, y, p in joint.support_items():
+        z = zmap[(x, y)]
+        ms, mp = z % k_size, z // k_size
+        for k in range(k_size):
+            law[(x, y, k, ((ms + k) % k_size) * c + mp)] = p * inv_k
+    return law
+
+
+def eve_list_law(joint, m1_size: int, m2_size: int, epsilon: float) -> dict:
+    """The eve-list scheme's law: the smoothed descriptors, ranked per (y, v1', v2'), then padded."""
+    cs = 1 + math.floor(math.log2(len(joint.x_alphabet)))
+    c1, c2 = m1_size // cs, m2_size // cs
+    zmap = descriptor_map(joint, c1 * c2, "guessing")
+    exact = joint.exact and float(epsilon).is_integer() and epsilon >= 0
+    move_total = Fraction(1, 2 ** int(epsilon)) if exact else 2.0**-epsilon
+    stay = 1 - move_total if exact else 1.0 - move_total
+    smoothed: dict = {}
+    for x, y, p in joint.support_items():
+        for zp in range(c1 * c2):
+            if c1 * c2 == 1:
+                w = p
+            elif zp == zmap[(x, y)]:
+                w = p * stay
+            else:
+                w = p * move_total / (c1 * c2 - 1)
+            if w > 0:
+                smoothed[(x, y, zp)] = smoothed.get((x, y, zp), 0) + w
+    groups: dict = {}
+    xi = {x: i for i, x in enumerate(joint.x_alphabet)}
+    for (x, y, zp), w in smoothed.items():
+        groups.setdefault((y, zp), []).append((x, w))
+    ranks = {}
+    for ctx, members in groups.items():
+        for r, (x, _) in enumerate(sorted(members, key=lambda kv: (-float(kv[1]), xi[kv[0]])), start=1):
+            ranks[(ctx, x)] = r
+    items = (
+        (x, y, (math.floor(math.log2(ranks[((y, zp), x)])), zp % c1, zp // c1), w)
+        for (x, y, zp), w in smoothed.items()
+    )
+    return padded_law(items, cs, c1, c2, exact)
+
+
+def delta_law(sch) -> dict:
+    """A delta scheme's law with one encode per (x, y, pad), as the construction reads."""
+    zero = np.zeros(sch.delta, dtype=np.int64)
+    g_v = rs_generator(sch.nu, sch.delta, field_make(sch.p)) if sch.p else None
+    g_uw = rs_generator(sch.nu, sch.delta, field_make(sch.r)) if sch.r else None
+    n_pad = 1 << (sch.eta * sch.r)
+    law = {}
+    for x, y, prob in sch.joint.support_items():
+        v_sym, w_sym = sch.descriptor[(x, y)]
+        mp = g_v.encode(np.array(v_sym)) if g_v else zero
+        for pad in range(n_pad):
+            mr = g_uw.encode(np.array(_int_to_symbols(pad, sch.eta, sch.r) + w_sym)) if g_uw else zero
+            law[(x, y, tuple(int(a) << sch.r | int(b) for a, b in zip(mp, mr)))] = prob / n_pad
+    return law
 
 
 # ---------------------------------------------------------------------------
 # Eve and Bob: brute force, and the per-call oracles the prepared view replaced.
 # ---------------------------------------------------------------------------
+
+
+def has_mergeable_cells(cells: list[Cell]) -> bool:
+    """True if two distinct cells could land in one context with the same x."""
+    seen = set()
+    for cell in cells:
+        for ctx in set(cell.views):
+            key = (cell.x, ctx)
+            if key in seen:
+                return True
+            seen.add(key)
+    return False
+
+
+def components(cells: list[Cell]) -> list[list[Cell]]:
+    """Split cells into connected components of the shared-context graph."""
+    parent = list(range(len(cells)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    by_ctx: dict = {}
+    for i, cell in enumerate(cells):
+        for ctx in cell.views:
+            by_ctx.setdefault(ctx, []).append(i)
+    for members in by_ctx.values():
+        for j in members[1:]:
+            a, b = find(members[0]), find(j)
+            parent[a] = b
+    comps: dict = {}
+    for i in range(len(cells)):
+        comps.setdefault(find(i), []).append(cells[i])
+    return list(comps.values())
+
+
+def context_ranks(triples) -> tuple[dict, dict]:
+    """Grouped masses and the optimal rank of each (context, x); ties by repr(x)."""
+    groups: dict = {}
+    for ctx, x, p in triples:
+        by_x = groups.setdefault(ctx, {})
+        by_x[x] = by_x.get(x, 0.0) + p
+    ranks: dict = {}
+    for ctx, by_x in groups.items():
+        for r, x in enumerate(sorted(by_x, key=lambda x: (-by_x[x], repr(x))), start=1):
+            ranks[(ctx, x)] = r
+    return groups, ranks
 
 
 def eve_strategy_pair_bruteforce(cells: list[Cell], x_alphabet: tuple, rho: float) -> float:
@@ -54,7 +226,7 @@ def dense_matching(cells, rho):
 
     assert not has_mergeable_cells(cells)
     total = 0.0
-    for comp in _components(cells):
+    for comp in components(cells):
         slots = {}  # (ctx, position) -> column
         for ctx in dict.fromkeys(ctx for c in comp for ctx in c.views):
             degree = sum(ctx in c.views for c in comp)
@@ -82,14 +254,14 @@ def support_moment(cells, rho: float, reduce=max) -> float:
         for v in c.views:
             supports.setdefault(v, set()).add(c.x)
         mass[c.views] = mass.get(c.views, 0.0) + c.prob
-    return sum(m * reduce(len(supports[v]) for v in views) ** rho for views, m in mass.items())
+    return in_sequence(m * reduce(len(supports[v]) for v in views) ** rho for views, m in mass.items())
 
 
 def bob_minmax_bracket(cells, rho: float) -> tuple[float, float]:
     """Bob's bracket with the ranks rebuilt on each call."""
     lower = max(moment_for_constant(cells, k, rho) for k in range(len(cells[0].views)))
-    _, ranks = _context_ranks((ctx, c.x, c.prob) for c in cells for ctx in c.views)
-    upper = sum(cell.prob * max(ranks[(ctx, cell.x)] for ctx in cell.views) ** rho for cell in cells)
+    _, ranks = context_ranks((ctx, c.x, c.prob) for c in cells for ctx in c.views)
+    upper = in_sequence(cell.prob * max(ranks[(ctx, cell.x)] for ctx in cell.views) ** rho for cell in cells)
     return lower, upper
 
 
@@ -98,7 +270,7 @@ def eve_exact_matching(cells, rho: float) -> float:
     if has_mergeable_cells(cells):
         raise BudgetExceededError("mergeable cells: matching reduction is not exact here")
     total = 0.0
-    for comp in _components([c for c in cells if c.prob > 0]):
+    for comp in components([c for c in cells if c.prob > 0]):
         total += _matching_cost(comp, rho)
     return total
 
@@ -136,6 +308,24 @@ def _matching_cost(comp: list[Cell], rho: float) -> float:
     )
     rows, cols = min_weight_full_bipartite_matching(graph)  # every row, sorted
     return float((prob[rows] * powers[cols - start[cols]]).sum())
+
+
+def assert_same_as_per_call_code(view, reference: list, rhos) -> None:
+    """Every oracle on `view` gives the per-call code's float (==, not approx)
+    over `rhos` and back, and a mergeable list raises on every call."""
+    for rho in rhos + rhos[::-1]:
+        for k in range(len(reference[0].views)):
+            assert adversary.moment_for_constant(view, k, rho) == moment_for_constant(reference, k, rho)
+        for reduce in (min, max):
+            assert adversary.support_moment(view, rho, reduce) == support_moment(reference, rho, reduce)
+        assert adversary.bob_minmax_bracket(view, rho) == bob_minmax_bracket(reference, rho)
+        try:
+            expected = eve_exact_matching(reference, rho)
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
+                adversary.eve_exact_matching(view, rho)
+        else:
+            assert adversary.eve_exact_matching(view, rho) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +386,65 @@ def pad_coordinate_laws(scheme) -> tuple[dict, dict]:
             pad1[(x, y)][vt] = pad1[(x, y)].get(vt, 0) + p
             pad2[(x, y)][u] = pad2[(x, y)].get(u, 0) + p
     return pad1, pad2
+
+
+# ---------------------------------------------------------------------------
+# Side information: descriptor moments and random stochastic encoders.
+# ---------------------------------------------------------------------------
+
+
+def encoder_guess_moment(joint: JointPmf, encoder: dict, rho: float) -> float:
+    """Optimal guessing moment given (ctx, Z) for a deterministic descriptor map.
+
+    `encoder` maps (x, ctx) to a descriptor value; the decoder observes the
+    pair (ctx, z) and guesses with the posterior-sorted order.
+    """
+    return grouped_moment(
+        (
+            ((c, encoder[(x, c)]), x, float(joint.table[i][j]))
+            for j, c in enumerate(joint.y_alphabet)
+            for i, x in enumerate(joint.x_alphabet)
+            if joint.table[i][j] > 0
+        ),
+        rho,
+    )
+
+
+def stochastic_side_info_moment(joint: JointPmf, z_rows: np.ndarray, rho: float) -> float:
+    """Optimal guessing moment given (ctx, Z) for a stochastic Z-law.
+
+    `z_rows[i, j, :]` is the conditional law of Z given (x_i, ctx_j).
+    Used to certify that the deterministic remainder encoder beats random
+    descriptor laws of the same cardinality.
+    """
+    total = 0.0
+    for j in range(z_rows.shape[1]):
+        col = np.array([float(p) for p in joint.y_column(j)])
+        mass = col[:, None] * z_rows[:, j, :]  # shape (nx, nz): P(x, Z=z | ctx total mass)
+        for masses in mass.T.tolist():  # each (ctx, z) is a context of its own
+            total += sorted_moment(masses, rho)
+    return total
+
+
+def random_stoch_encoder(rng, joint: JointPmf, z_count: int, exact: bool = True) -> StochTaskEncoder:
+    """Seeded random stochastic encoder with planted zero entries.
+
+    Rows are rational by default so downstream support logic is exact.
+    """
+    z_alphabet = tuple(range(z_count))
+    rows = {}
+    for c in joint.y_alphabet:
+        for x in joint.x_alphabet:
+            k = int(rng.integers(1, z_count + 1))
+            chosen = sorted(rng.choice(z_count, size=k, replace=False).tolist())
+            weights = rng.integers(1, 8, size=k)
+            denom = int(weights.sum())
+            if exact:
+                row = {z_alphabet[z]: Fraction(int(w), denom) for z, w in zip(chosen, weights)}
+            else:
+                row = {z_alphabet[z]: float(w) / denom for z, w in zip(chosen, weights)}
+            rows[(x, c)] = row
+    return StochTaskEncoder(joint.x_alphabet, joint.y_alphabet, z_alphabet, rows)
 
 
 # ---------------------------------------------------------------------------

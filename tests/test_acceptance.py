@@ -36,7 +36,6 @@ from hintlock.exponents import (
 from hintlock.guessing import (
     arikan_bounds,
     ceil_moment,
-    encoder_guess_moment,
     grouped_moment,
     optimal_guess_moment,
     optimal_guesser,
@@ -51,7 +50,6 @@ from hintlock.tasks import (
     encoder_from_guessing,
     guessing_from_lists,
     list_moment,
-    random_stoch_encoder,
     s_alphabet_size,
 )
 from hintlock.twohint import (
@@ -67,7 +65,7 @@ from hintlock.twohint import (
     verify_finite_blocklength,
 )
 from hintlock.guessing import guess_moment
-from oracles import rd_function_grid_oracle
+from oracles import encoder_guess_moment, random_stoch_encoder, rd_function_grid_oracle
 
 
 def report(num: int, name: str, ok: bool, elapsed: float, limit: float):

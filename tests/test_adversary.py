@@ -10,11 +10,10 @@ from hintlock.adversary import (
     eve_exact_enumeration,
     eve_exact_matching,
     eve_local_search,
-    has_mergeable_cells,
     moment_for_constant,
 )
 from hintlock.prob import BudgetExceededError
-from oracles import eve_strategy_pair_bruteforce
+from oracles import eve_strategy_pair_bruteforce, has_mergeable_cells
 
 
 def random_cells(rng, n_cells, n_x, n_ctx, n_views):

@@ -91,6 +91,21 @@ def test_disks_command(capsys):
     code, out, _ = run(capsys, "disks", cfg, "--rational")
     assert code == 0
     assert "nu-subset-recovery" in out and "eta-subset-independence" in out
+    assert "disks-unequal" not in out and "disks-envelope" not in out
+
+
+def test_disks_unequal_sizes_rows(capsys):
+    cfg = {
+        "source": {"uniform": 16},
+        "rho": [0.5, 1.0],
+        "scheme": {"delta": 3, "nu": 2, "eta": 1, "s": 4, "p": 2, "r": 2},
+        "unequal_sizes": [4, 5, 6],
+    }
+    code, out, _ = run(capsys, "disks", json.dumps(cfg), "--rational")
+    assert code == 0
+    for check in ("bob-converse-unequal-g", "eve-converse-unequal"):
+        assert sum(check in line for line in out.splitlines()) == 2
+    assert sum("equal-size-covers-corner" in line for line in out.splitlines()) == 10
 
 
 def test_distortion_command(capsys):
@@ -148,6 +163,17 @@ MALFORMED = {
     "mass-not-a-number": ["entropy", {"source": {"x": [0, 1], "p": ["a", 0.5]}}],
     "y-not-a-list": ["entropy", {"source": {"x": [0, 1], "y": 5, "p": [[0.5], [0.5]]}}],
     "d-not-a-table": ["distortion", {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": 5}}],
+    "task-z-count-negative": ["task", {"source": {"uniform": 4}, "rho": [1.0], "z_count": -1}],
+    "task-z-count-zero": ["task", {"source": {"uniform": 4}, "rho": [1.0], "z_count": 0}],
+    "guess-z-count-zero": ["guess", {"source": {"uniform": 4}, "rho": [1.0], "z_count": 0}],
+    "unequal-sizes-too-small": [
+        "disks",
+        {
+            "source": {"uniform": 4},
+            "scheme": {"delta": 3, "nu": 2, "eta": 1, "s": 4, "p": 2, "r": 2},
+            "unequal_sizes": [4, 3, 5],
+        },
+    ],
 }
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import oracles
 from hintlock.adversary import eve_bracket, eve_exact_enumeration
 from hintlock.disks import (
-    _int_to_symbols,
     bob_ambiguity_minmax,
     build_delta_scheme,
     check_eta_independence,
@@ -24,7 +23,6 @@ from hintlock.disks import (
     verify_disk_theorems,
     verify_unequal_converse,
 )
-from hintlock.gf import field_make, rs_generator
 from hintlock.guessing import random_joint
 from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy
 from hintlock.report import all_passed
@@ -40,22 +38,6 @@ def test_acceptance_instance_structure():
     assert bob_ambiguity_minmax(sch, 1.0).value == pytest.approx(1.0)
 
 
-def reference_law(sch):
-    """The realized law with one encode per (x, y, pad), as the construction reads."""
-    zero = np.zeros(sch.delta, dtype=np.int64)
-    g_v = rs_generator(sch.nu, sch.delta, field_make(sch.p)) if sch.p else None
-    g_uw = rs_generator(sch.nu, sch.delta, field_make(sch.r)) if sch.r else None
-    n_pad = 1 << (sch.eta * sch.r)
-    law = {}
-    for x, y, prob in sch.joint.support_items():
-        v_sym, w_sym = sch.descriptor[(x, y)]
-        mp = g_v.encode(np.array(v_sym)) if g_v else zero
-        for pad in range(n_pad):
-            mr = g_uw.encode(np.array(_int_to_symbols(pad, sch.eta, sch.r) + w_sym)) if g_uw else zero
-            law[(x, y, tuple(int(a) << sch.r | int(b) for a, b in zip(mp, mr)))] = prob / n_pad
-    return law
-
-
 @pytest.mark.parametrize(
     "joint, params",
     [
@@ -69,7 +51,7 @@ def reference_law(sch):
 )
 def test_law_equals_per_realization_encode(joint, params):
     sch = build_delta_scheme(joint, *params)
-    assert list(sch.law.items()) == list(reference_law(sch).items())
+    assert list(sch.law.items()) == list(oracles.delta_law(sch).items())
 
 
 def test_eta_independence_exact_in_rational_mode():

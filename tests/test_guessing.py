@@ -5,20 +5,36 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from hintlock.guessing import (
     GuessingFunction,
     arikan_bounds,
     ceil_moment,
-    encoder_guess_moment,
     guess_moment,
     optimal_guess_moment,
     optimal_guesser,
     random_joint,
     side_info_encoder,
     side_info_lower_bound,
-    stochastic_side_info_moment,
+    sorted_moment,
 )
 from hintlock.prob import JointPmf, Pmf
+from oracles import encoder_guess_moment, stochastic_side_info_moment
+
+
+def test_sorted_moment_adds_left_to_right():
+    # a compensated sum (the built-in from Python 3.12) would give 1.0
+    assert sorted_moment([0.1] * 10, 0.0) == 0.9999999999999999
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12), st.sampled_from([0.5, 1.0, 2.0]))
+def test_sorted_moment_is_the_sequential_sum(masses, rho):
+    total = 0.0
+    for rank, p in enumerate(sorted(masses, reverse=True), start=1):
+        total += p * rank**rho
+    assert sorted_moment(masses, rho) == total
 
 
 def test_optimal_guesser_tie_break_and_order():

@@ -14,12 +14,10 @@ import oracles
 from hintlock.adversary import (
     Cell,
     CellView,
-    bob_minmax_bracket,
-    cells,
+    as_view,
     eve_ambiguity,
     eve_exact_enumeration,
     eve_exact_matching,
-    moment_for_constant,
     support_moment,
 )
 from hintlock import exponents
@@ -27,7 +25,7 @@ from hintlock.disks import build_delta_scheme
 from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, rd_exponent_functional, rd_function
 from hintlock.guessing import grouped_moment, random_joint
-from hintlock.prob import BudgetExceededError, DomainError, JointPmf
+from hintlock.prob import DomainError, JointPmf
 from hintlock.twohint import build_two_hint
 from oracles import dense_matching, eve_strategy_pair_bruteforce, reference_rd_function
 
@@ -119,36 +117,18 @@ def test_sparse_matching_equals_enumeration(cells, rho):
 RHO_RUNS = st.lists(RHOS, min_size=1, max_size=4)
 
 
-def assert_same_as_per_call_code(view, reference: list, rhos) -> None:
-    """Every oracle on `view` gives the per-call code's float (==, not approx)
-    over `rhos` and back, and a mergeable list raises on every call."""
-    for rho in rhos + rhos[::-1]:
-        for k in range(len(reference[0].views)):
-            assert moment_for_constant(view, k, rho) == oracles.moment_for_constant(reference, k, rho)
-        for reduce in (min, max):
-            assert support_moment(view, rho, reduce) == oracles.support_moment(reference, rho, reduce)
-        assert bob_minmax_bracket(view, rho) == oracles.bob_minmax_bracket(reference, rho)
-        try:
-            expected = oracles.eve_exact_matching(reference, rho)
-        except BudgetExceededError:
-            with pytest.raises(BudgetExceededError):
-                eve_exact_matching(view, rho)
-        else:
-            assert eve_exact_matching(view, rho) == expected
-
-
 @settings(max_examples=150, deadline=None)
 @given(cell_lists(n_ctx=4, max_cells=12, masses=st.one_of(st.just(0.0), MASSES)), RHO_RUNS)
 def test_prepared_view_equals_per_call_code(cell_list, rhos):
     # a 0.0 mass stands for a float-zero cell; many of these lists are mergeable
-    assert_same_as_per_call_code(CellView(cell_list), cell_list, rhos)
-    assert_same_as_per_call_code(cell_list, cell_list, rhos)  # a plain list, prepared per call
+    oracles.assert_same_as_per_call_code(as_view(cell_list), cell_list, rhos)
+    oracles.assert_same_as_per_call_code(cell_list, cell_list, rhos)  # a plain list, prepared per call
 
 
 @settings(max_examples=100, deadline=None)
 @given(unmergeable_cells(max_cells=30), RHO_RUNS)
 def test_prepared_matching_equals_per_call_code(cell_list, rhos):
-    view = CellView(cell_list)
+    view = as_view(cell_list)
     for rho in rhos + rhos[::-1]:
         assert eve_exact_matching(view, rho) == oracles.eve_exact_matching(cell_list, rho)
 
@@ -159,13 +139,13 @@ def test_scheme_views_equal_per_call_code():
     disk = build_delta_scheme(joint, 3, 2, 1, 4, 2, 2)
     for view in (two_hint.bob_cells, two_hint.eve_cells, disk.bob_cells, disk.eve_cells):
         assert isinstance(view, CellView)
-        assert_same_as_per_call_code(view, list(view), [2.0, 0.5, 1.0])
+        oracles.assert_same_as_per_call_code(view, list(view), [2.0, 0.5, 1.0])
 
 
 def test_zero_mass_cells_add_nothing():
     # a positive Fraction below the float range becomes a float-zero cell
     law = {(0, "a"): Fraction(1, 2), (1, "a"): Fraction(1, 10**400), (2, "b"): Fraction(1, 2)}
-    zs = cells(law, lambda key: (key[1], "c"))
+    zs = oracles.cells(law, lambda key: (key[1], "c"))
     assert [c.prob for c in zs] == [0.5, 0.0, 0.5]
     for rho in (0.5, 1.0, 2.0):
         assert eve_exact_matching(zs, rho) == eve_exact_enumeration(zs, rho) == 1.0

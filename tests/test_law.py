@@ -1,0 +1,115 @@
+"""Property tests: the columnar realized laws and their cell views against the
+dict builders and the per-call oracles on plain `Cell` lists."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from hintlock.adversary import Cell, CellView, Law
+from hintlock.disks import build_delta_scheme
+from hintlock.guessing import random_joint
+from hintlock.prob import DomainError, JointPmf, Pmf
+from hintlock.twohint import (
+    TwoHintScheme,
+    build_eve_list_scheme,
+    build_secret_hint,
+    build_secret_key,
+    build_two_hint,
+    scheme_from_law,
+)
+
+TINY_3 = Fraction(1, 3**41)  # numerators over 3^41 exceed 2^53
+TINY_10 = Fraction(1, 10**400)  # a positive mass whose float is 0.0
+
+
+@st.composite
+def sources(draw):
+    """Seeded random joints (x up to 11, so repr order differs from int order),
+    a uniform law on 12 symbols (ties everywhere), huge denominators, a float-zero mass."""
+    kind = draw(st.sampled_from(["random", "uniform", "huge", "float-zero"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        nx, ny = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+        return random_joint(rng, nx, ny, exact=draw(st.booleans()), zeros=draw(st.sampled_from([0.0, 0.3])))
+    if kind == "uniform":
+        return JointPmf.from_marginal(Pmf.uniform(12, exact=draw(st.booleans())))
+    tiny = TINY_3 if kind == "huge" else TINY_10
+    return JointPmf.from_marginal(Pmf.of([tiny, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3) - tiny], exact=True))
+
+
+def built_with_references(joint):
+    """(scheme, dict law, [(cell view, dict views of the same observer)]) per builder."""
+    out = []
+    for version in ("guessing", "list"):
+        s = build_two_hint(joint, 2, 2, 2, version)
+        views = [(s.bob_cells, oracles.bob_views), (s.eve_cells, oracles.two_hint_eve_views)]
+        out.append((s, oracles.two_hint_law(joint, 2, 2, 2, version), views))
+    back = TwoHintScheme.from_json(s.to_json())
+    out.append((back, oracles.two_hint_law(joint, 2, 2, 2, "list"), [(back.eve_cells, oracles.two_hint_eve_views)]))
+    sh = build_secret_hint(joint, 2, 4)
+    views = [(sh.bob_cells, oracles.bob_views), (sh.eve_cells, lambda k: ((k[1], k[2]),))]
+    out.append((sh, oracles.secret_hint_law(joint, 2, 4, "guessing"), views))
+    sk = build_secret_key(joint, 2, 4)
+    views = [(sk.bob_cells, oracles.bob_views), (sk.eve_cells, lambda k: ((k[1], k[3]),))]
+    out.append((sk, oracles.secret_key_law(joint, 2, 4, "guessing"), views))
+    el = build_eve_list_scheme(joint, 8, 8, 20)
+    views = [(el.eve_cells, oracles.two_hint_eve_views), (el.no_hint_cells, lambda k: ((k[1],),))]
+    out.append((el, oracles.eve_list_law(joint, 8, 8, 20), views))
+    d = build_delta_scheme(joint, 3, 2, 1, 4, 2, 2)
+    views = [(d.bob_cells, oracles.subset_views("B", 3, 2)), (d.eve_cells, oracles.subset_views("E", 3, 1))]
+    out.append((d, oracles.delta_law(d), views))
+    return out
+
+
+def typed(law) -> list:
+    """Items in order, with the type of every key entry and of the mass."""
+    return [(key, tuple(map(type, key)), type(p), p) for key, p in law.items()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sources())
+def test_columnar_laws_equal_dict_builders(joint):
+    for scheme, reference, _ in built_with_references(joint):
+        assert isinstance(scheme.law, Law)
+        assert typed(scheme.law) == typed(reference)
+        assert len(scheme.law) == len(reference)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sources(), st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3))
+def test_columnar_views_equal_per_call_code(joint, rhos):
+    # the eve-list Eve cells can merge: the matching raises on every call
+    for _, reference, views in built_with_references(joint):
+        for view, dict_views in views:
+            assert isinstance(view, CellView)
+            oracles.assert_same_as_per_call_code(view, oracles.cells(reference, dict_views), rhos)
+
+
+def test_float_masses_follow_the_2_53_rule():
+    joint = JointPmf.from_marginal(Pmf.of([TINY_10, Fraction(1, 3), Fraction(2, 3) - TINY_10], exact=True))
+    law = build_two_hint(joint, 2, 1, 1).law
+    assert law.scale > 2**53
+    assert law.mass.tolist() == [float(p) for p in law.values()]
+    assert law.mass[:2].tolist() == [0.0, 0.0] and law.mass[2] > 0  # float-zero cells stay on the support
+
+
+def test_dict_law_is_coded_once_and_read_back_as_given():
+    law = {(0, 0, 0, 1): Fraction(1, 2), (1, 0, 1, 0): Fraction(1, 2), (1, 0, 0, 0): Fraction(0)}
+    bit = JointPmf.from_marginal(Pmf.of([Fraction(1, 2)] * 2, exact=True))
+    s = scheme_from_law(bit, law, 2, 2)
+    assert s.law.as_dict() is law and len(s.law) == 3 and s.law == law
+    assert len(s.eve_cells) == 2  # the zero-mass key is off the support
+    assert [c.prob for c in s.eve_cells] == [0.5, 0.5]
+    assert all(isinstance(c, Cell) and len(c.views) == 2 for c in s.eve_cells)
+
+
+def test_from_json_rejects_a_descriptor_outside_the_cardinalities():
+    s = build_two_hint(JointPmf.from_marginal(Pmf.uniform(4, exact=True)), 2, 2, 1)
+    doc = s.to_json().replace('[[0, 0], [0, 0, 0]]', '[[0, 0], [0, 5, 0]]')
+    assert doc != s.to_json()
+    with pytest.raises(DomainError):
+        TwoHintScheme.from_json(doc)

@@ -16,9 +16,9 @@ from hintlock.tasks import (
     fact1_census,
     guessing_from_lists,
     list_moment,
-    random_stoch_encoder,
     s_alphabet_size,
 )
+from oracles import random_stoch_encoder
 
 U4 = JointPmf.from_marginal(Pmf.of([Fraction(1, 4)] * 4, exact=True))
 

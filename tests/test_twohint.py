@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hintlock.adversary import cells, eve_bracket, support_moment
+from hintlock.adversary import eve_bracket, support_moment
 from hintlock.guessing import grouped_moment, optimal_guesser, random_joint
 from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy
 from hintlock.report import all_passed
@@ -44,7 +44,7 @@ def guess_moment_given(law, obs, rho):
 
 def list_moment_given(law, obs, rho):
     """E[|support of X given obs(key)|^rho], by the shared support moment."""
-    return support_moment(cells(law, lambda k: (obs(k),)), rho)
+    return support_moment(oracles.cells(law, lambda k: (obs(k),)), rho)
 
 
 def pad_pair_moment(scheme, rho):
