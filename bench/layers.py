@@ -1,8 +1,9 @@
-"""Builders-layer record: each scheme builder, its cell views and its first-rho
-evaluation, timed on two commits in perfbench reference seconds.
+"""Per-layer records: the builders and the kernels, timed on two commits in
+perfbench reference seconds.
 
     python bench/layers.py --base HEAD~1 --change HEAD --out BENCH_builders.json
     python bench/layers.py --base HEAD --change . --out BENCH_builders.json  # the working tree
+    python bench/layers.py --layer kernels --base HEAD~1 --change HEAD --out BENCH_kernels.json
 
 Run it from the root of the repository.  Each commit's tree is exported with
 `git archive` into a temporary directory (`.` measures the working tree as it
@@ -22,6 +23,21 @@ Every stage runs between two runs of perfbench's calibration kernel and is
 reported as seconds / kernel seconds * REFERENCE_S (see perfbench/calibrate.py),
 summed over the three sources; the file keeps the median and quartiles over
 all repetitions of each commit.
+
+The kernels layer (`--layer kernels`) times one call of each moment kernel at
+rho = 1 on two inputs: the same three sources (summed) and a seeded 6x3
+rational table.  Each kernel runs on the source's two-hint (4, 4, 4) scheme
+((2, 2, 2) on the small table) or directly on the source, repeated until the
+run takes about 5 ms, and reports reference seconds per call:
+
+- `sorted_moment` over every context's masses, `ceil_moment` at |Z| = 4 and
+  `list_moment` of the offset/refinement encoder (omega = 2);
+- `moment_for_constant` on Eve's view, on its first use (the rank table is
+  built) and prepared (the table is kept on the view);
+- `support_moment` and `bob_minmax_bracket` on Bob's view, prepared;
+- `twohint._eve_floor`, the certified floor on Eve.
+
+Only names that exist on both sides are timed.
 """
 
 from __future__ import annotations
@@ -56,6 +72,64 @@ def _builders(hl, twohint):
         "eve-list": eve_list,
         "delta-disk": (lambda j: hl.build_delta_scheme(j, 4, 2, 1, 4, 2, 2), views, hl.verify_disk_theorems),
     }
+
+
+def _kernels(hl, twohint, joint, triple) -> dict:
+    """name -> one call of a kernel on `joint` or its two-hint `triple` scheme."""
+    from hintlock import adversary, guessing, tasks
+
+    scheme = hl.build_two_hint(joint, *triple)
+    columns = [[float(p) for p in joint.y_column(j)] for j in range(len(joint.y_alphabet))]
+    omega, nx = 2, len(joint.x_alphabet)
+    enc = tasks.encoder_from_guessing(guessing.optimal_guesser(joint), omega, omega * tasks.s_alphabet_size(nx, omega))
+    lists = tasks.decoding_lists(enc, joint)
+
+    def first_use():
+        scheme.eve_cells.memo.clear()
+        return adversary.moment_for_constant(scheme.eve_cells, 0, RHO)
+
+    return {
+        "sorted_moment": lambda: [guessing.sorted_moment(col, RHO) for col in columns],
+        "ceil_moment": lambda: guessing.ceil_moment(joint, 4, RHO),
+        "list_moment": lambda: tasks.list_moment(lists, joint, RHO, enc),
+        "moment_for_constant first use": first_use,
+        "moment_for_constant prepared": lambda: adversary.moment_for_constant(scheme.eve_cells, 0, RHO),
+        "support_moment": lambda: adversary.support_moment(scheme.bob_cells, RHO),
+        "bob_minmax_bracket": lambda: adversary.bob_minmax_bracket(scheme.bob_cells, RHO),
+        "twohint._eve_floor": lambda: twohint._eve_floor(scheme, RHO),
+    }
+
+
+def kernels_child(reps: int) -> dict:
+    """Reference seconds per call of each kernel, per input, one value per repetition."""
+    import numpy as np
+    from calibrate import REFERENCE_S, kernel_seconds
+
+    import hintlock as hl
+    from hintlock import twohint
+
+    rng = np.random.default_rng(SEED)
+    sweep = [_kernels(hl, twohint, hl.random_joint(rng, 16, 32, exact=True), (4, 4, 4)) for _ in range(3)]
+    small = _kernels(hl, twohint, hl.random_joint(np.random.default_rng(SEED), 6, 3, exact=True), (2, 2, 2))
+    inputs = {"16x32 sweep sources (sum of three)": sweep, "6x3 table": [small]}
+    out = {name: {label: [] for label in inputs} for name in small}
+    clock = [kernel_seconds()]
+    for _ in range(reps):
+        for name in small:
+            for label, kernels in inputs.items():
+                total = 0.0
+                for kernel in (k[name] for k in kernels):
+                    kernel()  # warm: a prepared kernel times its prepared path
+                    start = time.perf_counter()
+                    calls = 0
+                    while time.perf_counter() - start < 0.005:
+                        kernel()
+                        calls += 1
+                    elapsed = (time.perf_counter() - start) / calls
+                    clock.append(kernel_seconds())
+                    total += elapsed / ((clock[-2] + clock[-1]) / 2) * REFERENCE_S
+                out[name][label].append(total)
+    return out
 
 
 def child(reps: int) -> dict:
@@ -114,7 +188,7 @@ def _quartiles(values: list) -> dict:
     if len(values) < 2:
         values = values * 2  # one sample: its own quartiles
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6), "n": len(values)}
+    return {"median": round(median, 9), "q1": round(q1, 9), "q3": round(q3, 9), "n": len(values)}
 
 
 def _cpu() -> str:
@@ -129,15 +203,16 @@ def _cpu() -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--layer", choices=("builders", "kernels"), default="builders")
     parser.add_argument("--base", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--rounds", type=int, default=3, help="interpreters per commit, alternating")
     parser.add_argument("--reps", type=int, default=5, help="repetitions per interpreter")
-    parser.add_argument("--out", default="BENCH_builders.json")
+    parser.add_argument("--out", default=None, help="default BENCH_<layer>.json")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(child(args.reps)))
+        print(json.dumps((kernels_child if args.layer == "kernels" else child)(args.reps)))
         return 0
     if hasattr(os, "sched_setaffinity"):  # one core for every interpreter, as in perfbench/run.py
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
@@ -149,24 +224,32 @@ def main(argv=None) -> int:
                 env = {**os.environ, "PYTHONPATH": f"{tree / 'src'}{os.pathsep}{ROOT / 'perfbench'}"}
                 env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
                 cmd = [sys.executable, str(Path(__file__).resolve()), "--child"]
-                cmd += ["--reps", str(args.reps)]
+                cmd += ["--layer", args.layer, "--reps", str(args.reps)]
                 result = json.loads(subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout)
                 for name, stages in result.items():
                     for stage, values in stages.items():
                         samples[side].setdefault(name, {}).setdefault(stage, []).extend(values)
-    record = {
-        "layer": "builders",
-        "unit": "reference seconds (perfbench/calibrate.py), summed over the three sources",
-        "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints",
-        "stages": {"build": "builder call", "views": "cached cell views", "first_rho": f"verifier at rho = {RHO}"},
-        "commits": {side: _describe(getattr(args, side)) for side in samples},
-        "machine": f"{_cpu()}, {os.cpu_count()} cores, one pinned; Python {platform.python_version()}",
-        "builders": {
-            name: {stage: {side: _quartiles(samples[side][name][stage]) for side in samples} for stage in stages}
-            for name, stages in samples["change"].items()
-        },
+    if args.layer == "kernels":
+        record = {
+            "layer": "kernels",
+            "unit": "reference seconds (perfbench/calibrate.py) per call, summed over an input's sources",
+            "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints; one seeded 6x3 rational joint",
+            "rho": RHO,
+        }
+    else:
+        record = {
+            "layer": "builders",
+            "unit": "reference seconds (perfbench/calibrate.py), summed over the three sources",
+            "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints",
+            "stages": {"build": "builder call", "views": "cached cell views", "first_rho": f"verifier at rho = {RHO}"},
+        }
+    record["commits"] = {side: _describe(getattr(args, side)) for side in samples}
+    record["machine"] = f"{_cpu()}, {os.cpu_count()} cores, one pinned; Python {platform.python_version()}"
+    record[args.layer] = {
+        name: {stage: {side: _quartiles(samples[side][name][stage]) for side in samples} for stage in stages}
+        for name, stages in samples["change"].items()
     }
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    Path(args.out or f"BENCH_{args.layer}.json").write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

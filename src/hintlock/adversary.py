@@ -18,15 +18,18 @@ moment with views reduced by min (list-forming Eve) or max (worst-case Bob)
 A plain list of `Cell`s is coded into a view once per call.
 
 A view keeps, from first use, what the descending-posterior order fixes for
-every rho, grouped in numpy (unique, lexsort, add.at): per position the
-ranked (context, x) masses; each cell's largest rank (Bob's upper end); per
-`reduce` the mass and list size of each views tuple; Eve's mergeable verdict,
-components and slot graphs.  A rho then costs a t**rho table (Python's pow),
-one product per entry and one LAPJVsp call per component.  Sums keep the
-per-call code's order, so every float is its float: a (context, x) merge in
-law order; in a context, descending masses in sequence; contexts, cells and
-views tuples in first-seen order, in sequence (`cumsum`, as np.sum is
-pairwise).  Rank ties go by repr(x).  Nothing is cached at module level.
+every rho, grouped in numpy (unique, lexsort, add.at): per position the rank
+table of the one grouped kernel (`_rank_table` on int columns: context, key,
+mass, tie order; `moment_for_assignment`, single-route enumeration components
+and `eve_floor` build theirs per call); each cell's largest rank (Bob's upper
+end); per `reduce` the mass and list size of each views tuple; Eve's
+mergeable verdict, components and slot graphs.  A rho then costs a t**rho
+table (Python's pow), one product per entry and one LAPJVsp call per
+component.  Sums keep the dict reference's order, so every float is its
+float: a (context, key) merge in entry order; in a context, descending masses
+in sequence; contexts, cells and views tuples in first-seen order, in
+sequence (`guessing.power_moment`; np.sum is pairwise).  Rank ties go by
+repr(x).  Nothing is cached at module level.
 
 Eve's exact ambiguity, min over accomplice maps of the optimal guessing
 moment given (context, revealed values), reduces to a min-cost assignment:
@@ -56,10 +59,11 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .guessing import grouped_moment, sorted_moment
+from .guessing import in_order, power_moment, power_terms, sorted_moment
 from .prob import BudgetExceededError, common_denominator
 
 
@@ -207,14 +211,24 @@ def as_view(cells) -> CellView:
     return CellView(np.array([c.prob for c in cells], dtype=float), x, ctx, tuple(xs))
 
 
-def _powers(n: int, rho: float) -> np.ndarray:
-    """t**rho for t = 1..n, each the float Python's pow gives."""
-    return np.array([t**rho for t in range(1, n + 1)], dtype=float)
+class SchemeCells:
+    """A scheme dataclass's law, coded once, and its cell views: Bob's view k
+    shows y and the hints `bob_positions[k]`, Eve's those of `eve_positions[k]`.
+    The defaults are two hints: Bob sees both, Eve's accomplice reveals one."""
 
+    bob_positions = ((0, 1),)
+    eve_positions = ((0,), (1,))
 
-def _in_order(terms: np.ndarray) -> float:
-    """The sequential sum of `terms` in array order (np.sum adds pairwise)."""
-    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+    def __post_init__(self):
+        object.__setattr__(self, "law", Law.coded(self.law))
+
+    @cached_property
+    def bob_cells(self) -> CellView:
+        return self.law.view(self.bob_positions)
+
+    @cached_property
+    def eve_cells(self) -> CellView:
+        return self.law.view(self.eve_positions)
 
 
 def _group_starts(keys: np.ndarray) -> np.ndarray:
@@ -223,18 +237,39 @@ def _group_starts(keys: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(np.r_[True, keys[1:] != keys[:-1]], idx, 0))
 
 
-def _ranked(view: CellView, cell: np.ndarray, ctx: np.ndarray):
-    """The (context, x) pairs of the entries (keys context * |x codes| + x, sorted),
-    their masses merged in entry order, their ranks from 1 in each context by
-    descending mass (ties by repr(x)), and the pair of each entry."""
-    nx = len(view.xs)
-    keys, pair = np.unique(ctx * nx + view.x[cell], return_inverse=True)
-    mass = np.zeros(len(keys))
-    np.add.at(mass, pair, view.prob[cell])
-    order = np.lexsort((view.xkey[keys % nx], -mass, keys // nx))
+def _ranked(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, tie: np.ndarray):
+    """The distinct (context, key) pairs of the entries (codes context * len(tie) + key,
+    sorted), their masses merged in entry order, their ranks from 1 in each context
+    by descending mass (ties by `tie[key]`), and the pair of each entry."""
+    nk = len(tie)
+    keys, pair = np.unique(ctx * nk + key, return_inverse=True)
+    merged = np.zeros(len(keys))
+    np.add.at(merged, pair, mass)
+    order = np.lexsort((tie[keys % nk], -merged, keys // nk))
     rank = np.empty(len(keys), dtype=np.int64)
-    rank[order] = np.arange(len(keys)) - _group_starts(keys[order] // nx) + 1
-    return keys, mass, rank, pair
+    rank[order] = np.arange(len(keys)) - _group_starts(keys[order] // nk) + 1
+    return keys, merged, rank, pair
+
+
+def _rank_table(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, tie: np.ndarray) -> tuple:
+    """What the descending-posterior order fixes for every rho: the first-seen
+    index, rank and merged mass of each (context, key) pair, ranks ascending
+    within a context; and the number of contexts."""
+    ctx = _first_seen(ctx)
+    keys, merged, rank, _ = _ranked(ctx, key, mass, tie)
+    seen = keys // len(tie)
+    order = np.lexsort((rank, seen))
+    return seen[order], rank[order], merged[order], int(ctx.max(initial=-1)) + 1
+
+
+def _table_moment(table: tuple, rho: float) -> float:
+    """The grouped kernel: the optimal guessing moment of the key given the
+    context, each context summed over its ranks, then the contexts in
+    first-seen order, in sequence."""
+    seen, rank, mass, n_ctx = table
+    acc = np.zeros(n_ctx)
+    np.add.at(acc, seen, power_terms(mass, rank, rho))  # in entry order
+    return in_order(acc)
 
 
 @dataclass(frozen=True)
@@ -258,32 +293,13 @@ def moment_for_assignment(cells, choice, rho: float) -> float:
     """Objective for one accomplice map: cells routed per `choice`, then sorted."""
     view = as_view(cells)
     routed = view.ctx[np.arange(len(view)), np.asarray(choice, dtype=np.int64)]
-    return grouped_moment(zip(routed.tolist(), view.x.tolist(), view.prob.tolist()), rho)
+    return _table_moment(_rank_table(routed, view.x, view.prob, view.xkey), rho)
 
 
 def moment_for_constant(cells, k: int, rho: float) -> float:
     """The optimal guessing moment given view position k (every cell routed to it)."""
-    columns, n_ctx = as_view(cells).prepared(("rank", k), lambda v: _rank_table(v, k))
-    powers = _powers(len(columns), rho)
-    acc = np.zeros(n_ctx)
-    for t, (seen, mass) in enumerate(columns):  # each context at most once per rank
-        acc[seen] += mass * powers[t]
-    return _in_order(acc)
-
-
-def _rank_table(view: CellView, k: int) -> tuple[list, int]:
-    """Per rank t, the first-seen index of each context holding rank t and its mass there."""
-    ctx = _first_seen(view.ctx[:, k])
-    keys, mass, rank, _ = _ranked(view, np.arange(len(view)), ctx)
-    seen = keys // len(view.xs)
-    order = np.lexsort((seen, rank))
-    bounds = np.cumsum(np.bincount(rank, minlength=1)[1:])[:-1]
-    return list(zip(np.split(seen[order], bounds), np.split(mass[order], bounds))), int(ctx.max(initial=-1)) + 1
-
-
-def _weighted(masses: np.ndarray, sizes: np.ndarray, rho: float) -> float:
-    """Sum of mass * size^rho in order, sizes positive integers."""
-    return _in_order(masses * _powers(int(sizes.max(initial=0)), rho)[sizes - 1])
+    view = as_view(cells)
+    return _table_moment(view.prepared(("rank", k), lambda v: _rank_table(v.ctx[:, k], v.x, v.prob, v.xkey)), rho)
 
 
 def support_moment(cells, rho: float, reduce=max) -> float:
@@ -294,7 +310,7 @@ def support_moment(cells, rho: float, reduce=max) -> float:
     order, before the sizes are applied.
     """
     view = as_view(cells)
-    return _weighted(*view.prepared(("support", reduce), lambda v: _list_sizes(v, reduce)), rho)
+    return power_moment(*view.prepared(("support", reduce), lambda v: _list_sizes(v, reduce)), rho)
 
 
 def _list_sizes(view: CellView, reduce) -> tuple[np.ndarray, np.ndarray]:
@@ -398,10 +414,9 @@ def _matching_cost(graph: tuple, rho: float) -> float:
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
     prob, start, edge_mass, offset, indices, indptr, shape = graph
-    powers = _powers(int(offset.max()) + 1, rho)  # each weight is the float prob * t**rho
-    weights = csr_array((edge_mass * powers[offset], indices, indptr), shape=shape)
+    weights = csr_array((power_terms(edge_mass, offset + 1, rho), indices, indptr), shape=shape)
     rows, cols = min_weight_full_bipartite_matching(weights)  # every row, sorted
-    return float((prob[rows] * powers[cols - start[cols]]).sum())
+    return float(power_terms(prob[rows], cols - start[cols] + 1, rho).sum())
 
 
 def eve_exact_enumeration(cells, rho: float, budget_bits: int = 26) -> float:
@@ -419,7 +434,7 @@ def eve_exact_enumeration(cells, rho: float, budget_bits: int = 26) -> float:
         if bits > budget_bits:
             raise BudgetExceededError(f"component needs {bits:.1f} assignment bits > budget {budget_bits}")
         if all(o == 1 for o in options):
-            total += grouped_moment(zip(*(a[comp].tolist() for a in (view.ctx[:, 0], view.x, view.prob))), rho)
+            total += _table_moment(_rank_table(view.ctx[comp, 0], view.x[comp], view.prob[comp], view.xkey), rho)
             continue
         total += _enumerate_component(view, comp, rho, options)
     return total
@@ -487,7 +502,7 @@ def eve_local_search(cells, rho: float) -> float:
         choice = k % n_views
         val = moment_for_assignment(view, choice, rho)
         for _ in range(50):
-            keys, _, rank, _ = _ranked(view, rows, view.ctx[rows, choice])
+            keys, _, rank, _ = _ranked(view.ctx[rows, choice], view.x, view.prob, view.xkey)
             # unseen (ctx, x) would enter at the context's next free rank
             sizes = np.bincount(keys // nx, minlength=view.n_contexts)
             wanted = ctx * nx + view.x[cell]
@@ -516,13 +531,13 @@ def bob_minmax_bracket(cells, rho: float) -> tuple[float, float]:
     if not len(view) or (view.ctx < 0).any():
         raise ValueError("all cells must offer the same number of views")
     lower = max(moment_for_constant(view, k, rho) for k in range(view.ctx.shape[1]))
-    return lower, _weighted(*view.prepared("max ranks", _max_ranks), rho)
+    return lower, power_moment(*view.prepared("max ranks", _max_ranks), rho)
 
 
 def _max_ranks(view: CellView) -> tuple[np.ndarray, np.ndarray]:
     """Each cell's mass and its largest optimal rank over its views (views pooled)."""
     cell, pos, ctx = view.incidences
-    _, _, rank, pair = _ranked(view, cell, ctx)
+    _, _, rank, pair = _ranked(ctx, view.x[cell], view.prob[cell], view.xkey)
     per_view = np.zeros(view.ctx.shape, dtype=np.int64)
     per_view[cell, pos] = rank[pair]
     return view.prob, per_view.max(axis=1)
@@ -557,3 +572,18 @@ def eve_bracket(cells, rho: float, lower: float) -> AmbiguityResult:
     view = as_view(cells)
     constant = (moment_for_constant(view, k, rho) for k in range(int((view.ctx[0] >= 0).sum())))
     return AmbiguityResult(None, lower, min(eve_local_search(view, rho), min(constant)), "bounds")
+
+
+def eve_floor(law: Law, rho: float, reveals) -> float:
+    """max(1, count^-rho * the optimal guessing moment of (X, columns) given Y)
+    over the (count, hint columns) pairs of `reveals`.
+
+    A pair gives a certified floor on Eve when what she is shown, with the
+    accomplice's choice, takes at most `count` values and, with X and Y,
+    determines the columns; each scheme says why its pairs do.
+    """
+    tie = np.arange(len(law.mass))  # row ids are below the row count; ties do not change a moment
+    return max(1.0, *(
+        count ** (-rho) * _table_moment(_rank_table(law.y, row_ids(law.x, *cols), law.mass, tie), rho)
+        for count, cols in reveals
+    ))

@@ -71,10 +71,10 @@ def _fields(section: dict, name: str, **kinds) -> list:
 
 
 def _optional(section: dict, key: str, kind: type, default=None, least=None):
-    """The number `key` of a config section read as `kind`; `default` when absent.
-    A value below `least` is a config error."""
-    value = section.get(key, default)
-    value = None if value is None else _number(value, kind, key)
+    """The number `key` of a config section read as `kind`; `default` when absent
+    or null.  A value below `least` is a config error."""
+    value = section.get(key)
+    value = default if value is None else _number(value, kind, key)
     if least is not None and value < least:
         raise ConfigError(f"config error: {key!r} must be at least {least}, got {value}")
     return value
@@ -91,10 +91,13 @@ def _load_source(cfg: dict, rational: bool) -> JointPmf:
     if src is None:
         raise ConfigError("config error: missing 'source'")
     if isinstance(src, dict) and "path" in src:
-        path = Path(src["path"])
-        if not path.exists():
-            raise ConfigError(f"config error: source file {path} does not exist")
-        src = json.loads(path.read_text())
+        path = src["path"]
+        if not isinstance(path, str) or not Path(path).exists():
+            raise ConfigError(f"config error: source file {path!r} does not exist")
+        try:
+            src = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as e:  # a directory, not text, or not JSON (with its line and column)
+            raise ConfigError(f"config error: source file {path}: {e}") from None
     if not isinstance(src, dict):
         raise ConfigError(f"config error: 'source' must be a JSON object, not {type(src).__name__}")
     if "uniform" in src:

@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .adversary import (
     AmbiguityResult,
-    CellView,
     Law,
+    SchemeCells,
     bob_minmax_bracket,
     eve_ambiguity,
+    eve_floor,
     row_ids,
     support_moment,
 )
@@ -41,7 +41,6 @@ from .bounds import (
     theorem_rows,
 )
 from .gf import field_make, rs_generator
-from .guessing import grouped_moment
 from .prob import (
     BudgetExceededError,
     DomainError,
@@ -63,7 +62,7 @@ def _admissible_pr(p: int, r: int, s: int, delta: int) -> None:
 
 
 @dataclass(frozen=True)
-class DeltaHintScheme:
+class DeltaHintScheme(SchemeCells):
     joint: JointPmf
     delta: int
     nu: int
@@ -75,16 +74,13 @@ class DeltaHintScheme:
     descriptor: dict  # (x, y) -> (V tuple, W tuple)
     law: Law  # (x, y, hints tuple) -> prob
 
-    def __post_init__(self):
-        object.__setattr__(self, "law", Law.coded(self.law))
+    @property
+    def bob_positions(self) -> list:  # any nu hints
+        return list(combinations(range(self.delta), self.nu))
 
-    @cached_property
-    def bob_cells(self) -> CellView:
-        return self.law.view(list(combinations(range(self.delta), self.nu)))
-
-    @cached_property
-    def eve_cells(self) -> CellView:
-        return self.law.view(list(combinations(range(self.delta), self.eta)))
+    @property
+    def eve_positions(self) -> list:  # any eta hints
+        return list(combinations(range(self.delta), self.eta))
 
     def share_blob(self, hints: tuple) -> bytes:
         width = max(1, (self.s + 7) // 8)
@@ -262,10 +258,8 @@ def _eve_floor(scheme: DeltaHintScheme, rho: float) -> float:
     function of (x, y, pad), and eta hints pin the pad given (X, Y) through
     the top MDS rows.
     """
-    law = scheme.law
-    pair = grouped_moment(zip(law.y.tolist(), row_ids(law.x, *law.hints.T).tolist(), law.mass.tolist()), rho)
     reveal = math.comb(scheme.delta, scheme.eta) * 2 ** (scheme.eta * scheme.s)
-    return max(1.0, reveal ** (-rho) * pair)
+    return eve_floor(scheme.law, rho, [(reveal, scheme.law.hints.T)])
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .guessing import GuessingFunction, rank_row
+from .guessing import GuessingFunction, in_order, power_moment, rank_row
 from .prob import BudgetExceededError, DomainError, JointPmf, product_pmf, tuple_alphabet
-from .tasks import ranks_from_lists
+from .tasks import ranks_from_lists, s_alphabet_size
 
 BALL_SLACK = 1e-12  # float-mode boundary slack for "within Delta"
 
@@ -78,13 +78,8 @@ class SuccessFunction:
     certified_optimal: bool = False
 
     def moment(self, joint: JointPmf, rho: float) -> float:
-        total = 0.0
-        for i, x in enumerate(joint.x_alphabet):
-            for j, c in enumerate(joint.y_alphabet):
-                p = float(joint.table[i][j])
-                if p > 0:
-                    total += p * self.ranks[(x, c)] ** rho
-        return total
+        ranks = [self.ranks[(x, c)] for x in joint.x_alphabet for c in joint.y_alphabet]  # x-major
+        return power_moment(np.array(joint.table, dtype=float).ravel(), ranks, rho)
 
     def to_json(self) -> str:
         return json.dumps({repr(k): v for k, v in sorted(self.ranks.items(), key=repr)})
@@ -113,10 +108,17 @@ def _ball_matrix(x_tuples, xhat_tuples, spec: DistortionSpec) -> np.ndarray:
     return np.array([[within(x, xh, spec) for xh in xhat_tuples] for x in x_tuples])
 
 
-def _first_hit_weights(balls: np.ndarray, perms: np.ndarray, rho: float) -> np.ndarray:
-    """(position of the first within-Delta guess)^rho per (x, order); the same for every context."""
-    first = balls[:, perms].argmax(axis=2) + 1  # (nx, nperms)
-    return first.astype(float) ** rho
+def _best_orders(balls: np.ndarray, columns, rho: float) -> list:
+    """Per column of source masses, the guessing order of the reconstructions
+    with the least moment, and that moment: a search over every order."""
+    perms = np.array(list(permutations(range(balls.shape[1]))))
+    weights = (balls[:, perms].argmax(axis=2) + 1).astype(float) ** rho  # first within-Delta position^rho
+    best = []
+    for col in columns:
+        moments = (col[:, None] * weights).sum(axis=0)
+        k = int(moments.argmin())
+        best.append((perms[k], float(moments[k])))
+    return best
 
 
 def brute_optimal_distortion_guesser(
@@ -132,18 +134,9 @@ def brute_optimal_distortion_guesser(
     if len(xhat_tuples) > budget:
         raise BudgetExceededError(f"|Xhat|^n = {len(xhat_tuples)} exceeds budget {budget}")
     balls = _ball_matrix(big.x_alphabet, xhat_tuples, spec)
-    nh = len(xhat_tuples)
-    perms = np.array(list(permutations(range(nh))))
-    weights = _first_hit_weights(balls, perms, rho)
-    best_rows = []
-    total = 0.0
-    for j in range(len(big.y_alphabet)):
-        col = np.array([float(p) for p in big.y_column(j)])
-        moments = (col[:, None] * weights).sum(axis=0)
-        k = int(moments.argmin())
-        total += float(moments[k])
-        best_rows.append(perms[k])
-    rank_rows = [rank_row(row) for row in best_rows]
+    best = _best_orders(balls, np.array(big.table, dtype=float).T.copy(), rho)  # one row per context
+    total = in_order([moment for _, moment in best])
+    rank_rows = [rank_row(order) for order, _ in best]
     ghat = GuessingFunction(xhat_tuples, big.y_alphabet, tuple(rank_rows))
     sf = success_function(ghat, spec, big, certified=True)
     return sf, total
@@ -206,12 +199,8 @@ def rd_side_info_encoder(
         for c in big.y_alphabet
         for x in big.x_alphabet
     }
-    ceil_target = 0.0
-    for i, x in enumerate(big.x_alphabet):
-        for j, c in enumerate(big.y_alphabet):
-            p = float(big.table[i][j])
-            if p > 0:
-                ceil_target += p * math.ceil(sf.ranks[(x, c)] / z_count) ** rho
+    ceils = [math.ceil(sf.ranks[(x, c)] / z_count) for x in big.x_alphabet for c in big.y_alphabet]  # x-major
+    ceil_target = power_moment(np.array(big.table, dtype=float).ravel(), ceils, rho)
     achieved = _optimal_rd_moment_given(big, sf.spec, enc, rho)
     floor = z_count ** (-rho) * sf.moment(big, rho)
     report = {"achieved": achieved, "ceil_target": ceil_target, "floor": max(1.0, floor)}
@@ -229,18 +218,15 @@ def _optimal_rd_moment_given(big: JointPmf, spec: DistortionSpec, enc: dict, rho
             p = float(big.table[i][j])
             if p > 0:
                 groups.setdefault((c, enc[(x, c)]), []).append((x, p))
-    nh = len(xhat_tuples)
-    if math.factorial(nh) > 50000:
+    if math.factorial(len(xhat_tuples)) > 50000:
         raise BudgetExceededError("refined-context oracle needs |Xhat|^n small")
-    weights = _first_hit_weights(balls, np.array(list(permutations(range(nh)))), rho)
-    total = 0.0
+    columns = []
     for members in groups.values():
         col = np.zeros(len(big.x_alphabet))
         for x, p in members:
             col[xi[x]] += p
-        moments = (col[:, None] * weights).sum(axis=0)
-        total += float(moments.min())
-    return total
+        columns.append(col)
+    return in_order([moment for _, moment in _best_orders(balls, columns, rho)])
 
 
 def rd_encoder_from_guessing(
@@ -254,13 +240,14 @@ def rd_encoder_from_guessing(
     """
     big = tuple_product(joint, n)
     nh = len(sf.ghat.x_alphabet)
-    ns = 1 + math.floor(math.log2(math.ceil(nh / omega)))
     if not 1 <= omega <= nh:
         raise DomainError("omega must be in 1..|Xhat|^n")
+    ns = s_alphabet_size(nh, omega)
     if z_count < omega * ns:
         raise DomainError("descriptor capacity violated")
     enc: dict = {}
     lists: dict = {}
+    held = []  # (mass, list) of each positive-mass (x, ctx), x-major
     for i, x in enumerate(big.x_alphabet):
         for j, c in enumerate(big.y_alphabet):
             rank = sf.ranks[(x, c)]
@@ -268,16 +255,11 @@ def rd_encoder_from_guessing(
             s = math.floor(math.log2(math.ceil(rank / omega)))
             z = o * ns + s
             enc[(x, c)] = z
-            if float(big.table[i][j]) > 0:
+            if (p := float(big.table[i][j])) > 0:
                 lists.setdefault((c, z), set()).add(sf.recon[(x, c)])
+                held.append((p, (c, z)))
     lists = {k: tuple(sorted(v, key=repr)) for k, v in lists.items()}
-    moment = 0.0
-    for i, x in enumerate(big.x_alphabet):
-        for j, c in enumerate(big.y_alphabet):
-            p = float(big.table[i][j])
-            if p > 0:
-                moment += p * len(lists[(c, enc[(x, c)])]) ** rho
-    return enc, lists, moment
+    return enc, lists, power_moment([p for p, _ in held], [len(lists[k]) for _, k in held], rho)
 
 
 def rd_guessing_from_lists(

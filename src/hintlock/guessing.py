@@ -2,15 +2,16 @@
 
 A guessing function assigns, per observed context, a permutation rank to every
 source symbol; the rho-th guessing moment E[G(X|ctx)^rho] is the ambiguity
-measure used throughout.  Ties between equal posteriors are broken by
-ascending symbol index so every oracle is reproducible, and zero-posterior
-symbols always rank after positive ones.
+measure used throughout.  Ties between equal posteriors go by ascending
+symbol index here, and zero-posterior symbols always rank after positive ones;
+the adversary layer ranks a law's cells with ties by repr(x) instead.  Ties
+never change a moment, but can change a cell's rank and so Bob's upper end.
+Every expected power of a rank or list size is summed by `power_moment`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,22 +76,35 @@ def guess_moment(g: GuessingFunction, joint: JointPmf, rho: float) -> float:
     """E[G(X|ctx)^rho] under the joint law."""
     if g.x_alphabet != joint.x_alphabet or g.context_alphabet != joint.y_alphabet:
         raise DomainError("guessing function defined on different alphabets")
-    total = 0.0
-    for j in range(len(joint.y_alphabet)):
-        row = g.ranks[j]
-        for i, p in enumerate(joint.y_column(j)):
-            pf = float(p)
-            if pf > 0:
-                total += pf * row[i] ** rho
-    return total
+    return power_moment(np.array(joint.table, dtype=float).T.ravel(), np.array(g.ranks).ravel(), rho)  # y-major
+
+
+def power_terms(masses, ks, rho: float) -> np.ndarray:
+    """mass * k**rho per pair of a mass and a nonnegative integer k, each term
+    the float Python's `mass * k**rho` gives (0**rho only where some k is 0)."""
+    ks = np.asarray(ks, dtype=np.int64)
+    low = int(ks.min(initial=1))
+    table = np.array([k**rho for k in range(low, int(ks.max(initial=0)) + 1)], dtype=float)
+    return np.asarray(masses, dtype=float) * table[ks - low]
+
+
+def in_order(terms: np.ndarray) -> float:
+    """The sequential sum of `terms` in array order (np.sum adds pairwise)."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+
+
+def power_moment(masses, ks, rho: float) -> float:
+    """Sum of mass * k**rho over paired masses and nonnegative integers ks,
+    added left to right: a loop that adds the terms one by one gives its float."""
+    return in_order(power_terms(masses, ks, rho))
 
 
 def sorted_moment(masses, rho: float) -> float:
     """Sum of p * rank^rho over masses guessed in descending order.
 
-    This is the one place the optimal guessing moment of a context is summed;
-    every guessing ambiguity in the package reduces to it.  Terms are added in
-    sequence, as in the prepared cell view (from Python 3.12 `sum` compensates).
+    The scalar form of `power_moment` for one context, for the enumeration's
+    per-subset tables, where a numpy call per table entry would cost more than
+    the sum.  Terms are added in sequence (from Python 3.12 `sum` compensates).
     """
     total = 0.0
     for r, p in enumerate(sorted(masses, reverse=True), start=1):
@@ -98,28 +112,9 @@ def sorted_moment(masses, rho: float) -> float:
     return total
 
 
-def grouped_moment(triples, rho: float) -> float:
-    """Optimal guessing moment of the key given the context, from (context, key, mass).
-
-    Masses of one (context, key) add up; contexts are summed in first-seen
-    order, each over its masses in descending order.
-    """
-    groups: dict = {}
-    for ctx, key, p in triples:
-        by_key = groups.setdefault(ctx, {})
-        by_key[key] = by_key.get(key, 0.0) + p
-    total = 0.0
-    for by_key in groups.values():
-        total += sorted_moment(by_key.values(), rho)
-    return total
-
-
 def optimal_guess_moment(joint: JointPmf, rho: float) -> float:
     """min over guessing functions of E[G(X|ctx)^rho]: sort each context."""
-    total = 0.0
-    for j in range(len(joint.y_alphabet)):
-        total += sorted_moment((float(p) for p in joint.y_column(j)), rho)
-    return total
+    return in_order([sorted_moment(col, rho) for col in np.array(joint.table, dtype=float).T.tolist()])
 
 
 def arikan_bounds(joint: JointPmf, rho: float) -> tuple[float, float]:
@@ -144,24 +139,13 @@ def side_info_encoder(joint: JointPmf, z_count: int) -> dict:
     if z_count < 1:
         raise DomainError("z_count must be >= 1")
     g = optimal_guesser(joint)
-    return {
-        (x, c): (g.rank(x, c) - 1) % z_count
-        for c in joint.y_alphabet
-        for x in joint.x_alphabet
-    }
+    return {(x, c): (r - 1) % z_count for c, row in zip(g.context_alphabet, g.ranks) for x, r in zip(g.x_alphabet, row)}
 
 
 def ceil_moment(joint: JointPmf, z_count: int, rho: float) -> float:
     """E[ceil(G*(X|ctx)/z_count)^rho] for the optimal guesser."""
-    g = optimal_guesser(joint)
-    total = 0.0
-    for j, c in enumerate(joint.y_alphabet):
-        row = g.ranks[j]
-        for i, p in enumerate(joint.y_column(j)):
-            pf = float(p)
-            if pf > 0:
-                total += pf * math.ceil(row[i] / z_count) ** rho
-    return total
+    ceil = -(-np.array(optimal_guesser(joint).ranks) // z_count)
+    return power_moment(np.array(joint.table, dtype=float).T.ravel(), ceil.ravel(), rho)  # y-major
 
 
 def side_info_lower_bound(joint: JointPmf, z_count: int, rho: float) -> float:

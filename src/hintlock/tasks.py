@@ -23,7 +23,7 @@ from .prob import (
     RenyiOrder,
     renyi_cond_entropy,
 )
-from .guessing import GuessingFunction, optimal_guesser, rank_row
+from .guessing import GuessingFunction, optimal_guesser, power_moment, rank_row, side_info_encoder
 
 
 @dataclass(frozen=True)
@@ -102,16 +102,14 @@ def decoding_lists(enc, joint: JointPmf) -> DecodingListTable:
 
 def list_moment(lists: DecodingListTable, joint: JointPmf, rho: float, enc) -> float:
     """E[|L^ctx_Z|^rho] under the encoder's description law."""
-    total = 0.0
+    masses, sizes = [], []  # context-major; a list can be empty
     for j, c in enumerate(joint.y_alphabet):
         for i, x in enumerate(joint.x_alphabet):
-            p = float(joint.table[i][j])
-            if p <= 0:
-                continue
-            for z in enc.emit_set(x, c):
-                pz = float(enc.prob(z, x, c))
-                total += p * pz * len(lists.list_for(c, z)) ** rho
-    return total
+            if (p := float(joint.table[i][j])) > 0:
+                for z in enc.emit_set(x, c):
+                    masses.append(p * float(enc.prob(z, x, c)))
+                    sizes.append(len(lists.list_for(c, z)))
+    return power_moment(masses, sizes, rho)
 
 
 def derandomize(enc: StochTaskEncoder, joint: JointPmf) -> DetTaskEncoder:
@@ -160,20 +158,15 @@ def descriptor_map(joint: JointPmf, size: int, version: str) -> dict:
     ceil-moment equality.  List version: the offset/refinement construction
     with the largest feasible offset cardinality.
     """
-    g = optimal_guesser(joint)
     if version == "guessing":
-        return {
-            (x, y): (g.rank(x, y) - 1) % size
-            for y in joint.y_alphabet
-            for x in joint.x_alphabet
-        }
+        return side_info_encoder(joint, size)
     if version != "list":
         raise DomainError(f"unknown version {version!r}")
     nx = len(joint.x_alphabet)
     feasible = [w for w in range(1, nx + 1) if w * s_alphabet_size(nx, w) <= size]
     if not feasible:
         raise DomainError(f"descriptor size {size} cannot host an offset/refinement pair")
-    return encoder_from_guessing(g, max(feasible), size).mapping
+    return encoder_from_guessing(optimal_guesser(joint), max(feasible), size).mapping
 
 
 def encoder_from_guessing(g: GuessingFunction, omega: int, z_count: int) -> DetTaskEncoder:
@@ -192,9 +185,8 @@ def encoder_from_guessing(g: GuessingFunction, omega: int, z_count: int) -> DetT
             f"descriptor capacity violated: z_count {z_count} < omega*(1+floor(log2 ceil(|X|/omega))) = {omega * ns}"
         )
     mapping = {}
-    for c in g.context_alphabet:
-        for x in g.x_alphabet:
-            rank = g.rank(x, c)
+    for c, row in zip(g.context_alphabet, g.ranks):
+        for x, rank in zip(g.x_alphabet, row):
             o = (rank - 1) % omega
             s = math.floor(math.log2(math.ceil(rank / omega)))
             mapping[(x, c)] = o * ns + s

@@ -23,10 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .adversary import CellView, Law, eve_ambiguity, moment_for_constant, row_ids, support_moment
+from .adversary import CellView, Law, SchemeCells, eve_ambiguity, eve_floor, moment_for_constant, support_moment
 from .adversary import eve_exact_matching  # noqa: F401  (re-exported: perfbench reaches the oracle here)
 from .bounds import ExponentOutcome, bob_converse, bob_direct, list_room, privacy_exponent, theorem_rows
-from .guessing import grouped_moment
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow
 from .tasks import descriptor_map
@@ -35,25 +34,9 @@ from .tasks import descriptor_map
 # ---------------------------------------------------------------------------
 # Realized laws.  Every scheme keeps its exact law {(x, y, h_1, h_2): prob} as
 # columns (`adversary.Law`) for the structural checks, and builds its float Bob
-# and Eve cell views from them once; every ambiguity below is computed on those.
+# and Eve cell views from them once (`adversary.SchemeCells`); every ambiguity
+# below is computed on those.
 # ---------------------------------------------------------------------------
-
-
-class _SchemeCells:
-    """Bob sees y and both hints; Eve's view k shows y and the hints `eve_positions[k]`."""
-
-    eve_positions = ((0,), (1,))  # the accomplice reveals M1 or M2
-
-    def __post_init__(self):
-        object.__setattr__(self, "law", Law.coded(self.law))
-
-    @cached_property
-    def bob_cells(self) -> CellView:
-        return self.law.view([(0, 1)])
-
-    @cached_property
-    def eve_cells(self) -> CellView:
-        return self.law.view(self.eve_positions)
 
 
 def _padded_law(joint: JointPmf, items, cs: int, c1: int, c2: int, exact: bool) -> Law:
@@ -72,7 +55,7 @@ def _padded_law(joint: JointPmf, items, cs: int, c1: int, c2: int, exact: bool) 
 
 
 @dataclass(frozen=True)
-class TwoHintScheme(_SchemeCells):
+class TwoHintScheme(SchemeCells):
     joint: JointPmf
     cs: int
     c1: int
@@ -201,14 +184,11 @@ def _eve_floor(scheme: TwoHintScheme, rho: float) -> float:
 
     Revealing the accomplice's index and both coordinates can shrink the
     moment by at most the revealed cardinality; evaluated on the moment of
-    (X, U) given Y, U the uniform pad, and on the moment of X given Y.
+    (X, U) given Y, U the uniform pad (M1 or M2 gives U given (X, Y)), and on
+    the moment of X given Y.
     """
-    law = scheme.law
-    y, mass = law.y.tolist(), law.mass.tolist()
-    aug = grouped_moment(zip(y, law.x.tolist(), mass), rho)
-    pair = grouped_moment(zip(y, row_ids(law.x, law.hints[:, 1] // scheme.c2).tolist(), mass), rho)
-    z_count = scheme.cs * (scheme.c1 + scheme.c2)
-    return max(1.0, z_count ** (-rho) * pair, (scheme.m1_size * scheme.m2_size) ** (-rho) * aug)
+    pad = (scheme.cs * (scheme.c1 + scheme.c2), [scheme.law.hints[:, 1] // scheme.c2])  # (count, columns)
+    return eve_floor(scheme.law, rho, [pad, (scheme.m1_size * scheme.m2_size, [])])
 
 
 def eve_ambiguity_weak(scheme, rho: float) -> float:
@@ -298,7 +278,7 @@ def choose_triple(
 
 
 @dataclass(frozen=True)
-class SecretHintScheme(_SchemeCells):
+class SecretHintScheme(SchemeCells):
     joint: JointPmf
     c: int
     mp_size: int
@@ -344,7 +324,7 @@ def verify_secret_hint(scheme: SecretHintScheme, rho: float, instance: str = "")
 
 
 @dataclass(frozen=True)
-class SecretKeyScheme(_SchemeCells):
+class SecretKeyScheme(SchemeCells):
     joint: JointPmf
     c: int
     k_size: int
@@ -385,7 +365,7 @@ def verify_secret_key(scheme: SecretKeyScheme, rho: float, instance: str = "") -
 
 
 @dataclass(frozen=True)
-class EveListScheme(_SchemeCells):
+class EveListScheme(SchemeCells):
     joint: JointPmf
     cs: int
     c1: int

@@ -21,7 +21,7 @@ from hintlock.disks import _int_to_symbols
 from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, variational_optimum
 from hintlock.gf import field_make, rs_generator
-from hintlock.guessing import grouped_moment, sorted_moment
+from hintlock.guessing import sorted_moment
 from hintlock.prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from hintlock.tasks import StochTaskEncoder, descriptor_map
 
@@ -32,6 +32,20 @@ def in_sequence(terms) -> float:
     for t in terms:
         total += t
     return total
+
+
+def grouped_moment(triples, rho: float) -> float:
+    """Optimal guessing moment of the key given the context, from (context, key, mass).
+
+    The dict reference for the grouped kernel in `adversary`: masses of one
+    (context, key) add up in entry order; contexts are summed in first-seen
+    order, each over its masses in descending order.
+    """
+    groups: dict = {}
+    for ctx, key, p in triples:
+        by_key = groups.setdefault(ctx, {})
+        by_key[key] = by_key.get(key, 0.0) + p
+    return in_sequence(sorted_moment(by_key.values(), rho) for by_key in groups.values())
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from hintlock.exponents import (
 from hintlock.guessing import (
     arikan_bounds,
     ceil_moment,
-    grouped_moment,
     optimal_guess_moment,
     optimal_guesser,
     random_joint,
@@ -65,7 +64,7 @@ from hintlock.twohint import (
     verify_finite_blocklength,
 )
 from hintlock.guessing import guess_moment
-from oracles import encoder_guess_moment, random_stoch_encoder, rd_function_grid_oracle
+from oracles import encoder_guess_moment, grouped_moment, random_stoch_encoder, rd_function_grid_oracle
 
 
 def report(num: int, name: str, ok: bool, elapsed: float, limit: float):

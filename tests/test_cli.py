@@ -148,6 +148,32 @@ def test_missing_source_file(capsys):
     assert code == 2 and "does not exist" in err
 
 
+def test_malformed_source_file_names_line_and_column(tmp_path, capsys):
+    bad = tmp_path / "p.json"
+    bad.write_text('{"x": [0, 1],\n "p": [0.5, 0.5')
+    code, out, err = run(capsys, "entropy", json.dumps({"source": {"path": str(bad)}}))
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: source file {bad}") and "line 2 column 16" in err
+    assert len(err.splitlines()) == 1
+
+
+NULL_MEANS_ABSENT = {
+    "guess-z-count": ["guess", {"source": {"uniform": 4}, "rho": [1.0, 2.0]}, "z_count"],
+    "task-census-k": ["task", {"source": {"uniform": 4}}, "census_k"],
+    "distortion-n": ["distortion", {"source": {"uniform": 2}}, "n"],
+    "distortion-delta": ["distortion", {"source": {"uniform": 2}, "distortion": {"hamming": True}}, "delta"],
+}
+
+
+@pytest.mark.parametrize("command, config, key", NULL_MEANS_ABSENT.values(), ids=NULL_MEANS_ABSENT)
+def test_null_value_means_the_default(capsys, command, config, key):
+    code, absent, _ = run(capsys, command, json.dumps(config))
+    config = json.loads(json.dumps(config))  # a copy; the key goes in the distortion section if there is one
+    config.get("distortion", config)[key] = None
+    assert run(capsys, command, json.dumps(config))[:2] == (code, absent)
+    assert code == 0 and absent.count("\n") > 1
+
+
 MALFORMED = {
     "no-entropy-rate": ["exponent", {"rho": 1, "rates": {"r1": 0.5, "r2": 0.5}}],
     "two-hint-without-c1": ["twohint", {"source": {"uniform": 4}, "scheme": {"kind": "two-hint", "cs": 2, "c2": 1}}],
@@ -166,6 +192,8 @@ MALFORMED = {
     "task-z-count-negative": ["task", {"source": {"uniform": 4}, "rho": [1.0], "z_count": -1}],
     "task-z-count-zero": ["task", {"source": {"uniform": 4}, "rho": [1.0], "z_count": 0}],
     "guess-z-count-zero": ["guess", {"source": {"uniform": 4}, "rho": [1.0], "z_count": 0}],
+    "source-path-not-a-string": ["entropy", {"source": {"path": 5}}],
+    "source-path-a-directory": ["entropy", {"source": {"path": "."}}],
     "unequal-sizes-too-small": [
         "disks",
         {

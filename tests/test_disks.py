@@ -197,6 +197,19 @@ def test_eve_bounds_bracket_sound():
     assert lo - 1e-12 <= exact <= hi + 1e-12
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_eve_floor_equals_the_dict_formula(seed):
+    # the shared adversary floor against the formula it replaced, on the dict reference kernel
+    rng = np.random.default_rng(seed)
+    joint = random_joint(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)), exact=bool(seed % 2), zeros=0.2)
+    for params in ((3, 2, 1, 4, 2, 2), (4, 3, 2, 2, 0, 2), (3, 2, 0, 2, 2, 0)):
+        sch = build_delta_scheme(joint, *params)
+        delta, _, eta, s = params[:4]
+        for rho in (0.3, 1.0, 2.5):
+            pair = oracles.grouped_moment(((y, (x, h), float(p)) for (x, y, h), p in sch.law.items()), rho)
+            assert _eve_floor(sch, rho) == max(1.0, (math.comb(delta, eta) * 2 ** (eta * s)) ** (-rho) * pair)
+
+
 def test_unequal_size_converse_random_sweep():
     rng = np.random.default_rng(50)
     sizes = (1, 2, 3)

@@ -15,6 +15,7 @@ from hintlock.guessing import (
     guess_moment,
     optimal_guess_moment,
     optimal_guesser,
+    power_moment,
     random_joint,
     side_info_encoder,
     side_info_lower_bound,
@@ -35,6 +36,18 @@ def test_sorted_moment_is_the_sequential_sum(masses, rho):
     for rank, p in enumerate(sorted(masses, reverse=True), start=1):
         total += p * rank**rho
     assert sorted_moment(masses, rho) == total
+
+
+@given(
+    st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0), st.integers(0, 9)), max_size=20),
+    st.sampled_from([0.0, 0.3, 1.0, 2, 2.5]),
+)
+def test_power_moment_is_the_sequential_sum(terms, rho):
+    # k = 0 (an empty decoding list) and no terms at all are allowed
+    total = 0.0
+    for mass, k in terms:
+        total += mass * k**rho
+    assert power_moment([m for m, _ in terms], [k for _, k in terms], rho) == total
 
 
 def test_optimal_guesser_tie_break_and_order():

@@ -20,11 +20,11 @@ from hintlock.adversary import (
     eve_exact_matching,
     support_moment,
 )
-from hintlock import exponents
+from hintlock import adversary, exponents
 from hintlock.disks import build_delta_scheme
 from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, rd_exponent_functional, rd_function
-from hintlock.guessing import grouped_moment, random_joint
+from hintlock.guessing import random_joint
 from hintlock.prob import DomainError, JointPmf
 from hintlock.twohint import build_two_hint
 from oracles import dense_matching, eve_strategy_pair_bruteforce, reference_rd_function
@@ -60,7 +60,28 @@ def test_grouped_moment_is_min_over_orderings(triples, rho):
         )
         for by_key in groups.values()
     )
-    assert grouped_moment(triples, rho) == pytest.approx(brute, rel=1e-12)
+    assert grouped_kernel(triples, rho) == pytest.approx(brute, rel=1e-12)
+
+
+def grouped_kernel(triples, rho, tie=None):
+    """The rank-table kernel of `adversary` on the int columns of (context,
+    key, mass) triples; ties by `tie[key]`, by key when None."""
+    ctx, key = (np.array([t[i] for t in triples], dtype=np.int64) for i in range(2))
+    mass = np.array([t[2] for t in triples], dtype=float)
+    tie = np.arange(key.max(initial=0) + 1) if tie is None else np.asarray(tie)
+    return adversary._table_moment(adversary._rank_table(ctx, key, mass, tie), rho)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6), st.floats(0.0, 1.0)), max_size=30),
+    st.sampled_from([0.3, 1.0, 2.5]),
+    st.permutations(range(7)),
+)
+def test_grouped_kernel_equals_dict_reference(triples, rho, tie):
+    # few contexts and keys, so (context, key) pairs repeat and their masses
+    # merge; equal masses tie, and no tie order changes the float
+    assert grouped_kernel(triples, rho, tie) == oracles.grouped_moment(triples, rho)
 
 
 @settings(max_examples=100, deadline=None)

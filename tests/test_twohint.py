@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import grouped_moment
 from hintlock.adversary import eve_bracket, support_moment
-from hintlock.guessing import grouped_moment, optimal_guesser, random_joint
+from hintlock.guessing import optimal_guesser, random_joint
 from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy
 from hintlock.report import all_passed
 from hintlock.twohint import (
@@ -136,6 +137,20 @@ def test_eve_bounds_bracket_exact():
                 exact = eve_ambiguity_exact(s, rho)
                 bracket = eve_bracket(s.eve_cells, rho, _eve_floor(s, rho))
                 assert bracket.lower - 1e-12 <= exact <= bracket.upper + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eve_floor_equals_the_dict_formula(seed):
+    # the shared adversary floor against the formula it replaced, on the dict reference kernel
+    rng = np.random.default_rng(seed)
+    joint = random_joint(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)), exact=bool(seed % 2), zeros=0.2)
+    for triple in ((1, 1, 1), (1, 2, 2), (2, 2, 1), (3, 1, 2)):  # at (1, 1, 1) the moment of X given Y decides
+        s = build_two_hint(joint, *triple)
+        for rho in (0.3, 1.0, 2.5):
+            aug = grouped_moment(((y, x, float(p)) for (x, y, _, _), p in s.law.items()), rho)
+            z = s.cs * (s.c1 + s.c2)
+            want = max(1.0, z ** (-rho) * pad_pair_moment(s, rho), (s.m1_size * s.m2_size) ** (-rho) * aug)
+            assert _eve_floor(s, rho) == want
 
 
 def test_eve_exact_never_exceeds_weak():
