@@ -38,6 +38,9 @@ run takes about 5 ms, and reports reference seconds per call:
 - `twohint._eve_floor`, the certified floor on Eve.
 
 Only names that exist on both sides are timed.
+
+The output file keeps a trajectory: a list of records, oldest first.  Each run
+appends its record; a record for the same two commits replaces the older one.
 """
 
 from __future__ import annotations
@@ -249,7 +252,10 @@ def main(argv=None) -> int:
         name: {stage: {side: _quartiles(samples[side][name][stage]) for side in samples} for stage in stages}
         for name, stages in samples["change"].items()
     }
-    Path(args.out or f"BENCH_{args.layer}.json").write_text(json.dumps(record, indent=1) + "\n")
+    out = Path(args.out or f"BENCH_{args.layer}.json")
+    records = json.loads(out.read_text()) if out.exists() else []
+    records = [old for old in records if old["commits"] != record["commits"]]
+    out.write_text(json.dumps([*records, record], indent=1) + "\n")
     return 0
 
 

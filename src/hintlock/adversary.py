@@ -20,16 +20,16 @@ A plain list of `Cell`s is coded into a view once per call.
 A view keeps, from first use, what the descending-posterior order fixes for
 every rho, grouped in numpy (unique, lexsort, add.at): per position the rank
 table of the one grouped kernel (`_rank_table` on int columns: context, key,
-mass, tie order; `moment_for_assignment`, single-route enumeration components
-and `eve_floor` build theirs per call); each cell's largest rank (Bob's upper
-end); per `reduce` the mass and list size of each views tuple; Eve's
-mergeable verdict, components and slot graphs.  A rho then costs a t**rho
-table (Python's pow), one product per entry and one LAPJVsp call per
-component.  Sums keep the dict reference's order, so every float is its
-float: a (context, key) merge in entry order; in a context, descending masses
-in sequence; contexts, cells and views tuples in first-seen order, in
-sequence (`guessing.power_moment`; np.sum is pairwise).  Rank ties go by
-repr(x).  Nothing is cached at module level.
+mass, tie order, ranked by `guessing.rank_groups`; `moment_for_assignment`,
+single-route enumeration components and `eve_floor` build theirs per call);
+each cell's largest rank (Bob's upper end); per `reduce` the mass and list
+size of each views tuple; Eve's mergeable verdict, components and slot graphs.
+A rho then costs a t**rho table (Python's pow), one product per entry and one
+LAPJVsp call per component.  Sums keep the dict reference's order, so every
+float is its float: a (context, key) merge in entry order; in a context,
+descending masses in sequence; contexts, cells and views tuples in first-seen
+order, in sequence (`guessing.power_moment`; np.sum is pairwise).  Rank ties
+go by repr(x).  Nothing is cached at module level.
 
 Eve's exact ambiguity, min over accomplice maps of the optimal guessing
 moment given (context, revealed values), reduces to a min-cost assignment:
@@ -63,7 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .guessing import in_order, power_moment, power_terms, sorted_moment
+from .guessing import group_starts, in_order, power_moment, power_terms, rank_groups, sorted_moment
 from .prob import BudgetExceededError, common_denominator
 
 
@@ -231,32 +231,12 @@ class SchemeCells:
         return self.law.view(self.eve_positions)
 
 
-def _group_starts(keys: np.ndarray) -> np.ndarray:
-    """For sorted `keys`, the index where each entry's run of equal keys starts."""
-    idx = np.arange(len(keys))
-    return np.maximum.accumulate(np.where(np.r_[True, keys[1:] != keys[:-1]], idx, 0))
-
-
-def _ranked(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, tie: np.ndarray):
-    """The distinct (context, key) pairs of the entries (codes context * len(tie) + key,
-    sorted), their masses merged in entry order, their ranks from 1 in each context
-    by descending mass (ties by `tie[key]`), and the pair of each entry."""
-    nk = len(tie)
-    keys, pair = np.unique(ctx * nk + key, return_inverse=True)
-    merged = np.zeros(len(keys))
-    np.add.at(merged, pair, mass)
-    order = np.lexsort((tie[keys % nk], -merged, keys // nk))
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[order] = np.arange(len(keys)) - _group_starts(keys[order] // nk) + 1
-    return keys, merged, rank, pair
-
-
 def _rank_table(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, tie: np.ndarray) -> tuple:
     """What the descending-posterior order fixes for every rho: the first-seen
     index, rank and merged mass of each (context, key) pair, ranks ascending
     within a context; and the number of contexts."""
     ctx = _first_seen(ctx)
-    keys, merged, rank, _ = _ranked(ctx, key, mass, tie)
+    keys, merged, rank, _ = rank_groups(ctx, key, mass, tie)
     seen = keys // len(tie)
     order = np.lexsort((rank, seen))
     return seen[order], rank[order], merged[order], int(ctx.max(initial=-1)) + 1
@@ -386,12 +366,10 @@ def _slot_graphs(view: CellView) -> list | None:
     # start..start + degree - 1, and column j is its position j - start + 1.
     order = np.lexsort((-view.prob[cell], ctx, comp[cell]))  # by context, then descending mass
     cell, ctx, mass = cell[order], ctx[order], view.prob[cell[order]]
-    idx = np.arange(len(order))
-    new_ctx = np.r_[True, ctx[1:] != ctx[:-1]]
-    start = np.maximum.accumulate(np.where(new_ctx, idx, 0))
+    start = group_starts(ctx)
     # q: the cells of this context with mass >= this one's, ties included.
-    run_ends = np.r_[new_ctx[1:] | (mass[1:] != mass[:-1]), True]
-    last = np.minimum.accumulate(np.where(run_ends, idx, len(idx))[::-1])[::-1]
+    run_ends = np.r_[(ctx[1:] != ctx[:-1]) | (mass[1:] != mass[:-1]), True]
+    last = np.minimum.accumulate(np.where(run_ends, np.arange(len(ctx)), len(ctx))[::-1])[::-1]
     q = last - start + 1
     offset = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)  # position - 1
     e_cell, e_col = np.repeat(cell, q), np.repeat(start, q) + offset
@@ -502,7 +480,7 @@ def eve_local_search(cells, rho: float) -> float:
         choice = k % n_views
         val = moment_for_assignment(view, choice, rho)
         for _ in range(50):
-            keys, _, rank, _ = _ranked(view.ctx[rows, choice], view.x, view.prob, view.xkey)
+            keys, _, rank, _ = rank_groups(view.ctx[rows, choice], view.x, view.prob, view.xkey)
             # unseen (ctx, x) would enter at the context's next free rank
             sizes = np.bincount(keys // nx, minlength=view.n_contexts)
             wanted = ctx * nx + view.x[cell]
@@ -537,7 +515,7 @@ def bob_minmax_bracket(cells, rho: float) -> tuple[float, float]:
 def _max_ranks(view: CellView) -> tuple[np.ndarray, np.ndarray]:
     """Each cell's mass and its largest optimal rank over its views (views pooled)."""
     cell, pos, ctx = view.incidences
-    _, _, rank, pair = _ranked(ctx, view.x[cell], view.prob[cell], view.xkey)
+    _, _, rank, pair = rank_groups(ctx, view.x[cell], view.prob[cell], view.xkey)
     per_view = np.zeros(view.ctx.shape, dtype=np.int64)
     per_view[cell, pos] = rank[pair]
     return view.prob, per_view.max(axis=1)

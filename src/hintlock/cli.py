@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,6 +79,14 @@ def _optional(section: dict, key: str, kind: type, default=None, least=None):
     if least is not None and value < least:
         raise ConfigError(f"config error: {key!r} must be at least {least}, got {value}")
     return value
+
+
+def _write(path: str, text: str) -> None:
+    """Write `text` to the file `path`; a path that cannot be written is a config error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise ConfigError(f"config error: cannot write {path!r}: {e.strerror}") from None
 
 
 def _numbers(cfg: dict, key: str, default) -> list:
@@ -255,12 +264,12 @@ def _distortion_spec(joint: JointPmf, dcfg: dict) -> DistortionSpec:
 def cmd_distortion(cfg: dict, args) -> list[ReportRow]:
     joint = _load_source(cfg, args.rational)
     spec = _distortion_spec(joint, _section(cfg, "distortion", {"hamming": True, "delta": 0.0}))
-    n = _optional(cfg, "n", int, 1)
+    n = _optional(cfg, "n", int, 1, least=1)
     rows = []
     for rho in _rho_list(cfg):
         inst = f"rho={fmt(rho)},n={n}"
         _, opt = brute_optimal_distortion_guesser(spec, joint, n, rho)
-        greedy = greedy_cover_guesser(spec, joint, n, rho)
+        greedy = greedy_cover_guesser(spec, joint, n)
         gval = greedy.moment(tuple_product(joint, n), rho)
         rows.append(ReportRow("distortion", inst, "greedy-above-oracle", ">=", gval, opt))
     return rows
@@ -287,13 +296,15 @@ def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
                 joint = _load_source(cfg, args.rational)
                 spec = _distortion_spec(joint, _section(cfg, "distortion"))
                 controls = RdQuery(grid_points=_optional(cfg, "grid_points", int, 400), seed=args.seed)
+                if (dump := cfg.get("dump_witness")) and not isinstance(dump, str):
+                    raise ConfigError(f"config error: 'dump_witness' must be a file name, not {dump!r}")
                 func = rd_exponent_functional(joint, spec, rho, controls)
                 out = rd_privacy_exponent(r1, r2, rho, func.value, e_bob)
                 rows.append(
                     ReportRow("exponent", inst, "rd-functional", "==", func.value, func.value)
                 )
-                if cfg.get("dump_witness"):
-                    Path(cfg["dump_witness"]).write_text(func.witness.to_json())
+                if dump:
+                    _write(dump, func.witness.to_json())
             else:
                 out = twohint_mod.two_hint_exponents(r1, r2, rho, h, e_bob)
             label = "boundary-flagged" if out.boundary else "two-hint-exponent"
@@ -369,18 +380,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = {} if args.config is None else _read_config(args.config)
-        rows = COMMANDS[args.command](cfg, args)
+        rows = [replace(r, note=(r.note + f" seed={args.seed}").strip()) for r in COMMANDS[args.command](cfg, args)]
+        body = rows_to_csv(rows)
+        if args.out:
+            _write(args.out, body)
     except (ConfigError, DomainError, NormalizationError, BudgetExceededError) as e:
         print(e if isinstance(e, ConfigError) else f"config error: {e}", file=sys.stderr)
         return 2
-    rows = [
-        ReportRow(r.suite, r.instance, r.check, r.relation, r.lhs, r.rhs, note=(r.note + f" seed={args.seed}").strip())
-        for r in rows
-    ]
-    body = rows_to_csv(rows)
-    if args.out:
-        Path(args.out).write_text(body)
-    else:
+    if not args.out:
         sys.stdout.write(body)
     print(rows_to_markdown(rows), file=sys.stderr)
     return 0 if all_passed(rows) else 1

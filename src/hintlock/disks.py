@@ -95,15 +95,10 @@ class DeltaHintScheme(SchemeCells):
         return h >> self.r, h & ((1 << self.r) - 1)
 
 
-def _int_to_symbols(z: int, count: int, bits: int) -> tuple:
-    """Big-endian split of an integer into `count` field symbols of `bits` bits."""
-    if bits == 0 or count == 0:
-        return (0,) * count
-    out = []
-    for i in range(count):
-        shift = bits * (count - 1 - i)
-        out.append((z >> shift) & ((1 << bits) - 1))
-    return tuple(out)
+def _int_to_symbols(z: np.ndarray, count: int, bits: int) -> np.ndarray:
+    """Big-endian split of the low count * bits bits of each integer into `count`
+    field symbols of `bits` bits, one row per integer."""
+    return (z[:, None] >> bits * np.arange(count - 1, -1, -1)) & ((1 << bits) - 1)
 
 
 def build_delta_scheme(
@@ -124,43 +119,26 @@ def build_delta_scheme(
     desc_bits = nu * s - eta * r  # = nu*p + (nu-eta)*r
     if version == "list" and not list_room(2**desc_bits, len(joint.x_alphabet)):
         raise DomainError("list version needs 2^(nu*s - eta*r) > log2|X| + 2")
-    support = sum(1 for row in joint.table for v in row if v > 0)
-    if support << (eta * r) > budget:
+    rows = list(joint.support_items())
+    if len(rows) << (eta * r) > budget:
         raise BudgetExceededError("realized support exceeds the enumeration budget")
 
     zmap = descriptor_map(joint, 1 << desc_bits, version)
+    z = np.array(list(zmap.values()), dtype=np.int64)
+    v_sym, w_sym = _int_to_symbols(z >> ((nu - eta) * r), nu, p), _int_to_symbols(z, nu - eta, r)
+    descriptor = dict(zip(zmap, zip(map(tuple, v_sym.tolist()), map(tuple, w_sym.tolist()))))
 
-    fp = field_make(p) if p > 0 else None
-    fr = field_make(r) if r > 0 else None
-    g_v = rs_generator(nu, delta, fp) if p > 0 else None
-    g_uw = rs_generator(nu, delta, fr) if r > 0 else None
-
-    w_bits = (nu - eta) * r
-    descriptor: dict = {}
-    for key, z in zmap.items():
-        v_sym = _int_to_symbols(z >> w_bits, nu, p)
-        w_sym = _int_to_symbols(z & ((1 << w_bits) - 1), nu - eta, r)
-        descriptor[key] = (v_sym, w_sym)
-
-    n_pad = 1 << (eta * r)
-    # Both codes are linear, so encode(u || w) = encode(u || 0) XOR encode(0 || w):
-    # each pad and each distinct V or W symbol tuple is encoded once.
-    def encode(g, sym: tuple) -> np.ndarray:
-        return g.encode(np.array(sym)) if g is not None else np.zeros(delta, dtype=np.int64)
-
-    pad_parts = np.array([encode(g_uw, _int_to_symbols(i, eta, r) + (0,) * (nu - eta)) for i in range(n_pad)])
-    v_parts: dict = {}
-    w_parts: dict = {}
-    rows = list(joint.support_items())
-    for x, y, _ in rows:
-        v_sym, w_sym = descriptor[(x, y)]
-        if v_sym not in v_parts:
-            v_parts[v_sym] = encode(g_v, v_sym) << r
-        if w_sym not in w_parts:
-            w_parts[w_sym] = encode(g_uw, (0,) * eta + w_sym)
-    v = np.array([v_parts[descriptor[(x, y)][0]] for x, y, _ in rows]).reshape(len(rows), 1, delta)
-    w = np.array([w_parts[descriptor[(x, y)][1]] for x, y, _ in rows]).reshape(len(rows), 1, delta)
-    hints = (v | (pad_parts[None] ^ w)).reshape(len(rows) * n_pad, delta)
+    # Both codes are linear, so encode(u || w) = encode(u || 0) XOR encode(0 || w).
+    n_pad, zeros = 1 << (eta * r), np.zeros((len(z), delta), dtype=np.int64)
+    v = rs_generator(nu, delta, field_make(p)).encode(v_sym) << r if p > 0 else zeros
+    w, pads = zeros, np.zeros((1, delta), dtype=np.int64)
+    if r > 0:
+        g_uw = rs_generator(nu, delta, field_make(r))
+        w = g_uw.encode(np.pad(w_sym, ((0, 0), (eta, 0))))
+        pads = g_uw.encode(np.pad(_int_to_symbols(np.arange(n_pad), eta, r), ((0, 0), (0, nu - eta))))
+    index = {key: i for i, key in enumerate(zmap)}
+    at = np.array([index[(x, y)] for x, y, _ in rows], dtype=np.int64)
+    hints = (v[at, None] | (pads[None] ^ w[at, None])).reshape(len(rows) * n_pad, delta)
     law = Law.spread(joint, rows, hints, n_pad, joint.exact, nested=True)
     return DeltaHintScheme(joint, delta, nu, eta, s, p, r, version, descriptor, law)
 

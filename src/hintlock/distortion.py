@@ -79,7 +79,7 @@ class SuccessFunction:
 
     def moment(self, joint: JointPmf, rho: float) -> float:
         ranks = [self.ranks[(x, c)] for x in joint.x_alphabet for c in joint.y_alphabet]  # x-major
-        return power_moment(np.array(joint.table, dtype=float).ravel(), ranks, rho)
+        return power_moment(joint.masses.ravel(), ranks, rho)
 
     def to_json(self) -> str:
         return json.dumps({repr(k): v for k, v in sorted(self.ranks.items(), key=repr)})
@@ -129,12 +129,14 @@ def brute_optimal_distortion_guesser(
     This is the independent oracle every other distortion routine is checked
     against.  Contexts are optimized separately (the objective is additive).
     """
+    if not rho > 0:
+        raise DomainError("rho must be > 0")
     big = tuple_product(joint, n)
     xhat_tuples = tuple_alphabet(spec.xhat_alphabet, n)
     if len(xhat_tuples) > budget:
         raise BudgetExceededError(f"|Xhat|^n = {len(xhat_tuples)} exceeds budget {budget}")
     balls = _ball_matrix(big.x_alphabet, xhat_tuples, spec)
-    best = _best_orders(balls, np.array(big.table, dtype=float).T.copy(), rho)  # one row per context
+    best = _best_orders(balls, big.masses.T, rho)  # one row per context
     total = in_order([moment for _, moment in best])
     rank_rows = [rank_row(order) for order, _ in best]
     ghat = GuessingFunction(xhat_tuples, big.y_alphabet, tuple(rank_rows))
@@ -142,7 +144,7 @@ def brute_optimal_distortion_guesser(
     return sf, total
 
 
-def greedy_cover_guesser(spec: DistortionSpec, joint: JointPmf, n: int, rho: float) -> SuccessFunction:
+def greedy_cover_guesser(spec: DistortionSpec, joint: JointPmf, n: int) -> SuccessFunction:
     """Heuristic: repeatedly guess the reconstruction covering the most
     remaining posterior mass (ties by index).  Not certified optimal; measure
     its gap against the brute-force oracle where that is feasible."""
@@ -151,8 +153,7 @@ def greedy_cover_guesser(spec: DistortionSpec, joint: JointPmf, n: int, rho: flo
     balls = _ball_matrix(big.x_alphabet, xhat_tuples, spec)
     nh = len(xhat_tuples)
     rank_rows = []
-    for j in range(len(big.y_alphabet)):
-        col = np.array([float(p) for p in big.y_column(j)])
+    for col in big.masses.T:
         remaining = col.copy()
         order = []
         unused = list(range(nh))
@@ -200,7 +201,7 @@ def rd_side_info_encoder(
         for x in big.x_alphabet
     }
     ceils = [math.ceil(sf.ranks[(x, c)] / z_count) for x in big.x_alphabet for c in big.y_alphabet]  # x-major
-    ceil_target = power_moment(np.array(big.table, dtype=float).ravel(), ceils, rho)
+    ceil_target = power_moment(big.masses.ravel(), ceils, rho)
     achieved = _optimal_rd_moment_given(big, sf.spec, enc, rho)
     floor = z_count ** (-rho) * sf.moment(big, rho)
     report = {"achieved": achieved, "ceil_target": ceil_target, "floor": max(1.0, floor)}
@@ -213,9 +214,8 @@ def _optimal_rd_moment_given(big: JointPmf, spec: DistortionSpec, enc: dict, rho
     balls = _ball_matrix(big.x_alphabet, xhat_tuples, spec)
     xi = {x: i for i, x in enumerate(big.x_alphabet)}
     groups: dict = {}
-    for i, x in enumerate(big.x_alphabet):
-        for j, c in enumerate(big.y_alphabet):
-            p = float(big.table[i][j])
+    for x, row in zip(big.x_alphabet, big.masses.tolist()):
+        for c, p in zip(big.y_alphabet, row):
             if p > 0:
                 groups.setdefault((c, enc[(x, c)]), []).append((x, p))
     if math.factorial(len(xhat_tuples)) > 50000:
@@ -248,14 +248,14 @@ def rd_encoder_from_guessing(
     enc: dict = {}
     lists: dict = {}
     held = []  # (mass, list) of each positive-mass (x, ctx), x-major
-    for i, x in enumerate(big.x_alphabet):
-        for j, c in enumerate(big.y_alphabet):
+    for x, row in zip(big.x_alphabet, big.masses.tolist()):
+        for c, p in zip(big.y_alphabet, row):
             rank = sf.ranks[(x, c)]
             o = (rank - 1) % omega
             s = math.floor(math.log2(math.ceil(rank / omega)))
             z = o * ns + s
             enc[(x, c)] = z
-            if (p := float(big.table[i][j])) > 0:
+            if p > 0:
                 lists.setdefault((c, z), set()).add(sf.recon[(x, c)])
                 held.append((p, (c, z)))
     lists = {k: tuple(sorted(v, key=repr)) for k, v in lists.items()}
@@ -272,9 +272,9 @@ def rd_guessing_from_lists(
     list (fidelity); violations raise DomainError.
     """
     big = tuple_product(joint, n)
-    for i, x in enumerate(big.x_alphabet):
-        for j, c in enumerate(big.y_alphabet):
-            if float(big.table[i][j]) > 0:
+    for x, row in zip(big.x_alphabet, big.masses.tolist()):
+        for c, p in zip(big.y_alphabet, row):
+            if p > 0:
                 members = lists.get((c, enc[(x, c)]), ())
                 if not any(within(x, xh, spec) for xh in members):
                     raise DomainError(f"fidelity violation at ({x!r}, {c!r})")

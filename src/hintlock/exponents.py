@@ -124,7 +124,7 @@ def _rates(laws: list, spec: DistortionSpec, controls: RdQuery) -> list:
         raise DomainError("joint and distortion spec disagree on the source alphabet")
     d = np.array(spec.d, dtype=float)
     delta = spec.delta
-    columns = [np.array([[float(v) for v in row] for row in law.table]).T.copy() for law in laws]
+    columns = [law.masses.T.copy() for law in laws]
     slices = []  # per law: the context weights p(y) > 0 and the slice laws p(x|y)
     for cols in columns:
         py = cols.sum(axis=1)
@@ -228,7 +228,7 @@ def rd_exponent_functional(
     if not rho > 0:
         raise DomainError("rho must be positive")
     nx, ny = len(p_joint.x_alphabet), len(p_joint.y_alphabet)
-    p = np.array([[float(v) for v in row] for row in p_joint.table])
+    p = p_joint.masses
     upper = renyi_cond_entropy(p_joint, RenyiOrder.from_rho(rho))
 
     def q_of(vec: np.ndarray) -> JointPmf:
@@ -319,7 +319,7 @@ def variational_optimum(p_joint: JointPmf, rho: float) -> tuple[np.ndarray, np.n
     exponentially in their per-context score.  Returns (q, v, value).
     """
     nx, ny = len(p_joint.x_alphabet), len(p_joint.y_alphabet)
-    p = np.array([[float(v) for v in row] for row in p_joint.table])
+    p = p_joint.masses
     tilt = 1.0 / (1.0 + rho)
     v = np.zeros((nx, ny))
     scores = np.zeros(ny)

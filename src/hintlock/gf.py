@@ -110,10 +110,11 @@ class GenMatrix:
         return GenMatrix(kprime, self.n, self.field, self.entries[:kprime].copy())
 
     def encode(self, message: np.ndarray) -> np.ndarray:
-        """message (length k) times the matrix, over the field."""
-        out = np.zeros(self.n, dtype=np.int64)
+        """message (length k, or one message per row) times the matrix, over the field."""
+        message = np.asarray(message, dtype=np.int64)
+        out = np.zeros((*message.shape[:-1], self.n), dtype=np.int64)
         for i in range(self.k):
-            out ^= self.field.mul_vec(np.int64(message[i]), self.entries[i])
+            out ^= self.field.mul_vec(message[..., i, None], self.entries[i])
         return out
 
     def to_csv(self) -> str:

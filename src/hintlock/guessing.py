@@ -2,11 +2,12 @@
 
 A guessing function assigns, per observed context, a permutation rank to every
 source symbol; the rho-th guessing moment E[G(X|ctx)^rho] is the ambiguity
-measure used throughout.  Ties between equal posteriors go by ascending
-symbol index here, and zero-posterior symbols always rank after positive ones;
-the adversary layer ranks a law's cells with ties by repr(x) instead.  Ties
-never change a moment, but can change a cell's rank and so Bob's upper end.
-Every expected power of a rank or list size is summed by `power_moment`.
+measure used throughout.  `rank_groups` is the one ranking rule: by
+descending posterior within a context, ties broken by a given order -- symbol
+index for sources (zero-posterior symbols rank after positive ones), repr(x)
+in the adversary layer.  Ties never change a moment, but can change a cell's
+rank and so Bob's upper end.  Every expected power of a rank or list size is
+summed by `power_moment`.
 """
 
 from __future__ import annotations
@@ -56,12 +57,30 @@ def optimal_guesser(joint: JointPmf) -> GuessingFunction:
     `joint` is a JointPmf whose Y axis plays the role of the conditioning
     context.  Contexts of zero mass get the same deterministic index order.
     """
-    nx = len(joint.x_alphabet)
-    rank_rows = []
-    for j in range(len(joint.y_alphabet)):
-        col = [float(p) for p in joint.y_column(j)]
-        rank_rows.append(rank_row(sorted(range(nx), key=lambda i: (-col[i], i))))
-    return GuessingFunction(joint.x_alphabet, joint.y_alphabet, tuple(rank_rows))
+    nx, ny = joint.masses.shape
+    ctx, key = np.divmod(np.arange(ny * nx), nx)  # y-major
+    rank = rank_groups(ctx, key, joint.masses.T.ravel(), np.arange(nx))[2]
+    return GuessingFunction(joint.x_alphabet, joint.y_alphabet, rank.reshape(ny, nx).tolist())
+
+
+def group_starts(keys: np.ndarray) -> np.ndarray:
+    """For sorted `keys`, the index where each entry's run of equal keys starts."""
+    idx = np.arange(len(keys))
+    return np.maximum.accumulate(np.where(np.r_[True, keys[1:] != keys[:-1]], idx, 0))
+
+
+def rank_groups(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, tie: np.ndarray):
+    """The distinct (context, key) pairs of the entries (codes context * len(tie) + key,
+    sorted), their masses merged in entry order, their ranks from 1 in each context
+    by descending mass (ties by `tie[key]`), and the pair of each entry."""
+    nk = len(tie)
+    keys, pair = np.unique(ctx * nk + key, return_inverse=True)
+    merged = np.zeros(len(keys))
+    np.add.at(merged, pair, mass)
+    order = np.lexsort((tie[keys % nk], -merged, keys // nk))
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys)) - group_starts(keys[order] // nk) + 1
+    return keys, merged, rank, pair
 
 
 def rank_row(order) -> tuple:
@@ -76,7 +95,7 @@ def guess_moment(g: GuessingFunction, joint: JointPmf, rho: float) -> float:
     """E[G(X|ctx)^rho] under the joint law."""
     if g.x_alphabet != joint.x_alphabet or g.context_alphabet != joint.y_alphabet:
         raise DomainError("guessing function defined on different alphabets")
-    return power_moment(np.array(joint.table, dtype=float).T.ravel(), np.array(g.ranks).ravel(), rho)  # y-major
+    return power_moment(joint.masses.T.ravel(), np.array(g.ranks).ravel(), rho)  # y-major
 
 
 def power_terms(masses, ks, rho: float) -> np.ndarray:
@@ -114,7 +133,7 @@ def sorted_moment(masses, rho: float) -> float:
 
 def optimal_guess_moment(joint: JointPmf, rho: float) -> float:
     """min over guessing functions of E[G(X|ctx)^rho]: sort each context."""
-    return in_order([sorted_moment(col, rho) for col in np.array(joint.table, dtype=float).T.tolist()])
+    return in_order([sorted_moment(col, rho) for col in joint.masses.T.tolist()])
 
 
 def arikan_bounds(joint: JointPmf, rho: float) -> tuple[float, float]:
@@ -145,7 +164,7 @@ def side_info_encoder(joint: JointPmf, z_count: int) -> dict:
 def ceil_moment(joint: JointPmf, z_count: int, rho: float) -> float:
     """E[ceil(G*(X|ctx)/z_count)^rho] for the optimal guesser."""
     ceil = -(-np.array(optimal_guesser(joint).ranks) // z_count)
-    return power_moment(np.array(joint.table, dtype=float).T.ravel(), ceil.ravel(), rho)  # y-major
+    return power_moment(joint.masses.T.ravel(), ceil.ravel(), rho)  # y-major
 
 
 def side_info_lower_bound(joint: JointPmf, z_count: int, rho: float) -> float:

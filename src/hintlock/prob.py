@@ -3,7 +3,9 @@
 Probabilities are backed either by float64 (default, tolerance 1e-9) or by
 exact `fractions.Fraction` (rational mode).  Rational mode matters wherever
 exact zeros decide supports: decoding lists, independence checks, and pad
-secrecy all compare against exact zero, never against a tolerance.
+secrecy all compare against exact zero, never against a tolerance.  So a
+`JointPmf`'s `table` is exact and decides supports; `masses` is its one float
+view (a positive Fraction below the float range is 0.0 there).
 
 All entropies are in bits (log base 2).  The conditional Renyi entropy of
 order alpha is
@@ -20,7 +22,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Sequence
+
+import numpy as np
 
 NORM_TOL = 1e-9
 
@@ -162,6 +167,13 @@ class JointPmf:
         """Embed a marginal PMF as a joint with a null (single-symbol) Y."""
         return cls(pmf.symbols, (0,), tuple((p,) for p in pmf.probs))
 
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """The table as a read-only float64 |X| x |Y| array, each entry float(p)."""
+        masses = np.array(self.table, dtype=float)
+        masses.flags.writeable = False
+        return masses
+
     def prob(self, x, y) -> Number:
         return self.table[self.x_alphabet.index(x)][self.y_alphabet.index(y)]
 
@@ -232,8 +244,7 @@ def renyi_cond_entropy(joint: JointPmf, alpha) -> float:
     contribute to the sums.
     """
     a = _coerce_order(alpha)
-    ny = len(joint.y_alphabet)
-    cols = [[float(p) for p in joint.y_column(j)] for j in range(ny)]
+    cols = joint.masses.T.tolist()
     if a == 1.0:
         return shannon_cond_entropy(joint)
     if a == 0.0:
@@ -252,8 +263,7 @@ def renyi_cond_entropy(joint: JointPmf, alpha) -> float:
 def shannon_cond_entropy(joint: JointPmf) -> float:
     """H(X|Y) in bits, with 0 log 0 = 0."""
     h = 0.0
-    for j in range(len(joint.y_alphabet)):
-        col = [float(p) for p in joint.y_column(j)]
+    for col in joint.masses.T.tolist():
         py = sum(col)
         if py <= 0:
             continue
@@ -274,10 +284,7 @@ def kl_divergence(q: JointPmf | Pmf, p: JointPmf | Pmf) -> float:
     else:
         if q.x_alphabet != p.x_alphabet or q.y_alphabet != p.y_alphabet:
             raise AlphabetMismatchError("different alphabets")
-        pairs = zip(
-            (v for row in q.table for v in row),
-            (v for row in p.table for v in row),
-        )
+        pairs = zip(q.masses.ravel().tolist(), p.masses.ravel().tolist())
     div = 0.0
     for qv, pv in pairs:
         qf, pf = float(qv), float(pv)

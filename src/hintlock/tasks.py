@@ -102,10 +102,10 @@ def decoding_lists(enc, joint: JointPmf) -> DecodingListTable:
 
 def list_moment(lists: DecodingListTable, joint: JointPmf, rho: float, enc) -> float:
     """E[|L^ctx_Z|^rho] under the encoder's description law."""
-    masses, sizes = [], []  # context-major; a list can be empty
+    masses, sizes, cols = [], [], joint.masses.T.tolist()  # context-major; a list can be empty
     for j, c in enumerate(joint.y_alphabet):
         for i, x in enumerate(joint.x_alphabet):
-            if (p := float(joint.table[i][j])) > 0:
+            if (p := cols[j][i]) > 0:
                 for z in enc.emit_set(x, c):
                     masses.append(p * float(enc.prob(z, x, c)))
                     sizes.append(len(lists.list_for(c, z)))

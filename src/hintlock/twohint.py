@@ -26,6 +26,7 @@ import numpy as np
 from .adversary import CellView, Law, SchemeCells, eve_ambiguity, eve_floor, moment_for_constant, support_moment
 from .adversary import eve_exact_matching  # noqa: F401  (re-exported: perfbench reaches the oracle here)
 from .bounds import ExponentOutcome, bob_converse, bob_direct, list_room, privacy_exponent, theorem_rows
+from .guessing import rank_groups
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow
 from .tasks import descriptor_map
@@ -408,14 +409,10 @@ def build_eve_list_scheme(
         for zp in range(n)
         if (w := p if n == 1 else p * stay if zp == zmap[(x, y)] else p * move_total / (n - 1)) > 0
     ]
-    groups: dict = {}
-    for i, (_, y, zp, _) in enumerate(smoothed):
-        groups.setdefault((y, zp), []).append(i)
-    xi = {x: i for i, x in enumerate(joint.x_alphabet)}
-    rank = [0] * len(smoothed)
-    for members in groups.values():
-        for r, i in enumerate(sorted(members, key=lambda i: (-float(smoothed[i][3]), xi[smoothed[i][0]])), start=1):
-            rank[i] = r
+    xi, yi = ({v: i for i, v in enumerate(alphabet)} for alphabet in (joint.x_alphabet, joint.y_alphabet))
+    ctx, key = np.array([(yi[y] * n + zp, xi[x]) for x, y, zp, _ in smoothed], dtype=np.int64).T
+    _, _, rank, pair = rank_groups(ctx, key, np.array([w for *_, w in smoothed], dtype=float), np.arange(nx))
+    rank = rank[pair].tolist()
     items = ((x, y, (math.floor(math.log2(r)), zp % c1, zp // c1), w) for r, (x, y, zp, w) in zip(rank, smoothed))
     return EveListScheme(joint, cs, c1, c2, m1_size, m2_size, epsilon, _padded_law(joint, items, cs, c1, c2, exact))
 

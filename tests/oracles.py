@@ -17,11 +17,10 @@ import pytest
 
 from hintlock import adversary
 from hintlock.adversary import Cell
-from hintlock.disks import _int_to_symbols
 from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, variational_optimum
 from hintlock.gf import field_make, rs_generator
-from hintlock.guessing import sorted_moment
+from hintlock.guessing import rank_row, sorted_moment
 from hintlock.prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from hintlock.tasks import StochTaskEncoder, descriptor_map
 
@@ -140,6 +139,31 @@ def eve_list_law(joint, m1_size: int, m2_size: int, epsilon: float) -> dict:
     return padded_law(items, cs, c1, c2, exact)
 
 
+def int_to_symbols(z: int, count: int, bits: int) -> tuple:
+    """Big-endian split of an integer into `count` field symbols of `bits` bits."""
+    return tuple((z >> bits * (count - 1 - i)) & ((1 << bits) - 1) for i in range(count))
+
+
+def delta_descriptor(sch) -> dict:
+    """A delta scheme's (x, y) -> (V symbols, W symbols), each descriptor split on its own."""
+    nu, eta, p, r = sch.nu, sch.eta, sch.p, sch.r
+    w_bits = (nu - eta) * r
+    descriptor = {}
+    for key, z in descriptor_map(sch.joint, 1 << (nu * p + w_bits), sch.version).items():
+        descriptor[key] = (int_to_symbols(z >> w_bits, nu, p), int_to_symbols(z & ((1 << w_bits) - 1), nu - eta, r))
+    return descriptor
+
+
+def per_context_ranks(joint: JointPmf) -> tuple:
+    """The optimal guesser's ranks, one context at a time: a sort by descending
+    float mass, ties by symbol index."""
+    nx, rows = len(joint.x_alphabet), []
+    for j in range(len(joint.y_alphabet)):
+        col = [float(p) for p in joint.y_column(j)]
+        rows.append(rank_row(sorted(range(nx), key=lambda i: (-col[i], i))))
+    return tuple(rows)
+
+
 def delta_law(sch) -> dict:
     """A delta scheme's law with one encode per (x, y, pad), as the construction reads."""
     zero = np.zeros(sch.delta, dtype=np.int64)
@@ -151,7 +175,7 @@ def delta_law(sch) -> dict:
         v_sym, w_sym = sch.descriptor[(x, y)]
         mp = g_v.encode(np.array(v_sym)) if g_v else zero
         for pad in range(n_pad):
-            mr = g_uw.encode(np.array(_int_to_symbols(pad, sch.eta, sch.r) + w_sym)) if g_uw else zero
+            mr = g_uw.encode(np.array(int_to_symbols(pad, sch.eta, sch.r) + w_sym)) if g_uw else zero
             law[(x, y, tuple(int(a) << sch.r | int(b) for a, b in zip(mp, mr)))] = prob / n_pad
     return law
 

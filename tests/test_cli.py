@@ -189,6 +189,9 @@ MALFORMED = {
     "mass-not-a-number": ["entropy", {"source": {"x": [0, 1], "p": ["a", 0.5]}}],
     "y-not-a-list": ["entropy", {"source": {"x": [0, 1], "y": 5, "p": [[0.5], [0.5]]}}],
     "d-not-a-table": ["distortion", {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": 5}}],
+    "distortion-rho-zero": ["distortion", {"source": {"uniform": 2}, "rho": 0}],
+    "distortion-rho-negative": ["distortion", {"source": {"uniform": 2}, "rho": -1}],
+    "distortion-n-zero": ["distortion", {"source": {"uniform": 2}, "n": 0}],
     "task-z-count-negative": ["task", {"source": {"uniform": 4}, "rho": [1.0], "z_count": -1}],
     "task-z-count-zero": ["task", {"source": {"uniform": 4}, "rho": [1.0], "z_count": 0}],
     "guess-z-count-zero": ["guess", {"source": {"uniform": 4}, "rho": [1.0], "z_count": 0}],
@@ -205,10 +208,9 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("command, config", MALFORMED.values(), ids=MALFORMED)
-def test_malformed_config_exits_2_with_one_line(command, config):
+def assert_one_line_config_error(*argv) -> None:
     proc = subprocess.run(
-        [sys.executable, "-m", "hintlock.cli", command, json.dumps(config)],
+        [sys.executable, "-m", "hintlock.cli", *argv],
         env=_child_env(),
         capture_output=True,
         text=True,
@@ -218,6 +220,34 @@ def test_malformed_config_exits_2_with_one_line(command, config):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("config error"), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, config", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_config_exits_2_with_one_line(command, config):
+    assert_one_line_config_error(command, json.dumps(config))
+
+
+# a two-symbol rate-distortion functional: about 2 s per run
+SMALL_FUNCTIONAL = {
+    "source": {"uniform": 2},
+    "rates": {"r1": 0.5, "r2": 0.5},
+    "distortion": {"hamming": True, "delta": 0.1},
+    "grid_points": 3,
+}
+UNWRITABLE = ["out-a-directory", "out-in-a-missing-directory", "witness-a-directory", "witness-a-number"]
+
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_unwritable_output_exits_2_with_one_line(tmp_path, case):
+    entropy = json.dumps({"source": {"uniform": 2}})
+    argv = {
+        "out-a-directory": ["entropy", entropy, "--out", str(tmp_path)],
+        "out-in-a-missing-directory": ["entropy", entropy, "--out", str(tmp_path / "missing" / "x.csv")],
+        "witness-a-directory": ["exponent", json.dumps({**SMALL_FUNCTIONAL, "dump_witness": str(tmp_path)})],
+        "witness-a-number": ["exponent", json.dumps({**SMALL_FUNCTIONAL, "dump_witness": 5})],
+    }[case]
+    assert_one_line_config_error(*argv)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_long_literal_config(capsys):

@@ -43,14 +43,18 @@ def test_acceptance_instance_structure():
     [
         (U16, (3, 2, 1, 4, 2, 2, "guessing")),
         (U16, (3, 2, 1, 4, 2, 2, "list")),
-        (U4, (3, 2, 1, 2, 2, 0, "guessing")),
-        (U4, (3, 2, 1, 2, 0, 2, "guessing")),
-        (U4, (2, 2, 0, 1, 1, 0, "guessing")),
+        (U4, (3, 2, 1, 2, 2, 0, "guessing")),  # r = 0
+        (U4, (3, 2, 1, 2, 0, 2, "guessing")),  # p = 0
+        (U4, (2, 2, 0, 1, 1, 0, "guessing")),  # eta = 0
         (random_joint(np.random.default_rng(3), 6, 3), (4, 3, 2, 4, 2, 2, "guessing")),
+        (random_joint(np.random.default_rng(5), 6, 3, exact=True, zeros=0.3), (4, 3, 0, 4, 2, 2, "list")),
     ],
 )
 def test_law_equals_per_realization_encode(joint, params):
     sch = build_delta_scheme(joint, *params)
+    # the descriptor: every (x, y) in descriptor-map order, each split on its own
+    assert list(sch.descriptor.items()) == list(oracles.delta_descriptor(sch).items())
+    assert all(type(v) is int for pair in sch.descriptor.values() for part in pair for v in part)
     assert list(sch.law.items()) == list(oracles.delta_law(sch).items())
 
 

@@ -87,10 +87,10 @@ def test_brute_budget():
 def test_greedy_matches_oracle_on_easy_cases():
     spec0 = DistortionSpec.hamming((0, 1, 2), 0.0)
     _, opt = brute_optimal_distortion_guesser(spec0, J3, 1, 1.0)
-    g = greedy_cover_guesser(spec0, J3, 1, 1.0)
+    g = greedy_cover_guesser(spec0, J3, 1)
     assert g.moment(_tuple_wrap(J3), 1.0) == pytest.approx(opt, abs=1e-12)
     big = DistortionSpec((0, 1, 2), (0, 1, 2), ASYM.d, 2.0)
-    g2 = greedy_cover_guesser(big, J3, 1, 1.0)
+    g2 = greedy_cover_guesser(big, J3, 1)
     assert g2.moment(_tuple_wrap(J3), 1.0) == pytest.approx(1.0)
 
 
@@ -102,7 +102,7 @@ def test_greedy_gap_measured_against_oracle():
         np.fill_diagonal(d, 0.0)
         spec = DistortionSpec((0, 1, 2), (0, 1, 2), tuple(map(tuple, d)), float(rng.uniform(0.1, 0.6)))
         j = random_joint(rng, 3, 1)
-        sfg = greedy_cover_guesser(spec, j, 1, 1.0)
+        sfg = greedy_cover_guesser(spec, j, 1)
         _, opt = brute_optimal_distortion_guesser(spec, j, 1, 1.0)
         gap = sfg.moment(_tuple_wrap(j), 1.0) - opt
         assert gap >= -1e-12
@@ -119,7 +119,7 @@ def test_side_info_encoder_bounds():
             assert rep["achieved"] == pytest.approx(opt)
         if z >= 3:
             assert rep["achieved"] == pytest.approx(1.0)
-    g = greedy_cover_guesser(ASYM, J3, 1, 1.0)
+    g = greedy_cover_guesser(ASYM, J3, 1)
     with pytest.raises(DomainError):
         rd_side_info_encoder(g, J3, 1, 2, 1.0)  # not oracle-certified
 

@@ -83,9 +83,11 @@ def test_encode_matches_polynomial_evaluation():
     f = field_make(3)
     g = rs_generator(3, 8, f)
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        msg = rng.integers(0, 8, size=3)
-        word = g.encode(msg)
+    messages = rng.integers(0, 8, size=(20, 3))
+    words = g.encode(messages)  # one message per row, in one call
+    assert words.shape == (20, 8) and g.encode(messages[:0]).shape == (0, 8)
+    for msg, word in zip(messages, words):
+        assert np.array_equal(word, g.encode(msg))
         # column j >= 1 evaluates the message polynomial at alpha^(j-1)
         assert word[0] == msg[0]
         for j in range(1, 8):

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -22,7 +23,7 @@ from hintlock.guessing import (
     sorted_moment,
 )
 from hintlock.prob import JointPmf, Pmf
-from oracles import encoder_guess_moment, stochastic_side_info_moment
+from oracles import encoder_guess_moment, per_context_ranks, stochastic_side_info_moment
 
 
 def test_sorted_moment_adds_left_to_right():
@@ -58,6 +59,19 @@ def test_optimal_guesser_tie_break_and_order():
     assert optimal_guesser(j2).ranks[0] == (1, 2, 3)
     j3 = JointPmf.from_marginal(Pmf.of([0.2, 0.5, 0.3]))
     assert optimal_guesser(j3).ranks[0] == (3, 1, 2)
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.booleans(), st.data())
+def test_optimal_guesser_equals_the_per_context_sort(nx, ny, exact, data):
+    # few distinct weights, so masses tie; some contexts are all zero
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=nx * ny, max_size=nx * ny))
+    zero_ctx = data.draw(st.sets(st.integers(0, ny - 1), max_size=ny - 1))
+    weights = [0 if k % ny in zero_ctx else w for k, w in enumerate(weights)]
+    if not any(weights):
+        weights[max(set(range(ny)) - zero_ctx)] = 1
+    cells = [Fraction(w, sum(weights)) if exact else w / sum(weights) for w in weights]
+    joint = JointPmf.of([cells[i * ny : (i + 1) * ny] for i in range(nx)], exact=exact)
+    assert optimal_guesser(joint).ranks == per_context_ranks(joint)
 
 
 def test_zero_posterior_ranks_after_positive():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hintlock.prob import (
     AlphabetMismatchError,
@@ -18,6 +20,7 @@ from hintlock.prob import (
     shannon_cond_entropy,
     validate,
 )
+from hintlock.tasks import DetTaskEncoder, decoding_lists
 
 
 def direct_renyi(table, alpha):
@@ -182,3 +185,36 @@ def test_mixed_fraction_float_tables_rejected():
     with pytest.raises(NormalizationError):
         Pmf((0, 1), (Fraction(1, 2), 0.5))
     assert JointPmf((0, 1), (0,), ((Fraction(1, 3),), (Fraction(2, 3),))).exact
+
+
+TINY = Fraction(1, 10**400)  # positive, but 0.0 as a float
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.booleans(), st.booleans(), st.data())
+def test_masses_are_the_float_of_each_entry(nx, ny, exact, tiny, data):
+    weights = data.draw(st.lists(st.integers(0, 6), min_size=nx * ny, max_size=nx * ny).filter(any))
+    cells = [Fraction(w, sum(weights)) if exact else w / sum(weights) for w in weights]
+    if exact and tiny and 0 in weights:  # a positive mass below the float range, in place of a zero
+        k, big = weights.index(0), weights.index(max(weights))
+        cells[k], cells[big] = TINY, cells[big] - TINY
+    joint = JointPmf.of([cells[i * ny : (i + 1) * ny] for i in range(nx)], exact=exact)
+    masses = joint.masses
+    assert masses.dtype == np.float64 and masses.shape == (nx, ny) and joint.masses is masses
+    assert [[v.hex() for v in row] for row in masses.tolist()] == [[float(p).hex() for p in row] for row in joint.table]
+    with pytest.raises(ValueError):
+        masses[0, 0] = 0.5
+    # supports and decoding lists read the exact table, so a tiny mass stays in both
+    xs, ys = joint.x_alphabet, joint.y_alphabet
+    support = {(x, y) for x, y, _ in joint.support_items()}
+    assert support == {(x, y) for x, row in zip(xs, joint.table) for y, p in zip(ys, row) if p > 0}
+    lists = decoding_lists(DetTaskEncoder(xs, ys, (0,), {(x, y): 0 for x in xs for y in ys}), joint)
+    assert {(x, y) for (y, _), members in lists.lists.items() for x in members} == support
+
+
+def test_tiny_positive_mass_is_zero_in_masses_only():
+    joint = JointPmf.of([[Fraction(1, 2), TINY], [Fraction(1, 2) - TINY, Fraction(0)]], exact=True)
+    assert joint.masses.tolist() == [[0.5, 0.0], [0.5, 0.0]]
+    assert (0, 1, TINY) in joint.support_items()
+    one_z = DetTaskEncoder((0, 1), (0, 1), (0,), {(x, y): 0 for x in (0, 1) for y in (0, 1)})
+    assert decoding_lists(one_z, joint).list_for(1, 0) == (0,)
