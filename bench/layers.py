@@ -37,7 +37,9 @@ run takes about 5 ms, and reports reference seconds per call:
 - `support_moment` and `bob_minmax_bracket` on Bob's view, prepared;
 - `twohint._eve_floor`, the certified floor on Eve.
 
-Only names that exist on both sides are timed.
+Only names that exist on both sides are timed: a builder or kernel that calls
+a function one tree lacks is dropped from that tree's run, and the record lists
+it under `skipped`.
 
 The output file keeps a trajectory: a list of records, oldest first.  Each run
 appends its record; a record for the same two commits replaces the older one.
@@ -55,6 +57,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import types
 from io import BytesIO
 from pathlib import Path
 
@@ -64,17 +67,30 @@ SEED = 1  # the benchmark's default seed
 
 
 def _builders(hl, twohint):
-    """name -> (build(joint), view attributes, verify(scheme, rho)): the scheme-sweep-exact jobs."""
-    views, two_hint = ("bob_cells", "eve_cells"), hl.verify_finite_blocklength
-    eve_list = (lambda j: hl.build_eve_list_scheme(j, 8, 8, 20), (*views, "no_hint_cells"), twohint.verify_eve_list)
+    """name -> (build(joint), view attributes, verify(scheme, rho)): the scheme-sweep-exact jobs.
+
+    Every function is looked up when it is called, so a job whose functions a
+    tree lacks fails alone."""
+    views, two_hint = ("bob_cells", "eve_cells"), _late(hl, "verify_finite_blocklength")
+    eve_views = (*views, "no_hint_cells")
     return {
         "two-hint-guessing": (lambda j: hl.build_two_hint(j, 4, 4, 4, "guessing"), views, two_hint),
         "two-hint-list": (lambda j: hl.build_two_hint(j, 4, 4, 4, "list"), views, two_hint),
-        "secret-hint": (lambda j: hl.build_secret_hint(j, 4, 4), views, twohint.verify_secret_hint),
-        "secret-key": (lambda j: hl.build_secret_key(j, 4, 4), views, twohint.verify_secret_key),
-        "eve-list": eve_list,
-        "delta-disk": (lambda j: hl.build_delta_scheme(j, 4, 2, 1, 4, 2, 2), views, hl.verify_disk_theorems),
+        "secret-hint": (lambda j: hl.build_secret_hint(j, 4, 4), views, _late(twohint, "verify_secret_hint")),
+        "secret-key": (lambda j: hl.build_secret_key(j, 4, 4), views, _late(twohint, "verify_secret_key")),
+        "eve-list": (lambda j: hl.build_eve_list_scheme(j, 8, 8, 20), eve_views, _late(twohint, "verify_eve_list")),
+        "delta-disk": (lambda j: hl.build_delta_scheme(j, 4, 2, 1, 4, 2, 2), views, _late(hl, "verify_disk_theorems")),
     }
+
+
+def _late(module, name: str):
+    """`module.name`, looked up when it is called."""
+    return lambda *args: getattr(module, name)(*args)
+
+
+def _lacking(error: AttributeError) -> bool:
+    """Whether `error` is a module-level name this tree lacks, not a fault inside a call."""
+    return isinstance(error.obj, types.ModuleType)
 
 
 def _kernels(hl, twohint, joint, triple) -> dict:
@@ -118,20 +134,25 @@ def kernels_child(reps: int) -> dict:
     out = {name: {label: [] for label in inputs} for name in small}
     clock = [kernel_seconds()]
     for _ in range(reps):
-        for name in small:
-            for label, kernels in inputs.items():
-                total = 0.0
-                for kernel in (k[name] for k in kernels):
-                    kernel()  # warm: a prepared kernel times its prepared path
-                    start = time.perf_counter()
-                    calls = 0
-                    while time.perf_counter() - start < 0.005:
-                        kernel()
-                        calls += 1
-                    elapsed = (time.perf_counter() - start) / calls
-                    clock.append(kernel_seconds())
-                    total += elapsed / ((clock[-2] + clock[-1]) / 2) * REFERENCE_S
-                out[name][label].append(total)
+        for name in list(out):
+            try:
+                for label, kernels in inputs.items():
+                    total = 0.0
+                    for kernel in (k[name] for k in kernels):
+                        kernel()  # warm: a prepared kernel times its prepared path
+                        start = time.perf_counter()
+                        calls = 0
+                        while time.perf_counter() - start < 0.005:
+                            kernel()
+                            calls += 1
+                        elapsed = (time.perf_counter() - start) / calls
+                        clock.append(kernel_seconds())
+                        total += elapsed / ((clock[-2] + clock[-1]) / 2) * REFERENCE_S
+                    out[name][label].append(total)
+            except AttributeError as e:
+                if not _lacking(e):
+                    raise
+                del out[name]
     return out
 
 
@@ -158,13 +179,20 @@ def child(reps: int) -> dict:
         return result, elapsed / ((clock[-2] + clock[-1]) / 2) * REFERENCE_S
 
     for _ in range(reps):
-        for name, (build, views, verify) in builders.items():
+        for name in list(out):
+            build, views, verify = builders[name]
             totals = dict.fromkeys(out[name], 0.0)
-            for joint in sources:
-                scheme, seconds = measured(lambda: build(joint))
-                totals["build"] += seconds
-                totals["views"] += measured(lambda: [getattr(scheme, v) for v in views])[1]
-                totals["first_rho"] += measured(lambda: verify(scheme, RHO))[1]
+            try:
+                for joint in sources:
+                    scheme, seconds = measured(lambda: build(joint))
+                    totals["build"] += seconds
+                    totals["views"] += measured(lambda: [getattr(scheme, v) for v in views])[1]
+                    totals["first_rho"] += measured(lambda: verify(scheme, RHO))[1]
+            except AttributeError as e:
+                if not _lacking(e):
+                    raise
+                del out[name]
+                continue
             for stage, value in totals.items():
                 out[name][stage].append(value)
     return out
@@ -251,7 +279,9 @@ def main(argv=None) -> int:
     record[args.layer] = {
         name: {stage: {side: _quartiles(samples[side][name][stage]) for side in samples} for stage in stages}
         for name, stages in samples["change"].items()
+        if name in samples["base"]
     }
+    record["skipped"] = sorted(samples["base"].keys() ^ samples["change"].keys())
     out = Path(args.out or f"BENCH_{args.layer}.json")
     records = json.loads(out.read_text()) if out.exists() else []
     records = [old for old in records if old["commits"] != record["commits"]]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -81,6 +82,13 @@ def _optional(section: dict, key: str, kind: type, default=None, least=None):
     return value
 
 
+def _check_writable(path: str) -> None:
+    """A config error unless the file `path` could be written; creates nothing."""
+    target = Path(path)
+    if target.is_dir() or not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise ConfigError(f"config error: cannot write {path!r}")
+
+
 def _write(path: str, text: str) -> None:
     """Write `text` to the file `path`; a path that cannot be written is a config error."""
     try:
@@ -129,7 +137,10 @@ def _load_source(cfg: dict, rational: bool) -> JointPmf:
 
 
 def _rho_list(cfg: dict) -> list[float]:
-    return [_number(r, float, "rho") for r in _numbers(cfg, "rho", 1.0)]
+    rhos = [_number(r, float, "rho") for r in _numbers(cfg, "rho", 1.0)]
+    if not all(map(math.isfinite, rhos)):
+        raise ConfigError(f"config error: 'rho' must be finite, got {rhos}")
+    return rhos
 
 
 def cmd_entropy(cfg: dict, args) -> list[ReportRow]:
@@ -298,6 +309,8 @@ def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
                 controls = RdQuery(grid_points=_optional(cfg, "grid_points", int, 400), seed=args.seed)
                 if (dump := cfg.get("dump_witness")) and not isinstance(dump, str):
                     raise ConfigError(f"config error: 'dump_witness' must be a file name, not {dump!r}")
+                if dump:
+                    _check_writable(dump)
                 func = rd_exponent_functional(joint, spec, rho, controls)
                 out = rd_privacy_exponent(r1, r2, rho, func.value, e_bob)
                 rows.append(
@@ -386,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
             _write(args.out, body)
     except (ConfigError, DomainError, NormalizationError, BudgetExceededError) as e:
         print(e if isinstance(e, ConfigError) else f"config error: {e}", file=sys.stderr)
+        return 2
+    except OverflowError as e:  # a parameter too large for float arithmetic, such as rho = 800
+        print(f"config error: a parameter is out of floating-point range: {e}", file=sys.stderr)
         return 2
     if not args.out:
         sys.stdout.write(body)

@@ -36,7 +36,6 @@ from .bounds import (
     bob_direct,
     eve_converse,
     eve_direct,
-    list_room,
     privacy_exponent,
     theorem_rows,
 )
@@ -52,13 +51,10 @@ from .report import ReportRow, fmt
 from .tasks import descriptor_map
 
 
-def _admissible_pr(p: int, r: int, s: int, delta: int) -> None:
-    if p + r != s:
-        raise DomainError(f"need p + r = s, got {p}+{r} != {s}")
-    need = math.ceil(math.log2(delta))
-    for name, v in (("p", p), ("r", r)):
-        if v != 0 and v < need:
-            raise DomainError(f"{name}={v} must be 0 or at least ceil(log2 delta)={need}")
+def _admissible(p: int, r: int, delta: int) -> bool:
+    """Each of p and r is 0 or at least ceil(log2 delta), so that both codes
+    exist: an MDS code of length delta over GF(2^v) needs 2^v >= delta."""
+    return all(v == 0 or v >= math.ceil(math.log2(delta)) for v in (p, r))
 
 
 @dataclass(frozen=True)
@@ -81,15 +77,6 @@ class DeltaHintScheme(SchemeCells):
     @property
     def eve_positions(self) -> list:  # any eta hints
         return list(combinations(range(self.delta), self.eta))
-
-    def share_blob(self, hints: tuple) -> bytes:
-        width = max(1, (self.s + 7) // 8)
-        return b"".join(int(h).to_bytes(width, "big") for h in hints)
-
-    def unpack_blob(self, blob: bytes) -> tuple:
-        width = max(1, (self.s + 7) // 8)
-        vals = [int.from_bytes(blob[i * width : (i + 1) * width], "big") for i in range(self.delta)]
-        return tuple(vals)
 
     def split_hint(self, h: int) -> tuple[int, int]:
         return h >> self.r, h & ((1 << self.r) - 1)
@@ -115,15 +102,13 @@ def build_delta_scheme(
     """Build the nested-MDS hint scheme for admissible (p, r)."""
     if not 0 <= eta < nu <= delta:
         raise DomainError(f"need 0 <= eta < nu <= delta, got eta={eta}, nu={nu}, delta={delta}")
-    _admissible_pr(p, r, s, delta)
-    desc_bits = nu * s - eta * r  # = nu*p + (nu-eta)*r
-    if version == "list" and not list_room(2**desc_bits, len(joint.x_alphabet)):
-        raise DomainError("list version needs 2^(nu*s - eta*r) > log2|X| + 2")
+    if p + r != s or not _admissible(p, r, delta):
+        raise DomainError(f"need p + r = s with p and r each 0 or at least ceil(log2 delta), got p={p}, r={r}, s={s}")
+    zmap = descriptor_map(joint, 1 << (nu * s - eta * r), version)  # nu*p + (nu-eta)*r descriptor bits
     rows = list(joint.support_items())
     if len(rows) << (eta * r) > budget:
         raise BudgetExceededError("realized support exceeds the enumeration budget")
 
-    zmap = descriptor_map(joint, 1 << desc_bits, version)
     z = np.array(list(zmap.values()), dtype=np.int64)
     v_sym, w_sym = _int_to_symbols(z >> ((nu - eta) * r), nu, p), _int_to_symbols(z, nu - eta, r)
     descriptor = dict(zip(zmap, zip(map(tuple, v_sym.tolist()), map(tuple, w_sym.tolist()))))
@@ -305,8 +290,7 @@ def equal_size_envelope_rows(
     delta = len(sizes)
     ssort = sorted(sizes)
     sbar = sum(sizes) // delta
-    need = math.ceil(math.log2(delta))
-    admissible_r = [0] + [r for r in range(need, sbar - need + 1)] + ([sbar] if sbar >= need else [])
+    admissible_r = [r for r in range(sbar + 1) if _admissible(sbar - r, r, delta)]
     factor = (
         (2 * delta) ** (rho * eta)
         * (delta**eta * (1 + math.log(nx))) ** rho
@@ -361,9 +345,7 @@ def choose_pr(
 
     if not fits(0):
         raise DomainError("u_bound below the achievability threshold")
-    need = math.ceil(math.log2(delta))
-    admissible = [r for r in range(s + 1) if all(v == 0 or v >= need for v in (r, s - r))]
-    r = max((r for r in admissible if fits(r)), default=None)
+    r = max((r for r in range(s + 1) if _admissible(s - r, r, delta) and fits(r)), default=None)
     if r is None:
         raise DomainError(f"no admissible split for s={s}, delta={delta}")
     return s - r, r
@@ -375,4 +357,6 @@ def disk_exponents(
     """Privacy exponent (or modest variant) for per-disk rate rate_s."""
     if rate_s < 0:
         raise DomainError("rate_s must be >= 0")
+    if not 0 <= eta < nu:
+        raise DomainError(f"need 0 <= eta < nu, got eta={eta}, nu={nu}")
     return privacy_exponent(nu * rate_s, rate_s * (nu - eta), rho, entropy_rate, e_bob)

@@ -6,6 +6,10 @@ tuples; its success function ranks each source tuple by the first guess that
 lands within Delta, and the reconstruction function records that first hit.
 Every distortion table must offer a zero-distortion reconstruction for each
 source symbol, which guarantees the scan terminates.
+
+The rate-distortion task-encoding constructions below are the lossless ones
+of `tasks` (the rank remainder, `offset_refinement` and
+`shortest_lists_first`) applied to the success function's ranks.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .guessing import GuessingFunction, in_order, power_moment, rank_row
 from .prob import BudgetExceededError, DomainError, JointPmf, product_pmf, tuple_alphabet
-from .tasks import ranks_from_lists, s_alphabet_size
+from .tasks import offset_refinement, shortest_lists_first
 
 BALL_SLACK = 1e-12  # float-mode boundary slack for "within Delta"
 
@@ -69,7 +73,12 @@ def within(x_tuple, xhat_tuple, spec: DistortionSpec) -> bool:
 
 @dataclass(frozen=True)
 class SuccessFunction:
-    """Ranks of source tuples induced by a guessing order on reconstructions."""
+    """Ranks of source tuples induced by a guessing order on reconstructions.
+
+    For every (x, ctx), recon[(x, ctx)] is within Delta of x and
+    ranks[(x, ctx)] == ghat.rank(recon[(x, ctx)], ctx): the rank of a source
+    tuple is the guessing rank of its first within-Delta reconstruction.
+    """
 
     ghat: GuessingFunction  # over xhat tuples, per context
     spec: DistortionSpec
@@ -195,11 +204,7 @@ def rd_side_info_encoder(
     if not sf.certified_optimal:
         raise DomainError("side-information construction needs an oracle-certified optimal input")
     big = tuple_product(joint, n)
-    enc = {
-        (x, c): (sf.ghat.rank(sf.recon[(x, c)], c) - 1) % z_count
-        for c in big.y_alphabet
-        for x in big.x_alphabet
-    }
+    enc = {(x, c): (sf.ranks[(x, c)] - 1) % z_count for c in big.y_alphabet for x in big.x_alphabet}
     ceils = [math.ceil(sf.ranks[(x, c)] / z_count) for x in big.x_alphabet for c in big.y_alphabet]  # x-major
     ceil_target = power_moment(big.masses.ravel(), ceils, rho)
     achieved = _optimal_rd_moment_given(big, sf.spec, enc, rho)
@@ -239,22 +244,13 @@ def rd_encoder_from_guessing(
     realized reconstruction) and E[|L|^rho] <= E[ceil(G_Delta/omega)^rho].
     """
     big = tuple_product(joint, n)
-    nh = len(sf.ghat.x_alphabet)
-    if not 1 <= omega <= nh:
-        raise DomainError("omega must be in 1..|Xhat|^n")
-    ns = s_alphabet_size(nh, omega)
-    if z_count < omega * ns:
-        raise DomainError("descriptor capacity violated")
+    describe = offset_refinement(len(sf.ghat.x_alphabet), omega, z_count)
     enc: dict = {}
     lists: dict = {}
     held = []  # (mass, list) of each positive-mass (x, ctx), x-major
     for x, row in zip(big.x_alphabet, big.masses.tolist()):
         for c, p in zip(big.y_alphabet, row):
-            rank = sf.ranks[(x, c)]
-            o = (rank - 1) % omega
-            s = math.floor(math.log2(math.ceil(rank / omega)))
-            z = o * ns + s
-            enc[(x, c)] = z
+            z = enc[(x, c)] = describe(sf.ranks[(x, c)])
             if p > 0:
                 lists.setdefault((c, z), set()).add(sf.recon[(x, c)])
                 held.append((p, (c, z)))
@@ -278,10 +274,5 @@ def rd_guessing_from_lists(
                 members = lists.get((c, enc[(x, c)]), ())
                 if not any(within(x, xh, spec) for xh in members):
                     raise DomainError(f"fidelity violation at ({x!r}, {c!r})")
-    xhat_tuples = tuple_alphabet(spec.xhat_alphabet, n)
-    rank_rows = [
-        ranks_from_lists({z: mem for (cc, z), mem in lists.items() if cc == c}, xhat_tuples)
-        for c in big.y_alphabet
-    ]
-    ghat = GuessingFunction(xhat_tuples, big.y_alphabet, tuple(rank_rows))
+    ghat = shortest_lists_first(lists, tuple_alphabet(spec.xhat_alphabet, n), big.y_alphabet)
     return success_function(ghat, spec, big)

@@ -5,6 +5,12 @@ description; its decoder outputs the list of all symbols with positive
 posterior given the description.  List membership is support-defined, so all
 the machinery here works on exact zeros: a tiny positive posterior still puts
 a symbol in the list.
+
+The constructions that turn ranks into descriptions (`offset_refinement`) and
+lists into a guessing order (`shortest_lists_first`) are written once, here.
+The rate-distortion versions in `distortion` are these same constructions
+applied to a success function's ranks, the position of the first guess
+within Delta.
 """
 
 from __future__ import annotations
@@ -156,74 +162,76 @@ def descriptor_map(joint: JointPmf, size: int, version: str) -> dict:
 
     Guessing version: remainder of the optimal rank, which attains the
     ceil-moment equality.  List version: the offset/refinement construction
-    with the largest feasible offset cardinality.
+    with the largest feasible offset cardinality; it needs size > log2|X| + 2,
+    the room of the list version's direct bound, and then omega = 1 fits.
     """
     if version == "guessing":
         return side_info_encoder(joint, size)
     if version != "list":
         raise DomainError(f"unknown version {version!r}")
     nx = len(joint.x_alphabet)
-    feasible = [w for w in range(1, nx + 1) if w * s_alphabet_size(nx, w) <= size]
-    if not feasible:
-        raise DomainError(f"descriptor size {size} cannot host an offset/refinement pair")
-    return encoder_from_guessing(optimal_guesser(joint), max(feasible), size).mapping
+    if not list_room(size, nx):
+        raise DomainError(f"the list version needs a descriptor of more than log2|X| + 2 values, got {size}")
+    omega = max(w for w in range(1, nx + 1) if w * s_alphabet_size(nx, w) <= size)
+    return encoder_from_guessing(optimal_guesser(joint), omega, size).mapping
+
+
+def offset_refinement(n: int, omega: int, z_count: int):
+    """The two-step description of a rank among n candidates, as a map rank -> z.
+
+    Step 1 takes the rank's remainder O = (rank-1) mod omega; step 2 adds
+    S = floor(log2 ceil(rank/omega)).  Pairs are flattened to integers
+    z = O * |S| + S.  Requires 1 <= omega <= n and
+    z_count >= omega * |S| = omega * (1 + floor(log2 ceil(n/omega))).
+    """
+    if not 1 <= omega <= n:
+        raise DomainError(f"omega must be in 1..{n}, got {omega}")
+    ns = s_alphabet_size(n, omega)
+    if z_count < omega * ns:
+        raise DomainError(f"descriptor capacity violated: z_count {z_count} < omega*|S| = {omega * ns}")
+    return lambda rank: (rank - 1) % omega * ns + math.floor(math.log2(math.ceil(rank / omega)))
 
 
 def encoder_from_guessing(g: GuessingFunction, omega: int, z_count: int) -> DetTaskEncoder:
-    """Two-step descriptor built from a guessing function.
-
-    Step 1 takes the rank's remainder O = (G(x|ctx)-1) mod omega; step 2 adds
-    S = floor(log2 ceil(G(x|ctx)/omega)).  Pairs are flattened to integers
-    z = O * |S| + S.  Requires z_count >= omega * (1 + floor(log2 ceil(|X|/omega))).
-    """
-    nx = len(g.x_alphabet)
-    if not 1 <= omega <= nx:
-        raise DomainError(f"omega must be in 1..|X|, got {omega}")
-    ns = s_alphabet_size(nx, omega)
-    if z_count < omega * ns:
-        raise DomainError(
-            f"descriptor capacity violated: z_count {z_count} < omega*(1+floor(log2 ceil(|X|/omega))) = {omega * ns}"
-        )
-    mapping = {}
-    for c, row in zip(g.context_alphabet, g.ranks):
-        for x, rank in zip(g.x_alphabet, row):
-            o = (rank - 1) % omega
-            s = math.floor(math.log2(math.ceil(rank / omega)))
-            mapping[(x, c)] = o * ns + s
+    """Two-step descriptor (`offset_refinement`) of each rank of a guessing function."""
+    describe = offset_refinement(len(g.x_alphabet), omega, z_count)
+    pairs = ((x, c, rank) for c, row in zip(g.context_alphabet, g.ranks) for x, rank in zip(g.x_alphabet, row))
+    mapping = {(x, c): describe(rank) for x, c, rank in pairs}
     return DetTaskEncoder(g.x_alphabet, g.context_alphabet, tuple(range(z_count)), mapping)
 
 
-def ranks_from_lists(lists_by_z: dict, alphabet: tuple) -> tuple:
-    """Rank row that guesses shortest lists first, then the rest of `alphabet`.
+def shortest_lists_first(lists: dict, alphabet: tuple, contexts: tuple) -> GuessingFunction:
+    """Per context, guess the members of its shortest lists first, then the rest of `alphabet`.
 
-    Lists go by (size, repr of z); members by alphabet index; repeats are
-    skipped.  Returns rank[i] for alphabet[i].
+    `lists` maps (ctx, z) to members.  Lists go by (size, repr of z); members
+    by alphabet index; repeats are skipped.
     """
     index = {s: i for i, s in enumerate(alphabet)}
-    order: dict = {}  # insertion-ordered set
-    for _, members in sorted(lists_by_z.items(), key=lambda kv: (len(kv[1]), repr(kv[0]))):
-        for s in sorted(members, key=index.__getitem__):
+    rank_rows = []
+    for c in contexts:
+        order: dict = {}  # insertion-ordered set
+        ctx_lists = [(z, members) for (cc, z), members in lists.items() if cc == c]
+        for _, members in sorted(ctx_lists, key=lambda kv: (len(kv[1]), repr(kv[0]))):
+            for s in sorted(members, key=index.__getitem__):
+                order.setdefault(s)
+        for s in alphabet:
             order.setdefault(s)
-    for s in alphabet:
-        order.setdefault(s)
-    return rank_row([index[s] for s in order])
+        rank_rows.append(rank_row([index[s] for s in order]))
+    return GuessingFunction(alphabet, contexts, tuple(rank_rows))
 
 
 def guessing_from_lists(lists: DecodingListTable, joint: JointPmf) -> GuessingFunction:
-    """Guess shortest lists first, members by symbol index, skipping repeats.
+    """Guess shortest lists first (`shortest_lists_first`).
 
     Requires the lists to cover every positive-mass symbol per context.  The
     induced moment satisfies E[G^rho] <= |Z|^rho * E[|L|^rho].
     """
-    rank_rows = []
     for j, c in enumerate(joint.y_alphabet):
-        ctx_lists = {z: members for (cc, z), members in lists.lists.items() if cc == c}
-        covered = {x for members in ctx_lists.values() for x in members}
+        covered = {x for (cc, _), members in lists.lists.items() if cc == c for x in members}
         for x, p in zip(joint.x_alphabet, joint.y_column(j)):
             if p > 0 and x not in covered:
                 raise DomainError(f"lists do not cover positive-mass symbol {x!r} in context {c!r}")
-        rank_rows.append(ranks_from_lists(ctx_lists, joint.x_alphabet))
-    return GuessingFunction(joint.x_alphabet, joint.y_alphabet, tuple(rank_rows))
+    return shortest_lists_first(lists.lists, joint.x_alphabet, joint.y_alphabet)
 
 
 def fact1_census(k: int) -> int:

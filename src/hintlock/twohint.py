@@ -138,10 +138,7 @@ def build_two_hint(
         raise DomainError(f"c1={c1} exceeds floor(|M1|/cs)={m1_size // cs}")
     if c2 > m2_size // cs:
         raise DomainError(f"c2={c2} exceeds floor(|M2|/cs)={m2_size // cs}")
-    size = cs * c1 * c2
-    if version == "list" and not list_room(size, len(joint.x_alphabet)):
-        raise DomainError(f"list version needs cs*c1*c2 > log2|X|+2: {size} is too small")
-    zmap = descriptor_map(joint, size, version)
+    zmap = descriptor_map(joint, cs * c1 * c2, version)
     descriptor = {k: (z % cs, (z // cs) % c1, z // (cs * c1)) for k, z in zmap.items()}
     law = _padded_law(
         joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
@@ -296,8 +293,6 @@ def build_secret_hint(
     mp_size = mp_size if mp_size is not None else c
     if not 1 <= c <= mp_size:
         raise DomainError(f"need 1 <= c <= |Mp|, got c={c}, |Mp|={mp_size}")
-    if version == "list" and not list_room(c * ms_size, len(joint.x_alphabet)):
-        raise DomainError("list version needs c*|Ms| > log2|X| + 2")
     zmap = descriptor_map(joint, c * ms_size, version)
     rows = list(joint.support_items())
     z = np.array([zmap[(x, y)] for x, y, _ in rows], dtype=np.int64)
@@ -344,8 +339,6 @@ def build_secret_key(
         raise DomainError("need |K| <= |M|")
     if c * k_size > m_size:
         raise DomainError(f"need c*|K| <= |M|: {c}*{k_size} > {m_size}")
-    if version == "list" and not list_room(c * k_size, len(joint.x_alphabet)):
-        raise DomainError("list version needs c*|K| > log2|X| + 2")
     zmap = descriptor_map(joint, c * k_size, version)
     rows = list(joint.support_items())
     z = np.repeat(np.array([zmap[(x, y)] for x, y, _ in rows], dtype=np.int64), k_size)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hintlock
+from hintlock import cli
 from hintlock.cli import main
 
 
@@ -197,6 +198,13 @@ MALFORMED = {
     "guess-z-count-zero": ["guess", {"source": {"uniform": 4}, "rho": [1.0], "z_count": 0}],
     "source-path-not-a-string": ["entropy", {"source": {"path": 5}}],
     "source-path-a-directory": ["entropy", {"source": {"path": "."}}],
+    "guess-rho-overflow": ["guess", {"source": {"uniform": 4}, "rho": 800}],
+    "guess-rho-inf": ["guess", {"source": {"uniform": 4}, "rho": "inf"}],
+    "twohint-rho-inf": ["twohint", {"source": {"uniform": 4}, "rho": "inf", "scheme": {"cs": 2, "c1": 2, "c2": 1}}],
+    "disk-exponent-eta-not-below-nu": [
+        "exponent",
+        {"rho": 1, "entropy_rate": 0.5, "rates": {"rate_s": 1, "nu": 2, "eta": 3}},
+    ],
     "unequal-sizes-too-small": [
         "disks",
         {
@@ -247,6 +255,16 @@ def test_unwritable_output_exits_2_with_one_line(tmp_path, case):
         "witness-a-number": ["exponent", json.dumps({**SMALL_FUNCTIONAL, "dump_witness": 5})],
     }[case]
     assert_one_line_config_error(*argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_witness_is_rejected_before_the_search(tmp_path, monkeypatch, capsys):
+    def search(*args):
+        raise AssertionError("the rate-distortion search ran before the witness path was checked")
+
+    monkeypatch.setattr(cli, "rd_exponent_functional", search)
+    code, out, err = run(capsys, "exponent", json.dumps({**SMALL_FUNCTIONAL, "dump_witness": str(tmp_path)}))
+    assert code == 2 and out == "" and err.startswith("config error") and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -239,6 +239,12 @@ def test_equal_size_envelope():
             assert all_passed(rows), (sizes, h, [r for r in rows if not r.passed])
 
 
+def test_envelope_without_an_admissible_split_covers_nothing():
+    # s-bar = 1 bit per disk: for delta = 4 each part must be 0 or at least 2 bits
+    rows = equal_size_envelope_rows((1, 1, 1, 1), 2, 1, 1.0, 1.5, 4)
+    assert [r.lhs for r in rows] == [0.0] * 5
+
+
 def test_choose_pr_examples():
     h = renyi_cond_entropy(U16, RenyiOrder.from_rho(1.0))
     # huge budget: everything padded
@@ -276,11 +282,9 @@ def test_disk_exponent_examples():
     assert disk_exponents(0.5, 2, 1, 1.0, 1.2, e_bob=0.3).value == pytest.approx(0.8)
 
 
-def test_share_blob_round_trip():
+def test_split_hint_round_trip():
     sch = build_delta_scheme(U16, 3, 2, 1, 4, 2, 2, "guessing")
     for (x, y, m), p in list(sch.law.items())[:20]:
-        blob = sch.share_blob(m)
-        assert sch.unpack_blob(blob) == m
         for h in m:
             hi, lo = sch.split_hint(h)
             assert (hi << sch.r | lo) == h

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hintlock.distortion import (
     DistortionSpec,
@@ -18,6 +20,7 @@ from hintlock.distortion import (
 )
 from hintlock.guessing import optimal_guess_moment, optimal_guesser, random_joint
 from hintlock.prob import BudgetExceededError, DomainError, JointPmf, Pmf, product_pmf
+from hintlock.tasks import s_alphabet_size
 
 J3 = JointPmf.from_marginal(Pmf.of([0.5, 0.3, 0.2]))
 ASYM = DistortionSpec((0, 1, 2), (0, 1, 2), ((0.0, 0.4, 1.0), (0.9, 0.0, 0.4), (0.3, 1.1, 0.0)), 0.35)
@@ -144,6 +147,29 @@ def test_conversions_both_directions():
     assert lm1 <= opt + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 2)]))
+def test_success_ranks_are_the_guessing_ranks_of_the_reconstructions(seed, shape):
+    # the identity the rank-remainder and offset/refinement encoders rely on
+    n, nh = shape  # block length and |Xhat|, within the brute-force budget
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(2, 4))
+    joint = random_joint(rng, nx, int(rng.integers(1, 3)), zeros=0.2)
+    d = rng.uniform(0.1, 1.5, size=(nx, nh))
+    d[np.arange(nx), rng.integers(0, nh, size=nx)] = 0.0
+    spec = DistortionSpec(joint.x_alphabet, tuple(range(nh)), tuple(map(tuple, d)), float(rng.uniform(0.0, 1.0)))
+    sf, _ = brute_optimal_distortion_guesser(spec, joint, n, 1.0)
+    omega = int(rng.integers(1, nh**n + 1))
+    enc, lists, _ = rd_encoder_from_guessing(sf, joint, n, omega, omega * s_alphabet_size(nh**n, omega), 1.0)
+    big = product_pmf(joint, n) if n > 1 else _tuple_wrap(joint)
+    cells = {(x, c) for x in big.x_alphabet for c in big.y_alphabet}
+    for found in (sf, greedy_cover_guesser(spec, joint, n), rd_guessing_from_lists(lists, enc, spec, joint, n)):
+        assert found.ranks.keys() == found.recon.keys() == cells
+        for (x, c), rank in found.ranks.items():
+            assert rank == found.ghat.rank(found.recon[(x, c)], c)
+            assert within(x, found.recon[(x, c)], spec)
+
+
 def test_fidelity_violation_rejected():
     sf, _ = brute_optimal_distortion_guesser(ASYM, J3, 1, 1.0)
     enc, lists, _ = rd_encoder_from_guessing(sf, J3, 1, 1, 2, 1.0)
@@ -156,7 +182,7 @@ def test_delta_zero_pipeline_agrees_with_exact_guessing():
     # whole pipeline at Delta=0 + Hamming + Xhat = X equals the exact-guessing
     # pipeline to 1e-12, including n = 2 products
     from hintlock.guessing import ceil_moment
-    from hintlock.tasks import decoding_lists, encoder_from_guessing, list_moment, s_alphabet_size
+    from hintlock.tasks import decoding_lists, encoder_from_guessing, list_moment
 
     cases = [(J3, 1), (JointPmf.from_marginal(Pmf.of([0.7, 0.3])), 2)]
     for joint, n in cases:
