@@ -34,8 +34,8 @@ run takes about 5 ms, and reports reference seconds per call:
   `list_moment` of the offset/refinement encoder (omega = 2);
 - `moment_for_constant` on Eve's view, on its first use (the rank table is
   built) and prepared (the table is kept on the view);
-- `support_moment` and `bob_minmax_bracket` on Bob's view, prepared;
-- `twohint._eve_floor`, the certified floor on Eve.
+- `support_moment` and `bob_minmax_moment` (Bob's guessing moment) on Bob's
+  view, prepared.
 
 Only names that exist on both sides are timed: a builder or kernel that calls
 a function one tree lacks is dropped from that tree's run, and the record lists
@@ -93,7 +93,7 @@ def _lacking(error: AttributeError) -> bool:
     return isinstance(error.obj, types.ModuleType)
 
 
-def _kernels(hl, twohint, joint, triple) -> dict:
+def _kernels(hl, joint, triple) -> dict:
     """name -> one call of a kernel on `joint` or its two-hint `triple` scheme."""
     from hintlock import adversary, guessing, tasks
 
@@ -114,8 +114,7 @@ def _kernels(hl, twohint, joint, triple) -> dict:
         "moment_for_constant first use": first_use,
         "moment_for_constant prepared": lambda: adversary.moment_for_constant(scheme.eve_cells, 0, RHO),
         "support_moment": lambda: adversary.support_moment(scheme.bob_cells, RHO),
-        "bob_minmax_bracket": lambda: adversary.bob_minmax_bracket(scheme.bob_cells, RHO),
-        "twohint._eve_floor": lambda: twohint._eve_floor(scheme, RHO),
+        "bob_minmax_moment": lambda: adversary.bob_minmax_moment(scheme.bob_cells, RHO),
     }
 
 
@@ -125,11 +124,10 @@ def kernels_child(reps: int) -> dict:
     from calibrate import REFERENCE_S, kernel_seconds
 
     import hintlock as hl
-    from hintlock import twohint
 
     rng = np.random.default_rng(SEED)
-    sweep = [_kernels(hl, twohint, hl.random_joint(rng, 16, 32, exact=True), (4, 4, 4)) for _ in range(3)]
-    small = _kernels(hl, twohint, hl.random_joint(np.random.default_rng(SEED), 6, 3, exact=True), (2, 2, 2))
+    sweep = [_kernels(hl, hl.random_joint(rng, 16, 32, exact=True), (4, 4, 4)) for _ in range(3)]
+    small = _kernels(hl, hl.random_joint(np.random.default_rng(SEED), 6, 3, exact=True), (2, 2, 2))
     inputs = {"16x32 sweep sources (sum of three)": sweep, "6x3 table": [small]}
     out = {name: {label: [] for label in inputs} for name in small}
     clock = [kernel_seconds()]

@@ -11,35 +11,42 @@ dict, built on first read; a dict handed to a scheme is coded once.
 
 `Law.view(positions)` gives a `CellView`: per realization, one context id per
 view position (a revealable hint subset; the context carries y and the hints
-shown), ids numbered by first appearance.  On it: the guessing moment given a
-routed context (`moment_for_constant`, `moment_for_assignment`), the list
-moment with views reduced by min (list-forming Eve) or max (worst-case Bob)
-(`support_moment`), and Eve's accomplice-optimal moment (`eve_ambiguity`).
-A plain list of `Cell`s is coded into a view once per call.
+shown), ids numbered by first appearance.  On it: the guessing moment given one
+view position (`moment_for_constant`), the list moment with views reduced by
+min (list-forming Eve) or max (worst-case Bob) (`support_moment`), Bob's
+min-max guessing moment (`bob_minmax_moment`) and Eve's accomplice-optimal
+moment (`eve_exact_matching`).  A plain list of `Cell`s is coded into a view
+once per call.
 
 A view keeps, from first use, what the descending-posterior order fixes for
 every rho, grouped in numpy (unique, lexsort, add.at): per position the rank
 table of the one grouped kernel (`_rank_table` on int columns: context, key,
-mass, tie order, ranked by `guessing.rank_groups`; `moment_for_assignment`,
-single-route enumeration components and `eve_floor` build theirs per call);
-each cell's largest rank (Bob's upper end); per `reduce` the mass and list
-size of each views tuple; Eve's mergeable verdict, components and slot graphs.
-A rho then costs a t**rho table (Python's pow), one product per entry and one
-LAPJVsp call per component.  Sums keep the dict reference's order, so every
-float is its float: a (context, key) merge in entry order; in a context,
-descending masses in sequence; contexts, cells and views tuples in first-seen
-order, in sequence (`guessing.power_moment`; np.sum is pairwise).  Rank ties
-go by repr(x).  Nothing is cached at module level.
+mass, tie order, ranked by `guessing.rank_groups`); each cell's rank over all
+its views; per `reduce` the mass and list size of each views tuple; Eve's
+components and slot graphs.  A rho then costs a t**rho table (Python's pow),
+one product per entry and one LAPJVsp call per component.  Sums keep the dict
+reference's order, so every float is its float: a (context, key) merge in
+entry order; in a context, descending masses in sequence; contexts, cells and
+views tuples in first-seen order, in sequence (`guessing.power_moment`; np.sum
+is pairwise).  Rank ties go by repr(x).  Nothing is cached at module level.
+
+Both oracles rest on two facts of every scheme built here.  Given y, any of
+Bob's views determines the descriptor and the pad, so each of his contexts
+holds the same realizations in every view and ranks each cell alike: his
+min-max moment is each cell's common rank.  Given (x, y), any of Eve's views
+determines the pad (M1 or M2 gives the two-hint pad U; eta hints pin the
+delta-disk pad through the top MDS rows), so no two distinct cells share an
+(x, context) pair.  Both facts are checked once per view, on int columns, and
+a view that breaks one raises DomainError.
 
 Eve's exact ambiguity, min over accomplice maps of the optimal guessing
 moment given (context, revealed values), reduces to a min-cost assignment:
 within a context the optimal order pairs larger masses with smaller ranks, so
 jointly choosing routes and ranks is a bipartite matching of cells to
 (context, rank-position) slots with cost prob * position^rho.  The reduction
-is exact whenever no two distinct cells share the same (x, context) pair;
-otherwise routing both into that context would merge their posterior mass,
-which the matching cannot price, and we fall back to exhaustive enumeration
-of accomplice maps (or certified bounds when over budget).
+is exact because no two distinct cells share an (x, context) pair; routing
+both into that context would merge their posterior mass, which the matching
+cannot price.
 
 The slot graph is sparse.  A context incident to d cells owns positions
 1..d, and a cell is joined only to positions 1..q of each of its own
@@ -55,7 +62,6 @@ after every positive cell of a context and add 0.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,8 +69,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .guessing import group_starts, in_order, power_moment, power_terms, rank_groups, sorted_moment
-from .prob import BudgetExceededError, common_denominator
+from .guessing import group_starts, in_order, power_moment, power_terms, rank_groups
+from .prob import DomainError, common_denominator
 
 
 @dataclass(frozen=True)
@@ -252,30 +258,6 @@ def _table_moment(table: tuple, rho: float) -> float:
     return in_order(acc)
 
 
-@dataclass(frozen=True)
-class AmbiguityResult:
-    value: float | None  # exact value when available
-    lower: float
-    upper: float
-    method: str
-
-    @property
-    def exact(self) -> bool:
-        return self.value is not None
-
-    @property
-    def bracket(self) -> tuple[float, float]:
-        """(lower, upper), both the exact value when there is one."""
-        return (self.value, self.value) if self.exact else (self.lower, self.upper)
-
-
-def moment_for_assignment(cells, choice, rho: float) -> float:
-    """Objective for one accomplice map: cells routed per `choice`, then sorted."""
-    view = as_view(cells)
-    routed = view.ctx[np.arange(len(view)), np.asarray(choice, dtype=np.int64)]
-    return _table_moment(_rank_table(routed, view.x, view.prob, view.xkey), rho)
-
-
 def moment_for_constant(cells, k: int, rho: float) -> float:
     """The optimal guessing moment given view position k (every cell routed to it)."""
     view = as_view(cells)
@@ -333,23 +315,18 @@ def _components(view: CellView, keep: np.ndarray) -> list[np.ndarray]:
 def eve_exact_matching(cells, rho: float) -> float:
     """Exact accomplice-optimal moment via a sparse min-cost assignment.
 
-    Raises BudgetExceededError if cells can merge (see module docstring); the
-    caller should then use `eve_exact_enumeration` or bounds.
+    Raises DomainError if two cells can merge (see module docstring).
     """
-    graphs = as_view(cells).prepared("slot graphs", _slot_graphs)
-    if graphs is None:
-        raise BudgetExceededError("mergeable cells: matching reduction is not exact here")
     total = 0.0
-    for graph in graphs:
+    for graph in as_view(cells).prepared("slot graphs", _slot_graphs):
         total += _matching_cost(graph, rho)
     return total
 
 
-def _slot_graphs(view: CellView) -> list | None:
-    """Each component's truncated slot graph, up to its rho-dependent weights,
-    or None when cells can merge."""
+def _slot_graphs(view: CellView) -> list:
+    """Each component's truncated slot graph, up to its rho-dependent weights."""
     if _mergeable(view):
-        return None
+        raise DomainError("two cells with the same x share a context: the matching cannot price their merge")
     cell, _, ctx = view.incidences
     positive = view.prob[cell] > 0
     cell, ctx = cell[positive], ctx[positive]
@@ -397,171 +374,20 @@ def _matching_cost(graph: tuple, rho: float) -> float:
     return float(power_terms(prob[rows], cols - start[cols] + 1, rho).sum())
 
 
-def eve_exact_enumeration(cells, rho: float, budget_bits: int = 26) -> float:
-    """Exact accomplice-optimal moment by exhausting deterministic maps.
-
-    Valid for arbitrary cells (handles merging).  Components are enumerated
-    independently; each must satisfy n_cells * log2(n_views) <= budget_bits.
-    """
-    view = as_view(cells)
-    n_views = (view.ctx >= 0).sum(axis=1)
-    total = 0.0
-    for comp in _components(view, np.arange(len(view))):
-        options = n_views[comp].tolist()
-        bits = sum(math.log2(o) for o in options if o > 1)
-        if bits > budget_bits:
-            raise BudgetExceededError(f"component needs {bits:.1f} assignment bits > budget {budget_bits}")
-        if all(o == 1 for o in options):
-            total += _table_moment(_rank_table(view.ctx[comp, 0], view.x[comp], view.prob[comp], view.xkey), rho)
-            continue
-        total += _enumerate_component(view, comp, rho, options)
-    return total
+def bob_minmax_moment(cells, rho: float) -> float:
+    """Bob's min-max guessing moment: each cell's optimal rank, the same in
+    every view, to the power rho.  Raises DomainError when two views rank a
+    cell differently (see module docstring)."""
+    return power_moment(*as_view(cells).prepared("ranks", _common_ranks), rho)
 
 
-def _enumerate_component(view: CellView, comp: np.ndarray, rho, options) -> float:
-    """Vectorized enumeration: per-context moment tables indexed by sub-mask.
-
-    Contexts are taken in id order.  Table entries aggregate masses by x
-    before sorting, so cells that merge inside a context are priced correctly.
-    """
-    views = view.ctx[comp].tolist()
-    members_of = list(zip(view.x[comp].tolist(), view.prob[comp].tolist()))
-    incidence = []  # per context: list of (cell index, option indices routing here)
-    for ctx in np.unique(view.ctx[comp][view.ctx[comp] >= 0]).tolist():
-        inc = [(i, ks) for i, vs in enumerate(views) if (ks := tuple(k for k, v in enumerate(vs) if v == ctx))]
-        if len(inc) > 22:
-            raise BudgetExceededError(f"context incident to {len(inc)} cells: table too large")
-        incidence.append(inc)
-    tables = []
-    for inc in incidence:
-        members = [members_of[i] for i, _ in inc]
-        table = np.zeros(1 << len(inc))
-        for mask in range(1, 1 << len(inc)):
-            by_x: dict = {}
-            for t, (x, p) in enumerate(members):
-                if mask >> t & 1:
-                    by_x[x] = by_x.get(x, 0.0) + p
-            table[mask] = sorted_moment(by_x.values(), rho)
-        tables.append(table)
-    strides = np.cumprod([1] + options[:0:-1])[::-1]  # the product of the later cells' options
-    total_assignments = int(strides[0]) * options[0]
-    best = math.inf
-    chunk = 1 << 18
-    for start in range(0, total_assignments, chunk):
-        idx = np.arange(start, min(start + chunk, total_assignments), dtype=np.int64)
-        digits = [(idx // strides[i]) % options[i] for i in range(len(comp))]
-        obj = np.zeros(len(idx))
-        for inc, table in zip(incidence, tables):
-            submask = np.zeros(len(idx), dtype=np.int64)
-            for t, (i, ks) in enumerate(inc):
-                hit = digits[i] == ks[0]
-                for k in ks[1:]:
-                    hit |= digits[i] == k
-                submask |= hit.astype(np.int64) << t
-            obj += table[submask]
-        best = min(best, float(obj.min()))
-    return best
-
-
-def eve_local_search(cells, rho: float) -> float:
-    """Alternating accomplice/guesser descent; a certified upper bound on Eve.
-
-    Starts from each constant route, descends for at most 50 rounds, and keeps
-    the best reachable value.  Every iterate corresponds to an actual deterministic
-    accomplice map, so the result always upper-bounds the exact minimum.
-    """
-    view = as_view(cells)
-    rows = np.arange(len(view))
-    n_views = (view.ctx >= 0).sum(axis=1)
-    cell, pos, ctx = view.incidences
-    nx = len(view.xs)
-    best = math.inf
-    for k in range(view.ctx.shape[1]):
-        choice = k % n_views
-        val = moment_for_assignment(view, choice, rho)
-        for _ in range(50):
-            keys, _, rank, _ = rank_groups(view.ctx[rows, choice], view.x, view.prob, view.xkey)
-            # unseen (ctx, x) would enter at the context's next free rank
-            sizes = np.bincount(keys // nx, minlength=view.n_contexts)
-            wanted = ctx * nx + view.x[cell]
-            at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-            cost = np.full(view.ctx.shape, np.iinfo(np.int64).max, dtype=np.int64)
-            cost[cell, pos] = np.where(keys[at] == wanted, rank[at], sizes[ctx] + 1)
-            new_choice = cost.argmin(axis=1)  # the first best view
-            new_val = moment_for_assignment(view, new_choice, rho)
-            if new_val >= val - 1e-15:
-                break
-            choice, val = new_choice, new_val
-        best = min(best, val)
-    return best
-
-
-def bob_minmax_bracket(cells, rho: float) -> tuple[float, float]:
-    """(lower, upper) for Bob's min-max guessing ambiguity.
-
-    lower: best fixed subset, i.e. max over view positions of the per-subset
-    optimal moment.  upper: per-subset optimal guessers evaluated under the
-    worst-case per-realization subset.  The bracket closes whenever every
-    revealable subset pins down the same posterior (true for every scheme
-    built here).
-    """
-    view = as_view(cells)
-    if not len(view) or (view.ctx < 0).any():
-        raise ValueError("all cells must offer the same number of views")
-    lower = max(moment_for_constant(view, k, rho) for k in range(view.ctx.shape[1]))
-    return lower, power_moment(*view.prepared("max ranks", _max_ranks), rho)
-
-
-def _max_ranks(view: CellView) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's mass and its largest optimal rank over its views (views pooled)."""
+def _common_ranks(view: CellView) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's mass and its optimal rank, checked to be the same in all its views (views pooled)."""
     cell, pos, ctx = view.incidences
     _, _, rank, pair = rank_groups(ctx, view.x[cell], view.prob[cell], view.xkey)
     per_view = np.zeros(view.ctx.shape, dtype=np.int64)
     per_view[cell, pos] = rank[pair]
-    return view.prob, per_view.max(axis=1)
-
-
-def eve_ambiguity(cells, rho: float, floor) -> AmbiguityResult:
-    """Eve's accomplice-optimal guessing moment: matching, else enumeration, else bounds.
-
-    `floor` is a zero-argument callable returning a certified lower bound on
-    Eve's moment; it is called only when neither exact oracle fits the
-    budget, and the result is then the bracket [floor(), best reachable
-    deterministic accomplice map].  With `floor=None` that case raises
-    BudgetExceededError instead.
-    """
-    view = as_view(cells)
-    try:
-        val = eve_exact_matching(view, rho)
-        return AmbiguityResult(val, val, val, "matching")
-    except BudgetExceededError:
-        pass
-    try:
-        val = eve_exact_enumeration(view, rho)
-        return AmbiguityResult(val, val, val, "enumeration")
-    except BudgetExceededError:
-        if floor is None:
-            raise
-    return eve_bracket(view, rho, floor())
-
-
-def eve_bracket(cells, rho: float, lower: float) -> AmbiguityResult:
-    """Certified bracket for Eve: a given floor, and the best reachable accomplice map."""
-    view = as_view(cells)
-    constant = (moment_for_constant(view, k, rho) for k in range(int((view.ctx[0] >= 0).sum())))
-    return AmbiguityResult(None, lower, min(eve_local_search(view, rho), min(constant)), "bounds")
-
-
-def eve_floor(law: Law, rho: float, reveals) -> float:
-    """max(1, count^-rho * the optimal guessing moment of (X, columns) given Y)
-    over the (count, hint columns) pairs of `reveals`.
-
-    A pair gives a certified floor on Eve when what she is shown, with the
-    accomplice's choice, takes at most `count` values and, with X and Y,
-    determines the columns; each scheme says why its pairs do.
-    """
-    tie = np.arange(len(law.mass))  # row ids are below the row count; ties do not change a moment
-    return max(1.0, *(
-        count ** (-rho) * _table_moment(_rank_table(law.y, row_ids(law.x, *cols), law.mass, tie), rho)
-        for count, cols in reveals
-    ))
+    high = per_view.max(axis=1)
+    if (np.where(view.ctx >= 0, per_view, high[:, None]) != high[:, None]).any():
+        raise DomainError("two of Bob's views rank a cell differently: their guessers need not be his min-max optimum")
+    return view.prob, high

@@ -50,26 +50,23 @@ def eve_converse(h: float, rho: float, secret: int, bob: float) -> float:
 
 
 def theorem_rows(
-    suite: str, instance: str, joint: JointPmf, rho: float, version: str,
-    bob: tuple, eve: tuple, sizes: tuple, note: str = "",
+    suite: str, instance: str, joint: JointPmf, rho: float, version: str, bob: float, eve: float, sizes: tuple
 ) -> list[ReportRow]:
-    """The four theorem rows for Bob's and Eve's (lower, upper) ambiguities.
+    """The four theorem rows for Bob's and Eve's exact ambiguities.
 
-    `sizes` is the scheme's (z, m, leak, secret).  Each row checks the end of
-    a bracket that makes a pass sound; Eve's converse rides on Bob's lower end.
+    `sizes` is the scheme's (z, m, leak, secret); Eve's converse rides on Bob's value.
     """
     h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
     nx = len(joint.x_alphabet)
     z, m, leak, secret = sizes
-    (bob_lo, bob_hi), (eve_lo, eve_hi) = bob, eve
     checks = [
-        ("bob-direct", "<", bob_hi, bob_direct(h, rho, z, nx, version)),
-        ("eve-direct", ">=", eve_lo, eve_direct(h, rho, leak, nx)),
-        ("bob-converse", ">=", bob_lo, bob_converse(h, rho, m, nx, version)),
-        ("eve-converse", "<=", eve_hi, eve_converse(h, rho, secret, bob_lo)),
+        ("bob-direct", "<", bob, bob_direct(h, rho, z, nx, version)),
+        ("eve-direct", ">=", eve, eve_direct(h, rho, leak, nx)),
+        ("bob-converse", ">=", bob, bob_converse(h, rho, m, nx, version)),
+        ("eve-converse", "<=", eve, eve_converse(h, rho, secret, bob)),
     ]
     tag = version[0]  # g / l
-    return [ReportRow(suite, instance, f"{c}-{tag}", rel, lhs, rhs, note) for c, rel, lhs, rhs in checks]
+    return [ReportRow(suite, instance, f"{c}-{tag}", rel, lhs, rhs) for c, rel, lhs, rhs in checks]
 
 
 @dataclass(frozen=True)

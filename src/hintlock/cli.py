@@ -48,11 +48,15 @@ class ConfigError(Exception):
 
 
 def _number(value, kind: type, key: str):
-    """`value` read as `kind` (int or float); a value of another type is a config error."""
+    """`value` read as `kind` (int or float); a bool, a value of another type
+    or a fractional one read as int is a config error."""
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"config error: {key!r} must be a number, not {value!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config error: {key!r} must be {what}, not {value!r}") from None
 
 
 def _section(cfg: dict, key: str, default=None) -> dict:
@@ -138,6 +142,8 @@ def _load_source(cfg: dict, rational: bool) -> JointPmf:
 
 def _rho_list(cfg: dict) -> list[float]:
     rhos = [_number(r, float, "rho") for r in _numbers(cfg, "rho", 1.0)]
+    if not rhos:
+        raise ConfigError("config error: 'rho' must list at least one value")
     if not all(map(math.isfinite, rhos)):
         raise ConfigError(f"config error: 'rho' must be finite, got {rhos}")
     return rhos
@@ -327,7 +333,7 @@ def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
 
 def cmd_verify_all(cfg: dict, args) -> list[ReportRow]:
     """A deterministic battery over the bundled desk-scale instances."""
-    rho_list = _rho_list(cfg) or [1.0]
+    rho_list = _rho_list(cfg)
     uniform4 = JointPmf.from_marginal(Pmf.uniform(4, exact=True))
     skew = JointPmf.from_marginal(
         Pmf.of([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)], exact=True)

@@ -20,33 +20,11 @@ from itertools import combinations
 import numpy as np
 
 from .adversary import (
-    AmbiguityResult,
-    Law,
-    SchemeCells,
-    bob_minmax_bracket,
-    eve_ambiguity,
-    eve_floor,
-    row_ids,
-    support_moment,
+    Law, SchemeCells, bob_minmax_moment, eve_exact_matching, moment_for_constant, row_ids, support_moment,
 )
-from .adversary import eve_exact_matching  # noqa: F401  (re-exported: perfbench reaches the oracle here)
-from .bounds import (
-    ExponentOutcome,
-    bob_converse,
-    bob_direct,
-    eve_converse,
-    eve_direct,
-    privacy_exponent,
-    theorem_rows,
-)
+from .bounds import ExponentOutcome, bob_converse, bob_direct, eve_converse, eve_direct, privacy_exponent, theorem_rows
 from .gf import field_make, rs_generator
-from .prob import (
-    BudgetExceededError,
-    DomainError,
-    JointPmf,
-    RenyiOrder,
-    renyi_cond_entropy,
-)
+from .prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow, fmt
 from .tasks import descriptor_map
 
@@ -194,35 +172,18 @@ def check_eta_independence(scheme: DeltaHintScheme) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def bob_ambiguity_minmax(scheme: DeltaHintScheme, rho: float, version: str | None = None) -> AmbiguityResult:
-    """Bob's min-max ambiguity; exact for the list version and whenever the
-    per-subset-optimal bracket closes (it does for every built scheme)."""
+def bob_ambiguity_minmax(scheme: DeltaHintScheme, rho: float, version: str | None = None) -> float:
+    """Bob's exact min-max ambiguity: the list moment, or the guessing moment of
+    each cell's rank, which all his views share (`adversary.bob_minmax_moment`)."""
     version = version or scheme.version
     if version == "list":
-        val = support_moment(scheme.bob_cells, rho, max)
-        return AmbiguityResult(val, val, val, "exact-list")
-    lower, upper = bob_minmax_bracket(scheme.bob_cells, rho)
-    if upper - lower <= 1e-12 * max(1.0, upper):
-        return AmbiguityResult(upper, lower, upper, "bracket-closed")
-    return AmbiguityResult(None, lower, upper, "bracket")
+        return support_moment(scheme.bob_cells, rho, max)
+    return bob_minmax_moment(scheme.bob_cells, rho)
 
 
-def eve_ambiguity_minmin(scheme: DeltaHintScheme, rho: float) -> AmbiguityResult:
-    """Eve's exact min-min ambiguity, or a certified bracket when over budget."""
-    return eve_ambiguity(scheme.eve_cells, rho, lambda: _eve_floor(scheme, rho))
-
-
-def _eve_floor(scheme: DeltaHintScheme, rho: float) -> float:
-    """Certified lower bound on Eve when the exact oracles are out of budget.
-
-    Revealing the accomplice's subset index and eta hints multiplies the
-    moment by at most (#subsets * 2^(eta*s))^-rho; evaluated on the moment of
-    (X, hints) given Y, which refines (X, pad) because the hints are a
-    function of (x, y, pad), and eta hints pin the pad given (X, Y) through
-    the top MDS rows.
-    """
-    reveal = math.comb(scheme.delta, scheme.eta) * 2 ** (scheme.eta * scheme.s)
-    return eve_floor(scheme.law, rho, [(reveal, scheme.law.hints.T)])
+def eve_ambiguity_minmin(scheme: DeltaHintScheme, rho: float) -> float:
+    """Eve's exact min-min ambiguity, by the assignment reduction."""
+    return eve_exact_matching(scheme.eve_cells, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +198,12 @@ def verify_disk_theorems(
     delta, nu, eta, s, r = scheme.delta, scheme.nu, scheme.eta, scheme.s, scheme.r
     bob = bob_ambiguity_minmax(scheme, rho, version)
     eve = eve_ambiguity_minmin(scheme, rho)
-    note = "" if (bob.exact and eve.exact) else "bounds-only sides flagged"
     # (z, m, leak, secret): Bob decodes nu*s - eta*r of his nu*s bits; Eve's
     # eta hints leak their eta*p bits and which of at most delta^eta index
     # tuples they are; (nu - eta)*s bits stay hidden from her.
     sizes = (2 ** (nu * s - eta * r), 2 ** (nu * s), delta**eta * 2 ** (eta * (s - r)), 2 ** ((nu - eta) * s))
     suite = f"disks-{version}"
-    return theorem_rows(suite, instance, scheme.joint, rho, version, bob.bracket, eve.bracket, sizes, note)
+    return theorem_rows(suite, instance, scheme.joint, rho, version, bob, eve, sizes)
 
 
 def verify_unequal_converse(
@@ -258,16 +218,18 @@ def verify_unequal_converse(
     """Converse floors for arbitrary schemes whose disk l stores sizes[l] bits.
 
     `law` maps (x, y, hints tuple) -> prob for any encoder (hint l must fit in
-    sizes[l] bits).  Uses certifiable sides of the ambiguity brackets, so a
-    pass is always sound.
+    sizes[l] bits).  Bob's side is his best fixed subset, a lower bound on
+    his min-max ambiguity for any law, so a pass is sound; Eve's is exact,
+    and a law in which two realizations with the same x share one of her
+    contexts is rejected with DomainError.
     """
     law = Law.coded(law)
     h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
     nx = len(joint.x_alphabet)
     ssort = sorted(sizes)
-    bob_lo, _ = bob_minmax_bracket(law.view(list(combinations(range(len(sizes)), nu))), rho)
-    eve = eve_ambiguity(law.view(list(combinations(range(len(sizes)), eta))), rho, lambda: 1.0)
-    eve_val = eve.upper  # certified side for the "<=" check
+    bob_view = law.view(list(combinations(range(len(sizes)), nu)))
+    bob_lo = max(moment_for_constant(bob_view, k, rho) for k in range(math.comb(len(sizes), nu)))
+    eve_val = eve_exact_matching(law.view(list(combinations(range(len(sizes)), eta))), rho)
     bob_conv_g = bob_converse(h, rho, 2 ** sum(ssort[:nu]), nx, "guessing")
     eve_conv = eve_converse(h, rho, 2 ** sum(ssort[: nu - eta]), bob_lo)
     suite = "disks-unequal"

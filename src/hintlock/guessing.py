@@ -121,9 +121,9 @@ def power_moment(masses, ks, rho: float) -> float:
 def sorted_moment(masses, rho: float) -> float:
     """Sum of p * rank^rho over masses guessed in descending order.
 
-    The scalar form of `power_moment` for one context, for the enumeration's
-    per-subset tables, where a numpy call per table entry would cost more than
-    the sum.  Terms are added in sequence (from Python 3.12 `sum` compensates).
+    The scalar form of `power_moment` for one context, where a numpy call
+    would cost more than the sum.  Terms are added in sequence (from Python
+    3.12 `sum` compensates).
     """
     total = 0.0
     for r, p in enumerate(sorted(masses, reverse=True), start=1):

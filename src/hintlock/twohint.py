@@ -23,8 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .adversary import CellView, Law, SchemeCells, eve_ambiguity, eve_floor, moment_for_constant, support_moment
-from .adversary import eve_exact_matching  # noqa: F401  (re-exported: perfbench reaches the oracle here)
+from .adversary import CellView, Law, SchemeCells, eve_exact_matching, moment_for_constant, support_moment
 from .bounds import ExponentOutcome, bob_converse, bob_direct, list_room, privacy_exponent, theorem_rows
 from .guessing import rank_groups
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
@@ -153,7 +152,8 @@ def scheme_from_law(
 
     Cardinality parameters cs, c1, c2 are recorded as 1 (they only matter for
     schemes built by `build_two_hint`); every ambiguity and converse check
-    works directly on the law.
+    works directly on the law.  Eve's oracle rejects a law in which two
+    realizations with the same x share a context, with DomainError.
     """
     return TwoHintScheme(joint, 1, m1_size, m2_size, m1_size, m2_size, version, {}, law)
 
@@ -169,24 +169,10 @@ def bob_ambiguity(scheme, rho: float, version: str | None = None) -> float:
 
 
 def eve_ambiguity_exact(scheme, rho: float) -> float:
-    """Exact accomplice-optimal guessing moment for Eve.
-
-    Uses the assignment reduction when valid, otherwise exhaustive map
-    enumeration; raises BudgetExceededError when neither fits the budget.
-    """
-    return eve_ambiguity(scheme.eve_cells, rho, None).value
-
-
-def _eve_floor(scheme: TwoHintScheme, rho: float) -> float:
-    """Certified lower bound on Eve when the exact oracles are out of budget.
-
-    Revealing the accomplice's index and both coordinates can shrink the
-    moment by at most the revealed cardinality; evaluated on the moment of
-    (X, U) given Y, U the uniform pad (M1 or M2 gives U given (X, Y)), and on
-    the moment of X given Y.
-    """
-    pad = (scheme.cs * (scheme.c1 + scheme.c2), [scheme.law.hints[:, 1] // scheme.c2])  # (count, columns)
-    return eve_floor(scheme.law, rho, [pad, (scheme.m1_size * scheme.m2_size, [])])
+    """Exact accomplice-optimal guessing moment for Eve, by the assignment
+    reduction; raises DomainError when two realizations with the same x share
+    one of her contexts (no built scheme has one)."""
+    return eve_exact_matching(scheme.eve_cells, rho)
 
 
 def eve_ambiguity_weak(scheme, rho: float) -> float:
@@ -201,16 +187,15 @@ def verify_finite_blocklength(
     version = version or scheme.version
     m1, m2 = scheme.m1_size, scheme.m2_size
     a_b = bob_ambiguity(scheme, rho, version)
-    eve = eve_ambiguity(scheme.eve_cells, rho, lambda: _eve_floor(scheme, rho))
-    note = "" if eve.exact else "eve: bounds-only"
+    a_e = eve_exact_matching(scheme.eve_cells, rho)
     a_e_weak = eve_ambiguity_weak(scheme, rho)
     suite = f"two-hint-{version}"
     sizes = (scheme.cs * scheme.c1 * scheme.c2, m1 * m2, scheme.c1 + scheme.c2, min(m1, m2))
-    rows = theorem_rows(suite, instance, scheme.joint, rho, version, (a_b, a_b), eve.bracket, sizes, note)
+    rows = theorem_rows(suite, instance, scheme.joint, rho, version, a_b, a_e, sizes)
     return [
         *rows,  # the last is Eve's converse, which caps the weak accomplice too
-        ReportRow(suite, instance, f"eve-weak-converse-{version[0]}", "<=", a_e_weak, rows[-1].rhs, note),
-        ReportRow(suite, instance, "eve-exact-below-weak", "<=", eve.lower, a_e_weak, note),
+        ReportRow(suite, instance, f"eve-weak-converse-{version[0]}", "<=", a_e_weak, rows[-1].rhs),
+        ReportRow(suite, instance, "eve-exact-below-weak", "<=", a_e, a_e_weak),
     ]
 
 
@@ -306,7 +291,7 @@ def _verify_fixed_eve_hint(scheme, rho: float, instance: str, suite: str, sizes:
     a_e = moment_for_constant(scheme.eve_cells, 0, rho)
     version = scheme.version
     suite = f"{suite}-{version}"
-    return theorem_rows(suite, instance, scheme.joint, rho, version, (a_b, a_b), (a_e, a_e), sizes)
+    return theorem_rows(suite, instance, scheme.joint, rho, version, a_b, a_e, sizes)
 
 
 def verify_secret_hint(scheme: SecretHintScheme, rho: float, instance: str = "") -> list[ReportRow]:

@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hintlock.adversary import eve_exact_enumeration
 from hintlock.disks import (
     bob_ambiguity_minmax,
     build_delta_scheme,
@@ -191,7 +190,7 @@ def test_criterion_05_two_hint_full_sweep():
                         s = build_two_hint(joint, cs, c1, c2, version, 4, 4)
                         rows = verify_finite_blocklength(s, 1.0, version, f"{name}")
                         ok &= all_passed(rows)
-                        ok &= all("bounds-only" not in r.note for r in rows)
+                        ok &= not any(r.note for r in rows)
                         checked += len(rows)
     assert checked > 200
     report(5, "two-hint-full-sweep", ok, time.time() - t0, 300.0)
@@ -248,13 +247,12 @@ def test_criterion_09_delta_scheme():
     sch = build_delta_scheme(u16, 3, 2, 1, 4, 2, 2, "guessing")
     ok = check_reconstruction(sch)
     ok &= check_eta_independence(sch)  # exact rational: total variation zero
-    eve = eve_ambiguity_minmin(sch, 1.0)
-    bob = bob_ambiguity_minmax(sch, 1.0)
-    ok &= eve.exact and bob.exact
+    # both oracles are exact on a built scheme, or they raise
+    ok &= math.isfinite(eve_ambiguity_minmin(sch, 1.0)) and bob_ambiguity_minmax(sch, 1.0) == 1.0
     for rho in (0.5, 1.0, 2.0):
         rows = verify_disk_theorems(sch, rho)
         ok &= all_passed(rows)
-        ok &= all("bounds-only" not in r.note for r in rows)
+        ok &= not any(r.note for r in rows)
     lst = build_delta_scheme(u16, 3, 2, 1, 4, 2, 2, "list")
     ok &= all_passed(verify_disk_theorems(lst, 1.0))
     report(9, "delta-disk-scheme", ok, time.time() - t0, 180.0)

@@ -4,16 +4,28 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hintlock.adversary import (
-    Cell,
+from hintlock.adversary import Cell, eve_exact_matching, moment_for_constant
+from hintlock.disks import build_delta_scheme, verify_disk_theorems, verify_unequal_converse
+from hintlock.guessing import random_joint
+from hintlock.prob import BudgetExceededError, DomainError
+from hintlock.twohint import (
+    build_eve_list_scheme,
+    build_secret_hint,
+    build_secret_key,
+    build_two_hint,
+    verify_eve_list,
+    verify_finite_blocklength,
+    verify_secret_hint,
+    verify_secret_key,
+)
+from oracles import (
     bob_minmax_bracket,
     eve_exact_enumeration,
-    eve_exact_matching,
     eve_local_search,
-    moment_for_constant,
+    eve_strategy_pair_bruteforce,
+    has_mergeable_cells,
+    ranks_alike,
 )
-from hintlock.prob import BudgetExceededError
-from oracles import eve_strategy_pair_bruteforce, has_mergeable_cells
 
 
 def random_cells(rng, n_cells, n_x, n_ctx, n_views):
@@ -50,7 +62,7 @@ def test_enumeration_handles_merging():
         Cell(0.4, "b", ((0, 0), (1, 2))),
     ]
     assert has_mergeable_cells(cells)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(DomainError, match="share a context"):
         eve_exact_matching(cells, 1.0)
     val = eve_exact_enumeration(cells, 1.0)
     # route everything away from collisions: each cell can reach rank 1
@@ -114,3 +126,36 @@ def test_enumeration_budget_guard():
     cells = random_cells(rng, 40, 3, 3, 2)
     with pytest.raises(BudgetExceededError):
         eve_exact_enumeration(cells, 1.0, budget_bits=10)
+
+
+def _disk_rows(scheme, rho) -> list:
+    """Every delta-disk verifier: the scheme's own version, guessing, and the unequal converse."""
+    sizes = (scheme.s,) * scheme.delta
+    return [
+        *verify_disk_theorems(scheme, rho),
+        *verify_disk_theorems(scheme, rho, "guessing"),
+        *verify_unequal_converse(scheme.joint, scheme.law, sizes, scheme.nu, scheme.eta, rho),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_built_schemes_keep_both_invariants(seed):
+    # every builder in both versions: no Eve view merges cells, every Bob view
+    # ranks each cell alike, and every verifier runs without raising
+    rng = np.random.default_rng(seed)
+    joint = random_joint(rng, int(rng.integers(2, 7)), int(rng.integers(1, 4)), exact=bool(seed % 2), zeros=0.2)
+    for version in ("guessing", "list"):
+        built = [(build_two_hint(joint, *t, version), verify_finite_blocklength) for t in ((1, 4, 4), (2, 2, 2))]
+        built += [
+            (build_two_hint(joint, 4, 2, 1, version), verify_finite_blocklength),
+            (build_secret_hint(joint, 4, 4, version), verify_secret_hint),
+            (build_secret_key(joint, 4, 4, version), verify_secret_key),
+        ]
+        for params in ((3, 2, 1, 4, 2, 2), (4, 3, 2, 4, 2, 2), (3, 2, 0, 2, 2, 0)):
+            built += [(build_delta_scheme(joint, *params, version), _disk_rows)]
+        for scheme, verify in built:
+            assert not has_mergeable_cells(list(scheme.eve_cells))
+            assert ranks_alike(list(scheme.bob_cells))
+            for rho in (0.5, 2.0):
+                assert verify(scheme, rho)
+    assert verify_eve_list(build_eve_list_scheme(joint, 8, 8, 3.0), 1.0)

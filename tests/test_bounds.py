@@ -44,18 +44,18 @@ def test_eve_bounds_closed_forms():
 
 def test_theorem_rows_sides_and_right_hand_sides():
     # uniform |X| = 8: h = 3 at every order
-    rows = bounds.theorem_rows("s", "i", uniform(8), 1.0, "guessing", (1.5, 1.75), (2.0, 2.5), (4, 16, 2, 2))
-    assert [(r.check, r.relation, r.lhs) for r in rows] == [
-        ("bob-direct-g", "<", 1.75),
-        ("eve-direct-g", ">=", 2.0),
-        ("bob-converse-g", ">=", 1.5),
-        ("eve-converse-g", "<=", 2.5),
+    rows = bounds.theorem_rows("s", "i", uniform(8), 1.0, "guessing", 1.5, 2.5, (4, 16, 2, 2))
+    assert [(r.check, r.relation, r.lhs, r.note) for r in rows] == [
+        ("bob-direct-g", "<", 1.5, ""),
+        ("eve-direct-g", ">=", 2.5, ""),
+        ("bob-converse-g", ">=", 1.5, ""),
+        ("eve-converse-g", "<=", 2.5, ""),
     ]
     expected = [
         5.0,  # 1 + 2^(3 - 2 + 1)
         4 / (1 + math.log(8)),  # 2^(3 - 1) / (1 + ln 8)
         1.0,  # 2^(3 - 4) / (1 + ln 8), floored at 1
-        3.0,  # min(2 * 1.5, 2^3): Eve's converse rides on Bob's lower end
+        3.0,  # min(2 * 1.5, 2^3): Eve's converse rides on Bob's value
     ]
     assert [r.rhs for r in rows] == pytest.approx(expected, rel=1e-14)
 

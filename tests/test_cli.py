@@ -205,6 +205,18 @@ MALFORMED = {
         "exponent",
         {"rho": 1, "entropy_rate": 0.5, "rates": {"rate_s": 1, "nu": 2, "eta": 3}},
     ],
+    "twohint-cs-fractional": ["twohint", {"source": {"uniform": 4}, "scheme": {"cs": 2.9, "c1": 2, "c2": 1}}],
+    "twohint-cs-bool": ["twohint", {"source": {"uniform": 4}, "scheme": {"cs": True, "c1": 2, "c2": 1}}],
+    "guess-z-count-fractional": ["guess", {"source": {"uniform": 4}, "z_count": 2.5}],
+    "disks-delta-fractional": [
+        "disks",
+        {"source": {"uniform": 4}, "scheme": {"delta": 3.7, "nu": 2, "eta": 1, "s": 2, "p": 2, "r": 0}},
+    ],
+    "exponent-nu-fractional": [
+        "exponent",
+        {"rho": 1, "entropy_rate": 0.5, "rates": {"rate_s": 1, "nu": 2.5, "eta": 1}},
+    ],
+    "verify-all-rho-empty": ["verify-all", {"rho": []}],
     "unequal-sizes-too-small": [
         "disks",
         {

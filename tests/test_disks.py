@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hintlock.adversary import eve_bracket, eve_exact_enumeration
 from hintlock.disks import (
     bob_ambiguity_minmax,
     build_delta_scheme,
@@ -18,7 +17,6 @@ from hintlock.disks import (
     choose_pr,
     disk_exponents,
     equal_size_envelope_rows,
-    _eve_floor,
     eve_ambiguity_minmin,
     verify_disk_theorems,
     verify_unequal_converse,
@@ -35,7 +33,7 @@ def test_acceptance_instance_structure():
     sch = build_delta_scheme(U16, 3, 2, 1, 4, 2, 2, "guessing")
     assert check_reconstruction(sch)
     assert check_eta_independence(sch)
-    assert bob_ambiguity_minmax(sch, 1.0).value == pytest.approx(1.0)
+    assert bob_ambiguity_minmax(sch, 1.0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -162,10 +160,8 @@ def test_p_zero_single_hint_reveals_nothing():
 def test_eve_oracle_vs_enumeration_small():
     u2 = JointPmf.from_marginal(Pmf.of([Fraction(3, 4), Fraction(1, 4)], exact=True))
     sch = build_delta_scheme(u2, 3, 2, 1, 4, 2, 2, "guessing")
-    res = eve_ambiguity_minmin(sch, 1.0)
-    assert res.exact
-    brute = eve_exact_enumeration(sch.eve_cells, 1.0, budget_bits=14)
-    assert res.value == pytest.approx(brute, abs=1e-12)
+    brute = oracles.eve_exact_enumeration(sch.eve_cells, 1.0, budget_bits=14)
+    assert eve_ambiguity_minmin(sch, 1.0) == pytest.approx(brute, abs=1e-12)
 
 
 def test_verify_theorems_acceptance_instance():
@@ -173,7 +169,7 @@ def test_verify_theorems_acceptance_instance():
     for rho in (0.5, 1.0, 2.0):
         rows = verify_disk_theorems(sch, rho)
         assert all_passed(rows), [r for r in rows if not r.passed]
-        assert all("bounds-only" not in r.note for r in rows)  # exact oracles here
+        assert not any(r.note for r in rows)
 
 
 def test_verify_theorems_list_version():
@@ -185,33 +181,21 @@ def test_verify_theorems_list_version():
 def test_degenerate_full_visibility():
     # nu = delta, eta = 0: plain source coding, Bob sees everything
     sch = build_delta_scheme(U4, 2, 2, 0, 1, 1, 0, "guessing")
-    bob = bob_ambiguity_minmax(sch, 1.0)
-    assert bob.value == pytest.approx(1.0)
-    eve = eve_ambiguity_minmin(sch, 1.0)
-    assert eve.value == pytest.approx(2.5)  # empty subset: unconditional moment
+    assert bob_ambiguity_minmax(sch, 1.0) == pytest.approx(1.0)
+    assert eve_ambiguity_minmin(sch, 1.0) == pytest.approx(2.5)  # empty subset: unconditional moment
     rows = verify_disk_theorems(sch, 1.0)
     assert all_passed(rows)
 
 
-def test_eve_bounds_bracket_sound():
-    sch = build_delta_scheme(U16, 3, 2, 1, 4, 2, 2, "guessing")
-    exact = eve_ambiguity_minmin(sch, 1.0).value
-    bracket = eve_bracket(sch.eve_cells, 1.0, _eve_floor(sch, 1.0))
-    lo, hi = bracket.lower, bracket.upper
-    assert lo - 1e-12 <= exact <= hi + 1e-12
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_eve_floor_equals_the_dict_formula(seed):
-    # the shared adversary floor against the formula it replaced, on the dict reference kernel
-    rng = np.random.default_rng(seed)
-    joint = random_joint(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)), exact=bool(seed % 2), zeros=0.2)
-    for params in ((3, 2, 1, 4, 2, 2), (4, 3, 2, 2, 0, 2), (3, 2, 0, 2, 2, 0)):
-        sch = build_delta_scheme(joint, *params)
-        delta, _, eta, s = params[:4]
-        for rho in (0.3, 1.0, 2.5):
-            pair = oracles.grouped_moment(((y, (x, h), float(p)) for (x, y, h), p in sch.law.items()), rho)
-            assert _eve_floor(sch, rho) == max(1.0, (math.comb(delta, eta) * 2 ** (eta * s)) ** (-rho) * pair)
+def test_views_that_rank_a_cell_differently_are_rejected():
+    # Bob's view (0, 1) ranks x = 1 second behind x = 0; view (0, 2) ranks it first
+    sch = build_delta_scheme(U4, 3, 2, 1, 2, 2, 0)
+    law = {(0, 0, (0, 0, 0)): Fraction(1, 2), (1, 0, (0, 0, 1)): Fraction(3, 10), (2, 0, (1, 1, 1)): Fraction(1, 5)}
+    bad = dataclasses.replace(sch, law=law)
+    assert not oracles.ranks_alike(list(bad.bob_cells))
+    with pytest.raises(DomainError, match="rank a cell differently"):
+        bob_ambiguity_minmax(bad, 1.0)
+    assert bob_ambiguity_minmax(bad, 1.0, "list") == oracles.support_moment(list(bad.bob_cells), 1.0)
 
 
 def test_unequal_size_converse_random_sweep():
@@ -263,8 +247,7 @@ def test_choose_pr_mid_case_validated_by_sweep():
     for u_bound in (1.25, 1.5, 2.0, 4.0):
         p, r = choose_pr(u_bound, 4, 2, 1, 3, h, 1.0)
         sch = build_delta_scheme(U16, 3, 2, 1, 4, p, r, "guessing")
-        bob = bob_ambiguity_minmax(sch, 1.0)
-        assert (bob.value if bob.exact else bob.upper) < u_bound
+        assert bob_ambiguity_minmax(sch, 1.0) < u_bound
         # sweep: the rule's pad width is admissible and achieves the budget
         admissible = [
             (4 - rr, rr)

@@ -11,15 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hintlock.adversary import (
-    Cell,
-    CellView,
-    as_view,
-    eve_ambiguity,
-    eve_exact_enumeration,
-    eve_exact_matching,
-    support_moment,
-)
+from hintlock.adversary import Cell, CellView, as_view, eve_exact_matching, support_moment
 from hintlock import adversary, exponents
 from hintlock.disks import build_delta_scheme
 from hintlock.distortion import DistortionSpec
@@ -27,7 +19,13 @@ from hintlock.exponents import RdQuery, rd_exponent_functional, rd_function
 from hintlock.guessing import random_joint
 from hintlock.prob import DomainError, JointPmf
 from hintlock.twohint import build_two_hint
-from oracles import dense_matching, eve_strategy_pair_bruteforce, reference_rd_function
+from oracles import (
+    dense_matching,
+    eve_exact_enumeration,
+    eve_strategy_pair_bruteforce,
+    has_mergeable_cells,
+    reference_rd_function,
+)
 
 RHOS = st.sampled_from([0.5, 1.0, 2.0])
 MASSES = st.floats(min_value=0.01, max_value=1.0)
@@ -97,10 +95,15 @@ def test_support_moment_is_set_counting(cells, rho, reduce):
 @settings(max_examples=60, deadline=None)
 @given(cell_lists(n_x=3, n_ctx=2, max_views=2), RHOS)
 def test_eve_ambiguity_matches_slow_oracles(cells, rho):
-    res = eve_ambiguity(cells, rho, None)
-    assert res.exact and res.lower == res.value == res.upper
-    assert res.value == pytest.approx(eve_exact_enumeration(cells, rho), rel=1e-9)
-    assert res.value == pytest.approx(eve_strategy_pair_bruteforce(cells, (0, 1, 2), rho), rel=1e-9)
+    # the matching answers unmergeable cells and rejects mergeable ones; the
+    # enumeration answers both
+    enumeration = eve_exact_enumeration(cells, rho)
+    assert enumeration == pytest.approx(eve_strategy_pair_bruteforce(cells, (0, 1, 2), rho), rel=1e-9)
+    if has_mergeable_cells(cells):
+        with pytest.raises(DomainError):
+            eve_exact_matching(cells, rho)
+    else:
+        assert eve_exact_matching(cells, rho) == pytest.approx(enumeration, rel=1e-9)
 
 
 TIED_MASSES = st.sampled_from([0.0, 0.05, 0.1, 0.1, 0.25, 0.5])

@@ -7,13 +7,12 @@ import pytest
 
 import oracles
 from oracles import grouped_moment
-from hintlock.adversary import eve_bracket, support_moment
+from hintlock.adversary import support_moment
 from hintlock.guessing import optimal_guesser, random_joint
 from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy
 from hintlock.report import all_passed
 from hintlock.twohint import (
     InfeasibleBoundError,
-    _eve_floor,
     bob_ambiguity,
     build_eve_list_scheme,
     build_secret_hint,
@@ -128,29 +127,18 @@ def test_eve_examples_from_fixed_laws():
     assert eve_ambiguity_weak(otp, 1.0) == pytest.approx(1.5, abs=1e-12)
 
 
-def test_eve_bounds_bracket_exact():
-    # the certified bracket used when the exact oracles are out of budget
-    for joint in (U4, SKEW4):
-        for triple in ((1, 2, 2), (2, 2, 2), (4, 1, 1)):
-            s = build_two_hint(joint, *triple, m1_size=4, m2_size=4)
-            for rho in (0.5, 1.0, 2.0):
-                exact = eve_ambiguity_exact(s, rho)
-                bracket = eve_bracket(s.eve_cells, rho, _eve_floor(s, rho))
-                assert bracket.lower - 1e-12 <= exact <= bracket.upper + 1e-12
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_eve_floor_equals_the_dict_formula(seed):
-    # the shared adversary floor against the formula it replaced, on the dict reference kernel
-    rng = np.random.default_rng(seed)
-    joint = random_joint(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)), exact=bool(seed % 2), zeros=0.2)
-    for triple in ((1, 1, 1), (1, 2, 2), (2, 2, 1), (3, 1, 2)):  # at (1, 1, 1) the moment of X given Y decides
-        s = build_two_hint(joint, *triple)
-        for rho in (0.3, 1.0, 2.5):
-            aug = grouped_moment(((y, x, float(p)) for (x, y, _, _), p in s.law.items()), rho)
-            z = s.cs * (s.c1 + s.c2)
-            want = max(1.0, z ** (-rho) * pad_pair_moment(s, rho), (s.m1_size * s.m2_size) ** (-rho) * aug)
-            assert _eve_floor(s, rho) == want
+def test_mergeable_law_is_rejected():
+    # two realizations of x = "a" share Eve's context M1 = 0: routing both there
+    # merges their mass, which the matching cannot price
+    joint = JointPmf.from_marginal(Pmf.of([Fraction(3, 5), Fraction(2, 5)], symbols=("a", "b"), exact=True))
+    law = {("a", 0, 0, 0): Fraction(3, 10), ("a", 0, 0, 1): Fraction(3, 10), ("b", 0, 0, 2): Fraction(2, 5)}
+    s = scheme_from_law(joint, law, 1, 3)
+    assert oracles.has_mergeable_cells(list(s.eve_cells))
+    assert oracles.eve_exact_enumeration(s.eve_cells, 1.0) == pytest.approx(1.0)
+    with pytest.raises(DomainError, match="share a context"):
+        eve_ambiguity_exact(s, 1.0)
+    with pytest.raises(DomainError, match="share a context"):
+        verify_finite_blocklength(s, 1.0)
 
 
 def test_eve_exact_never_exceeds_weak():
@@ -200,7 +188,7 @@ def test_universal_converses_on_random_schemes():
             h = renyi_cond_entropy(j, RenyiOrder.from_rho(rho))
             a_bg = guess_moment_given(law, lambda key: key[1:], rho)
             a_bl = list_moment_given(law, lambda key: key[1:], rho)
-            a_e = eve_ambiguity_exact(s, rho)
+            a_e = oracles.eve_exact_enumeration(s.eve_cells, rho)  # these laws can merge cells
             a_ew = eve_ambiguity_weak(s, rho)
             assert a_bg >= max(1.0, (1 + math.log(nx)) ** -rho * 2 ** (rho * (h - math.log2(m1 * m2)))) - 1e-9
             assert a_bl >= max(1.0, 2 ** (rho * (h - math.log2(m1 * m2)))) - 1e-9
