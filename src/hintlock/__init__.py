@@ -44,8 +44,6 @@ from .tasks import (
 from .twohint import (
     TwoHintScheme,
     build_two_hint,
-    bob_ambiguity,
-    eve_ambiguity_exact,
     eve_ambiguity_weak,
     verify_finite_blocklength,
     choose_triple,
@@ -58,8 +56,6 @@ from .gf import FieldTable, GenMatrix, field_make, rs_generator, mds_check
 from .disks import (
     DeltaHintScheme,
     build_delta_scheme,
-    bob_ambiguity_minmax,
-    eve_ambiguity_minmin,
     verify_disk_theorems,
     choose_pr,
     disk_exponents,

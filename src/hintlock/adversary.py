@@ -18,6 +18,10 @@ min-max guessing moment (`bob_minmax_moment`) and Eve's accomplice-optimal
 moment (`eve_exact_matching`).  A plain list of `Cell`s is coded into a view
 once per call.
 
+Every scheme prices Bob and Eve and writes its report rows through one
+protocol, `SchemeCells` (`bob`, `eve`, `rows`), so no caller dispatches on a
+scheme's type.
+
 A view keeps, from first use, what the descending-posterior order fixes for
 every rho, grouped in numpy (unique, lexsort, add.at): per position the rank
 table of the one grouped kernel (`_rank_table` on int columns: context, key,
@@ -69,6 +73,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bounds import theorem_rows
 from .guessing import group_starts, in_order, power_moment, power_terms, rank_groups
 from .prob import DomainError, common_denominator
 
@@ -218,15 +223,37 @@ def as_view(cells) -> CellView:
 
 
 class SchemeCells:
-    """A scheme dataclass's law, coded once, and its cell views: Bob's view k
-    shows y and the hints `bob_positions[k]`, Eve's those of `eve_positions[k]`.
-    The defaults are two hints: Bob sees both, Eve's accomplice reveals one."""
+    """A scheme dataclass's law, coded once, its cell views, prices and report rows.
+
+    Bob's view k shows y and the hints `bob_positions[k]`, Eve's those of
+    `eve_positions[k]` (by default Bob sees both hints, Eve's accomplice
+    reveals one).  `bob` is Bob's guessing or list moment, `eve` Eve's by the
+    matching, and `rows` the four `bounds.theorem_rows` of suite
+    "{suite}-{version}" on the scheme's (z, m, leak, secret) `sizes`.  A scheme
+    declares `suite` and `sizes` and overrides only what its theorem changes.
+    """
 
     bob_positions = ((0, 1),)
     eve_positions = ((0,), (1,))
 
     def __post_init__(self):
         object.__setattr__(self, "law", Law.coded(self.law))
+
+    def bob(self, rho: float, version: str | None = None) -> float:
+        version = version or self.version
+        if version == "guessing":
+            return moment_for_constant(self.bob_cells, 0, rho)
+        if version == "list":
+            return support_moment(self.bob_cells, rho)
+        raise DomainError(f"unknown version {version!r}")
+
+    def eve(self, rho: float) -> float:
+        return eve_exact_matching(self.eve_cells, rho)
+
+    def rows(self, rho: float, version: str | None = None, instance: str = "") -> list:
+        version = version or self.version
+        bob, eve = self.bob(rho, version), self.eve(rho)
+        return theorem_rows(f"{self.suite}-{version}", instance, self.joint, rho, version, bob, eve, self.sizes)
 
     @cached_property
     def bob_cells(self) -> CellView:

@@ -48,14 +48,17 @@ class ConfigError(Exception):
 
 
 def _number(value, kind: type, key: str):
-    """`value` read as `kind` (int or float); a bool, a value of another type
-    or a fractional one read as int is a config error."""
+    """`value` read as `kind` (int or float); a bool, a value of another type,
+    a fractional one read as int or a non-finite one read as float is a config error."""
     try:
         if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
             raise TypeError
-        return kind(value)
+        number = kind(value)
+        if kind is float and not math.isfinite(number):
+            raise ValueError
+        return number
     except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
+        what = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"config error: {key!r} must be {what}, not {value!r}") from None
 
 
@@ -144,16 +147,20 @@ def _rho_list(cfg: dict) -> list[float]:
     rhos = [_number(r, float, "rho") for r in _numbers(cfg, "rho", 1.0)]
     if not rhos:
         raise ConfigError("config error: 'rho' must list at least one value")
-    if not all(map(math.isfinite, rhos)):
-        raise ConfigError(f"config error: 'rho' must be finite, got {rhos}")
     return rhos
+
+
+def _version(cfg: dict) -> str:
+    """The config's 'version'; "guessing" when absent or null."""
+    version = cfg.get("version")
+    return "guessing" if version is None else version
 
 
 def cmd_entropy(cfg: dict, args) -> list[ReportRow]:
     joint = _load_source(cfg, args.rational)
     rows = []
     for a in _numbers(cfg, "alpha", [0.0, 0.5, 1.0, 2.0, "inf"]):
-        h = renyi_cond_entropy(joint, _number(a, float, "alpha"))
+        h = renyi_cond_entropy(joint, math.inf if a in ("inf", math.inf) else _number(a, float, "alpha"))
         rows.append(ReportRow("entropy", f"alpha={a}", "H_alpha(X|Y)", "==", h, h))
     for rho in _rho_list(cfg):
         h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
@@ -196,8 +203,8 @@ def cmd_task(cfg: dict, args) -> list[ReportRow]:
     return rows
 
 
-def _build_scheme(cfg: dict, joint: JointPmf, version: str):
-    sch = _section(cfg, "scheme")
+def _build_scheme(cfg: dict, joint: JointPmf):
+    sch, version = _section(cfg, "scheme"), _version(cfg)
     kind = sch.get("kind", "two-hint")
     name = f"a {kind} scheme"
     if kind == "two-hint":
@@ -217,38 +224,24 @@ def _build_scheme(cfg: dict, joint: JointPmf, version: str):
 
 
 def cmd_twohint(cfg: dict, args) -> list[ReportRow]:
-    joint = _load_source(cfg, args.rational)
-    version = cfg.get("version", "guessing")
-    scheme = _build_scheme(cfg, joint, version)
-    rows = []
-    for rho in _rho_list(cfg):
-        inst = f"rho={fmt(rho)}"
-        if isinstance(scheme, twohint_mod.TwoHintScheme):
-            rows.extend(twohint_mod.verify_finite_blocklength(scheme, rho, version, inst))
-        elif isinstance(scheme, twohint_mod.SecretHintScheme):
-            rows.extend(twohint_mod.verify_secret_hint(scheme, rho, inst))
-        elif isinstance(scheme, twohint_mod.SecretKeyScheme):
-            rows.extend(twohint_mod.verify_secret_key(scheme, rho, inst))
-        else:
-            rows.extend(twohint_mod.verify_eve_list(scheme, rho, inst))
-    return rows
+    scheme = _build_scheme(cfg, _load_source(cfg, args.rational))
+    return [row for rho in _rho_list(cfg) for row in scheme.rows(rho, instance=f"rho={fmt(rho)}")]
 
 
 def cmd_disks(cfg: dict, args) -> list[ReportRow]:
     joint = _load_source(cfg, args.rational)
-    version = cfg.get("version", "guessing")
     params = _fields(_section(cfg, "scheme"), "a disk scheme", delta=int, nu=int, eta=int, s=int, p=int, r=int)
-    scheme = disks_mod.build_delta_scheme(joint, *params, version, budget=args.budget)
+    scheme = disks_mod.build_delta_scheme(joint, *params, _version(cfg), budget=args.budget)
     delta, nu, eta, s = params[:4]
     sizes = _unequal_sizes(cfg, delta, s)
     structure = {"nu-subset-recovery": disks_mod.check_reconstruction(scheme)}
     structure["eta-subset-independence"] = disks_mod.check_eta_independence(scheme)
     rows = [ReportRow("disks", "structure", name, "==", 1.0 if ok else 0.0, 1.0) for name, ok in structure.items()]
     for rho in _rho_list(cfg):
-        rows.extend(disks_mod.verify_disk_theorems(scheme, rho, version, f"rho={fmt(rho)}"))
+        rows.extend(scheme.rows(rho, instance=f"rho={fmt(rho)}"))
         if sizes is not None:
             inst = f"sizes={sizes},rho={fmt(rho)}"
-            rows.extend(disks_mod.verify_unequal_converse(joint, scheme.law, sizes, nu, eta, rho, inst))
+            rows.extend(disks_mod.unequal_converse_rows(joint, scheme.law, sizes, nu, eta, rho, inst))
             h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
             rows.extend(disks_mod.equal_size_envelope_rows(sizes, nu, eta, rho, h, len(joint.x_alphabet)))
     return rows
@@ -331,7 +324,7 @@ def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
     return rows
 
 
-def cmd_verify_all(cfg: dict, args) -> list[ReportRow]:
+def cmd_battery(cfg: dict, args) -> list[ReportRow]:
     """A deterministic battery over the bundled desk-scale instances."""
     rho_list = _rho_list(cfg)
     uniform4 = JointPmf.from_marginal(Pmf.uniform(4, exact=True))
@@ -346,17 +339,16 @@ def cmd_verify_all(cfg: dict, args) -> list[ReportRow]:
                 for version in ("guessing", "list"):
                     if version == "list" and not list_room(math.prod(triple), len(joint.x_alphabet)):
                         continue
-                    scheme = twohint_mod.build_two_hint(joint, *triple, version, 4, 4)
-                    rows.extend(twohint_mod.verify_finite_blocklength(scheme, rho, version, inst))
+                    rows.extend(twohint_mod.build_two_hint(joint, *triple, version, 4, 4).rows(rho, instance=inst))
+    schemes = [  # (instance prefix, scheme)
+        ("delta,", disks_mod.build_delta_scheme(uniform4, 3, 2, 1, 2, 2, 0)),
+        ("", twohint_mod.build_secret_hint(uniform4, 2, 2)),
+        ("", twohint_mod.build_secret_key(uniform4, 2, 2)),
+        ("", twohint_mod.build_eve_list_scheme(uniform4, 4, 4, 20.0)),
+    ]
     for rho in rho_list:
-        scheme = disks_mod.build_delta_scheme(uniform4, 3, 2, 1, 2, 2, 0, "guessing")
-        rows.extend(disks_mod.verify_disk_theorems(scheme, rho, "guessing", f"delta,rho={fmt(rho)}"))
-        sh = twohint_mod.build_secret_hint(uniform4, 2, 2, "guessing")
-        rows.extend(twohint_mod.verify_secret_hint(sh, rho, f"rho={fmt(rho)}"))
-        sk = twohint_mod.build_secret_key(uniform4, 2, 2, "guessing")
-        rows.extend(twohint_mod.verify_secret_key(sk, rho, f"rho={fmt(rho)}"))
-        el = twohint_mod.build_eve_list_scheme(uniform4, 4, 4, 20.0)
-        rows.extend(twohint_mod.verify_eve_list(el, rho, f"rho={fmt(rho)}"))
+        for prefix, scheme in schemes:
+            rows.extend(scheme.rows(rho, instance=f"{prefix}rho={fmt(rho)}"))
     return rows
 
 
@@ -368,7 +360,7 @@ COMMANDS = {
     "disks": cmd_disks,
     "distortion": cmd_distortion,
     "exponent": cmd_exponent,
-    "verify-all": cmd_verify_all,
+    "verify-all": cmd_battery,
 }
 
 

@@ -19,10 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .adversary import (
-    Law, SchemeCells, bob_minmax_moment, eve_exact_matching, moment_for_constant, row_ids, support_moment,
-)
-from .bounds import ExponentOutcome, bob_converse, bob_direct, eve_converse, eve_direct, privacy_exponent, theorem_rows
+from .adversary import Law, SchemeCells, bob_minmax_moment, eve_exact_matching, moment_for_constant, row_ids
+from .bounds import ExponentOutcome, bob_converse, bob_direct, eve_converse, eve_direct, privacy_exponent
 from .gf import field_make, rs_generator
 from .prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow, fmt
@@ -33,6 +31,13 @@ def _admissible(p: int, r: int, delta: int) -> bool:
     """Each of p and r is 0 or at least ceil(log2 delta), so that both codes
     exist: an MDS code of length delta over GF(2^v) needs 2^v >= delta."""
     return all(v == 0 or v >= math.ceil(math.log2(delta)) for v in (p, r))
+
+
+def disk_sizes(delta: int, nu: int, eta: int, s: int, r: int) -> tuple[int, int, int, int]:
+    """The theorem's (z, m, leak, secret): Bob decodes nu*s - eta*r of his nu*s
+    bits; Eve's eta hints leak their eta*p bits and which of at most delta^eta
+    index tuples they are; (nu - eta)*s bits stay hidden from her."""
+    return 2 ** (nu * s - eta * r), 2 ** (nu * s), delta**eta * 2 ** (eta * (s - r)), 2 ** ((nu - eta) * s)
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,8 @@ class DeltaHintScheme(SchemeCells):
     descriptor: dict  # (x, y) -> (V tuple, W tuple)
     law: Law  # (x, y, hints tuple) -> prob
 
+    suite = "disks"
+
     @property
     def bob_positions(self) -> list:  # any nu hints
         return list(combinations(range(self.delta), self.nu))
@@ -55,6 +62,17 @@ class DeltaHintScheme(SchemeCells):
     @property
     def eve_positions(self) -> list:  # any eta hints
         return list(combinations(range(self.delta), self.eta))
+
+    @property
+    def sizes(self) -> tuple:
+        return disk_sizes(self.delta, self.nu, self.eta, self.s, self.r)
+
+    def bob(self, rho: float, version: str | None = None) -> float:
+        """Bob's exact min-max ambiguity: the list maximum, or the guessing moment
+        of each cell's rank, which all his views share (`adversary.bob_minmax_moment`)."""
+        if (version or self.version) == "guessing":
+            return bob_minmax_moment(self.bob_cells, rho)
+        return super().bob(rho, version)
 
     def split_hint(self, h: int) -> tuple[int, int]:
         return h >> self.r, h & ((1 << self.r) - 1)
@@ -82,7 +100,7 @@ def build_delta_scheme(
         raise DomainError(f"need 0 <= eta < nu <= delta, got eta={eta}, nu={nu}, delta={delta}")
     if p + r != s or not _admissible(p, r, delta):
         raise DomainError(f"need p + r = s with p and r each 0 or at least ceil(log2 delta), got p={p}, r={r}, s={s}")
-    zmap = descriptor_map(joint, 1 << (nu * s - eta * r), version)  # nu*p + (nu-eta)*r descriptor bits
+    zmap = descriptor_map(joint, disk_sizes(delta, nu, eta, s, r)[0], version)  # nu*p + (nu-eta)*r bits
     rows = list(joint.support_items())
     if len(rows) << (eta * r) > budget:
         raise BudgetExceededError("realized support exceeds the enumeration budget")
@@ -168,25 +186,6 @@ def check_eta_independence(scheme: DeltaHintScheme) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Ambiguities.
-# ---------------------------------------------------------------------------
-
-
-def bob_ambiguity_minmax(scheme: DeltaHintScheme, rho: float, version: str | None = None) -> float:
-    """Bob's exact min-max ambiguity: the list moment, or the guessing moment of
-    each cell's rank, which all his views share (`adversary.bob_minmax_moment`)."""
-    version = version or scheme.version
-    if version == "list":
-        return support_moment(scheme.bob_cells, rho, max)
-    return bob_minmax_moment(scheme.bob_cells, rho)
-
-
-def eve_ambiguity_minmin(scheme: DeltaHintScheme, rho: float) -> float:
-    """Eve's exact min-min ambiguity, by the assignment reduction."""
-    return eve_exact_matching(scheme.eve_cells, rho)
-
-
-# ---------------------------------------------------------------------------
 # Theorem verification.
 # ---------------------------------------------------------------------------
 
@@ -194,34 +193,19 @@ def eve_ambiguity_minmin(scheme: DeltaHintScheme, rho: float) -> float:
 def verify_disk_theorems(
     scheme: DeltaHintScheme, rho: float, version: str | None = None, instance: str = ""
 ) -> list[ReportRow]:
-    version = version or scheme.version
-    delta, nu, eta, s, r = scheme.delta, scheme.nu, scheme.eta, scheme.s, scheme.r
-    bob = bob_ambiguity_minmax(scheme, rho, version)
-    eve = eve_ambiguity_minmin(scheme, rho)
-    # (z, m, leak, secret): Bob decodes nu*s - eta*r of his nu*s bits; Eve's
-    # eta hints leak their eta*p bits and which of at most delta^eta index
-    # tuples they are; (nu - eta)*s bits stay hidden from her.
-    sizes = (2 ** (nu * s - eta * r), 2 ** (nu * s), delta**eta * 2 ** (eta * (s - r)), 2 ** ((nu - eta) * s))
-    suite = f"disks-{version}"
-    return theorem_rows(suite, instance, scheme.joint, rho, version, bob, eve, sizes)
+    return scheme.rows(rho, version, instance)
 
 
-def verify_unequal_converse(
-    joint: JointPmf,
-    law: dict,
-    sizes: tuple,
-    nu: int,
-    eta: int,
-    rho: float,
-    instance: str = "",
+def unequal_converse_rows(
+    joint: JointPmf, law: Law | dict, sizes: tuple, nu: int, eta: int, rho: float, instance: str = ""
 ) -> list[ReportRow]:
     """Converse floors for arbitrary schemes whose disk l stores sizes[l] bits.
 
-    `law` maps (x, y, hints tuple) -> prob for any encoder (hint l must fit in
-    sizes[l] bits).  Bob's side is his best fixed subset, a lower bound on
-    his min-max ambiguity for any law, so a pass is sound; Eve's is exact,
-    and a law in which two realizations with the same x share one of her
-    contexts is rejected with DomainError.
+    `law` is a `Law` or a dict (x, y, hints tuple) -> prob, for any encoder
+    (hint l must fit in sizes[l] bits).  Bob's side is his best fixed subset,
+    a lower bound on his min-max ambiguity for any law, so a pass is sound;
+    Eve's is exact, and a law in which two realizations with the same x share
+    one of her contexts is rejected with DomainError.
     """
     law = Law.coded(law)
     h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
@@ -267,8 +251,9 @@ def equal_size_envelope_rows(
         e = eve_converse(h, rho, 2 ** sum(ssort[: nu - eta]), b)
         ok = False
         for r in admissible_r:
-            bob_rhs = bob_direct(h, rho, 2 ** (nu * sbar - eta * r), nx, "guessing")
-            eve_floor = eve_direct(h, rho, delta**eta * 2 ** (eta * (sbar - r)), nx)
+            z, _, leak, _ = disk_sizes(delta, nu, eta, sbar, r)
+            bob_rhs = bob_direct(h, rho, z, nx, "guessing")
+            eve_floor = eve_direct(h, rho, leak, nx)
             if bob_rhs <= 1 + factor * max(b - 1, base) and factor * eve_floor >= e:
                 ok = True
                 break
@@ -303,7 +288,7 @@ def choose_pr(
         raise DomainError("list version needs nx")
 
     def fits(r: int) -> bool:
-        return bob_direct(renyi_value, rho, 2 ** (nu * s - eta * r), nx, version) <= u_bound
+        return bob_direct(renyi_value, rho, disk_sizes(delta, nu, eta, s, r)[0], nx, version) <= u_bound
 
     if not fits(0):
         raise DomainError("u_bound below the achievability threshold")

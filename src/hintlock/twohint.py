@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .adversary import CellView, Law, SchemeCells, eve_exact_matching, moment_for_constant, support_moment
-from .bounds import ExponentOutcome, bob_converse, bob_direct, list_room, privacy_exponent, theorem_rows
+from .adversary import CellView, Law, SchemeCells, moment_for_constant, support_moment
+from .bounds import ExponentOutcome, bob_converse, bob_direct, list_room, privacy_exponent
 from .guessing import rank_groups
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow
@@ -33,9 +33,7 @@ from .tasks import descriptor_map
 
 # ---------------------------------------------------------------------------
 # Realized laws.  Every scheme keeps its exact law {(x, y, h_1, h_2): prob} as
-# columns (`adversary.Law`) for the structural checks, and builds its float Bob
-# and Eve cell views from them once (`adversary.SchemeCells`); every ambiguity
-# below is computed on those.
+# columns (`adversary.Law`); `adversary.SchemeCells` prices Bob and Eve on it.
 # ---------------------------------------------------------------------------
 
 
@@ -65,6 +63,24 @@ class TwoHintScheme(SchemeCells):
     version: str
     descriptor: dict  # (x, y) -> (v_s, v_1, v_2)
     law: Law  # (x, y, m1, m2) -> prob; m1 = vtilde*c1+v1, m2 = u*c2+v2
+
+    suite = "two-hint"
+
+    @property
+    def sizes(self) -> tuple:
+        m1, m2 = self.m1_size, self.m2_size
+        return self.cs * self.c1 * self.c2, m1 * m2, self.c1 + self.c2, min(m1, m2)
+
+    def rows(self, rho: float, version: str | None = None, instance: str = "") -> list[ReportRow]:
+        """The theorem rows, then the weak accomplice's: Eve's converse caps it too."""
+        version = version or self.version
+        rows = super().rows(rho, version, instance)
+        suite, eve, weak = rows[0].suite, rows[-1].lhs, eve_ambiguity_weak(self, rho)
+        return [
+            *rows,
+            ReportRow(suite, instance, f"eve-weak-converse-{version[0]}", "<=", weak, rows[-1].rhs),
+            ReportRow(suite, instance, "eve-exact-below-weak", "<=", eve, weak),
+        ]
 
     def pad_coordinate_laws(self) -> tuple[dict, dict]:
         """Conditional laws of M1's padded coordinate and M2's pad, per (x, y).
@@ -150,29 +166,12 @@ def scheme_from_law(
 ) -> TwoHintScheme:
     """Wrap an arbitrary realized law {(x, y, m1, m2): prob} for the verifiers.
 
-    Cardinality parameters cs, c1, c2 are recorded as 1 (they only matter for
-    schemes built by `build_two_hint`); every ambiguity and converse check
-    works directly on the law.  Eve's oracle rejects a law in which two
-    realizations with the same x share a context, with DomainError.
+    No pad is recorded (cs = 1, c1 = |M1|, c2 = |M2|), so its sizes are
+    (|M1||M2|, |M1||M2|, |M1| + |M2|, min(|M1|, |M2|)); every ambiguity and
+    converse check works directly on the law.  Eve's oracle rejects a law in
+    which two realizations with the same x share a context, with DomainError.
     """
     return TwoHintScheme(joint, 1, m1_size, m2_size, m1_size, m2_size, version, {}, law)
-
-
-def bob_ambiguity(scheme, rho: float, version: str | None = None) -> float:
-    """Bob's exact ambiguity given every hint (guessing moment or list moment)."""
-    version = version or scheme.version
-    if version == "guessing":
-        return moment_for_constant(scheme.bob_cells, 0, rho)
-    if version == "list":
-        return support_moment(scheme.bob_cells, rho)
-    raise DomainError(f"unknown version {version!r}")
-
-
-def eve_ambiguity_exact(scheme, rho: float) -> float:
-    """Exact accomplice-optimal guessing moment for Eve, by the assignment
-    reduction; raises DomainError when two realizations with the same x share
-    one of her contexts (no built scheme has one)."""
-    return eve_exact_matching(scheme.eve_cells, rho)
 
 
 def eve_ambiguity_weak(scheme, rho: float) -> float:
@@ -184,19 +183,7 @@ def verify_finite_blocklength(
     scheme: TwoHintScheme, rho: float, version: str | None = None, instance: str = ""
 ) -> list[ReportRow]:
     """Check the achievability and converse inequalities on the built scheme."""
-    version = version or scheme.version
-    m1, m2 = scheme.m1_size, scheme.m2_size
-    a_b = bob_ambiguity(scheme, rho, version)
-    a_e = eve_exact_matching(scheme.eve_cells, rho)
-    a_e_weak = eve_ambiguity_weak(scheme, rho)
-    suite = f"two-hint-{version}"
-    sizes = (scheme.cs * scheme.c1 * scheme.c2, m1 * m2, scheme.c1 + scheme.c2, min(m1, m2))
-    rows = theorem_rows(suite, instance, scheme.joint, rho, version, a_b, a_e, sizes)
-    return [
-        *rows,  # the last is Eve's converse, which caps the weak accomplice too
-        ReportRow(suite, instance, f"eve-weak-converse-{version[0]}", "<=", a_e_weak, rows[-1].rhs),
-        ReportRow(suite, instance, "eve-exact-below-weak", "<=", a_e, a_e_weak),
-    ]
+    return scheme.rows(rho, version, instance)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +257,14 @@ class SecretHintScheme(SchemeCells):
     law: Law  # (x, y, m_public, m_secret) -> prob (deterministic descriptor)
 
     eve_positions = ((0,),)  # the public hint only
+    suite = "secret-hint"
+
+    @property
+    def sizes(self) -> tuple:
+        return self.c * self.ms_size, self.mp_size * self.ms_size, self.c, self.ms_size
+
+    def eve(self, rho: float) -> float:  # the guessing moment given the public hint
+        return moment_for_constant(self.eve_cells, 0, rho)
 
 
 def build_secret_hint(
@@ -285,18 +280,8 @@ def build_secret_hint(
     return SecretHintScheme(joint, c, mp_size, ms_size, version, law)
 
 
-def _verify_fixed_eve_hint(scheme, rho: float, instance: str, suite: str, sizes: tuple) -> list[ReportRow]:
-    """Theorem rows for schemes where Eve always sees the same one hint."""
-    a_b = bob_ambiguity(scheme, rho)
-    a_e = moment_for_constant(scheme.eve_cells, 0, rho)
-    version = scheme.version
-    suite = f"{suite}-{version}"
-    return theorem_rows(suite, instance, scheme.joint, rho, version, a_b, a_e, sizes)
-
-
 def verify_secret_hint(scheme: SecretHintScheme, rho: float, instance: str = "") -> list[ReportRow]:
-    c, mp, ms = scheme.c, scheme.mp_size, scheme.ms_size
-    return _verify_fixed_eve_hint(scheme, rho, instance, "secret-hint", (c * ms, mp * ms, c, ms))
+    return scheme.rows(rho, instance=instance)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +299,14 @@ class SecretKeyScheme(SchemeCells):
     law: Law  # (x, y, k, m) -> prob with m = (ms + k mod |K|)*c + mp
 
     eve_positions = ((1,),)  # the stored hint, never the key
+    suite = "secret-key"
+
+    @property
+    def sizes(self) -> tuple:
+        return self.c * self.k_size, self.m_size, self.c, self.k_size
+
+    def eve(self, rho: float) -> float:  # the guessing moment given the stored hint
+        return moment_for_constant(self.eve_cells, 0, rho)
 
 
 def build_secret_key(
@@ -334,8 +327,7 @@ def build_secret_key(
 
 
 def verify_secret_key(scheme: SecretKeyScheme, rho: float, instance: str = "") -> list[ReportRow]:
-    c, ksz, msz = scheme.c, scheme.k_size, scheme.m_size
-    return _verify_fixed_eve_hint(scheme, rho, instance, "secret-key", (c * ksz, msz, c, ksz))
+    return scheme.rows(rho, instance=instance)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +346,34 @@ class EveListScheme(SchemeCells):
     epsilon: float
     law: Law  # (x, y, m1, m2) -> prob
 
+    version = "list"  # Bob's and Eve's lists
+
     @cached_property
     def no_hint_cells(self) -> CellView:  # the list Eve forms from Y alone
         return self.law.view([()])
+
+    def eve(self, rho: float) -> float:
+        """E[min(|L given (Y, M1)|, |L given (Y, M2)|)^rho]."""
+        return support_moment(self.eve_cells, rho, min)
+
+    def rows(self, rho: float, version: str | None = None, instance: str = "") -> list[ReportRow]:
+        """Bob's list bounds, and Eve's list equal to the one she forms from Y alone."""
+        h = renyi_cond_entropy(self.joint, RenyiOrder.from_rho(rho))
+        nx = len(self.joint.x_alphabet)
+        a_b, a_e = self.bob(rho), self.eve(rho)
+        no_hint = support_moment(self.no_hint_cells, rho)
+        m = self.m1_size * self.m2_size
+        # 1 + 2^(rho (h - log2|M1||M2| + 2 log2 cs + 3)): the guessing-form direct
+        # bound at |M1||M2| / (4 cs^2) values, cs = 1 + floor(log2|X|)
+        bob_dir = bob_direct(h, rho, m / (4 * self.cs**2), nx, "guessing")
+        bob_conv = bob_converse(h, rho, m, nx, "list")
+        suite = "eve-list"
+        return [
+            ReportRow(suite, instance, "bob-direct-list", "<=", a_b, bob_dir),
+            ReportRow(suite, instance, "eve-equals-no-hint-list", "==", a_e, no_hint),
+            ReportRow(suite, instance, "bob-converse-list", ">=", a_b, bob_conv),
+            ReportRow(suite, instance, "eve-converse-list", "<=", a_e, no_hint),
+        ]
 
 
 def build_eve_list_scheme(
@@ -395,30 +412,8 @@ def build_eve_list_scheme(
     return EveListScheme(joint, cs, c1, c2, m1_size, m2_size, epsilon, _padded_law(joint, items, cs, c1, c2, exact))
 
 
-def eve_list_ambiguity(scheme: EveListScheme, rho: float) -> float:
-    """E[min(|L given (Y, M1)|, |L given (Y, M2)|)^rho]."""
-    return support_moment(scheme.eve_cells, rho, min)
-
-
 def verify_eve_list(scheme: EveListScheme, rho: float, instance: str = "") -> list[ReportRow]:
-    joint = scheme.joint
-    h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
-    nx = len(joint.x_alphabet)
-    a_b = bob_ambiguity(scheme, rho, "list")
-    a_e = eve_list_ambiguity(scheme, rho)
-    no_hint = support_moment(scheme.no_hint_cells, rho)
-    m = scheme.m1_size * scheme.m2_size
-    # 1 + 2^(rho (h - log2|M1||M2| + 2 log2 cs + 3)): the guessing-form direct
-    # bound at |M1||M2| / (4 cs^2) values, cs = 1 + floor(log2|X|)
-    bob_dir = bob_direct(h, rho, m / (4 * scheme.cs**2), nx, "guessing")
-    bob_conv = bob_converse(h, rho, m, nx, "list")
-    suite = "eve-list"
-    return [
-        ReportRow(suite, instance, "bob-direct-list", "<=", a_b, bob_dir),
-        ReportRow(suite, instance, "eve-equals-no-hint-list", "==", a_e, no_hint),
-        ReportRow(suite, instance, "bob-converse-list", ">=", a_b, bob_conv),
-        ReportRow(suite, instance, "eve-converse-list", "<=", a_e, no_hint),
-    ]
+    return scheme.rows(rho, instance=instance)
 
 
 # ---------------------------------------------------------------------------

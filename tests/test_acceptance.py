@@ -13,12 +13,10 @@ import numpy as np
 import pytest
 
 from hintlock.disks import (
-    bob_ambiguity_minmax,
     build_delta_scheme,
     check_eta_independence,
     check_reconstruction,
     disk_exponents,
-    eve_ambiguity_minmin,
     verify_disk_theorems,
 )
 from hintlock.distortion import (
@@ -51,12 +49,9 @@ from hintlock.tasks import (
     s_alphabet_size,
 )
 from hintlock.twohint import (
-    bob_ambiguity,
     build_eve_list_scheme,
     build_two_hint,
-    eve_ambiguity_exact,
     eve_ambiguity_weak,
-    eve_list_ambiguity,
     scheme_from_law,
     two_hint_exponents,
     verify_eve_list,
@@ -206,9 +201,9 @@ def test_criterion_06_secrecy_notion_separation():
     reveal = scheme_from_law(bit, law1, 3, 3)
     otp = build_two_hint(bit, 2, 1, 1)
     ok = (
-        eve_ambiguity_exact(reveal, 1.0) == 1.0
+        reveal.eve(1.0) == 1.0
         and eve_ambiguity_weak(reveal, 1.0) == 1.25
-        and eve_ambiguity_exact(otp, 1.0) == 1.0
+        and otp.eve(1.0) == 1.0
         and eve_ambiguity_weak(otp, 1.0) == 1.5
     )
     report(6, "secrecy-notion-separation", ok, time.time() - t0, 1.0)
@@ -219,7 +214,7 @@ def test_criterion_07_eve_must_list():
     u4 = JointPmf.from_marginal(Pmf.of([Fraction(1, 4)] * 4, exact=True))
     sch = build_eve_list_scheme(u4, 4, 4, 20.0)
     rows = verify_eve_list(sch, 1.0)
-    ok = all_passed(rows) and eve_list_ambiguity(sch, 1.0) == 4.0
+    ok = all_passed(rows) and sch.eve(1.0) == 4.0
     report(7, "eve-must-list", ok, time.time() - t0, 10.0)
 
 
@@ -248,7 +243,7 @@ def test_criterion_09_delta_scheme():
     ok = check_reconstruction(sch)
     ok &= check_eta_independence(sch)  # exact rational: total variation zero
     # both oracles are exact on a built scheme, or they raise
-    ok &= math.isfinite(eve_ambiguity_minmin(sch, 1.0)) and bob_ambiguity_minmax(sch, 1.0) == 1.0
+    ok &= math.isfinite(sch.eve(1.0)) and sch.bob(1.0) == 1.0
     for rho in (0.5, 1.0, 2.0):
         rows = verify_disk_theorems(sch, rho)
         ok &= all_passed(rows)
@@ -278,7 +273,7 @@ def test_criterion_10_exponent_calculators_and_trend():
         nx = 2**n
         joint = JointPmf.from_marginal(Pmf.of([Fraction(1, nx)] * nx, exact=True))
         s = build_two_hint(joint, nx, 1, 1)
-        b = bob_ambiguity(s, 1.0, "guessing")
+        b = s.bob(1.0, "guessing")
         ok &= b <= prev + 1e-12
         prev = b
         if n == 8:

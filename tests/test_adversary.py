@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hintlock.adversary import Cell, eve_exact_matching, moment_for_constant
-from hintlock.disks import build_delta_scheme, verify_disk_theorems, verify_unequal_converse
+from hintlock.disks import build_delta_scheme, unequal_converse_rows, verify_disk_theorems
 from hintlock.guessing import random_joint
 from hintlock.prob import BudgetExceededError, DomainError
 from hintlock.twohint import (
@@ -134,7 +134,7 @@ def _disk_rows(scheme, rho) -> list:
     return [
         *verify_disk_theorems(scheme, rho),
         *verify_disk_theorems(scheme, rho, "guessing"),
-        *verify_unequal_converse(scheme.joint, scheme.law, sizes, scheme.nu, scheme.eta, rho),
+        *unequal_converse_rows(scheme.joint, scheme.law, sizes, scheme.nu, scheme.eta, rho),
     ]
 
 

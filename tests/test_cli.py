@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,10 @@ import pytest
 import hintlock
 from hintlock import cli
 from hintlock.cli import main
+from hintlock.disks import build_delta_scheme
+from hintlock.prob import JointPmf, Pmf
+from hintlock.report import ReportRow, fmt, rows_to_csv
+from hintlock.twohint import build_eve_list_scheme, build_secret_hint, build_secret_key, build_two_hint
 
 
 def run(capsys, *argv):
@@ -109,6 +116,42 @@ def test_disks_unequal_sizes_rows(capsys):
     assert sum("equal-size-covers-corner" in line for line in out.splitlines()) == 10
 
 
+U4 = JointPmf.from_marginal(Pmf.of([Fraction(1, 4)] * 4, exact=True))  # {"uniform": 4} with --rational
+# command, scheme section, and the library scheme the command builds from them
+SCHEME_KINDS = {
+    "two-hint": [
+        "twohint",
+        {"cs": 2, "c1": 2, "c2": 1, "m1_size": 4, "m2_size": 4},
+        build_two_hint(U4, 2, 2, 1, m1_size=4, m2_size=4),
+    ],
+    "secret-hint": ["twohint", {"kind": "secret-hint", "c": 2, "ms_size": 2}, build_secret_hint(U4, 2, 2)],
+    "secret-key": ["twohint", {"kind": "secret-key", "c": 2, "k_size": 2}, build_secret_key(U4, 2, 2)],
+    "eve-list": [
+        "twohint",
+        {"kind": "eve-list", "m1_size": 4, "m2_size": 4, "epsilon": 20},
+        build_eve_list_scheme(U4, 4, 4, 20),
+    ],
+    "disks": [
+        "disks",
+        {"delta": 3, "nu": 2, "eta": 1, "s": 2, "p": 2, "r": 0},
+        build_delta_scheme(U4, 3, 2, 1, 2, 2, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("command, section, scheme", SCHEME_KINDS.values(), ids=SCHEME_KINDS)
+def test_every_scheme_kind_reports_the_library_rows(tmp_path, command, section, scheme):
+    rhos = [0.5, 1.0]
+    out = tmp_path / "out.csv"
+    cfg = {"source": {"uniform": 4}, "rho": rhos, "scheme": section}
+    assert main([command, json.dumps(cfg), "--rational", "--seed", "5", "--out", str(out)]) == 0
+    rows = [row for rho in rhos for row in scheme.rows(rho, instance=f"rho={fmt(rho)}")]
+    if command == "disks":
+        checks = ("nu-subset-recovery", "eta-subset-independence")
+        rows = [ReportRow("disks", "structure", check, "==", 1.0, 1.0) for check in checks] + rows
+    assert out.read_text() == rows_to_csv([dataclasses.replace(row, note="seed=5") for row in rows])
+
+
 def test_distortion_command(capsys):
     cfg = json.dumps({"source": {"x": [0, 1, 2], "p": [0.5, 0.3, 0.2]}, "rho": [1.0], "n": 1,
                       "distortion": {"hamming": True, "delta": 0.0}})
@@ -163,6 +206,12 @@ NULL_MEANS_ABSENT = {
     "task-census-k": ["task", {"source": {"uniform": 4}}, "census_k"],
     "distortion-n": ["distortion", {"source": {"uniform": 2}}, "n"],
     "distortion-delta": ["distortion", {"source": {"uniform": 2}, "distortion": {"hamming": True}}, "delta"],
+    "twohint-version": ["twohint", {"source": {"uniform": 4}, "scheme": {"cs": 2, "c1": 2, "c2": 1}}, "version"],
+    "disks-version": [
+        "disks",
+        {"source": {"uniform": 4}, "scheme": {"delta": 3, "nu": 2, "eta": 1, "s": 2, "p": 2, "r": 0}},
+        "version",
+    ],
 }
 
 
@@ -217,6 +266,12 @@ MALFORMED = {
         {"rho": 1, "entropy_rate": 0.5, "rates": {"rate_s": 1, "nu": 2.5, "eta": 1}},
     ],
     "verify-all-rho-empty": ["verify-all", {"rho": []}],
+    "exponent-entropy-rate-nan": ["exponent", {"rho": 1, "entropy_rate": math.nan, "rates": {"r1": 0.5, "r2": 0.5}}],
+    "exponent-r1-nan": ["exponent", {"rho": 1, "entropy_rate": 0.5, "rates": {"r1": math.nan, "r2": 1}}],
+    "twohint-eve-list-epsilon-nan": [
+        "twohint",
+        {"source": {"uniform": 4}, "scheme": {"kind": "eve-list", "m1_size": 16, "m2_size": 16, "epsilon": math.nan}},
+    ],
     "unequal-sizes-too-small": [
         "disks",
         {

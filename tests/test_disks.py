@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 
 import oracles
 from hintlock.disks import (
-    bob_ambiguity_minmax,
     build_delta_scheme,
     check_eta_independence,
     check_reconstruction,
     choose_pr,
     disk_exponents,
     equal_size_envelope_rows,
-    eve_ambiguity_minmin,
+    unequal_converse_rows,
     verify_disk_theorems,
-    verify_unequal_converse,
 )
 from hintlock.guessing import random_joint
 from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy
@@ -33,7 +31,7 @@ def test_acceptance_instance_structure():
     sch = build_delta_scheme(U16, 3, 2, 1, 4, 2, 2, "guessing")
     assert check_reconstruction(sch)
     assert check_eta_independence(sch)
-    assert bob_ambiguity_minmax(sch, 1.0) == pytest.approx(1.0)
+    assert sch.bob(1.0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -161,7 +159,7 @@ def test_eve_oracle_vs_enumeration_small():
     u2 = JointPmf.from_marginal(Pmf.of([Fraction(3, 4), Fraction(1, 4)], exact=True))
     sch = build_delta_scheme(u2, 3, 2, 1, 4, 2, 2, "guessing")
     brute = oracles.eve_exact_enumeration(sch.eve_cells, 1.0, budget_bits=14)
-    assert eve_ambiguity_minmin(sch, 1.0) == pytest.approx(brute, abs=1e-12)
+    assert sch.eve(1.0) == pytest.approx(brute, abs=1e-12)
 
 
 def test_verify_theorems_acceptance_instance():
@@ -181,8 +179,8 @@ def test_verify_theorems_list_version():
 def test_degenerate_full_visibility():
     # nu = delta, eta = 0: plain source coding, Bob sees everything
     sch = build_delta_scheme(U4, 2, 2, 0, 1, 1, 0, "guessing")
-    assert bob_ambiguity_minmax(sch, 1.0) == pytest.approx(1.0)
-    assert eve_ambiguity_minmin(sch, 1.0) == pytest.approx(2.5)  # empty subset: unconditional moment
+    assert sch.bob(1.0) == pytest.approx(1.0)
+    assert sch.eve(1.0) == pytest.approx(2.5)  # empty subset: unconditional moment
     rows = verify_disk_theorems(sch, 1.0)
     assert all_passed(rows)
 
@@ -194,8 +192,8 @@ def test_views_that_rank_a_cell_differently_are_rejected():
     bad = dataclasses.replace(sch, law=law)
     assert not oracles.ranks_alike(list(bad.bob_cells))
     with pytest.raises(DomainError, match="rank a cell differently"):
-        bob_ambiguity_minmax(bad, 1.0)
-    assert bob_ambiguity_minmax(bad, 1.0, "list") == oracles.support_moment(list(bad.bob_cells), 1.0)
+        bad.bob(1.0)
+    assert bad.bob(1.0, "list") == oracles.support_moment(list(bad.bob_cells), 1.0)
 
 
 def test_unequal_size_converse_random_sweep():
@@ -212,7 +210,7 @@ def test_unequal_size_converse_random_sweep():
             # a random deterministic encoder per symbol keeps the oracle cheap
             m = tuple(int(rng.integers(c)) for c in caps)
             law[(x, 0, m)] = p
-        rows = verify_unequal_converse(j, law, sizes, nu=2, eta=1, rho=1.0)
+        rows = unequal_converse_rows(j, law, sizes, nu=2, eta=1, rho=1.0)
         assert all_passed(rows), [r for r in rows if not r.passed]
 
 
@@ -247,7 +245,7 @@ def test_choose_pr_mid_case_validated_by_sweep():
     for u_bound in (1.25, 1.5, 2.0, 4.0):
         p, r = choose_pr(u_bound, 4, 2, 1, 3, h, 1.0)
         sch = build_delta_scheme(U16, 3, 2, 1, 4, p, r, "guessing")
-        assert bob_ambiguity_minmax(sch, 1.0) < u_bound
+        assert sch.bob(1.0) < u_bound
         # sweep: the rule's pad width is admissible and achieves the budget
         admissible = [
             (4 - rr, rr)

@@ -13,15 +13,12 @@ from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_ent
 from hintlock.report import all_passed
 from hintlock.twohint import (
     InfeasibleBoundError,
-    bob_ambiguity,
     build_eve_list_scheme,
     build_secret_hint,
     build_secret_key,
     build_two_hint,
     choose_triple,
-    eve_ambiguity_exact,
     eve_ambiguity_weak,
-    eve_list_ambiguity,
     scheme_from_law,
     two_hint_exponents,
     verify_eve_list,
@@ -65,12 +62,12 @@ def admissible_triples(m1, m2):
 
 def test_build_examples():
     s = build_two_hint(BIT, 2, 1, 1)
-    assert bob_ambiguity(s, 1.0, "guessing") == pytest.approx(1.0)
-    assert bob_ambiguity(s, 1.0, "list") == pytest.approx(1.0)
+    assert s.bob(1.0, "guessing") == pytest.approx(1.0)
+    assert s.bob(1.0, "list") == pytest.approx(1.0)
     s2 = build_two_hint(U4, 1, 4, 1)
-    assert bob_ambiguity(s2, 1.0, "guessing") == pytest.approx(1.0)
+    assert s2.bob(1.0, "guessing") == pytest.approx(1.0)
     s3 = build_two_hint(U4, 2, 2, 1)
-    assert bob_ambiguity(s3, 1.0, "guessing") == pytest.approx(1.0)
+    assert s3.bob(1.0, "guessing") == pytest.approx(1.0)
     h = renyi_cond_entropy(U4, RenyiOrder.from_rho(1.0))
     assert 1 + 2 ** (1.0 * (h - math.log2(4) + 1)) == pytest.approx(3.0)
 
@@ -120,11 +117,18 @@ def test_eve_examples_from_fixed_laws():
         law1[(x, 0, x, 2)] = Fraction(1, 4)
         law1[(x, 0, 2, x)] = Fraction(1, 4)
     s1 = scheme_from_law(BIT, law1, 3, 3)
-    assert eve_ambiguity_exact(s1, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert s1.eve(1.0) == pytest.approx(1.0, abs=1e-12)
     assert eve_ambiguity_weak(s1, 1.0) == pytest.approx(1.25, abs=1e-12)
     otp = build_two_hint(BIT, 2, 1, 1)
-    assert eve_ambiguity_exact(otp, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert otp.eve(1.0) == pytest.approx(1.0, abs=1e-12)
     assert eve_ambiguity_weak(otp, 1.0) == pytest.approx(1.5, abs=1e-12)
+
+
+def test_scheme_from_law_sizes():
+    # no pad: cs = 1, c1 = |M1|, c2 = |M2|
+    s = scheme_from_law(BIT, {(0, 0, 0, 0): Fraction(1, 2), (1, 0, 1, 2): Fraction(1, 2)}, 2, 3)
+    assert (s.cs, s.c1, s.c2) == (1, 2, 3)
+    assert s.sizes == (6, 6, 5, 2)
 
 
 def test_mergeable_law_is_rejected():
@@ -136,7 +140,7 @@ def test_mergeable_law_is_rejected():
     assert oracles.has_mergeable_cells(list(s.eve_cells))
     assert oracles.eve_exact_enumeration(s.eve_cells, 1.0) == pytest.approx(1.0)
     with pytest.raises(DomainError, match="share a context"):
-        eve_ambiguity_exact(s, 1.0)
+        s.eve(1.0)
     with pytest.raises(DomainError, match="share a context"):
         verify_finite_blocklength(s, 1.0)
 
@@ -148,7 +152,7 @@ def test_eve_exact_never_exceeds_weak():
         for cs, c1, c2 in ((1, 2, 2), (2, 1, 1), (2, 2, 1)):
             s = build_two_hint(j, cs, c1, c2)
             for rho in (0.5, 1.0):
-                assert eve_ambiguity_exact(s, rho) <= eve_ambiguity_weak(s, rho) + 1e-12
+                assert s.eve(rho) <= eve_ambiguity_weak(s, rho) + 1e-12
 
 
 def test_full_sweep_uniform4():
@@ -208,7 +212,7 @@ def test_choose_triple_cases_and_oracle():
     for u_bound in (1.55, 1.8, 2.5, 3.5, 10.0):
         triple = choose_triple(u_bound, 4, 4, h, 1.0, "guessing", nx=4)
         s = build_two_hint(U4, *triple, "guessing", 4, 4)
-        assert bob_ambiguity(s, 1.0) < u_bound
+        assert s.bob(1.0) < u_bound
         # oracle: the rule's cs is the largest whose direct RHS fits the budget
         # whenever the tight third case applies
         feasible = [
@@ -224,7 +228,7 @@ def test_choose_triple_list_version():
     h = renyi_cond_entropy(U4, RenyiOrder.from_rho(1.0))
     triple = choose_triple(100.0, 4, 4, h, 1.0, "list", nx=4)
     s = build_two_hint(U4, *triple, "list", 4, 4)
-    assert bob_ambiguity(s, 1.0, "list") < 100.0
+    assert s.bob(1.0, "list") < 100.0
     with pytest.raises(InfeasibleBoundError):
         choose_triple(0.5, 4, 4, h, 1.0, "list", nx=4)
 
@@ -263,13 +267,13 @@ def test_secret_key_examples_and_verify():
 
 def test_eve_list_scheme():
     sch = build_eve_list_scheme(U4, 4, 4, 20.0)
-    assert eve_list_ambiguity(sch, 1.0) == pytest.approx(4.0, abs=1e-12)
+    assert sch.eve(1.0) == pytest.approx(4.0, abs=1e-12)
     rows = verify_eve_list(sch, 1.0)
     assert all_passed(rows), [r for r in rows if not r.passed]
     # X deterministic given Y: every list is a singleton
     det = JointPmf.of([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], exact=True)
     sd = build_eve_list_scheme(det, 2, 2, 20.0)
-    assert eve_list_ambiguity(sd, 1.0) == pytest.approx(1.0)
+    assert sd.eve(1.0) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         build_eve_list_scheme(U4, 4, 4, 0.0)  # degenerate mixing weight
     with pytest.raises(DomainError):
@@ -310,7 +314,7 @@ def test_remark_guessing_to_list_pipeline():
     for joint in (U4, SKEW4):
         for triple in ((1, 2, 2), (2, 1, 1), (2, 2, 2)):
             s = build_two_hint(joint, *triple, "guessing", 4, 4)
-            a_g = bob_ambiguity(s, 1.0, "guessing")
+            a_g = s.bob(1.0, "guessing")
             ranks: dict = {}
             groups: dict = {}
             for (x, y, m1, m2), p in s.law.items():
@@ -339,7 +343,7 @@ def test_scheme_json_round_trip():
     assert doc["kind"] == "two-hint"
     back = TwoHintScheme.from_json(s.to_json())
     assert back.law == s.law
-    assert bob_ambiguity(back, 1.0, "guessing") == bob_ambiguity(s, 1.0, "guessing")
+    assert back.bob(1.0, "guessing") == s.bob(1.0, "guessing")
 
 
 def test_exponent_trend_finite_n():
@@ -351,7 +355,7 @@ def test_exponent_trend_finite_n():
         nx = 2**n
         joint = JointPmf.from_marginal(Pmf.of([Fraction(1, nx)] * nx, exact=True))
         s = build_two_hint(joint, nx, 1, 1)
-        bob = bob_ambiguity(s, 1.0, "guessing")
+        bob = s.bob(1.0, "guessing")
         assert bob <= prev_bob + 1e-12
         prev_bob = bob
         z = s.cs * (s.c1 + s.c2)
