@@ -1,9 +1,10 @@
-"""Per-layer records: the builders and the kernels, timed on two commits in
-perfbench reference seconds.
+"""Per-layer records: the builders, the kernels and the oracles, timed on two
+commits in perfbench reference seconds.
 
     python bench/layers.py --base HEAD~1 --change HEAD --out BENCH_builders.json
     python bench/layers.py --base HEAD --change . --out BENCH_builders.json  # the working tree
     python bench/layers.py --layer kernels --base HEAD~1 --change HEAD --out BENCH_kernels.json
+    python bench/layers.py --layer oracles --base HEAD~1 --change HEAD --out BENCH_oracles.json
 
 Run it from the root of the repository.  Each commit's tree is exported with
 `git archive` into a temporary directory (`.` measures the working tree as it
@@ -37,6 +38,11 @@ run takes about 5 ms, and reports reference seconds per call:
 - `support_moment` and `bob_minmax_moment` (Bob's guessing moment) on Bob's
   view, prepared.
 
+The oracles layer (`--layer oracles`) times Eve's exact oracle, `scheme.eve(1.0)`,
+on a fresh `build_two_hint(random_joint(default_rng(1), nx, 4), 4, 4, 4)` for
+each nx in ORACLE_SIZES: the call pays for the scheme's Eve view, its slot
+graphs and the matching, and the build is not timed.
+
 Only names that exist on both sides are timed: a builder or kernel that calls
 a function one tree lacks is dropped from that tree's run, and the record lists
 it under `skipped`.
@@ -64,6 +70,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RHO = 1.0
 SEED = 1  # the benchmark's default seed
+ORACLE_SIZES = (96, 256, 512)
 
 
 def _builders(hl, twohint):
@@ -154,10 +161,38 @@ def kernels_child(reps: int) -> dict:
     return out
 
 
+def _measured(run, clock: list) -> tuple:
+    """run() and its reference seconds, against the kernel runs just before
+    (the last of `clock`) and just after (appended to it)."""
+    from calibrate import REFERENCE_S, kernel_seconds
+
+    start = time.perf_counter()
+    result = run()
+    elapsed = time.perf_counter() - start
+    clock.append(kernel_seconds())
+    return result, elapsed / ((clock[-2] + clock[-1]) / 2) * REFERENCE_S
+
+
+def oracles_child(reps: int) -> dict:
+    """Reference seconds of Eve's exact oracle on a fresh two-hint scheme, per |X|, one value per repetition."""
+    import numpy as np
+    from calibrate import kernel_seconds
+
+    import hintlock as hl
+
+    out = {f"two-hint (4, 4, 4), |X| = {nx}": {"eve": []} for nx in ORACLE_SIZES}
+    clock = [kernel_seconds()]
+    for _ in range(reps):
+        for nx, name in zip(ORACLE_SIZES, out):
+            scheme = hl.build_two_hint(hl.random_joint(np.random.default_rng(SEED), nx, 4), 4, 4, 4)
+            out[name]["eve"].append(_measured(lambda: scheme.eve(RHO), clock)[1])
+    return out
+
+
 def child(reps: int) -> dict:
     """Reference seconds per builder and stage, one sum over the sources per repetition."""
     import numpy as np
-    from calibrate import REFERENCE_S, kernel_seconds
+    from calibrate import kernel_seconds
 
     import hintlock as hl
     from hintlock import twohint
@@ -169,12 +204,7 @@ def child(reps: int) -> dict:
     clock = [kernel_seconds()]  # the latest kernel time
 
     def measured(run):
-        """run() and its reference seconds, against the kernel runs just before and after."""
-        start = time.perf_counter()
-        result = run()
-        elapsed = time.perf_counter() - start
-        clock.append(kernel_seconds())
-        return result, elapsed / ((clock[-2] + clock[-1]) / 2) * REFERENCE_S
+        return _measured(run, clock)
 
     for _ in range(reps):
         for name in list(out):
@@ -232,7 +262,7 @@ def _cpu() -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--layer", choices=("builders", "kernels"), default="builders")
+    parser.add_argument("--layer", choices=("builders", "kernels", "oracles"), default="builders")
     parser.add_argument("--base", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--rounds", type=int, default=3, help="interpreters per commit, alternating")
@@ -241,7 +271,7 @@ def main(argv=None) -> int:
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps((kernels_child if args.layer == "kernels" else child)(args.reps)))
+        print(json.dumps({"kernels": kernels_child, "oracles": oracles_child}.get(args.layer, child)(args.reps)))
         return 0
     if hasattr(os, "sched_setaffinity"):  # one core for every interpreter, as in perfbench/run.py
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
@@ -263,6 +293,14 @@ def main(argv=None) -> int:
             "layer": "kernels",
             "unit": "reference seconds (perfbench/calibrate.py) per call, summed over an input's sources",
             "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints; one seeded 6x3 rational joint",
+            "rho": RHO,
+        }
+    elif args.layer == "oracles":
+        record = {
+            "layer": "oracles",
+            "unit": "reference seconds (perfbench/calibrate.py) per call",
+            "sources": f"random_joint(default_rng({SEED}), nx, 4) for nx in {list(ORACLE_SIZES)}, float",
+            "scheme": "build_two_hint(joint, 4, 4, 4), guessing; the call is scheme.eve(rho) on a fresh scheme",
             "rho": RHO,
         }
     else:

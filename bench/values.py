@@ -15,15 +15,16 @@ each tree it collects:
   11` and `hintlock twohint --rational --seed 11` on the benchmark's
   CRITERION_12_TWOHINT config, with their exit codes.
 
-It exits 0 when the two trees agree on every job and body, and otherwise
-names the first job or body that differs and exits 1 (2 if a tree fails to
-run).
+It exits 0 when the two trees agree on every job and body.  Otherwise it lists
+every job or body that differs, a job with its count of differing values and
+their largest relative difference, and exits 1 (2 if a tree fails to run).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +70,25 @@ def child(tree: Path) -> dict:
     return out
 
 
+def _difference(base, change) -> str:
+    """How one job's or body's output differs between the trees."""
+    if not (base and change and "values" in base and "values" in change):
+        return f"\n  base:   {str(base)[:400]}\n  change: {str(change)[:400]}"
+    if len(base["values"]) != len(change["values"]):
+        return f"{len(base['values'])} values at base, {len(change['values'])} at change"
+    pairs = [(float.fromhex(b), float.fromhex(c)) for b, c in zip(base["values"], change["values"]) if b != c]
+    worst = max((_relative(b, c) for b, c in pairs), default=0.0)
+    note = "" if base["problems"] == change["problems"] else f"; problems {base['problems']} -> {change['problems']}"
+    return f"{len(pairs)} of {len(base['values'])} values differ, largest relative difference {worst:.2g}{note}"
+
+
+def _relative(b: float, c: float) -> float:
+    """|b - c| over the larger magnitude; inf when only one of them is finite or one is nan."""
+    if not (math.isfinite(b) and math.isfinite(c)):
+        return math.inf
+    return abs(b - c) / (max(abs(b), abs(c)) or 1.0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD~1")
@@ -91,11 +111,14 @@ def main(argv=None) -> int:
                 return 2
             dumps[side] = json.loads(proc.stdout)
     base, change = dumps["base"], dumps["change"]
-    for key in [*base, *(k for k in change if k not in base)]:
-        if base.get(key) != change.get(key):
-            print(f"differs: {key}\n  base:   {str(base.get(key))[:400]}\n  change: {str(change.get(key))[:400]}")
-            return 1
+    keys = [*base, *(k for k in change if k not in base)]
+    differing = [key for key in keys if base.get(key) != change.get(key)]
     count = sum(len(entry.get("values", ())) for entry in base.values())
+    for key in differing:
+        print(f"differs: {key}: {_difference(base.get(key), change.get(key))}")
+    if differing:
+        print(f"{len(differing)} of {len(keys)} jobs and bodies differ ({count} values at base)")
+        return 1
     print(f"equal: {len(base) - 2} jobs ({count} values as hex floats) and 2 CSV bodies")
     return 0
 

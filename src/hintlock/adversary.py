@@ -52,6 +52,28 @@ is exact because no two distinct cells share an (x, context) pair; routing
 both into that context would merge their posterior mass, which the matching
 cannot price.
 
+A padded scheme prices Eve on its pad quotient (`SchemeCells.eve_law`): one
+cell per (x, y) with the source's mass P(x, y), each hint cut to its public
+part -- (M1 mod c1, M2 mod c2) = (V1, V2) for two-hint with cs > 1, `hint >> r`
+for a delta-disk scheme with eta * r > 0.  Its value is the full law's:
+- Shift symmetry.  The pad U is uniform and independent of (X, Y).  Shifting
+  it by a constant (U + a mod cs; XOR with the pad codeword of a) maps each
+  cell to a cell of the same (x, y) and mass, and each of Eve's contexts to
+  another context, so it maps the slot-assignment LP (cells to (context,
+  position) slots, cost mass * position^rho) onto itself.
+- Integrality.  That LP is a bipartite assignment, so its optimum is the
+  matching's, and so is the optimum of the quotient's LP.
+- Orbit averaging.  The average of an optimal solution over the shifts is
+  feasible, optimal and shift-invariant.  Each of Eve's views fixes the pad
+  (two-hint by construction; `build_delta_scheme` checks that every eta-subset
+  of pad coordinates tells the pads apart), so the shifts of one cell land in
+  distinct contexts of one orbit, one in each.  A shift-invariant solution is
+  then a solution of the quotient LP, in which cell (x, y) carries its orbit's
+  mass P(x, y) and each orbit of contexts is one context, at the same cost;
+  any quotient solution spreads back over the shifts the same way.
+The same shift keeps each fixed-hint moment, so the weak accomplice reads the
+quotient too.
+
 The slot graph is sparse.  A context incident to d cells owns positions
 1..d, and a cell is joined only to positions 1..q of each of its own
 contexts, where q counts that context's incident cells with mass at least
@@ -225,10 +247,11 @@ def as_view(cells) -> CellView:
 class SchemeCells:
     """A scheme dataclass's law, coded once, its cell views, prices and report rows.
 
-    Bob's view k shows y and the hints `bob_positions[k]`, Eve's those of
-    `eve_positions[k]` (by default Bob sees both hints, Eve's accomplice
-    reveals one).  `bob` is Bob's guessing or list moment, `eve` Eve's by the
-    matching, and `rows` the four `bounds.theorem_rows` of suite
+    Bob's view k shows y and the hints `bob_positions[k]` of the law, Eve's
+    those of `eve_positions[k]` of `eve_law` (by default Bob sees both hints,
+    Eve's accomplice reveals one, and `eve_law` is the law; a padded scheme
+    gives its pad quotient).  `bob` is Bob's guessing or list moment, `eve`
+    Eve's by the matching, and `rows` the four `bounds.theorem_rows` of suite
     "{suite}-{version}" on the scheme's (z, m, leak, secret) `sizes`.  A scheme
     declares `suite` and `sizes` and overrides only what its theorem changes.
     """
@@ -259,9 +282,13 @@ class SchemeCells:
     def bob_cells(self) -> CellView:
         return self.law.view(self.bob_positions)
 
+    @property
+    def eve_law(self) -> Law:
+        return self.law
+
     @cached_property
     def eve_cells(self) -> CellView:
-        return self.law.view(self.eve_positions)
+        return self.eve_law.view(self.eve_positions)
 
 
 def _rank_table(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, tie: np.ndarray) -> tuple:

@@ -151,9 +151,11 @@ def _rho_list(cfg: dict) -> list[float]:
 
 
 def _version(cfg: dict) -> str:
-    """The config's 'version'; "guessing" when absent or null."""
+    """The config's 'version': "guessing" (also when absent or null) or "list"."""
     version = cfg.get("version")
-    return "guessing" if version is None else version
+    if version not in (None, "guessing", "list"):
+        raise ConfigError(f"config error: 'version' must be 'guessing' or 'list', not {version!r}")
+    return version or "guessing"
 
 
 def cmd_entropy(cfg: dict, args) -> list[ReportRow]:
@@ -264,10 +266,11 @@ def _distortion_spec(joint: JointPmf, dcfg: dict) -> DistortionSpec:
         return DistortionSpec.hamming(joint.x_alphabet, delta)
     xhat, d = _fields(dcfg, "a non-Hamming 'distortion'", xhat=None, d=None)
     table = isinstance(d, list) and all(
-        isinstance(row, list) and all(isinstance(v, (int, float)) for v in row) for row in d
+        isinstance(row, list) and all(isinstance(v, (int, float)) and math.isfinite(v) for v in row) for row in d
     )
     if not isinstance(xhat, list) or not table:
-        raise ConfigError("config error: a non-Hamming 'distortion' needs a list 'xhat' and a table 'd' of numbers")
+        what = "a list 'xhat' and a table 'd' of finite numbers"
+        raise ConfigError(f"config error: a non-Hamming 'distortion' needs {what}")
     return DistortionSpec(joint.x_alphabet, tuple(xhat), d, delta)
 
 

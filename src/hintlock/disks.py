@@ -74,6 +74,16 @@ class DeltaHintScheme(SchemeCells):
             return bob_minmax_moment(self.bob_cells, rho)
         return super().bob(rho, version)
 
+    @property
+    def eve_law(self) -> Law:
+        """The pad quotient: one realization per (x, y) with its source mass and
+        each hint's V-codeword coordinate `hint >> r`."""
+        n_pad = 1 << (self.eta * self.r)
+        if n_pad == 1:
+            return self.law
+        public = self.split_hint(self.law.hints[::n_pad])[0]
+        return Law.spread(self.joint, list(self.joint.support_items()), public, 1, self.joint.exact, nested=True)
+
     def split_hint(self, h: int) -> tuple[int, int]:
         return h >> self.r, h & ((1 << self.r) - 1)
 
@@ -117,6 +127,8 @@ def build_delta_scheme(
         g_uw = rs_generator(nu, delta, field_make(r))
         w = g_uw.encode(np.pad(w_sym, ((0, 0), (eta, 0))))
         pads = g_uw.encode(np.pad(_int_to_symbols(np.arange(n_pad), eta, r), ((0, 0), (0, nu - eta))))
+        if any(len(np.unique(pads[:, list(e)], axis=0)) < n_pad for e in combinations(range(delta), eta)):
+            raise DomainError("some eta hints do not fix the pad: Eve's pad quotient would not be exact")
     index = {key: i for i, key in enumerate(zmap)}
     at = np.array([index[(x, y)] for x, y, _ in rows], dtype=np.int64)
     hints = (v[at, None] | (pads[None] ^ w[at, None])).reshape(len(rows) * n_pad, delta)

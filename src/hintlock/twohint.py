@@ -71,6 +71,15 @@ class TwoHintScheme(SchemeCells):
         m1, m2 = self.m1_size, self.m2_size
         return self.cs * self.c1 * self.c2, m1 * m2, self.c1 + self.c2, min(m1, m2)
 
+    @property
+    def eve_law(self) -> Law:
+        """The pad quotient: one realization per (x, y) with its source mass and
+        the public hints (M1 mod c1, M2 mod c2) = (V1, V2)."""
+        if self.cs == 1:
+            return self.law
+        public = self.law.hints[:: self.cs] % np.array([self.c1, self.c2])
+        return Law.spread(self.joint, list(self.joint.support_items()), public, 1, self.joint.exact)
+
     def rows(self, rho: float, version: str | None = None, instance: str = "") -> list[ReportRow]:
         """The theorem rows, then the weak accomplice's: Eve's converse caps it too."""
         version = version or self.version

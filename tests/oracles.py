@@ -89,6 +89,12 @@ def two_hint_law(joint, cs: int, c1: int, c2: int, version: str) -> dict:
     return padded_law(((x, y, split[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact)
 
 
+def two_hint_quotient(joint, cs: int, c1: int, c2: int, version: str) -> dict:
+    """Eve's pad quotient of the two-hint law: one key (x, y, v_1, v_2) per source cell, with its mass."""
+    zmap = descriptor_map(joint, cs * c1 * c2, version)
+    return {(x, y, zmap[(x, y)] // cs % c1, zmap[(x, y)] // (cs * c1)): p for x, y, p in joint.support_items()}
+
+
 def secret_hint_law(joint, c: int, ms_size: int, version: str) -> dict:
     zmap = descriptor_map(joint, c * ms_size, version)
     return {(x, y, zmap[(x, y)] % c, zmap[(x, y)] // c): p for x, y, p in joint.support_items()}
@@ -178,6 +184,17 @@ def delta_law(sch) -> dict:
         for pad in range(n_pad):
             mr = g_uw.encode(np.array(int_to_symbols(pad, sch.eta, sch.r) + w_sym)) if g_uw else zero
             law[(x, y, tuple(int(a) << sch.r | int(b) for a, b in zip(mp, mr)))] = prob / n_pad
+    return law
+
+
+def delta_quotient(sch) -> dict:
+    """Eve's pad quotient of a delta scheme's law: per (x, y), each hint's
+    V-codeword coordinate, with the source's mass."""
+    g_v = rs_generator(sch.nu, sch.delta, field_make(sch.p)) if sch.p else None
+    law = {}
+    for x, y, prob in sch.joint.support_items():
+        mp = g_v.encode(np.array(sch.descriptor[(x, y)][0])) if g_v else np.zeros(sch.delta, dtype=np.int64)
+        law[(x, y, tuple(int(a) for a in mp))] = prob
     return law
 
 

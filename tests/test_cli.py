@@ -272,6 +272,22 @@ MALFORMED = {
         "twohint",
         {"source": {"uniform": 4}, "scheme": {"kind": "eve-list", "m1_size": 16, "m2_size": 16, "epsilon": math.nan}},
     ],
+    "twohint-eve-list-version-bogus": [
+        "twohint",
+        {
+            "source": {"uniform": 4},
+            "version": "bogus",
+            "scheme": {"kind": "eve-list", "m1_size": 4, "m2_size": 4, "epsilon": 20},
+        },
+    ],
+    "distortion-d-nan": [
+        "distortion",
+        {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": [[0, math.nan], [1, 0]], "delta": 0.5}},
+    ],
+    "distortion-d-inf": [
+        "distortion",
+        {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": [[0, 1], [-math.inf, 0]], "delta": 0.5}},
+    ],
     "unequal-sizes-too-small": [
         "disks",
         {

@@ -42,26 +42,31 @@ def sources(draw):
 
 
 def built_with_references(joint):
-    """(scheme, dict law, [(cell view, dict views of the same observer)]) per builder."""
+    """(scheme, dict law, [(cell view, its dict law, dict views of the same observer)]) per builder.
+
+    Eve's view of a padded two-hint or delta-disk scheme is read on its pad
+    quotient; the full law's Eve view is checked against the full dict law."""
     out = []
     for version in ("guessing", "list"):
-        s = build_two_hint(joint, 2, 2, 2, version)
-        views = [(s.bob_cells, oracles.bob_views), (s.eve_cells, oracles.two_hint_eve_views)]
-        out.append((s, oracles.two_hint_law(joint, 2, 2, 2, version), views))
-    back = TwoHintScheme.from_json(s.to_json())
-    out.append((back, oracles.two_hint_law(joint, 2, 2, 2, "list"), [(back.eve_cells, oracles.two_hint_eve_views)]))
-    sh = build_secret_hint(joint, 2, 4)
-    views = [(sh.bob_cells, oracles.bob_views), (sh.eve_cells, lambda k: ((k[1], k[2]),))]
-    out.append((sh, oracles.secret_hint_law(joint, 2, 4, "guessing"), views))
-    sk = build_secret_key(joint, 2, 4)
-    views = [(sk.bob_cells, oracles.bob_views), (sk.eve_cells, lambda k: ((k[1], k[3]),))]
-    out.append((sk, oracles.secret_key_law(joint, 2, 4, "guessing"), views))
-    el = build_eve_list_scheme(joint, 8, 8, 20)
-    views = [(el.eve_cells, oracles.two_hint_eve_views), (el.no_hint_cells, lambda k: ((k[1],),))]
-    out.append((el, oracles.eve_list_law(joint, 8, 8, 20), views))
+        s, law = build_two_hint(joint, 2, 2, 2, version), oracles.two_hint_law(joint, 2, 2, 2, version)
+        views = [(s.bob_cells, law, oracles.bob_views)]
+        views.append((s.eve_cells, oracles.two_hint_quotient(joint, 2, 2, 2, version), oracles.two_hint_eve_views))
+        views.append((s.law.view(s.eve_positions), law, oracles.two_hint_eve_views))
+        out.append((s, law, views))
+    back, quotient = TwoHintScheme.from_json(s.to_json()), oracles.two_hint_quotient(joint, 2, 2, 2, "list")
+    out.append((back, law, [(back.eve_cells, quotient, oracles.two_hint_eve_views)]))
+    sh, law = build_secret_hint(joint, 2, 4), oracles.secret_hint_law(joint, 2, 4, "guessing")
+    out.append((sh, law, [(sh.bob_cells, law, oracles.bob_views), (sh.eve_cells, law, lambda k: ((k[1], k[2]),))]))
+    sk, law = build_secret_key(joint, 2, 4), oracles.secret_key_law(joint, 2, 4, "guessing")
+    out.append((sk, law, [(sk.bob_cells, law, oracles.bob_views), (sk.eve_cells, law, lambda k: ((k[1], k[3]),))]))
+    el, law = build_eve_list_scheme(joint, 8, 8, 20), oracles.eve_list_law(joint, 8, 8, 20)
+    views = [(el.eve_cells, law, oracles.two_hint_eve_views), (el.no_hint_cells, law, lambda k: ((k[1],),))]
+    out.append((el, law, views))
     d = build_delta_scheme(joint, 3, 2, 1, 4, 2, 2)
-    views = [(d.bob_cells, oracles.subset_views("B", 3, 2)), (d.eve_cells, oracles.subset_views("E", 3, 1))]
-    out.append((d, oracles.delta_law(d), views))
+    law, eve_views = oracles.delta_law(d), oracles.subset_views("E", 3, 1)
+    views = [(d.bob_cells, law, oracles.subset_views("B", 3, 2)), (d.eve_cells, oracles.delta_quotient(d), eve_views)]
+    views.append((d.law.view(d.eve_positions), law, eve_views))
+    out.append((d, law, views))
     return out
 
 
@@ -83,8 +88,8 @@ def test_columnar_laws_equal_dict_builders(joint):
 @given(sources(), st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3))
 def test_columnar_views_equal_per_call_code(joint, rhos):
     # the eve-list Eve cells can merge: the matching raises on every call
-    for _, reference, views in built_with_references(joint):
-        for view, dict_views in views:
+    for _, _, views in built_with_references(joint):
+        for view, reference, dict_views in views:
             assert isinstance(view, CellView)
             oracles.assert_same_as_per_call_code(view, oracles.cells(reference, dict_views), rhos)
 

@@ -1,0 +1,100 @@
+"""Property tests: Eve priced on the pad quotient of a padded scheme's law
+equals Eve priced on the full realized law."""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from hintlock import disks
+from hintlock.adversary import eve_exact_matching
+from hintlock.bounds import list_room
+from hintlock.disks import build_delta_scheme, disk_sizes
+from hintlock.gf import rs_generator
+from hintlock.guessing import random_joint
+from hintlock.prob import DomainError, JointPmf, Pmf
+from hintlock.twohint import TwoHintScheme, build_two_hint
+
+RHOS = (0.5, 1.0, 2.0)
+DISK_PARAMS = [(3, 2, 1, 4, 2, 2), (3, 2, 1, 2, 0, 2), (4, 3, 1, 6, 2, 4), (4, 3, 2, 4, 2, 2), (4, 3, 2, 2, 0, 2)]
+
+
+@st.composite
+def sources(draw, max_x: int = 8, max_y: int = 3):
+    """Seeded random joints, float or rational, and uniform laws (ties everywhere)."""
+    exact = draw(st.booleans())
+    if draw(st.booleans()):
+        return JointPmf.from_marginal(Pmf.uniform(draw(st.integers(2, max_x)), exact=exact))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_joint(rng, draw(st.integers(2, max_x)), draw(st.integers(1, max_y)), exact=exact)
+
+
+def assert_full_law_agrees(scheme, pads: int) -> None:
+    full = scheme.law.view(scheme.eve_positions)
+    assert len(scheme.eve_law) * pads == len(scheme.law)  # one realization per (x, y)
+    for rho in RHOS:
+        assert scheme.eve(rho) == pytest.approx(eve_exact_matching(full, rho), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sources(), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.sampled_from(["guessing", "list"]))
+def test_two_hint_quotient_matching_equals_full_law(joint, cs, c1, c2, version):
+    assume(version == "guessing" or list_room(cs * c1 * c2, len(joint.x_alphabet)))
+    scheme = build_two_hint(joint, cs, c1, c2, version)
+    assert_full_law_agrees(scheme, cs)
+    assert_full_law_agrees(TwoHintScheme.from_json(scheme.to_json()), cs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sources(max_x=6), st.sampled_from(DISK_PARAMS), st.sampled_from(["guessing", "list"]))
+def test_delta_quotient_matching_equals_full_law(joint, params, version):
+    assume(version == "guessing" or list_room(disk_sizes(*params[:4], params[-1])[0], len(joint.x_alphabet)))
+    assert_full_law_agrees(build_delta_scheme(joint, *params, version), 1 << (params[2] * params[-1]))
+
+
+def test_unpadded_schemes_price_eve_on_their_own_law():
+    joint = random_joint(np.random.default_rng(2), 4, 2, exact=True)
+    for scheme in (build_two_hint(joint, 1, 2, 2), build_delta_scheme(joint, 3, 2, 1, 2, 2, 0)):
+        assert scheme.eve_law is scheme.law
+
+
+@st.composite
+def tiny_rational_sources(draw, max_x: int):
+    weights = draw(st.lists(st.integers(1, 6), min_size=2, max_size=max_x))
+    return JointPmf.from_marginal(Pmf.of([Fraction(w, sum(weights)) for w in weights], exact=True))
+
+
+@settings(max_examples=15, deadline=None)
+@given(tiny_rational_sources(3), st.integers(2, 3), st.integers(1, 2), st.integers(1, 2))
+def test_two_hint_quotient_equals_enumeration_on_the_full_law(joint, cs, c1, c2):
+    scheme = build_two_hint(joint, cs, c1, c2)
+    full = scheme.law.view(scheme.eve_positions)
+    for rho in RHOS:
+        assert scheme.eve(rho) == pytest.approx(oracles.eve_exact_enumeration(full, rho, budget_bits=14), rel=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(tiny_rational_sources(2), st.sampled_from([(3, 2, 1, 4, 2, 2), (3, 2, 1, 2, 0, 2)]))
+def test_delta_quotient_equals_enumeration_on_the_full_law(joint, params):
+    scheme = build_delta_scheme(joint, *params)
+    full = scheme.law.view(scheme.eve_positions)
+    for rho in RHOS:
+        assert scheme.eve(rho) == pytest.approx(oracles.eve_exact_enumeration(full, rho, budget_bits=14), rel=1e-12)
+
+
+def test_a_pad_that_some_eta_hints_do_not_fix_is_rejected(monkeypatch):
+    # the last disk's pad coordinate no longer depends on the pad
+    def degenerate(k, n, field):
+        g = rs_generator(k, n, field)
+        entries = g.entries.copy()
+        entries[0, -1] = 0
+        return replace(g, entries=entries)
+
+    monkeypatch.setattr(disks, "rs_generator", degenerate)
+    joint = JointPmf.from_marginal(Pmf.uniform(4, exact=True))
+    with pytest.raises(DomainError, match="do not fix the pad"):
+        build_delta_scheme(joint, 3, 2, 1, 4, 2, 2)
