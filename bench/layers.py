@@ -39,9 +39,12 @@ run takes about 5 ms, and reports reference seconds per call:
   view, prepared.
 
 The oracles layer (`--layer oracles`) times Eve's exact oracle, `scheme.eve(1.0)`,
-on a fresh `build_two_hint(random_joint(default_rng(1), nx, 4), 4, 4, 4)` for
-each nx in ORACLE_SIZES: the call pays for the scheme's Eve view, its slot
-graphs and the matching, and the build is not timed.
+on a fresh scheme: the call pays for the scheme's Eve view, its slot graphs and
+the matching, and the build is not timed.  The schemes are
+`build_two_hint(random_joint(default_rng(1), nx, 4), 4, 4, 4)` for each nx in
+ORACLE_SIZES (large components, one LAPJVsp call each), and the two-hint
+(4, 4, 4) and delta-disk (4, 2, 1, 4, 2, 2) schemes of the three sweep sources,
+summed (16-cell components, which share calls).
 
 Only names that exist on both sides are timed: a builder or kernel that calls
 a function one tree lacks is dropped from that tree's run, and the record lists
@@ -174,18 +177,35 @@ def _measured(run, clock: list) -> tuple:
 
 
 def oracles_child(reps: int) -> dict:
-    """Reference seconds of Eve's exact oracle on a fresh two-hint scheme, per |X|, one value per repetition."""
+    """Reference seconds of Eve's exact oracle on fresh schemes, per case, one value per repetition."""
     import numpy as np
     from calibrate import kernel_seconds
 
     import hintlock as hl
 
-    out = {f"two-hint (4, 4, 4), |X| = {nx}": {"eve": []} for nx in ORACLE_SIZES}
+    def two_hint(joint):
+        return hl.build_two_hint(joint, 4, 4, 4)
+
+    def delta_disk(joint):
+        return hl.build_delta_scheme(joint, 4, 2, 1, 4, 2, 2)
+
+    rng = np.random.default_rng(SEED)
+    sweep = [hl.random_joint(rng, 16, 32, exact=True) for _ in range(3)]
+    cases = {
+        f"two-hint (4, 4, 4), |X| = {nx}": (two_hint, [hl.random_joint(np.random.default_rng(SEED), nx, 4)])
+        for nx in ORACLE_SIZES
+    }
+    cases["two-hint (4, 4, 4), 16x32 sweep sources (sum of three)"] = (two_hint, sweep)
+    cases["delta-disk (4, 2, 1, 4, 2, 2), 16x32 sweep sources (sum of three)"] = (delta_disk, sweep)
+    out = {name: {"eve": []} for name in cases}
     clock = [kernel_seconds()]
     for _ in range(reps):
-        for nx, name in zip(ORACLE_SIZES, out):
-            scheme = hl.build_two_hint(hl.random_joint(np.random.default_rng(SEED), nx, 4), 4, 4, 4)
-            out[name]["eve"].append(_measured(lambda: scheme.eve(RHO), clock)[1])
+        for name, (build, joints) in cases.items():
+            total = 0.0
+            for joint in joints:
+                scheme = build(joint)
+                total += _measured(lambda: scheme.eve(RHO), clock)[1]
+            out[name]["eve"].append(total)
     return out
 
 
@@ -299,8 +319,12 @@ def main(argv=None) -> int:
         record = {
             "layer": "oracles",
             "unit": "reference seconds (perfbench/calibrate.py) per call",
-            "sources": f"random_joint(default_rng({SEED}), nx, 4) for nx in {list(ORACLE_SIZES)}, float",
-            "scheme": "build_two_hint(joint, 4, 4, 4), guessing; the call is scheme.eve(rho) on a fresh scheme",
+            "sources": (
+                f"random_joint(default_rng({SEED}), nx, 4) for nx in {list(ORACLE_SIZES)}, float;"
+                f" scheme-sweep-exact, seed {SEED}: three 16x32 rational joints"
+            ),
+            "scheme": "build_two_hint(joint, 4, 4, 4) or build_delta_scheme(joint, 4, 2, 1, 4, 2, 2), guessing;"
+            " the call is scheme.eve(rho) on a fresh scheme",
             "rho": RHO,
         }
     else:

@@ -28,11 +28,13 @@ table of the one grouped kernel (`_rank_table` on int columns: context, key,
 mass, tie order, ranked by `guessing.rank_groups`); each cell's rank over all
 its views; per `reduce` the mass and list size of each views tuple; Eve's
 components and slot graphs.  A rho then costs a t**rho table (Python's pow),
-one product per entry and one LAPJVsp call per component.  Sums keep the dict
-reference's order, so every float is its float: a (context, key) merge in
-entry order; in a context, descending masses in sequence; contexts, cells and
-views tuples in first-seen order, in sequence (`guessing.power_moment`; np.sum
-is pairwise).  Rank ties go by repr(x).  Nothing is cached at module level.
+one product per entry and one LAPJVsp call per chunk of Eve's components.
+Sums keep the dict reference's order, so every float is its float: a
+(context, key) merge in entry order; in a context, descending masses in
+sequence; contexts, cells and views tuples in first-seen order, in sequence
+(`guessing.power_moment`); each of Eve's components by np.sum (pairwise), then
+the components in order, in sequence.  Rank ties go by repr(x).  Nothing is
+cached at module level.
 
 Both oracles rest on two facts of every scheme built here.  Given y, any of
 Bob's views determines the descriptor and the pad, so each of his contexts
@@ -80,10 +82,19 @@ contexts, where q counts that context's incident cells with mass at least
 the cell's own, ties included.  Some optimal assignment lists every context
 by descending mass, so a cell at position t there has t - 1 predecessors of
 no smaller mass, and t <= q: the truncated graph keeps an optimal
-assignment.  Each connected component is solved by LAPJVsp (scipy's
-`min_weight_full_bipartite_matching`, imported on first use).  Float-zero
-cells (a positive Fraction below the float range) are left out: they fit
-after every positive cell of a context and add 0.
+assignment.  Its connected components are solved by LAPJVsp (scipy's
+`min_weight_full_bipartite_matching`, imported on first use) a chunk at a
+time: consecutive whole components, packed while a chunk holds at most
+CHUNK_CELLS cells (a larger component alone).  A chunk's graph is
+block-diagonal in each component's own row and column order, and LAPJVsp's
+paths stay inside a component; the tests find each component assigned as a
+call of its own assigns it, tied costs included, while both matrices have
+more columns than rows.  scipy takes another path on a square matrix, where
+ties can go another way and round the sum differently, so a square component
+(one slot per cell) is always alone.  Packing saves scipy's fixed cost per
+call; the cap stays because LAPJVsp's work per row grows with the matrix.
+Float-zero cells (a positive Fraction below the float range) are left out:
+they fit after every positive cell of a context and add 0.
 """
 
 from __future__ import annotations
@@ -98,6 +109,8 @@ import numpy as np
 from .bounds import theorem_rows
 from .guessing import group_starts, in_order, power_moment, power_terms, rank_groups
 from .prob import DomainError, common_denominator
+
+CHUNK_CELLS = 128  # the most cells of several components that share one LAPJVsp call
 
 
 @dataclass(frozen=True)
@@ -171,6 +184,17 @@ class Law(Mapping):
             return cls(*alphabets, x, y, hints, masses, nested=nested)
         nums, scale = common_denominator(w for _, _, w in rows)
         return cls(*alphabets, x, y, hints, np.repeat(np.array(nums, dtype=object), copies), scale * copies, nested)
+
+    def quotient(self, joint, copies: int, hints: np.ndarray) -> "Law":
+        """One realization per run of `copies` consecutive rows that split one
+        (x, y) of the source `joint`: the run's x and y, one row of `hints`, and
+        P(x, y) -- the run's numerators summed, or, in a float law, `joint`'s mass."""
+        x, y = self.x[::copies], self.y[::copies]
+        if self.scale is not None:
+            nums = [copies * n for n in self.nums[::copies]]
+            return Law(self.xs, self.ys, x, y, hints, nums, self.scale, self.nested)
+        xi, yi = ([a.index(v) for v in vs] for a, vs in ((joint.x_alphabet, self.xs), (joint.y_alphabet, self.ys)))
+        return Law(self.xs, self.ys, x, y, hints, joint.masses[np.array(xi)[x], np.array(yi)[y]], nested=self.nested)
 
     def as_dict(self) -> dict:
         if self._dict is None:
@@ -371,14 +395,14 @@ def eve_exact_matching(cells, rho: float) -> float:
 
     Raises DomainError if two cells can merge (see module docstring).
     """
-    total = 0.0
-    for graph in as_view(cells).prepared("slot graphs", _slot_graphs):
-        total += _matching_cost(graph, rho)
-    return total
+    chunks = as_view(cells).prepared("slot graphs", _slot_graphs)
+    return in_order([cost for chunk in chunks for cost in _matching_costs(chunk, rho)])
 
 
 def _slot_graphs(view: CellView) -> list:
-    """Each component's truncated slot graph, up to its rho-dependent weights."""
+    """Each chunk's truncated slot graph, up to its rho-dependent weights: a
+    chunk is a run of whole components, packed while it holds at most
+    CHUNK_CELLS cells (a larger or square component is a chunk by itself)."""
     if _mergeable(view):
         raise DomainError("two cells with the same x share a context: the matching cannot price their merge")
     cell, _, ctx = view.incidences
@@ -386,12 +410,15 @@ def _slot_graphs(view: CellView) -> list:
     cell, ctx = cell[positive], ctx[positive]
     first = np.sort(np.unique(cell * view.n_contexts + ctx, return_index=True)[1])  # each view once
     cell, ctx = cell[first], ctx[first]
+    if len(np.unique(cell)) < np.count_nonzero(view.prob > 0):
+        raise DomainError("a cell of positive mass has no view: no accomplice map can route it")
     if not len(cell):
         return []
-    rows = _components(view, np.flatnonzero(view.prob > 0))
-    comp, local = np.zeros(len(view), dtype=np.int64), np.zeros(len(view), dtype=np.int64)
-    for c, members in enumerate(rows):
-        comp[members], local[members] = c, np.arange(len(members))  # component, and row in it
+    members = _components(view, np.flatnonzero(view.prob > 0))
+    sizes = [len(m) for m in members]
+    cells = np.concatenate(members)  # component-major: row r of the block-diagonal graph
+    comp, row = np.zeros(len(view), dtype=np.int64), np.zeros(len(view), dtype=np.int64)
+    comp[cells], row[cells] = np.repeat(np.arange(len(sizes)), sizes), np.arange(len(cells))
     ctx = _first_seen(ctx)  # contexts by first appearance among these incidences
     # Sorted incidence j is also slot column j: context c owns the columns
     # start..start + degree - 1, and column j is its position j - start + 1.
@@ -403,29 +430,38 @@ def _slot_graphs(view: CellView) -> list:
     last = np.minimum.accumulate(np.where(run_ends, np.arange(len(ctx)), len(ctx))[::-1])[::-1]
     q = last - start + 1
     offset = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)  # position - 1
-    e_cell, e_col = np.repeat(cell, q), np.repeat(start, q) + offset
-    csr = np.lexsort((e_col, local[e_cell], comp[e_cell]))  # each component's CSR edge order
-    e_cell, e_col, e_mass, offset = e_cell[csr], e_col[csr], np.repeat(mass, q)[csr], offset[csr]
-    inc_bounds = np.flatnonzero(np.r_[True, comp[cell[1:]] != comp[cell[:-1]], True])
-    edge_bounds = np.flatnonzero(np.r_[True, comp[e_cell[1:]] != comp[e_cell[:-1]], True])
-    graphs = []
-    for c, members in enumerate(rows):
-        (i0, i1), (e0, e1) = inc_bounds[c : c + 2], edge_bounds[c : c + 2]
-        indptr = np.r_[0, np.cumsum(np.bincount(local[e_cell[e0:e1]], minlength=len(members)))]
-        graph = (view.prob[members], start[i0:i1] - i0, e_mass[e0:e1], offset[e0:e1], e_col[e0:e1] - i0, indptr)
-        graphs.append((*graph, (len(members), int(i1 - i0))))
-    return graphs
+    e_row, e_col = row[np.repeat(cell, q)], np.repeat(start, q) + offset
+    csr = np.lexsort((e_col, e_row))  # CSR edge order
+    e_col, e_mass, offset = e_col[csr], np.repeat(mass, q)[csr], offset[csr]
+    indptr = np.r_[0, np.cumsum(np.bincount(e_row, minlength=len(cells)))]
+    row_bounds = np.r_[0, np.cumsum(sizes)].tolist()
+    col_bounds = np.searchsorted(comp[cell], np.arange(len(sizes) + 1)).tolist()
+    square = np.diff(row_bounds) == np.diff(col_bounds)  # one slot per cell
+    cuts = [0]  # the first component of each chunk
+    for c in range(1, len(sizes)):
+        if square[c - 1] or square[c] or row_bounds[c + 1] - row_bounds[cuts[-1]] > CHUNK_CELLS:
+            cuts.append(c)
+    chunks = []
+    for c0, c1 in zip(cuts, cuts[1:] + [len(sizes)]):
+        r0, r1, i0, i1 = row_bounds[c0], row_bounds[c1], col_bounds[c0], col_bounds[c1]
+        e0, e1 = indptr[r0], indptr[r1]
+        graph = (view.prob[cells[r0:r1]], start[i0:i1] - i0, e_mass[e0:e1], offset[e0:e1], e_col[e0:e1] - i0)
+        parts = [b - r0 for b in row_bounds[c0 : c1 + 1]]  # each component's rows in the chunk
+        chunks.append((*graph, indptr[r0 : r1 + 1] - e0, (r1 - r0, i1 - i0), list(zip(parts, parts[1:]))))
+    return chunks
 
 
-def _matching_cost(graph: tuple, rho: float) -> float:
-    """Min-cost assignment of one component's cells to their truncated slots."""
+def _matching_costs(chunk: tuple, rho: float) -> list:
+    """Each component's min-cost assignment of its cells to their truncated
+    slots, one LAPJVsp call for the chunk; each component summed by np.sum."""
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    prob, start, edge_mass, offset, indices, indptr, shape = graph
+    prob, start, edge_mass, offset, indices, indptr, shape, parts = chunk
     weights = csr_array((power_terms(edge_mass, offset + 1, rho), indices, indptr), shape=shape)
     rows, cols = min_weight_full_bipartite_matching(weights)  # every row, sorted
-    return float(power_terms(prob[rows], cols - start[cols] + 1, rho).sum())
+    terms = power_terms(prob[rows], cols - start[cols] + 1, rho)
+    return [terms[a:b].sum() for a, b in parts]
 
 
 def bob_minmax_moment(cells, rho: float) -> float:

@@ -81,8 +81,7 @@ class DeltaHintScheme(SchemeCells):
         n_pad = 1 << (self.eta * self.r)
         if n_pad == 1:
             return self.law
-        public = self.split_hint(self.law.hints[::n_pad])[0]
-        return Law.spread(self.joint, list(self.joint.support_items()), public, 1, self.joint.exact, nested=True)
+        return self.law.quotient(self.joint, n_pad, self.split_hint(self.law.hints[::n_pad])[0])
 
     def split_hint(self, h: int) -> tuple[int, int]:
         return h >> self.r, h & ((1 << self.r) - 1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -120,7 +120,9 @@ def _ball_matrix(x_tuples, xhat_tuples, spec: DistortionSpec) -> np.ndarray:
 def _best_orders(balls: np.ndarray, columns, rho: float) -> list:
     """Per column of source masses, the guessing order of the reconstructions
     with the least moment, and that moment: a search over every order."""
-    perms = np.array(list(permutations(range(balls.shape[1]))))
+    nh = balls.shape[1]
+    count = math.factorial(nh)
+    perms = np.fromiter(chain.from_iterable(permutations(range(nh))), np.int64, count * nh).reshape(count, nh)
     weights = (balls[:, perms].argmax(axis=2) + 1).astype(float) ** rho  # first within-Delta position^rho
     best = []
     for col in columns:

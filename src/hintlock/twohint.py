@@ -77,8 +77,7 @@ class TwoHintScheme(SchemeCells):
         the public hints (M1 mod c1, M2 mod c2) = (V1, V2)."""
         if self.cs == 1:
             return self.law
-        public = self.law.hints[:: self.cs] % np.array([self.c1, self.c2])
-        return Law.spread(self.joint, list(self.joint.support_items()), public, 1, self.joint.exact)
+        return self.law.quotient(self.joint, self.cs, self.law.hints[:: self.cs] % np.array([self.c1, self.c2]))
 
     def rows(self, rho: float, version: str | None = None, instance: str = "") -> list[ReportRow]:
         """The theorem rows, then the weak accomplice's: Eve's converse caps it too."""

@@ -176,6 +176,93 @@ def test_zero_mass_cells_add_nothing():
     assert eve_exact_matching([Cell(0.0, 0, ("c",))], 1.0) == 0.0
 
 
+def test_a_square_component_keeps_its_own_call():
+    # LAPJVsp alone on the square 3 x 3 block of tied cells assigns the ties
+    # otherwise than in a 4 x 5 matrix with the second component, and the
+    # sum of the same three terms in another order rounds differently
+    cells = [Cell(0.1, 0, (0,)), Cell(0.1, 1, (0,)), Cell(0.05, 0, (1, 2)), Cell(0.1, 2, (0,))]
+    assert len(as_view(cells).prepared("slot graphs", adversary._slot_graphs)) == 2
+    assert eve_exact_matching(cells, 0.5) == oracles.eve_exact_matching(cells, 0.5)
+
+
+def test_a_positive_cell_without_a_view_is_rejected():
+    # one chunk holds both cells; LAPJVsp would match the smaller side only
+    with pytest.raises(DomainError, match="no view"):
+        eve_exact_matching([Cell(0.5, 0, ()), Cell(0.5, 1, ("a",))], 1.0)
+    assert eve_exact_matching([Cell(0.0, 0, ()), Cell(1.0, 1, ("a",))], 2.0) == 1.0
+
+
+MATCHING_RHOS = (0.5, 1.0, 2.0, 3.7)
+
+
+def sweep_sources() -> list:
+    """The scheme-sweep benchmark's three seed-1 16x32 rational sources."""
+    rng = np.random.default_rng(1)
+    return [random_joint(rng, 16, 32, exact=True) for _ in range(3)]
+
+
+def assert_chunks_pack_whole_components(view) -> int:
+    """Each chunk of Eve's matching holds whole components, in order, packed
+    while it holds at most CHUNK_CELLS cells (or one larger or square
+    component); returns the number of chunks that hold several components."""
+    chunks = view.prepared("slot graphs", adversary._slot_graphs)
+    reference = oracles.components([c for c in view if c.prob > 0])
+    square = [sum(len(set(c.views)) for c in comp) == len(comp) for comp in reference]
+    sizes = [[b - a for a, b in chunk[-1]] for chunk in chunks]
+    assert [n for part in sizes for n in part] == [len(comp) for comp in reference]
+    packed = [c.prob for comp in reference for c in comp]
+    assert np.concatenate([chunk[0] for chunk in chunks]).tolist() == packed if chunks else not packed
+    first = np.cumsum([0] + [len(part) for part in sizes])  # each chunk's first component
+    for k, (chunk, part) in enumerate(zip(chunks, sizes)):
+        assert chunk[-1][0][0] == 0 and chunk[6][0] == sum(part)
+        assert all(a[1] == b[0] for a, b in zip(chunk[-1], chunk[-1][1:]))
+        assert len(part) == 1 or (sum(part) <= adversary.CHUNK_CELLS and not any(square[first[k] : first[k + 1]]))
+        if k + 1 < len(chunks):  # the next component did not fit
+            fits = sum(part) + sizes[k + 1][0] <= adversary.CHUNK_CELLS
+            assert not fits or square[first[k + 1] - 1] or square[first[k + 1]]
+    return sum(len(part) > 1 for part in sizes)
+
+
+def test_chunked_matching_equals_per_component_reference():
+    float_source = random_joint(np.random.default_rng(1), 96, 4)
+    schemes = [build_two_hint(joint, 4, 4, 4) for joint in [*sweep_sources(), float_source]]
+    schemes += [build_delta_scheme(joint, 4, 2, 1, 4, 2, 2) for joint in sweep_sources()]
+    shared = []
+    for scheme in schemes:
+        shared.append(assert_chunks_pack_whole_components(scheme.eve_cells))
+        cells = list(scheme.eve_cells)
+        for rho in MATCHING_RHOS:
+            assert scheme.eve(rho) == oracles.eve_exact_matching(cells, rho)
+    assert shared[3] == 0 and min(shared[:3] + shared[4:]) > 0  # 96-cell components alone; 16-cell ones packed
+
+
+@st.composite
+def tied_rational_sources(draw):
+    """Rational joints with integer weights 1-3 and planted zeros (ties
+    everywhere), up to 256 cells: Eve's views span one chunk or several."""
+    nx, ny, zeros = draw(st.integers(8, 32)), draw(st.integers(2, 8)), draw(st.sampled_from([0.0, 0.25, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = (rng.integers(1, 4, nx * ny) * (rng.random(nx * ny) >= zeros)).tolist()
+    weights[int(rng.integers(nx * ny))] = 1  # some positive mass
+    table = [[Fraction(w, sum(weights)) for w in weights[i * ny : (i + 1) * ny]] for i in range(nx)]
+    return JointPmf(tuple(range(nx)), tuple(range(ny)), tuple(map(tuple, table)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tied_rational_sources(),
+    st.sampled_from([(2, 2, 2), (4, 4, 4), (1, 4, 4), (2, 4, 2)]),
+    st.sampled_from([8, 32, adversary.CHUNK_CELLS]),  # smaller caps cut these views into more chunks
+)
+def test_chunked_matching_on_tied_sources_equals_per_component_reference(joint, triple, cap):
+    scheme = build_two_hint(joint, *triple)
+    with mock.patch.object(adversary, "CHUNK_CELLS", cap):
+        assert_chunks_pack_whole_components(scheme.eve_cells)
+    cells = list(scheme.eve_cells)
+    for rho in MATCHING_RHOS:
+        assert scheme.eve(rho) == oracles.eve_exact_matching(cells, rho)
+
+
 # The functional's fast controls for scoring and polishing.
 FAST = RdQuery(ba_iters=120, ba_tol=1e-9, lambda_points=8, bisect_iters=16)
 DELTAS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5, exclude_min=True))

@@ -62,6 +62,20 @@ def test_unpadded_schemes_price_eve_on_their_own_law():
         assert scheme.eve_law is scheme.law
 
 
+def test_quotient_of_a_dict_coded_law_prices_eve_as_the_built_scheme():
+    # A dict-coded law numbers its symbols by first appearance (here y = 1
+    # first, as P(0, 0) = 0), and its common denominator is the realizations'.
+    joints = [random_joint(np.random.default_rng(0), 5, 3, exact=exact, zeros=0.3) for exact in (False, True)]
+    joints.append(JointPmf.from_marginal(Pmf.of([Fraction(2, 3), Fraction(1, 3)], exact=True)))
+    for joint in joints:
+        two_hint = [build_two_hint(joint, *triple) for triple in ((2, 2, 2), (4, 4, 4))]
+        for scheme in (*two_hint, build_delta_scheme(joint, 3, 2, 1, 4, 2, 2)):
+            recoded = replace(scheme, law=dict(scheme.law))
+            assert len(joint.y_alphabet) == 1 or recoded.law.ys != joint.y_alphabet
+            for rho in RHOS:
+                assert recoded.eve(rho) == scheme.eve(rho)
+
+
 @st.composite
 def tiny_rational_sources(draw, max_x: int):
     weights = draw(st.lists(st.integers(1, 6), min_size=2, max_size=max_x))
