@@ -42,9 +42,12 @@ The oracles layer (`--layer oracles`) times Eve's exact oracle, `scheme.eve(1.0)
 on a fresh scheme: the call pays for the scheme's Eve view, its slot graphs and
 the matching, and the build is not timed.  The schemes are
 `build_two_hint(random_joint(default_rng(1), nx, 4), 4, 4, 4)` for each nx in
-ORACLE_SIZES (large components, one LAPJVsp call each), and the two-hint
+ORACLE_SIZES (large components, one LAPJVsp call each); the two-hint
 (4, 4, 4) and delta-disk (4, 2, 1, 4, 2, 2) schemes of the three sweep sources,
-summed (16-cell components, which share calls).
+summed (16-cell components, which share calls); and the six two-hint guessing
+schemes of the `verify-all` battery (uniform and skewed 4-symbol sources,
+(cs, c1, c2) in (1, 4, 4), (2, 2, 2), (4, 1, 1), 4 x 4 hints), summed (chunks
+of 4 to 16 cells, matched in the package).
 
 Only names that exist on both sides are timed: a builder or kernel that calls
 a function one tree lacks is dropped from that tree's run, and the record lists
@@ -67,6 +70,7 @@ import tarfile
 import tempfile
 import time
 import types
+from fractions import Fraction
 from io import BytesIO
 from pathlib import Path
 
@@ -189,6 +193,10 @@ def oracles_child(reps: int) -> dict:
     def delta_disk(joint):
         return hl.build_delta_scheme(joint, 4, 2, 1, 4, 2, 2)
 
+    def battery_scheme(source):
+        joint, triple = source
+        return hl.build_two_hint(joint, *triple, "guessing", 4, 4)
+
     rng = np.random.default_rng(SEED)
     sweep = [hl.random_joint(rng, 16, 32, exact=True) for _ in range(3)]
     cases = {
@@ -197,13 +205,20 @@ def oracles_child(reps: int) -> dict:
     }
     cases["two-hint (4, 4, 4), 16x32 sweep sources (sum of three)"] = (two_hint, sweep)
     cases["delta-disk (4, 2, 1, 4, 2, 2), 16x32 sweep sources (sum of three)"] = (delta_disk, sweep)
+    skew = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]
+    battery = [  # verify-all's two-hint schemes: 4-symbol sources, 4 x 4 hints
+        (hl.JointPmf.from_marginal(pmf), triple)
+        for pmf in (hl.Pmf.uniform(4, exact=True), hl.Pmf.of(skew, exact=True))
+        for triple in ((1, 4, 4), (2, 2, 2), (4, 1, 1))
+    ]
+    cases["two-hint, verify-all battery (sum of six)"] = (battery_scheme, battery)
     out = {name: {"eve": []} for name in cases}
     clock = [kernel_seconds()]
     for _ in range(reps):
-        for name, (build, joints) in cases.items():
+        for name, (build, inputs) in cases.items():
             total = 0.0
-            for joint in joints:
-                scheme = build(joint)
+            for source in inputs:
+                scheme = build(source)
                 total += _measured(lambda: scheme.eve(RHO), clock)[1]
             out[name]["eve"].append(total)
     return out
@@ -321,10 +336,11 @@ def main(argv=None) -> int:
             "unit": "reference seconds (perfbench/calibrate.py) per call",
             "sources": (
                 f"random_joint(default_rng({SEED}), nx, 4) for nx in {list(ORACLE_SIZES)}, float;"
-                f" scheme-sweep-exact, seed {SEED}: three 16x32 rational joints"
+                f" scheme-sweep-exact, seed {SEED}: three 16x32 rational joints;"
+                " verify-all: uniform and (1/2, 1/4, 1/8, 1/8) rational marginals"
             ),
             "scheme": "build_two_hint(joint, 4, 4, 4) or build_delta_scheme(joint, 4, 2, 1, 4, 2, 2), guessing;"
-            " the call is scheme.eve(rho) on a fresh scheme",
+            " verify-all's six two-hint guessing schemes; the call is scheme.eve(rho) on a fresh scheme",
             "rho": RHO,
         }
     else:

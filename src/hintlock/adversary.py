@@ -28,7 +28,7 @@ table of the one grouped kernel (`_rank_table` on int columns: context, key,
 mass, tie order, ranked by `guessing.rank_groups`); each cell's rank over all
 its views; per `reduce` the mass and list size of each views tuple; Eve's
 components and slot graphs.  A rho then costs a t**rho table (Python's pow),
-one product per entry and one LAPJVsp call per chunk of Eve's components.
+one product per entry and one LAPJVsp solve per chunk of Eve's components.
 Sums keep the dict reference's order, so every float is its float: a
 (context, key) merge in entry order; in a context, descending masses in
 sequence; contexts, cells and views tuples in first-seen order, in sequence
@@ -82,17 +82,27 @@ contexts, where q counts that context's incident cells with mass at least
 the cell's own, ties included.  Some optimal assignment lists every context
 by descending mass, so a cell at position t there has t - 1 predecessors of
 no smaller mass, and t <= q: the truncated graph keeps an optimal
-assignment.  Its connected components are solved by LAPJVsp (scipy's
-`min_weight_full_bipartite_matching`, imported on first use) a chunk at a
-time: consecutive whole components, packed while a chunk holds at most
-CHUNK_CELLS cells (a larger component alone).  A chunk's graph is
-block-diagonal in each component's own row and column order, and LAPJVsp's
-paths stay inside a component; the tests find each component assigned as a
-call of its own assigns it, tied costs included, while both matrices have
-more columns than rows.  scipy takes another path on a square matrix, where
-ties can go another way and round the sum differently, so a square component
-(one slot per cell) is always alone.  Packing saves scipy's fixed cost per
-call; the cap stays because LAPJVsp's work per row grows with the matrix.
+assignment.  Its connected components, labelled in numpy (min-label hooking
+with pointer jumping over the cell-context incidences), are solved by
+Jonker and Volgenant's LAPJVsp a chunk at a time: consecutive whole
+components, packed while a chunk holds at most CHUNK_CELLS cells (a larger
+component alone).  A chunk's graph is block-diagonal in each component's own
+row and column order, and LAPJVsp's paths stay inside a component; the tests
+find each component assigned as a call of its own assigns it, tied costs
+included, while both matrices have more columns than rows.  scipy takes
+another path on a square matrix, where ties can go another way and round the
+sum differently, so a square component (one slot per cell) is always alone.
+Packing saves scipy's fixed cost per call; the cap stays because LAPJVsp's
+work per row grows with the matrix.
+Two solvers share the chunks.  A rectangular chunk of at most
+SMALL_CHUNK_CELLS cells goes to `_lapjvsp_rectangular`, a Python port of the
+rectangular branch of scipy's `min_weight_full_bipartite_matching`; larger and
+square chunks go to scipy, imported on first use, as the port is about 13
+times slower on a 96-cell chunk.  The scheme commands on small configs
+(`twohint`, `verify-all`, `disks`) then never load scipy, which cost a cold
+process about 0.29 s and 30 MB.  The port makes LAPJVsp's tie choices, and a
+test checks that it picks scipy's column for every row on tie-heavy
+matrices, so both solvers give the same sums to the bit.
 Float-zero cells (a positive Fraction below the float range) are left out:
 they fit after every positive cell of a context and add 0.
 """
@@ -103,6 +113,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import inf
 
 import numpy as np
 
@@ -111,6 +122,7 @@ from .guessing import group_starts, in_order, power_moment, power_terms, rank_gr
 from .prob import DomainError, common_denominator
 
 CHUNK_CELLS = 128  # the most cells of several components that share one LAPJVsp call
+SMALL_CHUNK_CELLS = 16  # the most cells of a rectangular chunk matched in Python, not by scipy
 
 
 @dataclass(frozen=True)
@@ -379,14 +391,17 @@ def _mergeable(view: CellView) -> bool:
 def _components(view: CellView, keep: np.ndarray) -> list[np.ndarray]:
     """The cells of `keep` (ascending) per component of the shared-context
     graph, components in the order of their first cell."""
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
     cell, _, ctx = view.incidences
     mask = np.isin(cell, keep)
-    size = len(view) + view.n_contexts
-    graph = coo_array((np.ones(int(mask.sum())), (cell[mask], len(view) + ctx[mask])), shape=(size, size))
-    labels = _first_seen(connected_components(graph, directed=False)[1][keep])
+    a, b = cell[mask], len(view) + ctx[mask]  # cell and context nodes of each incidence
+    label = np.arange(len(view) + view.n_contexts)  # every label is its own root
+    while not np.array_equal(label[a], label[b]):
+        low = np.minimum(label[a], label[b])
+        np.minimum.at(label, label[a], low)  # hook both roots onto the lower label
+        np.minimum.at(label, label[b], low)
+        while not np.array_equal(up := label[label], label):  # pointer jumping, to the roots
+            label = up
+    labels = _first_seen(label[keep])
     return np.split(keep[np.argsort(labels, kind="stable")], np.cumsum(np.bincount(labels))[:-1]) if len(keep) else []
 
 
@@ -453,15 +468,83 @@ def _slot_graphs(view: CellView) -> list:
 
 def _matching_costs(chunk: tuple, rho: float) -> list:
     """Each component's min-cost assignment of its cells to their truncated
-    slots, one LAPJVsp call for the chunk; each component summed by np.sum."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-
+    slots, one LAPJVsp solve for the chunk; each component summed by np.sum."""
     prob, start, edge_mass, offset, indices, indptr, shape, parts = chunk
-    weights = csr_array((power_terms(edge_mass, offset + 1, rho), indices, indptr), shape=shape)
-    rows, cols = min_weight_full_bipartite_matching(weights)  # every row, sorted
-    terms = power_terms(prob[rows], cols - start[cols] + 1, rho)
+    weights = power_terms(edge_mass, offset + 1, rho)
+    if shape[0] <= SMALL_CHUNK_CELLS and shape[0] < shape[1]:
+        cols = np.array(_lapjvsp_rectangular(indptr.tolist(), indices.tolist(), weights.tolist(), shape[1]))
+    else:
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+        cols = min_weight_full_bipartite_matching(csr_array((weights, indices, indptr), shape=shape))[1]
+    terms = power_terms(prob, cols - start[cols] + 1, rho)  # every row, in order
     return [terms[a:b].sum() for a, b in parts]
+
+
+def _lapjvsp_rectangular(first: list, kk: list, cc: list, nc: int) -> list:
+    """The column of each row in LAPJVsp's min-cost full matching of a CSR
+    matrix (indptr `first`, indices `kk`, data `cc`) with fewer rows than its
+    `nc` columns: the choice of scipy's rectangular branch, ties included.
+
+    Every row starts free and is augmented in turn by a Dijkstra search on
+    reduced costs d = cc - v: `todo` holds the columns at the current minimum
+    `low` at its front, taken from the end, and the scanned columns at its
+    back; `ok` marks columns taken; `lab` is the row each column was reached from.
+    """
+    nr = len(first) - 1
+    v, x, y, lab, todo = [0.0] * nc, [-1] * nr, [-1] * nc, [0] * nc, [0] * nc
+    for i0 in range(nr):
+        d, ok = [inf] * nc, [False] * nc
+        low, td1, td2, last, j = inf, -1, nc - 1, nc, -1
+        for t in range(first[i0], first[i0 + 1]):
+            jj = kk[t]
+            dj = d[jj] = cc[t] - v[jj]
+            lab[jj] = i0
+            if dj <= low:
+                if dj < low:
+                    td1, low = -1, dj
+                td1 += 1
+                todo[td1] = jj
+        while j < 0:
+            if low == inf:
+                raise DomainError("a chunk of Eve's slot graph has no full matching")
+            for jj in todo[: td1 + 1]:  # the columns at the minimum, a free one first
+                if y[jj] < 0:
+                    j = jj
+                    break
+                ok[jj] = True
+            while j < 0 and td1 >= 0:  # scan the row matched to the last column taken
+                j0, td1 = todo[td1], td1 - 1
+                todo[td2], td2 = j0, td2 - 1
+                i = y[j0]
+                h = cc[first[i] + kk[first[i] : first[i + 1]].index(j0)] - v[j0] - low
+                for t in range(first[i], first[i + 1]):
+                    jj = kk[t]
+                    if not ok[jj] and (vj := cc[t] - v[jj] - h) < d[jj]:
+                        d[jj], lab[jj] = vj, i
+                        if vj == low:
+                            if y[jj] < 0:  # reached free at the minimum: augment at once
+                                j = jj
+                                break
+                            td1 += 1
+                            todo[td1], ok[jj] = jj, True
+            if j < 0:  # a new minimum over the columns not taken
+                low, last = inf, td2 + 1
+                for jj in range(nc):
+                    if d[jj] <= low and not ok[jj]:
+                        if d[jj] < low:
+                            td1, low = -1, d[jj]
+                        td1 += 1
+                        todo[td1] = jj
+        for j0 in todo[last:]:
+            v[j0] += d[j0] - low
+        i = -1
+        while i != i0:  # augment along the labels back to row i0
+            i = lab[j]
+            y[j] = i
+            j, x[i] = x[i], j
+    return x
 
 
 def bob_minmax_moment(cells, rho: float) -> float:

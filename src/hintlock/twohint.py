@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .adversary import CellView, Law, SchemeCells, moment_for_constant, support_moment
+from .adversary import CellView, Law, SchemeCells, moment_for_constant, row_ids, support_moment
 from .bounds import ExponentOutcome, bob_converse, bob_direct, list_room, privacy_exponent
 from .guessing import rank_groups
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
@@ -98,19 +98,21 @@ class TwoHintScheme(SchemeCells):
         Rational masses are summed as the law's integer numerators over its
         common denominator and returned as Fractions.
         """
-        law, pad1, pad2 = self.law, {}, {}
-        pads = ((law.hints[:, 0] // self.c1).tolist(), (law.hints[:, 1] // self.c2).tolist())
-        values = law.mass.tolist() if law.nums is None else law.nums
-        for x, y, vt, u, n in zip(law.x.tolist(), law.y.tolist(), *pads, values):
-            for laws, pad in ((pad1, vt), (pad2, u)):
-                by_pad = laws.setdefault((law.xs[x], law.ys[y]), {})
-                by_pad[pad] = by_pad.get(pad, 0) + n
-        if law.nums is not None:
-            fractions: dict = {}  # one Fraction per distinct numerator
-            for by_pad in (*pad1.values(), *pad2.values()):
-                for k, n in by_pad.items():
-                    by_pad[k] = fractions[n] if n in fractions else fractions.setdefault(n, Fraction(n, law.scale))
-        return pad1, pad2
+        law, out = self.law, []
+        values = law.mass if law.nums is None else np.array(law.nums, dtype=object)  # Python ints: no overflow
+        fractions: dict = {}  # one Fraction per distinct numerator
+        for pad in (law.hints[:, 0] // self.c1, law.hints[:, 1] // self.c2):
+            _, first, group = np.unique(row_ids(law.x, law.y, pad), return_index=True, return_inverse=True)
+            sums = np.zeros(len(first), dtype=values.dtype)
+            np.add.at(sums, group, values)  # in entry order
+            seen = np.argsort(first)  # (x, y, pad) groups in first-seen order
+            laws: dict = {}
+            for x, y, k, n in zip(*(col[first[seen]].tolist() for col in (law.x, law.y, pad)), sums[seen].tolist()):
+                if law.nums is not None:
+                    n = fractions[n] if n in fractions else fractions.setdefault(n, Fraction(n, law.scale))
+                laws.setdefault((law.xs[x], law.ys[y]), {})[k] = n
+            out.append(laws)
+        return tuple(out)
 
     def to_json(self) -> str:
         return json.dumps(

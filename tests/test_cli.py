@@ -43,8 +43,18 @@ def test_entropy_uniform_constant_column(tmp_path, capsys):
 
 
 def test_import_and_entropy_load_no_scipy(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"source": {"uniform": 4}, "alpha": [0.5, 2]}))
+    """Eve's chunks of at most SMALL_CHUNK_CELLS cells are matched in the
+    package, so the cold scheme commands on small configs never import scipy."""
+    entropy = tmp_path / "entropy.json"
+    entropy.write_text(json.dumps({"source": {"uniform": 4}, "alpha": [0.5, 2]}))
+    marginal = {"x": list(range(16)), "p": [str(Fraction(w, 136)) for w in range(1, 17)]}
+    disks = {"source": marginal, "rho": [0.5, 1, 2], "scheme": {"delta": 3, "nu": 2, "eta": 1, "s": 4, "p": 2, "r": 2}}
+    commands = [
+        ["entropy", str(entropy)],
+        ["twohint", json.dumps(CRITERION_12_TWOHINT), "--rational", "--seed", "11"],
+        ["verify-all", "{}", "--seed", "11"],
+        ["disks", json.dumps(disks), "--rational", "--seed", "1"],
+    ]
     script = (
         "import sys\n"
         "def scipy_modules():\n"
@@ -52,10 +62,11 @@ def test_import_and_entropy_load_no_scipy(tmp_path):
         "import hintlock\n"
         "assert not scipy_modules(), scipy_modules()\n"
         "from hintlock.cli import main\n"
-        f"assert main(['entropy', {str(cfg)!r}]) == 0\n"
-        "assert not scipy_modules(), scipy_modules()\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert not scipy_modules(), (argv, scipy_modules())\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

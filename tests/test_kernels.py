@@ -1,6 +1,7 @@
 """Property tests: the shared moment kernels, the prepared cell view, Eve's
 oracle and the batched Blahut-Arimoto solver against slow oracles."""
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 import oracles
 from hintlock.adversary import Cell, CellView, as_view, eve_exact_matching, support_moment
@@ -253,14 +256,60 @@ def tied_rational_sources(draw):
     tied_rational_sources(),
     st.sampled_from([(2, 2, 2), (4, 4, 4), (1, 4, 4), (2, 4, 2)]),
     st.sampled_from([8, 32, adversary.CHUNK_CELLS]),  # smaller caps cut these views into more chunks
+    st.sampled_from([0, adversary.SMALL_CHUNK_CELLS, adversary.CHUNK_CELLS]),  # chunks matched in Python: none to all
 )
-def test_chunked_matching_on_tied_sources_equals_per_component_reference(joint, triple, cap):
+def test_chunked_matching_on_tied_sources_equals_per_component_reference(joint, triple, cap, small):
     scheme = build_two_hint(joint, *triple)
     with mock.patch.object(adversary, "CHUNK_CELLS", cap):
         assert_chunks_pack_whole_components(scheme.eve_cells)
     cells = list(scheme.eve_cells)
-    for rho in MATCHING_RHOS:
-        assert scheme.eve(rho) == oracles.eve_exact_matching(cells, rho)
+    with mock.patch.object(adversary, "SMALL_CHUNK_CELLS", small):
+        for rho in MATCHING_RHOS:
+            assert scheme.eve(rho) == oracles.eve_exact_matching(cells, rho)
+
+
+@st.composite
+def planted_matrices(draw):
+    """Rectangular CSR matrices of 1-16 rows with a planted full matching and
+    tie-heavy positive costs: small integers, integers times 1, sqrt 2 or
+    sqrt 3, or uniform floats; and the same matrix with some entries dropped."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nr = draw(st.integers(1, 16))
+    nc = nr + draw(st.integers(1, 2 * nr + 2))
+    mask = rng.random((nr, nc)) < draw(st.sampled_from([0.15, 0.4, 0.8]))
+    mask[np.arange(nr), rng.permutation(nc)[:nr]] = True  # the planted matching
+    ints = rng.integers(1, 5, (nr, nc)).astype(float)
+    costs = {
+        "int": ints,
+        "surd": ints * rng.choice([1.0, math.sqrt(2), math.sqrt(3)], (nr, nc)),
+        "uniform": rng.random((nr, nc)) + 1e-3,
+    }[draw(st.sampled_from(["int", "surd", "uniform"]))]
+    dropped = mask & (rng.random((nr, nc)) >= draw(st.sampled_from([0.2, 0.5])))
+    return [csr_array((costs[r, c], (r, c)), shape=(nr, nc)) for r, c in (np.nonzero(mask), np.nonzero(dropped))]
+
+
+def port_columns(g) -> list:
+    return adversary._lapjvsp_rectangular(g.indptr.tolist(), g.indices.tolist(), g.data.tolist(), g.shape[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_matrices())
+def test_rectangular_lapjvsp_port_picks_scipys_columns(matrices):
+    full, dropped = matrices
+    assert port_columns(full) == min_weight_full_bipartite_matching(full)[1].tolist()
+    try:
+        expected = min_weight_full_bipartite_matching(dropped)[1].tolist()
+    except ValueError:  # no full matching
+        with pytest.raises(DomainError, match="no full matching"):
+            port_columns(dropped)
+    else:
+        assert port_columns(dropped) == expected
+
+
+def test_rectangular_lapjvsp_port_rejects_a_matrix_without_a_full_matching():
+    for rows, cols, shape in [([0], [1], (2, 3)), ([0, 1], [0, 0], (2, 3)), ([0, 1, 2, 2], [0, 0, 1, 3], (3, 4))]:
+        with pytest.raises(DomainError, match="no full matching"):
+            port_columns(csr_array((np.ones(len(rows)), (rows, cols)), shape=shape))
 
 
 # The functional's fast controls for scoring and polishing.
