@@ -1,10 +1,11 @@
-"""Per-layer records: the builders, the kernels and the oracles, timed on two
-commits in perfbench reference seconds.
+"""Per-layer records: the builders, the kernels, the oracles and whole cold
+processes (end to end), timed on two commits in perfbench reference seconds.
 
     python bench/layers.py --base HEAD~1 --change HEAD --out BENCH_builders.json
     python bench/layers.py --base HEAD --change . --out BENCH_builders.json  # the working tree
     python bench/layers.py --layer kernels --base HEAD~1 --change HEAD --out BENCH_kernels.json
     python bench/layers.py --layer oracles --base HEAD~1 --change HEAD --out BENCH_oracles.json
+    python bench/layers.py --layer e2e --base HEAD~1 --change HEAD --out BENCH_e2e.json
 
 Run it from the root of the repository.  Each commit's tree is exported with
 `git archive` into a temporary directory (`.` measures the working tree as it
@@ -48,6 +49,16 @@ summed (16-cell components, which share calls); and the six two-hint guessing
 schemes of the `verify-all` battery (uniform and skewed 4-symbol sources,
 (cs, c1, c2) in (1, 4, 4), (2, 2, 2), (4, 1, 1), 4 x 4 hints), summed (chunks
 of 4 to 16 cells, matched in the package).
+
+The end-to-end layer (`--layer e2e`) times whole cold processes: each
+command of the benchmark's cli-cold workload (`python -m hintlock.cli` on its
+configs at seed SEED, run from the tree's root), `python -c "import hintlock"`
+and `python -c "import hintlock.cli"`.  A small launcher starts each process
+and reads its wall time and, by `os.wait4`, its own peak resident size; the
+launcher is smaller than any of them, so the peak is the process's and not
+one inherited from a large parent.  Nothing is byte-compiled first, so each
+process compiles hintlock as the benchmark's do when PYTHONDONTWRITEBYTECODE
+is set; the record notes that setting.
 
 Only names that exist on both sides are timed: a builder or kernel that calls
 a function one tree lacks is dropped from that tree's run, and the record lists
@@ -224,6 +235,46 @@ def oracles_child(reps: int) -> dict:
     return out
 
 
+# Runs argv[1:] with its output discarded and prints its wall seconds and its
+# peak resident MB (of that process alone, by os.wait4); fails if it fails.
+LAUNCHER = """
+import os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(time.perf_counter() - start, usage.ru_maxrss / 1024)
+sys.exit(proc.returncode)
+"""
+
+
+def e2e_child(reps: int) -> dict:
+    """Reference seconds and peak resident MB of each cold process, one value per repetition."""
+    import inspect
+
+    import workloads
+    from calibrate import REFERENCE_S, kernel_seconds
+
+    tree = Path(workloads.hl.__file__).resolve().parents[2]
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {  # the argv each cli-cold job passes to `python -m hintlock.cli`
+            job.key: ["-m", "hintlock.cli", *inspect.getclosurevars(job.run).nonlocals["argv"]]
+            for job in workloads.cli_cold(SEED, False, Path(tmp))
+        }
+        runs["import hintlock"] = ["-c", "import hintlock"]
+        runs["import hintlock.cli"] = ["-c", "import hintlock.cli"]
+        out = {name: {"cold": [], "peak_mb": []} for name in runs}
+        clock = [kernel_seconds()]
+        for _ in range(reps):
+            for name, argv in runs.items():
+                cmd = [sys.executable, "-c", LAUNCHER, sys.executable, *argv]
+                seconds, peak = map(float, subprocess.run(cmd, cwd=tree, capture_output=True, check=True).stdout.split())
+                clock.append(kernel_seconds())
+                out[name]["cold"].append(seconds / ((clock[-2] + clock[-1]) / 2) * REFERENCE_S)
+                out[name]["peak_mb"].append(peak)
+    return out
+
+
 def child(reps: int) -> dict:
     """Reference seconds per builder and stage, one sum over the sources per repetition."""
     import numpy as np
@@ -297,7 +348,7 @@ def _cpu() -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--layer", choices=("builders", "kernels", "oracles"), default="builders")
+    parser.add_argument("--layer", choices=("builders", "kernels", "oracles", "e2e"), default="builders")
     parser.add_argument("--base", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--rounds", type=int, default=3, help="interpreters per commit, alternating")
@@ -306,7 +357,8 @@ def main(argv=None) -> int:
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps({"kernels": kernels_child, "oracles": oracles_child}.get(args.layer, child)(args.reps)))
+        children = {"kernels": kernels_child, "oracles": oracles_child, "e2e": e2e_child}
+        print(json.dumps(children.get(args.layer, child)(args.reps)))
         return 0
     if hasattr(os, "sched_setaffinity"):  # one core for every interpreter, as in perfbench/run.py
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
@@ -329,6 +381,15 @@ def main(argv=None) -> int:
             "unit": "reference seconds (perfbench/calibrate.py) per call, summed over an input's sources",
             "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints; one seeded 6x3 rational joint",
             "rho": RHO,
+        }
+    elif args.layer == "e2e":
+        record = {
+            "layer": "e2e",
+            "unit": "cold: reference seconds (perfbench/calibrate.py) of one fresh process;"
+            " peak_mb: its own peak resident size in MB, by os.wait4",
+            "sources": f"the cli-cold workload's commands and configs at seed {SEED}; python -c 'import hintlock'"
+            " and python -c 'import hintlock.cli'",
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
         }
     elif args.layer == "oracles":
         record = {

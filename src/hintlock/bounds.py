@@ -6,13 +6,14 @@ descriptor of z values (task-encoding and guessing: Bunte-Lapidoth 2014,
 Arikan 1996), Bob's converse when all he is shown takes m values, Eve's
 direct bound when her view leaks `leak` values, and Eve's converse when
 `secret` values stay hidden from her.  Only these four cardinalities change
-from scheme to scheme, and the privacy exponents only Bob's and Eve's rates.
+from scheme to scheme, and the privacy exponents only Bob's and Eve's rates
+(`two_hint_exponents` and `disk_exponents` state them for the two schemes).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow
@@ -100,3 +101,43 @@ def privacy_exponent(
     if bob_rate < h - e_bob / rho:
         return ExponentOutcome(-math.inf, None)
     return ExponentOutcome(min(rho * eve_rate + e_bob, rho * h), None, False)
+
+
+def two_hint_exponents(
+    r1: float, r2: float, rho: float, entropy_rate: float, e_bob: float | None = None
+) -> ExponentOutcome:
+    """Privacy exponent (e_bob None) or modest privacy exponent for rate pair (r1, r2).
+
+    The plain exponent is undetermined exactly at r1 + r2 = entropy rate; that
+    input returns the achievable-side value with `boundary=True`.
+    """
+    if r1 <= 0 or r2 <= 0:
+        raise DomainError("rates must be positive")
+    out = privacy_exponent(r1 + r2, min(r1, r2), rho, entropy_rate, e_bob)
+    if out.value == -math.inf:
+        return out
+    heff = entropy_rate if e_bob is None else max(entropy_rate - e_bob / rho, 0.0)
+    return replace(out, witness=_rate_split(r1, r2, heff))
+
+
+def _rate_split(r1: float, r2: float, h: float) -> tuple[float, float, float]:
+    """The pad/plain rate triple used in the three-case achievability argument."""
+    lo = min(r1, r2)
+    if lo <= h / 2:
+        split = (0.0, h - lo, lo)
+    elif lo <= h:
+        split = (2 * lo - h, h - lo, h - lo)
+    else:
+        split = (lo, 0.0, 0.0)
+    return split
+
+
+def disk_exponents(
+    rate_s: float, nu: int, eta: int, rho: float, entropy_rate: float, e_bob: float | None = None
+) -> ExponentOutcome:
+    """Privacy exponent (or modest variant) for per-disk rate rate_s."""
+    if rate_s < 0:
+        raise DomainError("rate_s must be >= 0")
+    if not 0 <= eta < nu:
+        raise DomainError(f"need 0 <= eta < nu, got eta={eta}, nu={nu}")
+    return privacy_exponent(nu * rate_s, rate_s * (nu - eta), rho, entropy_rate, e_bob)

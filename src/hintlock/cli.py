@@ -5,6 +5,9 @@ plus a markdown summary on stdout.  Runs are deterministic given --seed: no
 timestamps ever enter the report body, and the seed is recorded in a column.
 The process exits 1 iff any checked inequality fails, and 2 with a one-line
 message on stderr when the config is malformed or a parameter inadmissible.
+Each subcommand imports the modules it runs when it is dispatched, so a cold
+`entropy`, `guess`, `task` or rates-only `exponent` never loads the scheme,
+GF or rate-distortion code.
 """
 
 from __future__ import annotations
@@ -18,17 +21,6 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from . import disks as disks_mod
-from . import twohint as twohint_mod
-from .bounds import list_room
-from .distortion import (
-    DistortionSpec,
-    brute_optimal_distortion_guesser,
-    greedy_cover_guesser,
-    tuple_product,
-)
-from .exponents import RdQuery, rd_exponent_functional, rd_privacy_exponent
-from .guessing import arikan_bounds, ceil_moment, optimal_guess_moment, side_info_lower_bound
 from .prob import (
     BudgetExceededError,
     DomainError,
@@ -40,7 +32,6 @@ from .prob import (
     validate,
 )
 from .report import ReportRow, all_passed, fmt, rows_to_csv, rows_to_markdown
-from .tasks import bunte_bounds, fact1_census
 
 
 class ConfigError(Exception):
@@ -171,6 +162,8 @@ def cmd_entropy(cfg: dict, args) -> list[ReportRow]:
 
 
 def cmd_guess(cfg: dict, args) -> list[ReportRow]:
+    from .guessing import arikan_bounds, ceil_moment, optimal_guess_moment, side_info_lower_bound
+
     joint = _load_source(cfg, args.rational)
     z_count = _optional(cfg, "z_count", int, 1, least=1)
     rows = []
@@ -190,6 +183,8 @@ def cmd_guess(cfg: dict, args) -> list[ReportRow]:
 
 
 def cmd_task(cfg: dict, args) -> list[ReportRow]:
+    from .tasks import bunte_bounds, fact1_census
+
     joint = _load_source(cfg, args.rational)
     z_count = _optional(cfg, "z_count", int, 4, least=1)
     rows = []
@@ -206,6 +201,8 @@ def cmd_task(cfg: dict, args) -> list[ReportRow]:
 
 
 def _build_scheme(cfg: dict, joint: JointPmf):
+    from . import twohint as twohint_mod
+
     sch, version = _section(cfg, "scheme"), _version(cfg)
     kind = sch.get("kind", "two-hint")
     name = f"a {kind} scheme"
@@ -231,6 +228,8 @@ def cmd_twohint(cfg: dict, args) -> list[ReportRow]:
 
 
 def cmd_disks(cfg: dict, args) -> list[ReportRow]:
+    from . import disks as disks_mod
+
     joint = _load_source(cfg, args.rational)
     params = _fields(_section(cfg, "scheme"), "a disk scheme", delta=int, nu=int, eta=int, s=int, p=int, r=int)
     scheme = disks_mod.build_delta_scheme(joint, *params, _version(cfg), budget=args.budget)
@@ -261,6 +260,8 @@ def _unequal_sizes(cfg: dict, delta: int, s: int) -> tuple | None:
 
 
 def _distortion_spec(joint: JointPmf, dcfg: dict) -> DistortionSpec:
+    from .distortion import DistortionSpec
+
     delta = _optional(dcfg, "delta", float, 0.0)
     if dcfg.get("hamming"):
         return DistortionSpec.hamming(joint.x_alphabet, delta)
@@ -275,20 +276,24 @@ def _distortion_spec(joint: JointPmf, dcfg: dict) -> DistortionSpec:
 
 
 def cmd_distortion(cfg: dict, args) -> list[ReportRow]:
+    from .distortion import brute_optimal_distortion_guessers, greedy_cover_guesser, tuple_product
+
     joint = _load_source(cfg, args.rational)
     spec = _distortion_spec(joint, _section(cfg, "distortion", {"hamming": True, "delta": 0.0}))
     n = _optional(cfg, "n", int, 1, least=1)
+    rhos = _rho_list(cfg)
+    oracle = brute_optimal_distortion_guessers(spec, joint, n, rhos)  # one search over the orders for every rho
+    greedy, big = greedy_cover_guesser(spec, joint, n), tuple_product(joint, n)
     rows = []
-    for rho in _rho_list(cfg):
-        inst = f"rho={fmt(rho)},n={n}"
-        _, opt = brute_optimal_distortion_guesser(spec, joint, n, rho)
-        greedy = greedy_cover_guesser(spec, joint, n)
-        gval = greedy.moment(tuple_product(joint, n), rho)
-        rows.append(ReportRow("distortion", inst, "greedy-above-oracle", ">=", gval, opt))
+    for rho, (_, opt) in zip(rhos, oracle):
+        gval = greedy.moment(big, rho)
+        rows.append(ReportRow("distortion", f"rho={fmt(rho)},n={n}", "greedy-above-oracle", ">=", gval, opt))
     return rows
 
 
 def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
+    from .bounds import disk_exponents, two_hint_exponents
+
     rows = []
     rates = _section(cfg, "rates")
     if "rate_s" not in rates and "r1" not in rates:
@@ -297,20 +302,25 @@ def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
     if h is None and ("rate_s" in rates or cfg.get("distortion") is None):
         raise ConfigError("config error: missing 'entropy_rate'")
     e_bob = _optional(rates, "e_bob", float)
-    for rho in _rho_list(cfg):
+    rhos = _rho_list(cfg)
+    for rho in rhos:
         inst = f"rho={fmt(rho)}"
         if "rate_s" in rates:
             rate_s, nu, eta = _fields(rates, "'rates'", rate_s=float, nu=int, eta=int)
-            out = disks_mod.disk_exponents(rate_s, nu, eta, rho, h, e_bob)
+            out = disk_exponents(rate_s, nu, eta, rho, h, e_bob)
             rows.append(ReportRow("exponent", inst, "disk-exponent", "==", out.value, out.value))
         else:
             r1, r2 = _fields(rates, "'rates'", r1=float, r2=float)
             if cfg.get("distortion") is not None:
+                from .exponents import RdQuery, rd_exponent_functional, rd_privacy_exponent
+
                 joint = _load_source(cfg, args.rational)
                 spec = _distortion_spec(joint, _section(cfg, "distortion"))
                 controls = RdQuery(grid_points=_optional(cfg, "grid_points", int, 400), seed=args.seed)
                 if (dump := cfg.get("dump_witness")) and not isinstance(dump, str):
                     raise ConfigError(f"config error: 'dump_witness' must be a file name, not {dump!r}")
+                if dump and len(rhos) > 1:
+                    raise ConfigError("config error: 'dump_witness' holds the witness of one rho; give one 'rho'")
                 if dump:
                     _check_writable(dump)
                 func = rd_exponent_functional(joint, spec, rho, controls)
@@ -321,7 +331,7 @@ def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
                 if dump:
                     _write(dump, func.witness.to_json())
             else:
-                out = twohint_mod.two_hint_exponents(r1, r2, rho, h, e_bob)
+                out = two_hint_exponents(r1, r2, rho, h, e_bob)
             label = "boundary-flagged" if out.boundary else "two-hint-exponent"
             rows.append(ReportRow("exponent", inst, label, "==", out.value, out.value))
     return rows
@@ -329,6 +339,9 @@ def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
 
 def cmd_battery(cfg: dict, args) -> list[ReportRow]:
     """A deterministic battery over the bundled desk-scale instances."""
+    from . import disks as disks_mod, twohint as twohint_mod
+    from .bounds import list_room
+
     rho_list = _rho_list(cfg)
     uniform4 = JointPmf.from_marginal(Pmf.uniform(4, exact=True))
     skew = JointPmf.from_marginal(

@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .adversary import Law, SchemeCells, bob_minmax_moment, eve_exact_matching, moment_for_constant, row_ids
-from .bounds import ExponentOutcome, bob_converse, bob_direct, eve_converse, eve_direct, privacy_exponent
+from .bounds import bob_converse, bob_direct, disk_exponents, eve_converse, eve_direct  # disk_exponents is re-exported
 from .gf import field_make, rs_generator
 from .prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow, fmt
@@ -307,14 +307,3 @@ def choose_pr(
     if r is None:
         raise DomainError(f"no admissible split for s={s}, delta={delta}")
     return s - r, r
-
-
-def disk_exponents(
-    rate_s: float, nu: int, eta: int, rho: float, entropy_rate: float, e_bob: float | None = None
-) -> ExponentOutcome:
-    """Privacy exponent (or modest variant) for per-disk rate rate_s."""
-    if rate_s < 0:
-        raise DomainError("rate_s must be >= 0")
-    if not 0 <= eta < nu:
-        raise DomainError(f"need 0 <= eta < nu, got eta={eta}, nu={nu}")
-    return privacy_exponent(nu * rate_s, rate_s * (nu - eta), rho, entropy_rate, e_bob)

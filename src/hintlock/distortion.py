@@ -117,42 +117,55 @@ def _ball_matrix(x_tuples, xhat_tuples, spec: DistortionSpec) -> np.ndarray:
     return np.array([[within(x, xh, spec) for xh in xhat_tuples] for x in x_tuples])
 
 
-def _best_orders(balls: np.ndarray, columns, rho: float) -> list:
-    """Per column of source masses, the guessing order of the reconstructions
-    with the least moment, and that moment: a search over every order."""
+def _best_orders(balls: np.ndarray, columns, rhos) -> list:
+    """Per rho, per column of source masses, the guessing order of the
+    reconstructions with the least moment, and that moment: one search over
+    every order serves all rho, since only the position^rho weights depend on it."""
     nh = balls.shape[1]
     count = math.factorial(nh)
     perms = np.fromiter(chain.from_iterable(permutations(range(nh))), np.int64, count * nh).reshape(count, nh)
-    weights = (balls[:, perms].argmax(axis=2) + 1).astype(float) ** rho  # first within-Delta position^rho
+    positions = (balls[:, perms].argmax(axis=2) + 1).astype(float)  # each order's first within-Delta position
     best = []
-    for col in columns:
-        moments = (col[:, None] * weights).sum(axis=0)
-        k = int(moments.argmin())
-        best.append((perms[k], float(moments[k])))
+    for rho in rhos:
+        weights = positions**rho
+        per_column = []
+        for col in columns:
+            moments = (col[:, None] * weights).sum(axis=0)
+            k = int(moments.argmin())
+            per_column.append((perms[k], float(moments[k])))
+        best.append(per_column)
     return best
 
 
-def brute_optimal_distortion_guesser(
-    spec: DistortionSpec, joint: JointPmf, n: int, rho: float, budget: int = 8
-) -> tuple[SuccessFunction, float]:
-    """Exact factorial search over reconstruction orderings; |Xhat|^n <= budget.
+def brute_optimal_distortion_guessers(
+    spec: DistortionSpec, joint: JointPmf, n: int, rhos, budget: int = 8
+) -> list[tuple[SuccessFunction, float]]:
+    """Exact factorial search over reconstruction orderings, one per rho in
+    `rhos`; |Xhat|^n <= budget.
 
     This is the independent oracle every other distortion routine is checked
-    against.  Contexts are optimized separately (the objective is additive).
+    against.  Contexts are optimized separately (the objective is additive),
+    and one pass over the orders serves every rho.
     """
-    if not rho > 0:
+    if not all(rho > 0 for rho in rhos):
         raise DomainError("rho must be > 0")
     big = tuple_product(joint, n)
     xhat_tuples = tuple_alphabet(spec.xhat_alphabet, n)
     if len(xhat_tuples) > budget:
         raise BudgetExceededError(f"|Xhat|^n = {len(xhat_tuples)} exceeds budget {budget}")
     balls = _ball_matrix(big.x_alphabet, xhat_tuples, spec)
-    best = _best_orders(balls, big.masses.T, rho)  # one row per context
-    total = in_order([moment for _, moment in best])
-    rank_rows = [rank_row(order) for order, _ in best]
-    ghat = GuessingFunction(xhat_tuples, big.y_alphabet, tuple(rank_rows))
-    sf = success_function(ghat, spec, big, certified=True)
-    return sf, total
+    out = []
+    for best in _best_orders(balls, big.masses.T, rhos):  # per rho, one row per context
+        ghat = GuessingFunction(xhat_tuples, big.y_alphabet, tuple(rank_row(order) for order, _ in best))
+        out.append((success_function(ghat, spec, big, certified=True), in_order([moment for _, moment in best])))
+    return out
+
+
+def brute_optimal_distortion_guesser(
+    spec: DistortionSpec, joint: JointPmf, n: int, rho: float, budget: int = 8
+) -> tuple[SuccessFunction, float]:
+    """`brute_optimal_distortion_guessers` at one rho."""
+    return brute_optimal_distortion_guessers(spec, joint, n, [rho], budget)[0]
 
 
 def greedy_cover_guesser(spec: DistortionSpec, joint: JointPmf, n: int) -> SuccessFunction:
@@ -233,7 +246,7 @@ def _optimal_rd_moment_given(big: JointPmf, spec: DistortionSpec, enc: dict, rho
         for x, p in members:
             col[xi[x]] += p
         columns.append(col)
-    return in_order([moment for _, moment in _best_orders(balls, columns, rho)])
+    return in_order([moment for _, moment in _best_orders(balls, columns, [rho])[0]])
 
 
 def rd_encoder_from_guessing(

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import two_hint_exponents
 from .distortion import DistortionSpec
 from .prob import DomainError, JointPmf, RenyiOrder, kl_divergence, renyi_cond_entropy
-from .twohint import two_hint_exponents
 
 LOG2 = math.log(2.0)
 

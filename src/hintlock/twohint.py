@@ -17,14 +17,14 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .adversary import CellView, Law, SchemeCells, moment_for_constant, row_ids, support_moment
-from .bounds import ExponentOutcome, bob_converse, bob_direct, list_room, privacy_exponent
+from .bounds import bob_converse, bob_direct, list_room, two_hint_exponents  # the last one is re-exported
 from .guessing import rank_groups
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow
@@ -424,37 +424,3 @@ def build_eve_list_scheme(
 
 def verify_eve_list(scheme: EveListScheme, rho: float, instance: str = "") -> list[ReportRow]:
     return scheme.rows(rho, instance=instance)
-
-
-# ---------------------------------------------------------------------------
-# Asymptotics.
-# ---------------------------------------------------------------------------
-
-
-def two_hint_exponents(
-    r1: float, r2: float, rho: float, entropy_rate: float, e_bob: float | None = None
-) -> ExponentOutcome:
-    """Privacy exponent (e_bob None) or modest privacy exponent for rate pair (r1, r2).
-
-    The plain exponent is undetermined exactly at r1 + r2 = entropy rate; that
-    input returns the achievable-side value with `boundary=True`.
-    """
-    if r1 <= 0 or r2 <= 0:
-        raise DomainError("rates must be positive")
-    out = privacy_exponent(r1 + r2, min(r1, r2), rho, entropy_rate, e_bob)
-    if out.value == -math.inf:
-        return out
-    heff = entropy_rate if e_bob is None else max(entropy_rate - e_bob / rho, 0.0)
-    return replace(out, witness=_rate_split(r1, r2, heff))
-
-
-def _rate_split(r1: float, r2: float, h: float) -> tuple[float, float, float]:
-    """The pad/plain rate triple used in the three-case achievability argument."""
-    lo = min(r1, r2)
-    if lo <= h / 2:
-        split = (0.0, h - lo, lo)
-    elif lo <= h:
-        split = (2 * lo - h, h - lo, h - lo)
-    else:
-        split = (lo, 0.0, 0.0)
-    return split

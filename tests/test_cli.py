@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hintlock
-from hintlock import cli
+from hintlock import exponents
 from hintlock.cli import main
 from hintlock.disks import build_delta_scheme
 from hintlock.prob import JointPmf, Pmf
@@ -68,6 +68,52 @@ def test_import_and_entropy_load_no_scipy(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+SCHEME_MODULES = {"twohint", "adversary", "disks", "gf"}
+NOT_LOADED = SCHEME_MODULES | {"distortion", "exponents"}  # by entropy, guess, task and a rates-only exponent
+# command, its config, and the hintlock modules it must not load
+LEAN_COMMANDS = {
+    "entropy": ["entropy", {"source": {"uniform": 4}, "rho": [0.5, 2]}, NOT_LOADED],
+    "guess": ["guess", {"source": {"uniform": 4}, "z_count": 2}, NOT_LOADED],
+    "task": ["task", {"source": {"uniform": 4}, "z_count": 4}, NOT_LOADED],
+    "exponent-two-hint": [
+        "exponent",
+        {"rho": [0.5, 1], "entropy_rate": 1.5, "rates": {"r1": 1.0, "r2": 0.5}},
+        NOT_LOADED,
+    ],
+    "exponent-disks": [
+        "exponent",
+        {"rho": 1, "entropy_rate": 1.2, "rates": {"rate_s": 0.8, "nu": 2, "eta": 1}},
+        NOT_LOADED,
+    ],
+    "distortion": [
+        "distortion",
+        {"source": {"x": [0, 1], "p": [0.7, 0.3]}, "rho": [0.5, 1, 2], "n": 2, "distortion": {"hamming": True}},
+        SCHEME_MODULES | {"exponents"},
+    ],
+}
+
+
+def _loaded_modules(script: str, *argv) -> set:
+    """The hintlock modules a fresh interpreter holds after running `script`."""
+    script += "\nprint(json.dumps([m.split('.', 1)[1] for m in sys.modules if m.startswith('hintlock.')]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("command, config, unloaded", LEAN_COMMANDS.values(), ids=LEAN_COMMANDS)
+def test_command_loads_only_its_modules(command, config, unloaded):
+    script = "import json, sys\nfrom hintlock.cli import main\nassert main(sys.argv[1:]) == 0"
+    loaded = _loaded_modules(script, command, json.dumps(config))
+    assert "cli" in loaded and not loaded & unloaded, sorted(loaded & unloaded)
+
+
+def test_import_hintlock_loads_no_module():
+    assert _loaded_modules("import json, sys, hintlock") == set()
 
 
 def test_guess_and_task_commands(capsys):
@@ -235,6 +281,15 @@ def test_null_value_means_the_default(capsys, command, config, key):
     assert code == 0 and absent.count("\n") > 1
 
 
+# a two-symbol rate-distortion functional: about 2 s per run
+SMALL_FUNCTIONAL = {
+    "source": {"uniform": 2},
+    "rates": {"r1": 0.5, "r2": 0.5},
+    "distortion": {"hamming": True, "delta": 0.1},
+    "grid_points": 3,
+}
+
+
 MALFORMED = {
     "no-entropy-rate": ["exponent", {"rho": 1, "rates": {"r1": 0.5, "r2": 0.5}}],
     "two-hint-without-c1": ["twohint", {"source": {"uniform": 4}, "scheme": {"kind": "two-hint", "cs": 2, "c2": 1}}],
@@ -299,6 +354,7 @@ MALFORMED = {
         "distortion",
         {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": [[0, 1], [-math.inf, 0]], "delta": 0.5}},
     ],
+    "exponent-witness-of-two-rhos": ["exponent", {**SMALL_FUNCTIONAL, "rho": [0.5, 2], "dump_witness": os.devnull}],
     "unequal-sizes-too-small": [
         "disks",
         {
@@ -329,13 +385,6 @@ def test_malformed_config_exits_2_with_one_line(command, config):
     assert_one_line_config_error(command, json.dumps(config))
 
 
-# a two-symbol rate-distortion functional: about 2 s per run
-SMALL_FUNCTIONAL = {
-    "source": {"uniform": 2},
-    "rates": {"r1": 0.5, "r2": 0.5},
-    "distortion": {"hamming": True, "delta": 0.1},
-    "grid_points": 3,
-}
 UNWRITABLE = ["out-a-directory", "out-in-a-missing-directory", "witness-a-directory", "witness-a-number"]
 
 
@@ -356,10 +405,22 @@ def test_unwritable_witness_is_rejected_before_the_search(tmp_path, monkeypatch,
     def search(*args):
         raise AssertionError("the rate-distortion search ran before the witness path was checked")
 
-    monkeypatch.setattr(cli, "rd_exponent_functional", search)
+    monkeypatch.setattr(exponents, "rd_exponent_functional", search)  # cli imports it on dispatch
     code, out, err = run(capsys, "exponent", json.dumps({**SMALL_FUNCTIONAL, "dump_witness": str(tmp_path)}))
     assert code == 2 and out == "" and err.startswith("config error") and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_witness_of_several_rhos_is_rejected_before_the_search(tmp_path, monkeypatch, capsys):
+    def search(*args):
+        raise AssertionError("the rate-distortion search ran before the rho list was checked")
+
+    monkeypatch.setattr(exponents, "rd_exponent_functional", search)
+    witness = tmp_path / "witness.json"
+    config = {**SMALL_FUNCTIONAL, "rho": [0.5, 2], "dump_witness": str(witness)}
+    code, out, err = run(capsys, "exponent", json.dumps(config))
+    assert code == 2 and out == "" and err.startswith("config error") and len(err.splitlines()) == 1
+    assert not witness.exists()
 
 
 def test_long_literal_config(capsys):

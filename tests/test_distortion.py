@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from hintlock.distortion import (
     DistortionSpec,
+    _best_orders,
     avg_distortion,
     brute_optimal_distortion_guesser,
+    brute_optimal_distortion_guessers,
     greedy_cover_guesser,
     rd_encoder_from_guessing,
     rd_guessing_from_lists,
@@ -168,6 +170,37 @@ def test_success_ranks_are_the_guessing_ranks_of_the_reconstructions(seed, shape
         for (x, c), rank in found.ranks.items():
             assert rank == found.ghat.rank(found.recon[(x, c)], c)
             assert within(x, found.recon[(x, c)], spec)
+
+
+RHOS = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 4.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.data())
+def test_one_order_search_serves_every_rho(nh, nx, data):
+    # the shared permutation table and first-hit positions give, at each rho,
+    # the order and the very float of a search made for that rho alone
+    row = st.lists(st.booleans(), min_size=nh, max_size=nh).filter(any)  # every source row has a hit
+    balls = np.array(data.draw(st.lists(row, min_size=nx, max_size=nx)))
+    column = st.lists(st.floats(0.0, 1.0), min_size=nx, max_size=nx).map(np.array)
+    columns = data.draw(st.lists(column, min_size=1, max_size=3))
+    rhos = data.draw(st.lists(RHOS, min_size=1, max_size=4))
+    shared = _best_orders(balls, columns, rhos)
+    assert len(shared) == len(rhos)
+    for rho, best in zip(rhos, shared):
+        (alone,) = _best_orders(balls, columns, [rho])
+        assert [order.tolist() for order, _ in best] == [order.tolist() for order, _ in alone]
+        assert [moment.hex() for _, moment in best] == [moment.hex() for _, moment in alone]
+
+
+def test_guessers_for_several_rhos_equal_one_rho_each():
+    joint = JointPmf.of([[0.45, 0.1], [0.15, 0.3]])
+    spec, rhos = DistortionSpec.hamming(joint.x_alphabet, 0.34), [0.5, 1.0, 2.0]
+    for (sf, moment), rho in zip(brute_optimal_distortion_guessers(spec, joint, 3, rhos), rhos):
+        sf1, moment1 = brute_optimal_distortion_guesser(spec, joint, 3, rho)
+        assert sf.ranks == sf1.ranks and sf.recon == sf1.recon and moment.hex() == moment1.hex()
+    with pytest.raises(DomainError):
+        brute_optimal_distortion_guessers(spec, joint, 1, [1.0, 0.0])
 
 
 def test_fidelity_violation_rejected():
