@@ -36,8 +36,8 @@ run takes about 5 ms, and reports reference seconds per call:
   `list_moment` of the offset/refinement encoder (omega = 2);
 - `moment_for_constant` on Eve's view, on its first use (the rank table is
   built) and prepared (the table is kept on the view);
-- `support_moment` and `bob_minmax_moment` (Bob's guessing moment) on Bob's
-  view, prepared.
+- `support_moment` on Bob's view, and Bob's guessing moment `scheme.bob(rho)`,
+  both prepared (a tree that prices Bob on the pad quotient times that view).
 
 The oracles layer (`--layer oracles`) times Eve's exact oracle, `scheme.eve(1.0)`,
 on a fresh scheme: the call pays for the scheme's Eve view, its slot graphs and
@@ -139,7 +139,7 @@ def _kernels(hl, joint, triple) -> dict:
         "moment_for_constant first use": first_use,
         "moment_for_constant prepared": lambda: adversary.moment_for_constant(scheme.eve_cells, 0, RHO),
         "support_moment": lambda: adversary.support_moment(scheme.bob_cells, RHO),
-        "bob_minmax_moment": lambda: adversary.bob_minmax_moment(scheme.bob_cells, RHO),
+        "bob guessing moment": lambda: scheme.bob(RHO),
     }
 
 

@@ -13,10 +13,9 @@ dict, built on first read; a dict handed to a scheme is coded once.
 view position (a revealable hint subset; the context carries y and the hints
 shown), ids numbered by first appearance.  On it: the guessing moment given one
 view position (`moment_for_constant`), the list moment with views reduced by
-min (list-forming Eve) or max (worst-case Bob) (`support_moment`), Bob's
-min-max guessing moment (`bob_minmax_moment`) and Eve's accomplice-optimal
-moment (`eve_exact_matching`).  A plain list of `Cell`s is coded into a view
-once per call.
+min (list-forming Eve) or max (worst-case Bob) (`support_moment`) and Eve's
+accomplice-optimal moment (`eve_exact_matching`).  A plain list of `Cell`s is
+coded into a view once per call.
 
 Every scheme prices Bob and Eve and writes its report rows through one
 protocol, `SchemeCells` (`bob`, `eve`, `rows`), so no caller dispatches on a
@@ -25,8 +24,8 @@ scheme's type.
 A view keeps, from first use, what the descending-posterior order fixes for
 every rho, grouped in numpy (unique, lexsort, add.at): per position the rank
 table of the one grouped kernel (`_rank_table` on int columns: context, key,
-mass, tie order, ranked by `guessing.rank_groups`); each cell's rank over all
-its views; per `reduce` the mass and list size of each views tuple; Eve's
+mass, tie order, ranked by `guessing.rank_groups`); that Bob's positions group
+the cells alike; per `reduce` the mass and list size of each views tuple; Eve's
 components and slot graphs.  A rho then costs a t**rho table (Python's pow),
 one product per entry and one LAPJVsp solve per chunk of Eve's components.
 Sums keep the dict reference's order, so every float is its float: a
@@ -36,14 +35,14 @@ sequence; contexts, cells and views tuples in first-seen order, in sequence
 the components in order, in sequence.  Rank ties go by repr(x).  Nothing is
 cached at module level.
 
-Both oracles rest on two facts of every scheme built here.  Given y, any of
-Bob's views determines the descriptor and the pad, so each of his contexts
-holds the same realizations in every view and ranks each cell alike: his
-min-max moment is each cell's common rank.  Given (x, y), any of Eve's views
-determines the pad (M1 or M2 gives the two-hint pad U; eta hints pin the
-delta-disk pad through the top MDS rows), so no two distinct cells share an
-(x, context) pair.  Both facts are checked once per view, on int columns, and
-a view that breaks one raises DomainError.
+Both adversaries rest on two facts of every scheme built here.  Given y, any
+of Bob's views determines the descriptor and the pad, so all his views group
+the cells alike and rank each cell alike: his min-max guessing moment is the
+moment given view 0.  Given (x, y), any of Eve's views determines the pad (M1
+or M2 gives the two-hint pad U; eta hints pin the delta-disk pad through the
+top MDS rows), so no two distinct cells share an (x, context) pair.  Both facts
+are checked once per view, on int columns, and a view that breaks one raises
+DomainError.
 
 Eve's exact ambiguity, min over accomplice maps of the optimal guessing
 moment given (context, revealed values), reduces to a min-cost assignment:
@@ -54,10 +53,16 @@ is exact because no two distinct cells share an (x, context) pair; routing
 both into that context would merge their posterior mass, which the matching
 cannot price.
 
-A padded scheme prices Eve on its pad quotient (`SchemeCells.eve_law`): one
-cell per (x, y) with the source's mass P(x, y), each hint cut to its public
-part -- (M1 mod c1, M2 mod c2) = (V1, V2) for two-hint with cs > 1, `hint >> r`
-for a delta-disk scheme with eta * r > 0.  Its value is the full law's:
+A padded scheme prices both adversaries on one pad quotient
+(`SchemeCells.quotient`): one cell per (x, y), its first realization (pad 0),
+with the source's mass P(x, y).  Bob reads its hints as they are, Eve each hint
+cut to its `public` part: (M1 mod c1, M2 mod c2) = (V1, V2) for two-hint,
+`hint >> r` for delta-disk.  Each value is the full law's.  Bob: each of his
+views fixes the descriptor Z and the pad (M2 gives U, then M1 gives v_s; any nu
+delta-disk hints decode V, W and U), so each of his contexts is one (y, Z)
+shifted by a pad, holding the x's of (y, Z) with masses P(x, y) / pads.  Its
+ranks and list size are those of the quotient's context (y, Z), whose masses
+are the pads' sums.  Eve:
 - Shift symmetry.  The pad U is uniform and independent of (X, Y).  Shifting
   it by a constant (U + a mod cs; XOR with the pad codeword of a) maps each
   cell to a cell of the same (x, y) and mass, and each of Eve's contexts to
@@ -197,11 +202,11 @@ class Law(Mapping):
         nums, scale = common_denominator(w for _, _, w in rows)
         return cls(*alphabets, x, y, hints, np.repeat(np.array(nums, dtype=object), copies), scale * copies, nested)
 
-    def quotient(self, joint, copies: int, hints: np.ndarray) -> "Law":
+    def quotient(self, joint, copies: int) -> "Law":
         """One realization per run of `copies` consecutive rows that split one
-        (x, y) of the source `joint`: the run's x and y, one row of `hints`, and
-        P(x, y) -- the run's numerators summed, or, in a float law, `joint`'s mass."""
-        x, y = self.x[::copies], self.y[::copies]
+        (x, y) of the source `joint`: the run's first row, with mass P(x, y) --
+        the run's numerators summed, or, in a float law, `joint`'s mass."""
+        x, y, hints = self.x[::copies], self.y[::copies], self.hints[::copies]
         if self.scale is not None:
             nums = [copies * n for n in self.nums[::copies]]
             return Law(self.xs, self.ys, x, y, hints, nums, self.scale, self.nested)
@@ -226,9 +231,11 @@ class Law(Mapping):
     def __len__(self) -> int:
         return len(self.mass) if self._dict is None else len(self._dict)
 
-    def view(self, positions) -> "CellView":
-        """The cells whose view k shows y and the hint columns `positions[k]`."""
-        local = [row_ids(self.y, *self.hints[:, list(cols)].T) for cols in positions]
+    def view(self, positions, hints: np.ndarray | None = None) -> "CellView":
+        """The cells whose view k shows y and the columns `positions[k]` of
+        `hints` (by default the law's own)."""
+        hints = self.hints if hints is None else hints
+        local = [row_ids(self.y, *hints[:, list(cols)].T) for cols in positions]
         offsets = np.cumsum([0] + [int(ids.max(initial=-1)) + 1 for ids in local[:-1]])
         return CellView(self.mass, self.x, _first_seen(np.stack(local, axis=1) + offsets), self.xs)
 
@@ -283,24 +290,30 @@ def as_view(cells) -> CellView:
 class SchemeCells:
     """A scheme dataclass's law, coded once, its cell views, prices and report rows.
 
-    Bob's view k shows y and the hints `bob_positions[k]` of the law, Eve's
-    those of `eve_positions[k]` of `eve_law` (by default Bob sees both hints,
-    Eve's accomplice reveals one, and `eve_law` is the law; a padded scheme
-    gives its pad quotient).  `bob` is Bob's guessing or list moment, `eve`
-    Eve's by the matching, and `rows` the four `bounds.theorem_rows` of suite
-    "{suite}-{version}" on the scheme's (z, m, leak, secret) `sizes`.  A scheme
-    declares `suite` and `sizes` and overrides only what its theorem changes.
+    Bob's view k shows y and the hints `bob_positions[k]` of the pad `quotient`,
+    Eve's those of `eve_positions[k]` cut to their `public` part (by default Bob
+    sees both hints, Eve's accomplice reveals one, and there is one pad per
+    (x, y), so the quotient is the law).  `bob` is Bob's guessing or list moment,
+    `eve` Eve's by the matching, and `rows` the four `bounds.theorem_rows` of
+    suite "{suite}-{version}" on the scheme's (z, m, leak, secret) `sizes`.  A
+    scheme declares `suite` and `sizes`, a padded one its `pads` and `public`,
+    and overrides only what its theorem changes.
     """
 
     bob_positions = ((0, 1),)
     eve_positions = ((0,), (1,))
+    pads = 1
 
     def __post_init__(self):
         object.__setattr__(self, "law", Law.coded(self.law))
 
+    def public(self, hints: np.ndarray) -> np.ndarray:  # the part of each hint Eve's quotient keeps
+        return hints
+
     def bob(self, rho: float, version: str | None = None) -> float:
         version = version or self.version
         if version == "guessing":
+            self.bob_cells.prepared("one partition", _check_one_partition)
             return moment_for_constant(self.bob_cells, 0, rho)
         if version == "list":
             return support_moment(self.bob_cells, rho)
@@ -315,16 +328,22 @@ class SchemeCells:
         return theorem_rows(f"{self.suite}-{version}", instance, self.joint, rho, version, bob, eve, self.sizes)
 
     @cached_property
-    def bob_cells(self) -> CellView:
-        return self.law.view(self.bob_positions)
+    def quotient(self) -> Law:  # one realization per (x, y): the first of each run of pads
+        return self.law if self.pads == 1 else self.law.quotient(self.joint, self.pads)
 
-    @property
-    def eve_law(self) -> Law:
-        return self.law
+    @cached_property
+    def bob_cells(self) -> CellView:
+        return self.quotient.view(self.bob_positions)
 
     @cached_property
     def eve_cells(self) -> CellView:
-        return self.eve_law.view(self.eve_positions)
+        return self.quotient.view(self.eve_positions, self.public(self.quotient.hints))
+
+
+def _check_one_partition(view: CellView) -> None:
+    """Raise DomainError unless every position of `view` groups the cells as position 0 does."""
+    if any((_first_seen(col) != _first_seen(view.ctx[:, 0])).any() for col in view.ctx.T[1:]):
+        raise DomainError("two of Bob's views rank a cell differently: their guessers need not be his min-max optimum")
 
 
 def _rank_table(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, tie: np.ndarray) -> tuple:
@@ -545,22 +564,3 @@ def _lapjvsp_rectangular(first: list, kk: list, cc: list, nc: int) -> list:
             y[j] = i
             j, x[i] = x[i], j
     return x
-
-
-def bob_minmax_moment(cells, rho: float) -> float:
-    """Bob's min-max guessing moment: each cell's optimal rank, the same in
-    every view, to the power rho.  Raises DomainError when two views rank a
-    cell differently (see module docstring)."""
-    return power_moment(*as_view(cells).prepared("ranks", _common_ranks), rho)
-
-
-def _common_ranks(view: CellView) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's mass and its optimal rank, checked to be the same in all its views (views pooled)."""
-    cell, pos, ctx = view.incidences
-    _, _, rank, pair = rank_groups(ctx, view.x[cell], view.prob[cell], view.xkey)
-    per_view = np.zeros(view.ctx.shape, dtype=np.int64)
-    per_view[cell, pos] = rank[pair]
-    high = per_view.max(axis=1)
-    if (np.where(view.ctx >= 0, per_view, high[:, None]) != high[:, None]).any():
-        raise DomainError("two of Bob's views rank a cell differently: their guessers need not be his min-max optimum")
-    return view.prob, high

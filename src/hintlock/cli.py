@@ -303,6 +303,14 @@ def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
         raise ConfigError("config error: missing 'entropy_rate'")
     e_bob = _optional(rates, "e_bob", float)
     rhos = _rho_list(cfg)
+    if dump := cfg.get("dump_witness"):
+        if "rate_s" in rates or cfg.get("distortion") is None:
+            raise ConfigError("config error: only a 'distortion' section's functional has a witness for 'dump_witness'")
+        if not isinstance(dump, str):
+            raise ConfigError(f"config error: 'dump_witness' must be a file name, not {dump!r}")
+        if len(rhos) > 1:
+            raise ConfigError("config error: 'dump_witness' holds the witness of one rho; give one 'rho'")
+        _check_writable(dump)
     for rho in rhos:
         inst = f"rho={fmt(rho)}"
         if "rate_s" in rates:
@@ -317,12 +325,6 @@ def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
                 joint = _load_source(cfg, args.rational)
                 spec = _distortion_spec(joint, _section(cfg, "distortion"))
                 controls = RdQuery(grid_points=_optional(cfg, "grid_points", int, 400), seed=args.seed)
-                if (dump := cfg.get("dump_witness")) and not isinstance(dump, str):
-                    raise ConfigError(f"config error: 'dump_witness' must be a file name, not {dump!r}")
-                if dump and len(rhos) > 1:
-                    raise ConfigError("config error: 'dump_witness' holds the witness of one rho; give one 'rho'")
-                if dump:
-                    _check_writable(dump)
                 func = rd_exponent_functional(joint, spec, rho, controls)
                 out = rd_privacy_exponent(r1, r2, rho, func.value, e_bob)
                 rows.append(

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .adversary import Law, SchemeCells, bob_minmax_moment, eve_exact_matching, moment_for_constant, row_ids
+from .adversary import Law, SchemeCells, eve_exact_matching, moment_for_constant, row_ids
 from .bounds import bob_converse, bob_direct, disk_exponents, eve_converse, eve_direct  # disk_exponents is re-exported
 from .gf import field_make, rs_generator
 from .prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
@@ -42,6 +42,8 @@ def disk_sizes(delta: int, nu: int, eta: int, s: int, r: int) -> tuple[int, int,
 
 @dataclass(frozen=True)
 class DeltaHintScheme(SchemeCells):
+    """Priced on the pad quotient: 2^(eta*r) pads per (x, y), Eve reading each hint's V-codeword coordinate."""
+
     joint: JointPmf
     delta: int
     nu: int
@@ -67,21 +69,12 @@ class DeltaHintScheme(SchemeCells):
     def sizes(self) -> tuple:
         return disk_sizes(self.delta, self.nu, self.eta, self.s, self.r)
 
-    def bob(self, rho: float, version: str | None = None) -> float:
-        """Bob's exact min-max ambiguity: the list maximum, or the guessing moment
-        of each cell's rank, which all his views share (`adversary.bob_minmax_moment`)."""
-        if (version or self.version) == "guessing":
-            return bob_minmax_moment(self.bob_cells, rho)
-        return super().bob(rho, version)
-
     @property
-    def eve_law(self) -> Law:
-        """The pad quotient: one realization per (x, y) with its source mass and
-        each hint's V-codeword coordinate `hint >> r`."""
-        n_pad = 1 << (self.eta * self.r)
-        if n_pad == 1:
-            return self.law
-        return self.law.quotient(self.joint, n_pad, self.split_hint(self.law.hints[::n_pad])[0])
+    def pads(self) -> int:
+        return 1 << (self.eta * self.r)
+
+    def public(self, hints: np.ndarray) -> np.ndarray:
+        return self.split_hint(hints)[0]
 
     def split_hint(self, h: int) -> tuple[int, int]:
         return h >> self.r, h & ((1 << self.r) - 1)

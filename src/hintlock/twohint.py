@@ -72,12 +72,11 @@ class TwoHintScheme(SchemeCells):
         return self.cs * self.c1 * self.c2, m1 * m2, self.c1 + self.c2, min(m1, m2)
 
     @property
-    def eve_law(self) -> Law:
-        """The pad quotient: one realization per (x, y) with its source mass and
-        the public hints (M1 mod c1, M2 mod c2) = (V1, V2)."""
-        if self.cs == 1:
-            return self.law
-        return self.law.quotient(self.joint, self.cs, self.law.hints[:: self.cs] % np.array([self.c1, self.c2]))
+    def pads(self) -> int:
+        return self.cs
+
+    def public(self, hints: np.ndarray) -> np.ndarray:  # (M1 mod c1, M2 mod c2) = (V1, V2)
+        return hints % np.array([self.c1, self.c2])
 
     def rows(self, rho: float, version: str | None = None, instance: str = "") -> list[ReportRow]:
         """The theorem rows, then the weak accomplice's: Eve's converse caps it too."""

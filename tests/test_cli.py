@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -114,6 +116,16 @@ def test_command_loads_only_its_modules(command, config, unloaded):
 
 def test_import_hintlock_loads_no_module():
     assert _loaded_modules("import json, sys, hintlock") == set()
+
+
+def test_twohint_at_a_huge_pad_passes_every_row(capsys):
+    # Bob's guessing moment is exactly 1; summed over the 400,000 cells of the
+    # full padded law it read 1 + 4.4e-12 and failed the strict bob-direct-g row
+    cfg = {"source": {"uniform": 4}, "rho": 1, "scheme": {"cs": 100000, "c1": 100000, "c2": 100000}}
+    code, out, err = run(capsys, "twohint", json.dumps(cfg))
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and "0 failures" in err
+    assert "bob-direct-g" in [r["check"] for r in rows] and all(r["pass"] == "1" for r in rows)
 
 
 def test_guess_and_task_commands(capsys):
@@ -355,6 +367,14 @@ MALFORMED = {
         {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": [[0, 1], [-math.inf, 0]], "delta": 0.5}},
     ],
     "exponent-witness-of-two-rhos": ["exponent", {**SMALL_FUNCTIONAL, "rho": [0.5, 2], "dump_witness": os.devnull}],
+    "exponent-witness-without-distortion": [
+        "exponent",
+        {"rho": 1, "entropy_rate": 0.5, "rates": {"r1": 1, "r2": 1}, "dump_witness": os.devnull},
+    ],
+    "exponent-witness-of-rate-s": [
+        "exponent",
+        {"rho": 1, "entropy_rate": 0.5, "rates": {"rate_s": 1, "nu": 2, "eta": 1}, "dump_witness": os.devnull},
+    ],
     "unequal-sizes-too-small": [
         "disks",
         {

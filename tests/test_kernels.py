@@ -161,12 +161,20 @@ def test_prepared_matching_equals_per_call_code(cell_list, rhos):
 
 
 def test_scheme_views_equal_per_call_code():
+    # Bob's views read the descriptor quotient: one cell per (x, y), hints at pad 0
     joint = random_joint(np.random.default_rng(5), 6, 4, exact=True)
     two_hint = build_two_hint(joint, 2, 2, 2)
     disk = build_delta_scheme(joint, 3, 2, 1, 4, 2, 2)
-    for view in (two_hint.bob_cells, two_hint.eve_cells, disk.bob_cells, disk.eve_cells):
+    bob_two_hint = oracles.cells(oracles.two_hint_quotient(joint, 2, 2, 2, "guessing", public=False), oracles.bob_views)
+    bob_disk = oracles.cells(oracles.delta_quotient(disk, public=False), oracles.subset_views("B", 3, 2))
+    for view, reference in (
+        (two_hint.bob_cells, bob_two_hint),
+        (two_hint.eve_cells, list(two_hint.eve_cells)),
+        (disk.bob_cells, bob_disk),
+        (disk.eve_cells, list(disk.eve_cells)),
+    ):
         assert isinstance(view, CellView)
-        oracles.assert_same_as_per_call_code(view, list(view), [2.0, 0.5, 1.0])
+        oracles.assert_same_as_per_call_code(view, reference, [2.0, 0.5, 1.0])
 
 
 def test_zero_mass_cells_add_nothing():

@@ -44,12 +44,13 @@ def sources(draw):
 def built_with_references(joint):
     """(scheme, dict law, [(cell view, its dict law, dict views of the same observer)]) per builder.
 
-    Eve's view of a padded two-hint or delta-disk scheme is read on its pad
-    quotient; the full law's Eve view is checked against the full dict law."""
+    Bob's and Eve's views of a padded two-hint or delta-disk scheme are read
+    on its pad quotient; the full law's Eve view is checked against the full
+    dict law."""
     out = []
     for version in ("guessing", "list"):
         s, law = build_two_hint(joint, 2, 2, 2, version), oracles.two_hint_law(joint, 2, 2, 2, version)
-        views = [(s.bob_cells, law, oracles.bob_views)]
+        views = [(s.bob_cells, oracles.two_hint_quotient(joint, 2, 2, 2, version, public=False), oracles.bob_views)]
         views.append((s.eve_cells, oracles.two_hint_quotient(joint, 2, 2, 2, version), oracles.two_hint_eve_views))
         views.append((s.law.view(s.eve_positions), law, oracles.two_hint_eve_views))
         out.append((s, law, views))
@@ -64,7 +65,8 @@ def built_with_references(joint):
     out.append((el, law, views))
     d = build_delta_scheme(joint, 3, 2, 1, 4, 2, 2)
     law, eve_views = oracles.delta_law(d), oracles.subset_views("E", 3, 1)
-    views = [(d.bob_cells, law, oracles.subset_views("B", 3, 2)), (d.eve_cells, oracles.delta_quotient(d), eve_views)]
+    views = [(d.bob_cells, oracles.delta_quotient(d, public=False), oracles.subset_views("B", 3, 2))]
+    views.append((d.eve_cells, oracles.delta_quotient(d), eve_views))
     views.append((d.law.view(d.eve_positions), law, eve_views))
     out.append((d, law, views))
     return out

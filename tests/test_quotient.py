@@ -1,5 +1,5 @@
-"""Property tests: Eve priced on the pad quotient of a padded scheme's law
-equals Eve priced on the full realized law."""
+"""Property tests: Bob and Eve priced on the pad quotient of a padded
+scheme's law equal Bob and Eve priced on the full realized law."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -35,9 +35,22 @@ def sources(draw, max_x: int = 8, max_y: int = 3):
 
 def assert_full_law_agrees(scheme, pads: int) -> None:
     full = scheme.law.view(scheme.eve_positions)
-    assert len(scheme.eve_law) * pads == len(scheme.law)  # one realization per (x, y)
+    assert len(scheme.quotient) * pads == len(scheme.law)  # one realization per (x, y)
     for rho in RHOS:
         assert scheme.eve(rho) == pytest.approx(eve_exact_matching(full, rho), rel=1e-12)
+
+
+def assert_bob_agrees_with_full_law(scheme, pads: int) -> None:
+    """Bob's moment on the quotient is the full law's min-max moment: the upper
+    end of the bracket (each cell's worst rank over his views) or the list maximum."""
+    full = list(scheme.law.view(scheme.bob_positions))
+    assert len(scheme.quotient) * pads == len(scheme.law)
+    for rho in RHOS:
+        if scheme.version == "guessing":
+            expected = oracles.bob_minmax_bracket(full, rho)[1]
+        else:
+            expected = oracles.support_moment(full, rho, max)
+        assert scheme.bob(rho) == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -56,10 +69,26 @@ def test_delta_quotient_matching_equals_full_law(joint, params, version):
     assert_full_law_agrees(build_delta_scheme(joint, *params, version), 1 << (params[2] * params[-1]))
 
 
+@settings(max_examples=30, deadline=None)
+@given(sources(), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.sampled_from(["guessing", "list"]))
+def test_two_hint_bob_quotient_equals_full_law(joint, cs, c1, c2, version):
+    assume(version == "guessing" or list_room(cs * c1 * c2, len(joint.x_alphabet)))
+    scheme = build_two_hint(joint, cs, c1, c2, version)
+    assert_bob_agrees_with_full_law(scheme, cs)
+    assert_bob_agrees_with_full_law(TwoHintScheme.from_json(scheme.to_json()), cs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sources(max_x=6), st.sampled_from(DISK_PARAMS), st.sampled_from(["guessing", "list"]))
+def test_delta_bob_quotient_equals_full_law(joint, params, version):
+    assume(version == "guessing" or list_room(disk_sizes(*params[:4], params[-1])[0], len(joint.x_alphabet)))
+    assert_bob_agrees_with_full_law(build_delta_scheme(joint, *params, version), 1 << (params[2] * params[-1]))
+
+
 def test_unpadded_schemes_price_eve_on_their_own_law():
     joint = random_joint(np.random.default_rng(2), 4, 2, exact=True)
     for scheme in (build_two_hint(joint, 1, 2, 2), build_delta_scheme(joint, 3, 2, 1, 2, 2, 0)):
-        assert scheme.eve_law is scheme.law
+        assert scheme.quotient is scheme.law
 
 
 def test_quotient_of_a_dict_coded_law_prices_eve_as_the_built_scheme():
