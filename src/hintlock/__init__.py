@@ -24,9 +24,9 @@ _NAMES = {  # module -> the public names it defines
     ),
     "tasks": (
         "DetTaskEncoder StochTaskEncoder DecodingListTable decoding_lists list_moment derandomize"
-        " bunte_bounds encoder_from_guessing guessing_from_lists fact1_census"
+        " encoder_from_guessing guessing_from_lists"
     ),
-    "bounds": "two_hint_exponents disk_exponents",
+    "bounds": "bunte_bounds fact1_census two_hint_exponents disk_exponents",
     "twohint": (
         "TwoHintScheme build_two_hint eve_ambiguity_weak verify_finite_blocklength choose_triple"
         " build_secret_hint build_secret_key build_eve_list_scheme"

@@ -8,6 +8,9 @@ direct bound when her view leaks `leak` values, and Eve's converse when
 `secret` values stay hidden from her.  Only these four cardinalities change
 from scheme to scheme, and the privacy exponents only Bob's and Eve's rates
 (`two_hint_exponents` and `disk_exponents` state them for the two schemes).
+Bob's two bounds are also Bunte-Lapidoth's task-encoding bounds
+(`bunte_bounds`), which with Fact 1's census (`fact1_census`) are all that
+`hintlock task` runs.
 """
 
 from __future__ import annotations
@@ -48,6 +51,29 @@ def eve_direct(h: float, rho: float, leak: int, nx: int) -> float:
 def eve_converse(h: float, rho: float, secret: int, bob: float) -> float:
     """Eve's ambiguity is at most this when `secret` values hide X beyond Bob's `bob`."""
     return min(secret**rho * bob, 2 ** (rho * h))
+
+
+def bunte_bounds(joint: JointPmf, z_count: int, rho: float) -> tuple[float | None, float]:
+    """(achievability RHS or None, converse floor) for |Z|-ary task-encoding.
+
+    The achievability bound applies only when |Z| > log2|X| + 2; otherwise it
+    is returned as None.  The converse holds for every stochastic encoder.
+    """
+    if not rho > 0:
+        raise DomainError("rho must be > 0")
+    h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
+    nx = len(joint.x_alphabet)
+    ach = bob_direct(h, rho, z_count, nx, "list") if list_room(z_count, nx) else None
+    return ach, bob_converse(h, rho, z_count, nx, "list")
+
+
+def fact1_census(k: int) -> int:
+    """|{m >= 1 : floor(log2 m) = floor(log2 k)}| = 2^floor(log2 k), always <= k."""
+    if k < 1:
+        raise DomainError("k must be a positive integer")
+    count = 2 ** math.floor(math.log2(k))
+    assert count <= k
+    return count
 
 
 def theorem_rows(

@@ -7,7 +7,8 @@ The process exits 1 iff any checked inequality fails, and 2 with a one-line
 message on stderr when the config is malformed or a parameter inadmissible.
 Each subcommand imports the modules it runs when it is dispatched, so a cold
 `entropy`, `guess`, `task` or rates-only `exponent` never loads the scheme,
-GF or rate-distortion code.
+GF or rate-distortion code.  `entropy`, `task` and the rates-only `exponent`
+run only `prob`, `bounds` and `report`, so they never load numpy either.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def cmd_guess(cfg: dict, args) -> list[ReportRow]:
 
 
 def cmd_task(cfg: dict, args) -> list[ReportRow]:
-    from .tasks import bunte_bounds, fact1_census
+    from .bounds import bunte_bounds, fact1_census
 
     joint = _load_source(cfg, args.rational)
     z_count = _optional(cfg, "z_count", int, 4, least=1)

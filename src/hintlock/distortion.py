@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, permutations
 
 import numpy as np
 
@@ -117,13 +116,23 @@ def _ball_matrix(x_tuples, xhat_tuples, spec: DistortionSpec) -> np.ndarray:
     return np.array([[within(x, xh, spec) for xh in xhat_tuples] for x in x_tuples])
 
 
+def _permutation_table(n: int) -> np.ndarray:
+    """Every order of range(n), one per row, in `itertools.permutations`'
+    (lexicographic) order: the table for n - 1 behind each leading element in
+    turn, its entries at or above that element shifted up by one."""
+    perms = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, n + 1):
+        lead = np.repeat(np.arange(k), len(perms))[:, None]
+        rest = np.tile(perms, (k, 1))
+        perms = np.hstack([lead, rest + (rest >= lead)])
+    return perms
+
+
 def _best_orders(balls: np.ndarray, columns, rhos) -> list:
     """Per rho, per column of source masses, the guessing order of the
     reconstructions with the least moment, and that moment: one search over
     every order serves all rho, since only the position^rho weights depend on it."""
-    nh = balls.shape[1]
-    count = math.factorial(nh)
-    perms = np.fromiter(chain.from_iterable(permutations(range(nh))), np.int64, count * nh).reshape(count, nh)
+    perms = _permutation_table(balls.shape[1])
     positions = (balls[:, perms].argmax(axis=2) + 1).astype(float)  # each order's first within-Delta position
     best = []
     for rho in rhos:

@@ -133,7 +133,7 @@ def sorted_moment(masses, rho: float) -> float:
 
 def optimal_guess_moment(joint: JointPmf, rho: float) -> float:
     """min over guessing functions of E[G(X|ctx)^rho]: sort each context."""
-    return in_order([sorted_moment(col, rho) for col in joint.masses.T.tolist()])
+    return in_order([sorted_moment(col, rho) for col in joint.columns])
 
 
 def arikan_bounds(joint: JointPmf, rho: float) -> tuple[float, float]:

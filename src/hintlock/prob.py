@@ -4,8 +4,11 @@ Probabilities are backed either by float64 (default, tolerance 1e-9) or by
 exact `fractions.Fraction` (rational mode).  Rational mode matters wherever
 exact zeros decide supports: decoding lists, independence checks, and pad
 secrecy all compare against exact zero, never against a tolerance.  So a
-`JointPmf`'s `table` is exact and decides supports; `masses` is its one float
-view (a positive Fraction below the float range is 0.0 there).
+`JointPmf`'s `table` is exact and decides supports.  Its floats are converted
+once, float(p) per entry (a positive Fraction below the float range is 0.0),
+into `columns`, Python floats per context, which the entropies read; `masses`
+is the same floats as a numpy array for the kernels.  This module imports
+numpy only when `masses` is first read, so the entropy layer runs without it.
 
 All entropies are in bits (log base 2).  The conditional Renyi entropy of
 order alpha is
@@ -20,12 +23,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 NORM_TOL = 1e-9
 
@@ -168,9 +174,16 @@ class JointPmf:
         return cls(pmf.symbols, (0,), tuple((p,) for p in pmf.probs))
 
     @cached_property
+    def columns(self) -> tuple[tuple[float, ...], ...]:
+        """The table as Python floats, one tuple per y (context), each entry float(p)."""
+        return tuple(zip(*(map(float, row) for row in self.table)))
+
+    @cached_property
     def masses(self) -> np.ndarray:
-        """The table as a read-only float64 |X| x |Y| array, each entry float(p)."""
-        masses = np.array(self.table, dtype=float)
+        """`columns` as a read-only float64 |X| x |Y| array, in C order."""
+        import numpy as np
+
+        masses = np.array(self.columns, dtype=float).T.copy()
         masses.flags.writeable = False
         return masses
 
@@ -241,10 +254,11 @@ def renyi_cond_entropy(joint: JointPmf, alpha) -> float:
     Orders 0, 1 and infinity use their explicit limits: log of the largest
     per-context support size, the Shannon conditional entropy, and
     -log2 sum_y max_x P(x,y) respectively.  Zero-probability symbols never
-    contribute to the sums.
+    contribute to the sums.  Where the direct sums leave the float range, at
+    very large or very small orders, each column is scaled by its largest mass.
     """
     a = _coerce_order(alpha)
-    cols = joint.masses.T.tolist()
+    cols = joint.columns
     if a == 1.0:
         return shannon_cond_entropy(joint)
     if a == 0.0:
@@ -253,17 +267,37 @@ def renyi_cond_entropy(joint: JointPmf, alpha) -> float:
     if math.isinf(a):
         return -math.log2(sum(max(col) for col in cols))
     total = 0.0
+    try:
+        for col in cols:
+            inner = sum(p**a for p in col if p > 0)
+            if inner >= sys.float_info.min:
+                total += inner ** (1.0 / a)
+            elif (m := max(col)) > 0:  # p^a underflows at a large order: scale by the column's largest mass
+                total += m * sum((p / m) ** a for p in col if p > 0) ** (1.0 / a)
+    except OverflowError:
+        total = math.inf
+    if total < math.inf:
+        return (a / (1.0 - a)) * math.log2(total)
+    return _renyi_log_domain(cols, a)
+
+
+def _renyi_log_domain(cols, a: float) -> float:
+    """H_alpha(X|Y) at an order so small that the inner sums' 1/alpha-th powers
+    overflow.  A column with largest mass m has inner sum m^alpha * s with
+    s = sum (p/m)^alpha in [1, |X|], so its log2 is finite; the columns' terms
+    are then added by log-sum-exp around the largest."""
+    logs = []
     for col in cols:
-        inner = sum(p**a for p in col if p > 0)
-        if inner > 0:
-            total += inner ** (1.0 / a)
-    return (a / (1.0 - a)) * math.log2(total)
+        if (m := max(col)) > 0:
+            logs.append(a * math.log2(m) + math.log2(sum((p / m) ** a for p in col if p > 0)))
+    top = max(logs)
+    return (top + a * math.log2(sum(2.0 ** ((v - top) / a) for v in logs))) / (1.0 - a)
 
 
 def shannon_cond_entropy(joint: JointPmf) -> float:
     """H(X|Y) in bits, with 0 log 0 = 0."""
     h = 0.0
-    for col in joint.masses.T.tolist():
+    for col in joint.columns:
         py = sum(col)
         if py <= 0:
             continue
@@ -280,14 +314,13 @@ def kl_divergence(q: JointPmf | Pmf, p: JointPmf | Pmf) -> float:
     if isinstance(q, Pmf):
         if q.symbols != p.symbols:
             raise AlphabetMismatchError("different alphabets")
-        pairs = zip(q.probs, p.probs)
+        pairs = zip(map(float, q.probs), map(float, p.probs))
     else:
         if q.x_alphabet != p.x_alphabet or q.y_alphabet != p.y_alphabet:
             raise AlphabetMismatchError("different alphabets")
-        pairs = zip(q.masses.ravel().tolist(), p.masses.ravel().tolist())
+        pairs = zip(chain.from_iterable(zip(*q.columns)), chain.from_iterable(zip(*p.columns)))  # x-major
     div = 0.0
-    for qv, pv in pairs:
-        qf, pf = float(qv), float(pv)
+    for qf, pf in pairs:
         if qf == 0.0:
             continue
         if pf == 0.0:

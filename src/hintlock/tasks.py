@@ -21,14 +21,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .bounds import bob_converse, bob_direct, list_room
-from .prob import (
-    AlphabetMismatchError,
-    DomainError,
-    JointPmf,
-    RenyiOrder,
-    renyi_cond_entropy,
-)
+from .bounds import bunte_bounds, fact1_census, list_room  # the first two are re-exported
+from .prob import AlphabetMismatchError, DomainError, JointPmf
 from .guessing import GuessingFunction, optimal_guesser, power_moment, rank_row, side_info_encoder
 
 
@@ -108,7 +102,7 @@ def decoding_lists(enc, joint: JointPmf) -> DecodingListTable:
 
 def list_moment(lists: DecodingListTable, joint: JointPmf, rho: float, enc) -> float:
     """E[|L^ctx_Z|^rho] under the encoder's description law."""
-    masses, sizes, cols = [], [], joint.masses.T.tolist()  # context-major; a list can be empty
+    masses, sizes, cols = [], [], joint.columns  # context-major; a list can be empty
     for j, c in enumerate(joint.y_alphabet):
         for i, x in enumerate(joint.x_alphabet):
             if (p := cols[j][i]) > 0:
@@ -136,20 +130,6 @@ def derandomize(enc: StochTaskEncoder, joint: JointPmf) -> DetTaskEncoder:
             else:
                 mapping[(x, c)] = enc.z_alphabet[0]
     return DetTaskEncoder(enc.x_alphabet, enc.context_alphabet, enc.z_alphabet, mapping)
-
-
-def bunte_bounds(joint: JointPmf, z_count: int, rho: float) -> tuple[float | None, float]:
-    """(achievability RHS or None, converse floor) for |Z|-ary task-encoding.
-
-    The achievability bound applies only when |Z| > log2|X| + 2; otherwise it
-    is returned as None.  The converse holds for every stochastic encoder.
-    """
-    if not rho > 0:
-        raise DomainError("rho must be > 0")
-    h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
-    nx = len(joint.x_alphabet)
-    ach = bob_direct(h, rho, z_count, nx, "list") if list_room(z_count, nx) else None
-    return ach, bob_converse(h, rho, z_count, nx, "list")
 
 
 def s_alphabet_size(nx: int, omega: int) -> int:
@@ -232,12 +212,3 @@ def guessing_from_lists(lists: DecodingListTable, joint: JointPmf) -> GuessingFu
             if p > 0 and x not in covered:
                 raise DomainError(f"lists do not cover positive-mass symbol {x!r} in context {c!r}")
     return shortest_lists_first(lists.lists, joint.x_alphabet, joint.y_alphabet)
-
-
-def fact1_census(k: int) -> int:
-    """|{m >= 1 : floor(log2 m) = floor(log2 k)}| = 2^floor(log2 k), always <= k."""
-    if k < 1:
-        raise DomainError("k must be a positive integer")
-    count = 2 ** math.floor(math.log2(k))
-    assert count <= k
-    return count

@@ -49,6 +49,54 @@ def grouped_moment(triples, rho: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The entropies on the numpy masses, which `prob` now reads as Python floats.
+# ---------------------------------------------------------------------------
+
+
+def renyi_on_masses(joint: JointPmf, a: float) -> float:
+    """H_a(X|Y) in bits from `joint.masses`, for the orders whose sums stay in the float range."""
+    cols = joint.masses.T.tolist()
+    if a == 1.0:
+        return shannon_on_masses(joint)
+    if a == 0.0:
+        biggest = max(sum(1 for p in col if p > 0) for col in cols)
+        return math.log2(biggest) if biggest else 0.0
+    if math.isinf(a):
+        return -math.log2(sum(max(col) for col in cols))
+    total = 0.0
+    for col in cols:
+        inner = sum(p**a for p in col if p > 0)
+        if inner > 0:
+            total += inner ** (1.0 / a)
+    return (a / (1.0 - a)) * math.log2(total)
+
+
+def shannon_on_masses(joint: JointPmf) -> float:
+    """H(X|Y) in bits from `joint.masses`, with 0 log 0 = 0."""
+    h = 0.0
+    for col in joint.masses.T.tolist():
+        py = sum(col)
+        if py <= 0:
+            continue
+        for p in col:
+            if p > 0:
+                h -= p * math.log2(p / py)
+    return h
+
+
+def kl_on_masses(q: JointPmf, p: JointPmf) -> float:
+    """D(q || p) in bits from the two joints' `masses`, summed x-major."""
+    div = 0.0
+    for qf, pf in zip(q.masses.ravel().tolist(), p.masses.ravel().tolist()):
+        if qf == 0.0:
+            continue
+        if pf == 0.0:
+            return math.inf
+        div += qf * math.log2(qf / pf)
+    return div
+
+
+# ---------------------------------------------------------------------------
 # Realized laws as dicts: the builders and the cell views the columns replaced.
 # ---------------------------------------------------------------------------
 

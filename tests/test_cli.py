@@ -74,48 +74,72 @@ def test_import_and_entropy_load_no_scipy(tmp_path):
 
 SCHEME_MODULES = {"twohint", "adversary", "disks", "gf"}
 NOT_LOADED = SCHEME_MODULES | {"distortion", "exponents"}  # by entropy, guess, task and a rates-only exponent
-# command, its config, and the hintlock modules it must not load
+# command, its config, the hintlock modules it must not load, and whether it may load numpy
 LEAN_COMMANDS = {
-    "entropy": ["entropy", {"source": {"uniform": 4}, "rho": [0.5, 2]}, NOT_LOADED],
-    "guess": ["guess", {"source": {"uniform": 4}, "z_count": 2}, NOT_LOADED],
-    "task": ["task", {"source": {"uniform": 4}, "z_count": 4}, NOT_LOADED],
+    "entropy": ["entropy", {"source": {"uniform": 4}, "rho": [0.5, 2]}, NOT_LOADED, False],
+    "guess": ["guess", {"source": {"uniform": 4}, "z_count": 2}, NOT_LOADED, True],
+    "task": ["task", {"source": {"uniform": 4}, "z_count": 4}, NOT_LOADED, False],
     "exponent-two-hint": [
         "exponent",
         {"rho": [0.5, 1], "entropy_rate": 1.5, "rates": {"r1": 1.0, "r2": 0.5}},
         NOT_LOADED,
+        False,
     ],
     "exponent-disks": [
         "exponent",
         {"rho": 1, "entropy_rate": 1.2, "rates": {"rate_s": 0.8, "nu": 2, "eta": 1}},
         NOT_LOADED,
+        False,
     ],
     "distortion": [
         "distortion",
         {"source": {"x": [0, 1], "p": [0.7, 0.3]}, "rho": [0.5, 1, 2], "n": 2, "distortion": {"hamming": True}},
         SCHEME_MODULES | {"exponents"},
+        True,
     ],
 }
 
 
-def _loaded_modules(script: str, *argv) -> set:
-    """The hintlock modules a fresh interpreter holds after running `script`."""
-    script += "\nprint(json.dumps([m.split('.', 1)[1] for m in sys.modules if m.startswith('hintlock.')]))"
+def _loaded_modules(script: str, *argv) -> tuple[set, bool]:
+    """The hintlock modules a fresh interpreter holds after running `script`,
+    and whether it holds numpy."""
+    script += (
+        "\nprint(json.dumps([[m.split('.', 1)[1] for m in sys.modules if m.startswith('hintlock.')],"
+        " 'numpy' in sys.modules]))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], env=_child_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    loaded, numpy = json.loads(proc.stdout.splitlines()[-1])
+    return set(loaded), numpy
 
 
-@pytest.mark.parametrize("command, config, unloaded", LEAN_COMMANDS.values(), ids=LEAN_COMMANDS)
-def test_command_loads_only_its_modules(command, config, unloaded):
+@pytest.mark.parametrize("command, config, unloaded, may_load_numpy", LEAN_COMMANDS.values(), ids=LEAN_COMMANDS)
+def test_command_loads_only_its_modules(command, config, unloaded, may_load_numpy):
     script = "import json, sys\nfrom hintlock.cli import main\nassert main(sys.argv[1:]) == 0"
-    loaded = _loaded_modules(script, command, json.dumps(config))
+    loaded, numpy = _loaded_modules(script, command, json.dumps(config))
     assert "cli" in loaded and not loaded & unloaded, sorted(loaded & unloaded)
+    assert may_load_numpy or not numpy, f"{command} loaded numpy"
 
 
 def test_import_hintlock_loads_no_module():
-    assert _loaded_modules("import json, sys, hintlock") == set()
+    assert _loaded_modules("import json, sys, hintlock") == (set(), False)
+
+
+def test_entropy_layer_loads_no_numpy():
+    loaded, numpy = _loaded_modules("import json, sys, hintlock.prob, hintlock.bounds, hintlock.cli")
+    assert loaded == {"prob", "bounds", "report", "cli"} and not numpy
+
+
+def test_entropy_at_orders_beyond_the_float_range(capsys):
+    # every p^alpha underflows at 2000 and the inner sum's 1/alpha-th power
+    # overflows at 1e-300; both orders read 1 bit on a fair coin
+    cfg = {"source": {"x": [0, 1], "p": [0.5, 0.5]}, "alpha": [2000, 1e-300, 1e308]}
+    code, out, err = run(capsys, "entropy", json.dumps(cfg))
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and "0 failures" in err
+    assert [r["lhs"] for r in rows if r["instance"].startswith("alpha")] == ["1", "1", "1"]
 
 
 def test_twohint_at_a_huge_pad_passes_every_row(capsys):

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hintlock.distortion import (
     DistortionSpec,
     _best_orders,
+    _permutation_table,
     avg_distortion,
     brute_optimal_distortion_guesser,
     brute_optimal_distortion_guessers,
@@ -191,6 +193,14 @@ def test_one_order_search_serves_every_rho(nh, nx, data):
         (alone,) = _best_orders(balls, columns, [rho])
         assert [order.tolist() for order, _ in best] == [order.tolist() for order, _ in alone]
         assert [moment.hex() for _, moment in best] == [moment.hex() for _, moment in alone]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_permutation_table_is_itertools_order(n):
+    # the same rows in the same order, so argmin breaks ties as before
+    table = _permutation_table(n)
+    assert table.dtype == np.int64 and table.shape == (math.factorial(n), n)
+    assert table.tolist() == [list(order) for order in permutations(range(n))]
 
 
 def test_guessers_for_several_rhos_equal_one_rho_each():

@@ -22,6 +22,8 @@ from hintlock.prob import (
 )
 from hintlock.tasks import DetTaskEncoder, decoding_lists
 
+import oracles
+
 
 def direct_renyi(table, alpha):
     """Independent evaluation of the defining expression."""
@@ -190,15 +192,21 @@ def test_mixed_fraction_float_tables_rejected():
 TINY = Fraction(1, 10**400)  # positive, but 0.0 as a float
 
 
+def _tables(nx, ny, exact, tiny, data):
+    """A float or Fraction table of shape nx x ny; with `tiny`, a Fraction table
+    holds a positive mass below the float range in place of a zero."""
+    weights = data.draw(st.lists(st.integers(0, 6), min_size=nx * ny, max_size=nx * ny).filter(any))
+    cells = [Fraction(w, sum(weights)) if exact else w / sum(weights) for w in weights]
+    if exact and tiny and 0 in weights:
+        k, big = weights.index(0), weights.index(max(weights))
+        cells[k], cells[big] = TINY, cells[big] - TINY
+    return JointPmf.of([cells[i * ny : (i + 1) * ny] for i in range(nx)], exact=exact)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 4), st.booleans(), st.booleans(), st.data())
 def test_masses_are_the_float_of_each_entry(nx, ny, exact, tiny, data):
-    weights = data.draw(st.lists(st.integers(0, 6), min_size=nx * ny, max_size=nx * ny).filter(any))
-    cells = [Fraction(w, sum(weights)) if exact else w / sum(weights) for w in weights]
-    if exact and tiny and 0 in weights:  # a positive mass below the float range, in place of a zero
-        k, big = weights.index(0), weights.index(max(weights))
-        cells[k], cells[big] = TINY, cells[big] - TINY
-    joint = JointPmf.of([cells[i * ny : (i + 1) * ny] for i in range(nx)], exact=exact)
+    joint = _tables(nx, ny, exact, tiny, data)
     masses = joint.masses
     assert masses.dtype == np.float64 and masses.shape == (nx, ny) and joint.masses is masses
     assert [[v.hex() for v in row] for row in masses.tolist()] == [[float(p).hex() for p in row] for row in joint.table]
@@ -218,3 +226,34 @@ def test_tiny_positive_mass_is_zero_in_masses_only():
     assert (0, 1, TINY) in joint.support_items()
     one_z = DetTaskEncoder((0, 1), (0, 1), (0,), {(x, y): 0 for x in (0, 1) for y in (0, 1)})
     assert decoding_lists(one_z, joint).list_for(1, 0) == (0,)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.booleans(), st.booleans(), st.data())
+def test_float_columns_and_entropies_equal_the_masses(nx, ny, exact, tiny, data):
+    q, p = _tables(nx, ny, exact, tiny, data), _tables(nx, ny, exact, tiny, data)
+    assert [[v.hex() for v in col] for col in q.columns] == [[v.hex() for v in col] for col in q.masses.T.tolist()]
+    for a in (0.0, 0.5, 1.0, 2.0, math.inf):
+        assert renyi_cond_entropy(q, a).hex() == oracles.renyi_on_masses(q, a).hex(), a
+    assert shannon_cond_entropy(q).hex() == oracles.shannon_on_masses(q).hex()
+    assert kl_divergence(q, p).hex() == oracles.kl_on_masses(q, p).hex()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 100])
+@pytest.mark.parametrize("alpha", [1e-300, 2000.0, 1e308])
+def test_uniform_source_at_orders_beyond_the_float_range(n, alpha):
+    # p^alpha underflows to 0 for every mass at the large orders, and the inner
+    # sum's 1/alpha-th power overflows at the tiny one; both read log2 n
+    joint = JointPmf.from_marginal(Pmf.uniform(n))
+    assert renyi_cond_entropy(joint, alpha) == pytest.approx(math.log2(n), rel=1e-15, abs=1e-15)
+
+
+def test_orders_beyond_the_float_range_stay_between_the_limits():
+    joint = JointPmf.of([[0.3, 0.2], [0.1, 0.4]])
+    h0, h_inf = renyi_cond_entropy(joint, 0.0), renyi_cond_entropy(joint, math.inf)
+    assert renyi_cond_entropy(joint, 1e-300) == pytest.approx(h0, rel=1e-15)
+    assert renyi_cond_entropy(joint, 1e308) == pytest.approx(h_inf, rel=1e-15)
+    # at order 800 every p^800 of the first column underflows to 0 and the
+    # second column's inner sum is subnormal; both are scaled by their maxima
+    values = [renyi_cond_entropy(joint, a) for a in (1e-300, 1e-20, 0.5, 2.0, 800.0, 2000.0, 1e308)]
+    assert values == sorted(values, reverse=True)  # nonincreasing in the order
