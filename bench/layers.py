@@ -48,7 +48,13 @@ ORACLE_SIZES (large components, one LAPJVsp call each); the two-hint
 summed (16-cell components, which share calls); and the six two-hint guessing
 schemes of the `verify-all` battery (uniform and skewed 4-symbol sources,
 (cs, c1, c2) in (1, 4, 4), (2, 2, 2), (4, 1, 1), 4 x 4 hints), summed (chunks
-of 4 to 16 cells, matched in the package).
+of 4 to 16 cells, matched in the package).  Two cases time the rate-distortion
+oracles on the benchmark's rd-exponent jobs at seed SEED, each job's own call
+with its default controls: `rd_function` on its nine sources (three binary
+p = 0.3 sources at Delta = 0.05, 0.1 and 0.2, and six near-uniform 3x2 to
+6x4 joints), summed; and its functional job, `rd_exponent_functional` on a
+near-uniform 3x2 joint at Delta = 0.1 and rho = 1 with eight starts and no
+polish.
 
 The end-to-end layer (`--layer e2e`) times whole cold processes: each
 command of the benchmark's cli-cold workload (`python -m hintlock.cli` on its
@@ -192,8 +198,11 @@ def _measured(run, clock: list) -> tuple:
 
 
 def oracles_child(reps: int) -> dict:
-    """Reference seconds of Eve's exact oracle on fresh schemes, per case, one value per repetition."""
+    """Reference seconds per oracle case and call, summed over the case's inputs, one value per repetition."""
+    from functools import partial
+
     import numpy as np
+    import workloads
     from calibrate import kernel_seconds
 
     import hintlock as hl
@@ -208,30 +217,40 @@ def oracles_child(reps: int) -> dict:
         joint, triple = source
         return hl.build_two_hint(joint, *triple, "guessing", 4, 4)
 
+    def eve(build, inputs) -> tuple:
+        """Eve's oracle on a scheme built, untimed, just before each call."""
+        return "eve", [lambda source=source: partial(build(source).eve, RHO) for source in inputs]
+
     rng = np.random.default_rng(SEED)
     sweep = [hl.random_joint(rng, 16, 32, exact=True) for _ in range(3)]
-    cases = {
-        f"two-hint (4, 4, 4), |X| = {nx}": (two_hint, [hl.random_joint(np.random.default_rng(SEED), nx, 4)])
+    cases = {  # name -> (call, one thunk per input that returns the call to time)
+        f"two-hint (4, 4, 4), |X| = {nx}": eve(two_hint, [hl.random_joint(np.random.default_rng(SEED), nx, 4)])
         for nx in ORACLE_SIZES
     }
-    cases["two-hint (4, 4, 4), 16x32 sweep sources (sum of three)"] = (two_hint, sweep)
-    cases["delta-disk (4, 2, 1, 4, 2, 2), 16x32 sweep sources (sum of three)"] = (delta_disk, sweep)
+    cases["two-hint (4, 4, 4), 16x32 sweep sources (sum of three)"] = eve(two_hint, sweep)
+    cases["delta-disk (4, 2, 1, 4, 2, 2), 16x32 sweep sources (sum of three)"] = eve(delta_disk, sweep)
     skew = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]
     battery = [  # verify-all's two-hint schemes: 4-symbol sources, 4 x 4 hints
         (hl.JointPmf.from_marginal(pmf), triple)
         for pmf in (hl.Pmf.uniform(4, exact=True), hl.Pmf.of(skew, exact=True))
         for triple in ((1, 4, 4), (2, 2, 2), (4, 1, 1))
     ]
-    cases["two-hint, verify-all battery (sum of six)"] = (battery_scheme, battery)
-    out = {name: {"eve": []} for name in cases}
+    cases["two-hint, verify-all battery (sum of six)"] = eve(battery_scheme, battery)
+    with tempfile.TemporaryDirectory() as tmp:
+        rd_jobs = workloads.rd_exponent(SEED, False, Path(tmp))
+    cases["rd_function, rd-exponent's nine sources (sum of nine)"] = (
+        "rd_function",
+        [lambda job=job: partial(job.run, None) for job in rd_jobs if job.key != "functional"],
+    )
+    cases["rd_exponent_functional, rd-exponent's functional job"] = (
+        "functional",
+        [lambda job=job: partial(job.run, None) for job in rd_jobs if job.key == "functional"],
+    )
+    out = {name: {call: []} for name, (call, _) in cases.items()}
     clock = [kernel_seconds()]
     for _ in range(reps):
-        for name, (build, inputs) in cases.items():
-            total = 0.0
-            for source in inputs:
-                scheme = build(source)
-                total += _measured(lambda: scheme.eve(RHO), clock)[1]
-            out[name]["eve"].append(total)
+        for name, (call, thunks) in cases.items():
+            out[name][call].append(sum(_measured(thunk(), clock)[1] for thunk in thunks))
     return out
 
 
@@ -398,10 +417,12 @@ def main(argv=None) -> int:
             "sources": (
                 f"random_joint(default_rng({SEED}), nx, 4) for nx in {list(ORACLE_SIZES)}, float;"
                 f" scheme-sweep-exact, seed {SEED}: three 16x32 rational joints;"
-                " verify-all: uniform and (1/2, 1/4, 1/8, 1/8) rational marginals"
+                " verify-all: uniform and (1/2, 1/4, 1/8, 1/8) rational marginals;"
+                f" rd-exponent, seed {SEED}: its nine rd_function jobs and its functional job"
             ),
             "scheme": "build_two_hint(joint, 4, 4, 4) or build_delta_scheme(joint, 4, 2, 1, 4, 2, 2), guessing;"
-            " verify-all's six two-hint guessing schemes; the call is scheme.eve(rho) on a fresh scheme",
+            " verify-all's six two-hint guessing schemes; the call is scheme.eve(rho) on a fresh scheme,"
+            " or the rd-exponent job's own call with its controls",
             "rho": RHO,
         }
     else:

@@ -38,8 +38,8 @@ class DistortionSpec:
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
         object.__setattr__(self, "xhat_alphabet", tuple(self.xhat_alphabet))
         object.__setattr__(self, "d", tuple(tuple(row) for row in self.d))
-        if self.delta < 0:
-            raise DomainError("delta must be nonnegative")
+        if not self.delta >= 0:  # NaN fails this too
+            raise DomainError("delta must be a nonnegative number")
         for i, row in enumerate(self.d):
             if len(row) != len(self.xhat_alphabet):
                 raise DomainError("distortion table shape mismatch")
@@ -47,8 +47,8 @@ class DistortionSpec:
                 raise DomainError(
                     f"row {i}: every source symbol needs a zero-distortion reconstruction"
                 )
-            if any(v < 0 for v in row):
-                raise DomainError("distortion entries must be nonnegative")
+            if not all(v >= 0 for v in row):
+                raise DomainError("distortion entries must be nonnegative numbers")
 
     @classmethod
     def hamming(cls, alphabet, delta: float = 0.0) -> "DistortionSpec":

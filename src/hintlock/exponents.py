@@ -6,13 +6,17 @@ The conditional rate-distortion function is computed by one batched
 Blahut-Arimoto solver: each row of a (batch, nx, nh) tensor is one (law,
 Lagrange multiplier, context slice) triple over the shared distortion matrix.
 Every law runs its own sweep (log-spaced multipliers, then bisection on the
-distortion), and each sweep step of all laws is one solve (the tests check
-R against a fine-grid channel search at small alphabets).  The tilted-source
-functional sup_Q [R(Q, Delta) - D(Q||P)/rho] is maximized by seeded
-multi-start search, with all starts scored in one batched call, and reported
-with a bracket whose upper end, the zero-distortion entropy, is a bound; its
-lower end is the optimizer's best point, and that point's R is itself a
-primal (upper) estimate, so the lower end is not certified.
+distortion).  The multiplier grid of all laws is one solve, and each further
+solve settles _DEPTH bisection levels: every law still bisecting brings the
+midpoints of all the paths its next levels could take, then walks its own
+path and drops the rest.  A row's arithmetic depends only on its own slice
+and multiplier, so this returns the bits of one solve per level (the tests
+check both, and R against a fine-grid channel search at small alphabets).
+The tilted-source functional sup_Q [R(Q, Delta) - D(Q||P)/rho] is maximized
+by seeded multi-start search, with all starts scored in one batched call,
+and reported with a bracket whose upper end, the zero-distortion entropy, is
+a bound; its lower end is the optimizer's best point, and that point's R is
+itself a primal (upper) estimate, so the lower end is not certified.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ class ExponentResult:
 # ---------------------------------------------------------------------------
 
 _CHUNK = 256  # laws per batched solve; bounds the tensors at a few MB
+_DEPTH = 3  # bisection levels settled by one solve (2^_DEPTH - 1 multipliers per law)
 
 
 def _blahut_arimoto(px: np.ndarray, lams: np.ndarray, d: np.ndarray, iters: int, tol: float):
@@ -111,12 +116,34 @@ def _blahut_arimoto(px: np.ndarray, lams: np.ndarray, d: np.ndarray, iters: int,
     return np.maximum(mi, 0.0), ed
 
 
+def _midpoints(lo: float, hi: float, depth: int) -> list:
+    """The geometric midpoints of the next `depth` bisection levels of [lo, hi],
+    level by level: node i's midpoint splits its interval, and its children are
+    node 2i + 1 (the midpoint met Delta and became hi) and 2i + 2 (it did not
+    and became lo).  Each is the float the one-step-at-a-time loop computes."""
+    tree, intervals = [], [(lo, hi)]
+    for _ in range(depth):
+        nxt = []
+        for a, b in intervals:
+            tree.append(math.sqrt(a * b))
+            nxt += [(a, tree[-1]), (tree[-1], b)]
+        intervals = nxt
+    return tree
+
+
 def _rates(laws: list, spec: DistortionSpec, controls: RdQuery) -> list:
     """R_{X|Y}(Q, Delta) in bits for each law Q, every solve batched across laws.
 
     Each law runs its own Lagrange sweep (log-spaced multipliers, then
-    bisection on the distortion), and every sweep step of all laws is one
-    Blahut-Arimoto solve over their context slices.
+    bisection on the distortion) over its context slices.  The grid of all
+    laws is one Blahut-Arimoto solve.  Each bisection solve carries, for
+    every law still bisecting, the 2^depth - 1 midpoints of its next `depth`
+    levels (`_midpoints`, the floats the level-by-level loop would compute).
+    Each law then walks its own path down that tree: a feasible midpoint
+    joins its best and becomes hi, any other becomes lo, and the exit rule
+    is checked after every level, which `bisect_iters` counts.  Off-path
+    points never reach best, and no row's bits depend on the rows beside it,
+    so every value is the one-level-per-solve value.
     """
     if len(laws) > _CHUNK:
         return _rates(laws[:_CHUNK], spec, controls) + _rates(laws[_CHUNK:], spec, controls)
@@ -161,36 +188,46 @@ def _rates(laws: list, spec: DistortionSpec, controls: RdQuery) -> list:
             live.append(k)
     best, lo, hi = [None] * len(laws), [None] * len(laws), [None] * len(laws)
 
-    def feasible(points: list, lams: list) -> list:
-        """Sweep the points, keep each law's smallest feasible I, and return
-        (law, multiplier, whether it meets Delta) per point."""
-        res = sweep(points, lams, d, controls.ba_iters, controls.ba_tol)
-        for k, (mi, ed) in zip(points, res):
-            if ed <= delta:
-                best[k] = mi if best[k] is None else min(best[k], mi)
-        return [(k, lam, ed <= delta) for k, lam, (_, ed) in zip(points, lams, res)]
+    def feasible(k: int, mi: float, ed: float) -> bool:
+        """Whether a point of law k meets Delta; a feasible point's I joins the law's best."""
+        if ed <= delta:
+            best[k] = mi if best[k] is None else min(best[k], mi)
+        return ed <= delta
+
+    def solve(points: list, lams: list) -> list:
+        return sweep(points, lams, d, controls.ba_iters, controls.ba_tol)
 
     lams = np.logspace(-3, 3, controls.lambda_points)
-    for k, lam, ok in feasible([k for k in live for _ in lams], [lam for _ in live for lam in lams]):
-        if ok:
+    grid = [(k, lam) for k in live for lam in lams]
+    for (k, lam), point in zip(grid, solve([k for k, _ in grid], [lam for _, lam in grid])):
+        if feasible(k, *point):
             hi[k] = lam if hi[k] is None else min(hi[k], lam)
         else:
             lo[k] = lam if lo[k] is None else max(lo[k], lam)
     stuck = [k for k in live if best[k] is None]  # every grid multiplier missed Delta
-    for k, lam, ok in feasible(stuck, [1e7] * len(stuck)):
-        if not ok:
+    for k, point in zip(stuck, solve(stuck, [1e7] * len(stuck))):
+        if not feasible(k, *point):
             raise DomainError("distortion target unreachable; check the spec")
-        hi[k] = lam
-    active = [k for k in live if lo[k] is not None]
-    for _ in range(controls.bisect_iters):
-        if not active:
-            break
-        for k, mid, ok in feasible(active, [math.sqrt(lo[k] * hi[k]) for k in active]):
-            if ok:
-                hi[k] = mid
+        hi[k] = 1e7
+    active, levels = [k for k in live if lo[k] is not None], controls.bisect_iters
+    while active and levels:
+        depth = min(_DEPTH, levels)
+        levels -= depth
+        trees = [_midpoints(lo[k], hi[k], depth) for k in active]
+        points = iter(solve([k for k, tree in zip(active, trees) for _ in tree], [m for tree in trees for m in tree]))
+        going = []
+        for k, tree in zip(active, trees):
+            results, node = [next(points) for _ in tree], 0
+            for _ in range(depth):  # walk the law's own path; off-path points never reach best
+                if feasible(k, *results[node]):
+                    hi[k], node = tree[node], 2 * node + 1
+                else:
+                    lo[k], node = tree[node], 2 * node + 2
+                if hi[k] / lo[k] < 1 + 1e-12:
+                    break
             else:
-                lo[k] = mid
-        active = [k for k in active if not hi[k] / lo[k] < 1 + 1e-12]
+                going.append(k)
+        active = going
     return [0.0 if b is None else max(b, 0.0) for b in best]
 
 
@@ -199,10 +236,11 @@ def rd_function(q_joint: JointPmf, spec: DistortionSpec, controls: RdQuery = RdQ
 
     The one-law case of the batched solver: all `lambda_points` log-spaced
     multipliers and all context slices go into one Blahut-Arimoto solve, then
-    each bisection step on the distortion is one solve over the slices.  The
-    returned value is the smallest mutual information found at a feasible
-    multiplier, a primal estimate from above; no dual bound certifies it from
-    below.
+    each solve over the slices settles _DEPTH bisection steps on the
+    distortion (see `_rates`): a sweep that bisects 40 levels makes 15 solves,
+    not 41.  The returned value is the smallest mutual information found at a
+    feasible multiplier, a primal estimate from above; no dual bound certifies
+    it from below.
     """
     return _rates([q_joint], spec, controls)[0]
 
@@ -219,11 +257,12 @@ def rd_exponent_functional(
 
     Multi-start seeded search: the base law, the tilted closed-form optimum of
     the zero-distortion case and quasi-random Dirichlet draws are scored in
-    one batched rate-distortion call (their bisections run in lockstep), then
-    the leaders are polished one move at a time.  The bracket is [best found,
-    H_a(X|Y)]: the functional is monotone in Delta and equals the entropy at
-    Delta = 0, so only the upper end is a bound; the best found is the
-    optimizer's estimate.
+    one batched rate-distortion call (each of its bisection solves settles
+    _DEPTH levels of every start's own bisection, as `_rates` says, and each
+    start gets the score it gets alone), then the leaders are polished one
+    move at a time.  The bracket is [best found, H_a(X|Y)]: the functional
+    is monotone in Delta and equals the entropy at Delta = 0, so only the
+    upper end is a bound; the best found is the optimizer's estimate.
     """
     if not rho > 0:
         raise DomainError("rho must be positive")

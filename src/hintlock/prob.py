@@ -70,12 +70,12 @@ def _check_probs(probs: Sequence[Number], exact: bool) -> None:
         raise NormalizationError("table mixes Fraction and float entries; use one kind")
     total = sum(probs)
     for p in probs:
-        if p < 0:
-            raise NormalizationError(f"negative probability {p}")
+        if not p >= 0:  # NaN fails this too
+            raise NormalizationError(f"probability {p} is not a nonnegative number")
     if exact:
         if total != 1:
             raise NormalizationError(f"probabilities sum to {total}, not 1 (rational mode)")
-    elif abs(float(total) - 1.0) > NORM_TOL:
+    elif not abs(float(total) - 1.0) <= NORM_TOL:
         raise NormalizationError(f"probabilities sum to {float(total)!r}, not 1")
 
 
@@ -372,8 +372,9 @@ def validate(obj) -> list[str]:
     """Diagnostics for a mapping {'x':..., 'p':...} or {'x','y','p'}; [] if ok.
 
     Unlike the constructors this never raises: it reports fields that are not
-    lists, columns that miss 'y', masses that are not numbers, negative mass,
-    normalization gaps beyond 1e-9, and duplicate symbols as strings.
+    lists, columns that miss 'y', masses that are not numbers, negative or NaN
+    masses, normalization gaps beyond 1e-9 (or NaN), and duplicate symbols as
+    strings.
     """
     issues: list[str] = []
     if isinstance(obj, (Pmf, JointPmf)):
@@ -402,9 +403,9 @@ def validate(obj) -> list[str]:
     except (TypeError, ValueError, ZeroDivisionError):
         return issues + ["'p' holds a mass that is not a number"]
     for v in flat:
-        if v < 0:
-            issues.append(f"negative mass {v}")
+        if not v >= 0:  # NaN fails this too
+            issues.append(f"mass {v} is not a nonnegative number")
     gap = abs(sum(flat) - 1.0)
-    if gap > NORM_TOL:
+    if not gap <= NORM_TOL:
         issues.append(f"normalization gap {gap:.3e} exceeds {NORM_TOL}")
     return issues

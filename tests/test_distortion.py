@@ -46,6 +46,14 @@ def test_spec_requires_zero_distortion_reconstruction():
         DistortionSpec((0, 1), (0, 1), ((0.0, -1.0), (1.0, 0.0)), 0.0)
 
 
+def test_spec_rejects_nan():
+    """A NaN target or entry fails every comparison, so it must not slip past `< 0`."""
+    with pytest.raises(DomainError):
+        DistortionSpec.hamming((0, 1), math.nan)
+    with pytest.raises(DomainError):
+        DistortionSpec((0, 1), (0, 1), ((0.0, math.nan), (1.0, 0.0)), 0.1)
+
+
 def test_success_function_examples():
     # Delta large enough that one ball covers everything: rank 1 everywhere
     big = DistortionSpec((0, 1, 2), (0, 1, 2), ASYM.d, 2.0)

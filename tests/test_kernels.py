@@ -1,6 +1,7 @@
 """Property tests: the shared moment kernels, the prepared cell view, Eve's
 oracle and the batched Blahut-Arimoto solver against slow oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -20,7 +21,7 @@ from hintlock.disks import build_delta_scheme
 from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, rd_exponent_functional, rd_function
 from hintlock.guessing import random_joint
-from hintlock.prob import DomainError, JointPmf
+from hintlock.prob import DomainError, JointPmf, Pmf
 from hintlock.twohint import build_two_hint
 from oracles import (
     dense_matching,
@@ -326,9 +327,9 @@ DELTAS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5, exclude
 
 
 @st.composite
-def joints(draw, max_x=4, max_y=3):
-    """A joint law on 2..max_x symbols and 1..max_y contexts, with zero cells."""
-    nx, ny = draw(st.integers(2, max_x)), draw(st.integers(1, max_y))
+def joints(draw, max_x=4, max_y=3, min_x=2):
+    """A joint law on min_x..max_x symbols and 1..max_y contexts, with zero cells."""
+    nx, ny = draw(st.integers(min_x, max_x)), draw(st.integers(1, max_y))
     mass = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0))
     cells = draw(st.lists(mass, min_size=nx * ny, max_size=nx * ny).filter(lambda c: sum(c) > 0))
     total = sum(cells)
@@ -373,3 +374,42 @@ def test_batched_start_scoring_equals_one_by_one(joint, delta, rho):
     assert batched_scores == single_scores
     assert batched.value == single.value
     assert batched.witness == single.witness
+
+
+@st.composite
+def law_batches(draw):
+    """1-3 joint laws on one source alphabet."""
+    nx = draw(st.integers(2, 4))
+    return draw(st.lists(joints(min_x=nx, max_x=nx), min_size=1, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(law_batches(), DELTAS, st.integers(0, 20), st.sampled_from([RdQuery(), FAST]))
+def test_speculative_bisection_equals_one_level_per_solve(laws, delta, bisect_iters, controls):
+    """Settling several bisection levels per solve returns the bits of one level per
+    solve, whether the level count is a multiple of the depth or a law exits mid-tree."""
+    spec = DistortionSpec.hamming(laws[0].x_alphabet, delta)
+    controls = dataclasses.replace(controls, bisect_iters=bisect_iters)
+    try:
+        speculative = exponents._rates(laws, spec, controls)
+    except DomainError:
+        with mock.patch.object(exponents, "_DEPTH", 1), pytest.raises(DomainError):
+            exponents._rates(laws, spec, controls)
+        return
+    with mock.patch.object(exponents, "_DEPTH", 1):
+        assert exponents._rates(laws, spec, controls) == speculative
+
+
+def test_rd_function_settles_three_levels_per_solve():
+    """The binary p = 0.3, Delta = 0.2 sweep: one grid solve, then its 40 bisection
+    levels in 14 solves (41 solves at one level per solve)."""
+    joint = JointPmf.from_marginal(Pmf.of([0.3, 0.7]))
+    spec = DistortionSpec.hamming(joint.x_alphabet, 0.2)
+    with mock.patch.object(exponents, "_blahut_arimoto", wraps=exponents._blahut_arimoto) as solves:
+        rd_function(joint, spec)
+    assert solves.call_count == 15
+    with mock.patch.object(exponents, "_DEPTH", 1), mock.patch.object(
+        exponents, "_blahut_arimoto", wraps=exponents._blahut_arimoto
+    ) as solves:
+        rd_function(joint, spec)
+    assert solves.call_count == 41

@@ -160,6 +160,15 @@ def test_constructor_rejections():
         Pmf((0, 0), (0.5, 0.5))
 
 
+def test_nan_mass_rejected():
+    """NaN fails `p < 0` and `gap > tol` alike, so both tests are written to fail on it."""
+    for make in (lambda: Pmf.of([math.nan, 1.0]), lambda: JointPmf.of([[math.nan, 1.0]])):
+        with pytest.raises(NormalizationError):
+            make()
+    assert any("nan" in w for w in validate({"x": [0, 1], "p": [math.nan, 1.0]}))
+    assert validate({"x": [0, 1], "y": [0], "p": [[math.nan], [1.0]]})
+
+
 def test_json_round_trip_rational():
     p = Pmf.of([Fraction(1, 3), Fraction(2, 3)], exact=True)
     back = Pmf.from_json(p.to_json())
