@@ -8,11 +8,13 @@ Run it from the root of the repository.  Each tree is exported as in
 interpreter with that tree's `src` and `perfbench` first on its path.  From
 each tree it collects:
 
-- every check value of the benchmark's twohint-eve, scheme-sweep-exact and
-  rd-exponent jobs at seeds 1, 7 and 31337 (the values and problems a job's
-  check returns; an rd-exponent job's are its `rd_function` value, or the
-  functional's value and bracket end), each value written by `float.hex`, so
-  equal means bit-identical;
+- every check value of the benchmark's twohint-eve, scheme-sweep-exact,
+  rd-exponent and cli-cold jobs at seeds 1, 7 and 31337 (the values and
+  problems a job's check returns; an rd-exponent job's are its `rd_function`
+  value, or the functional's value and bracket end; a cli-cold job's are the
+  lhs and rhs of every CSV row its `hintlock` process prints, and its problems
+  name a nonzero exit code or a CSV body that differs from its committed
+  fixture), each value written by `float.hex`, so equal means bit-identical;
 - the two CSV bodies of acceptance criterion 12, `hintlock verify-all --seed
   11` and `hintlock twohint --rational --seed 11` on the benchmark's
   CRITERION_12_TWOHINT config, with their exit codes.
@@ -35,7 +37,7 @@ from pathlib import Path
 
 from layers import _export
 
-WORKLOADS = ("twohint-eve", "scheme-sweep-exact", "rd-exponent")
+WORKLOADS = ("twohint-eve", "scheme-sweep-exact", "rd-exponent", "cli-cold")
 SEEDS = (1, 7, 31337)
 
 

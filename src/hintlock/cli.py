@@ -5,6 +5,13 @@ plus a markdown summary on stdout.  Runs are deterministic given --seed: no
 timestamps ever enter the report body, and the seed is recorded in a column.
 The process exits 1 iff any checked inequality fails, and 2 with a one-line
 message on stderr when the config is malformed or a parameter inadmissible.
+
+`_read` reads every key by its table in `KEYS` or `SCHEMES`; an absent and a
+null key both mean the default.  Before anything is built, `--budget` bounds
+every count a config sets: a `uniform` source's symbols, a scheme's realized
+rows (`disks`: times its C(delta, nu) + C(delta, eta) views; and nu*delta), the
+envelope's r-range, `distortion`'s n-tuples and the functional's starts.
+
 Each subcommand imports the modules it runs when it is dispatched, so a cold
 `entropy`, `guess`, `task` or rates-only `exponent` never loads the scheme,
 GF or rate-distortion code.  `entropy`, `task` and the rates-only `exponent`
@@ -39,6 +46,41 @@ class ConfigError(Exception):
     """A malformed config: `main` prints the message as one line and exits 2."""
 
 
+# A key's entry is (kind, default, least).  A kind is int or float, [int] or [float]
+# (a number or a non-empty list of them), a tuple of choices, dict (a JSON object,
+# read by its own table) or None (as is); REQUIRED marks a key without a default.
+REQUIRED = ...
+AS_IS, SOURCE, FLOAT, NUMBER = (None, None, None), (None, REQUIRED, None), (float, None, None), (float, REQUIRED, None)
+POSITIVE, SIZE, SECTION = (int, REQUIRED, 1), (int, None, 1), (dict, {}, None)
+RHO, VERSION = ([float], [1.0], None), (("guessing", "list"), "guessing", None)
+KEYS = {
+    "entropy": {"source": SOURCE, "rho": RHO, "alpha": (None, [0.0, 0.5, 1.0, 2.0, "inf"], None)},
+    "guess": {"source": SOURCE, "rho": RHO, "z_count": (int, 1, 1)},
+    "task": {"source": SOURCE, "rho": RHO, "z_count": (int, 4, 1), "census_k": (int, 5, 1)},
+    "twohint": {"source": SOURCE, "rho": RHO, "version": VERSION, "scheme": SECTION},
+    "disks": {"source": SOURCE, "rho": RHO, "version": VERSION, "scheme": SECTION,
+              "unequal_sizes": ([int], None, None)},
+    "distortion": {"source": SOURCE, "rho": RHO, "n": (int, 1, 1), "distortion": (dict, {"hamming": True}, None)},
+    "exponent": {"source": AS_IS, "rho": RHO, "entropy_rate": FLOAT, "rates": SECTION, "distortion": (dict, None, None),
+                 "grid_points": (int, 400, 1), "dump_witness": AS_IS},
+    "verify-all": {"rho": RHO},
+}
+# the sections: a disks 'scheme', a 'distortion', and 'rates' of each exponent
+DISK = {"delta": POSITIVE, "nu": POSITIVE, **dict.fromkeys(("eta", "s", "p", "r"), (int, REQUIRED, 0))}
+DISTORTION = {"hamming": AS_IS, "delta": (float, 0.0, None), "xhat": AS_IS, "d": AS_IS}
+RATES = {"r1": NUMBER, "r2": NUMBER, "e_bob": FLOAT}
+DISK_RATES = {"rate_s": NUMBER, "nu": (int, REQUIRED, None), "eta": (int, REQUIRED, None), "e_bob": FLOAT}
+# twohint scheme kind -> (its builder in `twohint`, its keys, its realized rows per (x, y) given them and |X|)
+SCHEMES = {
+    "two-hint": ("build_two_hint", {**dict.fromkeys(("cs", "c1", "c2"), POSITIVE), "m1_size": SIZE, "m2_size": SIZE},
+                 lambda k, nx: k["cs"]),
+    "secret-hint": ("build_secret_hint", {"c": POSITIVE, "ms_size": POSITIVE, "mp_size": SIZE}, lambda k, nx: 1),
+    "secret-key": ("build_secret_key", {"c": POSITIVE, "k_size": POSITIVE, "m_size": SIZE}, lambda k, nx: k["k_size"]),
+    "eve-list": ("build_eve_list_scheme", {"m1_size": POSITIVE, "m2_size": POSITIVE, "epsilon": NUMBER},
+                 lambda k, nx: (k["m1_size"] // nx.bit_length()) * (k["m2_size"] // nx.bit_length()) * nx.bit_length()),
+}
+
+
 def _number(value, kind: type, key: str):
     """`value` read as `kind` (int or float); a bool, a value of another type,
     a fractional one read as int or a non-finite one read as float is a config error."""
@@ -54,31 +96,38 @@ def _number(value, kind: type, key: str):
         raise ConfigError(f"config error: {key!r} must be {what}, not {value!r}") from None
 
 
-def _section(cfg: dict, key: str, default=None) -> dict:
-    """The config section `key` (`default` when absent); a non-object is a config error."""
-    section = cfg.get(key, {} if default is None else default)
-    if not isinstance(section, dict):
-        raise ConfigError(f"config error: {key!r} must be a JSON object, not {type(section).__name__}")
-    return section
+def _read(section: dict, where: str, keys: dict) -> dict:
+    """The value of each key in `keys` in a config section, read by its (kind,
+    default, least) entry; an absent or null key takes the default."""
+    values = {}
+    for key, (kind, default, least) in keys.items():
+        value = section.get(key)
+        if value is None and default is REQUIRED:
+            raise ConfigError(f"config error: {where} needs {key!r}")
+        if value is None:
+            value = default
+        elif isinstance(kind, list):
+            value = [_number(v, kind[0], key) for v in (value if isinstance(value, list) else [value])]
+            if not value:
+                raise ConfigError(f"config error: {key!r} must list at least one value")
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise ConfigError(f"config error: {key!r} must be {' or '.join(map(repr, kind))}, not {value!r}")
+        elif kind is dict:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config error: {key!r} must be a JSON object, not {type(value).__name__}")
+        elif kind is not None:
+            value = _number(value, kind, key)
+            if least is not None and value < least:
+                raise ConfigError(f"config error: {key!r} must be at least {least}, got {value}")
+        values[key] = value
+    return values
 
 
-def _fields(section: dict, name: str, **kinds) -> list:
-    """The values of the keys in `kinds` in a config section, each read as its
-    kind (int, float, or None for as is); a missing key is a config error."""
-    missing = [k for k in kinds if k not in section]
-    if missing:
-        raise ConfigError(f"config error: {name} needs {', '.join(map(repr, missing))}")
-    return [section[k] if kind is None else _number(section[k], kind, k) for k, kind in kinds.items()]
-
-
-def _optional(section: dict, key: str, kind: type, default=None, least=None):
-    """The number `key` of a config section read as `kind`; `default` when absent
-    or null.  A value below `least` is a config error."""
-    value = section.get(key)
-    value = default if value is None else _number(value, kind, key)
-    if least is not None and value < least:
-        raise ConfigError(f"config error: {key!r} must be at least {least}, got {value}")
-    return value
+def _gate(args, what: str, count: int) -> None:
+    """A budget error when `count`, a size the config sets, exceeds --budget."""
+    if count > args.budget:
+        raise BudgetExceededError(f"{what} exceed the --budget of {args.budget}")
 
 
 def _check_writable(path: str) -> None:
@@ -96,16 +145,7 @@ def _write(path: str, text: str) -> None:
         raise ConfigError(f"config error: cannot write {path!r}: {e.strerror}") from None
 
 
-def _numbers(cfg: dict, key: str, default) -> list:
-    """A number or a list of numbers under `key`, unconverted."""
-    value = cfg.get(key, default)
-    return value if isinstance(value, list) else [value]
-
-
-def _load_source(cfg: dict, rational: bool) -> JointPmf:
-    src = cfg.get("source")
-    if src is None:
-        raise ConfigError("config error: missing 'source'")
+def _load_source(src, args) -> JointPmf:
     if isinstance(src, dict) and "path" in src:
         path = src["path"]
         if not isinstance(path, str) or not Path(path).exists():
@@ -117,46 +157,28 @@ def _load_source(cfg: dict, rational: bool) -> JointPmf:
     if not isinstance(src, dict):
         raise ConfigError(f"config error: 'source' must be a JSON object, not {type(src).__name__}")
     if "uniform" in src:
-        n = _number(src["uniform"], int, "uniform")
-        if n < 1:
-            raise ConfigError(f"config error: a uniform source needs at least one symbol, got {n}")
-        p = [Fraction(1, n)] * n if rational else [1.0 / n] * n
-        return JointPmf.from_marginal(Pmf.of(p, exact=rational))
+        n = _read(src, "a uniform 'source'", {"uniform": POSITIVE})["uniform"]
+        _gate(args, "the symbols of a uniform source", n)
+        p = [Fraction(1, n)] * n if args.rational else [1.0 / n] * n
+        return JointPmf.from_marginal(Pmf.of(p, exact=args.rational))
     issues = validate(src)
     if issues:
         raise ConfigError("config error in source: " + "; ".join(issues))
+    mass = (lambda v: Fraction(str(v))) if args.rational else float
     if "y" not in src or src.get("y") in (None, []):
         probs = src["p"][0] if isinstance(src["p"][0], list) else src["p"]
-        vals = [Fraction(str(v)) if rational else float(v) for v in probs]
-        return JointPmf.from_marginal(Pmf.of(vals, symbols=src["x"], exact=rational))
-    table = [
-        [Fraction(str(v)) if rational else float(v) for v in row] for row in src["p"]
-    ]
-    return JointPmf.of(table, x_alphabet=src["x"], y_alphabet=src["y"], exact=rational)
-
-
-def _rho_list(cfg: dict) -> list[float]:
-    rhos = [_number(r, float, "rho") for r in _numbers(cfg, "rho", 1.0)]
-    if not rhos:
-        raise ConfigError("config error: 'rho' must list at least one value")
-    return rhos
-
-
-def _version(cfg: dict) -> str:
-    """The config's 'version': "guessing" (also when absent or null) or "list"."""
-    version = cfg.get("version")
-    if version not in (None, "guessing", "list"):
-        raise ConfigError(f"config error: 'version' must be 'guessing' or 'list', not {version!r}")
-    return version or "guessing"
+        return JointPmf.from_marginal(Pmf.of(list(map(mass, probs)), symbols=src["x"], exact=args.rational))
+    table = [list(map(mass, row)) for row in src["p"]]
+    return JointPmf.of(table, x_alphabet=src["x"], y_alphabet=src["y"], exact=args.rational)
 
 
 def cmd_entropy(cfg: dict, args) -> list[ReportRow]:
-    joint = _load_source(cfg, args.rational)
+    joint = _load_source(cfg["source"], args)
     rows = []
-    for a in _numbers(cfg, "alpha", [0.0, 0.5, 1.0, 2.0, "inf"]):
+    for a in cfg["alpha"] if isinstance(cfg["alpha"], list) else [cfg["alpha"]]:
         h = renyi_cond_entropy(joint, math.inf if a in ("inf", math.inf) else _number(a, float, "alpha"))
         rows.append(ReportRow("entropy", f"alpha={a}", "H_alpha(X|Y)", "==", h, h))
-    for rho in _rho_list(cfg):
+    for rho in cfg["rho"]:
         h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
         rows.append(ReportRow("entropy", f"rho={fmt(rho)}", "H_{1/(1+rho)}(X|Y)", "==", h, h))
     return rows
@@ -165,10 +187,10 @@ def cmd_entropy(cfg: dict, args) -> list[ReportRow]:
 def cmd_guess(cfg: dict, args) -> list[ReportRow]:
     from .guessing import arikan_bounds, ceil_moment, optimal_guess_moment, side_info_lower_bound
 
-    joint = _load_source(cfg, args.rational)
-    z_count = _optional(cfg, "z_count", int, 1, least=1)
+    joint = _load_source(cfg["source"], args)
+    z_count = cfg["z_count"]
     rows = []
-    for rho in _rho_list(cfg):
+    for rho in cfg["rho"]:
         moment = optimal_guess_moment(joint, rho)
         lo, hi = arikan_bounds(joint, rho)
         inst = f"rho={fmt(rho)}"
@@ -177,69 +199,64 @@ def cmd_guess(cfg: dict, args) -> list[ReportRow]:
         if z_count > 1:
             target = ceil_moment(joint, z_count, rho)
             floor = side_info_lower_bound(joint, z_count, rho)
-            rows.append(
-                ReportRow("guess", inst, f"described-moment-z{z_count}", ">=", target, floor)
-            )
+            rows.append(ReportRow("guess", inst, f"described-moment-z{z_count}", ">=", target, floor))
     return rows
 
 
 def cmd_task(cfg: dict, args) -> list[ReportRow]:
     from .bounds import bunte_bounds, fact1_census
 
-    joint = _load_source(cfg, args.rational)
-    z_count = _optional(cfg, "z_count", int, 4, least=1)
+    joint = _load_source(cfg["source"], args)
+    z_count, k = cfg["z_count"], cfg["census_k"]
     rows = []
-    for rho in _rho_list(cfg):
+    for rho in cfg["rho"]:
         inst = f"rho={fmt(rho)},z={z_count}"
         ach, conv = bunte_bounds(joint, z_count, rho)
         if ach is not None:
             rows.append(ReportRow("task", inst, "achievability-defined", ">=", ach, conv))
         else:
             rows.append(ReportRow("task", inst, "achievability-not-applicable", "==", 0.0, 0.0))
-        k = _optional(cfg, "census_k", int, 5)
         rows.append(ReportRow("task", inst, f"census-le-k({k})", "<=", fact1_census(k), k))
     return rows
 
 
-def _build_scheme(cfg: dict, joint: JointPmf):
+def cmd_twohint(cfg: dict, args) -> list[ReportRow]:
     from . import twohint as twohint_mod
 
-    sch, version = _section(cfg, "scheme"), _version(cfg)
-    kind = sch.get("kind", "two-hint")
-    name = f"a {kind} scheme"
-    if kind == "two-hint":
-        cs, c1, c2 = _fields(sch, name, cs=int, c1=int, c2=int)
-        m1, m2 = _optional(sch, "m1_size", int), _optional(sch, "m2_size", int)
-        return twohint_mod.build_two_hint(joint, cs, c1, c2, version, m1, m2)
-    if kind == "secret-hint":
-        c, ms = _fields(sch, name, c=int, ms_size=int)
-        return twohint_mod.build_secret_hint(joint, c, ms, version, _optional(sch, "mp_size", int))
-    if kind == "secret-key":
-        c, k = _fields(sch, name, c=int, k_size=int)
-        return twohint_mod.build_secret_key(joint, c, k, version, _optional(sch, "m_size", int))
-    if kind == "eve-list":
-        m1, m2, eps = _fields(sch, name, m1_size=int, m2_size=int, epsilon=float)
-        return twohint_mod.build_eve_list_scheme(joint, m1, m2, eps)
-    raise ConfigError(f"config error: unknown scheme kind {kind!r}")
-
-
-def cmd_twohint(cfg: dict, args) -> list[ReportRow]:
-    scheme = _build_scheme(cfg, _load_source(cfg, args.rational))
-    return [row for rho in _rho_list(cfg) for row in scheme.rows(rho, instance=f"rho={fmt(rho)}")]
+    joint = _load_source(cfg["source"], args)
+    kind = _read(cfg["scheme"], "'scheme'", {"kind": (tuple(SCHEMES), "two-hint", None)})["kind"]
+    builder, keys, pads = SCHEMES[kind]
+    params = _read(cfg["scheme"], f"a {kind} scheme", keys)
+    count = len(list(joint.support_items())) * pads(params, len(joint.x_alphabet))
+    _gate(args, f"the realized rows of the {kind} scheme", count)
+    if kind != "eve-list":  # an eve-list scheme is always the list version
+        params["version"] = cfg["version"]
+    scheme = getattr(twohint_mod, builder)(joint, **params)
+    return [row for rho in cfg["rho"] for row in scheme.rows(rho, instance=f"rho={fmt(rho)}")]
 
 
 def cmd_disks(cfg: dict, args) -> list[ReportRow]:
     from . import disks as disks_mod
 
-    joint = _load_source(cfg, args.rational)
-    params = _fields(_section(cfg, "scheme"), "a disk scheme", delta=int, nu=int, eta=int, s=int, p=int, r=int)
-    scheme = disks_mod.build_delta_scheme(joint, *params, _version(cfg), budget=args.budget)
-    delta, nu, eta, s = params[:4]
-    sizes = _unequal_sizes(cfg, delta, s)
+    joint = _load_source(cfg["source"], args)
+    params = _read(cfg["scheme"], "a disk scheme", DISK)
+    delta, nu, eta, s = params["delta"], params["nu"], params["eta"], params["s"]
+    sizes = cfg["unequal_sizes"]
+    if sizes is not None:  # opt-in disk sizes in bits, each holding the scheme's s-bit hints
+        if len(sizes) != delta or min(sizes) < s:
+            raise ConfigError(f"config error: 'unequal_sizes' must list {delta} disk sizes of at least s = {s} bits")
+        _gate(args, "the equal-size envelope's r values", sum(sizes) // delta)
+        sizes = tuple(sizes)
+    _gate(args, "the generator cells nu*delta of a disk scheme", nu * delta)
+    bits = args.budget.bit_length()  # C(delta, k) >= 2^min(k, delta - k): no math.comb on a large one
+    views = sum(math.comb(delta, k) if min(k, delta - k) < bits else 1 << bits for k in (nu, eta))
+    count = len(list(joint.support_items())) * views << min(eta * params["r"], bits)
+    _gate(args, "the realized rows times the C(delta, nu) + C(delta, eta) views of a disk scheme", count)
+    scheme = disks_mod.build_delta_scheme(joint, **params, version=cfg["version"])
     structure = {"nu-subset-recovery": disks_mod.check_reconstruction(scheme)}
     structure["eta-subset-independence"] = disks_mod.check_eta_independence(scheme)
     rows = [ReportRow("disks", "structure", name, "==", 1.0 if ok else 0.0, 1.0) for name, ok in structure.items()]
-    for rho in _rho_list(cfg):
+    for rho in cfg["rho"]:
         rows.extend(scheme.rows(rho, instance=f"rho={fmt(rho)}"))
         if sizes is not None:
             inst = f"sizes={sizes},rho={fmt(rho)}"
@@ -249,40 +266,29 @@ def cmd_disks(cfg: dict, args) -> list[ReportRow]:
     return rows
 
 
-def _unequal_sizes(cfg: dict, delta: int, s: int) -> tuple | None:
-    """Opt-in disk sizes in bits, one per disk, for the unequal-disk converse and
-    envelope rows; each must hold the scheme's s-bit hints."""
-    sizes = cfg.get("unequal_sizes")
-    if sizes is None:
-        return None
-    if not isinstance(sizes, list) or len(sizes) != delta or min(_number(v, int, "unequal_sizes") for v in sizes) < s:
-        raise ConfigError(f"config error: 'unequal_sizes' must list {delta} disk sizes of at least s = {s} bits")
-    return tuple(int(v) for v in sizes)
-
-
-def _distortion_spec(joint: JointPmf, dcfg: dict) -> DistortionSpec:
+def _distortion_spec(joint: JointPmf, section: dict) -> DistortionSpec:
     from .distortion import DistortionSpec
 
-    delta = _optional(dcfg, "delta", float, 0.0)
-    if dcfg.get("hamming"):
-        return DistortionSpec.hamming(joint.x_alphabet, delta)
-    xhat, d = _fields(dcfg, "a non-Hamming 'distortion'", xhat=None, d=None)
+    spec = _read(section, "'distortion'", DISTORTION)
+    if spec["hamming"]:
+        return DistortionSpec.hamming(joint.x_alphabet, spec["delta"])
+    xhat, d = spec["xhat"], spec["d"]
     table = isinstance(d, list) and all(
         isinstance(row, list) and all(isinstance(v, (int, float)) and math.isfinite(v) for v in row) for row in d
     )
     if not isinstance(xhat, list) or not table:
-        what = "a list 'xhat' and a table 'd' of finite numbers"
-        raise ConfigError(f"config error: a non-Hamming 'distortion' needs {what}")
-    return DistortionSpec(joint.x_alphabet, tuple(xhat), d, delta)
+        raise ConfigError("config error: a non-Hamming 'distortion' needs a list 'xhat' and a finite table 'd'")
+    return DistortionSpec(joint.x_alphabet, tuple(xhat), d, spec["delta"])
 
 
 def cmd_distortion(cfg: dict, args) -> list[ReportRow]:
     from .distortion import brute_optimal_distortion_guessers, greedy_cover_guesser, tuple_product
 
-    joint = _load_source(cfg, args.rational)
-    spec = _distortion_spec(joint, _section(cfg, "distortion", {"hamming": True, "delta": 0.0}))
-    n = _optional(cfg, "n", int, 1, least=1)
-    rhos = _rho_list(cfg)
+    joint = _load_source(cfg["source"], args)
+    spec = _distortion_spec(joint, cfg["distortion"])
+    n, rhos, bits = cfg["n"], cfg["rho"], args.budget.bit_length()  # k^n >= 2^n for k >= 2: no power of a large n
+    tuples = sum(k ** min(n, bits) for k in (len(joint.x_alphabet) * len(joint.y_alphabet), len(spec.xhat_alphabet)))
+    _gate(args, "the symbols in the n-tuples of X x Y and Xhat", n * tuples)
     oracle = brute_optimal_distortion_guessers(spec, joint, n, rhos)  # one search over the orders for every rho
     greedy, big = greedy_cover_guesser(spec, joint, n), tuple_product(joint, n)
     rows = []
@@ -295,48 +301,44 @@ def cmd_distortion(cfg: dict, args) -> list[ReportRow]:
 def cmd_exponent(cfg: dict, args) -> list[ReportRow]:
     from .bounds import disk_exponents, two_hint_exponents
 
-    rows = []
-    rates = _section(cfg, "rates")
-    if "rate_s" not in rates and "r1" not in rates:
-        raise ConfigError("config error: 'rates' needs r1/r2 or rate_s")
-    h = _optional(cfg, "entropy_rate", float)
-    if h is None and ("rate_s" in rates or cfg.get("distortion") is None):
+    disk = cfg["rates"].get("rate_s") is not None
+    rates = _read(cfg["rates"], "'rates'", DISK_RATES if disk else RATES)
+    functional = not disk and cfg["distortion"] is not None
+    h, rhos, dump = cfg["entropy_rate"], cfg["rho"], cfg["dump_witness"]
+    if h is None and not functional:
         raise ConfigError("config error: missing 'entropy_rate'")
-    e_bob = _optional(rates, "e_bob", float)
-    rhos = _rho_list(cfg)
-    if dump := cfg.get("dump_witness"):
-        if "rate_s" in rates or cfg.get("distortion") is None:
+    if dump:
+        if not functional:
             raise ConfigError("config error: only a 'distortion' section's functional has a witness for 'dump_witness'")
         if not isinstance(dump, str):
             raise ConfigError(f"config error: 'dump_witness' must be a file name, not {dump!r}")
         if len(rhos) > 1:
             raise ConfigError("config error: 'dump_witness' holds the witness of one rho; give one 'rho'")
         _check_writable(dump)
+    if functional:
+        from .exponents import RdQuery, rd_exponent_functional, rd_privacy_exponent
+
+        joint = _load_source(cfg["source"], args)
+        spec = _distortion_spec(joint, cfg["distortion"])
+        starts = cfg["grid_points"] * len(joint.x_alphabet) * len(joint.y_alphabet)
+        _gate(args, "the functional's starts grid_points*|X||Y|", starts)
+        controls = RdQuery(grid_points=cfg["grid_points"], seed=args.seed)
+    rows = []
     for rho in rhos:
         inst = f"rho={fmt(rho)}"
-        if "rate_s" in rates:
-            rate_s, nu, eta = _fields(rates, "'rates'", rate_s=float, nu=int, eta=int)
-            out = disk_exponents(rate_s, nu, eta, rho, h, e_bob)
+        if disk:
+            out = disk_exponents(rates["rate_s"], rates["nu"], rates["eta"], rho, h, rates["e_bob"])
             rows.append(ReportRow("exponent", inst, "disk-exponent", "==", out.value, out.value))
-        else:
-            r1, r2 = _fields(rates, "'rates'", r1=float, r2=float)
-            if cfg.get("distortion") is not None:
-                from .exponents import RdQuery, rd_exponent_functional, rd_privacy_exponent
-
-                joint = _load_source(cfg, args.rational)
-                spec = _distortion_spec(joint, _section(cfg, "distortion"))
-                controls = RdQuery(grid_points=_optional(cfg, "grid_points", int, 400), seed=args.seed)
-                func = rd_exponent_functional(joint, spec, rho, controls)
-                out = rd_privacy_exponent(r1, r2, rho, func.value, e_bob)
-                rows.append(
-                    ReportRow("exponent", inst, "rd-functional", "==", func.value, func.value)
-                )
-                if dump:
-                    _write(dump, func.witness.to_json())
-            else:
-                out = two_hint_exponents(r1, r2, rho, h, e_bob)
-            label = "boundary-flagged" if out.boundary else "two-hint-exponent"
-            rows.append(ReportRow("exponent", inst, label, "==", out.value, out.value))
+            continue
+        if functional:
+            func = rd_exponent_functional(joint, spec, rho, controls)
+            rows.append(ReportRow("exponent", inst, "rd-functional", "==", func.value, func.value))
+            if dump:
+                _write(dump, func.witness.to_json())
+        exponent, value = (rd_privacy_exponent, func.value) if functional else (two_hint_exponents, h)
+        out = exponent(rates["r1"], rates["r2"], rho, value, rates["e_bob"])
+        label = "boundary-flagged" if out.boundary else "two-hint-exponent"
+        rows.append(ReportRow("exponent", inst, label, "==", out.value, out.value))
     return rows
 
 
@@ -345,13 +347,10 @@ def cmd_battery(cfg: dict, args) -> list[ReportRow]:
     from . import disks as disks_mod, twohint as twohint_mod
     from .bounds import list_room
 
-    rho_list = _rho_list(cfg)
     uniform4 = JointPmf.from_marginal(Pmf.uniform(4, exact=True))
-    skew = JointPmf.from_marginal(
-        Pmf.of([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)], exact=True)
-    )
+    skew = JointPmf.from_marginal(Pmf.of([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)], exact=True))
     rows = []
-    for rho in rho_list:
+    for rho in cfg["rho"]:
         for name, joint in (("uniform4", uniform4), ("skew4", skew)):
             for triple in ((1, 4, 4), (2, 2, 2), (4, 1, 1)):
                 inst = f"{name},cs={triple[0]},c1={triple[1]},c2={triple[2]},rho={fmt(rho)}"
@@ -365,7 +364,7 @@ def cmd_battery(cfg: dict, args) -> list[ReportRow]:
         ("", twohint_mod.build_secret_key(uniform4, 2, 2)),
         ("", twohint_mod.build_eve_list_scheme(uniform4, 4, 4, 20.0)),
     ]
-    for rho in rho_list:
+    for rho in cfg["rho"]:
         for prefix, scheme in schemes:
             rows.extend(scheme.rows(rho, instance=f"{prefix}rho={fmt(rho)}"))
     return rows
@@ -403,13 +402,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("config", nargs="?", help="JSON config document (path or literal '-xxx')")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=1 << 22)
+    parser.add_argument("--budget", type=int, default=1 << 22, help="bound on every count a config sets (see above)")
     parser.add_argument("--rational", action="store_true", help="exact rational probabilities")
     parser.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
     args = parser.parse_args(argv)
 
     try:
-        cfg = {} if args.config is None else _read_config(args.config)
+        cfg = _read({} if args.config is None else _read_config(args.config), "the config", KEYS[args.command])
         rows = [replace(r, note=(r.note + f" seed={args.seed}").strip()) for r in COMMANDS[args.command](cfg, args)]
         body = rows_to_csv(rows)
         if args.out:

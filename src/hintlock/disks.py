@@ -22,7 +22,7 @@ import numpy as np
 from .adversary import Law, SchemeCells, eve_exact_matching, moment_for_constant, row_ids
 from .bounds import bob_converse, bob_direct, disk_exponents, eve_converse, eve_direct  # disk_exponents is re-exported
 from .gf import field_make, rs_generator
-from .prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
+from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow, fmt
 from .tasks import descriptor_map
 
@@ -95,7 +95,6 @@ def build_delta_scheme(
     p: int,
     r: int,
     version: str = "guessing",
-    budget: int = 1 << 22,
 ) -> DeltaHintScheme:
     """Build the nested-MDS hint scheme for admissible (p, r)."""
     if not 0 <= eta < nu <= delta:
@@ -104,9 +103,6 @@ def build_delta_scheme(
         raise DomainError(f"need p + r = s with p and r each 0 or at least ceil(log2 delta), got p={p}, r={r}, s={s}")
     zmap = descriptor_map(joint, disk_sizes(delta, nu, eta, s, r)[0], version)  # nu*p + (nu-eta)*r bits
     rows = list(joint.support_items())
-    if len(rows) << (eta * r) > budget:
-        raise BudgetExceededError("realized support exceeds the enumeration budget")
-
     z = np.array(list(zmap.values()), dtype=np.int64)
     v_sym, w_sym = _int_to_symbols(z >> ((nu - eta) * r), nu, p), _int_to_symbols(z, nu - eta, r)
     descriptor = dict(zip(zmap, zip(map(tuple, v_sym.tolist()), map(tuple, w_sym.tolist()))))

@@ -38,12 +38,14 @@ class DistortionSpec:
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
         object.__setattr__(self, "xhat_alphabet", tuple(self.xhat_alphabet))
         object.__setattr__(self, "d", tuple(tuple(row) for row in self.d))
+        if len(self.d) != len(self.x_alphabet):
+            raise DomainError("distortion table shape mismatch")
         if not self.delta >= 0:  # NaN fails this too
             raise DomainError("delta must be a nonnegative number")
         for i, row in enumerate(self.d):
             if len(row) != len(self.xhat_alphabet):
                 raise DomainError("distortion table shape mismatch")
-            if min(row) != 0:
+            if min(row, default=1) != 0:
                 raise DomainError(
                     f"row {i}: every source symbol needs a zero-distortion reconstruction"
                 )

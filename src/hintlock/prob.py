@@ -372,9 +372,9 @@ def validate(obj) -> list[str]:
     """Diagnostics for a mapping {'x':..., 'p':...} or {'x','y','p'}; [] if ok.
 
     Unlike the constructors this never raises: it reports fields that are not
-    lists, columns that miss 'y', masses that are not numbers, negative or NaN
-    masses, normalization gaps beyond 1e-9 (or NaN), and duplicate symbols as
-    strings.
+    lists, columns that miss 'y', symbols that are JSON arrays or objects, masses
+    that are not numbers, negative or NaN masses, normalization gaps beyond 1e-9
+    (or NaN), and duplicate symbols as strings.
     """
     issues: list[str] = []
     if isinstance(obj, (Pmf, JointPmf)):
@@ -391,6 +391,8 @@ def validate(obj) -> list[str]:
             return ["'y' must be a list"]
         if not all(isinstance(row, (list, tuple)) and len(row) == len(y) for row in p):
             return [f"'p' must be a table with one column per 'y' symbol ({len(y)})"]
+    if any(isinstance(s, (list, dict)) for s in [*x, *(y or ())]):
+        issues.append("a symbol in 'x' or 'y' is a JSON array or object")
     if len(set(map(repr, x))) != len(x):
         issues.append("duplicate symbol ids in 'x'")
     flat: list[float] = []

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -10,10 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hintlock
 from hintlock import exponents
-from hintlock.cli import main
+from hintlock.cli import DISK, DISK_RATES, DISTORTION, KEYS, RATES, SCHEMES, main
 from hintlock.disks import build_delta_scheme
 from hintlock.prob import JointPmf, Pmf
 from hintlock.report import ReportRow, fmt, rows_to_csv
@@ -294,25 +296,33 @@ def test_malformed_source_file_names_line_and_column(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+DISKS_3_2_1 = {"source": {"uniform": 4}, "scheme": {"delta": 3, "nu": 2, "eta": 1, "s": 2, "p": 2, "r": 0}}
+# command, config, and the key set to null: a dotted key is in a section
 NULL_MEANS_ABSENT = {
     "guess-z-count": ["guess", {"source": {"uniform": 4}, "rho": [1.0, 2.0]}, "z_count"],
     "task-census-k": ["task", {"source": {"uniform": 4}}, "census_k"],
     "distortion-n": ["distortion", {"source": {"uniform": 2}}, "n"],
-    "distortion-delta": ["distortion", {"source": {"uniform": 2}, "distortion": {"hamming": True}}, "delta"],
+    "distortion-delta": ["distortion", {"source": {"uniform": 2}, "distortion": {"hamming": True}}, "distortion.delta"],
     "twohint-version": ["twohint", {"source": {"uniform": 4}, "scheme": {"cs": 2, "c1": 2, "c2": 1}}, "version"],
-    "disks-version": [
-        "disks",
-        {"source": {"uniform": 4}, "scheme": {"delta": 3, "nu": 2, "eta": 1, "s": 2, "p": 2, "r": 0}},
-        "version",
-    ],
+    "disks-version": ["disks", DISKS_3_2_1, "version"],
+    "entropy-rho": ["entropy", {"source": {"uniform": 4}}, "rho"],
+    "entropy-alpha": ["entropy", {"source": {"uniform": 4}}, "alpha"],
+    "distortion-section": ["distortion", {"source": {"uniform": 2}}, "distortion"],
+    "disks-unequal-sizes": ["disks", DISKS_3_2_1, "unequal_sizes"],
+    "exponent-e-bob": ["exponent", {"rho": 1, "entropy_rate": 0.5, "rates": {"r1": 1, "r2": 1}}, "rates.e_bob"],
+    "twohint-m1-size": ["twohint", {"source": {"uniform": 4}, "scheme": {"cs": 2, "c1": 2, "c2": 1}}, "scheme.m1_size"],
 }
 
 
 @pytest.mark.parametrize("command, config, key", NULL_MEANS_ABSENT.values(), ids=NULL_MEANS_ABSENT)
 def test_null_value_means_the_default(capsys, command, config, key):
     code, absent, _ = run(capsys, command, json.dumps(config))
-    config = json.loads(json.dumps(config))  # a copy; the key goes in the distortion section if there is one
-    config.get("distortion", config)[key] = None
+    config = json.loads(json.dumps(config))  # a copy
+    *sections, key = key.split(".")
+    section = config
+    for name in sections:
+        section = section[name]
+    section[key] = None
     assert run(capsys, command, json.dumps(config))[:2] == (code, absent)
     assert code == 0 and absent.count("\n") > 1
 
@@ -409,6 +419,36 @@ MALFORMED = {
             "unequal_sizes": [4, 3, 5],
         },
     ],
+    # each count a config sets is checked against --budget before anything is built
+    "uniform-over-budget": ["entropy", {"source": {"uniform": 100000000}}],
+    "two-hint-rows-over-budget": [
+        "twohint",
+        {"source": {"uniform": 4}, "rho": 1, "scheme": {"cs": 10000000, "c1": 1, "c2": 1}},
+    ],
+    "secret-key-rows-over-budget": [
+        "twohint",
+        {"source": {"uniform": 4}, "rho": 1, "scheme": {"kind": "secret-key", "c": 1, "k_size": 100000000}},
+    ],
+    "eve-list-rows-over-budget": [
+        "twohint",
+        {"source": {"uniform": 4}, "scheme": {"kind": "eve-list", "m1_size": 100000, "m2_size": 100000, "epsilon": 20}},
+    ],
+    "disks-views-over-budget": [
+        "disks",
+        {"source": {"uniform": 4}, "scheme": {"delta": 40, "nu": 20, "eta": 1, "s": 6, "p": 6, "r": 0}},
+    ],
+    "disks-envelope-over-budget": ["disks", {**DISKS_3_2_1, "unequal_sizes": [1e300, 4, 4]}],
+    "functional-starts-over-budget": ["exponent", {**SMALL_FUNCTIONAL, "grid_points": 100000000}],
+    "distortion-d-too-few-rows": [
+        "distortion",
+        {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": [[0, 1]], "delta": 0.5}},
+    ],
+    "distortion-d-too-many-rows": [
+        "distortion",
+        {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": [[0, 1], [1, 0], [0, 0]], "delta": 0.5}},
+    ],
+    "x-symbol-an-array": ["entropy", {"source": {"x": [[0], [1]], "p": [0.5, 0.5]}}],
+    "y-symbol-an-array": ["entropy", {"source": {"x": [0, 1], "y": [[0]], "p": [[0.5], [0.5]]}}],
 }
 
 
@@ -429,6 +469,102 @@ def assert_one_line_config_error(*argv) -> None:
 @pytest.mark.parametrize("command, config", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_config_exits_2_with_one_line(command, config):
     assert_one_line_config_error(command, json.dumps(config))
+
+
+# Config fuzz: configs drawn from the key tables.  A config starts from a good
+# example, and each section from one too or, in one case of four, from nothing.
+# Each key is then kept, drawn valid, drawn wrong, or left out (a section the
+# start lacks is drawn); an extra key may ride along.
+WRONG = [None, "a", True, [], {}, [["a"]], 0, -1, 0.5, 10**7, 10**30, 1e300, -1e300, math.nan, math.inf, -math.inf]
+AS_IS_VALUES = {  # values of the keys read as is (the last two sources are malformed) and of a sized list
+    "source": [
+        {"uniform": 2},
+        {"uniform": 3},
+        {"x": [0, 1, 2], "p": [0.5, 0.25, 0.25]},
+        {"x": [0, 1], "y": [0, 1], "p": [[0.25, 0.25], [0.4, 0.1]]},
+        {"uniform": 10**30},
+        {"x": [[0], [1]], "p": [0.5, 0.5]},
+    ],
+    "alpha": [[0, 0.5, 2, "inf"], 1, "inf", [-1]],
+    "hamming": [True, False],
+    "xhat": [[0, 1], [0], []],
+    "d": [[[0, 1], [1, 0]], [[0, 1, 2], [1, 0, 0]], [[], []]],
+    "dump_witness": [os.devnull],
+    "unequal_sizes": [[2, 3, 4], [4, 4, 4]],
+}
+SCHEME_EXAMPLES = {
+    "two-hint": {"cs": 2, "c1": 2, "c2": 1, "m1_size": 4, "m2_size": 4},
+    "secret-hint": {"c": 2, "ms_size": 2},
+    "secret-key": {"c": 2, "k_size": 2},
+    "eve-list": {"m1_size": 4, "m2_size": 4, "epsilon": 20},
+}
+SECTIONS = {  # (command, key) -> the (table, good example) pairs a section may be drawn from
+    ("twohint", "scheme"): [
+        ({"kind": ((kind,), kind, None), **keys}, {"kind": kind, **SCHEME_EXAMPLES[kind]})
+        for kind, (_, keys, _) in SCHEMES.items()
+    ],
+    ("disks", "scheme"): [(DISK, {"delta": 3, "nu": 2, "eta": 1, "s": 2, "p": 2, "r": 0})],
+    ("distortion", "distortion"): [
+        (DISTORTION, {"hamming": True, "delta": 0.5}),
+        (DISTORTION, {"xhat": [0, 1], "d": [[0, 1], [1, 0]], "delta": 0.5}),
+    ],
+    ("exponent", "rates"): [(RATES, {"r1": 0.5, "r2": 0.5}), (DISK_RATES, {"rate_s": 1, "nu": 2, "eta": 1})],
+}
+
+
+def values(kind, key: str):
+    """A strategy for values of a key of `kind` that its kind admits."""
+    if key in AS_IS_VALUES:
+        return st.sampled_from(AS_IS_VALUES[key])
+    if kind is int:
+        return st.integers(1, 4)
+    if kind is float:
+        return st.sampled_from([0.5, 1.0, 2.5])
+    if isinstance(kind, list):
+        return values(kind[0], key) | st.lists(values(kind[0], key), min_size=1, max_size=3)
+    return st.sampled_from(kind)  # a choice
+
+
+@st.composite
+def sections(draw, command: str, pairs: list, top: bool = False) -> dict:
+    """A section read by the table of one of the (table, good example) `pairs`."""
+    table, good = draw(st.sampled_from(pairs))
+    out = dict(good) if top or draw(st.integers(0, 3)) else {}
+    for key, (kind, _, _) in table.items():
+        how = draw(st.sampled_from(["keep"] * 5 + ["valid", "wrong", "absent"]))
+        if how == "wrong":
+            out[key] = draw(st.sampled_from(WRONG))
+        elif how == "absent":
+            out.pop(key, None)
+        elif kind is dict and (how == "valid" or key not in out):
+            out[key] = draw(sections(command, SECTIONS[command, key]))
+        elif how == "valid":
+            out[key] = draw(values(kind, key))
+    if draw(st.booleans()):
+        out["extra"] = draw(st.sampled_from(WRONG))
+    return out
+
+
+@st.composite
+def configs(draw) -> tuple[str, dict]:
+    command = draw(st.sampled_from(sorted(KEYS)))
+    keys = dict(KEYS[command])
+    if command == "exponent":  # the functional's default polish takes about 20 s; MALFORMED covers it
+        del keys["distortion"]
+    good = {"source": {"uniform": 2}, "entropy_rate": 0.5}
+    return command, draw(sections(command, [(keys, {k: v for k, v in good.items() if k in keys})], top=True))
+
+
+@settings(max_examples=300, deadline=2000)
+@given(configs())
+def test_config_fuzz_exits_0_1_or_2_with_one_line_on_2(case):
+    command, config = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, json.dumps(config), "--budget", "256"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 UNWRITABLE = ["out-a-directory", "out-in-a-missing-directory", "witness-a-directory", "witness-a-number"]

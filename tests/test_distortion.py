@@ -54,6 +54,15 @@ def test_spec_rejects_nan():
         DistortionSpec((0, 1), (0, 1), ((0.0, math.nan), (1.0, 0.0)), 0.1)
 
 
+def test_spec_rejects_a_table_without_one_row_per_source_symbol():
+    """Too few rows once read past the table's end, and a surplus row was ignored."""
+    for d in (((0, 1),), ((0, 1), (1, 0), (0, 0))):
+        with pytest.raises(DomainError, match="distortion table shape mismatch"):
+            DistortionSpec((0, 1), (0, 1), d, 0.5)
+    with pytest.raises(DomainError, match="zero-distortion"):  # an empty reconstruction alphabet
+        DistortionSpec((0, 1), (), ((), ()), 0.5)
+
+
 def test_success_function_examples():
     # Delta large enough that one ball covers everything: rank 1 everywhere
     big = DistortionSpec((0, 1, 2), (0, 1, 2), ASYM.d, 2.0)

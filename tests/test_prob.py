@@ -149,6 +149,13 @@ def test_validate_diagnostics():
     assert any("negative" in w for w in bad)
     dup = validate({"x": [0, 0], "p": [0.5, 0.5]})
     assert any("duplicate" in w for w in dup)
+    # a JSON array or object is an unhashable symbol, which the constructors cannot take
+    for source in (
+        {"x": [[0], [1]], "p": [0.5, 0.5]},
+        {"x": [0, {"a": 1}], "p": [0.5, 0.5]},
+        {"x": [0, 1], "y": [[0]], "p": [[0.5], [0.5]]},
+    ):
+        assert any("JSON array or object" in w for w in validate(source)), source
 
 
 def test_constructor_rejections():
