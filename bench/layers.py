@@ -13,9 +13,11 @@ is) and measured by fresh interpreters, base and change alternating, each
 pinned to one core like `perfbench/run.py` and with that tree's `src` first on
 its path.  The sources are those of the benchmark's scheme-sweep-exact
 workload: three seeded 16x32 rational joints.  Per builder, three stages are
-timed on a new scheme each time:
+timed on a new scheme each time, and a fourth for the delta-disk scheme:
 
 - `build`: the builder call;
+- `checks` (delta-disk only): its structure checks, `check_reconstruction`
+  and `check_eta_independence`, right after the build;
 - `views`: reading the scheme's cached cell views (Bob, Eve, and the eve-list
   scheme's no-hint view);
 - `first_rho`: the scheme's verifier at rho = 1, which pays for the
@@ -97,20 +99,29 @@ SEED = 1  # the benchmark's default seed
 ORACLE_SIZES = (96, 256, 512)
 
 
-def _builders(hl, twohint):
-    """name -> (build(joint), view attributes, verify(scheme, rho)): the scheme-sweep-exact jobs.
+def _builders(hl, twohint, disks):
+    """name -> (build(joint), view attributes, verify(scheme, rho), checks(scheme) or None):
+    the scheme-sweep-exact jobs.
 
     Every function is looked up when it is called, so a job whose functions a
     tree lacks fails alone."""
     views, two_hint = ("bob_cells", "eve_cells"), _late(hl, "verify_finite_blocklength")
     eve_views = (*views, "no_hint_cells")
+    recovery, independence = _late(disks, "check_reconstruction"), _late(disks, "check_eta_independence")
     return {
-        "two-hint-guessing": (lambda j: hl.build_two_hint(j, 4, 4, 4, "guessing"), views, two_hint),
-        "two-hint-list": (lambda j: hl.build_two_hint(j, 4, 4, 4, "list"), views, two_hint),
-        "secret-hint": (lambda j: hl.build_secret_hint(j, 4, 4), views, _late(twohint, "verify_secret_hint")),
-        "secret-key": (lambda j: hl.build_secret_key(j, 4, 4), views, _late(twohint, "verify_secret_key")),
-        "eve-list": (lambda j: hl.build_eve_list_scheme(j, 8, 8, 20), eve_views, _late(twohint, "verify_eve_list")),
-        "delta-disk": (lambda j: hl.build_delta_scheme(j, 4, 2, 1, 4, 2, 2), views, _late(hl, "verify_disk_theorems")),
+        "two-hint-guessing": (lambda j: hl.build_two_hint(j, 4, 4, 4, "guessing"), views, two_hint, None),
+        "two-hint-list": (lambda j: hl.build_two_hint(j, 4, 4, 4, "list"), views, two_hint, None),
+        "secret-hint": (lambda j: hl.build_secret_hint(j, 4, 4), views, _late(twohint, "verify_secret_hint"), None),
+        "secret-key": (lambda j: hl.build_secret_key(j, 4, 4), views, _late(twohint, "verify_secret_key"), None),
+        "eve-list": (
+            lambda j: hl.build_eve_list_scheme(j, 8, 8, 20), eve_views, _late(twohint, "verify_eve_list"), None
+        ),
+        "delta-disk": (
+            lambda j: hl.build_delta_scheme(j, 4, 2, 1, 4, 2, 2),
+            views,
+            _late(hl, "verify_disk_theorems"),
+            lambda scheme: (recovery(scheme), independence(scheme)),
+        ),
     }
 
 
@@ -300,12 +311,13 @@ def child(reps: int) -> dict:
     from calibrate import kernel_seconds
 
     import hintlock as hl
-    from hintlock import twohint
+    from hintlock import disks, twohint
 
     rng = np.random.default_rng(SEED)
     sources = [hl.random_joint(rng, 16, 32, exact=True) for _ in range(3)]
-    builders = _builders(hl, twohint)
-    out = {name: {"build": [], "views": [], "first_rho": []} for name in builders}
+    builders = _builders(hl, twohint, disks)
+    stages = ("build", "checks", "views", "first_rho")
+    out = {name: {stage: [] for stage in stages if stage != "checks" or entry[3]} for name, entry in builders.items()}
     clock = [kernel_seconds()]  # the latest kernel time
 
     def measured(run):
@@ -313,12 +325,14 @@ def child(reps: int) -> dict:
 
     for _ in range(reps):
         for name in list(out):
-            build, views, verify = builders[name]
+            build, views, verify, checks = builders[name]
             totals = dict.fromkeys(out[name], 0.0)
             try:
                 for joint in sources:
                     scheme, seconds = measured(lambda: build(joint))
                     totals["build"] += seconds
+                    if checks:
+                        totals["checks"] += measured(lambda: checks(scheme))[1]
                     totals["views"] += measured(lambda: [getattr(scheme, v) for v in views])[1]
                     totals["first_rho"] += measured(lambda: verify(scheme, RHO))[1]
             except AttributeError as e:
@@ -430,7 +444,12 @@ def main(argv=None) -> int:
             "layer": "builders",
             "unit": "reference seconds (perfbench/calibrate.py), summed over the three sources",
             "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints",
-            "stages": {"build": "builder call", "views": "cached cell views", "first_rho": f"verifier at rho = {RHO}"},
+            "stages": {
+                "build": "builder call",
+                "checks": "check_reconstruction and check_eta_independence (delta-disk)",
+                "views": "cached cell views",
+                "first_rho": f"verifier at rho = {RHO}",
+            },
         }
     record["commits"] = {side: _describe(getattr(args, side)) for side in samples}
     record["machine"] = f"{_cpu()}, {os.cpu_count()} cores, one pinned; Python {platform.python_version()}"

@@ -1,13 +1,14 @@
 """The adversary layer: a realized law as columns, and the oracles on its cells.
 
-Every scheme builds its exact realized law {(x, y, hints...): prob} as a
-`Law`: numpy columns over the positive-mass support, in law order -- int codes
-for x and y, an int matrix of hints, float64 masses and, for a rational law,
-Python-int numerators over one common denominator (exact checks sum integers
-at any size).  A float mass is the float of its Fraction; numerator /
-denominator in float64 is that only while both are at most 2^53, so beyond
-that the division is Python's, on ints.  Read as a mapping, a `Law` is the
-dict, built on first read; a dict handed to a scheme is coded once.
+Every scheme builds its exact realized law {(x, y, hints...): prob}, or for
+a padded scheme its pad quotient (below), as a `Law`: numpy columns over the
+positive-mass support, in law order -- int codes for x and y, an int matrix of
+hints, float64 masses and, for a rational law, Python-int numerators over one
+common denominator (exact checks sum integers at any size).  A float mass is
+the float of its Fraction; numerator / denominator in float64 is that only
+while both are at most 2^53, so beyond that the division is Python's, on ints.
+Read as a mapping, a `Law` is the dict, built on first read; a dict handed to a
+scheme is coded once.
 
 `Law.view(positions)` gives a `CellView`: per realization, one context id per
 view position (a revealable hint subset; the context carries y and the hints
@@ -53,16 +54,17 @@ is exact because no two distinct cells share an (x, context) pair; routing
 both into that context would merge their posterior mass, which the matching
 cannot price.
 
-A padded scheme prices both adversaries on one pad quotient
-(`SchemeCells.quotient`): one cell per (x, y), its first realization (pad 0),
-with the source's mass P(x, y).  Bob reads its hints as they are, Eve each hint
-cut to its `public` part: (M1 mod c1, M2 mod c2) = (V1, V2) for two-hint,
-`hint >> r` for delta-disk.  Each value is the full law's.  Bob: each of his
-views fixes the descriptor Z and the pad (M2 gives U, then M1 gives v_s; any nu
-delta-disk hints decode V, W and U), so each of his contexts is one (y, Z)
-shifted by a pad, holding the x's of (y, Z) with masses P(x, y) / pads.  Its
-ranks and list size are those of the quotient's context (y, Z), whose masses
-are the pads' sums.  Eve:
+A padded scheme (two-hint, delta-disk) keeps only its pad quotient as its
+`law`, and both adversaries are priced on it: one cell per (x, y), its
+realization at pad 0, with the source's mass P(x, y).  The full law spreads
+each cell uniformly over the pads; it is never built.  Bob reads the
+quotient's hints as they are, Eve each hint cut to its `public` part:
+(M1 mod c1, M2 mod c2) = (V1, V2) for two-hint, `hint >> r` for delta-disk.
+Each value is the full law's.  Bob: each of his views fixes the descriptor Z
+and the pad (M2 gives U, then M1 gives v_s; any nu delta-disk hints decode V,
+W and U), so each of his contexts is one (y, Z) shifted by a pad, holding the
+x's of (y, Z) with masses P(x, y) / pads.  Its ranks and list size are those
+of the quotient's context (y, Z), whose masses are the pads' sums.  Eve:
 - Shift symmetry.  The pad U is uniform and independent of (X, Y).  Shifting
   it by a constant (U + a mod cs; XOR with the pad codeword of a) maps each
   cell to a cell of the same (x, y) and mass, and each of Eve's contexts to
@@ -72,9 +74,10 @@ are the pads' sums.  Eve:
   matching's, and so is the optimum of the quotient's LP.
 - Orbit averaging.  The average of an optimal solution over the shifts is
   feasible, optimal and shift-invariant.  Each of Eve's views fixes the pad
-  (two-hint by construction; `build_delta_scheme` checks that every eta-subset
-  of pad coordinates tells the pads apart), so the shifts of one cell land in
-  distinct contexts of one orbit, one in each.  A shift-invariant solution is
+  (two-hint by construction; `build_delta_scheme` checks that the top eta rows
+  of the pad code are MDS, so any eta of its coordinates tell the pads apart),
+  so the shifts of one cell land in distinct contexts of one orbit, one in
+  each.  A shift-invariant solution is
   then a solution of the quotient LP, in which cell (x, y) carries its orbit's
   mass P(x, y) and each orbit of contexts is one context, at the same cost;
   any quotient solution spreads back over the shifts the same way.
@@ -145,6 +148,9 @@ def row_ids(*columns: np.ndarray) -> np.ndarray:
         if span * base >= 1 << 62:  # re-densify before the mixed radix overflows
             ids = np.unique(ids, return_inverse=True)[1]
             span = int(ids.max(initial=0)) + 1
+            if span * base >= 1 << 62:  # the column too: then span and base are at most the row count
+                col = np.unique(col, return_inverse=True)[1]
+                base = int(col.max(initial=0)) + 1
         ids, span = ids * base + col, span * base
     return np.unique(ids, return_inverse=True)[1]
 
@@ -201,17 +207,6 @@ class Law(Mapping):
             return cls(*alphabets, x, y, hints, masses, nested=nested)
         nums, scale = common_denominator(w for _, _, w in rows)
         return cls(*alphabets, x, y, hints, np.repeat(np.array(nums, dtype=object), copies), scale * copies, nested)
-
-    def quotient(self, joint, copies: int) -> "Law":
-        """One realization per run of `copies` consecutive rows that split one
-        (x, y) of the source `joint`: the run's first row, with mass P(x, y) --
-        the run's numerators summed, or, in a float law, `joint`'s mass."""
-        x, y, hints = self.x[::copies], self.y[::copies], self.hints[::copies]
-        if self.scale is not None:
-            nums = [copies * n for n in self.nums[::copies]]
-            return Law(self.xs, self.ys, x, y, hints, nums, self.scale, self.nested)
-        xi, yi = ([a.index(v) for v in vs] for a, vs in ((joint.x_alphabet, self.xs), (joint.y_alphabet, self.ys)))
-        return Law(self.xs, self.ys, x, y, hints, joint.masses[np.array(xi)[x], np.array(yi)[y]], nested=self.nested)
 
     def as_dict(self) -> dict:
         if self._dict is None:
@@ -290,19 +285,18 @@ def as_view(cells) -> CellView:
 class SchemeCells:
     """A scheme dataclass's law, coded once, its cell views, prices and report rows.
 
-    Bob's view k shows y and the hints `bob_positions[k]` of the pad `quotient`,
-    Eve's those of `eve_positions[k]` cut to their `public` part (by default Bob
-    sees both hints, Eve's accomplice reveals one, and there is one pad per
-    (x, y), so the quotient is the law).  `bob` is Bob's guessing or list moment,
+    Bob's view k shows y and the hints `bob_positions[k]` of the `law` (a
+    padded scheme's pad quotient), Eve's those of `eve_positions[k]` cut to
+    their `public` part (by default Bob sees both hints and Eve's accomplice
+    reveals one, whole).  `bob` is Bob's guessing or list moment,
     `eve` Eve's by the matching, and `rows` the four `bounds.theorem_rows` of
     suite "{suite}-{version}" on the scheme's (z, m, leak, secret) `sizes`.  A
-    scheme declares `suite` and `sizes`, a padded one its `pads` and `public`,
-    and overrides only what its theorem changes.
+    scheme declares `suite` and `sizes`, a padded one its `public`, and
+    overrides only what its theorem changes.
     """
 
     bob_positions = ((0, 1),)
     eve_positions = ((0,), (1,))
-    pads = 1
 
     def __post_init__(self):
         object.__setattr__(self, "law", Law.coded(self.law))
@@ -328,16 +322,12 @@ class SchemeCells:
         return theorem_rows(f"{self.suite}-{version}", instance, self.joint, rho, version, bob, eve, self.sizes)
 
     @cached_property
-    def quotient(self) -> Law:  # one realization per (x, y): the first of each run of pads
-        return self.law if self.pads == 1 else self.law.quotient(self.joint, self.pads)
-
-    @cached_property
     def bob_cells(self) -> CellView:
-        return self.quotient.view(self.bob_positions)
+        return self.law.view(self.bob_positions)
 
     @cached_property
     def eve_cells(self) -> CellView:
-        return self.quotient.view(self.eve_positions, self.public(self.quotient.hints))
+        return self.law.view(self.eve_positions, self.public(self.law.hints))
 
 
 def _check_one_partition(view: CellView) -> None:

@@ -8,9 +8,12 @@ message on stderr when the config is malformed or a parameter inadmissible.
 
 `_read` reads every key by its table in `KEYS` or `SCHEMES`; an absent and a
 null key both mean the default.  Before anything is built, `--budget` bounds
-every count a config sets: a `uniform` source's symbols, a scheme's realized
-rows (`disks`: times its C(delta, nu) + C(delta, eta) views; and nu*delta), the
-envelope's r-range, `distortion`'s n-tuples and the functional's starts.
+every count a config sets: a `uniform` source's symbols; a scheme's realized
+rows (one per support (x, y) for the two-hint and delta-disk pad quotients;
+`disks`: times its C(delta, nu) + C(delta, eta) views, which also bound the
+eliminations of its structure checks; and its nu*delta generator cells; a
+rational eve-list: times epsilon's bits); the envelope's r-range;
+`distortion`'s n-tuples; and the functional's starts.
 
 Each subcommand imports the modules it runs when it is dispatched, so a cold
 `entropy`, `guess`, `task` or rates-only `exponent` never loads the scheme,
@@ -73,7 +76,7 @@ DISK_RATES = {"rate_s": NUMBER, "nu": (int, REQUIRED, None), "eta": (int, REQUIR
 # twohint scheme kind -> (its builder in `twohint`, its keys, its realized rows per (x, y) given them and |X|)
 SCHEMES = {
     "two-hint": ("build_two_hint", {**dict.fromkeys(("cs", "c1", "c2"), POSITIVE), "m1_size": SIZE, "m2_size": SIZE},
-                 lambda k, nx: k["cs"]),
+                 lambda k, nx: 1),
     "secret-hint": ("build_secret_hint", {"c": POSITIVE, "ms_size": POSITIVE, "mp_size": SIZE}, lambda k, nx: 1),
     "secret-key": ("build_secret_key", {"c": POSITIVE, "k_size": POSITIVE, "m_size": SIZE}, lambda k, nx: k["k_size"]),
     "eve-list": ("build_eve_list_scheme", {"m1_size": POSITIVE, "m2_size": POSITIVE, "epsilon": NUMBER},
@@ -225,10 +228,13 @@ def cmd_twohint(cfg: dict, args) -> list[ReportRow]:
 
     joint = _load_source(cfg["source"], args)
     kind = _read(cfg["scheme"], "'scheme'", {"kind": (tuple(SCHEMES), "two-hint", None)})["kind"]
-    builder, keys, pads = SCHEMES[kind]
+    builder, keys, per_xy = SCHEMES[kind]
     params = _read(cfg["scheme"], f"a {kind} scheme", keys)
-    count = len(list(joint.support_items())) * pads(params, len(joint.x_alphabet))
-    _gate(args, f"the realized rows of the {kind} scheme", count)
+    what, count = f"the realized rows of the {kind} scheme", len(list(joint.support_items()))
+    count *= per_xy(params, len(joint.x_alphabet))
+    if kind == "eve-list" and args.rational:  # an integer epsilon is exact: 2^-epsilon's numerators carry its bits
+        what, count = f"{what} times epsilon's bits", count * max(1, int(params["epsilon"]))
+    _gate(args, what, count)
     if kind != "eve-list":  # an eve-list scheme is always the list version
         params["version"] = cfg["version"]
     scheme = getattr(twohint_mod, builder)(joint, **params)
@@ -250,7 +256,7 @@ def cmd_disks(cfg: dict, args) -> list[ReportRow]:
     _gate(args, "the generator cells nu*delta of a disk scheme", nu * delta)
     bits = args.budget.bit_length()  # C(delta, k) >= 2^min(k, delta - k): no math.comb on a large one
     views = sum(math.comb(delta, k) if min(k, delta - k) < bits else 1 << bits for k in (nu, eta))
-    count = len(list(joint.support_items())) * views << min(eta * params["r"], bits)
+    count = len(list(joint.support_items())) * views
     _gate(args, "the realized rows times the C(delta, nu) + C(delta, eta) views of a disk scheme", count)
     scheme = disks_mod.build_delta_scheme(joint, **params, version=cfg["version"])
     structure = {"nu-subset-recovery": disks_mod.check_reconstruction(scheme)}
@@ -260,7 +266,7 @@ def cmd_disks(cfg: dict, args) -> list[ReportRow]:
         rows.extend(scheme.rows(rho, instance=f"rho={fmt(rho)}"))
         if sizes is not None:
             inst = f"sizes={sizes},rho={fmt(rho)}"
-            rows.extend(disks_mod.unequal_converse_rows(joint, scheme.law, sizes, nu, eta, rho, inst))
+            rows.extend(disks_mod.unequal_converse_rows(joint, scheme, sizes, nu, eta, rho, inst))
             h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
             rows.extend(disks_mod.equal_size_envelope_rows(sizes, nu, eta, rho, h, len(joint.x_alphabet)))
     return rows

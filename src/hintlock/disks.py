@@ -7,6 +7,12 @@ while any eta hints are exactly independent of W.  Each hint carries s = p + r
 bits: the p-bit coordinate of the V-codeword then the r-bit coordinate of the
 padded codeword.
 
+A scheme keeps its two generators and, as its law, the pad quotient: one
+realization per support (x, y), at pad U = 0, with mass P(x, y).  Both
+structural premises are decided on the generators by `gf.mds_check`, never by
+enumerating the 2^(eta*r) pads: nu-recovery needs G_V and G_UW MDS, and
+eta-independence needs the top eta rows of G_UW MDS.
+
 Bob is shown the nu hints that maximize his ambiguity, Eve the eta hints that
 minimize hers; both choices are made after the realization is known.
 """
@@ -19,9 +25,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .adversary import Law, SchemeCells, eve_exact_matching, moment_for_constant, row_ids
+from .adversary import Law, SchemeCells, eve_exact_matching, moment_for_constant
 from .bounds import bob_converse, bob_direct, disk_exponents, eve_converse, eve_direct  # disk_exponents is re-exported
-from .gf import field_make, rs_generator
+from .gf import GenMatrix, field_make, mds_check, rs_generator
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow, fmt
 from .tasks import descriptor_map
@@ -42,7 +48,7 @@ def disk_sizes(delta: int, nu: int, eta: int, s: int, r: int) -> tuple[int, int,
 
 @dataclass(frozen=True)
 class DeltaHintScheme(SchemeCells):
-    """Priced on the pad quotient: 2^(eta*r) pads per (x, y), Eve reading each hint's V-codeword coordinate."""
+    """Priced on its pad quotient, Eve reading each hint's V-codeword coordinate."""
 
     joint: JointPmf
     delta: int
@@ -53,7 +59,9 @@ class DeltaHintScheme(SchemeCells):
     r: int
     version: str
     descriptor: dict  # (x, y) -> (V tuple, W tuple)
-    law: Law  # (x, y, hints tuple) -> prob
+    law: Law  # (x, y, hints tuple) -> P(x, y): hint l is V G_V[:, l] << r | (0 || W) G_UW[:, l]
+    g_v: GenMatrix | None  # nu x delta over GF(2^p); None when p = 0
+    g_uw: GenMatrix | None  # nu x delta over GF(2^r), the pad U on its top eta rows; None when r = 0
 
     suite = "disks"
 
@@ -68,10 +76,6 @@ class DeltaHintScheme(SchemeCells):
     @property
     def sizes(self) -> tuple:
         return disk_sizes(self.delta, self.nu, self.eta, self.s, self.r)
-
-    @property
-    def pads(self) -> int:
-        return 1 << (self.eta * self.r)
 
     def public(self, hints: np.ndarray) -> np.ndarray:
         return self.split_hint(hints)[0]
@@ -96,93 +100,52 @@ def build_delta_scheme(
     r: int,
     version: str = "guessing",
 ) -> DeltaHintScheme:
-    """Build the nested-MDS hint scheme for admissible (p, r)."""
+    """Build the nested-MDS hint scheme for admissible (p, r): its pad quotient, one row per support (x, y)."""
     if not 0 <= eta < nu <= delta:
         raise DomainError(f"need 0 <= eta < nu <= delta, got eta={eta}, nu={nu}, delta={delta}")
     if p + r != s or not _admissible(p, r, delta):
         raise DomainError(f"need p + r = s with p and r each 0 or at least ceil(log2 delta), got p={p}, r={r}, s={s}")
     zmap = descriptor_map(joint, disk_sizes(delta, nu, eta, s, r)[0], version)  # nu*p + (nu-eta)*r bits
-    rows = list(joint.support_items())
     z = np.array(list(zmap.values()), dtype=np.int64)
     v_sym, w_sym = _int_to_symbols(z >> ((nu - eta) * r), nu, p), _int_to_symbols(z, nu - eta, r)
     descriptor = dict(zip(zmap, zip(map(tuple, v_sym.tolist()), map(tuple, w_sym.tolist()))))
-
-    # Both codes are linear, so encode(u || w) = encode(u || 0) XOR encode(0 || w).
-    n_pad, zeros = 1 << (eta * r), np.zeros((len(z), delta), dtype=np.int64)
-    v = rs_generator(nu, delta, field_make(p)).encode(v_sym) << r if p > 0 else zeros
-    w, pads = zeros, np.zeros((1, delta), dtype=np.int64)
-    if r > 0:
-        g_uw = rs_generator(nu, delta, field_make(r))
-        w = g_uw.encode(np.pad(w_sym, ((0, 0), (eta, 0))))
-        pads = g_uw.encode(np.pad(_int_to_symbols(np.arange(n_pad), eta, r), ((0, 0), (0, nu - eta))))
-        if any(len(np.unique(pads[:, list(e)], axis=0)) < n_pad for e in combinations(range(delta), eta)):
-            raise DomainError("some eta hints do not fix the pad: Eve's pad quotient would not be exact")
+    g_v = rs_generator(nu, delta, field_make(p)) if p > 0 else None
+    g_uw = rs_generator(nu, delta, field_make(r)) if r > 0 else None
+    if g_uw is not None and eta > 0 and not mds_check(g_uw.first_rows(eta)):
+        raise DomainError("some eta hints do not fix the pad: Eve's pad quotient would not be exact")
+    zeros = np.zeros((len(z), delta), dtype=np.int64)
+    v = g_v.encode(v_sym) << r if g_v else zeros
+    w = g_uw.encode(np.pad(w_sym, ((0, 0), (eta, 0)))) if g_uw else zeros  # the pad U = 0
+    rows = list(joint.support_items())
     index = {key: i for i, key in enumerate(zmap)}
     at = np.array([index[(x, y)] for x, y, _ in rows], dtype=np.int64)
-    hints = (v[at, None] | (pads[None] ^ w[at, None])).reshape(len(rows) * n_pad, delta)
-    law = Law.spread(joint, rows, hints, n_pad, joint.exact, nested=True)
-    return DeltaHintScheme(joint, delta, nu, eta, s, p, r, version, descriptor, law)
+    law = Law.spread(joint, rows, (v | w)[at], 1, joint.exact, nested=True)
+    return DeltaHintScheme(joint, delta, nu, eta, s, p, r, version, descriptor, law, g_v, g_uw)
 
 
 # ---------------------------------------------------------------------------
-# Exact recovery / secrecy checks on the realized law, on integer-coded arrays.
+# Structure, decided on the generators.
 # ---------------------------------------------------------------------------
-
-
-def _sums(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-id sums, each added up in array order."""
-    out = np.zeros(int(ids.max()) + 1, dtype=values.dtype)
-    np.add.at(out, ids, values)
-    return out
 
 
 def check_reconstruction(scheme: DeltaHintScheme) -> bool:
-    """Every size-nu subset of hints determines (V, W, pad) on the support."""
-    law, ids = scheme.law, {}
-    if not len(law.mass):
-        return True
-    xy = row_ids(law.x, law.y)
-    first = np.unique(xy, return_index=True)[1]
-    desc = [ids.setdefault(scheme.descriptor[(law.xs[law.x[i]], law.ys[law.y[i]])], len(ids)) for i in first.tolist()]
-    whole = row_ids(np.array(desc, dtype=np.int64)[xy], *law.hints.T)
-    for b in combinations(range(scheme.delta), scheme.nu):
-        shown = row_ids(law.y, *law.hints[:, b].T)
-        if row_ids(shown, whole).max() != shown.max():  # some shown hints fit two realizations
-            return False
-    return True
+    """Any nu hints determine (V, W, pad): every nu x nu column submatrix of
+    G_V and of G_UW is nonsingular (`gf.mds_check`), so any nu coordinates of
+    each codeword fix its message."""
+    return all(mds_check(g) for g in (scheme.g_v, scheme.g_uw) if g is not None)
 
 
 def check_eta_independence(scheme: DeltaHintScheme) -> bool:
     """The r-parts of any eta hints are uniform and independent of (X, Y, W).
 
-    Exact: conditional mass of each observed r-part tuple must be exactly
-    2^(-eta*r) for every positive-mass (x, y).  A rational law compares
-    integer numerators as Python ints, exact at any size; only a float law
-    gets a tolerance.
+    The r-parts of hints e are U G_top[:, e] + (0 || W) G_UW[:, e], with U
+    uniform on GF(2^r)^eta and G_top the top eta rows of G_UW.  Every
+    eta x eta column submatrix of G_top is nonsingular (`gf.mds_check`) if
+    and only if U -> U G_top[:, e] is a bijection for every e, that is, if
+    and only if for every (x, y) the r-parts are uniform: the coset coding of
+    Ozarow and Wyner's wire-tap channel II.
     """
-    if scheme.eta == 0:
-        return True
-    law = scheme.law
-    if not len(law.mass):
-        return True
-    n_pad = 1 << (scheme.eta * scheme.r)
-    mass = law.mass if law.scale is None else np.array(law.nums, dtype=object)
-    xy = row_ids(law.x, law.y)
-    total = _sums(xy, mass)
-    rparts = scheme.split_hint(law.hints)[1]
-    for e in combinations(range(scheme.delta), scheme.eta):
-        group = row_ids(xy, *rparts[:, e].T)
-        cond = _sums(group, mass)
-        owner = np.empty(len(cond), dtype=np.int64)
-        owner[group] = xy
-        if law.scale is not None:
-            ok = cond * n_pad == total[owner]
-        else:
-            want = 2.0 ** -(scheme.eta * scheme.r) * total[owner]
-            ok = (cond == want) | (np.abs(cond - want) <= 1e-12)
-        if not np.all(ok):
-            return False
-    return True
+    return scheme.eta == 0 or scheme.g_uw is None or mds_check(scheme.g_uw.first_rows(scheme.eta))
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +160,28 @@ def verify_disk_theorems(
 
 
 def unequal_converse_rows(
-    joint: JointPmf, law: Law | dict, sizes: tuple, nu: int, eta: int, rho: float, instance: str = ""
+    joint: JointPmf, law: Law | dict | SchemeCells, sizes: tuple, nu: int, eta: int, rho: float, instance: str = ""
 ) -> list[ReportRow]:
     """Converse floors for arbitrary schemes whose disk l stores sizes[l] bits.
 
     `law` is a `Law` or a dict (x, y, hints tuple) -> prob, for any encoder
-    (hint l must fit in sizes[l] bits).  Bob's side is his best fixed subset,
+    (hint l must fit in sizes[l] bits), or a scheme of len(sizes) disks priced
+    on its own cell views (a built `DeltaHintScheme`: its pad quotient, Eve
+    reading the hints' public parts).  Bob's side is his best fixed subset,
     a lower bound on his min-max ambiguity for any law, so a pass is sound;
     Eve's is exact, and a law in which two realizations with the same x share
     one of her contexts is rejected with DomainError.
     """
-    law = Law.coded(law)
+    if isinstance(law, SchemeCells):
+        bob_view, eve_view = law.bob_cells, law.eve_cells
+    else:
+        law = Law.coded(law)
+        bob_view, eve_view = (law.view(list(combinations(range(len(sizes)), k))) for k in (nu, eta))
     h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
     nx = len(joint.x_alphabet)
     ssort = sorted(sizes)
-    bob_view = law.view(list(combinations(range(len(sizes)), nu)))
     bob_lo = max(moment_for_constant(bob_view, k, rho) for k in range(math.comb(len(sizes), nu)))
-    eve_val = eve_exact_matching(law.view(list(combinations(range(len(sizes)), eta))), rho)
+    eve_val = eve_exact_matching(eve_view, rho)
     bob_conv_g = bob_converse(h, rho, 2 ** sum(ssort[:nu]), nx, "guessing")
     eve_conv = eve_converse(h, rho, 2 ** sum(ssort[: nu - eta]), bob_lo)
     suite = "disks-unequal"

@@ -32,7 +32,7 @@ class DetTaskEncoder:
 
     x_alphabet: tuple
     context_alphabet: tuple
-    z_alphabet: tuple
+    z_alphabet: tuple | range  # a range is never written out: a descriptor alphabet may have 2^48 values
     mapping: dict  # (x, ctx) -> z, total
 
     def __post_init__(self):
@@ -177,7 +177,7 @@ def encoder_from_guessing(g: GuessingFunction, omega: int, z_count: int) -> DetT
     describe = offset_refinement(len(g.x_alphabet), omega, z_count)
     pairs = ((x, c, rank) for c, row in zip(g.context_alphabet, g.ranks) for x, rank in zip(g.x_alphabet, row))
     mapping = {(x, c): describe(rank) for x, c, rank in pairs}
-    return DetTaskEncoder(g.x_alphabet, g.context_alphabet, tuple(range(z_count)), mapping)
+    return DetTaskEncoder(g.x_alphabet, g.context_alphabet, range(z_count), mapping)
 
 
 def shortest_lists_first(lists: dict, alphabet: tuple, contexts: tuple) -> GuessingFunction:

@@ -3,9 +3,12 @@
 Alice maps (X, Y) to a descriptor triple (v_s, v_1, v_2), draws a uniform pad
 U on {0..c_s-1}, and stores M1 = (v_s + U mod c_s, v_1), M2 = (U, v_2).  Bob
 sees both hints and recovers the descriptor; Eve sees the hint her accomplice
-picks after observing the realization.  Everything here works on the realized
-joint law, stored densely over its support, so all ambiguities are exact
-expectations.
+picks after observing the realization.  Everything here works on realized
+joint laws, stored densely over their support, so all ambiguities are exact
+expectations.  A two-hint scheme keeps only its pad quotient, the realization
+at U = 0 of each (x, y) with mass P(x, y): u -> (v_s + u) mod c_s is a
+bijection of Z_cs, so both pad coordinates are uniform by construction, and
+`adversary` prices both adversaries on the quotient.
 
 Scheme variants: the secret-hint scenario (Eve always sees the public hint),
 the secret-key scenario (one hint, shared key as one-time pad), and the
@@ -23,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .adversary import CellView, Law, SchemeCells, moment_for_constant, row_ids, support_moment
+from .adversary import CellView, Law, SchemeCells, moment_for_constant, support_moment
 from .bounds import bob_converse, bob_direct, list_room, two_hint_exponents  # the last one is re-exported
 from .guessing import rank_groups
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
@@ -32,24 +35,30 @@ from .tasks import descriptor_map
 
 
 # ---------------------------------------------------------------------------
-# Realized laws.  Every scheme keeps its exact law {(x, y, h_1, h_2): prob} as
-# columns (`adversary.Law`); `adversary.SchemeCells` prices Bob and Eve on it.
+# Realized laws.  Every scheme keeps its exact law {(x, y, h_1, h_2): prob}, a
+# two-hint scheme its pad quotient, as columns (`adversary.Law`);
+# `adversary.SchemeCells` prices Bob and Eve on it.
 # ---------------------------------------------------------------------------
 
+HINT_LIMIT = 1 << 62  # the most values of a hint: its int64 codes and their mixed radix stay exact
 
-def _padded_law(joint: JointPmf, items, cs: int, c1: int, c2: int, exact: bool) -> Law:
-    """Spread each (x, y, (v_s, v_1, v_2), mass) uniformly over the pad U.
 
-    M1 = ((v_s + U) mod cs) * c1 + v_1 and M2 = U * c2 + v_2, each of the cs
-    pad values carrying mass / cs.
+def _padded_law(joint: JointPmf, items, cs: int, c1: int, c2: int, exact: bool, pads: int) -> Law:
+    """Spread each (x, y, (v_s, v_1, v_2), mass) uniformly over the first `pads` values of the pad U.
+
+    M1 = ((v_s + U) mod cs) * c1 + v_1 and M2 = U * c2 + v_2, each pad value
+    carrying mass / pads: all cs of them for the full law, or U = 0 alone,
+    with the whole mass, for the pad quotient.
     """
+    if max(cs * c1, cs * c2) > HINT_LIMIT:
+        raise DomainError(f"a hint of cs*c1 = {cs * c1} or cs*c2 = {cs * c2} values exceeds 2^62")
     items = list(items)
-    vs, v1, v2 = (np.repeat(np.array([d[k] for _, _, d, _ in items], dtype=np.int64), cs) for k in range(3))
+    vs, v1, v2 = (np.repeat(np.array([d[k] for _, _, d, _ in items], dtype=np.int64), pads) for k in range(3))
     if not ((0 <= vs) & (vs < cs) & (0 <= v1) & (v1 < c1) & (0 <= v2) & (v2 < c2)).all():
         raise DomainError(f"a descriptor lies outside cs={cs}, c1={c1}, c2={c2}")
-    u = np.tile(np.arange(cs), len(items))
+    u = np.tile(np.arange(pads), len(items))
     hints = np.stack([((vs + u) % cs) * c1 + v1, u * c2 + v2], axis=1)
-    return Law.spread(joint, [(x, y, w) for x, y, _, w in items], hints, cs, exact)
+    return Law.spread(joint, [(x, y, w) for x, y, _, w in items], hints, pads, exact)
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,7 @@ class TwoHintScheme(SchemeCells):
     m2_size: int
     version: str
     descriptor: dict  # (x, y) -> (v_s, v_1, v_2)
-    law: Law  # (x, y, m1, m2) -> prob; m1 = vtilde*c1+v1, m2 = u*c2+v2
+    law: Law  # the pad quotient (x, y, m1, m2) -> P(x, y) at U = 0: m1 = v_s*c1+v1, m2 = v2
 
     suite = "two-hint"
 
@@ -70,10 +79,6 @@ class TwoHintScheme(SchemeCells):
     def sizes(self) -> tuple:
         m1, m2 = self.m1_size, self.m2_size
         return self.cs * self.c1 * self.c2, m1 * m2, self.c1 + self.c2, min(m1, m2)
-
-    @property
-    def pads(self) -> int:
-        return self.cs
 
     def public(self, hints: np.ndarray) -> np.ndarray:  # (M1 mod c1, M2 mod c2) = (V1, V2)
         return hints % np.array([self.c1, self.c2])
@@ -93,25 +98,25 @@ class TwoHintScheme(SchemeCells):
         """Conditional laws of M1's padded coordinate and M2's pad, per (x, y).
 
         Both must be exactly uniform over {0..cs-1} for every positive-mass
-        (x, y): either hint alone then carries nothing through that slot.
-        Rational masses are summed as the law's integer numerators over its
-        common denominator and returned as Fractions.
+        (x, y): either hint alone then carries nothing through that slot.  They
+        are read off the pad quotient, one realization per (x, y): pad u
+        carries P(x, y) / cs, at M1's coordinate (v_s + u) mod cs and at M2's
+        u.  Rational masses are returned as Fractions, float ones as
+        float(P) * (1.0 / cs).
         """
-        law, out = self.law, []
-        values = law.mass if law.nums is None else np.array(law.nums, dtype=object)  # Python ints: no overflow
-        fractions: dict = {}  # one Fraction per distinct numerator
-        for pad in (law.hints[:, 0] // self.c1, law.hints[:, 1] // self.c2):
-            _, first, group = np.unique(row_ids(law.x, law.y, pad), return_index=True, return_inverse=True)
-            sums = np.zeros(len(first), dtype=values.dtype)
-            np.add.at(sums, group, values)  # in entry order
-            seen = np.argsort(first)  # (x, y, pad) groups in first-seen order
-            laws: dict = {}
-            for x, y, k, n in zip(*(col[first[seen]].tolist() for col in (law.x, law.y, pad)), sums[seen].tolist()):
-                if law.nums is not None:
-                    n = fractions[n] if n in fractions else fractions.setdefault(n, Fraction(n, law.scale))
-                laws.setdefault((law.xs[x], law.ys[y]), {})[k] = n
-            out.append(laws)
-        return tuple(out)
+        law, cs = self.law, self.cs
+        if law.nums is None:
+            values = (law.mass * (1.0 / cs)).tolist()
+        else:
+            fractions: dict = {}  # one Fraction per distinct numerator
+            scale = law.scale * cs
+            values = [fractions[n] if n in fractions else fractions.setdefault(n, Fraction(n, scale)) for n in law.nums]
+        pad1, pad2 = {}, {}
+        for x, y, v_s, w in zip(law.x.tolist(), law.y.tolist(), (law.hints[:, 0] // self.c1).tolist(), values):
+            xy = (law.xs[x], law.ys[y])
+            pad1[xy] = {(v_s + u) % cs: w for u in range(cs)}
+            pad2[xy] = dict.fromkeys(range(cs), w)
+        return pad1, pad2
 
     def to_json(self) -> str:
         return json.dumps(
@@ -137,7 +142,7 @@ class TwoHintScheme(SchemeCells):
         cs, c1, c2 = doc["cs"], doc["c1"], doc["c2"]
         descriptor = {tuple(k): tuple(v) for k, v in doc["descriptor"]}
         law = _padded_law(
-            joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
+            joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact, 1
         )
         return cls(joint, cs, c1, c2, doc["m1_size"], doc["m2_size"], doc["version"], descriptor, law)
 
@@ -151,7 +156,7 @@ def build_two_hint(
     m1_size: int | None = None,
     m2_size: int | None = None,
 ) -> TwoHintScheme:
-    """Build the padded two-hint scheme for an admissible (cs, c1, c2)."""
+    """Build the padded two-hint scheme for an admissible (cs, c1, c2): its pad quotient, one row per support (x, y)."""
     m1_size = m1_size if m1_size is not None else cs * c1
     m2_size = m2_size if m2_size is not None else cs * c2
     if min(cs, c1, c2) < 1:
@@ -165,7 +170,7 @@ def build_two_hint(
     zmap = descriptor_map(joint, cs * c1 * c2, version)
     descriptor = {k: (z % cs, (z // cs) % c1, z // (cs * c1)) for k, z in zmap.items()}
     law = _padded_law(
-        joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
+        joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact, 1
     )
     return TwoHintScheme(joint, cs, c1, c2, m1_size, m2_size, version, descriptor, law)
 
@@ -326,6 +331,8 @@ def build_secret_key(
         raise DomainError("need |K| <= |M|")
     if c * k_size > m_size:
         raise DomainError(f"need c*|K| <= |M|: {c}*{k_size} > {m_size}")
+    if c * k_size > HINT_LIMIT:
+        raise DomainError(f"a hint of c*|K| = {c * k_size} values exceeds 2^62")
     zmap = descriptor_map(joint, c * k_size, version)
     rows = list(joint.support_items())
     z = np.repeat(np.array([zmap[(x, y)] for x, y, _ in rows], dtype=np.int64), k_size)
@@ -418,7 +425,7 @@ def build_eve_list_scheme(
     _, _, rank, pair = rank_groups(ctx, key, np.array([w for *_, w in smoothed], dtype=float), np.arange(nx))
     rank = rank[pair].tolist()
     items = ((x, y, (math.floor(math.log2(r)), zp % c1, zp // c1), w) for r, (x, y, zp, w) in zip(rank, smoothed))
-    return EveListScheme(joint, cs, c1, c2, m1_size, m2_size, epsilon, _padded_law(joint, items, cs, c1, c2, exact))
+    return EveListScheme(joint, cs, c1, c2, m1_size, m2_size, epsilon, _padded_law(joint, items, cs, c1, c2, exact, cs))
 
 
 def verify_eve_list(scheme: EveListScheme, rho: float, instance: str = "") -> list[ReportRow]:

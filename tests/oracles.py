@@ -2,11 +2,13 @@
 
 Nothing in `src/` imports this module.  It holds the brute-force and grid
 cross-checks, Eve's exhaustive map enumeration (exact on any cells) and local
-search (an upper bound), and the earlier implementations that the columnar
-laws, the prepared cell view, the batched rate-distortion solver and the
-integer-coded disk checks must reproduce: the same laws, the same floats, and
-the same exact verdicts.  Sums here add their terms one by one, left to right, so the
-references do not depend on how a Python version's `sum` adds floats.
+search (an upper bound), the full padded laws that the schemes' pad quotients
+stand for, and the earlier implementations that the columnar laws, the
+prepared cell view, the batched rate-distortion solver and the algebraic disk
+checks must reproduce: the same laws, the same floats, and the same exact
+verdicts, the disk checks' by enumerating the full law.  Sums here add their
+terms one by one, left to right, so the references do not depend on how a
+Python version's `sum` adds floats.
 """
 
 import math
@@ -137,6 +139,19 @@ def two_hint_law(joint, cs: int, c1: int, c2: int, version: str) -> dict:
     return padded_law(((x, y, split[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact)
 
 
+def two_hint_spread(scheme) -> dict:
+    """A two-hint scheme's full law, its pad quotient (x, y, M1, M2) at U = 0
+    spread over the cs pads: U = u shifts M1's padded coordinate by u and sets M2's to u."""
+    cs, c1, c2 = scheme.cs, scheme.c1, scheme.c2
+    law: dict = {}
+    for (x, y, m1, m2), p in scheme.law.items():
+        share = p * (Fraction(1, cs) if isinstance(p, Fraction) else 1.0 / cs)
+        for u in range(cs):
+            key = (x, y, ((m1 // c1 + u) % cs) * c1 + m1 % c1, u * c2 + m2)
+            law[key] = law.get(key, 0) + share
+    return law
+
+
 def two_hint_quotient(joint, cs: int, c1: int, c2: int, version: str, public: bool = True) -> dict:
     """A pad quotient of the two-hint law, one key per source cell with its mass:
     Eve's (x, y, v_1, v_2), or Bob's (x, y, M1, M2) at pad 0."""
@@ -224,10 +239,10 @@ def per_context_ranks(joint: JointPmf) -> tuple:
 
 
 def delta_law(sch) -> dict:
-    """A delta scheme's law with one encode per (x, y, pad), as the construction reads."""
+    """A delta scheme's full law with one encode per (x, y, pad), as the
+    construction reads, by the scheme's own generators (planted ones too)."""
     zero = np.zeros(sch.delta, dtype=np.int64)
-    g_v = rs_generator(sch.nu, sch.delta, field_make(sch.p)) if sch.p else None
-    g_uw = rs_generator(sch.nu, sch.delta, field_make(sch.r)) if sch.r else None
+    g_v, g_uw = sch.g_v, sch.g_uw
     n_pad = 1 << (sch.eta * sch.r)
     law = {}
     for x, y, prob in sch.joint.support_items():
@@ -237,6 +252,13 @@ def delta_law(sch) -> dict:
             mr = g_uw.encode(np.array(int_to_symbols(pad, sch.eta, sch.r) + w_sym)) if g_uw else zero
             law[(x, y, tuple(int(a) << sch.r | int(b) for a, b in zip(mp, mr)))] = prob / n_pad
     return law
+
+
+def full_law(scheme) -> dict:
+    """The full law of a built two-hint or delta-disk scheme, over all its pads."""
+    if hasattr(scheme, "cs"):
+        return two_hint_law(scheme.joint, scheme.cs, scheme.c1, scheme.c2, scheme.version)
+    return delta_law(scheme)
 
 
 def delta_quotient(sch, public: bool = True) -> dict:
@@ -567,11 +589,13 @@ def assert_same_as_per_call_code(view, reference: list, rhos) -> None:
 # ---------------------------------------------------------------------------
 
 
-def check_reconstruction(scheme) -> bool:
-    """Every size-nu subset of hints determines (V, W, pad) on the support."""
+def check_reconstruction(scheme, law: dict | None = None) -> bool:
+    """Every size-nu subset of hints determines (V, W, pad) on the support of
+    the full law (by default `delta_law(scheme)`)."""
+    law = delta_law(scheme) if law is None else law
     for b in combinations(range(scheme.delta), scheme.nu):
         seen: dict = {}
-        for (x, y, m), p in scheme.law.items():
+        for (x, y, m), p in law.items():
             if p <= 0:
                 continue
             key = (y, tuple(m[i] for i in b))
@@ -581,20 +605,22 @@ def check_reconstruction(scheme) -> bool:
     return True
 
 
-def check_eta_independence(scheme) -> bool:
+def check_eta_independence(scheme, law: dict | None = None) -> bool:
     """The r-parts of any eta hints are uniform and independent of (X, Y, W).
 
-    Exact: conditional mass of each observed r-part tuple must be exactly
-    2^(-eta*r) for every positive-mass (x, y).
+    Exact: conditional mass of each observed r-part tuple of the full law (by
+    default `delta_law(scheme)`) must be exactly 2^(-eta*r) for every
+    positive-mass (x, y).
     """
     if scheme.eta == 0:
         return True
+    law = delta_law(scheme) if law is None else law
     exact = scheme.joint.exact
     target = Fraction(1, 1 << (scheme.eta * scheme.r)) if exact else 2.0 ** -(scheme.eta * scheme.r)
     for e in combinations(range(scheme.delta), scheme.eta):
         cond: dict = {}
         total: dict = {}
-        for (x, y, m), p in scheme.law.items():
+        for (x, y, m), p in law.items():
             if p <= 0:
                 continue
             rparts = tuple(scheme.split_hint(m[i])[1] for i in e)
@@ -608,11 +634,12 @@ def check_eta_independence(scheme) -> bool:
     return True
 
 
-def pad_coordinate_laws(scheme) -> tuple[dict, dict]:
-    """Conditional laws of a two-hint scheme's M1 padded coordinate and M2 pad, per (x, y)."""
+def pad_coordinate_laws(scheme, law: dict) -> tuple[dict, dict]:
+    """Conditional laws of M1's padded coordinate and M2's pad, per (x, y), in
+    a two-hint scheme's full law."""
     pad1: dict = {}
     pad2: dict = {}
-    for (x, y, m1, m2), p in scheme.law.items():
+    for (x, y, m1, m2), p in law.items():
         if p > 0:
             pad1.setdefault((x, y), {})
             pad2.setdefault((x, y), {})

@@ -58,7 +58,7 @@ from hintlock.twohint import (
     verify_finite_blocklength,
 )
 from hintlock.guessing import guess_moment
-from oracles import encoder_guess_moment, grouped_moment, random_stoch_encoder, rd_function_grid_oracle
+from oracles import encoder_guess_moment, full_law, grouped_moment, random_stoch_encoder, rd_function_grid_oracle
 
 
 def report(num: int, name: str, ok: bool, elapsed: float, limit: float):
@@ -278,10 +278,9 @@ def test_criterion_10_exponent_calculators_and_trend():
         prev = b
         if n == 8:
             z = s.cs * (s.c1 + s.c2)
-            # optimal moment of the pair (X, U) given Y, U the uniform pad
-            pair = grouped_moment(
-                ((y, (x, m2 // s.c2), float(p)) for (x, y, _, m2), p in s.law.items() if p > 0), 1.0
-            )
+            # optimal moment of the pair (X, U) given Y, U the uniform pad of the full law
+            full = full_law(s)
+            pair = grouped_moment(((y, (x, m2 // s.c2), float(p)) for (x, y, _, m2), p in full.items() if p > 0), 1.0)
             floor8 = z ** (-1.0) * pair
     ok &= prev == 1.0
     ok &= abs(math.log2(floor8) / 8 - 1.0) <= 0.25

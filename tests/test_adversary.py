@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hintlock.adversary import Cell, eve_exact_matching, moment_for_constant
+from hintlock.adversary import Cell, eve_exact_matching, moment_for_constant, row_ids
 from hintlock.disks import build_delta_scheme, unequal_converse_rows, verify_disk_theorems
 from hintlock.guessing import random_joint
 from hintlock.prob import BudgetExceededError, DomainError
@@ -134,7 +134,7 @@ def _disk_rows(scheme, rho) -> list:
     return [
         *verify_disk_theorems(scheme, rho),
         *verify_disk_theorems(scheme, rho, "guessing"),
-        *unequal_converse_rows(scheme.joint, scheme.law, sizes, scheme.nu, scheme.eta, rho),
+        *unequal_converse_rows(scheme.joint, scheme, sizes, scheme.nu, scheme.eta, rho),
     ]
 
 
@@ -159,3 +159,15 @@ def test_built_schemes_keep_both_invariants(seed):
             for rho in (0.5, 2.0):
                 assert verify(scheme, rho)
     assert verify_eve_list(build_eve_list_scheme(joint, 8, 8, 3.0), 1.0)
+
+
+def test_row_ids_of_wide_columns_stay_exact():
+    # six y values times a column near 2^62 would pass 2^64 in the mixed radix
+    y = np.arange(6)
+    wide = np.array([2**62 - 1, 2**62 - 1, 0, 2**62 - 1, 2**62 - 1, 5])
+    ids = row_ids(y, wide).tolist()
+    assert len(set(ids)) == 6
+    assert row_ids(np.zeros(4, dtype=np.int64), np.array([2**62 - 1, 3, 2**62 - 1, 3])).tolist() == [1, 0, 1, 0]
+    # the ids order rows as tuples do
+    rows = list(zip(y.tolist(), wide.tolist()))
+    assert ids == [sorted(rows).index(r) for r in rows]

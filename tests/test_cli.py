@@ -421,9 +421,24 @@ MALFORMED = {
     ],
     # each count a config sets is checked against --budget before anything is built
     "uniform-over-budget": ["entropy", {"source": {"uniform": 100000000}}],
+    # a two-hint scheme's pad quotient has one row per support (x, y): nine here, over a budget of 8
     "two-hint-rows-over-budget": [
         "twohint",
-        {"source": {"uniform": 4}, "rho": 1, "scheme": {"cs": 10000000, "c1": 1, "c2": 1}},
+        {
+            "source": {"x": [0, 1, 2], "y": [0, 1, 2], "p": [[0.1] * 3, [0.1] * 3, [0.1, 0.1, 0.2]]},
+            "scheme": {"cs": 1, "c1": 9, "c2": 1},
+        },
+        "--budget",
+        "8",
+    ],
+    "two-hint-hint-over-2-62": [
+        "twohint",
+        {"source": {"uniform": 4}, "rho": 1, "scheme": {"cs": 4, "c1": 2**62 - 1, "c2": 1}},
+    ],
+    "eve-list-rational-epsilon-over-budget": [
+        "twohint",
+        {"source": {"uniform": 4}, "scheme": {"kind": "eve-list", "m1_size": 4, "m2_size": 4, "epsilon": 1e12}},
+        "--rational",
     ],
     "secret-key-rows-over-budget": [
         "twohint",
@@ -466,9 +481,59 @@ def assert_one_line_config_error(*argv) -> None:
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("command, config", MALFORMED.values(), ids=MALFORMED)
-def test_malformed_config_exits_2_with_one_line(command, config):
-    assert_one_line_config_error(command, json.dumps(config))
+@pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_config_exits_2_with_one_line(case):
+    command, config, *flags = case
+    assert_one_line_config_error(command, json.dumps(config), *flags)
+
+
+def run_in_2_gb(*argv) -> subprocess.CompletedProcess:
+    """`hintlock argv` in a child whose address space is capped at 2 GB."""
+    import resource
+
+    cap = (2_000_000_000, 2_000_000_000)
+    return subprocess.run(
+        [sys.executable, "-m", "hintlock.cli", *argv],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap),
+    )
+
+
+LIST = {"rho": 1, "version": "list"}
+LARGE_DESCRIPTOR_ALPHABETS = {  # list versions whose descriptor has 10^8 and 2^48 values
+    "twohint-c1-1e8": ["twohint", {**LIST, "source": {"uniform": 4}, "scheme": {"cs": 1, "c1": 100000000, "c2": 1}}],
+    "disks-r-16": [
+        "disks",
+        {**LIST, "source": {"uniform": 16}, "scheme": {"delta": 3, "nu": 2, "eta": 1, "s": 32, "p": 16, "r": 16}},
+    ],
+}
+
+
+@pytest.mark.parametrize("command, config", LARGE_DESCRIPTOR_ALPHABETS.values(), ids=LARGE_DESCRIPTOR_ALPHABETS)
+def test_list_version_never_writes_out_its_descriptor_alphabet(command, config):
+    proc = run_in_2_gb(command, json.dumps(config))
+    assert proc.returncode == 0, proc.stderr
+    assert "0 failures" in proc.stderr
+
+
+def test_padded_rows_do_not_grow_with_the_pads(capsys):
+    # two-hint at cs = 10^7 and delta-disk at 2^12 pads per (x, y) build |supp P| rows
+    cfg = {"source": {"uniform": 4}, "rho": 1, "scheme": {"cs": 10000000, "c1": 1, "c2": 1}}
+    assert run(capsys, "twohint", json.dumps(cfg))[0] == 0
+    cfg = {"source": {"uniform": 256}, "rho": [1.0], "scheme": {"delta": 6, "nu": 4, "eta": 2, "s": 9, "p": 3, "r": 6}}
+    code, out, _ = run(capsys, "disks", json.dumps(cfg), "--rational")
+    assert code == 0
+    assert out.splitlines()[1:] == [  # the rows of the full law's enumeration, at --budget 10^8
+        "disks,structure,nu-subset-recovery,==,1,1,0,1,seed=0",
+        "disks,structure,eta-subset-independence,==,1,1,0,1,seed=0",
+        "disks-guessing,rho=1,bob-direct-g,<,1,1.00003051758,3.0517578125e-05,1,seed=0",
+        "disks-guessing,rho=1,eve-direct-g,>=,9.03515625,0.0169760273199,9.01818022268,1,seed=0",
+        "disks-guessing,rho=1,bob-converse-g,>=,1,1,0,1,seed=0",
+        "disks-guessing,rho=1,eve-converse-g,<=,9.03515625,256,246.96484375,1,seed=0",
+    ]
 
 
 # Config fuzz: configs drawn from the key tables.  A config starts from a good
@@ -556,12 +621,12 @@ def configs(draw) -> tuple[str, dict]:
 
 
 @settings(max_examples=300, deadline=2000)
-@given(configs())
-def test_config_fuzz_exits_0_1_or_2_with_one_line_on_2(case):
+@given(configs(), st.sampled_from([[], ["--rational"]]))
+def test_config_fuzz_exits_0_1_or_2_with_one_line_on_2(case, flags):
     command, config = case
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, json.dumps(config), "--budget", "256"])
+        code = main([command, json.dumps(config), "--budget", "256", *flags])
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from hintlock.disks import (
     build_delta_scheme,
+    disk_sizes,
     check_eta_independence,
     check_reconstruction,
     choose_pr,
@@ -19,6 +20,7 @@ from hintlock.disks import (
     unequal_converse_rows,
     verify_disk_theorems,
 )
+from hintlock.gf import field_make, rs_generator
 from hintlock.guessing import random_joint
 from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy
 from hintlock.report import all_passed
@@ -51,75 +53,89 @@ def test_law_equals_per_realization_encode(joint, params):
     # the descriptor: every (x, y) in descriptor-map order, each split on its own
     assert list(sch.descriptor.items()) == list(oracles.delta_descriptor(sch).items())
     assert all(type(v) is int for pair in sch.descriptor.values() for part in pair for v in part)
-    assert list(sch.law.items()) == list(oracles.delta_law(sch).items())
+    # the stored generators are the Reed-Solomon codes, and the law is the pad quotient
+    for g, bits in ((sch.g_v, sch.p), (sch.g_uw, sch.r)):
+        assert (g is None) == (bits == 0)
+        assert g is None or (g.entries == rs_generator(sch.nu, sch.delta, field_make(bits)).entries).all()
+    assert list(sch.law.items()) == list(oracles.delta_quotient(sch, public=False).items())
+    # the full law, one encode per (x, y, pad), holds the quotient as its pad-0 realizations
+    full, n_pad = oracles.delta_law(sch), 1 << (sch.eta * sch.r)
+    assert len(full) == n_pad * len(sch.law) and list(full)[::n_pad] == list(sch.law)
 
 
 def test_eta_independence_exact_in_rational_mode():
     # moving 1e-15 of mass between two pad entries of one (x, y) leaves the
-    # rational law non-uniform; the exact check must see it
+    # rational full law non-uniform; the exact enumeration must see it
     sch = build_delta_scheme(U16, 3, 2, 1, 4, 2, 2, "guessing")
-    law = dict(sch.law)
+    law = oracles.delta_law(sch)
+    assert check_eta_independence(sch) and oracles.check_eta_independence(sch, law)
     first, second = [k for k in law if k[:2] == (0, 0)][:2]
     law[first] += Fraction(1, 10**15)
     law[second] -= Fraction(1, 10**15)
-    assert not check_eta_independence(dataclasses.replace(sch, law=law))
+    assert not oracles.check_eta_independence(sch, law)
     # float laws keep their tolerance
     floats = build_delta_scheme(JointPmf.from_marginal(Pmf.uniform(16)), 3, 2, 1, 4, 2, 2, "guessing")
-    assert check_eta_independence(floats)
+    assert check_eta_independence(floats) and oracles.check_eta_independence(floats)
 
 
 DISK_PARAMS = [(3, 2, 1, 4, 2, 2), (4, 2, 1, 4, 2, 2), (3, 2, 1, 2, 0, 2), (2, 2, 0, 1, 1, 0), (4, 3, 2, 4, 2, 2)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(DISK_PARAMS), st.booleans(), st.data())
-def test_integer_checks_equal_fraction_reference(seed, params, exact, data):
-    """The integer-coded checks give the Fraction reference's verdict, on
-    built laws and on laws with one mass shifted or one hint tuple copied."""
+@given(st.integers(0, 2**32 - 1), st.sampled_from(DISK_PARAMS), st.booleans(), st.sampled_from(["guessing", "list"]))
+def test_generator_checks_equal_enumeration_on_the_full_law(seed, params, exact, version):
+    """On built schemes, the verdicts by `gf.mds_check` are the Fraction
+    enumeration's on the oracle's full law."""
     joint = random_joint(np.random.default_rng(seed), 4, 3, exact=exact, zeros=0.2)
-    sch = build_delta_scheme(joint, *params, "guessing")
-    law = dict(sch.law)
-    keys = list(law)
-    mutation = data.draw(st.sampled_from(["none", "shift", "copy"]))
-    if mutation == "shift":
-        k = data.draw(st.sampled_from(keys))
-        law[k] += Fraction(1, 2**40) if exact else 2.0**-40
-    elif mutation == "copy":  # realization b shows the hints of a, same y
-        a = data.draw(st.sampled_from(keys))
-        b = data.draw(st.sampled_from([k for k in keys if k[1] == a[1]]))
-        law[(b[0], b[1], a[2])] = law.pop(b)
-    sch = dataclasses.replace(sch, law=law)
-    assert check_reconstruction(sch) == oracles.check_reconstruction(sch)
-    assert check_eta_independence(sch) == oracles.check_eta_independence(sch)
+    try:
+        sch = build_delta_scheme(joint, *params, version)
+    except DomainError:  # a list descriptor without room
+        return
+    law = oracles.delta_law(sch)
+    assert check_reconstruction(sch) == oracles.check_reconstruction(sch, law)
+    assert check_eta_independence(sch) == oracles.check_eta_independence(sch, law)
 
 
-def test_integer_check_mutations():
-    sch = build_delta_scheme(U16, 3, 2, 1, 4, 2, 2, "guessing")
-    # one rational pad mass off by 2^-40
-    law = dict(sch.law)
-    law[next(iter(law))] += Fraction(1, 2**40)
-    assert not check_eta_independence(dataclasses.replace(sch, law=law))
-    # two support cells shown the same hints with different descriptors
-    law = dict(sch.law)
-    first: dict = {}
-    for key in law:
-        first.setdefault(key[0], key)
-    a, b = first[0], first[1]  # y = 0 for both
-    assert sch.descriptor[a[:2]] != sch.descriptor[b[:2]]
-    law[(b[0], b[1], a[2])] = law.pop(b)
-    assert not check_reconstruction(dataclasses.replace(sch, law=law))
+def planted(g, kind: str, j: int):
+    """`g` with column j zeroed, or with column j evaluating at column j - 1's point."""
+    entries = g.entries.copy()
+    entries[:, j] = 0 if kind == "zero" else entries[:, j - 1]
+    return dataclasses.replace(g, entries=entries)
+
+
+PLANTED = [(3, 2, 1, 4, 2, 2), (3, 2, 1, 2, 0, 2), (3, 3, 2, 2, 0, 2), (3, 2, 1, 2, 2, 0), (2, 2, 0, 1, 1, 0)]
+
+
+def test_planted_generators_are_rejected_by_both():
+    """Generators that are not MDS, on a uniform source whose every descriptor
+    occurs: both the algebra and the enumeration reject them."""
+    for params in PLANTED:
+        z_count = disk_sizes(*params[:4], params[-1])[0]
+        joint = JointPmf.from_marginal(Pmf.uniform(z_count, exact=True))
+        sch = build_delta_scheme(joint, *params)
+        assert check_reconstruction(sch) and check_eta_independence(sch)
+        for code in ("g_v", "g_uw"):
+            if getattr(sch, code) is None:
+                continue
+            for kind in ("zero", "equal"):
+                bad = dataclasses.replace(sch, **{code: planted(getattr(sch, code), kind, sch.delta - 1)})
+                law = oracles.delta_law(bad)
+                assert not check_reconstruction(bad) and not oracles.check_reconstruction(bad, law)
+                # a pad column that is zero, or equal to another among eta >= 2 rows, leaks U
+                leaks = code == "g_uw" and sch.eta > 0 and (kind == "zero" or sch.eta >= 2)
+                assert check_eta_independence(bad) == oracles.check_eta_independence(bad, law) == (not leaks)
 
 
 def test_eta_independence_with_huge_denominators():
-    # numerators over 3^41 exceed int64: the check must stay exact
+    # numerators over 3^41 exceed int64: the enumeration must stay exact
     tiny = Fraction(1, 3**41)
     joint = JointPmf.from_marginal(Pmf.of([tiny, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3) - tiny], exact=True))
     sch = build_delta_scheme(joint, 3, 2, 1, 4, 2, 2, "guessing")
     assert check_eta_independence(sch) and check_reconstruction(sch)
-    law = dict(sch.law)
+    law = oracles.delta_law(sch)
+    assert oracles.check_eta_independence(sch, law)
     law[next(iter(law))] += tiny
-    assert not check_eta_independence(dataclasses.replace(sch, law=law))
-    assert not oracles.check_eta_independence(dataclasses.replace(sch, law=law))
+    assert not oracles.check_eta_independence(sch, law)
 
 
 def test_admissibility_errors():
@@ -142,9 +158,9 @@ def test_r_zero_no_secrecy_layer():
 
 def test_p_zero_single_hint_reveals_nothing():
     sch = build_delta_scheme(U4, 3, 2, 1, 2, 0, 2, "guessing")
-    # each single hint's conditional law must not depend on (x, y)
+    # each single hint's conditional law in the full law must not depend on (x, y)
     per_hint: dict = {}
-    for (x, y, m), p in sch.law.items():
+    for (x, y, m), p in oracles.delta_law(sch).items():
         for ell in range(3):
             per_hint.setdefault((ell, x), {})
             per_hint[(ell, x)][m[ell]] = per_hint[(ell, x)].get(m[ell], Fraction(0)) + p
@@ -212,6 +228,28 @@ def test_unequal_size_converse_random_sweep():
             law[(x, 0, m)] = p
         rows = unequal_converse_rows(j, law, sizes, nu=2, eta=1, rho=1.0)
         assert all_passed(rows), [r for r in rows if not r.passed]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(DISK_PARAMS), st.booleans(), st.sampled_from([0.5, 1.0, 2.0]))
+def test_unequal_converse_prices_a_built_scheme_as_its_full_law(seed, params, exact, rho):
+    # Bob's fixed subsets and Eve on the scheme's own views (the pad quotient)
+    # are their values on the full law; Eve on the quotient's whole hints would not be
+    joint = random_joint(np.random.default_rng(seed), 4, 3, exact=exact, zeros=0.2)
+    sch = build_delta_scheme(joint, *params)
+    sizes = (sch.s,) * sch.delta
+    own = unequal_converse_rows(joint, sch, sizes, sch.nu, sch.eta, rho)
+    full = unequal_converse_rows(joint, oracles.delta_law(sch), sizes, sch.nu, sch.eta, rho)
+    assert [r.check for r in own] == [r.check for r in full]
+    for a, b in zip(own, full):
+        assert a.lhs == pytest.approx(b.lhs, rel=1e-12) and a.rhs == pytest.approx(b.rhs, rel=1e-12)
+
+
+def test_unequal_eve_reads_the_public_parts_of_a_built_scheme():
+    # the pad-0 quotient's whole hints show W in their r-parts: Eve read there would be understated
+    sch = build_delta_scheme(U16, 3, 2, 1, 4, 2, 2)
+    values = [[r.lhs for r in unequal_converse_rows(U16, law, (4, 4, 4), 2, 1, 1.0)] for law in (sch, sch.law)]
+    assert values == [[1.0, 1.4375], [1.0, 1.0]]
 
 
 def test_equal_size_envelope():

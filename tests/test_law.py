@@ -44,15 +44,16 @@ def sources(draw):
 def built_with_references(joint):
     """(scheme, dict law, [(cell view, its dict law, dict views of the same observer)]) per builder.
 
-    Bob's and Eve's views of a padded two-hint or delta-disk scheme are read
-    on its pad quotient; the full law's Eve view is checked against the full
-    dict law."""
+    A padded two-hint or delta-disk scheme's law is its pad quotient, on which
+    Bob's and Eve's views are read; the full dict law, coded into columns, has
+    its Eve view checked against the dict views."""
     out = []
     for version in ("guessing", "list"):
-        s, law = build_two_hint(joint, 2, 2, 2, version), oracles.two_hint_law(joint, 2, 2, 2, version)
-        views = [(s.bob_cells, oracles.two_hint_quotient(joint, 2, 2, 2, version, public=False), oracles.bob_views)]
+        s, law = build_two_hint(joint, 2, 2, 2, version), oracles.two_hint_quotient(joint, 2, 2, 2, version, False)
+        full = oracles.two_hint_law(joint, 2, 2, 2, version)
+        views = [(s.bob_cells, law, oracles.bob_views)]
         views.append((s.eve_cells, oracles.two_hint_quotient(joint, 2, 2, 2, version), oracles.two_hint_eve_views))
-        views.append((s.law.view(s.eve_positions), law, oracles.two_hint_eve_views))
+        views.append((Law.coded(full).view(s.eve_positions), full, oracles.two_hint_eve_views))
         out.append((s, law, views))
     back, quotient = TwoHintScheme.from_json(s.to_json()), oracles.two_hint_quotient(joint, 2, 2, 2, "list")
     out.append((back, law, [(back.eve_cells, quotient, oracles.two_hint_eve_views)]))
@@ -64,10 +65,11 @@ def built_with_references(joint):
     views = [(el.eve_cells, law, oracles.two_hint_eve_views), (el.no_hint_cells, law, lambda k: ((k[1],),))]
     out.append((el, law, views))
     d = build_delta_scheme(joint, 3, 2, 1, 4, 2, 2)
-    law, eve_views = oracles.delta_law(d), oracles.subset_views("E", 3, 1)
-    views = [(d.bob_cells, oracles.delta_quotient(d, public=False), oracles.subset_views("B", 3, 2))]
+    law, full = oracles.delta_quotient(d, public=False), oracles.delta_law(d)
+    eve_views = oracles.subset_views("E", 3, 1)
+    views = [(d.bob_cells, law, oracles.subset_views("B", 3, 2))]
     views.append((d.eve_cells, oracles.delta_quotient(d), eve_views))
-    views.append((d.law.view(d.eve_positions), law, eve_views))
+    views.append((Law.coded(full).view(d.eve_positions), full, eve_views))
     out.append((d, law, views))
     return out
 
@@ -98,7 +100,7 @@ def test_columnar_views_equal_per_call_code(joint, rhos):
 
 def test_float_masses_follow_the_2_53_rule():
     joint = JointPmf.from_marginal(Pmf.of([TINY_10, Fraction(1, 3), Fraction(2, 3) - TINY_10], exact=True))
-    law = build_two_hint(joint, 2, 1, 1).law
+    law = build_secret_key(joint, 1, 2).law  # two keys per x
     assert law.scale > 2**53
     assert law.mass.tolist() == [float(p) for p in law.values()]
     assert law.mass[:2].tolist() == [0.0, 0.0] and law.mass[2] > 0  # float-zero cells stay on the support

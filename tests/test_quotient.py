@@ -1,5 +1,5 @@
-"""Property tests: Bob and Eve priced on the pad quotient of a padded
-scheme's law equal Bob and Eve priced on the full realized law."""
+"""Property tests: Bob and Eve priced on a padded scheme's law, its pad
+quotient, equal Bob and Eve priced on the full realized law of the oracles."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hintlock import disks
-from hintlock.adversary import eve_exact_matching
+from hintlock.adversary import Law, eve_exact_matching
 from hintlock.bounds import list_room
 from hintlock.disks import build_delta_scheme, disk_sizes
 from hintlock.gf import rs_generator
@@ -34,8 +34,10 @@ def sources(draw, max_x: int = 8, max_y: int = 3):
 
 
 def assert_full_law_agrees(scheme, pads: int) -> None:
-    full = scheme.law.view(scheme.eve_positions)
-    assert len(scheme.quotient) * pads == len(scheme.law)  # one realization per (x, y)
+    law = oracles.full_law(scheme)
+    full = Law.coded(law).view(scheme.eve_positions)
+    support = len(list(scheme.joint.support_items()))
+    assert len(scheme.law) == support and len(law) == support * pads  # one realization per (x, y)
     for rho in RHOS:
         assert scheme.eve(rho) == pytest.approx(eve_exact_matching(full, rho), rel=1e-12)
 
@@ -43,8 +45,9 @@ def assert_full_law_agrees(scheme, pads: int) -> None:
 def assert_bob_agrees_with_full_law(scheme, pads: int) -> None:
     """Bob's moment on the quotient is the full law's min-max moment: the upper
     end of the bracket (each cell's worst rank over his views) or the list maximum."""
-    full = list(scheme.law.view(scheme.bob_positions))
-    assert len(scheme.quotient) * pads == len(scheme.law)
+    law = oracles.full_law(scheme)
+    full = list(Law.coded(law).view(scheme.bob_positions))
+    assert len(scheme.law) * pads == len(law)
     for rho in RHOS:
         if scheme.version == "guessing":
             expected = oracles.bob_minmax_bracket(full, rho)[1]
@@ -88,7 +91,7 @@ def test_delta_bob_quotient_equals_full_law(joint, params, version):
 def test_unpadded_schemes_price_eve_on_their_own_law():
     joint = random_joint(np.random.default_rng(2), 4, 2, exact=True)
     for scheme in (build_two_hint(joint, 1, 2, 2), build_delta_scheme(joint, 3, 2, 1, 2, 2, 0)):
-        assert scheme.quotient is scheme.law
+        assert list(scheme.law.items()) == list(oracles.full_law(scheme).items())  # one pad: the quotient is the law
 
 
 def test_quotient_of_a_dict_coded_law_prices_eve_as_the_built_scheme():
@@ -115,7 +118,7 @@ def tiny_rational_sources(draw, max_x: int):
 @given(tiny_rational_sources(3), st.integers(2, 3), st.integers(1, 2), st.integers(1, 2))
 def test_two_hint_quotient_equals_enumeration_on_the_full_law(joint, cs, c1, c2):
     scheme = build_two_hint(joint, cs, c1, c2)
-    full = scheme.law.view(scheme.eve_positions)
+    full = Law.coded(oracles.full_law(scheme)).view(scheme.eve_positions)
     for rho in RHOS:
         assert scheme.eve(rho) == pytest.approx(oracles.eve_exact_enumeration(full, rho, budget_bits=14), rel=1e-12)
 
@@ -124,7 +127,7 @@ def test_two_hint_quotient_equals_enumeration_on_the_full_law(joint, cs, c1, c2)
 @given(tiny_rational_sources(2), st.sampled_from([(3, 2, 1, 4, 2, 2), (3, 2, 1, 2, 0, 2)]))
 def test_delta_quotient_equals_enumeration_on_the_full_law(joint, params):
     scheme = build_delta_scheme(joint, *params)
-    full = scheme.law.view(scheme.eve_positions)
+    full = Law.coded(oracles.full_law(scheme)).view(scheme.eve_positions)
     for rho in RHOS:
         assert scheme.eve(rho) == pytest.approx(oracles.eve_exact_enumeration(full, rho, budget_bits=14), rel=1e-12)
 

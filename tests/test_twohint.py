@@ -47,7 +47,7 @@ def list_moment_given(law, obs, rho):
 def pad_pair_moment(scheme, rho):
     """Optimal moment of the pair (X, U) given Y; U is the uniform pad."""
     return grouped_moment(
-        ((y, (x, m2 // scheme.c2), float(p)) for (x, y, _, m2), p in scheme.law.items() if p > 0), rho
+        ((y, (x, m2 // scheme.c2), float(p)) for (x, y, _, m2), p in oracles.full_law(scheme).items() if p > 0), rho
     )
 
 
@@ -104,11 +104,12 @@ def typed_items(laws) -> list:
 def test_pad_coordinate_laws_equal_fraction_reference(exact, triple):
     joint = random_joint(np.random.default_rng(sum(triple)), 5, 3, exact=exact, zeros=0.2)
     s = build_two_hint(joint, *triple)
-    assert typed_items(s.pad_coordinate_laws()) == typed_items(oracles.pad_coordinate_laws(s))
-    law = dict(s.law)  # one mass off: the sums still agree
+    assert typed_items(s.pad_coordinate_laws()) == typed_items(oracles.pad_coordinate_laws(s, oracles.full_law(s)))
+    law = dict(s.law)  # one quotient mass off: its pads still agree with the full law spread from it
     law[next(iter(law))] += Fraction(1, 2**40) if exact else 2.0**-40
     off = dataclasses.replace(s, law=law)
-    assert typed_items(off.pad_coordinate_laws()) == typed_items(oracles.pad_coordinate_laws(off))
+    spread = oracles.two_hint_spread(off)
+    assert typed_items(off.pad_coordinate_laws()) == typed_items(oracles.pad_coordinate_laws(off, spread))
 
 
 def test_eve_examples_from_fixed_laws():
@@ -317,7 +318,8 @@ def test_remark_guessing_to_list_pipeline():
             a_g = s.bob(1.0, "guessing")
             ranks: dict = {}
             groups: dict = {}
-            for (x, y, m1, m2), p in s.law.items():
+            law = oracles.full_law(s)
+            for (x, y, m1, m2), p in law.items():
                 if p > 0:
                     groups.setdefault((y, m1, m2), []).append((x, p))
             for ctx, members in groups.items():
@@ -327,7 +329,7 @@ def test_remark_guessing_to_list_pipeline():
                     ranks[(ctx, x)] = r
             aug_law = {
                 (x, y, (m1, math.floor(math.log2(ranks[((y, m1, m2), x)]))), m2): p
-                for (x, y, m1, m2), p in s.law.items()
+                for (x, y, m1, m2), p in law.items()
             }
             a_l = list_moment_given(aug_law, lambda key: key[1:], 1.0)
             assert a_l <= a_g + 1e-12
@@ -363,3 +365,26 @@ def test_exponent_trend_finite_n():
     assert prev_bob == pytest.approx(1.0)
     rate = math.log2(floors[8]) / 8
     assert abs(rate - 1.0) <= 0.25
+
+
+def test_eve_keeps_her_value_at_a_hint_of_2_60_values():
+    # M1 = (v_s + U mod cs) * c1 + v1 stays below 2^62: no int64 code wraps
+    for c1 in (2, 1000, 2**60):
+        s = build_two_hint(U4, 4, c1, 1)
+        assert (s.eve(1.0), eve_ambiguity_weak(s, 1.0)) == (1.5, 2.5)
+
+
+def test_hint_alphabets_beyond_2_62_are_rejected():
+    from hintlock.twohint import TwoHintScheme
+
+    big = 2**62 // 4 + 1  # cs * big exceeds 2^62 at cs = 4
+    doc = build_two_hint(U4, 4, 1, 1).to_json().replace('"c1": 1', f'"c1": {big}')
+    for build in (
+        lambda: build_two_hint(U4, 4, big, 1),
+        lambda: build_two_hint(U4, 4, 1, big),
+        lambda: TwoHintScheme.from_json(doc),
+        lambda: build_secret_key(U4, big, 4),
+    ):
+        with pytest.raises(DomainError, match="exceeds 2\\^62"):
+            build()
+    build_secret_key(U4, big - 1, 4)  # c * |K| = 2^62 fits
