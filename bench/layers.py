@@ -41,6 +41,12 @@ run takes about 5 ms, and reports reference seconds per call:
 - `support_moment` on Bob's view, and Bob's guessing moment `scheme.bob(rho)`,
   both prepared (a tree that prices Bob on the pad quotient times that view).
 
+A third input times the exact order search of `distortion` at m = 8
+reconstructions, `brute_optimal_distortion_guessers` at rho = 1 on cli-cold's
+kind of config: a binary (0.7, 0.3) source, n = 3, Hamming distortion within
+Delta = 0.34.  A tree whose search ranks all 8! orders in a table and one
+whose search is the subset DP time the same call.
+
 The oracles layer (`--layer oracles`) times Eve's exact oracle, `scheme.eve(1.0)`,
 on a fresh scheme: the call pays for the scheme's Eve view, its slot graphs and
 the matching, and the build is not timed.  The schemes are
@@ -160,6 +166,15 @@ def _kernels(hl, joint, triple) -> dict:
     }
 
 
+def _order_search(hl) -> dict:
+    """name -> one call of the distortion order search at m = 8."""
+    from hintlock import distortion
+
+    joint = hl.JointPmf.from_marginal(hl.Pmf.of([0.7, 0.3]))
+    spec = hl.DistortionSpec.hamming(joint.x_alphabet, 0.34)
+    return {"order search": lambda: distortion.brute_optimal_distortion_guessers(spec, joint, 3, [RHO])}
+
+
 def kernels_child(reps: int) -> dict:
     """Reference seconds per call of each kernel, per input, one value per repetition."""
     import numpy as np
@@ -171,12 +186,15 @@ def kernels_child(reps: int) -> dict:
     sweep = [_kernels(hl, hl.random_joint(rng, 16, 32, exact=True), (4, 4, 4)) for _ in range(3)]
     small = _kernels(hl, hl.random_joint(np.random.default_rng(SEED), 6, 3, exact=True), (2, 2, 2))
     inputs = {"16x32 sweep sources (sum of three)": sweep, "6x3 table": [small]}
-    out = {name: {label: [] for label in inputs} for name in small}
+    inputs["binary n = 3, m = 8 reconstructions"] = [_order_search(hl)]
+    names = [*small, "order search"]
+    out = {name: {label: [] for label, kernels in inputs.items() if name in kernels[0]} for name in names}
     clock = [kernel_seconds()]
     for _ in range(reps):
         for name in list(out):
             try:
-                for label, kernels in inputs.items():
+                for label in out[name]:
+                    kernels = inputs[label]
                     total = 0.0
                     for kernel in (k[name] for k in kernels):
                         kernel()  # warm: a prepared kernel times its prepared path
@@ -412,7 +430,8 @@ def main(argv=None) -> int:
         record = {
             "layer": "kernels",
             "unit": "reference seconds (perfbench/calibrate.py) per call, summed over an input's sources",
-            "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints; one seeded 6x3 rational joint",
+            "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints; one seeded 6x3 rational joint;"
+            " the order search: a binary (0.7, 0.3) source, n = 3, Hamming Delta = 0.34",
             "rho": RHO,
         }
     elif args.layer == "e2e":

@@ -8,7 +8,10 @@ calculators.  Everything is exact or bracketed -- no Monte-Carlo estimates.
 `import hintlock` loads none of its modules: each public name below, and each
 module, is imported on its first use (PEP 562), so a program that needs only
 the entropy or guessing layer never loads the scheme, GF or rate-distortion
-code.
+code.  The source side (`prob`, `bounds`, `guessing`, `tasks`, `distortion`)
+runs on Python floats and loads no numpy, so neither do the `entropy`,
+`guess`, `task`, `distortion` and rates-only `exponent` commands; the scheme
+layer (`adversary`, `twohint`, `disks`, `gf`) and `exponents` use numpy.
 """
 
 import importlib as _importlib

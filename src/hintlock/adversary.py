@@ -22,19 +22,23 @@ Every scheme prices Bob and Eve and writes its report rows through one
 protocol, `SchemeCells` (`bob`, `eve`, `rows`), so no caller dispatches on a
 scheme's type.
 
-A view keeps, from first use, what the descending-posterior order fixes for
+The numpy kernels live here, the package's only array callers of them:
+`rank_groups` (the ranking rule on int columns, whose scalar form for
+sources is `guessing.optimal_guesser`), `group_starts`, and `power_terms` and
+`in_order`, which give `guessing.power_moment`'s terms and sum to the bit.  A
+view keeps, from first use, what the descending-posterior order fixes for
 every rho, grouped in numpy (unique, lexsort, add.at): per position the rank
 table of the one grouped kernel (`_rank_table` on int columns: context, key,
-mass, tie order, ranked by `guessing.rank_groups`); that Bob's positions group
-the cells alike; per `reduce` the mass and list size of each views tuple; Eve's
-components and slot graphs.  A rho then costs a t**rho table (Python's pow),
-one product per entry and one LAPJVsp solve per chunk of Eve's components.
-Sums keep the dict reference's order, so every float is its float: a
-(context, key) merge in entry order; in a context, descending masses in
-sequence; contexts, cells and views tuples in first-seen order, in sequence
-(`guessing.power_moment`); each of Eve's components by np.sum (pairwise), then
-the components in order, in sequence.  Rank ties go by repr(x).  Nothing is
-cached at module level.
+mass, tie order, ranked by `rank_groups`); that Bob's positions group the
+cells alike; per `reduce` the mass and list size of each views tuple; Eve's
+components and slot graphs.  A rho then costs a t**rho table (Python's pow
+on ints: numpy's own pow on an int64 can differ in the last bit), one product
+per entry and one LAPJVsp solve per chunk of Eve's components.  Sums keep the
+dict reference's order, so every float is its float: a (context, key) merge
+in entry order; in a context, descending masses in sequence; contexts, cells
+and views tuples in first-seen order, in sequence (`in_order`); each of Eve's
+components by np.sum (pairwise), then the components in order, in sequence.
+Rank ties go by repr(x).  Nothing is cached at module level.
 
 Both adversaries rest on two facts of every scheme built here.  Given y, any
 of Bob's views determines the descriptor and the pad, so all his views group
@@ -126,7 +130,6 @@ from math import inf
 import numpy as np
 
 from .bounds import theorem_rows
-from .guessing import group_starts, in_order, power_moment, power_terms, rank_groups
 from .prob import DomainError, common_denominator
 
 CHUNK_CELLS = 128  # the most cells of several components that share one LAPJVsp call
@@ -138,6 +141,41 @@ class Cell:
     prob: float
     x: object
     views: tuple  # hashable context ids, one per revealable subset
+
+
+def group_starts(keys: np.ndarray) -> np.ndarray:
+    """For sorted `keys`, the index where each entry's run of equal keys starts."""
+    idx = np.arange(len(keys))
+    return np.maximum.accumulate(np.where(np.r_[True, keys[1:] != keys[:-1]], idx, 0))
+
+
+def rank_groups(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, tie: np.ndarray):
+    """The distinct (context, key) pairs of the entries (codes context * len(tie) + key,
+    sorted), their masses merged in entry order, their ranks from 1 in each context
+    by descending mass (ties by `tie[key]`), and the pair of each entry."""
+    nk = len(tie)
+    keys, pair = np.unique(ctx * nk + key, return_inverse=True)
+    merged = np.zeros(len(keys))
+    np.add.at(merged, pair, mass)
+    order = np.lexsort((tie[keys % nk], -merged, keys // nk))
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys)) - group_starts(keys[order] // nk) + 1
+    return keys, merged, rank, pair
+
+
+def power_terms(masses, ks, rho: float) -> np.ndarray:
+    """mass * k**rho per pair of a mass and a nonnegative integer k, each term
+    the float `guessing.power_moment` adds (0**rho only where some k is 0):
+    the powers are Python's, on ints, never numpy's."""
+    ks = np.asarray(ks, dtype=np.int64)
+    low = int(ks.min(initial=1))
+    table = np.array([k**rho for k in range(low, int(ks.max(initial=0)) + 1)], dtype=float)
+    return np.asarray(masses, dtype=float) * table[ks - low]
+
+
+def in_order(terms) -> float:
+    """The sequential sum of `terms` in array order (np.sum adds pairwise): `guessing.in_order`'s float."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 def row_ids(*columns: np.ndarray) -> np.ndarray:
@@ -371,7 +409,7 @@ def support_moment(cells, rho: float, reduce=max) -> float:
     order, before the sizes are applied.
     """
     view = as_view(cells)
-    return power_moment(*view.prepared(("support", reduce), lambda v: _list_sizes(v, reduce)), rho)
+    return in_order(power_terms(*view.prepared(("support", reduce), lambda v: _list_sizes(v, reduce)), rho))
 
 
 def _list_sizes(view: CellView, reduce) -> tuple[np.ndarray, np.ndarray]:

@@ -13,12 +13,16 @@ rows (one per support (x, y) for the two-hint and delta-disk pad quotients;
 `disks`: times its C(delta, nu) + C(delta, eta) views, which also bound the
 eliminations of its structure checks; and its nu*delta generator cells; a
 rational eve-list: times epsilon's bits); the envelope's r-range;
-`distortion`'s n-tuples; and the functional's starts.
+`distortion`'s n-tuples, and its order search's 2^m * m steps per context
+tuple (m = |Xhat|^n); and the functional's starts.
 
 Each subcommand imports the modules it runs when it is dispatched, so a cold
 `entropy`, `guess`, `task` or rates-only `exponent` never loads the scheme,
 GF or rate-distortion code.  `entropy`, `task` and the rates-only `exponent`
-run only `prob`, `bounds` and `report`, so they never load numpy either.
+run only `prob`, `bounds` and `report`; `guess` adds `guessing`, and
+`distortion` adds `guessing`, `tasks` and `distortion`, which run on Python
+floats.  So none of these six loads numpy; `twohint`, `disks`, `verify-all`
+and an `exponent` with a `distortion` section do.
 """
 
 from __future__ import annotations
@@ -288,14 +292,21 @@ def _distortion_spec(joint: JointPmf, section: dict) -> DistortionSpec:
 
 
 def cmd_distortion(cfg: dict, args) -> list[ReportRow]:
-    from .distortion import brute_optimal_distortion_guessers, greedy_cover_guesser, tuple_product
+    from .distortion import (
+        brute_optimal_distortion_guessers,
+        greedy_cover_guesser,
+        order_search_steps,
+        tuple_product,
+    )
 
     joint = _load_source(cfg["source"], args)
     spec = _distortion_spec(joint, cfg["distortion"])
     n, rhos, bits = cfg["n"], cfg["rho"], args.budget.bit_length()  # k^n >= 2^n for k >= 2: no power of a large n
     tuples = sum(k ** min(n, bits) for k in (len(joint.x_alphabet) * len(joint.y_alphabet), len(spec.xhat_alphabet)))
     _gate(args, "the symbols in the n-tuples of X x Y and Xhat", n * tuples)
-    oracle = brute_optimal_distortion_guessers(spec, joint, n, rhos)  # one search over the orders for every rho
+    steps = order_search_steps(len(joint.y_alphabet) ** n, len(spec.xhat_alphabet) ** n, args.budget)
+    _gate(args, "the order search's 2^m*m steps per context tuple, m = |Xhat|^n,", steps)
+    oracle = brute_optimal_distortion_guessers(spec, joint, n, rhos, args.budget)  # one call for every rho
     greedy, big = greedy_cover_guesser(spec, joint, n), tuple_product(joint, n)
     rows = []
     for rho, (_, opt) in zip(rhos, oracle):

@@ -7,6 +7,24 @@ lands within Delta, and the reconstruction function records that first hit.
 Every distortion table must offer a zero-distortion reconstruction for each
 source symbol, which guarantees the scan terminates.
 
+The optimal order is found by a subset DP, not by ranking all m! orders of
+the m = |Xhat|^n reconstructions (Held and Karp 1962).  Each source tuple
+keeps the reconstructions within Delta of it as a bitmask.  The moment of an
+order depends on it only through its prefixes: with U(S) the mass of the
+source tuples that no guess in the set S covers, and S_k the first k guesses,
+
+    E[G^rho] = sum_k k^rho (U(S_{k-1}) - U(S_k)) = sum_{k>=0} ((k+1)^rho - k^rho) U(S_k).
+
+So the least moment from a guessed set S on is
+V(S) = ((|S|+1)^rho - |S|^rho) U(S) + min over h not in S of V(S + h), with
+V = 0 once U(S) = 0; a suffix pass over the 2^m subsets gives it in 2^m * m
+steps per context.  The order is read greedily from the empty set, each tie
+to the smallest index, which is the lexicographically first optimal order.
+Each U(S) is its uncovered masses added in index order, so reconstructions
+with equal balls tie exactly.  The chosen order's moment is then summed by
+`power_moment` over the source tuples in order.  The m! search is the
+reference in the tests.
+
 The rate-distortion task-encoding constructions below are the lossless ones
 of `tasks` (the rank remainder, `offset_refinement` and
 `shortest_lists_first`) applied to the success function's ranks.
@@ -17,14 +35,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
 
 from .guessing import GuessingFunction, in_order, power_moment, rank_row
 from .prob import BudgetExceededError, DomainError, JointPmf, product_pmf, tuple_alphabet
 from .tasks import offset_refinement, shortest_lists_first
 
 BALL_SLACK = 1e-12  # float-mode boundary slack for "within Delta"
+ORDER_BUDGET = 1 << 22  # the default bound on the order search's 2^m * m steps per context
 
 
 @dataclass(frozen=True)
@@ -89,7 +107,7 @@ class SuccessFunction:
 
     def moment(self, joint: JointPmf, rho: float) -> float:
         ranks = [self.ranks[(x, c)] for x in joint.x_alphabet for c in joint.y_alphabet]  # x-major
-        return power_moment(joint.masses.ravel(), ranks, rho)
+        return power_moment(chain.from_iterable(zip(*joint.columns)), ranks, rho)
 
     def to_json(self) -> str:
         return json.dumps({repr(k): v for k, v in sorted(self.ranks.items(), key=repr)})
@@ -114,66 +132,91 @@ def success_function(
     return SuccessFunction(ghat, spec, ranks, recon, certified)
 
 
-def _ball_matrix(x_tuples, xhat_tuples, spec: DistortionSpec) -> np.ndarray:
-    return np.array([[within(x, xh, spec) for xh in xhat_tuples] for x in x_tuples])
+def _balls(x_tuples, xhat_tuples, spec: DistortionSpec) -> list[int]:
+    """Per source tuple, the bitmask of the reconstructions within Delta of it (bit h: xhat_tuples[h])."""
+    return [sum(1 << h for h, xh in enumerate(xhat_tuples) if within(x, xh, spec)) for x in x_tuples]
 
 
-def _permutation_table(n: int) -> np.ndarray:
-    """Every order of range(n), one per row, in `itertools.permutations`'
-    (lexicographic) order: the table for n - 1 behind each leading element in
-    turn, its entries at or above that element shifted up by one."""
-    perms = np.zeros((1, 0), dtype=np.int64)
-    for k in range(1, n + 1):
-        lead = np.repeat(np.arange(k), len(perms))[:, None]
-        rest = np.tile(perms, (k, 1))
-        perms = np.hstack([lead, rest + (rest >= lead)])
-    return perms
+def order_search_steps(contexts: int, m: int, budget: int) -> int:
+    """The subset DP's 2^m * m steps for each of `contexts` contexts; past
+    `budget`'s bit length, 2^m is cut to a power of two that already exceeds it."""
+    return contexts * (m << min(m, budget.bit_length()))
 
 
-def _best_orders(balls: np.ndarray, columns, rhos) -> list:
-    """Per rho, per column of source masses, the guessing order of the
-    reconstructions with the least moment, and that moment: one search over
-    every order serves all rho, since only the position^rho weights depend on it."""
-    perms = _permutation_table(balls.shape[1])
-    positions = (balls[:, perms].argmax(axis=2) + 1).astype(float)  # each order's first within-Delta position
-    best = []
-    for rho in rhos:
-        weights = positions**rho
-        per_column = []
-        for col in columns:
-            moments = (col[:, None] * weights).sum(axis=0)
-            k = int(moments.argmin())
-            per_column.append((perms[k], float(moments[k])))
-        best.append(per_column)
+def _optimal_orders(balls: list[int], m: int, columns, rhos) -> list:
+    """Per rho, per column of source masses, an order of the m reconstructions
+    with the least moment, and that moment: the subset DP of the module docstring."""
+    full = (1 << m) - 1
+    covers = [sum(1 << i for i, ball in enumerate(balls) if ball >> h & 1) for h in range(m)]
+    free = [(1 << len(balls)) - 1] * (full + 1)  # the source tuples no guess in S covers
+    for s in range(1, full + 1):
+        low = s & -s
+        free[s] = free[s ^ low] & ~covers[low.bit_length() - 1]
+    sizes = [s.bit_count() for s in range(full + 1)]
+    best: list = [[] for _ in rhos]
+    for col in columns:
+        mass = {}  # uncovered mass per set of source tuples, added in index order
+        for f in free:
+            if f not in mass:
+                total, rest = 0.0, f
+                while rest:
+                    low = rest & -rest
+                    total += col[low.bit_length() - 1]
+                    rest ^= low
+                mass[f] = total
+        left = [mass[f] for f in free]
+        for per_rho, rho in zip(best, rhos):
+            order = _dp_order(left, sizes, m, rho)
+            rank = rank_row(order)
+            positions = [min(rank[h] for h in range(m) if ball >> h & 1) for ball in balls]
+            per_rho.append((order, power_moment(col, positions, rho)))
     return best
 
 
-def brute_optimal_distortion_guessers(
-    spec: DistortionSpec, joint: JointPmf, n: int, rhos, budget: int = 8
-) -> list[tuple[SuccessFunction, float]]:
-    """Exact factorial search over reconstruction orderings, one per rho in
-    `rhos`; |Xhat|^n <= budget.
+def _dp_order(left: list, sizes: list, m: int, rho: float) -> list:
+    """The lexicographically first order of least moment, given the uncovered
+    mass `left[S]` and size `sizes[S]` of every guessed set S."""
+    full, bits = len(left) - 1, [1 << h for h in range(m)]
+    weight = [(k + 1) ** rho - k**rho for k in range(m)]
+    cost = [0.0] * (full + 1)  # V(S): 0 once nothing is left uncovered
+    for s in range(full - 1, -1, -1):
+        if left[s] > 0:
+            cost[s] = weight[sizes[s]] * left[s] + min([cost[s | b] for b in bits if not s & b])
+    order, s = [], 0
+    while s != full:
+        h = min((h for h in range(m) if not s >> h & 1), key=lambda h: cost[s | 1 << h])  # the first least
+        order.append(h)
+        s |= 1 << h
+    return order
 
-    This is the independent oracle every other distortion routine is checked
-    against.  Contexts are optimized separately (the objective is additive),
-    and one pass over the orders serves every rho.
+
+def brute_optimal_distortion_guessers(
+    spec: DistortionSpec, joint: JointPmf, n: int, rhos, budget: int = ORDER_BUDGET
+) -> list[tuple[SuccessFunction, float]]:
+    """Exact optimal reconstruction orderings, one per rho in `rhos`, by the
+    subset DP; its 2^m * m steps per context, m = |Xhat|^n, at most `budget`.
+
+    Every other distortion routine is checked against it, and it against the
+    factorial search in the tests.  Contexts are optimized separately (the
+    objective is additive), and the uncovered masses serve every rho.
     """
     if not all(rho > 0 for rho in rhos):
         raise DomainError("rho must be > 0")
     big = tuple_product(joint, n)
+    m = len(spec.xhat_alphabet) ** n
+    if order_search_steps(len(big.y_alphabet), m, budget) > budget:
+        raise BudgetExceededError(f"the order search's 2^m*m steps per context, m = {m}, exceed budget {budget}")
     xhat_tuples = tuple_alphabet(spec.xhat_alphabet, n)
-    if len(xhat_tuples) > budget:
-        raise BudgetExceededError(f"|Xhat|^n = {len(xhat_tuples)} exceeds budget {budget}")
-    balls = _ball_matrix(big.x_alphabet, xhat_tuples, spec)
+    balls = _balls(big.x_alphabet, xhat_tuples, spec)
     out = []
-    for best in _best_orders(balls, big.masses.T, rhos):  # per rho, one row per context
+    for best in _optimal_orders(balls, m, big.columns, rhos):  # per rho, one row per context
         ghat = GuessingFunction(xhat_tuples, big.y_alphabet, tuple(rank_row(order) for order, _ in best))
         out.append((success_function(ghat, spec, big, certified=True), in_order([moment for _, moment in best])))
     return out
 
 
 def brute_optimal_distortion_guesser(
-    spec: DistortionSpec, joint: JointPmf, n: int, rho: float, budget: int = 8
+    spec: DistortionSpec, joint: JointPmf, n: int, rho: float, budget: int = ORDER_BUDGET
 ) -> tuple[SuccessFunction, float]:
     """`brute_optimal_distortion_guessers` at one rho."""
     return brute_optimal_distortion_guessers(spec, joint, n, [rho], budget)[0]
@@ -181,23 +224,24 @@ def brute_optimal_distortion_guesser(
 
 def greedy_cover_guesser(spec: DistortionSpec, joint: JointPmf, n: int) -> SuccessFunction:
     """Heuristic: repeatedly guess the reconstruction covering the most
-    remaining posterior mass (ties by index).  Not certified optimal; measure
-    its gap against the brute-force oracle where that is feasible."""
+    remaining posterior mass (ties by index; each cover added in index order).
+    Not certified optimal; measure its gap against the exact order search."""
     big = tuple_product(joint, n)
     xhat_tuples = tuple_alphabet(spec.xhat_alphabet, n)
-    balls = _ball_matrix(big.x_alphabet, xhat_tuples, spec)
+    balls = _balls(big.x_alphabet, xhat_tuples, spec)
     nh = len(xhat_tuples)
+    covers = [[i for i, ball in enumerate(balls) if ball >> h & 1] for h in range(nh)]
     rank_rows = []
-    for col in big.masses.T:
-        remaining = col.copy()
+    for col in big.columns:
+        remaining = list(col)
         order = []
         unused = list(range(nh))
-        while remaining.sum() > 0 and unused:
-            cover = [(float(remaining[balls[:, h]].sum()), h) for h in unused]
-            _, h = max(cover, key=lambda t: (t[0], -t[1]))
+        while unused and any(p > 0 for p in remaining):
+            h = max(unused, key=lambda h: in_order([remaining[i] for i in covers[h]]))  # the first largest
             order.append(h)
             unused.remove(h)
-            remaining = np.where(balls[:, h], 0.0, remaining)
+            for i in covers[h]:
+                remaining[i] = 0.0
         order.extend(unused)
         rank_rows.append(rank_row(order))
     ghat = GuessingFunction(xhat_tuples, big.y_alphabet, tuple(rank_rows))
@@ -232,7 +276,7 @@ def rd_side_info_encoder(
     big = tuple_product(joint, n)
     enc = {(x, c): (sf.ranks[(x, c)] - 1) % z_count for c in big.y_alphabet for x in big.x_alphabet}
     ceils = [math.ceil(sf.ranks[(x, c)] / z_count) for x in big.x_alphabet for c in big.y_alphabet]  # x-major
-    ceil_target = power_moment(big.masses.ravel(), ceils, rho)
+    ceil_target = power_moment(chain.from_iterable(zip(*big.columns)), ceils, rho)
     achieved = _optimal_rd_moment_given(big, sf.spec, enc, rho)
     floor = z_count ** (-rho) * sf.moment(big, rho)
     report = {"achieved": achieved, "ceil_target": ceil_target, "floor": max(1.0, floor)}
@@ -240,24 +284,18 @@ def rd_side_info_encoder(
 
 
 def _optimal_rd_moment_given(big: JointPmf, spec: DistortionSpec, enc: dict, rho: float) -> float:
-    """Exact optimal distortion-guessing moment given (ctx, Z): brute per cell group."""
+    """Exact optimal distortion-guessing moment given (ctx, Z): the order search per cell group."""
     xhat_tuples = tuple_alphabet(spec.xhat_alphabet, len(big.x_alphabet[0]))
-    balls = _ball_matrix(big.x_alphabet, xhat_tuples, spec)
-    xi = {x: i for i, x in enumerate(big.x_alphabet)}
-    groups: dict = {}
-    for x, row in zip(big.x_alphabet, big.masses.tolist()):
-        for c, p in zip(big.y_alphabet, row):
+    nx, groups = len(big.x_alphabet), {}  # (ctx, z) -> its column of masses
+    for i, (x, row) in enumerate(zip(big.x_alphabet, big.table)):
+        for j, (c, p) in enumerate(zip(big.y_alphabet, row)):
             if p > 0:
-                groups.setdefault((c, enc[(x, c)]), []).append((x, p))
-    if math.factorial(len(xhat_tuples)) > 50000:
+                groups.setdefault((c, enc[(x, c)]), [0.0] * nx)[i] += big.columns[j][i]
+    m = len(xhat_tuples)
+    if order_search_steps(len(groups), m, ORDER_BUDGET) > ORDER_BUDGET:
         raise BudgetExceededError("refined-context oracle needs |Xhat|^n small")
-    columns = []
-    for members in groups.values():
-        col = np.zeros(len(big.x_alphabet))
-        for x, p in members:
-            col[xi[x]] += p
-        columns.append(col)
-    return in_order([moment for _, moment in _best_orders(balls, columns, [rho])[0]])
+    balls = _balls(big.x_alphabet, xhat_tuples, spec)
+    return in_order([moment for _, moment in _optimal_orders(balls, m, groups.values(), [rho])[0]])
 
 
 def rd_encoder_from_guessing(
@@ -274,12 +312,12 @@ def rd_encoder_from_guessing(
     enc: dict = {}
     lists: dict = {}
     held = []  # (mass, list) of each positive-mass (x, ctx), x-major
-    for x, row in zip(big.x_alphabet, big.masses.tolist()):
-        for c, p in zip(big.y_alphabet, row):
+    for x, row, floats in zip(big.x_alphabet, big.table, zip(*big.columns)):
+        for c, p, w in zip(big.y_alphabet, row, floats):
             z = enc[(x, c)] = describe(sf.ranks[(x, c)])
             if p > 0:
                 lists.setdefault((c, z), set()).add(sf.recon[(x, c)])
-                held.append((p, (c, z)))
+                held.append((w, (c, z)))
     lists = {k: tuple(sorted(v, key=repr)) for k, v in lists.items()}
     return enc, lists, power_moment([p for p, _ in held], [len(lists[k]) for _, k in held], rho)
 
@@ -294,7 +332,7 @@ def rd_guessing_from_lists(
     list (fidelity); violations raise DomainError.
     """
     big = tuple_product(joint, n)
-    for x, row in zip(big.x_alphabet, big.masses.tolist()):
+    for x, row in zip(big.x_alphabet, big.table):
         for c, p in zip(big.y_alphabet, row):
             if p > 0:
                 members = lists.get((c, enc[(x, c)]), ())

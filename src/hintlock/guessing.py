@@ -2,12 +2,16 @@
 
 A guessing function assigns, per observed context, a permutation rank to every
 source symbol; the rho-th guessing moment E[G(X|ctx)^rho] is the ambiguity
-measure used throughout.  `rank_groups` is the one ranking rule: by
-descending posterior within a context, ties broken by a given order -- symbol
-index for sources (zero-posterior symbols rank after positive ones), repr(x)
-in the adversary layer.  Ties never change a moment, but can change a cell's
-rank and so Bob's upper end.  Every expected power of a rank or list size is
-summed by `power_moment`.
+measure used throughout.  The ranking rule is by descending posterior within a
+context, ties broken by a given order.  It is written twice: here, for
+sources, as a stable sort of each of `JointPmf.columns` (ties by symbol index,
+so zero-posterior symbols rank after positive ones), and in `adversary`, for
+realized laws, as `adversary.rank_groups` on numpy columns (ties by repr(x)).
+Ties never change a moment, but can change a cell's rank and so Bob's upper
+end.  Every expected power of a rank or list size on the source side is summed
+by `power_moment`, on Python floats, so this module, `tasks` and `distortion`
+load no numpy; the adversary keeps its numpy kernels, whose terms and sums
+are this module's floats.
 """
 
 from __future__ import annotations
@@ -15,11 +19,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import chain
+from typing import TYPE_CHECKING
 
 from .bounds import bob_converse
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -57,30 +64,10 @@ def optimal_guesser(joint: JointPmf) -> GuessingFunction:
     `joint` is a JointPmf whose Y axis plays the role of the conditioning
     context.  Contexts of zero mass get the same deterministic index order.
     """
-    nx, ny = joint.masses.shape
-    ctx, key = np.divmod(np.arange(ny * nx), nx)  # y-major
-    rank = rank_groups(ctx, key, joint.masses.T.ravel(), np.arange(nx))[2]
-    return GuessingFunction(joint.x_alphabet, joint.y_alphabet, rank.reshape(ny, nx).tolist())
-
-
-def group_starts(keys: np.ndarray) -> np.ndarray:
-    """For sorted `keys`, the index where each entry's run of equal keys starts."""
-    idx = np.arange(len(keys))
-    return np.maximum.accumulate(np.where(np.r_[True, keys[1:] != keys[:-1]], idx, 0))
-
-
-def rank_groups(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, tie: np.ndarray):
-    """The distinct (context, key) pairs of the entries (codes context * len(tie) + key,
-    sorted), their masses merged in entry order, their ranks from 1 in each context
-    by descending mass (ties by `tie[key]`), and the pair of each entry."""
-    nk = len(tie)
-    keys, pair = np.unique(ctx * nk + key, return_inverse=True)
-    merged = np.zeros(len(keys))
-    np.add.at(merged, pair, mass)
-    order = np.lexsort((tie[keys % nk], -merged, keys // nk))
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[order] = np.arange(len(keys)) - group_starts(keys[order] // nk) + 1
-    return keys, merged, rank, pair
+    nx = len(joint.x_alphabet)
+    # a stable sort: reverse=True keeps equal masses in index order
+    ranks = [rank_row(sorted(range(nx), key=col.__getitem__, reverse=True)) for col in joint.columns]
+    return GuessingFunction(joint.x_alphabet, joint.y_alphabet, ranks)
 
 
 def rank_row(order) -> tuple:
@@ -95,35 +82,34 @@ def guess_moment(g: GuessingFunction, joint: JointPmf, rho: float) -> float:
     """E[G(X|ctx)^rho] under the joint law."""
     if g.x_alphabet != joint.x_alphabet or g.context_alphabet != joint.y_alphabet:
         raise DomainError("guessing function defined on different alphabets")
-    return power_moment(joint.masses.T.ravel(), np.array(g.ranks).ravel(), rho)  # y-major
+    return power_moment(chain.from_iterable(joint.columns), chain.from_iterable(g.ranks), rho)  # y-major
 
 
-def power_terms(masses, ks, rho: float) -> np.ndarray:
-    """mass * k**rho per pair of a mass and a nonnegative integer k, each term
-    the float Python's `mass * k**rho` gives (0**rho only where some k is 0)."""
-    ks = np.asarray(ks, dtype=np.int64)
-    low = int(ks.min(initial=1))
-    table = np.array([k**rho for k in range(low, int(ks.max(initial=0)) + 1)], dtype=float)
-    return np.asarray(masses, dtype=float) * table[ks - low]
-
-
-def in_order(terms: np.ndarray) -> float:
-    """The sequential sum of `terms` in array order (np.sum adds pairwise)."""
-    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+def in_order(terms) -> float:
+    """The sum of `terms` added one by one, left to right (from Python 3.12 `sum` compensates)."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 def power_moment(masses, ks, rho: float) -> float:
     """Sum of mass * k**rho over paired masses and nonnegative integers ks,
-    added left to right: a loop that adds the terms one by one gives its float."""
-    return in_order(power_terms(masses, ks, rho))
+    added left to right: float(mass) * int(k)**rho, the power Python's (a
+    numpy integer's own power can differ in the last bit), each once per k."""
+    total, powers = 0.0, {}
+    for m, k in zip(masses, ks):
+        if k not in powers:
+            powers[k] = int(k) ** rho
+        total += float(m) * powers[k]
+    return total
 
 
 def sorted_moment(masses, rho: float) -> float:
     """Sum of p * rank^rho over masses guessed in descending order.
 
-    The scalar form of `power_moment` for one context, where a numpy call
-    would cost more than the sum.  Terms are added in sequence (from Python
-    3.12 `sum` compensates).
+    The scalar form of `power_moment` for one context's optimal order.
+    Terms are added in sequence.
     """
     total = 0.0
     for r, p in enumerate(sorted(masses, reverse=True), start=1):
@@ -163,8 +149,8 @@ def side_info_encoder(joint: JointPmf, z_count: int) -> dict:
 
 def ceil_moment(joint: JointPmf, z_count: int, rho: float) -> float:
     """E[ceil(G*(X|ctx)/z_count)^rho] for the optimal guesser."""
-    ceil = -(-np.array(optimal_guesser(joint).ranks) // z_count)
-    return power_moment(joint.masses.T.ravel(), ceil.ravel(), rho)  # y-major
+    ceils = (-(-r // z_count) for r in chain.from_iterable(optimal_guesser(joint).ranks))
+    return power_moment(chain.from_iterable(joint.columns), ceils, rho)  # y-major
 
 
 def side_info_lower_bound(joint: JointPmf, z_count: int, rho: float) -> float:
@@ -184,6 +170,8 @@ def random_joint(
     With `exact=True` the float draw is snapped to a rational grid so support
     logic stays exact downstream.
     """
+    import numpy as np
+
     w = rng.dirichlet(np.ones(nx * nctx))
     if zeros > 0.0:
         mask = rng.random(nx * nctx) < zeros

@@ -6,9 +6,10 @@ exact zeros decide supports: decoding lists, independence checks, and pad
 secrecy all compare against exact zero, never against a tolerance.  So a
 `JointPmf`'s `table` is exact and decides supports.  Its floats are converted
 once, float(p) per entry (a positive Fraction below the float range is 0.0),
-into `columns`, Python floats per context, which the entropies read; `masses`
-is the same floats as a numpy array for the kernels.  This module imports
-numpy only when `masses` is first read, so the entropy layer runs without it.
+into `columns`, Python floats per context, which the entropies and the
+guessing layer read; `masses` is the same floats as a numpy array for the
+rate-distortion solvers in `exponents`.  This module imports numpy only when
+`masses` is first read, so the source side runs without it.
 
 All entropies are in bits (log base 2).  The conditional Renyi entropy of
 order alpha is
@@ -27,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:
@@ -331,10 +332,7 @@ def kl_divergence(q: JointPmf | Pmf, p: JointPmf | Pmf) -> float:
 
 def tuple_alphabet(alphabet, n: int) -> tuple:
     """All n-tuples over `alphabet`, in lexicographic order of positions."""
-    out = [()]
-    for _ in range(n):
-        out = [t + (s,) for t in out for s in alphabet]
-    return tuple(out)
+    return tuple(product(alphabet, repeat=n))
 
 
 def product_pmf(joint: JointPmf, n: int, budget: int = 1 << 22) -> JointPmf:

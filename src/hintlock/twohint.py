@@ -26,9 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .adversary import CellView, Law, SchemeCells, moment_for_constant, support_moment
+from .adversary import CellView, Law, SchemeCells, moment_for_constant, rank_groups, support_moment
 from .bounds import bob_converse, bob_direct, list_room, two_hint_exponents  # the last one is re-exported
-from .guessing import rank_groups
 from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from .report import ReportRow
 from .tasks import descriptor_map

@@ -22,8 +22,9 @@ from hintlock import adversary
 from hintlock.adversary import Cell
 from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, variational_optimum
+from hintlock.adversary import rank_groups
 from hintlock.gf import field_make, rs_generator
-from hintlock.guessing import rank_groups, rank_row, sorted_moment
+from hintlock.guessing import rank_row, sorted_moment
 from hintlock.prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from hintlock.tasks import StochTaskEncoder, descriptor_map
 
@@ -706,6 +707,53 @@ def random_stoch_encoder(rng, joint: JointPmf, z_count: int, exact: bool = True)
                 row = {z_alphabet[z]: float(w) / denom for z, w in zip(chosen, weights)}
             rows[(x, c)] = row
     return StochTaskEncoder(joint.x_alphabet, joint.y_alphabet, z_alphabet, rows)
+
+
+# ---------------------------------------------------------------------------
+# Distortion: the factorial order search that the subset DP replaced.
+# ---------------------------------------------------------------------------
+
+
+def permutation_table(n: int) -> np.ndarray:
+    """Every order of range(n), one per row, in `itertools.permutations`'
+    (lexicographic) order: the table for n - 1 behind each leading element in
+    turn, its entries at or above that element shifted up by one."""
+    perms = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, n + 1):
+        lead = np.repeat(np.arange(k), len(perms))[:, None]
+        rest = np.tile(perms, (k, 1))
+        perms = np.hstack([lead, rest + (rest >= lead)])
+    return perms
+
+
+def table_orders(balls: np.ndarray, columns, rhos) -> list:
+    """Per rho, per column of source masses, the order of the reconstructions
+    with the least moment and that moment, over every order: the argmin of
+    the lexicographic table, so the first of exactly tied orders.  `balls` is
+    the |X| x m within-Delta matrix; one table serves every rho."""
+    perms = permutation_table(balls.shape[1])
+    positions = (balls[:, perms].argmax(axis=2) + 1).astype(float)  # each order's first within-Delta position
+    best = []
+    for rho in rhos:
+        weights = positions**rho
+        per_column = []
+        for col in columns:
+            moments = (np.asarray(col)[:, None] * weights).sum(axis=0)
+            k = int(moments.argmin())
+            per_column.append((perms[k], float(moments[k])))
+        best.append(per_column)
+    return best
+
+
+def table_near_optima(balls: np.ndarray, col, rho: float, rel: float) -> tuple:
+    """(the table's least moment, the distinct first-hit position vectors of
+    the orders within `rel` relative of it)."""
+    perms = permutation_table(balls.shape[1])
+    positions = balls[:, perms].argmax(axis=2) + 1
+    moments = (np.asarray(col)[:, None] * positions.astype(float) ** rho).sum(axis=0)
+    least = float(moments.min())
+    near = positions[:, moments <= least + rel * least]
+    return least, {tuple(v) for v in near.T.tolist()}
 
 
 # ---------------------------------------------------------------------------

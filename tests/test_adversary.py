@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hintlock.adversary import Cell, eve_exact_matching, moment_for_constant, row_ids
+from hintlock.adversary import Cell, eve_exact_matching, moment_for_constant, row_ids, support_moment
 from hintlock.disks import build_delta_scheme, unequal_converse_rows, verify_disk_theorems
 from hintlock.guessing import random_joint
 from hintlock.prob import BudgetExceededError, DomainError
@@ -171,3 +171,53 @@ def test_row_ids_of_wide_columns_stay_exact():
     # the ids order rows as tuples do
     rows = list(zip(y.tolist(), wide.tolist()))
     assert ids == [sorted(rows).index(r) for r in rows]
+
+
+PINNED_SCHEMES = {  # a scheme built on a seeded joint
+    "two-hint 5x3 float": lambda: build_two_hint(random_joint(np.random.default_rng(11), 5, 3, zeros=0.2), 4, 4, 4),
+    "two-hint 6x2 rational list": lambda: build_two_hint(
+        random_joint(np.random.default_rng(12), 6, 2, exact=True), 4, 4, 4, "list"
+    ),
+    "secret-key 4x3 rational": lambda: build_secret_key(
+        random_joint(np.random.default_rng(13), 4, 3, exact=True, zeros=0.2), 2, 2
+    ),
+    "delta-disk 6x3 float": lambda: build_delta_scheme(random_joint(np.random.default_rng(14), 6, 3), 4, 2, 1, 4, 2, 2),
+}
+# Per rho in (0.5, 1, 2.5): Eve's view-0 guessing moment, Bob's max-list and
+# Eve's min-list moments, and Eve's matching value, as recorded when the numpy
+# kernels moved from `guessing` into `adversary`.
+PINNED_HEX = {
+    "two-hint 5x3 float": [
+        "0x1.4b9fdd08aa852p+0", "0x1.fffffffffffffp-1", "0x1.f7f48dfb4a811p+0", "0x1.1918f51063604p+0",
+        "0x1.cd1b8ade22917p+0", "0x1.fffffffffffffp-1", "0x1.f3eed4f8efc19p+1", "0x1.3c973810ca966p+0",
+        "0x1.c4e5791a6b37dp+2", "0x1.fffffffffffffp-1", "0x1.f069d316e05a0p+4", "0x1.0d14be39f6a22p+1",
+    ],
+    "two-hint 6x2 rational list": [
+        "0x1.4fb9d8caa13c0p+0", "0x1.0000000000000p+0", "0x1.fad86e938d8f5p+0", "0x1.18beff9547220p+0",
+        "0x1.d525ee3c00000p+0", "0x1.0000000000000p+0", "0x1.f7335b3e00000p+1", "0x1.3bbe09fb00000p+0",
+        "0x1.c1abe23da8d63p+2", "0x1.0000000000000p+0", "0x1.f1832481e363dp+4", "0x1.0b1b0e230e43fp+1",
+    ],
+    "secret-key 4x3 rational": [
+        "0x1.26f71870ce1bfp+0", "0x1.0000000000000p+0", "0x1.60d5a05cd5f5dp+0", "0x1.26f71870ce1bfp+0",
+        "0x1.5e1202c200000p+0", "0x1.0000000000000p+0", "0x1.e9c773ca00000p+0", "0x1.5e1202c200000p+0",
+        "0x1.5b0935049c37cp+1", "0x1.0000000000000p+0", "0x1.502b373455f5dp+2", "0x1.5b0935049c37cp+1",
+    ],
+    "delta-disk 6x3 float": [
+        "0x1.82554134828f7p+0", "0x1.fffffffffffffp-1", "0x1.ee34036ddfe70p+0", "0x1.0000000000000p+0",
+        "0x1.3d583fe16a7ecp+1", "0x1.fffffffffffffp-1", "0x1.e19e71c25f2bep+1", "0x1.0000000000000p+0",
+        "0x1.03eb9d6c2b262p+4", "0x1.fffffffffffffp-1", "0x1.cdfaab7f06bbcp+4", "0x1.0000000000000p+0",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SCHEMES)
+def test_adversary_values_keep_their_bits(name):
+    scheme, values = PINNED_SCHEMES[name](), []
+    for rho in (0.5, 1.0, 2.5):
+        values += [
+            moment_for_constant(scheme.eve_cells, 0, rho),
+            support_moment(scheme.bob_cells, rho),
+            support_moment(scheme.eve_cells, rho, min),
+            eve_exact_matching(scheme.eve_cells, rho),
+        ]
+    assert [v.hex() for v in values] == PINNED_HEX[name]

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,7 +80,7 @@ NOT_LOADED = SCHEME_MODULES | {"distortion", "exponents"}  # by entropy, guess, 
 # command, its config, the hintlock modules it must not load, and whether it may load numpy
 LEAN_COMMANDS = {
     "entropy": ["entropy", {"source": {"uniform": 4}, "rho": [0.5, 2]}, NOT_LOADED, False],
-    "guess": ["guess", {"source": {"uniform": 4}, "z_count": 2}, NOT_LOADED, True],
+    "guess": ["guess", {"source": {"uniform": 4}, "z_count": 2}, NOT_LOADED, False],
     "task": ["task", {"source": {"uniform": 4}, "z_count": 4}, NOT_LOADED, False],
     "exponent-two-hint": [
         "exponent",
@@ -97,7 +98,7 @@ LEAN_COMMANDS = {
         "distortion",
         {"source": {"x": [0, 1], "p": [0.7, 0.3]}, "rho": [0.5, 1, 2], "n": 2, "distortion": {"hamming": True}},
         SCHEME_MODULES | {"exponents"},
-        True,
+        False,
     ],
 }
 
@@ -132,6 +133,11 @@ def test_import_hintlock_loads_no_module():
 def test_entropy_layer_loads_no_numpy():
     loaded, numpy = _loaded_modules("import json, sys, hintlock.prob, hintlock.bounds, hintlock.cli")
     assert loaded == {"prob", "bounds", "report", "cli"} and not numpy
+
+
+def test_source_side_loads_no_numpy():
+    loaded, numpy = _loaded_modules("import json, sys, hintlock.guessing, hintlock.tasks, hintlock.distortion")
+    assert loaded == {"prob", "bounds", "report", "guessing", "tasks", "distortion"} and not numpy
 
 
 def test_entropy_at_orders_beyond_the_float_range(capsys):
@@ -252,6 +258,35 @@ def test_distortion_command(capsys):
                       "distortion": {"hamming": True, "delta": 0.0}})
     code, out, _ = run(capsys, "distortion", cfg)
     assert code == 0 and "greedy-above-oracle" in out
+
+
+def test_distortion_beyond_eight_reconstructions(capsys):
+    # the subset DP takes 2^m * m steps per context: ternary n = 2 (m = 9) and
+    # binary n = 4 (m = 16, 16! orders) fit the default budget
+    ternary = {"source": {"x": [0, 1, 2], "p": [0.5, 0.3, 0.2]}, "n": 2, "distortion": {"hamming": True, "delta": 0.5}}
+    code, out, _ = run(capsys, "distortion", json.dumps(ternary))
+    assert code == 0 and "greedy-above-oracle" in out
+    binary = {"source": {"x": [0, 1], "p": [0.7, 0.3]}, "rho": [0.5, 1, 2], "n": 4, "distortion": {"hamming": True}}
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "distortion", json.dumps(binary))
+    assert code == 0 and out.count("greedy-above-oracle") == 3
+    assert time.perf_counter() - start < 2.0
+
+
+def test_distortion_builds_long_tuples_in_linear_time(capsys):
+    # n symbols of a one-symbol source pass the n-tuple gate; building the
+    # tuples one position at a time copied them n times (30,000 took seconds)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "distortion", json.dumps({"source": {"uniform": 1}, "n": 30000}))
+    assert code == 0 and "greedy-above-oracle" in out
+    assert time.perf_counter() - start < 1.0
+
+
+def test_distortion_order_search_is_gated(capsys):
+    binary = {"source": {"x": [0, 1], "p": [0.7, 0.3]}, "n": 4, "distortion": {"hamming": True}}
+    code, out, err = run(capsys, "distortion", json.dumps(binary), "--budget", str(16 * 2**16 - 1))
+    assert code == 2 and out == "" and "order search" in err and len(err.splitlines()) == 1
+    assert run(capsys, "distortion", json.dumps(binary), "--budget", str(16 * 2**16))[0] == 0
 
 
 def test_exponent_command_negative_infinity(capsys):

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from hintlock.distortion import (
     DistortionSpec,
-    _best_orders,
-    _permutation_table,
+    _optimal_orders,
     avg_distortion,
     brute_optimal_distortion_guesser,
     brute_optimal_distortion_guessers,
@@ -25,6 +24,7 @@ from hintlock.distortion import (
 from hintlock.guessing import optimal_guess_moment, optimal_guesser, random_joint
 from hintlock.prob import BudgetExceededError, DomainError, JointPmf, Pmf, product_pmf
 from hintlock.tasks import s_alphabet_size
+from oracles import permutation_table, table_near_optima, table_orders
 
 J3 = JointPmf.from_marginal(Pmf.of([0.5, 0.3, 0.2]))
 ASYM = DistortionSpec((0, 1, 2), (0, 1, 2), ((0.0, 0.4, 1.0), (0.9, 0.0, 0.4), (0.3, 1.1, 0.0)), 0.35)
@@ -103,9 +103,14 @@ def test_moment_monotone_in_delta():
 
 
 def test_brute_budget():
+    # the order search takes 2^m * m steps per context, m = |Xhat|^n: 9 * 2^9 for ternary n = 2
     spec = DistortionSpec.hamming((0, 1, 2), 0.0)
     with pytest.raises(BudgetExceededError):
-        brute_optimal_distortion_guesser(spec, J3, 2, 1.0)
+        brute_optimal_distortion_guesser(spec, J3, 2, 1.0, budget=9 * 2**9 - 1)
+    _, moment = brute_optimal_distortion_guesser(spec, J3, 2, 1.0, budget=9 * 2**9)
+    assert moment == pytest.approx(optimal_guess_moment(product_pmf(J3, 2), 1.0), abs=1e-12)
+    with pytest.raises(BudgetExceededError):  # m = 27 at the default budget
+        brute_optimal_distortion_guesser(spec, J3, 3, 1.0)
 
 
 def test_greedy_matches_oracle_on_easy_cases():
@@ -197,17 +202,17 @@ RHOS = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 4.0))
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 5), st.data())
 def test_one_order_search_serves_every_rho(nh, nx, data):
-    # the shared permutation table and first-hit positions give, at each rho,
-    # the order and the very float of a search made for that rho alone
+    # the reference's shared permutation table and first-hit positions give,
+    # at each rho, the order and the very float of a search made for that rho alone
     row = st.lists(st.booleans(), min_size=nh, max_size=nh).filter(any)  # every source row has a hit
     balls = np.array(data.draw(st.lists(row, min_size=nx, max_size=nx)))
     column = st.lists(st.floats(0.0, 1.0), min_size=nx, max_size=nx).map(np.array)
     columns = data.draw(st.lists(column, min_size=1, max_size=3))
     rhos = data.draw(st.lists(RHOS, min_size=1, max_size=4))
-    shared = _best_orders(balls, columns, rhos)
+    shared = table_orders(balls, columns, rhos)
     assert len(shared) == len(rhos)
     for rho, best in zip(rhos, shared):
-        (alone,) = _best_orders(balls, columns, [rho])
+        (alone,) = table_orders(balls, columns, [rho])
         assert [order.tolist() for order, _ in best] == [order.tolist() for order, _ in alone]
         assert [moment.hex() for _, moment in best] == [moment.hex() for _, moment in alone]
 
@@ -215,9 +220,59 @@ def test_one_order_search_serves_every_rho(nh, nx, data):
 @pytest.mark.parametrize("n", range(9))
 def test_permutation_table_is_itertools_order(n):
     # the same rows in the same order, so argmin breaks ties as before
-    table = _permutation_table(n)
+    table = permutation_table(n)
     assert table.dtype == np.int64 and table.shape == (math.factorial(n), n)
     assert table.tolist() == [list(order) for order in permutations(range(n))]
+
+
+@st.composite
+def ball_matrices(draw):
+    """An |X| x m within-Delta matrix, m <= 8, every row with a hit; its
+    columns repeat a few distinct ones, so that reconstructions tie."""
+    m, nx = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    distinct = draw(st.integers(1, m))
+    row = st.lists(st.booleans(), min_size=distinct, max_size=distinct)
+    base = np.array(draw(st.lists(row, min_size=nx, max_size=nx)))
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=m, max_size=m))
+    balls = base[:, picks]
+    for i in np.flatnonzero(~balls.any(axis=1)):
+        balls[i, draw(st.integers(0, m - 1))] = True
+    return balls
+
+
+@settings(max_examples=120, deadline=None)
+@given(ball_matrices(), st.data(), st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+def test_subset_dp_finds_the_table_order(balls, data, rho):
+    # Wherever every order within 1e-12 relative of the table's least moment
+    # guesses alike (the same first-hit position for every source tuple), the
+    # DP's order is the table's: the first of the tied orders.  Near-ties
+    # that differ only by rounding may go either way.  The moments agree to
+    # 1e-12 relative, and bit for bit on the same order at an integer rho
+    # (elsewhere numpy's array power can differ from Python's in the last bit).
+    mass = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from([0.125, 0.25, 0.5]))
+    col = data.draw(st.lists(mass, min_size=balls.shape[0], max_size=balls.shape[0]))
+    masks = [sum(1 << h for h in np.flatnonzero(row).tolist()) for row in balls]
+    ((order, moment),) = _optimal_orders(masks, balls.shape[1], [col], [rho])[0]
+    ((table_order, table_moment),) = table_orders(balls, [col], [rho])[0]
+    least, near = table_near_optima(balls, col, rho, 1e-12)
+    assert least == table_moment and abs(moment - least) <= 1e-12 * least
+    if len(near) == 1:
+        assert order == table_order.tolist()
+        if rho in (1.0, 2.0):
+            assert moment.hex() == table_moment.hex()
+
+
+def test_order_search_at_m_16_beats_or_ties_greedy():
+    # binary n = 4: 16! orders, out of the factorial search's reach
+    joint = JointPmf.from_marginal(Pmf.of([0.7, 0.3]))
+    spec = DistortionSpec.hamming(joint.x_alphabet, 0.25)
+    big = product_pmf(joint, 4)
+    greedy = greedy_cover_guesser(spec, joint, 4)
+    for (sf, moment), rho in zip(brute_optimal_distortion_guessers(spec, joint, 4, [1.0, 2.0]), [1.0, 2.0]):
+        assert sf.moment(big, rho) == moment
+        assert moment <= greedy.moment(big, rho) + 1e-12
+    # at rho = 1 greedy min-sum set cover is within 4 of the optimum (Feige, Lovasz and Tetali 2004)
+    assert greedy.moment(big, 1.0) <= 4 * brute_optimal_distortion_guesser(spec, joint, 4, 1.0)[1]
 
 
 def test_guessers_for_several_rhos_equal_one_rho_each():
