@@ -37,7 +37,8 @@ per entry and one LAPJVsp solve per chunk of Eve's components.  Sums keep the
 dict reference's order, so every float is its float: a (context, key) merge
 in entry order; in a context, descending masses in sequence; contexts, cells
 and views tuples in first-seen order, in sequence (`in_order`); each of Eve's
-components by np.sum (pairwise), then the components in order, in sequence.
+components by np.sum (pairwise) over its cells in cell order, then the
+components in order, in sequence.
 Rank ties go by repr(x).  Nothing is cached at module level.
 
 Both adversaries rest on two facts of every scheme built here.  Given y, any
@@ -98,23 +99,33 @@ assignment.  Its connected components, labelled in numpy (min-label hooking
 with pointer jumping over the cell-context incidences), are solved by
 Jonker and Volgenant's LAPJVsp a chunk at a time: consecutive whole
 components, packed while a chunk holds at most CHUNK_CELLS cells (a larger
-component alone).  A chunk's graph is block-diagonal in each component's own
-row and column order, and LAPJVsp's paths stay inside a component; the tests
-find each component assigned as a call of its own assigns it, tied costs
-included, while both matrices have more columns than rows.  scipy takes
-another path on a square matrix, where ties can go another way and round the
-sum differently, so a square component (one slot per cell) is always alone.
-Packing saves scipy's fixed cost per call; the cap stays because LAPJVsp's
-work per row grows with the matrix.
+component alone).  Each component's rows go heaviest first, ties by cell
+index.  LAPJVsp augments one row at a time, and a heavy row that comes late
+pushes the lighter cells of its contexts down one slot each, along long
+augmenting paths; heaviest first, a new row's cheapest free slot sits just
+past its contexts' filled prefixes, and a 96-cell chunk is solved in less
+than half the time.  A chunk keeps the permutation back to cell order, and
+each component's terms are summed in that order, so a matching that puts
+every cell where rows in cell order put it gives that order's float to the
+bit.  Tied masses can land on another optimal matching, of the same exact
+cost, whose sum can round differently in the last bits.  A chunk's graph is
+block-diagonal in each component's own row and column order, and LAPJVsp's
+paths stay inside a component; the tests find each component assigned as a
+call of its own assigns it, tied costs included, while both matrices have
+more columns than rows.  scipy takes another path on a square matrix, where
+ties can go another way and round the sum differently, so a square component
+(one slot per cell) is always alone.  Packing saves scipy's fixed cost per
+call; the cap stays because LAPJVsp's work per row grows with the matrix.
 Two solvers share the chunks.  A rectangular chunk of at most
 SMALL_CHUNK_CELLS cells goes to `_lapjvsp_rectangular`, a Python port of the
 rectangular branch of scipy's `min_weight_full_bipartite_matching`; larger and
-square chunks go to scipy, imported on first use, as the port is about 13
-times slower on a 96-cell chunk.  The scheme commands on small configs
-(`twohint`, `verify-all`, `disks`) then never load scipy, which cost a cold
-process about 0.29 s and 30 MB.  The port makes LAPJVsp's tie choices, and a
-test checks that it picks scipy's column for every row on tie-heavy
-matrices, so both solvers give the same sums to the bit.
+square chunks go to scipy, imported on first use, as the port is about 12
+times slower on a 96-cell chunk (7 to 11 ms against 0.6 to 0.9 ms).  The
+scheme commands on small configs (`twohint`, `verify-all`, `disks`) then
+never load scipy, which cost a cold process about 0.29 s and 30 MB, nor
+numpy.ma (`_distinct`).  The port makes LAPJVsp's tie choices, and a test
+checks that it picks scipy's column for every row on tie-heavy matrices, so
+both solvers give the same sums to the bit.
 Float-zero cells (a positive Fraction below the float range) are left out:
 they fit after every positive cell of a context and add 0.
 """
@@ -191,6 +202,12 @@ def row_ids(*columns: np.ndarray) -> np.ndarray:
                 base = int(col.max(initial=0)) + 1
         ids, span = ids * base + col, span * base
     return np.unique(ids, return_inverse=True)[1]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, by np.unique's sort path: its plain call asks
+    np.ma.is_masked, which imports numpy.ma (11 to 20 ms of a cold process)."""
+    return np.unique(values, return_counts=True)[0]
 
 
 def _first_seen(ids: np.ndarray) -> np.ndarray:
@@ -416,7 +433,7 @@ def _list_sizes(view: CellView, reduce) -> tuple[np.ndarray, np.ndarray]:
     """Mass and reduced list size of each views tuple, in first-seen order."""
     cell, pos, ctx = view.incidences
     nx = len(view.xs)
-    support = np.bincount(np.unique(ctx * nx + view.x[cell]) // nx, minlength=view.n_contexts)
+    support = np.bincount(_distinct(ctx * nx + view.x[cell]) // nx, minlength=view.n_contexts)
     fill = 0 if reduce is max else np.iinfo(np.int64).max
     per_view = np.full(view.ctx.shape, fill, dtype=np.int64)
     per_view[cell, pos] = support[ctx]
@@ -431,13 +448,14 @@ def _list_sizes(view: CellView, reduce) -> tuple[np.ndarray, np.ndarray]:
 def _mergeable(view: CellView) -> bool:
     """True if two distinct cells could land in one context with the same x."""
     cell, _, ctx = view.incidences
-    own = np.unique(cell * view.n_contexts + ctx)  # each cell's distinct contexts
-    return len(np.unique(own % view.n_contexts * len(view.xs) + view.x[own // view.n_contexts])) < len(own)
+    own = _distinct(cell * view.n_contexts + ctx)  # each cell's distinct contexts
+    return len(_distinct(own % view.n_contexts * len(view.xs) + view.x[own // view.n_contexts])) < len(own)
 
 
 def _components(view: CellView, keep: np.ndarray) -> list[np.ndarray]:
     """The cells of `keep` (ascending) per component of the shared-context
-    graph, components in the order of their first cell."""
+    graph, heaviest first (ties by cell index), components in the order of
+    their first cell."""
     cell, _, ctx = view.incidences
     mask = np.isin(cell, keep)
     a, b = cell[mask], len(view) + ctx[mask]  # cell and context nodes of each incidence
@@ -449,7 +467,8 @@ def _components(view: CellView, keep: np.ndarray) -> list[np.ndarray]:
         while not np.array_equal(up := label[label], label):  # pointer jumping, to the roots
             label = up
     labels = _first_seen(label[keep])
-    return np.split(keep[np.argsort(labels, kind="stable")], np.cumsum(np.bincount(labels))[:-1]) if len(keep) else []
+    order = np.lexsort((-view.prob[keep], labels))
+    return np.split(keep[order], np.cumsum(np.bincount(labels))[:-1]) if len(keep) else []
 
 
 def eve_exact_matching(cells, rho: float) -> float:
@@ -472,15 +491,16 @@ def _slot_graphs(view: CellView) -> list:
     cell, ctx = cell[positive], ctx[positive]
     first = np.sort(np.unique(cell * view.n_contexts + ctx, return_index=True)[1])  # each view once
     cell, ctx = cell[first], ctx[first]
-    if len(np.unique(cell)) < np.count_nonzero(view.prob > 0):
+    if np.count_nonzero(np.bincount(cell)) < np.count_nonzero(view.prob > 0):
         raise DomainError("a cell of positive mass has no view: no accomplice map can route it")
     if not len(cell):
         return []
     members = _components(view, np.flatnonzero(view.prob > 0))
     sizes = [len(m) for m in members]
-    cells = np.concatenate(members)  # component-major: row r of the block-diagonal graph
+    cells = np.concatenate(members)  # component-major, heaviest first: row r of the block-diagonal graph
     comp, row = np.zeros(len(view), dtype=np.int64), np.zeros(len(view), dtype=np.int64)
     comp[cells], row[cells] = np.repeat(np.arange(len(sizes)), sizes), np.arange(len(cells))
+    by_cell = np.lexsort((cells, comp[cells]))  # the rows of each component in cell order
     ctx = _first_seen(ctx)  # contexts by first appearance among these incidences
     # Sorted incidence j is also slot column j: context c owns the columns
     # start..start + degree - 1, and column j is its position j - start + 1.
@@ -507,16 +527,18 @@ def _slot_graphs(view: CellView) -> list:
     for c0, c1 in zip(cuts, cuts[1:] + [len(sizes)]):
         r0, r1, i0, i1 = row_bounds[c0], row_bounds[c1], col_bounds[c0], col_bounds[c1]
         e0, e1 = indptr[r0], indptr[r1]
-        graph = (view.prob[cells[r0:r1]], start[i0:i1] - i0, e_mass[e0:e1], offset[e0:e1], e_col[e0:e1] - i0)
-        parts = [b - r0 for b in row_bounds[c0 : c1 + 1]]  # each component's rows in the chunk
-        chunks.append((*graph, indptr[r0 : r1 + 1] - e0, (r1 - r0, i1 - i0), list(zip(parts, parts[1:]))))
+        back = by_cell[r0:r1] - r0
+        graph = (view.prob[cells[r0:r1][back]], start[i0:i1] - i0, e_mass[e0:e1], offset[e0:e1], e_col[e0:e1] - i0)
+        parts = [b - r0 for b in row_bounds[c0 : c1 + 1]]  # each component's cells in the chunk
+        chunks.append((*graph, indptr[r0 : r1 + 1] - e0, (r1 - r0, i1 - i0), back, list(zip(parts, parts[1:]))))
     return chunks
 
 
 def _matching_costs(chunk: tuple, rho: float) -> list:
     """Each component's min-cost assignment of its cells to their truncated
-    slots, one LAPJVsp solve for the chunk; each component summed by np.sum."""
-    prob, start, edge_mass, offset, indices, indptr, shape, parts = chunk
+    slots, one LAPJVsp solve for the chunk; each component summed by np.sum,
+    its cells in cell order."""
+    prob, start, edge_mass, offset, indices, indptr, shape, back, parts = chunk
     weights = power_terms(edge_mass, offset + 1, rho)
     if shape[0] <= SMALL_CHUNK_CELLS and shape[0] < shape[1]:
         cols = np.array(_lapjvsp_rectangular(indptr.tolist(), indices.tolist(), weights.tolist(), shape[1]))
@@ -525,7 +547,8 @@ def _matching_costs(chunk: tuple, rho: float) -> list:
         from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
         cols = min_weight_full_bipartite_matching(csr_array((weights, indices, indptr), shape=shape))[1]
-    terms = power_terms(prob, cols - start[cols] + 1, rho)  # every row, in order
+    cols = cols[back]  # each cell's column, in cell order
+    terms = power_terms(prob, cols - start[cols] + 1, rho)
     return [terms[a:b].sum() for a, b in parts]
 
 

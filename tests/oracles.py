@@ -421,7 +421,19 @@ def eve_exact_matching(cells, rho: float) -> float:
 
 
 def _matching_cost(comp: list[Cell], rho: float) -> float:
-    """Min-cost assignment of one component's cells to their truncated slots."""
+    """Min-cost assignment of one component's cells to their truncated slots,
+    its terms summed in component order."""
+    positions = matching_positions(comp, rho)
+    # Python's float pow, so each term is the same float as prob * t**rho.
+    powers = np.array([t**rho for t in range(1, int(positions.max()) + 1)])
+    return float((np.array([c.prob for c in comp]) * powers[positions - 1]).sum())
+
+
+def matching_positions(comp: list[Cell], rho: float, heaviest_first: bool = True) -> np.ndarray:
+    """Each cell's position in its context under LAPJVsp's min-cost assignment of
+    one component's cells to their truncated slots.  The cells are the graph's
+    rows heaviest first (ties in component order), as the package feeds them,
+    or, with `heaviest_first` false, in component order."""
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
@@ -445,14 +457,15 @@ def _matching_cost(comp: list[Cell], rho: float) -> float:
     last = np.minimum.accumulate(np.where(run_ends, idx, len(idx))[::-1])[::-1]
     q = last - start + 1
     offset = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)  # position - 1
-    # Python's float pow, so each weight is the same float as prob * t**rho.
+    feed = np.argsort(-prob, kind="stable") if heaviest_first else np.arange(len(comp))  # the cells in row order
+    row = np.argsort(feed)  # the graph row of each cell
     powers = np.array([t**rho for t in range(1, int(q.max()) + 1)])
     graph = csr_array(
-        (np.repeat(mass, q) * powers[offset], (np.repeat(cell, q), np.repeat(start, q) + offset)),
+        (np.repeat(mass, q) * powers[offset], (row[np.repeat(cell, q)], np.repeat(start, q) + offset)),
         shape=(len(comp), len(order)),
     )
-    rows, cols = min_weight_full_bipartite_matching(graph)  # every row, sorted
-    return float((prob[rows] * powers[cols - start[cols]]).sum())
+    cols = min_weight_full_bipartite_matching(graph)[1][row]  # every cell's column
+    return cols - start[cols] + 1
 
 
 # The fallbacks that once followed the matching: exhaustive enumeration of

@@ -182,10 +182,15 @@ PINNED_SCHEMES = {  # a scheme built on a seeded joint
         random_joint(np.random.default_rng(13), 4, 3, exact=True, zeros=0.2), 2, 2
     ),
     "delta-disk 6x3 float": lambda: build_delta_scheme(random_joint(np.random.default_rng(14), 6, 3), 4, 2, 1, 4, 2, 2),
+    "two-hint 96x4 float": lambda: build_two_hint(random_joint(np.random.default_rng(1), 96, 4), 4, 4, 4),
+    "delta-disk 16x32 rational": lambda: build_delta_scheme(
+        random_joint(np.random.default_rng(1), 16, 32, exact=True), 4, 2, 1, 4, 2, 2
+    ),
 }
 # Per rho in (0.5, 1, 2.5): Eve's view-0 guessing moment, Bob's max-list and
 # Eve's min-list moments, and Eve's matching value, as recorded when the numpy
-# kernels moved from `guessing` into `adversary`.
+# kernels moved from `guessing` into `adversary`; the last two, whose chunks
+# of 96 and 128 cells scipy matches, before Eve's rows went heaviest first.
 PINNED_HEX = {
     "two-hint 5x3 float": [
         "0x1.4b9fdd08aa852p+0", "0x1.fffffffffffffp-1", "0x1.f7f48dfb4a811p+0", "0x1.1918f51063604p+0",
@@ -206,6 +211,16 @@ PINNED_HEX = {
         "0x1.82554134828f7p+0", "0x1.fffffffffffffp-1", "0x1.ee34036ddfe70p+0", "0x1.0000000000000p+0",
         "0x1.3d583fe16a7ecp+1", "0x1.fffffffffffffp-1", "0x1.e19e71c25f2bep+1", "0x1.0000000000000p+0",
         "0x1.03eb9d6c2b262p+4", "0x1.fffffffffffffp-1", "0x1.cdfaab7f06bbcp+4", "0x1.0000000000000p+0",
+    ],
+    "two-hint 96x4 float": [
+        "0x1.304618bc549bdp+1", "0x1.511ea8efe6eb7p+0", "0x1.2c039e482bee1p+2", "0x1.d770b98b9708fp+0",
+        "0x1.a9581bcb83430p+2", "0x1.c3d726e9903ccp+0", "0x1.61eb9374c81e4p+4", "0x1.e98ed13257693p+1",
+        "0x1.04ee1b8ece738p+8", "0x1.2400061f13193p+2", "0x1.2bea8a632b923p+11", "0x1.c1421d6010e92p+5",
+    ],
+    "delta-disk 16x32 rational": [
+        "0x1.02106279a9491p+1", "0x1.0000000000000p+0", "0x1.0000000000000p+1", "0x1.07e6f26639a79p+0",
+        "0x1.2d52cd4740000p+2", "0x1.0000000000000p+0", "0x1.0000000000000p+2", "0x1.1313d36600000p+0",
+        "0x1.a20b42f477b0bp+6", "0x1.0000000000000p+0", "0x1.0000000000000p+5", "0x1.58d743cae69e5p+0",
     ],
 }
 

@@ -49,7 +49,8 @@ def test_entropy_uniform_constant_column(tmp_path, capsys):
 
 def test_import_and_entropy_load_no_scipy(tmp_path):
     """Eve's chunks of at most SMALL_CHUNK_CELLS cells are matched in the
-    package, so the cold scheme commands on small configs never import scipy."""
+    package, so the cold scheme commands on small configs never import scipy;
+    nor numpy.ma, which a plain np.unique loads."""
     entropy = tmp_path / "entropy.json"
     entropy.write_text(json.dumps({"source": {"uniform": 4}, "alpha": [0.5, 2]}))
     marginal = {"x": list(range(16)), "p": [str(Fraction(w, 136)) for w in range(1, 17)]}
@@ -70,6 +71,7 @@ def test_import_and_entropy_load_no_scipy(tmp_path):
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
         "    assert not scipy_modules(), (argv, scipy_modules())\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

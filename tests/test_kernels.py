@@ -216,8 +216,17 @@ def sweep_sources() -> list:
 def assert_chunks_pack_whole_components(view) -> int:
     """Each chunk of Eve's matching holds whole components, in order, packed
     while it holds at most CHUNK_CELLS cells (or one larger or square
-    component); returns the number of chunks that hold several components."""
+    component), each component's rows heaviest first (ties by cell index) with
+    the permutation back to its cells; returns the number of chunks that hold
+    several components."""
     chunks = view.prepared("slot graphs", adversary._slot_graphs)
+    for prob, _, edge_mass, _, _, indptr, _, back, parts in chunks:
+        row_mass = edge_mass[indptr[:-1]]  # every edge of a row carries the row's mass
+        assert row_mass[back].tolist() == prob.tolist()  # the rows back in cell order
+        by_cell = np.argsort(back)  # each row's place in cell order
+        for a, b in parts:
+            assert sorted(back[a:b].tolist()) == list(range(a, b))
+            assert np.lexsort((by_cell[a:b], -row_mass[a:b])).tolist() == list(range(b - a))
     reference = oracles.components([c for c in view if c.prob > 0])
     square = [sum(len(set(c.views)) for c in comp) == len(comp) for comp in reference]
     sizes = [[b - a for a, b in chunk[-1]] for chunk in chunks]
@@ -275,6 +284,25 @@ def test_chunked_matching_on_tied_sources_equals_per_component_reference(joint, 
     with mock.patch.object(adversary, "SMALL_CHUNK_CELLS", small):
         for rho in MATCHING_RHOS:
             assert scheme.eve(rho) == oracles.eve_exact_matching(cells, rho)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tied_rational_sources(), st.sampled_from([(2, 2, 2), (4, 4, 4), (1, 4, 4), (2, 4, 2)]))
+def test_heaviest_first_rows_only_reround_ties(joint, triple):
+    # Rows fed heaviest first can put tied cells on another optimal matching
+    # than rows in cell order; its float can then differ in the last bits, but
+    # the positions each order picks cost the same in Fractions.
+    scheme = build_two_hint(joint, *triple)
+    cells = list(scheme.eve_cells)
+    exact = dict(zip(cells, (Fraction(n, scheme.law.scale) for n in scheme.law.nums)))
+    assert len(exact) == len(cells)
+    for comp in oracles.components(cells):
+        for rho in (1, 2):
+            costs = {
+                sum(exact[c] * int(t) ** rho for c, t in zip(comp, oracles.matching_positions(comp, rho, heaviest)))
+                for heaviest in (True, False)
+            }
+            assert len(costs) == 1
 
 
 @st.composite
