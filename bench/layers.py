@@ -8,8 +8,9 @@ processes (end to end), timed on two commits in perfbench reference seconds.
     python bench/layers.py --layer e2e --base HEAD~1 --change HEAD --out BENCH_e2e.json
 
 Run it from the root of the repository.  Each commit's tree is exported with
-`git archive` into a temporary directory (`.` measures the working tree as it
-is) and measured by fresh interpreters, base and change alternating, each
+`git archive` into a temporary directory (`.`: a copy of the working tree's
+files that git tracks or would add, so neither side runs on bytecode left in
+the tree) and measured by fresh interpreters, base and change alternating, each
 pinned to one core like `perfbench/run.py` and with that tree's `src` first on
 its path.  The sources are those of the benchmark's scheme-sweep-exact
 workload: three seeded 16x32 rational joints.  Per builder, three stages are
@@ -88,6 +89,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -364,9 +366,15 @@ def child(reps: int) -> dict:
 
 
 def _export(rev: str, into: Path) -> Path:
-    """The tree of `rev` written into `into` (`.`: the working tree itself)."""
+    """The tree of `rev` written into `into`; for `.`, a copy of the working
+    tree's files that git tracks or would add, so no `__pycache__` rides along."""
     if rev == ".":
-        return ROOT
+        git = ["git", "ls-files", "-co", "--exclude-standard", "-z"]
+        for name in subprocess.run(git, cwd=ROOT, capture_output=True, check=True).stdout.decode().split("\0"):
+            if name and (ROOT / name).is_file():  # a deleted tracked file is still listed
+                (into / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, into / name)
+        return into
     blob = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=BytesIO(blob)) as tar:
         tar.extractall(into, filter="data")

@@ -59,22 +59,24 @@ is exact because no two distinct cells share an (x, context) pair; routing
 both into that context would merge their posterior mass, which the matching
 cannot price.
 
-A padded scheme (two-hint, delta-disk) keeps only its pad quotient as its
-`law`, and both adversaries are priced on it: one cell per (x, y), its
-realization at pad 0, with the source's mass P(x, y).  The full law spreads
-each cell uniformly over the pads; it is never built.  Bob reads the
-quotient's hints as they are, Eve each hint cut to its `public` part:
-(M1 mod c1, M2 mod c2) = (V1, V2) for two-hint, `hint >> r` for delta-disk.
-Each value is the full law's.  Bob: each of his views fixes the descriptor Z
-and the pad (M2 gives U, then M1 gives v_s; any nu delta-disk hints decode V,
-W and U), so each of his contexts is one (y, Z) shifted by a pad, holding the
-x's of (y, Z) with masses P(x, y) / pads.  Its ranks and list size are those
-of the quotient's context (y, Z), whose masses are the pads' sums.  Eve:
-- Shift symmetry.  The pad U is uniform and independent of (X, Y).  Shifting
-  it by a constant (U + a mod cs; XOR with the pad codeword of a) maps each
-  cell to a cell of the same (x, y) and mass, and each of Eve's contexts to
-  another context, so it maps the slot-assignment LP (cells to (context,
-  position) slots, cost mass * position^rho) onto itself.
+A padded scheme keeps only its pad quotient as its `law`, and both adversaries
+are priced on it: one cell per (x, y) (eve-list: per smoothed (x, y, v')), its
+realization at pad 0, with its whole mass.  The pad is U (two-hint, eve-list,
+delta-disk) or the key K (secret-key, a one-time pad).  The full law spreads
+each cell uniformly over the pads; it is never built.  Bob reads the quotient's
+hints as they are, Eve each hint cut to its `public` part:
+(M1 mod c1, M2 mod c2) = (V1, V2) for two-hint and eve-list, M mod c = Mp for
+secret-key, `hint >> r` for delta-disk.  Each value is the full law's.  Bob:
+each of his views fixes the descriptor Z and the pad (M2 gives U, then M1
+gives v_s; K and M give Ms; any nu delta-disk hints decode V, W and U), so
+each of his contexts is one (y, Z) shifted by a pad, holding the x's of (y, Z)
+with their masses / pads.  Its ranks and list size are those of the
+quotient's context (y, Z), whose masses are the pads' sums.  Eve:
+- Shift symmetry.  The pad is uniform and independent of the cells.  Shifting
+  it by a constant (U + a mod cs; k -> k + a mod |K|; XOR with the pad codeword
+  of a) maps each cell to a cell of the same (x, y) and mass, and each of Eve's
+  contexts to another context, so it maps the slot-assignment LP (cells to
+  (context, position) slots, cost mass * position^rho) onto itself.
 - Integrality.  That LP is a bipartite assignment, so its optimum is the
   matching's, and so is the optimum of the quotient's LP.
 - Orbit averaging.  The average of an optimal solution over the shifts is
@@ -86,8 +88,9 @@ of the quotient's context (y, Z), whose masses are the pads' sums.  Eve:
   then a solution of the quotient LP, in which cell (x, y) carries its orbit's
   mass P(x, y) and each orbit of contexts is one context, at the same cost;
   any quotient solution spreads back over the shifts the same way.
-The same shift keeps each fixed-hint moment, so the weak accomplice reads the
-quotient too.
+The same shift keeps each fixed-hint moment and each list size, so the weak
+accomplice, secret-key's Eve (the moment given M) and eve-list's (the lists
+given M1 or M2) read the quotient too.
 
 The slot graph is sparse.  A context incident to d cells owns positions
 1..d, and a cell is joined only to positions 1..q of each of its own
@@ -251,17 +254,15 @@ class Law(Mapping):
         return cls(xs, ys, x, y, hints.reshape(len(items), -1) if items else hints, nums, scale, nested, law)
 
     @classmethod
-    def spread(cls, joint, rows, hints: np.ndarray, copies: int, exact: bool, nested: bool = False) -> "Law":
-        """`copies` consecutive realizations per (x, y, mass) row of a source,
-        each with mass / copies, and one row of `hints` per realization."""
+    def spread(cls, joint, rows, hints: np.ndarray, exact: bool, nested: bool = False) -> "Law":
+        """One realization per (x, y, mass) row over a source's alphabets, with
+        the row's whole mass and its row of `hints`."""
         alphabets = (joint.x_alphabet, joint.y_alphabet)
         codes = [{v: i for i, v in enumerate(alphabet)} for alphabet in alphabets]
-        x, y = (np.repeat(np.array([codes[k][row[k]] for row in rows], dtype=np.int64), copies) for k in range(2))
+        x, y = (np.array([codes[k][row[k]] for row in rows], dtype=np.int64) for k in range(2))
         if not exact:
-            masses = np.repeat(np.array([float(w) for _, _, w in rows]) * (1.0 / copies), copies)
-            return cls(*alphabets, x, y, hints, masses, nested=nested)
-        nums, scale = common_denominator(w for _, _, w in rows)
-        return cls(*alphabets, x, y, hints, np.repeat(np.array(nums, dtype=object), copies), scale * copies, nested)
+            return cls(*alphabets, x, y, hints, np.array([float(w) for _, _, w in rows]), nested=nested)
+        return cls(*alphabets, x, y, hints, *common_denominator(w for _, _, w in rows), nested)
 
     def as_dict(self) -> dict:
         if self._dict is None:
@@ -342,12 +343,12 @@ class SchemeCells:
 
     Bob's view k shows y and the hints `bob_positions[k]` of the `law` (a
     padded scheme's pad quotient), Eve's those of `eve_positions[k]` cut to
-    their `public` part (by default Bob sees both hints and Eve's accomplice
-    reveals one, whole).  `bob` is Bob's guessing or list moment,
-    `eve` Eve's by the matching, and `rows` the four `bounds.theorem_rows` of
-    suite "{suite}-{version}" on the scheme's (z, m, leak, secret) `sizes`.  A
-    scheme declares `suite` and `sizes`, a padded one its `public`, and
-    overrides only what its theorem changes.
+    their `public` part, which no pad shifts (by default Bob sees both hints
+    and Eve's accomplice reveals one, whole).  `bob` is Bob's guessing or list
+    moment, `eve` Eve's by the matching, and `rows` the four
+    `bounds.theorem_rows` of suite "{suite}-{version}" on the scheme's (z, m,
+    leak, secret) `sizes`.  A scheme declares `suite` and `sizes`, a padded one
+    its `public`, and overrides only what its theorem changes.
     """
 
     bob_positions = ((0, 1),)
@@ -356,7 +357,7 @@ class SchemeCells:
     def __post_init__(self):
         object.__setattr__(self, "law", Law.coded(self.law))
 
-    def public(self, hints: np.ndarray) -> np.ndarray:  # the part of each hint Eve's quotient keeps
+    def public(self, hints: np.ndarray) -> np.ndarray:  # the part of each hint no pad shifts: Eve's contexts
         return hints
 
     def bob(self, rho: float, version: str | None = None) -> float:

@@ -9,7 +9,7 @@ message on stderr when the config is malformed or a parameter inadmissible.
 `_read` reads every key by its table in `KEYS` or `SCHEMES`; an absent and a
 null key both mean the default.  Before anything is built, `--budget` bounds
 every count a config sets: a `uniform` source's symbols; a scheme's realized
-rows (one per support (x, y) for the two-hint and delta-disk pad quotients;
+rows (per support (x, y), one in a pad quotient, c1*c2 in eve-list's;
 `disks`: times its C(delta, nu) + C(delta, eta) views, which also bound the
 eliminations of its structure checks; and its nu*delta generator cells; a
 rational eve-list: times epsilon's bits); the envelope's r-range;
@@ -82,9 +82,9 @@ SCHEMES = {
     "two-hint": ("build_two_hint", {**dict.fromkeys(("cs", "c1", "c2"), POSITIVE), "m1_size": SIZE, "m2_size": SIZE},
                  lambda k, nx: 1),
     "secret-hint": ("build_secret_hint", {"c": POSITIVE, "ms_size": POSITIVE, "mp_size": SIZE}, lambda k, nx: 1),
-    "secret-key": ("build_secret_key", {"c": POSITIVE, "k_size": POSITIVE, "m_size": SIZE}, lambda k, nx: k["k_size"]),
+    "secret-key": ("build_secret_key", {"c": POSITIVE, "k_size": POSITIVE, "m_size": SIZE}, lambda k, nx: 1),
     "eve-list": ("build_eve_list_scheme", {"m1_size": POSITIVE, "m2_size": POSITIVE, "epsilon": NUMBER},
-                 lambda k, nx: (k["m1_size"] // nx.bit_length()) * (k["m2_size"] // nx.bit_length()) * nx.bit_length()),
+                 lambda k, nx: (k["m1_size"] // nx.bit_length()) * (k["m2_size"] // nx.bit_length())),
 }
 
 

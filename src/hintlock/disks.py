@@ -119,7 +119,7 @@ def build_delta_scheme(
     rows = list(joint.support_items())
     index = {key: i for i, key in enumerate(zmap)}
     at = np.array([index[(x, y)] for x, y, _ in rows], dtype=np.int64)
-    law = Law.spread(joint, rows, (v | w)[at], 1, joint.exact, nested=True)
+    law = Law.spread(joint, rows, (v | w)[at], joint.exact, nested=True)
     return DeltaHintScheme(joint, delta, nu, eta, s, p, r, version, descriptor, law, g_v, g_uw)
 
 

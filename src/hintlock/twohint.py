@@ -11,8 +11,9 @@ bijection of Z_cs, so both pad coordinates are uniform by construction, and
 `adversary` prices both adversaries on the quotient.
 
 Scheme variants: the secret-hint scenario (Eve always sees the public hint),
-the secret-key scenario (one hint, shared key as one-time pad), and the
-full-support scheme that defeats a list-forming Eve.
+the secret-key scenario (one hint, shared key as one-time pad; its quotient is
+the realization at key 0), and the full-support scheme that defeats a
+list-forming Eve (its quotient: each smoothed (x, y, v1', v2') at U = 0).
 """
 
 from __future__ import annotations
@@ -35,29 +36,24 @@ from .tasks import descriptor_map
 
 # ---------------------------------------------------------------------------
 # Realized laws.  Every scheme keeps its exact law {(x, y, h_1, h_2): prob}, a
-# two-hint scheme its pad quotient, as columns (`adversary.Law`);
+# padded scheme its pad quotient, as columns (`adversary.Law`);
 # `adversary.SchemeCells` prices Bob and Eve on it.
 # ---------------------------------------------------------------------------
 
 HINT_LIMIT = 1 << 62  # the most values of a hint: its int64 codes and their mixed radix stay exact
 
 
-def _padded_law(joint: JointPmf, items, cs: int, c1: int, c2: int, exact: bool, pads: int) -> Law:
-    """Spread each (x, y, (v_s, v_1, v_2), mass) uniformly over the first `pads` values of the pad U.
-
-    M1 = ((v_s + U) mod cs) * c1 + v_1 and M2 = U * c2 + v_2, each pad value
-    carrying mass / pads: all cs of them for the full law, or U = 0 alone,
-    with the whole mass, for the pad quotient.
-    """
+def _padded_law(joint: JointPmf, items, cs: int, c1: int, c2: int, exact: bool) -> Law:
+    """The pad quotient of (x, y, (v_s, v_1, v_2), mass) rows: each row at pad
+    U = 0 with its whole mass, M1 = ((v_s + U) mod cs) * c1 + v_1 = v_s * c1 + v_1
+    and M2 = U * c2 + v_2 = v_2."""
     if max(cs * c1, cs * c2) > HINT_LIMIT:
         raise DomainError(f"a hint of cs*c1 = {cs * c1} or cs*c2 = {cs * c2} values exceeds 2^62")
     items = list(items)
-    vs, v1, v2 = (np.repeat(np.array([d[k] for _, _, d, _ in items], dtype=np.int64), pads) for k in range(3))
+    vs, v1, v2 = (np.array([d[k] for _, _, d, _ in items], dtype=np.int64) for k in range(3))
     if not ((0 <= vs) & (vs < cs) & (0 <= v1) & (v1 < c1) & (0 <= v2) & (v2 < c2)).all():
         raise DomainError(f"a descriptor lies outside cs={cs}, c1={c1}, c2={c2}")
-    u = np.tile(np.arange(pads), len(items))
-    hints = np.stack([((vs + u) % cs) * c1 + v1, u * c2 + v2], axis=1)
-    return Law.spread(joint, [(x, y, w) for x, y, _, w in items], hints, pads, exact)
+    return Law.spread(joint, [(x, y, w) for x, y, _, w in items], np.stack([vs * c1 + v1, v2], axis=1), exact)
 
 
 @dataclass(frozen=True)
@@ -141,7 +137,7 @@ class TwoHintScheme(SchemeCells):
         cs, c1, c2 = doc["cs"], doc["c1"], doc["c2"]
         descriptor = {tuple(k): tuple(v) for k, v in doc["descriptor"]}
         law = _padded_law(
-            joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact, 1
+            joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
         )
         return cls(joint, cs, c1, c2, doc["m1_size"], doc["m2_size"], doc["version"], descriptor, law)
 
@@ -169,7 +165,7 @@ def build_two_hint(
     zmap = descriptor_map(joint, cs * c1 * c2, version)
     descriptor = {k: (z % cs, (z // cs) % c1, z // (cs * c1)) for k, z in zmap.items()}
     law = _padded_law(
-        joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact, 1
+        joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
     )
     return TwoHintScheme(joint, cs, c1, c2, m1_size, m2_size, version, descriptor, law)
 
@@ -289,7 +285,7 @@ def build_secret_hint(
     zmap = descriptor_map(joint, c * ms_size, version)
     rows = list(joint.support_items())
     z = np.array([zmap[(x, y)] for x, y, _ in rows], dtype=np.int64)
-    law = Law.spread(joint, rows, np.stack([z % c, z // c], axis=1), 1, joint.exact)
+    law = Law.spread(joint, rows, np.stack([z % c, z // c], axis=1), joint.exact)
     return SecretHintScheme(joint, c, mp_size, ms_size, version, law)
 
 
@@ -309,7 +305,7 @@ class SecretKeyScheme(SchemeCells):
     k_size: int
     m_size: int
     version: str
-    law: Law  # (x, y, k, m) -> prob with m = (ms + k mod |K|)*c + mp
+    law: Law  # the key quotient (x, y, k, m) -> P(x, y) at k = 0: m = ((ms + k) mod |K|)*c + mp = ms*c + mp
 
     eve_positions = ((1,),)  # the stored hint, never the key
     suite = "secret-key"
@@ -317,6 +313,9 @@ class SecretKeyScheme(SchemeCells):
     @property
     def sizes(self) -> tuple:
         return self.c * self.k_size, self.m_size, self.c, self.k_size
+
+    def public(self, hints: np.ndarray) -> np.ndarray:  # M mod c = mp (and the key column, 0, stays 0)
+        return hints % self.c
 
     def eve(self, rho: float) -> float:  # the guessing moment given the stored hint
         return moment_for_constant(self.eve_cells, 0, rho)
@@ -334,10 +333,8 @@ def build_secret_key(
         raise DomainError(f"a hint of c*|K| = {c * k_size} values exceeds 2^62")
     zmap = descriptor_map(joint, c * k_size, version)
     rows = list(joint.support_items())
-    z = np.repeat(np.array([zmap[(x, y)] for x, y, _ in rows], dtype=np.int64), k_size)
-    k = np.tile(np.arange(k_size), len(rows))
-    hints = np.stack([k, ((z % k_size + k) % k_size) * c + z // k_size], axis=1)
-    law = Law.spread(joint, rows, hints, k_size, joint.exact)
+    z = np.array([zmap[(x, y)] for x, y, _ in rows], dtype=np.int64)
+    law = Law.spread(joint, rows, np.stack([np.zeros_like(z), (z % k_size) * c + z // k_size], axis=1), joint.exact)
     return SecretKeyScheme(joint, c, k_size, m_size, version, law)
 
 
@@ -359,9 +356,10 @@ class EveListScheme(SchemeCells):
     m1_size: int
     m2_size: int
     epsilon: float
-    law: Law  # (x, y, m1, m2) -> prob
+    law: Law  # the pad quotient (x, y, m1, m2) -> smoothed mass at U = 0, one row per (x, y, v1', v2')
 
     version = "list"  # Bob's and Eve's lists
+    public = TwoHintScheme.public
 
     @cached_property
     def no_hint_cells(self) -> CellView:  # the list Eve forms from Y alone
@@ -424,7 +422,7 @@ def build_eve_list_scheme(
     _, _, rank, pair = rank_groups(ctx, key, np.array([w for *_, w in smoothed], dtype=float), np.arange(nx))
     rank = rank[pair].tolist()
     items = ((x, y, (math.floor(math.log2(r)), zp % c1, zp // c1), w) for r, (x, y, zp, w) in zip(rank, smoothed))
-    return EveListScheme(joint, cs, c1, c2, m1_size, m2_size, epsilon, _padded_law(joint, items, cs, c1, c2, exact, cs))
+    return EveListScheme(joint, cs, c1, c2, m1_size, m2_size, epsilon, _padded_law(joint, items, cs, c1, c2, exact))
 
 
 def verify_eve_list(scheme: EveListScheme, rho: float, instance: str = "") -> list[ReportRow]:

@@ -27,6 +27,7 @@ from hintlock.gf import field_make, rs_generator
 from hintlock.guessing import rank_row, sorted_moment
 from hintlock.prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from hintlock.tasks import StochTaskEncoder, descriptor_map
+from hintlock.twohint import EveListScheme, SecretKeyScheme, TwoHintScheme
 
 
 def in_sequence(terms) -> float:
@@ -123,14 +124,15 @@ def subset_views(tag: str, delta: int, size: int):
     return lambda key: tuple((tag, b, key[1], tuple(key[2][i] for i in b)) for b in subsets)
 
 
-def padded_law(items, cs: int, c1: int, c2: int, exact: bool) -> dict:
-    """Spread each (x, y, (v_s, v_1, v_2), mass) uniformly over the pad U."""
+def padded_law(items, cs: int, c1: int, c2: int, exact: bool, quotient: bool = False) -> dict:
+    """Spread each (x, y, (v_s, v_1, v_2), mass) uniformly over the pad U, or
+    put its whole mass at U = 0 (the pad quotient)."""
     inv_cs = Fraction(1, cs) if exact else 1.0 / cs
     law: dict = {}
     for x, y, (vs, v1, v2), w in items:
-        for u in range(cs):
+        for u in range(1 if quotient else cs):
             key = (x, y, ((vs + u) % cs) * c1 + v1, u * c2 + v2)
-            law[key] = law.get(key, 0) + w * inv_cs
+            law[key] = law.get(key, 0) + (w if quotient else w * inv_cs)
     return law
 
 
@@ -168,20 +170,22 @@ def secret_hint_law(joint, c: int, ms_size: int, version: str) -> dict:
     return {(x, y, zmap[(x, y)] % c, zmap[(x, y)] // c): p for x, y, p in joint.support_items()}
 
 
-def secret_key_law(joint, c: int, k_size: int, version: str) -> dict:
+def secret_key_law(joint, c: int, k_size: int, version: str, quotient: bool = False) -> dict:
+    """The secret-key scheme's law over every key, or its key quotient: key 0 with the whole mass."""
     zmap = descriptor_map(joint, c * k_size, version)
     inv_k = Fraction(1, k_size) if joint.exact else 1.0 / k_size
     law: dict = {}
     for x, y, p in joint.support_items():
         z = zmap[(x, y)]
         ms, mp = z % k_size, z // k_size
-        for k in range(k_size):
-            law[(x, y, k, ((ms + k) % k_size) * c + mp)] = p * inv_k
+        for k in range(1 if quotient else k_size):
+            law[(x, y, k, ((ms + k) % k_size) * c + mp)] = p if quotient else p * inv_k
     return law
 
 
-def eve_list_law(joint, m1_size: int, m2_size: int, epsilon: float) -> dict:
-    """The eve-list scheme's law: the smoothed descriptors, ranked per (y, v1', v2'), then padded."""
+def eve_list_law(joint, m1_size: int, m2_size: int, epsilon: float, quotient: bool = False) -> dict:
+    """The eve-list scheme's law: the smoothed descriptors, ranked per (y, v1', v2'), then padded
+    (or, for the pad quotient, each at U = 0 with its whole mass)."""
     cs = 1 + math.floor(math.log2(len(joint.x_alphabet)))
     c1, c2 = m1_size // cs, m2_size // cs
     zmap = descriptor_map(joint, c1 * c2, "guessing")
@@ -211,7 +215,7 @@ def eve_list_law(joint, m1_size: int, m2_size: int, epsilon: float) -> dict:
         (x, y, (math.floor(math.log2(ranks[((y, zp), x)])), zp % c1, zp // c1), w)
         for (x, y, zp), w in smoothed.items()
     )
-    return padded_law(items, cs, c1, c2, exact)
+    return padded_law(items, cs, c1, c2, exact, quotient)
 
 
 def int_to_symbols(z: int, count: int, bits: int) -> tuple:
@@ -256,8 +260,13 @@ def delta_law(sch) -> dict:
 
 
 def full_law(scheme) -> dict:
-    """The full law of a built two-hint or delta-disk scheme, over all its pads."""
-    if hasattr(scheme, "cs"):
+    """The full law of a built padded scheme (two-hint, secret-key, eve-list or
+    delta-disk), over all its pads."""
+    if isinstance(scheme, SecretKeyScheme):
+        return secret_key_law(scheme.joint, scheme.c, scheme.k_size, scheme.version)
+    if isinstance(scheme, EveListScheme):
+        return eve_list_law(scheme.joint, scheme.m1_size, scheme.m2_size, scheme.epsilon)
+    if isinstance(scheme, TwoHintScheme):
         return two_hint_law(scheme.joint, scheme.cs, scheme.c1, scheme.c2, scheme.version)
     return delta_law(scheme)
 

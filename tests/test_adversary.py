@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hintlock.adversary import Cell, eve_exact_matching, moment_for_constant, row_ids, support_moment
+from hintlock.adversary import Cell, Law, eve_exact_matching, moment_for_constant, row_ids, support_moment
 from hintlock.disks import build_delta_scheme, unequal_converse_rows, verify_disk_theorems
 from hintlock.guessing import random_joint
 from hintlock.prob import BudgetExceededError, DomainError
@@ -23,6 +24,7 @@ from oracles import (
     eve_exact_enumeration,
     eve_local_search,
     eve_strategy_pair_bruteforce,
+    full_law,
     has_mergeable_cells,
     ranks_alike,
 )
@@ -173,13 +175,19 @@ def test_row_ids_of_wide_columns_stay_exact():
     assert ids == [sorted(rows).index(r) for r in rows]
 
 
-PINNED_SCHEMES = {  # a scheme built on a seeded joint
+def full_law_views(scheme) -> SimpleNamespace:
+    """Bob's and Eve's views of a scheme's full law, over all its pads."""
+    law = Law.coded(full_law(scheme))
+    return SimpleNamespace(bob_cells=law.view(scheme.bob_positions), eve_cells=law.view(scheme.eve_positions))
+
+
+PINNED_SCHEMES = {  # a scheme built on a seeded joint, or its full law
     "two-hint 5x3 float": lambda: build_two_hint(random_joint(np.random.default_rng(11), 5, 3, zeros=0.2), 4, 4, 4),
     "two-hint 6x2 rational list": lambda: build_two_hint(
         random_joint(np.random.default_rng(12), 6, 2, exact=True), 4, 4, 4, "list"
     ),
-    "secret-key 4x3 rational": lambda: build_secret_key(
-        random_joint(np.random.default_rng(13), 4, 3, exact=True, zeros=0.2), 2, 2
+    "secret-key 4x3 rational": lambda: full_law_views(
+        build_secret_key(random_joint(np.random.default_rng(13), 4, 3, exact=True, zeros=0.2), 2, 2)
     ),
     "delta-disk 6x3 float": lambda: build_delta_scheme(random_joint(np.random.default_rng(14), 6, 3), 4, 2, 1, 4, 2, 2),
     "two-hint 96x4 float": lambda: build_two_hint(random_joint(np.random.default_rng(1), 96, 4), 4, 4, 4),
@@ -191,6 +199,8 @@ PINNED_SCHEMES = {  # a scheme built on a seeded joint
 # Eve's min-list moments, and Eve's matching value, as recorded when the numpy
 # kernels moved from `guessing` into `adversary`; the last two, whose chunks
 # of 96 and 128 cells scipy matches, before Eve's rows went heaviest first.
+# The secret-key values are its full law's, over both keys: its built key
+# quotient agrees within rel 1e-12 (test_quotient).
 PINNED_HEX = {
     "two-hint 5x3 float": [
         "0x1.4b9fdd08aa852p+0", "0x1.fffffffffffffp-1", "0x1.f7f48dfb4a811p+0", "0x1.1918f51063604p+0",

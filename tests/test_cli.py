@@ -477,9 +477,12 @@ MALFORMED = {
         {"source": {"uniform": 4}, "scheme": {"kind": "eve-list", "m1_size": 4, "m2_size": 4, "epsilon": 1e12}},
         "--rational",
     ],
+    # a secret-key scheme's key quotient has one row per support (x, y): five here, over a budget of 4
     "secret-key-rows-over-budget": [
         "twohint",
-        {"source": {"uniform": 4}, "rho": 1, "scheme": {"kind": "secret-key", "c": 1, "k_size": 100000000}},
+        {"source": {"x": [0, 1, 2, 3, 4], "p": [0.2] * 5}, "scheme": {"kind": "secret-key", "c": 1, "k_size": 2}},
+        "--budget",
+        "4",
     ],
     "eve-list-rows-over-budget": [
         "twohint",
@@ -554,6 +557,15 @@ def test_list_version_never_writes_out_its_descriptor_alphabet(command, config):
     proc = run_in_2_gb(command, json.dumps(config))
     assert proc.returncode == 0, proc.stderr
     assert "0 failures" in proc.stderr
+
+
+def test_secret_key_rows_do_not_grow_with_the_keys(capsys):
+    # 10^8 keys per (x, y): the key quotient has four rows, within the default budget
+    cfg = {"source": {"uniform": 4}, "rho": 1, "scheme": {"kind": "secret-key", "c": 1, "k_size": 100000000}}
+    start = time.perf_counter()
+    code, _, err = run(capsys, "twohint", json.dumps(cfg))
+    assert code == 0 and "0 failures" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_padded_rows_do_not_grow_with_the_pads(capsys):

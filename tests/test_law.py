@@ -44,9 +44,9 @@ def sources(draw):
 def built_with_references(joint):
     """(scheme, dict law, [(cell view, its dict law, dict views of the same observer)]) per builder.
 
-    A padded two-hint or delta-disk scheme's law is its pad quotient, on which
-    Bob's and Eve's views are read; the full dict law, coded into columns, has
-    its Eve view checked against the dict views."""
+    A padded scheme's law (two-hint, secret-key, eve-list, delta-disk) is its
+    pad quotient, on which Bob's and Eve's views are read; the full dict law,
+    coded into columns, has its Eve view checked against the dict views."""
     out = []
     for version in ("guessing", "list"):
         s, law = build_two_hint(joint, 2, 2, 2, version), oracles.two_hint_quotient(joint, 2, 2, 2, version, False)
@@ -59,10 +59,16 @@ def built_with_references(joint):
     out.append((back, law, [(back.eve_cells, quotient, oracles.two_hint_eve_views)]))
     sh, law = build_secret_hint(joint, 2, 4), oracles.secret_hint_law(joint, 2, 4, "guessing")
     out.append((sh, law, [(sh.bob_cells, law, oracles.bob_views), (sh.eve_cells, law, lambda k: ((k[1], k[2]),))]))
-    sk, law = build_secret_key(joint, 2, 4), oracles.secret_key_law(joint, 2, 4, "guessing")
-    out.append((sk, law, [(sk.bob_cells, law, oracles.bob_views), (sk.eve_cells, law, lambda k: ((k[1], k[3]),))]))
-    el, law = build_eve_list_scheme(joint, 8, 8, 20), oracles.eve_list_law(joint, 8, 8, 20)
-    views = [(el.eve_cells, law, oracles.two_hint_eve_views), (el.no_hint_cells, law, lambda k: ((k[1],),))]
+    sk, law = build_secret_key(joint, 2, 4), oracles.secret_key_law(joint, 2, 4, "guessing", quotient=True)
+    full = oracles.secret_key_law(joint, 2, 4, "guessing")
+    views = [(sk.bob_cells, law, oracles.bob_views), (sk.eve_cells, law, lambda k: ((k[1], k[3] % 2),))]
+    views.append((Law.coded(full).view(sk.eve_positions), full, lambda k: ((k[1], k[3]),)))
+    out.append((sk, law, views))
+    el, law = build_eve_list_scheme(joint, 8, 8, 20), oracles.eve_list_law(joint, 8, 8, 20, quotient=True)
+    full, c1, c2 = oracles.eve_list_law(joint, 8, 8, 20), el.c1, el.c2
+    views = [(el.bob_cells, law, oracles.bob_views), (el.no_hint_cells, law, lambda k: ((k[1],),))]
+    views.append((el.eve_cells, law, lambda k: oracles.two_hint_eve_views((*k[:2], k[2] % c1, k[3] % c2))))
+    views.append((Law.coded(full).view(el.eve_positions), full, oracles.two_hint_eve_views))
     out.append((el, law, views))
     d = build_delta_scheme(joint, 3, 2, 1, 4, 2, 2)
     law, full = oracles.delta_quotient(d, public=False), oracles.delta_law(d)
@@ -100,7 +106,7 @@ def test_columnar_views_equal_per_call_code(joint, rhos):
 
 def test_float_masses_follow_the_2_53_rule():
     joint = JointPmf.from_marginal(Pmf.of([TINY_10, Fraction(1, 3), Fraction(2, 3) - TINY_10], exact=True))
-    law = build_secret_key(joint, 1, 2).law  # two keys per x
+    law = Law.coded(oracles.full_law(build_secret_key(joint, 1, 2)))  # two keys per x
     assert law.scale > 2**53
     assert law.mass.tolist() == [float(p) for p in law.values()]
     assert law.mass[:2].tolist() == [0.0, 0.0] and law.mass[2] > 0  # float-zero cells stay on the support

@@ -1,5 +1,5 @@
-"""Property tests: Bob and Eve priced on a padded scheme's law, its pad
-quotient, equal Bob and Eve priced on the full realized law of the oracles."""
+"""Property tests: Bob and Eve priced on a padded scheme's law, its pad (or
+key) quotient, equal Bob and Eve priced on the full realized law of the oracles."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 import oracles
 from hintlock import disks
-from hintlock.adversary import Law, eve_exact_matching
+from hintlock.adversary import Law, eve_exact_matching, moment_for_constant, support_moment
 from hintlock.bounds import list_room
 from hintlock.disks import build_delta_scheme, disk_sizes
 from hintlock.gf import rs_generator
 from hintlock.guessing import random_joint
 from hintlock.prob import DomainError, JointPmf, Pmf
-from hintlock.twohint import TwoHintScheme, build_two_hint
+from hintlock.twohint import EveListScheme, TwoHintScheme, build_eve_list_scheme, build_secret_key, build_two_hint
 
 RHOS = (0.5, 1.0, 2.0)
 DISK_PARAMS = [(3, 2, 1, 4, 2, 2), (3, 2, 1, 2, 0, 2), (4, 3, 1, 6, 2, 4), (4, 3, 2, 4, 2, 2), (4, 3, 2, 2, 0, 2)]
@@ -33,13 +33,15 @@ def sources(draw, max_x: int = 8, max_y: int = 3):
     return random_joint(rng, draw(st.integers(2, max_x)), draw(st.integers(1, max_y)), exact=exact)
 
 
-def assert_full_law_agrees(scheme, pads: int) -> None:
+def assert_full_law_agrees(scheme, pads: int, eve=eve_exact_matching) -> None:
+    """Eve's value on the quotient is `eve` (by default the matching) on the full law's Eve view."""
     law = oracles.full_law(scheme)
     full = Law.coded(law).view(scheme.eve_positions)
-    support = len(list(scheme.joint.support_items()))
-    assert len(scheme.law) == support and len(law) == support * pads  # one realization per (x, y)
+    if not isinstance(scheme, EveListScheme):  # one realization per (x, y); eve-list's are per (x, y, v1', v2')
+        assert len(scheme.law) == len(list(scheme.joint.support_items()))
+    assert len(scheme.law) * pads == len(law)
     for rho in RHOS:
-        assert scheme.eve(rho) == pytest.approx(eve_exact_matching(full, rho), rel=1e-12)
+        assert scheme.eve(rho) == pytest.approx(eve(full, rho), rel=1e-12)
 
 
 def assert_bob_agrees_with_full_law(scheme, pads: int) -> None:
@@ -86,6 +88,31 @@ def test_two_hint_bob_quotient_equals_full_law(joint, cs, c1, c2, version):
 def test_delta_bob_quotient_equals_full_law(joint, params, version):
     assume(version == "guessing" or list_room(disk_sizes(*params[:4], params[-1])[0], len(joint.x_alphabet)))
     assert_bob_agrees_with_full_law(build_delta_scheme(joint, *params, version), 1 << (params[2] * params[-1]))
+
+
+def fixed_view_moment(view, rho: float) -> float:  # secret-key's Eve: the moment given the stored hint
+    return moment_for_constant(view, 0, rho)
+
+
+def min_list_moment(view, rho: float) -> float:  # eve-list's Eve: the shorter of her two lists
+    return support_moment(view, rho, min)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sources(), st.integers(1, 3), st.integers(1, 4), st.sampled_from(["guessing", "list"]))
+def test_secret_key_quotient_equals_full_law(joint, c, k_size, version):
+    assume(version == "guessing" or list_room(c * k_size, len(joint.x_alphabet)))
+    scheme = build_secret_key(joint, c, k_size, version)
+    assert_full_law_agrees(scheme, k_size, fixed_view_moment)
+    assert_bob_agrees_with_full_law(scheme, k_size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sources(), st.integers(4, 9), st.integers(4, 9), st.sampled_from([2.0, 2.5, 20.0]))
+def test_eve_list_quotient_equals_full_law(joint, m1_size, m2_size, epsilon):
+    scheme = build_eve_list_scheme(joint, m1_size, m2_size, epsilon)
+    assert_full_law_agrees(scheme, scheme.cs, min_list_moment)
+    assert_bob_agrees_with_full_law(scheme, scheme.cs)
 
 
 def test_unpadded_schemes_price_eve_on_their_own_law():

@@ -250,11 +250,13 @@ def test_secret_hint_examples_and_verify():
 
 def test_secret_key_examples_and_verify():
     sk = build_secret_key(U4, 1, 4)
-    a_e = guess_moment_given(sk.law, lambda k: (k[1], k[3]), 1.0)
+    a_e = guess_moment_given(oracles.full_law(sk), lambda k: (k[1], k[3]), 1.0)
     assert a_e == pytest.approx(2.5)  # hint independent of X
+    assert sk.eve(1.0) == pytest.approx(2.5)
     sk2 = build_secret_key(U4, 4, 1)
-    a_e2 = guess_moment_given(sk2.law, lambda k: (k[1], k[3]), 1.0)
+    a_e2 = guess_moment_given(oracles.full_law(sk2), lambda k: (k[1], k[3]), 1.0)
     assert a_e2 == pytest.approx(1.0)
+    assert sk2.eve(1.0) == pytest.approx(1.0)
     for version in ("guessing", "list"):
         for c, ks in ((2, 2), (1, 8), (2, 4)):
             if version == "list" and not c * ks > math.log2(4) + 2:
@@ -264,6 +266,20 @@ def test_secret_key_examples_and_verify():
             assert all_passed(rows), [r for r in rows if not r.passed]
     with pytest.raises(DomainError):
         build_secret_key(U4, 3, 2, m_size=4)  # c|K| > |M|
+
+
+def test_sweep_eve_list_rows_are_exact():
+    # The benchmark's scheme-sweep-exact sources at seed 1, where c1 = c2 = 1:
+    # on the pad quotient Eve's two lists and the no-hint list both hold every
+    # x of y, and their moments add the same masses in the same order.
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        sch = build_eve_list_scheme(random_joint(rng, 16, 32, exact=True), 8, 8, 20)
+        assert sch.c1 == sch.c2 == 1
+        for rho in (0.5, 1.0, 2.0):
+            slack = {r.check: r.slack for r in verify_eve_list(sch, rho)}
+            assert slack["eve-equals-no-hint-list"] == 0.0
+            assert slack["eve-converse-list"] == 0.0
 
 
 def test_eve_list_scheme():
@@ -283,10 +299,11 @@ def test_eve_list_scheme():
 
 def test_eve_list_single_hint_lists_cover_everything():
     sch = build_eve_list_scheme(SKEW4, 6, 6, 8.0)
-    support = {(k[0], k[1]) for k in sch.law}
+    law = oracles.full_law(sch)  # the built law is its pad quotient
+    support = {(k[0], k[1]) for k in law}
     by_m1: dict = {}
     by_m2: dict = {}
-    for (x, y, m1, m2), p in sch.law.items():
+    for (x, y, m1, m2), p in law.items():
         if p > 0:
             by_m1.setdefault((y, m1), set()).add(x)
             by_m2.setdefault((y, m2), set()).add(x)
