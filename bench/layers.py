@@ -48,6 +48,15 @@ kind of config: a binary (0.7, 0.3) source, n = 3, Hamming distortion within
 Delta = 0.34.  A tree whose search ranks all 8! orders in a table and one
 whose search is the subset DP time the same call.
 
+Two more inputs time the GF(2^l) kernels of `hintlock.gf`.  On the three sweep
+sources' delta-disk (4, 2, 1, 4, 2, 2) schemes (summed), built untimed:
+`GenMatrix.encode` of the builder's two calls, G_V on the V symbol array
+(`encode V`) and G_UW on the W symbol array padded with eta zero pad symbols
+(`encode padded W`), one row per descriptor; and `mds_check`, the batched
+elimination that decides both structure rows, on G_V, G_UW and G_UW's top
+eta = 1 row.  On criterion 08's largest case, `mds_check` of
+`rs_generator(8, 16, field_make(4))`: 12,870 column subsets of 8 x 8.
+
 The oracles layer (`--layer oracles`) times Eve's exact oracle, `scheme.eve(1.0)`,
 on a fresh scheme: the call pays for the scheme's Eve view, its slot graphs and
 the matching, and the build is not timed.  The schemes are
@@ -177,19 +186,45 @@ def _order_search(hl) -> dict:
     return {"order search": lambda: distortion.brute_optimal_distortion_guessers(spec, joint, 3, [RHO])}
 
 
+def _gf(hl, joint) -> dict:
+    """name -> one call of a GF kernel of `joint`'s delta-disk (4, 2, 1, 4, 2, 2)
+    scheme: the builder's two encode calls and the structure checks' mds_check calls."""
+    import numpy as np
+
+    from hintlock.gf import mds_check
+
+    scheme = hl.build_delta_scheme(joint, 4, 2, 1, 4, 2, 2)
+    v_sym = np.array([v for v, _ in scheme.descriptor.values()])
+    w_padded = np.pad(np.array([w for _, w in scheme.descriptor.values()]), ((0, 0), (scheme.eta, 0)))
+    top = scheme.g_uw.first_rows(scheme.eta)
+    return {
+        "encode V": lambda: scheme.g_v.encode(v_sym),
+        "encode padded W": lambda: scheme.g_uw.encode(w_padded),
+        "mds_check G_V": lambda: mds_check(scheme.g_v),
+        "mds_check G_UW": lambda: mds_check(scheme.g_uw),
+        "mds_check G_UW top row": lambda: mds_check(top),
+    }
+
+
 def kernels_child(reps: int) -> dict:
     """Reference seconds per call of each kernel, per input, one value per repetition."""
     import numpy as np
     from calibrate import REFERENCE_S, kernel_seconds
 
     import hintlock as hl
+    from hintlock.gf import field_make, mds_check, rs_generator
 
     rng = np.random.default_rng(SEED)
-    sweep = [_kernels(hl, hl.random_joint(rng, 16, 32, exact=True), (4, 4, 4)) for _ in range(3)]
+    joints = [hl.random_joint(rng, 16, 32, exact=True) for _ in range(3)]
     small = _kernels(hl, hl.random_joint(np.random.default_rng(SEED), 6, 3, exact=True), (2, 2, 2))
-    inputs = {"16x32 sweep sources (sum of three)": sweep, "6x3 table": [small]}
+    inputs = {"16x32 sweep sources (sum of three)": [_kernels(hl, joint, (4, 4, 4)) for joint in joints]}
+    inputs["6x3 table"] = [small]
     inputs["binary n = 3, m = 8 reconstructions"] = [_order_search(hl)]
-    names = [*small, "order search"]
+    gf = [_gf(hl, joint) for joint in joints]
+    inputs["16x32 sweep sources' delta-disk schemes (sum of three)"] = gf
+    largest = rs_generator(8, 16, field_make(4))  # criterion 08's largest case: 12,870 column subsets
+    inputs["rs_generator(8, 16, field_make(4))"] = [{"mds_check RS(8, 16)": lambda: mds_check(largest)}]
+    names = [*small, "order search", *gf[0], "mds_check RS(8, 16)"]
     out = {name: {label: [] for label, kernels in inputs.items() if name in kernels[0]} for name in names}
     clock = [kernel_seconds()]
     for _ in range(reps):
@@ -439,7 +474,8 @@ def main(argv=None) -> int:
             "layer": "kernels",
             "unit": "reference seconds (perfbench/calibrate.py) per call, summed over an input's sources",
             "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints; one seeded 6x3 rational joint;"
-            " the order search: a binary (0.7, 0.3) source, n = 3, Hamming Delta = 0.34",
+            " the order search: a binary (0.7, 0.3) source, n = 3, Hamming Delta = 0.34;"
+            " GF: the sweep joints' delta-disk (4, 2, 1, 4, 2, 2) schemes, and rs_generator(8, 16, field_make(4))",
             "rho": RHO,
         }
     elif args.layer == "e2e":

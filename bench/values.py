@@ -17,7 +17,12 @@ each tree it collects:
   fixture), each value written by `float.hex`, so equal means bit-identical;
 - the two CSV bodies of acceptance criterion 12, `hintlock verify-all --seed
   11` and `hintlock twohint --rational --seed 11` on the benchmark's
-  CRITERION_12_TWOHINT config, with their exit codes.
+  CRITERION_12_TWOHINT config, with their exit codes;
+- the GF body, the integers of `hintlock.gf`: for the criterion-08 sweep
+  (l = 2, 3, 4, every k <= n <= q) each `rs_generator(k, n)` entry, its
+  `mds_check` verdict, and per k' < k the first k' rows and their verdict;
+  and `encode` of 64 messages from `default_rng(1)` by RS(4, 16) and RS(32, 256) over
+  GF(2^8).
 
 It exits 0 when the two trees agree on every job and body.  Otherwise it lists
 every job or body that differs, a job with its count of differing values and
@@ -39,6 +44,7 @@ from layers import _export
 
 WORKLOADS = ("twohint-eve", "scheme-sweep-exact", "rd-exponent", "cli-cold")
 SEEDS = (1, 7, 31337)
+GF_BODY = "GF: criterion-08 sweep and GF(2^8) encode"
 
 
 def child(tree: Path) -> dict:
@@ -71,11 +77,40 @@ def child(tree: Path) -> dict:
             code = main([*argv, "--out", str(body)])
             out[label] = {"exit": code, "body": body.read_text() if body.exists() else None}
             body.unlink(missing_ok=True)
+    out[GF_BODY] = {"ints": gf_integers()}
+    return out
+
+
+def gf_integers() -> dict:
+    """The GF body: generator entries, first rows and verdicts of the
+    criterion-08 sweep, and encoded words over GF(2^8)."""
+    import numpy as np
+
+    from hintlock.gf import field_make, mds_check, rs_generator
+
+    out: dict = {}
+    for ell in (2, 3, 4):
+        field = field_make(ell)
+        for n in range(1, field.q + 1):
+            for k in range(1, n + 1):
+                g = rs_generator(k, n, field)
+                tops = [g.first_rows(kp) for kp in range(1, k)]
+                out[f"GF(2^{ell}) k={k} n={n}"] = [
+                    [g.entries.tolist(), mds_check(g)],
+                    *([top.entries.tolist(), mds_check(top)] for top in tops),
+                ]
+    rng = np.random.default_rng(SEEDS[0])
+    for k, n in ((4, 16), (32, 256)):
+        words = rs_generator(k, n, field_make(8)).encode(rng.integers(0, 256, (64, k)))
+        out[f"GF(2^8) encode k={k} n={n}"] = words.tolist()
     return out
 
 
 def _difference(base, change) -> str:
     """How one job's or body's output differs between the trees."""
+    if base and change and "ints" in base and "ints" in change:
+        names = [name for name in {**base["ints"], **change["ints"]} if base["ints"].get(name) != change["ints"].get(name)]
+        return f"{len(names)} of {len(base['ints'])} generators and encodings differ, first {names[:3]}"
     if not (base and change and "values" in base and "values" in change):
         return f"\n  base:   {str(base)[:400]}\n  change: {str(change)[:400]}"
     if len(base["values"]) != len(change["values"]):
@@ -123,7 +158,7 @@ def main(argv=None) -> int:
     if differing:
         print(f"{len(differing)} of {len(keys)} jobs and bodies differ ({count} values at base)")
         return 1
-    print(f"equal: {len(base) - 2} jobs ({count} values as hex floats) and 2 CSV bodies")
+    print(f"equal: {len(base) - 3} jobs ({count} values as hex floats), 2 CSV bodies and the GF body")
     return 0
 
 

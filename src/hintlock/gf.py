@@ -2,6 +2,10 @@
 
 Field elements are ints in [0, 2^l); addition is XOR and multiplication goes
 through exp/log tables built from a fixed primitive polynomial per degree.
+The tables absorb zero: log[0] = 2(q - 1) and exp is 0 from 2(q - 1) on, so
+a sum of two logs with a 0 among its factors lands in exp's zeros and
+`FieldTable.mul` is one lookup, with no mask, on ints or broadcast int arrays.
+`mul` and `inv` are the only lookups into the tables.
 The generator matrix evaluates polynomials of degree < k at the points
 0, 1, a, a^2, ..., so any k columns are a (generalized) Vandermonde system
 and every k x k column submatrix is nonsingular.
@@ -12,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -43,8 +47,8 @@ PRIMITIVE_POLYS = {
 class FieldTable:
     ell: int
     primitive_poly: int
-    exp: np.ndarray  # exp[i] = alpha^i, length 2*(q-1) for wraparound-free lookups
-    log: np.ndarray  # log[v] = discrete log of v, log[0] unused
+    exp: np.ndarray  # exp[i] = alpha^i for i < 2*(q-1), then 0 up to 4*(q-1): any sum of two logs
+    log: np.ndarray  # log[v] = discrete log of v; log[0] = 2*(q-1), whose sums all land in exp's zeros
 
     @property
     def q(self) -> int:
@@ -53,26 +57,15 @@ class FieldTable:
     def add(self, a, b):
         return a ^ b
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[int(self.log[a]) + int(self.log[b])])
+    def mul(self, a, b):
+        """a * b on ints or broadcast int arrays; a numpy integer or array."""
+        return self.exp[self.log[a] + self.log[b]]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
+    def inv(self, a):
+        """1 / a on an int or an int array; raises ZeroDivisionError on a 0 anywhere in a."""
+        if not np.all(a):
             raise ZeroDivisionError("inverse of 0")
-        return int(self.exp[(self.q - 1) - int(self.log[a])])
-
-    def pow_alpha(self, e: int) -> int:
-        return int(self.exp[e % (self.q - 1)])
-
-    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        la = self.log[np.broadcast_to(a, out.shape)[nz]]
-        lb = self.log[np.broadcast_to(b, out.shape)[nz]]
-        out[nz] = self.exp[la + lb]
-        return out
+        return self.exp[(self.q - 1) - self.log[a]]
 
 
 def field_make(ell: int) -> FieldTable:
@@ -81,8 +74,8 @@ def field_make(ell: int) -> FieldTable:
         raise DomainError(f"unsupported field degree {ell}; supported: 1..16")
     q = 1 << ell
     poly = PRIMITIVE_POLYS[ell]
-    exp = np.zeros(max(2 * (q - 1), 2), dtype=np.int64)
-    log = np.zeros(q, dtype=np.int64)
+    exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+    log = np.full(q, 2 * (q - 1), dtype=np.int64)
     v = 1
     for i in range(q - 1):
         exp[i] = v
@@ -92,8 +85,7 @@ def field_make(ell: int) -> FieldTable:
             v ^= poly
     if v != 1:
         raise RuntimeError(f"polynomial {poly:#x} is not primitive for degree {ell}")
-    for i in range(q - 1, exp.shape[0]):
-        exp[i] = exp[i - (q - 1)]
+    exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
     return FieldTable(ell, poly, exp, log)
 
 
@@ -112,10 +104,7 @@ class GenMatrix:
     def encode(self, message: np.ndarray) -> np.ndarray:
         """message (length k, or one message per row) times the matrix, over the field."""
         message = np.asarray(message, dtype=np.int64)
-        out = np.zeros((*message.shape[:-1], self.n), dtype=np.int64)
-        for i in range(self.k):
-            out ^= self.field.mul_vec(message[..., i, None], self.entries[i])
-        return out
+        return np.bitwise_xor.reduce(self.field.mul(message[..., None], self.entries), axis=-2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -136,10 +125,7 @@ def rs_generator(k: int, n: int, field: FieldTable) -> GenMatrix:
         raise DomainError(f"need 1 <= k <= n <= q, got k={k}, n={n}, q={q}")
     g = np.zeros((k, n), dtype=np.int64)
     g[0, 0] = 1
-    for j in range(1, n):
-        point_log = j - 1  # column j evaluates at alpha^(j-1)
-        for i in range(k):
-            g[i, j] = field.pow_alpha(point_log * i)
+    g[:, 1:] = field.exp[np.arange(k)[:, None] * np.arange(n - 1) % (q - 1)]  # column j at alpha^(j-1)
     return GenMatrix(k, n, field, g)
 
 
@@ -152,44 +138,30 @@ def _batched_nonsingular(mats: np.ndarray, field: FieldTable) -> np.ndarray:
     b, k, _ = mats.shape
     a = mats.copy()
     ok = np.ones(b, dtype=bool)
+    rows = np.arange(b)
     for col in range(k):
         sub = a[:, col:, col]  # candidate pivots per matrix
         piv = np.argmax(sub != 0, axis=1)
-        has = sub[np.arange(b), piv] != 0
+        has = sub[rows, piv] != 0
         ok &= has
         piv = np.where(has, piv + col, col)
-        rows = np.arange(b)
         tmp = a[rows, piv].copy()
         a[rows, piv] = a[rows, col]
         a[rows, col] = tmp
         pivot = a[:, col, col].copy()
         pivot[pivot == 0] = 1  # dead matrices keep eliminating harmlessly
-        inv_log = (field.q - 1) - field.log[pivot]
-        below = a[:, col + 1 :, col]
-        if below.size == 0:
-            continue
-        factor = np.zeros_like(below)
-        nz = below != 0
-        factor[nz] = field.exp[field.log[below[nz]] + inv_log[:, None].repeat(below.shape[1], 1)[nz]]
-        rowvals = a[:, col, col:]
-        prod = np.zeros((b, below.shape[1], rowvals.shape[1]), dtype=np.int64)
-        nz2 = (factor[:, :, None] != 0) & (rowvals[:, None, :] != 0)
-        lf = field.log[np.broadcast_to(factor[:, :, None], prod.shape)[nz2]]
-        lr = field.log[np.broadcast_to(rowvals[:, None, :], prod.shape)[nz2]]
-        prod[nz2] = field.exp[lf + lr]
-        a[:, col + 1 :, col:] ^= prod
+        factor = field.mul(a[:, col + 1 :, col], field.inv(pivot)[:, None])
+        a[:, col + 1 :, col:] ^= field.mul(factor[:, :, None], a[:, None, col, col:])
     return ok
 
 
 def mds_check(m: GenMatrix) -> bool:
     """Exhaustively test that every k x k column submatrix is nonsingular."""
-    k, n, batch = m.k, m.n, 4096
-    if k > n:
+    if m.k > m.n:
         raise DomainError("k must not exceed n")
-    cols = list(combinations(range(n), k))
-    for start in range(0, len(cols), batch):
-        chunk = cols[start : start + batch]
-        sel = np.array(chunk)  # (b, k) column indices
+    subsets = combinations(range(m.n), m.k)
+    while batch := list(islice(subsets, 4096)):
+        sel = np.array(batch)  # (b, k) column indices
         mats = m.entries[:, sel].transpose(1, 0, 2)  # (b, k, k)
         if not _batched_nonsingular(mats, m.field).all():
             return False

@@ -1,7 +1,7 @@
 """Slow, independent oracles that the tests check the package against.
 
 Nothing in `src/` imports this module.  It holds the brute-force and grid
-cross-checks, Eve's exhaustive map enumeration (exact on any cells) and local
+cross-checks, GF(2^l) arithmetic by shift-and-add (no tables), Eve's exhaustive map enumeration (exact on any cells) and local
 search (an upper bound), the full padded laws that the schemes' pad quotients
 stand for, and the earlier implementations that the columnar laws, the
 prepared cell view, the batched rate-distortion solver and the algebraic disk
@@ -23,7 +23,7 @@ from hintlock.adversary import Cell
 from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, variational_optimum
 from hintlock.adversary import rank_groups
-from hintlock.gf import field_make, rs_generator
+from hintlock.gf import PRIMITIVE_POLYS, field_make, rs_generator
 from hintlock.guessing import rank_row, sorted_moment
 from hintlock.prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
 from hintlock.tasks import StochTaskEncoder, descriptor_map
@@ -287,6 +287,48 @@ def delta_quotient(sch, public: bool = True) -> dict:
             mr = g_uw.encode(np.array((0,) * sch.eta + w_sym)) if g_uw else zero
             law[(x, y, tuple(int(a) << sch.r | int(b) for a, b in zip(mp, mr)))] = prob
     return law
+
+
+# ---------------------------------------------------------------------------
+# GF(2^l) without tables: the field the log/exp lookups of `gf` must reproduce.
+# ---------------------------------------------------------------------------
+
+
+def gf_mul(a: int, b: int, ell: int) -> int:
+    """a * b in GF(2^ell) by shift-and-add, reduced by `gf.PRIMITIVE_POLYS[ell]`."""
+    q, out = 1 << ell, 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a & q:
+            a ^= PRIMITIVE_POLYS[ell]
+    return out
+
+
+def gf_power(a: int, e: int, ell: int) -> int:
+    """a^e in GF(2^ell), by e multiplications."""
+    out = 1
+    for _ in range(e):
+        out = gf_mul(out, a, ell)
+    return out
+
+
+def gf_nonsingular(rows, ell: int) -> bool:
+    """Whether a square matrix over GF(2^ell) is nonsingular, by Gaussian
+    elimination on Python ints, each pivot inverted as a^(q-2)."""
+    m = [[int(v) for v in row] for row in rows]
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if piv is None:
+            return False
+        m[col], m[piv] = m[piv], m[col]
+        inv = gf_power(m[col][col], (1 << ell) - 2, ell)
+        for r in range(col + 1, len(m)):
+            factor = gf_mul(m[r][col], inv, ell)
+            m[r] = [v ^ gf_mul(factor, w, ell) for v, w in zip(m[r], m[col])]
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hintlock.gf import GenMatrix, field_make, mds_check, rs_generator
+from hintlock.gf import GenMatrix, _batched_nonsingular, field_make, mds_check, rs_generator
 from hintlock.prob import DomainError
+from oracles import gf_mul, gf_nonsingular, gf_power
+
+FIELDS = {ell: field_make(ell) for ell in range(1, 17)}
+
+
+def alpha(ell: int) -> int:
+    """The primitive element the tables are built from: x, reduced by the field's polynomial."""
+    return 1 if ell == 1 else 2
 
 
 def test_gf4_arithmetic():
@@ -37,6 +47,11 @@ def test_generator_shapes_and_examples():
     f = field_make(2)
     g1 = rs_generator(1, 4, f)
     assert (g1.entries == np.array([[1, 1, 1, 1]])).all()  # weight-n repetition row
+    for ell, k, n in ((1, 1, 2), (2, 3, 4), (3, 4, 8), (4, 5, 16), (8, 3, 256)):
+        g = rs_generator(k, n, FIELDS[ell])
+        # column 0 evaluates z^i at 0; column j >= 1 at alpha^(j-1)
+        expected = [[int(i == 0)] + [gf_power(alpha(ell), i * (j - 1), ell) for j in range(1, n)] for i in range(k)]
+        assert g.entries.tolist() == expected
     gsq = rs_generator(4, 4, f)
     assert mds_check(gsq)  # k = n: a single invertible submatrix
     g24 = rs_generator(2, 4, f)
@@ -91,12 +106,12 @@ def test_encode_matches_polynomial_evaluation():
         # column j >= 1 evaluates the message polynomial at alpha^(j-1)
         assert word[0] == msg[0]
         for j in range(1, 8):
-            point = f.pow_alpha(j - 1)
+            point = gf_power(alpha(3), j - 1, 3)
             acc = 0
             power = 1
             for coef in msg:
-                acc ^= f.mul(int(coef), power)
-                power = f.mul(power, point)
+                acc ^= gf_mul(int(coef), power, 3)
+                power = gf_mul(power, point, 3)
             assert word[j] == acc
 
 
@@ -105,3 +120,72 @@ def test_csv_export():
     g = rs_generator(2, 3, f)
     lines = g.to_csv().splitlines()
     assert lines[0] == "1,1,1"
+
+
+def test_mul_equals_shift_and_add_on_every_pair():
+    for ell in range(1, 5):
+        f, q = FIELDS[ell], 1 << ell
+        expected = [[gf_mul(a, b, ell) for b in range(q)] for a in range(q)]
+        assert f.mul(np.arange(q)[:, None], np.arange(q)).tolist() == expected
+        assert [[f.mul(a, b) for b in range(q)] for a in range(q)] == expected  # on Python ints
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([5, 8, 12, 16]), st.data())
+def test_mul_equals_shift_and_add_on_drawn_pairs(ell, data):
+    f = FIELDS[ell]
+    elements = st.one_of(st.just(0), st.integers(0, f.q - 1))
+    a, b = data.draw(elements), data.draw(elements)
+    assert f.mul(a, b) == gf_mul(a, b, ell)
+    col = data.draw(st.lists(elements, min_size=1, max_size=6))
+    row = data.draw(st.lists(elements, min_size=1, max_size=6))
+    assert f.mul(np.array(col)[:, None], np.array(row)).tolist() == [[gf_mul(c, r, ell) for r in row] for c in col]
+    assert f.mul(a, np.array(row)).tolist() == [gf_mul(a, r, ell) for r in row]
+
+
+def test_inverse_of_every_nonzero_element():
+    for ell in range(1, 9):
+        f = FIELDS[ell]
+        a = np.arange(1, f.q)
+        inv = f.inv(a)
+        assert (f.mul(a, inv) == 1).all()
+        assert all(gf_mul(int(x), int(y), ell) == 1 for x, y in zip(a, inv))
+        assert all(f.inv(int(x)) == y for x, y in zip(a, inv))
+        with pytest.raises(ZeroDivisionError):
+            f.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            f.inv(np.array([1, 0, f.q - 1]))
+
+
+@st.composite
+def square_batches(draw):
+    """(ell, a batch of k x k matrices, the members planted singular): about 80%
+    nonzero entries, some members with a zero column, a repeated row, or a row
+    that is a field multiple of another."""
+    ell, k, b = draw(st.sampled_from([1, 2, 3, 4, 8])), draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    q = 1 << ell
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = rng.integers(1, q, size=(b, k, k)) * (rng.random((b, k, k)) < 0.8)
+    plants = ["none", "zero column"] + (["repeated row", "multiple row"] if k > 1 else [])
+    planted = []
+    for m in mats:
+        plant = draw(st.sampled_from(plants))
+        if plant == "zero column":
+            m[:, draw(st.integers(0, k - 1))] = 0
+        elif plant != "none":
+            r, s = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+            c = 1 if plant == "repeated row" else draw(st.integers(1, q - 1))
+            m[r] = [gf_mul(c, int(v), ell) for v in m[s]]
+        planted.append(plant != "none")
+    return ell, mats, planted
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_batches())
+def test_mds_verdicts_equal_gaussian_elimination(batch):
+    ell, mats, planted = batch
+    f, k = FIELDS[ell], mats.shape[1]
+    verdicts = [gf_nonsingular(m, ell) for m in mats]
+    assert not any(v and p for v, p in zip(verdicts, planted))
+    assert _batched_nonsingular(mats, f).tolist() == verdicts  # live and dead members in one batch
+    assert [mds_check(GenMatrix(k, k, f, m)) for m in mats] == verdicts
