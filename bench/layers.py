@@ -13,10 +13,14 @@ files that git tracks or would add, so neither side runs on bytecode left in
 the tree) and measured by fresh interpreters, base and change alternating, each
 pinned to one core like `perfbench/run.py` and with that tree's `src` first on
 its path.  The sources are those of the benchmark's scheme-sweep-exact
-workload: three seeded 16x32 rational joints.  Per builder, three stages are
-timed on a new scheme each time, and a fourth for the delta-disk scheme:
+workload: three seeded 16x32 rational joints.  Per builder, four stages are
+timed on a new scheme each time, and a fifth for the delta-disk scheme:
 
-- `build`: the builder call;
+- `fresh_build`: the builder call on a new `JointPmf` copy of the source, made
+  untimed just before, so the source-side work a first build pays (support,
+  numerators, ranks, where a tree keeps them on the source) stays in view;
+- `build`: the builder call on the one source object, whose kept state is
+  warm from the second call on;
 - `checks` (delta-disk only): its structure checks, `check_reconstruction`
   and `check_eta_independence`, right after the build;
 - `views`: reading the scheme's cached cell views (Bob, Eve, and the eve-list
@@ -52,9 +56,9 @@ Two more inputs time the GF(2^l) kernels of `hintlock.gf`.  On the three sweep
 sources' delta-disk (4, 2, 1, 4, 2, 2) schemes (summed), built untimed:
 `GenMatrix.encode` of the builder's two calls, G_V on the V symbol array
 (`encode V`) and G_UW on the W symbol array padded with eta zero pad symbols
-(`encode padded W`), one row per descriptor; and `mds_check`, the batched
-elimination that decides both structure rows, on G_V, G_UW and G_UW's top
-eta = 1 row.  On criterion 08's largest case, `mds_check` of
+(`encode padded W`), on seeded symbols, one row per cell of the scheme's law;
+and `mds_check`, the batched elimination that decides both structure rows, on
+G_V, G_UW and G_UW's top eta = 1 row.  On criterion 08's largest case, `mds_check` of
 `rs_generator(8, 16, field_make(4))`: 12,870 column subsets of 8 x 8.
 
 The oracles layer (`--layer oracles`) times Eve's exact oracle, `scheme.eve(1.0)`,
@@ -194,8 +198,9 @@ def _gf(hl, joint) -> dict:
     from hintlock.gf import mds_check
 
     scheme = hl.build_delta_scheme(joint, 4, 2, 1, 4, 2, 2)
-    v_sym = np.array([v for v, _ in scheme.descriptor.values()])
-    w_padded = np.pad(np.array([w for _, w in scheme.descriptor.values()]), ((0, 0), (scheme.eta, 0)))
+    rng, rows = np.random.default_rng(SEED), len(scheme.law)
+    v_sym = rng.integers(0, 1 << scheme.p, size=(rows, scheme.nu))
+    w_padded = np.pad(rng.integers(0, 1 << scheme.r, size=(rows, scheme.nu - scheme.eta)), ((0, 0), (scheme.eta, 0)))
     top = scheme.g_uw.first_rows(scheme.eta)
     return {
         "encode V": lambda: scheme.g_v.encode(v_sym),
@@ -371,7 +376,7 @@ def child(reps: int) -> dict:
     rng = np.random.default_rng(SEED)
     sources = [hl.random_joint(rng, 16, 32, exact=True) for _ in range(3)]
     builders = _builders(hl, twohint, disks)
-    stages = ("build", "checks", "views", "first_rho")
+    stages = ("fresh_build", "build", "checks", "views", "first_rho")
     out = {name: {stage: [] for stage in stages if stage != "checks" or entry[3]} for name, entry in builders.items()}
     clock = [kernel_seconds()]  # the latest kernel time
 
@@ -384,6 +389,8 @@ def child(reps: int) -> dict:
             totals = dict.fromkeys(out[name], 0.0)
             try:
                 for joint in sources:
+                    fresh = hl.JointPmf(joint.x_alphabet, joint.y_alphabet, joint.table)
+                    totals["fresh_build"] += measured(lambda: build(fresh))[1]
                     scheme, seconds = measured(lambda: build(joint))
                     totals["build"] += seconds
                     if checks:
@@ -508,7 +515,8 @@ def main(argv=None) -> int:
             "unit": "reference seconds (perfbench/calibrate.py), summed over the three sources",
             "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints",
             "stages": {
-                "build": "builder call",
+                "fresh_build": "builder call on a new JointPmf copy of the source",
+                "build": "builder call on the same source object",
                 "checks": "check_reconstruction and check_eta_independence (delta-disk)",
                 "views": "cached cell views",
                 "first_rho": f"verifier at rho = {RHO}",

@@ -5,10 +5,11 @@ a padded scheme its pad quotient (below), as a `Law`: numpy columns over the
 positive-mass support, in law order -- int codes for x and y, an int matrix of
 hints, float64 masses and, for a rational law, Python-int numerators over one
 common denominator (exact checks sum integers at any size).  A float mass is
-the float of its Fraction; numerator / denominator in float64 is that only
-while both are at most 2^53, so beyond that the division is Python's, on ints.
-Read as a mapping, a `Law` is the dict, built on first read; a dict handed to a
-scheme is coded once.
+float(p) of its Fraction.  A law of one realization per source cell
+(`Law.on`: every scheme but eve-list's) reads its codes, masses and
+numerators off the source (`JointPmf.support` and `numerators`, computed once
+per source), so a build adds only its hints.  Read as a mapping, a `Law` is
+the dict, built on first read; a dict handed to a scheme is coded once.
 
 `Law.view(positions)` gives a `CellView`: per realization, one context id per
 view position (a revealable hint subset; the context carries y and the hints
@@ -225,19 +226,13 @@ class Law(Mapping):
     """A realized law {(x, y, hints...): prob} as columns over its positive-mass support.
 
     `x`, `y`: int codes into `xs`, `ys`; `hints`: one int column per hint (the
-    key's tail, or its third entry when `nested`); `mass`: float64; `nums`:
-    Python-int numerators over `scale` (a rational law) or None.
+    key's tail, or its third entry when `nested`); `mass`: float64, float(p)
+    per row; `nums`: Python-int numerators over `scale` (a rational law) or None.
     """
 
-    def __init__(self, xs, ys, x, y, hints, nums, scale=None, nested=False, law=None):
-        self.xs, self.ys, self.x, self.y, self.hints = tuple(xs), tuple(ys), x, y, hints
+    def __init__(self, xs, ys, x, y, hints, mass, nums=None, scale=None, nested=False, law=None):
+        self.xs, self.ys, self.x, self.y, self.hints, self.mass = tuple(xs), tuple(ys), x, y, hints, mass
         self.nums, self.scale, self.nested, self._dict = (None if scale is None else nums), scale, nested, law
-        if scale is None:
-            self.mass = np.asarray(nums, dtype=float)
-        elif scale <= 1 << 53 and max(nums, default=0) <= 1 << 53:  # exact in float64: one rounding
-            self.mass = np.array(nums, dtype=np.int64) / float(scale)
-        else:
-            self.mass = np.array([n / scale for n in nums], dtype=float)
 
     @classmethod
     def coded(cls, law) -> "Law":
@@ -250,19 +245,15 @@ class Law(Mapping):
         x = np.array([xs.setdefault(key[0], len(xs)) for key, _ in items], dtype=np.int64)
         y = np.array([ys.setdefault(key[1], len(ys)) for key, _ in items], dtype=np.int64)
         hints = np.array([key[2] if nested else key[2:] for key, _ in items], dtype=np.int64)
+        mass = np.array([float(p) for _, p in items], dtype=float)
         nums, scale = common_denominator(p for _, p in items)
-        return cls(xs, ys, x, y, hints.reshape(len(items), -1) if items else hints, nums, scale, nested, law)
+        return cls(xs, ys, x, y, hints.reshape(len(items), -1) if items else hints, mass, nums, scale, nested, law)
 
     @classmethod
-    def spread(cls, joint, rows, hints: np.ndarray, exact: bool, nested: bool = False) -> "Law":
-        """One realization per (x, y, mass) row over a source's alphabets, with
-        the row's whole mass and its row of `hints`."""
-        alphabets = (joint.x_alphabet, joint.y_alphabet)
-        codes = [{v: i for i, v in enumerate(alphabet)} for alphabet in alphabets]
-        x, y = (np.array([codes[k][row[k]] for row in rows], dtype=np.int64) for k in range(2))
-        if not exact:
-            return cls(*alphabets, x, y, hints, np.array([float(w) for _, _, w in rows]), nested=nested)
-        return cls(*alphabets, x, y, hints, *common_denominator(w for _, _, w in rows), nested)
+    def on(cls, joint, hints: np.ndarray, nested: bool = False) -> "Law":
+        """One realization per cell of `joint.support`, with its whole mass (the joint's own) and row of `hints`."""
+        x, y, mass, _ = joint.support
+        return cls(joint.x_alphabet, joint.y_alphabet, x, y, hints, mass, *joint.numerators, nested)
 
     def as_dict(self) -> dict:
         if self._dict is None:

@@ -171,7 +171,7 @@ def _load_source(src, args) -> JointPmf:
     issues = validate(src)
     if issues:
         raise ConfigError("config error in source: " + "; ".join(issues))
-    mass = (lambda v: Fraction(str(v))) if args.rational else float
+    mass = (lambda v: Fraction(str(v))) if args.rational else (lambda v: float(Fraction(str(v))))  # "1/4" in both
     if "y" not in src or src.get("y") in (None, []):
         probs = src["p"][0] if isinstance(src["p"][0], list) else src["p"]
         return JointPmf.from_marginal(Pmf.of(list(map(mass, probs)), symbols=src["x"], exact=args.rational))
@@ -234,7 +234,7 @@ def cmd_twohint(cfg: dict, args) -> list[ReportRow]:
     kind = _read(cfg["scheme"], "'scheme'", {"kind": (tuple(SCHEMES), "two-hint", None)})["kind"]
     builder, keys, per_xy = SCHEMES[kind]
     params = _read(cfg["scheme"], f"a {kind} scheme", keys)
-    what, count = f"the realized rows of the {kind} scheme", len(list(joint.support_items()))
+    what, count = f"the realized rows of the {kind} scheme", len(joint.support[0])
     count *= per_xy(params, len(joint.x_alphabet))
     if kind == "eve-list" and args.rational:  # an integer epsilon is exact: 2^-epsilon's numerators carry its bits
         what, count = f"{what} times epsilon's bits", count * max(1, int(params["epsilon"]))
@@ -260,7 +260,7 @@ def cmd_disks(cfg: dict, args) -> list[ReportRow]:
     _gate(args, "the generator cells nu*delta of a disk scheme", nu * delta)
     bits = args.budget.bit_length()  # C(delta, k) >= 2^min(k, delta - k): no math.comb on a large one
     views = sum(math.comb(delta, k) if min(k, delta - k) < bits else 1 << bits for k in (nu, eta))
-    count = len(list(joint.support_items())) * views
+    count = len(joint.support[0]) * views
     _gate(args, "the realized rows times the C(delta, nu) + C(delta, eta) views of a disk scheme", count)
     scheme = disks_mod.build_delta_scheme(joint, **params, version=cfg["version"])
     structure = {"nu-subset-recovery": disks_mod.check_reconstruction(scheme)}

@@ -58,7 +58,6 @@ class DeltaHintScheme(SchemeCells):
     p: int
     r: int
     version: str
-    descriptor: dict  # (x, y) -> (V tuple, W tuple)
     law: Law  # (x, y, hints tuple) -> P(x, y): hint l is V G_V[:, l] << r | (0 || W) G_UW[:, l]
     g_v: GenMatrix | None  # nu x delta over GF(2^p); None when p = 0
     g_uw: GenMatrix | None  # nu x delta over GF(2^r), the pad U on its top eta rows; None when r = 0
@@ -100,15 +99,13 @@ def build_delta_scheme(
     r: int,
     version: str = "guessing",
 ) -> DeltaHintScheme:
-    """Build the nested-MDS hint scheme for admissible (p, r): its pad quotient, one row per support (x, y)."""
+    """Build the nested-MDS hint scheme for admissible (p, r): its pad quotient, one row per support cell."""
     if not 0 <= eta < nu <= delta:
         raise DomainError(f"need 0 <= eta < nu <= delta, got eta={eta}, nu={nu}, delta={delta}")
     if p + r != s or not _admissible(p, r, delta):
         raise DomainError(f"need p + r = s with p and r each 0 or at least ceil(log2 delta), got p={p}, r={r}, s={s}")
-    zmap = descriptor_map(joint, disk_sizes(delta, nu, eta, s, r)[0], version)  # nu*p + (nu-eta)*r bits
-    z = np.array(list(zmap.values()), dtype=np.int64)
+    z = descriptor_map(joint, disk_sizes(delta, nu, eta, s, r)[0], version)  # nu*p + (nu-eta)*r bits
     v_sym, w_sym = _int_to_symbols(z >> ((nu - eta) * r), nu, p), _int_to_symbols(z, nu - eta, r)
-    descriptor = dict(zip(zmap, zip(map(tuple, v_sym.tolist()), map(tuple, w_sym.tolist()))))
     g_v = rs_generator(nu, delta, field_make(p)) if p > 0 else None
     g_uw = rs_generator(nu, delta, field_make(r)) if r > 0 else None
     if g_uw is not None and eta > 0 and not mds_check(g_uw.first_rows(eta)):
@@ -116,11 +113,7 @@ def build_delta_scheme(
     zeros = np.zeros((len(z), delta), dtype=np.int64)
     v = g_v.encode(v_sym) << r if g_v else zeros
     w = g_uw.encode(np.pad(w_sym, ((0, 0), (eta, 0)))) if g_uw else zeros  # the pad U = 0
-    rows = list(joint.support_items())
-    index = {key: i for i, key in enumerate(zmap)}
-    at = np.array([index[(x, y)] for x, y, _ in rows], dtype=np.int64)
-    law = Law.spread(joint, rows, (v | w)[at], joint.exact, nested=True)
-    return DeltaHintScheme(joint, delta, nu, eta, s, p, r, version, descriptor, law, g_v, g_uw)
+    return DeltaHintScheme(joint, delta, nu, eta, s, p, r, version, Law.on(joint, v | w, nested=True), g_v, g_uw)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 A guessing function assigns, per observed context, a permutation rank to every
 source symbol; the rho-th guessing moment E[G(X|ctx)^rho] is the ambiguity
 measure used throughout.  The ranking rule is by descending posterior within a
-context, ties broken by a given order.  It is written twice: here, for
-sources, as a stable sort of each of `JointPmf.columns` (ties by symbol index,
-so zero-posterior symbols rank after positive ones), and in `adversary`, for
-realized laws, as `adversary.rank_groups` on numpy columns (ties by repr(x)).
+context, ties broken by a given order.  It is written twice: for sources, as
+`JointPmf.ranks` (kept on the joint; `optimal_guesser` reads it), a stable sort
+of each of `JointPmf.columns` (ties by symbol index, so zero-posterior symbols
+rank after positive ones), and in `adversary`, for realized laws, as
+`adversary.rank_groups` on numpy columns (ties by repr(x)).
 Ties never change a moment, but can change a cell's rank and so Bob's upper
 end.  Every expected power of a rank or list size on the source side is summed
 by `power_moment`, on Python floats, so this module, `tasks` and `distortion`
@@ -23,7 +24,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .bounds import bob_converse
-from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
+from .prob import DomainError, JointPmf, RenyiOrder, rank_row, renyi_cond_entropy  # rank_row is re-exported
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,18 +65,7 @@ def optimal_guesser(joint: JointPmf) -> GuessingFunction:
     `joint` is a JointPmf whose Y axis plays the role of the conditioning
     context.  Contexts of zero mass get the same deterministic index order.
     """
-    nx = len(joint.x_alphabet)
-    # a stable sort: reverse=True keeps equal masses in index order
-    ranks = [rank_row(sorted(range(nx), key=col.__getitem__, reverse=True)) for col in joint.columns]
-    return GuessingFunction(joint.x_alphabet, joint.y_alphabet, ranks)
-
-
-def rank_row(order) -> tuple:
-    """Ranks 1..n of the indices 0..n-1 when they are guessed in `order`."""
-    row = [0] * len(order)
-    for r, i in enumerate(order, start=1):
-        row[i] = r
-    return tuple(row)
+    return GuessingFunction(joint.x_alphabet, joint.y_alphabet, joint.ranks)  # a stable sort, kept on the joint
 
 
 def guess_moment(g: GuessingFunction, joint: JointPmf, rho: float) -> float:
@@ -149,7 +139,7 @@ def side_info_encoder(joint: JointPmf, z_count: int) -> dict:
 
 def ceil_moment(joint: JointPmf, z_count: int, rho: float) -> float:
     """E[ceil(G*(X|ctx)/z_count)^rho] for the optimal guesser."""
-    ceils = (-(-r // z_count) for r in chain.from_iterable(optimal_guesser(joint).ranks))
+    ceils = (-(-r // z_count) for r in chain.from_iterable(joint.ranks))
     return power_moment(chain.from_iterable(joint.columns), ceils, rho)  # y-major
 
 

@@ -4,12 +4,16 @@ Probabilities are backed either by float64 (default, tolerance 1e-9) or by
 exact `fractions.Fraction` (rational mode).  Rational mode matters wherever
 exact zeros decide supports: decoding lists, independence checks, and pad
 secrecy all compare against exact zero, never against a tolerance.  So a
-`JointPmf`'s `table` is exact and decides supports.  Its floats are converted
-once, float(p) per entry (a positive Fraction below the float range is 0.0),
-into `columns`, Python floats per context, which the entropies and the
-guessing layer read; `masses` is the same floats as a numpy array for the
-rate-distortion solvers in `exponents`.  This module imports numpy only when
-`masses` is first read, so the source side runs without it.
+`JointPmf`'s `table` is exact and decides supports.  What the schemes and
+theorem rows read of a source is computed once, on first read, and kept on
+the `JointPmf` (arrays read-only): `columns`, float(p) per entry (a positive
+Fraction below the float range is 0.0) as Python floats per context, which
+the entropies and the guessing layer read; `masses`, the same as a numpy
+array; `ranks`, the optimal guesser's; `support`, the positive-mass cells as
+numpy arrays, over which every scheme builder works; `numerators`, the
+support's masses over one denominator; and `entropies`, by order.  This
+module imports numpy only when `masses` or `support` is first read, so the
+source side runs without it.
 
 All entropies are in bits (log base 2).  The conditional Renyi entropy of
 order alpha is
@@ -55,15 +59,23 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured budget."""
 
 
-def common_denominator(masses) -> tuple[list, int | None]:
+def common_denominator(masses) -> tuple[tuple, int | None]:
     """(numerators, denominator): rational masses over their least common
     denominator, to sum and compare exactly at integer speed; (masses, None)
     if any mass is a float."""
-    masses = list(masses)
+    masses = tuple(masses)
     if not all(isinstance(p, (Fraction, int)) for p in masses):
         return masses, None
     scale = math.lcm(*{p.denominator for p in masses})
-    return [p.numerator * (scale // p.denominator) for p in masses], scale
+    return tuple(p.numerator * (scale // p.denominator) for p in masses), scale
+
+
+def rank_row(order) -> tuple:
+    """Ranks 1..n of the indices 0..n-1 when they are guessed in `order`."""
+    row = [0] * len(order)
+    for r, i in enumerate(order, start=1):
+        row[i] = r
+    return tuple(row)
 
 
 def _check_probs(probs: Sequence[Number], exact: bool) -> None:
@@ -116,12 +128,6 @@ class Pmf:
         p = Fraction(1, n) if exact else 1.0 / n
         return cls(tuple(range(n)), (p,) * n)
 
-    def prob(self, symbol) -> Number:
-        return self.probs[self.symbols.index(symbol)]
-
-    def support(self) -> tuple:
-        return tuple(s for s, p in zip(self.symbols, self.probs) if p > 0)
-
     def to_json(self) -> str:
         if self.exact:
             p = [str(x) for x in self.probs]
@@ -158,7 +164,7 @@ class JointPmf:
             raise NormalizationError("table shape does not match alphabets")
         _check_probs([p for row in self.table for p in row], self.exact)
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return any(isinstance(p, Fraction) for row in self.table for p in row)
 
@@ -188,8 +194,33 @@ class JointPmf:
         masses.flags.writeable = False
         return masses
 
-    def prob(self, x, y) -> Number:
-        return self.table[self.x_alphabet.index(x)][self.y_alphabet.index(y)]
+    @cached_property
+    def ranks(self) -> tuple[tuple[int, ...], ...]:
+        """The optimal guesser's ranks per y: a stable sort of the column, descending (ties by index)."""
+        return tuple(rank_row(sorted(range(len(col)), key=col.__getitem__, reverse=True)) for col in self.columns)
+
+    @cached_property
+    def support(self) -> tuple:
+        """The cells of `support_items`, x-major, as read-only arrays: x codes, y codes, floats and `ranks`."""
+        import numpy as np
+
+        cells = [(i, j) for i, row in enumerate(self.table) for j, p in enumerate(row) if p]  # nonnegative: p > 0
+        x, y = np.array(cells, dtype=np.int64).T
+        arrays = (x.copy(), y.copy(), self.masses[x, y], np.array(self.ranks, dtype=np.int64)[y, x])
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    @cached_property
+    def numerators(self) -> tuple:
+        """`common_denominator` of the support's masses; for a float table, (its floats, None)."""
+        if not self.exact:
+            return self.support[2], None
+        return common_denominator(self.table[i][j] for i, j in zip(*(a.tolist() for a in self.support[:2])))
+
+    @cached_property
+    def entropies(self) -> dict:  # `renyi_cond_entropy` by order
+        return {}
 
     def support_items(self):
         """(x, y, P(x, y)) for every positive-mass pair, x-major."""
@@ -257,8 +288,15 @@ def renyi_cond_entropy(joint: JointPmf, alpha) -> float:
     -log2 sum_y max_x P(x,y) respectively.  Zero-probability symbols never
     contribute to the sums.  Where the direct sums leave the float range, at
     very large or very small orders, each column is scaled by its largest mass.
+    Each order is computed once per joint and kept in `joint.entropies`.
     """
-    a = _coerce_order(alpha)
+    a, memo = _coerce_order(alpha), joint.entropies
+    if a not in memo:
+        memo[a] = _renyi_cond_entropy(joint, a)
+    return memo[a]
+
+
+def _renyi_cond_entropy(joint: JointPmf, a: float) -> float:
     cols = joint.columns
     if a == 1.0:
         return shannon_cond_entropy(joint)
@@ -371,8 +409,8 @@ def validate(obj) -> list[str]:
 
     Unlike the constructors this never raises: it reports fields that are not
     lists, columns that miss 'y', symbols that are JSON arrays or objects, masses
-    that are not numbers, negative or NaN masses, normalization gaps beyond 1e-9
-    (or NaN), and duplicate symbols as strings.
+    that are not numbers (nor a JSON boolean), negative or NaN masses, gaps beyond
+    1e-9 in the normalization (or NaN), and duplicate symbols as strings.
     """
     issues: list[str] = []
     if isinstance(obj, (Pmf, JointPmf)):
@@ -393,13 +431,13 @@ def validate(obj) -> list[str]:
         issues.append("a symbol in 'x' or 'y' is a JSON array or object")
     if len(set(map(repr, x))) != len(x):
         issues.append("duplicate symbol ids in 'x'")
-    flat: list[float] = []
+    def number(v) -> float:  # a number or a fraction string, the masses `cli` reads as Fraction(str(v))
+        if isinstance(v, bool):
+            raise TypeError("a JSON true or false is not a mass")
+        return float(Fraction(v)) if isinstance(v, str) else float(v)
+
     try:
-        if p and isinstance(p[0], (list, tuple)):
-            for row in p:
-                flat.extend(float(Fraction(v)) if isinstance(v, str) else float(v) for v in row)
-        else:
-            flat = [float(Fraction(v)) if isinstance(v, str) else float(v) for v in p]
+        flat = [number(v) for row in (p if p and isinstance(p[0], (list, tuple)) else [p]) for v in row]
     except (TypeError, ValueError, ZeroDivisionError):
         return issues + ["'p' holds a mass that is not a number"]
     for v in flat:

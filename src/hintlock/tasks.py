@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .bounds import bunte_bounds, fact1_census, list_room  # the first two are re-exported
 from .prob import AlphabetMismatchError, DomainError, JointPmf
-from .guessing import GuessingFunction, optimal_guesser, power_moment, rank_row, side_info_encoder
+from .guessing import GuessingFunction, power_moment, rank_row
 
 
 @dataclass(frozen=True)
@@ -137,23 +137,26 @@ def s_alphabet_size(nx: int, omega: int) -> int:
     return 1 + math.floor(math.log2(math.ceil(nx / omega)))
 
 
-def descriptor_map(joint: JointPmf, size: int, version: str) -> dict:
-    """Deterministic descriptor (x, y) -> z in {0..size-1} for the scheme builders.
+def descriptor_map(joint: JointPmf, size: int, version: str):
+    """The scheme builders' descriptor z in {0..size-1} of each cell of `joint.support`: an int64
+    array, a map of the cell's optimal rank tabulated on ranks 1..|X|, so a size of any magnitude fits.
 
     Guessing version: remainder of the optimal rank, which attains the
     ceil-moment equality.  List version: the offset/refinement construction
     with the largest feasible offset cardinality; it needs size > log2|X| + 2,
     the room of the list version's direct bound, and then omega = 1 fits.
     """
-    if version == "guessing":
-        return side_info_encoder(joint, size)
-    if version != "list":
-        raise DomainError(f"unknown version {version!r}")
+    import numpy as np
+
     nx = len(joint.x_alphabet)
-    if not list_room(size, nx):
-        raise DomainError(f"the list version needs a descriptor of more than log2|X| + 2 values, got {size}")
-    omega = max(w for w in range(1, nx + 1) if w * s_alphabet_size(nx, w) <= size)
-    return encoder_from_guessing(optimal_guesser(joint), omega, size).mapping
+    if version == "list" and list_room(size, nx):
+        omega = max(w for w in range(1, nx + 1) if w * s_alphabet_size(nx, w) <= size)
+        describe = offset_refinement(nx, omega, size)
+    elif version == "guessing" and size >= 1:
+        describe = lambda rank: (rank - 1) % size  # noqa: E731
+    else:
+        raise DomainError(f"no {version!r} descriptor of {size} values (the list version needs more than log2|X| + 2)")
+    return np.array([describe(rank) for rank in range(1, nx + 1)], dtype=np.int64)[joint.support[3] - 1]
 
 
 def offset_refinement(n: int, omega: int, z_count: int):

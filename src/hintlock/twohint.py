@@ -43,17 +43,15 @@ from .tasks import descriptor_map
 HINT_LIMIT = 1 << 62  # the most values of a hint: its int64 codes and their mixed radix stay exact
 
 
-def _padded_law(joint: JointPmf, items, cs: int, c1: int, c2: int, exact: bool) -> Law:
-    """The pad quotient of (x, y, (v_s, v_1, v_2), mass) rows: each row at pad
-    U = 0 with its whole mass, M1 = ((v_s + U) mod cs) * c1 + v_1 = v_s * c1 + v_1
-    and M2 = U * c2 + v_2 = v_2."""
+def _pad_hints(cs: int, c1: int, c2: int, split) -> np.ndarray:
+    """The pad quotient's hints of the descriptors (v_s, v_1, v_2) = split(), run once both hints fit
+    in int64: at pad U = 0, M1 = ((v_s + U) mod cs) * c1 + v_1 = v_s * c1 + v_1 and M2 = U * c2 + v_2 = v_2."""
     if max(cs * c1, cs * c2) > HINT_LIMIT:
         raise DomainError(f"a hint of cs*c1 = {cs * c1} or cs*c2 = {cs * c2} values exceeds 2^62")
-    items = list(items)
-    vs, v1, v2 = (np.array([d[k] for _, _, d, _ in items], dtype=np.int64) for k in range(3))
+    vs, v1, v2 = split()
     if not ((0 <= vs) & (vs < cs) & (0 <= v1) & (v1 < c1) & (0 <= v2) & (v2 < c2)).all():
         raise DomainError(f"a descriptor lies outside cs={cs}, c1={c1}, c2={c2}")
-    return Law.spread(joint, [(x, y, w) for x, y, _, w in items], np.stack([vs * c1 + v1, v2], axis=1), exact)
+    return np.stack([vs * c1 + v1, v2], axis=1)
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,6 @@ class TwoHintScheme(SchemeCells):
     m1_size: int
     m2_size: int
     version: str
-    descriptor: dict  # (x, y) -> (v_s, v_1, v_2)
     law: Law  # the pad quotient (x, y, m1, m2) -> P(x, y) at U = 0: m1 = v_s*c1+v1, m2 = v2
 
     suite = "two-hint"
@@ -114,6 +111,11 @@ class TwoHintScheme(SchemeCells):
         return pad1, pad2
 
     def to_json(self) -> str:
+        law, c1 = self.law, self.c1  # the descriptor (v_s, v_1, v_2) of each support (x, y), read off its hints
+        cells = zip(law.x.tolist(), law.y.tolist(), *law.hints.T.tolist())
+        descriptor = sorted((((law.xs[x], law.ys[y]), (m1 // c1, m1 % c1, m2)) for x, y, m1, m2 in cells), key=repr)
+        if len({xy for xy, _ in descriptor}) < len(descriptor):  # only a `scheme_from_law` law can
+            raise DomainError("a law with several realizations of one (x, y) has no descriptor to write")
         return json.dumps(
             {
                 "kind": "two-hint",
@@ -123,7 +125,7 @@ class TwoHintScheme(SchemeCells):
                 "c2": self.c2,
                 "m1_size": self.m1_size,
                 "m2_size": self.m2_size,
-                "descriptor": [[list(k), list(v)] for k, v in sorted(self.descriptor.items(), key=repr)],
+                "descriptor": [[list(k), list(v)] for k, v in descriptor],
                 "source": json.loads(self.joint.to_json()),
             }
         )
@@ -136,10 +138,9 @@ class TwoHintScheme(SchemeCells):
         joint = JointPmf.from_json(json.dumps(doc["source"]))
         cs, c1, c2 = doc["cs"], doc["c1"], doc["c2"]
         descriptor = {tuple(k): tuple(v) for k, v in doc["descriptor"]}
-        law = _padded_law(
-            joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
-        )
-        return cls(joint, cs, c1, c2, doc["m1_size"], doc["m2_size"], doc["version"], descriptor, law)
+        cells = [descriptor[(x, y)] for x, y, _ in joint.support_items()]
+        law = Law.on(joint, _pad_hints(cs, c1, c2, lambda: np.array(cells, dtype=np.int64).reshape(-1, 3).T))
+        return cls(joint, cs, c1, c2, doc["m1_size"], doc["m2_size"], doc["version"], law)
 
 
 def build_two_hint(
@@ -151,7 +152,7 @@ def build_two_hint(
     m1_size: int | None = None,
     m2_size: int | None = None,
 ) -> TwoHintScheme:
-    """Build the padded two-hint scheme for an admissible (cs, c1, c2): its pad quotient, one row per support (x, y)."""
+    """Build the padded two-hint scheme for an admissible (cs, c1, c2): its pad quotient, one row per support cell."""
     m1_size = m1_size if m1_size is not None else cs * c1
     m2_size = m2_size if m2_size is not None else cs * c2
     if min(cs, c1, c2) < 1:
@@ -162,12 +163,9 @@ def build_two_hint(
         raise DomainError(f"c1={c1} exceeds floor(|M1|/cs)={m1_size // cs}")
     if c2 > m2_size // cs:
         raise DomainError(f"c2={c2} exceeds floor(|M2|/cs)={m2_size // cs}")
-    zmap = descriptor_map(joint, cs * c1 * c2, version)
-    descriptor = {k: (z % cs, (z // cs) % c1, z // (cs * c1)) for k, z in zmap.items()}
-    law = _padded_law(
-        joint, ((x, y, descriptor[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact
-    )
-    return TwoHintScheme(joint, cs, c1, c2, m1_size, m2_size, version, descriptor, law)
+    z = descriptor_map(joint, cs * c1 * c2, version)
+    law = Law.on(joint, _pad_hints(cs, c1, c2, lambda: (z % cs, z // cs % c1, z // (cs * c1))))
+    return TwoHintScheme(joint, cs, c1, c2, m1_size, m2_size, version, law)
 
 
 def scheme_from_law(
@@ -180,7 +178,7 @@ def scheme_from_law(
     converse check works directly on the law.  Eve's oracle rejects a law in
     which two realizations with the same x share a context, with DomainError.
     """
-    return TwoHintScheme(joint, 1, m1_size, m2_size, m1_size, m2_size, version, {}, law)
+    return TwoHintScheme(joint, 1, m1_size, m2_size, m1_size, m2_size, version, law)
 
 
 def eve_ambiguity_weak(scheme, rho: float) -> float:
@@ -282,11 +280,8 @@ def build_secret_hint(
     mp_size = mp_size if mp_size is not None else c
     if not 1 <= c <= mp_size:
         raise DomainError(f"need 1 <= c <= |Mp|, got c={c}, |Mp|={mp_size}")
-    zmap = descriptor_map(joint, c * ms_size, version)
-    rows = list(joint.support_items())
-    z = np.array([zmap[(x, y)] for x, y, _ in rows], dtype=np.int64)
-    law = Law.spread(joint, rows, np.stack([z % c, z // c], axis=1), joint.exact)
-    return SecretHintScheme(joint, c, mp_size, ms_size, version, law)
+    z = descriptor_map(joint, c * ms_size, version)
+    return SecretHintScheme(joint, c, mp_size, ms_size, version, Law.on(joint, np.stack([z % c, z // c], axis=1)))
 
 
 def verify_secret_hint(scheme: SecretHintScheme, rho: float, instance: str = "") -> list[ReportRow]:
@@ -331,10 +326,8 @@ def build_secret_key(
         raise DomainError(f"need c*|K| <= |M|: {c}*{k_size} > {m_size}")
     if c * k_size > HINT_LIMIT:
         raise DomainError(f"a hint of c*|K| = {c * k_size} values exceeds 2^62")
-    zmap = descriptor_map(joint, c * k_size, version)
-    rows = list(joint.support_items())
-    z = np.array([zmap[(x, y)] for x, y, _ in rows], dtype=np.int64)
-    law = Law.spread(joint, rows, np.stack([np.zeros_like(z), (z % k_size) * c + z // k_size], axis=1), joint.exact)
+    z = descriptor_map(joint, c * k_size, version)
+    law = Law.on(joint, np.stack([np.zeros_like(z), (z % k_size) * c + z // k_size], axis=1))
     return SecretKeyScheme(joint, c, k_size, m_size, version, law)
 
 
@@ -405,24 +398,26 @@ def build_eve_list_scheme(
     c1, c2 = m1_size // cs, m2_size // cs
     if 1 - 2.0**-epsilon * (1 + 1.0 / (c1 * c2)) < 0:
         raise DomainError(f"epsilon {epsilon} makes the mixing weight negative")
-    zmap = descriptor_map(joint, c1 * c2, "guessing")
-    exact = joint.exact and float(epsilon).is_integer() and epsilon >= 0
-    move_total = Fraction(1, 2 ** int(epsilon)) if exact else 2.0**-epsilon
-    stay = 1 - move_total
-    n = c1 * c2
-    # the smoothed law of (x, y, v1' v2'), and the posterior-sorted rank of X given (y, v1', v2')
-    smoothed = [
-        (x, y, zp, w)
-        for x, y, p in joint.support_items()
-        for zp in range(n)
-        if (w := p if n == 1 else p * stay if zp == zmap[(x, y)] else p * move_total / (n - 1)) > 0
-    ]
-    xi, yi = ({v: i for i, v in enumerate(alphabet)} for alphabet in (joint.x_alphabet, joint.y_alphabet))
-    ctx, key = np.array([(yi[y] * n + zp, xi[x]) for x, y, zp, _ in smoothed], dtype=np.int64).T
-    _, _, rank, pair = rank_groups(ctx, key, np.array([w for *_, w in smoothed], dtype=float), np.arange(nx))
-    rank = rank[pair].tolist()
-    items = ((x, y, (math.floor(math.log2(r)), zp % c1, zp // c1), w) for r, (x, y, zp, w) in zip(rank, smoothed))
-    return EveListScheme(joint, cs, c1, c2, m1_size, m2_size, epsilon, _padded_law(joint, items, cs, c1, c2, exact))
+    n, exact = c1 * c2, joint.exact and float(epsilon).is_integer() and epsilon >= 0
+    x, y, mass, _ = joint.support
+    nums, scale = joint.numerators if exact else (mass, None)
+    # the smoothed law: each support cell at each v' = zp in 0..n-1 (v1' = zp % c1, v2' = zp // c1), where positive
+    cell, zp = np.repeat(np.arange(len(x)), n), np.tile(np.arange(n), len(x))
+    stays = zp == descriptor_map(joint, n, "guessing")[cell]
+    if n > 1 and exact:  # stay (e - 1) / e and move 1 / (e (n - 1)), e = 2^epsilon: integers over scale * e * (n - 1)
+        e = 2 ** int(epsilon)
+        nums = [nums[i] * (e - 1) * (n - 1) if s else nums[i] for i, s in zip(cell.tolist(), stays.tolist())]
+        scale *= e * (n - 1)
+        mass = np.array([k / scale for k in nums], dtype=float)
+    elif n > 1:
+        mass = np.where(stays, mass[cell] * (1.0 - 2.0**-epsilon), mass[cell] * 2.0**-epsilon / (n - 1))
+        cell, zp, mass = cell[mass > 0], zp[mass > 0], mass[mass > 0]
+        nums = mass
+    _, _, rank, pair = rank_groups(y[cell] * n + zp, x[cell], mass, np.arange(nx))
+    vs = (np.frexp(rank[pair])[1] - 1).astype(np.int64)  # floor(log2) of X's posterior rank given (y, v1', v2')
+    hints = _pad_hints(cs, c1, c2, lambda: (vs, zp % c1, zp // c1))
+    law = Law(joint.x_alphabet, joint.y_alphabet, x[cell], y[cell], hints, mass, nums, scale)
+    return EveListScheme(joint, cs, c1, c2, m1_size, m2_size, epsilon, law)
 
 
 def verify_eve_list(scheme: EveListScheme, rho: float, instance: str = "") -> list[ReportRow]:

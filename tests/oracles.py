@@ -24,9 +24,9 @@ from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, variational_optimum
 from hintlock.adversary import rank_groups
 from hintlock.gf import PRIMITIVE_POLYS, field_make, rs_generator
-from hintlock.guessing import rank_row, sorted_moment
+from hintlock.guessing import GuessingFunction, rank_row, sorted_moment
 from hintlock.prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
-from hintlock.tasks import StochTaskEncoder, descriptor_map
+from hintlock.tasks import StochTaskEncoder, encoder_from_guessing, s_alphabet_size
 from hintlock.twohint import EveListScheme, SecretKeyScheme, TwoHintScheme
 
 
@@ -124,6 +124,20 @@ def subset_views(tag: str, delta: int, size: int):
     return lambda key: tuple((tag, b, key[1], tuple(key[2][i] for i in b)) for b in subsets)
 
 
+def descriptor_dict(joint, size: int, version: str) -> dict:
+    """(x, y) -> z for every pair, from ranks sorted one context at a time: the
+    reference of `tasks.descriptor_map`, which gives the values of the support
+    cells.  Guessing: the rank's remainder mod size; list: the
+    offset/refinement encoder with the largest omega that fits."""
+    g = GuessingFunction(joint.x_alphabet, joint.y_alphabet, per_context_ranks(joint))
+    if version == "guessing":
+        pairs = zip(g.context_alphabet, g.ranks)
+        return {(x, c): (r - 1) % size for c, row in pairs for x, r in zip(g.x_alphabet, row)}
+    nx = len(joint.x_alphabet)
+    omega = max(w for w in range(1, nx + 1) if w * s_alphabet_size(nx, w) <= size)
+    return encoder_from_guessing(g, omega, size).mapping
+
+
 def padded_law(items, cs: int, c1: int, c2: int, exact: bool, quotient: bool = False) -> dict:
     """Spread each (x, y, (v_s, v_1, v_2), mass) uniformly over the pad U, or
     put its whole mass at U = 0 (the pad quotient)."""
@@ -137,7 +151,7 @@ def padded_law(items, cs: int, c1: int, c2: int, exact: bool, quotient: bool = F
 
 
 def two_hint_law(joint, cs: int, c1: int, c2: int, version: str) -> dict:
-    zmap = descriptor_map(joint, cs * c1 * c2, version)
+    zmap = descriptor_dict(joint, cs * c1 * c2, version)
     split = {k: (z % cs, (z // cs) % c1, z // (cs * c1)) for k, z in zmap.items()}
     return padded_law(((x, y, split[(x, y)], p) for x, y, p in joint.support_items()), cs, c1, c2, joint.exact)
 
@@ -158,7 +172,7 @@ def two_hint_spread(scheme) -> dict:
 def two_hint_quotient(joint, cs: int, c1: int, c2: int, version: str, public: bool = True) -> dict:
     """A pad quotient of the two-hint law, one key per source cell with its mass:
     Eve's (x, y, v_1, v_2), or Bob's (x, y, M1, M2) at pad 0."""
-    zmap, law = descriptor_map(joint, cs * c1 * c2, version), {}
+    zmap, law = descriptor_dict(joint, cs * c1 * c2, version), {}
     for x, y, p in joint.support_items():
         vs, v1, v2 = zmap[(x, y)] % cs, zmap[(x, y)] // cs % c1, zmap[(x, y)] // (cs * c1)
         law[(x, y, v1, v2) if public else (x, y, vs * c1 + v1, v2)] = p
@@ -166,13 +180,13 @@ def two_hint_quotient(joint, cs: int, c1: int, c2: int, version: str, public: bo
 
 
 def secret_hint_law(joint, c: int, ms_size: int, version: str) -> dict:
-    zmap = descriptor_map(joint, c * ms_size, version)
+    zmap = descriptor_dict(joint, c * ms_size, version)
     return {(x, y, zmap[(x, y)] % c, zmap[(x, y)] // c): p for x, y, p in joint.support_items()}
 
 
 def secret_key_law(joint, c: int, k_size: int, version: str, quotient: bool = False) -> dict:
     """The secret-key scheme's law over every key, or its key quotient: key 0 with the whole mass."""
-    zmap = descriptor_map(joint, c * k_size, version)
+    zmap = descriptor_dict(joint, c * k_size, version)
     inv_k = Fraction(1, k_size) if joint.exact else 1.0 / k_size
     law: dict = {}
     for x, y, p in joint.support_items():
@@ -188,7 +202,7 @@ def eve_list_law(joint, m1_size: int, m2_size: int, epsilon: float, quotient: bo
     (or, for the pad quotient, each at U = 0 with its whole mass)."""
     cs = 1 + math.floor(math.log2(len(joint.x_alphabet)))
     c1, c2 = m1_size // cs, m2_size // cs
-    zmap = descriptor_map(joint, c1 * c2, "guessing")
+    zmap = descriptor_dict(joint, c1 * c2, "guessing")
     exact = joint.exact and float(epsilon).is_integer() and epsilon >= 0
     move_total = Fraction(1, 2 ** int(epsilon)) if exact else 2.0**-epsilon
     stay = 1 - move_total if exact else 1.0 - move_total
@@ -224,12 +238,14 @@ def int_to_symbols(z: int, count: int, bits: int) -> tuple:
 
 
 def delta_descriptor(sch) -> dict:
-    """A delta scheme's (x, y) -> (V symbols, W symbols), each descriptor split on its own."""
+    """A delta scheme's (x, y) -> (V symbols, W symbols) per support (x, y),
+    x-major, each descriptor split on its own: what its law encodes."""
     nu, eta, p, r = sch.nu, sch.eta, sch.p, sch.r
     w_bits = (nu - eta) * r
-    descriptor = {}
-    for key, z in descriptor_map(sch.joint, 1 << (nu * p + w_bits), sch.version).items():
-        descriptor[key] = (int_to_symbols(z >> w_bits, nu, p), int_to_symbols(z & ((1 << w_bits) - 1), nu - eta, r))
+    zmap, descriptor = descriptor_dict(sch.joint, 1 << (nu * p + w_bits), sch.version), {}
+    for x, y, _ in sch.joint.support_items():
+        z = zmap[(x, y)]
+        descriptor[(x, y)] = (int_to_symbols(z >> w_bits, nu, p), int_to_symbols(z & ((1 << w_bits) - 1), nu - eta, r))
     return descriptor
 
 
@@ -248,10 +264,10 @@ def delta_law(sch) -> dict:
     construction reads, by the scheme's own generators (planted ones too)."""
     zero = np.zeros(sch.delta, dtype=np.int64)
     g_v, g_uw = sch.g_v, sch.g_uw
-    n_pad = 1 << (sch.eta * sch.r)
+    n_pad, descriptor = 1 << (sch.eta * sch.r), delta_descriptor(sch)
     law = {}
     for x, y, prob in sch.joint.support_items():
-        v_sym, w_sym = sch.descriptor[(x, y)]
+        v_sym, w_sym = descriptor[(x, y)]
         mp = g_v.encode(np.array(v_sym)) if g_v else zero
         for pad in range(n_pad):
             mr = g_uw.encode(np.array(int_to_symbols(pad, sch.eta, sch.r) + w_sym)) if g_uw else zero
@@ -277,9 +293,9 @@ def delta_quotient(sch, public: bool = True) -> dict:
     zero = np.zeros(sch.delta, dtype=np.int64)
     g_v = rs_generator(sch.nu, sch.delta, field_make(sch.p)) if sch.p else None
     g_uw = rs_generator(sch.nu, sch.delta, field_make(sch.r)) if sch.r and not public else None
-    law = {}
+    law, descriptor = {}, delta_descriptor(sch)
     for x, y, prob in sch.joint.support_items():
-        v_sym, w_sym = sch.descriptor[(x, y)]
+        v_sym, w_sym = descriptor[(x, y)]
         mp = g_v.encode(np.array(v_sym)) if g_v else zero
         if public:
             law[(x, y, tuple(int(a) for a in mp))] = prob
@@ -657,14 +673,14 @@ def assert_same_as_per_call_code(view, reference: list, rhos) -> None:
 def check_reconstruction(scheme, law: dict | None = None) -> bool:
     """Every size-nu subset of hints determines (V, W, pad) on the support of
     the full law (by default `delta_law(scheme)`)."""
-    law = delta_law(scheme) if law is None else law
+    law, descriptor = delta_law(scheme) if law is None else law, delta_descriptor(scheme)
     for b in combinations(range(scheme.delta), scheme.nu):
         seen: dict = {}
         for (x, y, m), p in law.items():
             if p <= 0:
                 continue
             key = (y, tuple(m[i] for i in b))
-            val = (scheme.descriptor[(x, y)], tuple(m))
+            val = (descriptor[(x, y)], tuple(m))
             if seen.setdefault(key, val) != val:
                 return False
     return True

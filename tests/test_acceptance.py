@@ -226,13 +226,11 @@ def test_criterion_08_mds_generators():
     for ell in (2, 3, 4):
         f = field_make(ell)
         for n in range(1, f.q + 1):
-            for k in range(1, n + 1):
-                g = rs_generator(k, n, f)
-                ok &= mds_check(g)
-                for kp in range(1, k):
-                    top = g.first_rows(kp)
-                    ok &= (top.entries == rs_generator(kp, n, f).entries).all()
-                    ok &= mds_check(top)
+            gens = [rs_generator(k, n, f) for k in range(1, n + 1)]  # RS(k, n) at index k - 1
+            for k, g in enumerate(gens, start=1):
+                ok &= mds_check(g)  # once per distinct (k, n)
+                for kp in range(1, k):  # each top-rows matrix is RS(kp, n), so its verdict is the one taken above
+                    ok &= (g.first_rows(kp).entries == gens[kp - 1].entries).all()
     report(8, "mds-generators", ok, time.time() - t0, 60.0)
 
 

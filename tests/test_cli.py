@@ -191,6 +191,25 @@ def test_twohint_command_and_determinism(tmp_path, capsys):
     assert "bob-direct-g" in body and "seed=7" in body
 
 
+FRACTION_SOURCES = {  # (fraction strings, the floats they equal)
+    "marginal": ({"x": [0, 1], "p": ["1/4", "3/4"]}, {"x": [0, 1], "p": [0.25, 0.75]}),
+    "joint": (
+        {"x": [0, 1], "y": [0, 1], "p": [["1/8", "1/8"], ["1/4", "1/2"]]},
+        {"x": [0, 1], "y": [0, 1], "p": [[0.125, 0.125], [0.25, 0.5]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", FRACTION_SOURCES)
+@pytest.mark.parametrize("command", ["twohint", "entropy"])
+def test_fraction_string_masses_read_as_their_floats(capsys, command, kind):
+    # every mass is read once as Fraction(str(v)); without --rational, as its float
+    scheme = {"scheme": {"cs": 2, "c1": 2, "c2": 2}} if command == "twohint" else {}
+    configs = (json.dumps({"source": source, **scheme}) for source in FRACTION_SOURCES[kind])
+    strings, floats = (run(capsys, command, config) for config in configs)
+    assert strings == floats and strings[0] == 0
+
+
 def test_disks_command(capsys):
     cfg = json.dumps(
         {
@@ -387,6 +406,8 @@ MALFORMED = {
     "scheme-not-an-object": ["twohint", {"source": {"uniform": 4}, "scheme": [1]}],
     "mass-not-a-number": ["entropy", {"source": {"x": [0, 1], "p": ["a", 0.5]}}],
     "mass-nan": ["entropy", {"source": {"x": [0, 1], "p": [math.nan, 1.0]}, "rho": 1}],
+    "mass-a-boolean": ["entropy", {"source": {"x": [0], "p": [True]}}],  # a JSON true is not 1
+    "mass-a-boolean-rational": ["entropy", {"source": {"x": [0], "p": [True]}}, "--rational"],
     "joint-mass-nan": ["entropy", {"source": {"x": [0, 1], "y": [0], "p": [[math.nan], [1.0]]}, "rho": 1}],
     "y-not-a-list": ["entropy", {"source": {"x": [0, 1], "y": 5, "p": [[0.5], [0.5]]}}],
     "d-not-a-table": ["distortion", {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": 5}}],

@@ -104,6 +104,31 @@ def test_columnar_views_equal_per_call_code(joint, rhos):
             oracles.assert_same_as_per_call_code(view, oracles.cells(reference, dict_views), rhos)
 
 
+SMALL_BUILDS = [  # the five builders, eve-list with exact (integer epsilon) and float smoothing
+    lambda joint: build_two_hint(joint, 2, 2, 2, "list"),
+    lambda joint: build_secret_hint(joint, 2, 4),
+    lambda joint: build_secret_key(joint, 2, 4),
+    lambda joint: build_eve_list_scheme(joint, 8, 8, 3),
+    lambda joint: build_eve_list_scheme(joint, 8, 8, 2.5),
+    lambda joint: build_delta_scheme(joint, 3, 2, 1, 4, 2, 2),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(sources())
+def test_a_source_with_warm_caches_builds_what_a_fresh_copy_builds(joint):
+    for build in SMALL_BUILDS:
+        build(joint)  # fills the joint's kept support, numerators and ranks
+        warm, fresh = build(joint).law, build(JointPmf(joint.x_alphabet, joint.y_alphabet, joint.table)).law
+        assert all(np.array_equal(a, b) for a, b in ((warm.x, fresh.x), (warm.y, fresh.y), (warm.hints, fresh.hints)))
+        exact = [(law.nums is None, list(law.nums or []), law.scale) for law in (warm, fresh)]
+        assert exact[0] == exact[1]
+        assert warm.mass.tobytes() == fresh.mass.tobytes()
+    for epsilon in (3, 2.5):  # the smoothed law, in integers over one scale or in floats, is the dict builder's
+        law = build_eve_list_scheme(joint, 8, 8, epsilon).law
+        assert typed(law) == typed(oracles.eve_list_law(joint, 8, 8, epsilon, quotient=True))
+
+
 def test_float_masses_follow_the_2_53_rule():
     joint = JointPmf.from_marginal(Pmf.of([TINY_10, Fraction(1, 3), Fraction(2, 3) - TINY_10], exact=True))
     law = Law.coded(oracles.full_law(build_secret_key(joint, 1, 2)))  # two keys per x
@@ -128,3 +153,13 @@ def test_from_json_rejects_a_descriptor_outside_the_cardinalities():
     assert doc != s.to_json()
     with pytest.raises(DomainError):
         TwoHintScheme.from_json(doc)
+
+
+def test_to_json_refuses_a_law_with_several_realizations_of_one_cell():
+    # a stochastic law has no descriptor per (x, y): writing one would drop realizations
+    bit = JointPmf.from_marginal(Pmf.of([Fraction(1, 2)] * 2, exact=True))
+    law = {(0, 0, 0, 0): Fraction(1, 4), (0, 0, 1, 1): Fraction(1, 4), (1, 0, 1, 0): Fraction(1, 2)}
+    with pytest.raises(DomainError, match="several realizations"):
+        scheme_from_law(bit, law, 2, 2).to_json()
+    one_each = scheme_from_law(bit, {(0, 0, 0, 1): Fraction(1, 2), (1, 0, 1, 0): Fraction(1, 2)}, 2, 2)
+    assert TwoHintScheme.from_json(one_each.to_json()).law == one_each.law

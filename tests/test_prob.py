@@ -14,6 +14,7 @@ from hintlock.prob import (
     NormalizationError,
     Pmf,
     RenyiOrder,
+    common_denominator,
     kl_divergence,
     product_pmf,
     renyi_cond_entropy,
@@ -228,8 +229,18 @@ def test_masses_are_the_float_of_each_entry(nx, ny, exact, tiny, data):
     assert [[v.hex() for v in row] for row in masses.tolist()] == [[float(p).hex() for p in row] for row in joint.table]
     with pytest.raises(ValueError):
         masses[0, 0] = 0.5
+    # the kept support is support_items' cells, x-major, with their floats, ranks and common_denominator
+    xs, ys, items = joint.x_alphabet, joint.y_alphabet, list(joint.support_items())
+    x, y, mass, rank = joint.support
+    assert [(xs[i], ys[j]) for i, j in zip(x.tolist(), y.tolist())] == [(a, b) for a, b, _ in items]
+    assert [v.hex() for v in mass.tolist()] == [float(p).hex() for *_, p in items]
+    assert rank.tolist() == [oracles.per_context_ranks(joint)[j][i] for i, j in zip(x.tolist(), y.tolist())]
+    nums, scale = joint.numerators
+    assert (tuple(nums), scale) == common_denominator(p for *_, p in items) and joint.numerators is joint.numerators
+    for cached in (x, y, mass, rank, *([nums] if scale is None else [])):
+        with pytest.raises(ValueError):
+            cached[0] = cached[0]
     # supports and decoding lists read the exact table, so a tiny mass stays in both
-    xs, ys = joint.x_alphabet, joint.y_alphabet
     support = {(x, y) for x, y, _ in joint.support_items()}
     assert support == {(x, y) for x, row in zip(xs, joint.table) for y, p in zip(ys, row) if p > 0}
     lists = decoding_lists(DetTaskEncoder(xs, ys, (0,), {(x, y): 0 for x in xs for y in ys}), joint)
@@ -251,6 +262,7 @@ def test_float_columns_and_entropies_equal_the_masses(nx, ny, exact, tiny, data)
     assert [[v.hex() for v in col] for col in q.columns] == [[v.hex() for v in col] for col in q.masses.T.tolist()]
     for a in (0.0, 0.5, 1.0, 2.0, math.inf):
         assert renyi_cond_entropy(q, a).hex() == oracles.renyi_on_masses(q, a).hex(), a
+        assert a in q.entropies and renyi_cond_entropy(q, a).hex() == oracles.renyi_on_masses(q, a).hex(), a  # kept
     assert shannon_cond_entropy(q).hex() == oracles.shannon_on_masses(q).hex()
     assert kl_divergence(q, p).hex() == oracles.kl_on_masses(q, p).hex()
 
