@@ -8,16 +8,16 @@ common denominator (exact checks sum integers at any size).  A float mass is
 float(p) of its Fraction.  A law of one realization per source cell
 (`Law.on`: every scheme but eve-list's) reads its codes, masses and
 numerators off the source (`JointPmf.support` and `numerators`, computed once
-per source), so a build adds only its hints.  Read as a mapping, a `Law` is
-the dict, built on first read; a dict handed to a scheme is coded once.
+per source), so a build adds only its hints.  The columns are the only form of
+a realized law here; the dict laws are the tests' references.
 
 `Law.view(positions)` gives a `CellView`: per realization, one context id per
 view position (a revealable hint subset; the context carries y and the hints
 shown), ids numbered by first appearance.  On it: the guessing moment given one
 view position (`moment_for_constant`), the list moment with views reduced by
 min (list-forming Eve) or max (worst-case Bob) (`support_moment`) and Eve's
-accomplice-optimal moment (`eve_exact_matching`).  A plain list of `Cell`s is
-coded into a view once per call.
+accomplice-optimal moment (`eve_exact_matching`).  The oracles take only a
+`CellView`; iterated, it gives `Cell`s.
 
 Every scheme prices Bob and Eve and writes its report rows through one
 protocol, `SchemeCells` (`bob`, `eve`, `rows`), so no caller dispatches on a
@@ -136,16 +136,14 @@ they fit after every positive cell of a context and add 0.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import inf
 
 import numpy as np
 
 from .bounds import theorem_rows
-from .prob import DomainError, common_denominator
+from .prob import DomainError
 
 CHUNK_CELLS = 128  # the most cells of several components that share one LAPJVsp call
 SMALL_CHUNK_CELLS = 16  # the most cells of a rectangular chunk matched in Python, not by scipy
@@ -222,56 +220,26 @@ def _first_seen(ids: np.ndarray) -> np.ndarray:
     return rank[inv].reshape(ids.shape)
 
 
-class Law(Mapping):
+class Law:
     """A realized law {(x, y, hints...): prob} as columns over its positive-mass support.
 
-    `x`, `y`: int codes into `xs`, `ys`; `hints`: one int column per hint (the
-    key's tail, or its third entry when `nested`); `mass`: float64, float(p)
-    per row; `nums`: Python-int numerators over `scale` (a rational law) or None.
+    `x`, `y`: int codes into `xs`, `ys`; `hints`: one int column per hint;
+    `mass`: float64, float(p) per row; `nums`: Python-int numerators over
+    `scale` (a rational law) or None.
     """
 
-    def __init__(self, xs, ys, x, y, hints, mass, nums=None, scale=None, nested=False, law=None):
+    def __init__(self, xs, ys, x, y, hints, mass, nums=None, scale=None):
         self.xs, self.ys, self.x, self.y, self.hints, self.mass = tuple(xs), tuple(ys), x, y, hints, mass
-        self.nums, self.scale, self.nested, self._dict = (None if scale is None else nums), scale, nested, law
+        self.nums, self.scale = (None if scale is None else nums), scale
 
     @classmethod
-    def coded(cls, law) -> "Law":
-        """`law` itself if it is a Law, else the dict coded into columns."""
-        if isinstance(law, Law):
-            return law
-        items = [(key, p) for key, p in law.items() if p > 0]
-        nested = bool(items) and isinstance(items[0][0][2], tuple)
-        xs, ys = {}, {}
-        x = np.array([xs.setdefault(key[0], len(xs)) for key, _ in items], dtype=np.int64)
-        y = np.array([ys.setdefault(key[1], len(ys)) for key, _ in items], dtype=np.int64)
-        hints = np.array([key[2] if nested else key[2:] for key, _ in items], dtype=np.int64)
-        mass = np.array([float(p) for _, p in items], dtype=float)
-        nums, scale = common_denominator(p for _, p in items)
-        return cls(xs, ys, x, y, hints.reshape(len(items), -1) if items else hints, mass, nums, scale, nested, law)
-
-    @classmethod
-    def on(cls, joint, hints: np.ndarray, nested: bool = False) -> "Law":
+    def on(cls, joint, hints: np.ndarray) -> "Law":
         """One realization per cell of `joint.support`, with its whole mass (the joint's own) and row of `hints`."""
         x, y, mass, _ = joint.support
-        return cls(joint.x_alphabet, joint.y_alphabet, x, y, hints, mass, *joint.numerators, nested)
-
-    def as_dict(self) -> dict:
-        if self._dict is None:
-            xs, ys = self.xs, self.ys
-            values = self.mass.tolist() if self.scale is None else [Fraction(n, self.scale) for n in self.nums]
-            rows = zip(self.x.tolist(), self.y.tolist(), map(tuple, self.hints.tolist()))
-            keys = ((xs[x], ys[y], h) if self.nested else (xs[x], ys[y], *h) for x, y, h in rows)
-            self._dict = dict(zip(keys, values))
-        return self._dict
-
-    def __getitem__(self, key):
-        return self.as_dict()[key]
-
-    def __iter__(self):
-        return iter(self.as_dict())
+        return cls(joint.x_alphabet, joint.y_alphabet, x, y, hints, mass, *joint.numerators)
 
     def __len__(self) -> int:
-        return len(self.mass) if self._dict is None else len(self._dict)
+        return len(self.mass)
 
     def view(self, positions, hints: np.ndarray | None = None) -> "CellView":
         """The cells whose view k shows y and the columns `positions[k]` of
@@ -316,21 +284,8 @@ class CellView:
         return cell, pos, self.ctx[cell, pos]
 
 
-def as_view(cells) -> CellView:
-    """A CellView as it is; a list of `Cell`s coded into one."""
-    if isinstance(cells, CellView):
-        return cells
-    cells = list(cells)
-    xs, ctx_ids = {}, {}
-    ctx = np.full((len(cells), max((len(c.views) for c in cells), default=0)), -1, dtype=np.int64)
-    for i, c in enumerate(cells):
-        ctx[i, : len(c.views)] = [ctx_ids.setdefault(v, len(ctx_ids)) for v in c.views]
-    x = np.array([xs.setdefault(c.x, len(xs)) for c in cells], dtype=np.int64)
-    return CellView(np.array([c.prob for c in cells], dtype=float), x, ctx, tuple(xs))
-
-
 class SchemeCells:
-    """A scheme dataclass's law, coded once, its cell views, prices and report rows.
+    """A scheme dataclass's `Law`, its cell views, prices and report rows.
 
     Bob's view k shows y and the hints `bob_positions[k]` of the `law` (a
     padded scheme's pad quotient), Eve's those of `eve_positions[k]` cut to
@@ -344,9 +299,6 @@ class SchemeCells:
 
     bob_positions = ((0, 1),)
     eve_positions = ((0,), (1,))
-
-    def __post_init__(self):
-        object.__setattr__(self, "law", Law.coded(self.law))
 
     def public(self, hints: np.ndarray) -> np.ndarray:  # the part of each hint no pad shifts: Eve's contexts
         return hints
@@ -404,20 +356,18 @@ def _table_moment(table: tuple, rho: float) -> float:
     return in_order(acc)
 
 
-def moment_for_constant(cells, k: int, rho: float) -> float:
+def moment_for_constant(view: CellView, k: int, rho: float) -> float:
     """The optimal guessing moment given view position k (every cell routed to it)."""
-    view = as_view(cells)
     return _table_moment(view.prepared(("rank", k), lambda v: _rank_table(v.ctx[:, k], v.x, v.prob, v.xkey)), rho)
 
 
-def support_moment(cells, rho: float, reduce=max) -> float:
+def support_moment(view: CellView, rho: float, reduce=max) -> float:
     """E[reduce over views of |{x : x possible given the view}|^rho], reduce min or max.
 
     Decoding-list sizes are support sizes, so membership is exact: every
     positive-mass cell counts.  Mass is summed per views tuple, in first-seen
     order, before the sizes are applied.
     """
-    view = as_view(cells)
     return in_order(power_terms(*view.prepared(("support", reduce), lambda v: _list_sizes(v, reduce)), rho))
 
 
@@ -463,12 +413,12 @@ def _components(view: CellView, keep: np.ndarray) -> list[np.ndarray]:
     return np.split(keep[order], np.cumsum(np.bincount(labels))[:-1]) if len(keep) else []
 
 
-def eve_exact_matching(cells, rho: float) -> float:
+def eve_exact_matching(view: CellView, rho: float) -> float:
     """Exact accomplice-optimal moment via a sparse min-cost assignment.
 
     Raises DomainError if two cells can merge (see module docstring).
     """
-    chunks = as_view(cells).prepared("slot graphs", _slot_graphs)
+    chunks = view.prepared("slot graphs", _slot_graphs)
     return in_order([cost for chunk in chunks for cost in _matching_costs(chunk, rho)])
 
 

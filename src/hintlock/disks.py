@@ -58,7 +58,7 @@ class DeltaHintScheme(SchemeCells):
     p: int
     r: int
     version: str
-    law: Law  # (x, y, hints tuple) -> P(x, y): hint l is V G_V[:, l] << r | (0 || W) G_UW[:, l]
+    law: Law  # (x, y, one hint per disk) -> P(x, y): hint l is V G_V[:, l] << r | (0 || W) G_UW[:, l]
     g_v: GenMatrix | None  # nu x delta over GF(2^p); None when p = 0
     g_uw: GenMatrix | None  # nu x delta over GF(2^r), the pad U on its top eta rows; None when r = 0
 
@@ -113,7 +113,7 @@ def build_delta_scheme(
     zeros = np.zeros((len(z), delta), dtype=np.int64)
     v = g_v.encode(v_sym) << r if g_v else zeros
     w = g_uw.encode(np.pad(w_sym, ((0, 0), (eta, 0)))) if g_uw else zeros  # the pad U = 0
-    return DeltaHintScheme(joint, delta, nu, eta, s, p, r, version, Law.on(joint, v | w, nested=True), g_v, g_uw)
+    return DeltaHintScheme(joint, delta, nu, eta, s, p, r, version, Law.on(joint, v | w), g_v, g_uw)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +153,14 @@ def verify_disk_theorems(
 
 
 def unequal_converse_rows(
-    joint: JointPmf, law: Law | dict | SchemeCells, sizes: tuple, nu: int, eta: int, rho: float, instance: str = ""
+    joint: JointPmf, law: Law | SchemeCells, sizes: tuple, nu: int, eta: int, rho: float, instance: str = ""
 ) -> list[ReportRow]:
     """Converse floors for arbitrary schemes whose disk l stores sizes[l] bits.
 
-    `law` is a `Law` or a dict (x, y, hints tuple) -> prob, for any encoder
-    (hint l must fit in sizes[l] bits), or a scheme of len(sizes) disks priced
-    on its own cell views (a built `DeltaHintScheme`: its pad quotient, Eve
-    reading the hints' public parts).  Bob's side is his best fixed subset,
+    `law` is a `Law` with one hint column per disk, for any encoder (hint l
+    must fit in sizes[l] bits), or a scheme of len(sizes) disks priced on its
+    own cell views (a built `DeltaHintScheme`: its pad quotient, Eve reading
+    the hints' public parts).  Bob's side is his best fixed subset,
     a lower bound on his min-max ambiguity for any law, so a pass is sound;
     Eve's is exact, and a law in which two realizations with the same x share
     one of her contexts is rejected with DomainError.
@@ -168,7 +168,6 @@ def unequal_converse_rows(
     if isinstance(law, SchemeCells):
         bob_view, eve_view = law.bob_cells, law.eve_cells
     else:
-        law = Law.coded(law)
         bob_view, eve_view = (law.view(list(combinations(range(len(sizes)), k))) for k in (nu, eta))
     h = renyi_cond_entropy(joint, RenyiOrder.from_rho(rho))
     nx = len(joint.x_alphabet)

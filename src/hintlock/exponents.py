@@ -31,6 +31,7 @@ from .distortion import DistortionSpec
 from .prob import DomainError, JointPmf, RenyiOrder, kl_divergence, renyi_cond_entropy
 
 LOG2 = math.log(2.0)
+POLISH_EPS = 1e-6  # the polish stops once its step falls below this
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class RdQuery:
     grid_points: int = 10_000
     polish_runs: int = 20
     polish_steps: int = 60
-    eps: float = 1e-6
     seed: int = 20_240_817
     ba_iters: int = 400
     ba_tol: float = 1e-10
@@ -54,8 +54,6 @@ class RdQuery:
             raise DomainError("the rate-distortion sweep needs a multiplier and an iteration")
         if not self.ba_tol > 0:
             raise DomainError("ba_tol must be positive")
-        if not 0 < self.eps <= 1e-6:
-            raise DomainError("eps must be positive and at most 1e-6")
 
 
 @dataclass(frozen=True)
@@ -279,16 +277,7 @@ def rd_exponent_functional(
             tuple(tuple(float(v) for v in vec.reshape(nx, ny)[i]) for i in range(nx)),
         )
 
-    fast = RdQuery(
-        grid_points=controls.grid_points,
-        polish_runs=controls.polish_runs,
-        eps=controls.eps,
-        seed=controls.seed,
-        ba_iters=120,
-        ba_tol=1e-9,
-        lambda_points=8,
-        bisect_iters=16,
-    )
+    fast = RdQuery(ba_iters=120, ba_tol=1e-9, lambda_points=8, bisect_iters=16)  # `_rates` reads only these
 
     def objectives(vecs: list, query: RdQuery) -> list:
         laws = [q_of(v) for v in vecs]
@@ -329,7 +318,7 @@ def rd_exponent_functional(
                         improved = True
             if not improved:
                 step *= 0.5
-                if step < controls.eps:
+                if step < POLISH_EPS:
                     break
         fine_val = objective(vec, fine=True)
         if fine_val > best_val:

@@ -114,7 +114,7 @@ class TwoHintScheme(SchemeCells):
         law, c1 = self.law, self.c1  # the descriptor (v_s, v_1, v_2) of each support (x, y), read off its hints
         cells = zip(law.x.tolist(), law.y.tolist(), *law.hints.T.tolist())
         descriptor = sorted((((law.xs[x], law.ys[y]), (m1 // c1, m1 % c1, m2)) for x, y, m1, m2 in cells), key=repr)
-        if len({xy for xy, _ in descriptor}) < len(descriptor):  # only a `scheme_from_law` law can
+        if len({xy for xy, _ in descriptor}) < len(descriptor):  # only a law built outside `build_two_hint` can
             raise DomainError("a law with several realizations of one (x, y) has no descriptor to write")
         return json.dumps(
             {
@@ -140,7 +140,22 @@ class TwoHintScheme(SchemeCells):
         descriptor = {tuple(k): tuple(v) for k, v in doc["descriptor"]}
         cells = [descriptor[(x, y)] for x, y, _ in joint.support_items()]
         law = Law.on(joint, _pad_hints(cs, c1, c2, lambda: np.array(cells, dtype=np.int64).reshape(-1, 3).T))
+        _check_admissible(cs, c1, c2, doc["m1_size"], doc["m2_size"], doc["version"])  # after the 2^62 check
         return cls(joint, cs, c1, c2, doc["m1_size"], doc["m2_size"], doc["version"], law)
+
+
+def _check_admissible(cs: int, c1: int, c2: int, m1_size: int, m2_size: int, version: str) -> None:
+    """Raise DomainError unless (cs, c1, c2) fits |M1| and |M2| and the version is known."""
+    if min(cs, c1, c2) < 1:
+        raise DomainError("cs, c1, c2 must be positive integers")
+    if cs > min(m1_size, m2_size):
+        raise DomainError(f"cs={cs} exceeds min(|M1|,|M2|)={min(m1_size, m2_size)}")
+    if c1 > m1_size // cs:
+        raise DomainError(f"c1={c1} exceeds floor(|M1|/cs)={m1_size // cs}")
+    if c2 > m2_size // cs:
+        raise DomainError(f"c2={c2} exceeds floor(|M2|/cs)={m2_size // cs}")
+    if version not in ("guessing", "list"):
+        raise DomainError(f"unknown version {version!r}")
 
 
 def build_two_hint(
@@ -155,30 +170,10 @@ def build_two_hint(
     """Build the padded two-hint scheme for an admissible (cs, c1, c2): its pad quotient, one row per support cell."""
     m1_size = m1_size if m1_size is not None else cs * c1
     m2_size = m2_size if m2_size is not None else cs * c2
-    if min(cs, c1, c2) < 1:
-        raise DomainError("cs, c1, c2 must be positive integers")
-    if cs > min(m1_size, m2_size):
-        raise DomainError(f"cs={cs} exceeds min(|M1|,|M2|)={min(m1_size, m2_size)}")
-    if c1 > m1_size // cs:
-        raise DomainError(f"c1={c1} exceeds floor(|M1|/cs)={m1_size // cs}")
-    if c2 > m2_size // cs:
-        raise DomainError(f"c2={c2} exceeds floor(|M2|/cs)={m2_size // cs}")
+    _check_admissible(cs, c1, c2, m1_size, m2_size, version)
     z = descriptor_map(joint, cs * c1 * c2, version)
     law = Law.on(joint, _pad_hints(cs, c1, c2, lambda: (z % cs, z // cs % c1, z // (cs * c1))))
     return TwoHintScheme(joint, cs, c1, c2, m1_size, m2_size, version, law)
-
-
-def scheme_from_law(
-    joint: JointPmf, law: dict, m1_size: int, m2_size: int, version: str = "guessing"
-) -> TwoHintScheme:
-    """Wrap an arbitrary realized law {(x, y, m1, m2): prob} for the verifiers.
-
-    No pad is recorded (cs = 1, c1 = |M1|, c2 = |M2|), so its sizes are
-    (|M1||M2|, |M1||M2|, |M1| + |M2|, min(|M1|, |M2|)); every ambiguity and
-    converse check works directly on the law.  Eve's oracle rejects a law in
-    which two realizations with the same x share a context, with DomainError.
-    """
-    return TwoHintScheme(joint, 1, m1_size, m2_size, m1_size, m2_size, version, law)
 
 
 def eve_ambiguity_weak(scheme, rho: float) -> float:

@@ -19,13 +19,14 @@ import numpy as np
 import pytest
 
 from hintlock import adversary
-from hintlock.adversary import Cell
+from hintlock.adversary import Cell, CellView, Law
+from hintlock.disks import DeltaHintScheme
 from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, variational_optimum
 from hintlock.adversary import rank_groups
 from hintlock.gf import PRIMITIVE_POLYS, field_make, rs_generator
 from hintlock.guessing import GuessingFunction, rank_row, sorted_moment
-from hintlock.prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
+from hintlock.prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, common_denominator, renyi_cond_entropy
 from hintlock.tasks import StochTaskEncoder, encoder_from_guessing, s_alphabet_size
 from hintlock.twohint import EveListScheme, SecretKeyScheme, TwoHintScheme
 
@@ -101,8 +102,63 @@ def kl_on_masses(q: JointPmf, p: JointPmf) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Realized laws as dicts: the builders and the cell views the columns replaced.
+# Realized laws as dicts: the builders and the cell views the columns replaced,
+# and the coders between the dicts, `Cell` lists and the package's columns.
 # ---------------------------------------------------------------------------
+
+
+def coded(law: dict) -> Law:
+    """The dict {(x, y, hints...): prob}, or {(x, y, hints tuple): prob}, coded
+    into columns: symbols numbered by first appearance, the positive masses
+    over their common denominator."""
+    items = [(key, p) for key, p in law.items() if p > 0]
+    nested = bool(items) and isinstance(items[0][0][2], tuple)
+    xs, ys = {}, {}
+    x = np.array([xs.setdefault(key[0], len(xs)) for key, _ in items], dtype=np.int64)
+    y = np.array([ys.setdefault(key[1], len(ys)) for key, _ in items], dtype=np.int64)
+    hints = np.array([key[2] if nested else key[2:] for key, _ in items], dtype=np.int64)
+    mass = np.array([float(p) for _, p in items], dtype=float)
+    nums, scale = common_denominator(p for _, p in items)
+    return Law(xs, ys, x, y, hints.reshape(len(items), -1) if items else hints, mass, nums, scale)
+
+
+def law_dict(law: Law, nested: bool = False) -> dict:
+    """The dict {(x, y, hints...): prob} of a `Law`, or with `nested` {(x, y,
+    hints tuple): prob}; Fractions for a rational law."""
+    xs, ys = law.xs, law.ys
+    values = law.mass.tolist() if law.scale is None else [Fraction(n, law.scale) for n in law.nums]
+    rows = zip(law.x.tolist(), law.y.tolist(), map(tuple, law.hints.tolist()))
+    keys = ((xs[x], ys[y], h) if nested else (xs[x], ys[y], *h) for x, y, h in rows)
+    return dict(zip(keys, values))
+
+
+def scheme_law(scheme) -> dict:
+    """A built scheme's law as its dict reference keys it: a delta-disk key holds its hints as one tuple."""
+    return law_dict(scheme.law, isinstance(scheme, DeltaHintScheme))
+
+
+def scheme_from_law(joint, law: dict, m1_size: int, m2_size: int, version: str = "guessing") -> TwoHintScheme:
+    """Wrap an arbitrary realized law {(x, y, m1, m2): prob} for the verifiers.
+
+    No pad is recorded (cs = 1, c1 = |M1|, c2 = |M2|), so its sizes are
+    (|M1||M2|, |M1||M2|, |M1| + |M2|, min(|M1|, |M2|)); every ambiguity and
+    converse check works directly on the law.  Eve's oracle rejects a law in
+    which two realizations with the same x share a context, with DomainError.
+    """
+    return TwoHintScheme(joint, 1, m1_size, m2_size, m1_size, m2_size, version, coded(law))
+
+
+def as_view(cells) -> CellView:
+    """A CellView as it is; a list of `Cell`s coded into one."""
+    if isinstance(cells, CellView):
+        return cells
+    cells = list(cells)
+    xs, ctx_ids = {}, {}
+    ctx = np.full((len(cells), max((len(c.views) for c in cells), default=0)), -1, dtype=np.int64)
+    for i, c in enumerate(cells):
+        ctx[i, : len(c.views)] = [ctx_ids.setdefault(v, len(ctx_ids)) for v in c.views]
+    x = np.array([xs.setdefault(c.x, len(xs)) for c in cells], dtype=np.int64)
+    return CellView(np.array([c.prob for c in cells], dtype=float), x, ctx, tuple(xs))
 
 
 def cells(law: dict, views) -> list[Cell]:
@@ -161,7 +217,7 @@ def two_hint_spread(scheme) -> dict:
     spread over the cs pads: U = u shifts M1's padded coordinate by u and sets M2's to u."""
     cs, c1, c2 = scheme.cs, scheme.c1, scheme.c2
     law: dict = {}
-    for (x, y, m1, m2), p in scheme.law.items():
+    for (x, y, m1, m2), p in law_dict(scheme.law).items():
         share = p * (Fraction(1, cs) if isinstance(p, Fraction) else 1.0 / cs)
         for u in range(cs):
             key = (x, y, ((m1 // c1 + u) % cs) * c1 + m1 % c1, u * c2 + m2)
@@ -542,7 +598,7 @@ def matching_positions(comp: list[Cell], rho: float, heaviest_first: bool = True
 
 def moment_for_assignment(cells, choice, rho: float) -> float:
     """Objective for one accomplice map: cells routed per `choice`, then sorted."""
-    view = adversary.as_view(cells)
+    view = as_view(cells)
     routed = view.ctx[np.arange(len(view)), np.asarray(choice, dtype=np.int64)]
     return adversary._table_moment(adversary._rank_table(routed, view.x, view.prob, view.xkey), rho)
 
@@ -553,7 +609,7 @@ def eve_exact_enumeration(cells, rho: float, budget_bits: int = 26) -> float:
     Valid for arbitrary cells (handles merging).  Components are enumerated
     independently; each must satisfy n_cells * log2(n_views) <= budget_bits.
     """
-    view = adversary.as_view(cells)
+    view = as_view(cells)
     n_views = (view.ctx >= 0).sum(axis=1)
     total = 0.0
     for comp in adversary._components(view, np.arange(len(view))):
@@ -621,7 +677,7 @@ def eve_local_search(cells, rho: float) -> float:
     the best reachable value.  Every iterate corresponds to an actual deterministic
     accomplice map, so the result always upper-bounds the exact minimum.
     """
-    view = adversary.as_view(cells)
+    view = as_view(cells)
     rows = np.arange(len(view))
     n_views = (view.ctx >= 0).sum(axis=1)
     cell, pos, ctx = view.incidences
@@ -647,22 +703,31 @@ def eve_local_search(cells, rho: float) -> float:
     return best
 
 
-def assert_same_as_per_call_code(view, reference: list, rhos) -> None:
+def per_call_values(reference: list, rho: float) -> tuple:
+    """The per-call code's moment per view position, list moments by min and
+    max, and matching value (None where the cells can merge)."""
+    moments = [moment_for_constant(reference, k, rho) for k in range(len(reference[0].views))]
+    try:
+        eve = eve_exact_matching(reference, rho)
+    except DomainError:
+        eve = None
+    return moments, [support_moment(reference, rho, reduce) for reduce in (min, max)], eve
+
+
+def assert_same_as_per_call_code(view: CellView, reference: list, rhos) -> None:
     """Every oracle on `view` gives the per-call code's float (==, not approx)
     over `rhos` and back, and a list of mergeable cells makes the matching
-    raise on every call."""
+    raise on every call.  The reference runs once per distinct rho."""
+    expected = {rho: per_call_values(reference, rho) for rho in dict.fromkeys(rhos)}
     for rho in rhos + rhos[::-1]:
-        for k in range(len(reference[0].views)):
-            assert adversary.moment_for_constant(view, k, rho) == moment_for_constant(reference, k, rho)
-        for reduce in (min, max):
-            assert adversary.support_moment(view, rho, reduce) == support_moment(reference, rho, reduce)
-        try:
-            expected = eve_exact_matching(reference, rho)
-        except DomainError:
+        moments, supports, eve = expected[rho]
+        assert [adversary.moment_for_constant(view, k, rho) for k in range(len(moments))] == moments
+        assert [adversary.support_moment(view, rho, reduce) for reduce in (min, max)] == supports
+        if eve is None:
             with pytest.raises(DomainError):
                 adversary.eve_exact_matching(view, rho)
         else:
-            assert adversary.eve_exact_matching(view, rho) == expected
+            assert adversary.eve_exact_matching(view, rho) == eve
 
 
 # ---------------------------------------------------------------------------

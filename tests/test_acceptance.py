@@ -52,13 +52,19 @@ from hintlock.twohint import (
     build_eve_list_scheme,
     build_two_hint,
     eve_ambiguity_weak,
-    scheme_from_law,
     two_hint_exponents,
     verify_eve_list,
     verify_finite_blocklength,
 )
 from hintlock.guessing import guess_moment
-from oracles import encoder_guess_moment, full_law, grouped_moment, random_stoch_encoder, rd_function_grid_oracle
+from oracles import (
+    encoder_guess_moment,
+    full_law,
+    grouped_moment,
+    random_stoch_encoder,
+    rd_function_grid_oracle,
+    scheme_from_law,
+)
 
 
 def report(num: int, name: str, ok: bool, elapsed: float, limit: float):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hintlock.adversary import Cell, Law, eve_exact_matching, moment_for_constant, row_ids, support_moment
+from hintlock.adversary import Cell, eve_exact_matching, moment_for_constant, row_ids, support_moment
 from hintlock.disks import build_delta_scheme, unequal_converse_rows, verify_disk_theorems
 from hintlock.guessing import random_joint
 from hintlock.prob import BudgetExceededError, DomainError
@@ -20,7 +20,9 @@ from hintlock.twohint import (
     verify_secret_key,
 )
 from oracles import (
+    as_view,
     bob_minmax_bracket,
+    coded,
     eve_exact_enumeration,
     eve_local_search,
     eve_strategy_pair_bruteforce,
@@ -50,7 +52,7 @@ def test_matching_equals_enumeration_random():
             continue
         done += 1
         for rho in (0.5, 1.0, 2.0):
-            m = eve_exact_matching(cells, rho)
+            m = eve_exact_matching(as_view(cells), rho)
             e = eve_exact_enumeration(cells, rho)
             assert m == pytest.approx(e, abs=1e-11)
 
@@ -65,7 +67,7 @@ def test_enumeration_handles_merging():
     ]
     assert has_mergeable_cells(cells)
     with pytest.raises(DomainError, match="share a context"):
-        eve_exact_matching(cells, 1.0)
+        eve_exact_matching(as_view(cells), 1.0)
     val = eve_exact_enumeration(cells, 1.0)
     # route everything away from collisions: each cell can reach rank 1
     assert val == pytest.approx(1.0)
@@ -96,7 +98,7 @@ def test_constant_assignments_bound_exact():
         cells = random_cells(rng, 6, 3, 2, 2)
         exact = eve_exact_enumeration(cells, 1.0)
         for k in range(2):
-            assert moment_for_constant(cells, k, 1.0) >= exact - 1e-12
+            assert moment_for_constant(as_view(cells), k, 1.0) >= exact - 1e-12
 
 
 def test_bob_bracket_sound():
@@ -107,8 +109,8 @@ def test_bob_bracket_sound():
         assert lo <= hi + 1e-12
         # the per-subset optimum for any fixed subset lower-bounds the min-max
         for k in range(2):
-            assert moment_for_constant(cells, k, 1.0) <= lo + 1e-12
-        assert lo >= max(moment_for_constant(cells, k, 1.0) for k in range(2)) - 1e-12
+            assert moment_for_constant(as_view(cells), k, 1.0) <= lo + 1e-12
+        assert lo >= max(moment_for_constant(as_view(cells), k, 1.0) for k in range(2)) - 1e-12
 
 
 def test_bracket_closes_when_views_equivalent():
@@ -177,7 +179,7 @@ def test_row_ids_of_wide_columns_stay_exact():
 
 def full_law_views(scheme) -> SimpleNamespace:
     """Bob's and Eve's views of a scheme's full law, over all its pads."""
-    law = Law.coded(full_law(scheme))
+    law = coded(full_law(scheme))
     return SimpleNamespace(bob_cells=law.view(scheme.bob_positions), eve_cells=law.view(scheme.eve_positions))
 
 

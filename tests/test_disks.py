@@ -54,10 +54,10 @@ def test_law_equals_per_realization_encode(joint, params):
     for g, bits in ((sch.g_v, sch.p), (sch.g_uw, sch.r)):
         assert (g is None) == (bits == 0)
         assert g is None or (g.entries == rs_generator(sch.nu, sch.delta, field_make(bits)).entries).all()
-    assert list(sch.law.items()) == list(oracles.delta_quotient(sch, public=False).items())
+    assert list(oracles.scheme_law(sch).items()) == list(oracles.delta_quotient(sch, public=False).items())
     # the full law, one encode per (x, y, pad), holds the quotient as its pad-0 realizations
     full, n_pad = oracles.delta_law(sch), 1 << (sch.eta * sch.r)
-    assert len(full) == n_pad * len(sch.law) and list(full)[::n_pad] == list(sch.law)
+    assert len(full) == n_pad * len(sch.law) and list(full)[::n_pad] == list(oracles.scheme_law(sch))
 
 
 def test_eta_independence_exact_in_rational_mode():
@@ -202,7 +202,7 @@ def test_views_that_rank_a_cell_differently_are_rejected():
     # Bob's view (0, 1) ranks x = 1 second behind x = 0; view (0, 2) ranks it first
     sch = build_delta_scheme(U4, 3, 2, 1, 2, 2, 0)
     law = {(0, 0, (0, 0, 0)): Fraction(1, 2), (1, 0, (0, 0, 1)): Fraction(3, 10), (2, 0, (1, 1, 1)): Fraction(1, 5)}
-    bad = dataclasses.replace(sch, law=law)
+    bad = dataclasses.replace(sch, law=oracles.coded(law))
     assert not oracles.ranks_alike(list(bad.bob_cells))
     with pytest.raises(DomainError, match="rank a cell differently"):
         bad.bob(1.0)
@@ -223,7 +223,7 @@ def test_unequal_size_converse_random_sweep():
             # a random deterministic encoder per symbol keeps the oracle cheap
             m = tuple(int(rng.integers(c)) for c in caps)
             law[(x, 0, m)] = p
-        rows = unequal_converse_rows(j, law, sizes, nu=2, eta=1, rho=1.0)
+        rows = unequal_converse_rows(j, oracles.coded(law), sizes, nu=2, eta=1, rho=1.0)
         assert all_passed(rows), [r for r in rows if not r.passed]
 
 
@@ -236,7 +236,7 @@ def test_unequal_converse_prices_a_built_scheme_as_its_full_law(seed, params, ex
     sch = build_delta_scheme(joint, *params)
     sizes = (sch.s,) * sch.delta
     own = unequal_converse_rows(joint, sch, sizes, sch.nu, sch.eta, rho)
-    full = unequal_converse_rows(joint, oracles.delta_law(sch), sizes, sch.nu, sch.eta, rho)
+    full = unequal_converse_rows(joint, oracles.coded(oracles.delta_law(sch)), sizes, sch.nu, sch.eta, rho)
     assert [r.check for r in own] == [r.check for r in full]
     for a, b in zip(own, full):
         assert a.lhs == pytest.approx(b.lhs, rel=1e-12) and a.rhs == pytest.approx(b.rhs, rel=1e-12)
@@ -300,7 +300,7 @@ def test_disk_exponent_examples():
 
 def test_split_hint_round_trip():
     sch = build_delta_scheme(U16, 3, 2, 1, 4, 2, 2, "guessing")
-    for (x, y, m), p in list(sch.law.items())[:20]:
+    for (x, y, m), p in list(oracles.scheme_law(sch).items())[:20]:
         for h in m:
             hi, lo = sch.split_hint(h)
             assert (hi << sch.r | lo) == h

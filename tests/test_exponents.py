@@ -136,7 +136,6 @@ def test_controls_validation():
     # such sweeps give wrong rates: on p = 0.3, Delta = 0.1 (R = 0.412), no grid gives H(X), no iteration 0.531
     for bad in (
         {"grid_points": 0},
-        {"eps": 1e-3},
         {"lambda_points": 0},
         {"ba_iters": 0},
         {"bisect_iters": -1},

@@ -15,7 +15,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 import oracles
-from hintlock.adversary import Cell, CellView, as_view, eve_exact_matching, support_moment
+from hintlock.adversary import Cell, CellView, eve_exact_matching, support_moment
 from hintlock import adversary, exponents
 from hintlock.disks import build_delta_scheme
 from hintlock.distortion import DistortionSpec
@@ -24,6 +24,7 @@ from hintlock.guessing import random_joint
 from hintlock.prob import DomainError, JointPmf, Pmf
 from hintlock.twohint import build_two_hint
 from oracles import (
+    as_view,
     dense_matching,
     eve_exact_enumeration,
     eve_strategy_pair_bruteforce,
@@ -93,7 +94,7 @@ def test_support_moment_is_set_counting(cells, rho, reduce):
         return len({d.x for d in cells if view in d.views})
 
     brute = sum(c.prob * reduce(list_size(v) for v in c.views) ** rho for c in cells)
-    assert support_moment(cells, rho, reduce) == pytest.approx(brute, rel=1e-12)
+    assert support_moment(as_view(cells), rho, reduce) == pytest.approx(brute, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,9 +106,9 @@ def test_eve_ambiguity_matches_slow_oracles(cells, rho):
     assert enumeration == pytest.approx(eve_strategy_pair_bruteforce(cells, (0, 1, 2), rho), rel=1e-9)
     if has_mergeable_cells(cells):
         with pytest.raises(DomainError):
-            eve_exact_matching(cells, rho)
+            eve_exact_matching(as_view(cells), rho)
     else:
-        assert eve_exact_matching(cells, rho) == pytest.approx(enumeration, rel=1e-9)
+        assert eve_exact_matching(as_view(cells), rho) == pytest.approx(enumeration, rel=1e-9)
 
 
 TIED_MASSES = st.sampled_from([0.0, 0.05, 0.1, 0.1, 0.25, 0.5])
@@ -131,13 +132,13 @@ def unmergeable_cells(draw, max_cells, n_x=6, n_ctx=4):
 @settings(max_examples=100, deadline=None)
 @given(unmergeable_cells(max_cells=30), RHOS)
 def test_sparse_matching_equals_dense_reference(cells, rho):
-    assert eve_exact_matching(cells, rho) == pytest.approx(dense_matching(cells, rho), rel=1e-12, abs=1e-15)
+    assert eve_exact_matching(as_view(cells), rho) == pytest.approx(dense_matching(cells, rho), rel=1e-12, abs=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
 @given(unmergeable_cells(max_cells=10), RHOS)
 def test_sparse_matching_equals_enumeration(cells, rho):
-    sparse = eve_exact_matching(cells, rho)
+    sparse = eve_exact_matching(as_view(cells), rho)
     assert sparse == pytest.approx(dense_matching(cells, rho), rel=1e-12, abs=1e-15)
     assert sparse == pytest.approx(eve_exact_enumeration(cells, rho), rel=1e-9, abs=1e-15)
 
@@ -150,7 +151,6 @@ RHO_RUNS = st.lists(RHOS, min_size=1, max_size=4)
 def test_prepared_view_equals_per_call_code(cell_list, rhos):
     # a 0.0 mass stands for a float-zero cell; many of these lists are mergeable
     oracles.assert_same_as_per_call_code(as_view(cell_list), cell_list, rhos)
-    oracles.assert_same_as_per_call_code(cell_list, cell_list, rhos)  # a plain list, prepared per call
 
 
 @settings(max_examples=100, deadline=None)
@@ -184,8 +184,8 @@ def test_zero_mass_cells_add_nothing():
     zs = oracles.cells(law, lambda key: (key[1], "c"))
     assert [c.prob for c in zs] == [0.5, 0.0, 0.5]
     for rho in (0.5, 1.0, 2.0):
-        assert eve_exact_matching(zs, rho) == eve_exact_enumeration(zs, rho) == 1.0
-    assert eve_exact_matching([Cell(0.0, 0, ("c",))], 1.0) == 0.0
+        assert eve_exact_matching(as_view(zs), rho) == eve_exact_enumeration(zs, rho) == 1.0
+    assert eve_exact_matching(as_view([Cell(0.0, 0, ("c",))]), 1.0) == 0.0
 
 
 def test_a_square_component_keeps_its_own_call():
@@ -194,14 +194,14 @@ def test_a_square_component_keeps_its_own_call():
     # sum of the same three terms in another order rounds differently
     cells = [Cell(0.1, 0, (0,)), Cell(0.1, 1, (0,)), Cell(0.05, 0, (1, 2)), Cell(0.1, 2, (0,))]
     assert len(as_view(cells).prepared("slot graphs", adversary._slot_graphs)) == 2
-    assert eve_exact_matching(cells, 0.5) == oracles.eve_exact_matching(cells, 0.5)
+    assert eve_exact_matching(as_view(cells), 0.5) == oracles.eve_exact_matching(cells, 0.5)
 
 
 def test_a_positive_cell_without_a_view_is_rejected():
     # one chunk holds both cells; LAPJVsp would match the smaller side only
     with pytest.raises(DomainError, match="no view"):
-        eve_exact_matching([Cell(0.5, 0, ()), Cell(0.5, 1, ("a",))], 1.0)
-    assert eve_exact_matching([Cell(0.0, 0, ()), Cell(1.0, 1, ("a",))], 2.0) == 1.0
+        eve_exact_matching(as_view([Cell(0.5, 0, ()), Cell(0.5, 1, ("a",))]), 1.0)
+    assert eve_exact_matching(as_view([Cell(0.0, 0, ()), Cell(1.0, 1, ("a",))]), 2.0) == 1.0
 
 
 MATCHING_RHOS = (0.5, 1.0, 2.0, 3.7)

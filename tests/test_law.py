@@ -1,5 +1,5 @@
 """Property tests: the columnar realized laws and their cell views against the
-dict builders and the per-call oracles on plain `Cell` lists."""
+dict builders and the per-call oracles on plain `Cell` lists, coded by `oracles`."""
 
 from fractions import Fraction
 
@@ -19,7 +19,6 @@ from hintlock.twohint import (
     build_secret_hint,
     build_secret_key,
     build_two_hint,
-    scheme_from_law,
 )
 
 TINY_3 = Fraction(1, 3**41)  # numerators over 3^41 exceed 2^53
@@ -53,7 +52,7 @@ def built_with_references(joint):
         full = oracles.two_hint_law(joint, 2, 2, 2, version)
         views = [(s.bob_cells, law, oracles.bob_views)]
         views.append((s.eve_cells, oracles.two_hint_quotient(joint, 2, 2, 2, version), oracles.two_hint_eve_views))
-        views.append((Law.coded(full).view(s.eve_positions), full, oracles.two_hint_eve_views))
+        views.append((oracles.coded(full).view(s.eve_positions), full, oracles.two_hint_eve_views))
         out.append((s, law, views))
     back, quotient = TwoHintScheme.from_json(s.to_json()), oracles.two_hint_quotient(joint, 2, 2, 2, "list")
     out.append((back, law, [(back.eve_cells, quotient, oracles.two_hint_eve_views)]))
@@ -62,20 +61,20 @@ def built_with_references(joint):
     sk, law = build_secret_key(joint, 2, 4), oracles.secret_key_law(joint, 2, 4, "guessing", quotient=True)
     full = oracles.secret_key_law(joint, 2, 4, "guessing")
     views = [(sk.bob_cells, law, oracles.bob_views), (sk.eve_cells, law, lambda k: ((k[1], k[3] % 2),))]
-    views.append((Law.coded(full).view(sk.eve_positions), full, lambda k: ((k[1], k[3]),)))
+    views.append((oracles.coded(full).view(sk.eve_positions), full, lambda k: ((k[1], k[3]),)))
     out.append((sk, law, views))
     el, law = build_eve_list_scheme(joint, 8, 8, 20), oracles.eve_list_law(joint, 8, 8, 20, quotient=True)
     full, c1, c2 = oracles.eve_list_law(joint, 8, 8, 20), el.c1, el.c2
     views = [(el.bob_cells, law, oracles.bob_views), (el.no_hint_cells, law, lambda k: ((k[1],),))]
     views.append((el.eve_cells, law, lambda k: oracles.two_hint_eve_views((*k[:2], k[2] % c1, k[3] % c2))))
-    views.append((Law.coded(full).view(el.eve_positions), full, oracles.two_hint_eve_views))
+    views.append((oracles.coded(full).view(el.eve_positions), full, oracles.two_hint_eve_views))
     out.append((el, law, views))
     d = build_delta_scheme(joint, 3, 2, 1, 4, 2, 2)
     law, full = oracles.delta_quotient(d, public=False), oracles.delta_law(d)
     eve_views = oracles.subset_views("E", 3, 1)
     views = [(d.bob_cells, law, oracles.subset_views("B", 3, 2))]
     views.append((d.eve_cells, oracles.delta_quotient(d), eve_views))
-    views.append((Law.coded(full).view(d.eve_positions), full, eve_views))
+    views.append((oracles.coded(full).view(d.eve_positions), full, eve_views))
     out.append((d, law, views))
     return out
 
@@ -90,7 +89,7 @@ def typed(law) -> list:
 def test_columnar_laws_equal_dict_builders(joint):
     for scheme, reference, _ in built_with_references(joint):
         assert isinstance(scheme.law, Law)
-        assert typed(scheme.law) == typed(reference)
+        assert typed(oracles.scheme_law(scheme)) == typed(reference)
         assert len(scheme.law) == len(reference)
 
 
@@ -126,22 +125,22 @@ def test_a_source_with_warm_caches_builds_what_a_fresh_copy_builds(joint):
         assert warm.mass.tobytes() == fresh.mass.tobytes()
     for epsilon in (3, 2.5):  # the smoothed law, in integers over one scale or in floats, is the dict builder's
         law = build_eve_list_scheme(joint, 8, 8, epsilon).law
-        assert typed(law) == typed(oracles.eve_list_law(joint, 8, 8, epsilon, quotient=True))
+        assert typed(oracles.law_dict(law)) == typed(oracles.eve_list_law(joint, 8, 8, epsilon, quotient=True))
 
 
 def test_float_masses_follow_the_2_53_rule():
     joint = JointPmf.from_marginal(Pmf.of([TINY_10, Fraction(1, 3), Fraction(2, 3) - TINY_10], exact=True))
-    law = Law.coded(oracles.full_law(build_secret_key(joint, 1, 2)))  # two keys per x
+    law = oracles.coded(oracles.full_law(build_secret_key(joint, 1, 2)))  # two keys per x
     assert law.scale > 2**53
-    assert law.mass.tolist() == [float(p) for p in law.values()]
+    assert law.mass.tolist() == [float(p) for p in oracles.law_dict(law).values()]
     assert law.mass[:2].tolist() == [0.0, 0.0] and law.mass[2] > 0  # float-zero cells stay on the support
 
 
-def test_dict_law_is_coded_once_and_read_back_as_given():
+def test_dict_law_is_coded_without_its_zero_mass_keys():
     law = {(0, 0, 0, 1): Fraction(1, 2), (1, 0, 1, 0): Fraction(1, 2), (1, 0, 0, 0): Fraction(0)}
     bit = JointPmf.from_marginal(Pmf.of([Fraction(1, 2)] * 2, exact=True))
-    s = scheme_from_law(bit, law, 2, 2)
-    assert s.law.as_dict() is law and len(s.law) == 3 and s.law == law
+    s = oracles.scheme_from_law(bit, law, 2, 2)
+    assert len(s.law) == 2 and oracles.law_dict(s.law) == {k: p for k, p in law.items() if p > 0}
     assert len(s.eve_cells) == 2  # the zero-mass key is off the support
     assert [c.prob for c in s.eve_cells] == [0.5, 0.5]
     assert all(isinstance(c, Cell) and len(c.views) == 2 for c in s.eve_cells)
@@ -160,6 +159,6 @@ def test_to_json_refuses_a_law_with_several_realizations_of_one_cell():
     bit = JointPmf.from_marginal(Pmf.of([Fraction(1, 2)] * 2, exact=True))
     law = {(0, 0, 0, 0): Fraction(1, 4), (0, 0, 1, 1): Fraction(1, 4), (1, 0, 1, 0): Fraction(1, 2)}
     with pytest.raises(DomainError, match="several realizations"):
-        scheme_from_law(bit, law, 2, 2).to_json()
-    one_each = scheme_from_law(bit, {(0, 0, 0, 1): Fraction(1, 2), (1, 0, 1, 0): Fraction(1, 2)}, 2, 2)
-    assert TwoHintScheme.from_json(one_each.to_json()).law == one_each.law
+        oracles.scheme_from_law(bit, law, 2, 2).to_json()
+    one_each = oracles.scheme_from_law(bit, {(0, 0, 0, 1): Fraction(1, 2), (1, 0, 1, 0): Fraction(1, 2)}, 2, 2)
+    assert oracles.law_dict(TwoHintScheme.from_json(one_each.to_json()).law) == oracles.law_dict(one_each.law)

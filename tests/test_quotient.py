@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hintlock import disks
-from hintlock.adversary import Law, eve_exact_matching, moment_for_constant, support_moment
+from hintlock.adversary import eve_exact_matching, moment_for_constant, support_moment
 from hintlock.bounds import list_room
 from hintlock.disks import build_delta_scheme, disk_sizes
 from hintlock.gf import rs_generator
@@ -36,7 +36,7 @@ def sources(draw, max_x: int = 8, max_y: int = 3):
 def assert_full_law_agrees(scheme, pads: int, eve=eve_exact_matching) -> None:
     """Eve's value on the quotient is `eve` (by default the matching) on the full law's Eve view."""
     law = oracles.full_law(scheme)
-    full = Law.coded(law).view(scheme.eve_positions)
+    full = oracles.coded(law).view(scheme.eve_positions)
     if not isinstance(scheme, EveListScheme):  # one realization per (x, y); eve-list's are per (x, y, v1', v2')
         assert len(scheme.law) == len(list(scheme.joint.support_items()))
     assert len(scheme.law) * pads == len(law)
@@ -48,7 +48,7 @@ def assert_bob_agrees_with_full_law(scheme, pads: int) -> None:
     """Bob's moment on the quotient is the full law's min-max moment: the upper
     end of the bracket (each cell's worst rank over his views) or the list maximum."""
     law = oracles.full_law(scheme)
-    full = list(Law.coded(law).view(scheme.bob_positions))
+    full = list(oracles.coded(law).view(scheme.bob_positions))
     assert len(scheme.law) * pads == len(law)
     for rho in RHOS:
         if scheme.version == "guessing":
@@ -118,7 +118,8 @@ def test_eve_list_quotient_equals_full_law(joint, m1_size, m2_size, epsilon):
 def test_unpadded_schemes_price_eve_on_their_own_law():
     joint = random_joint(np.random.default_rng(2), 4, 2, exact=True)
     for scheme in (build_two_hint(joint, 1, 2, 2), build_delta_scheme(joint, 3, 2, 1, 2, 2, 0)):
-        assert list(scheme.law.items()) == list(oracles.full_law(scheme).items())  # one pad: the quotient is the law
+        # one pad: the quotient is the law
+        assert list(oracles.scheme_law(scheme).items()) == list(oracles.full_law(scheme).items())
 
 
 def test_quotient_of_a_dict_coded_law_prices_eve_as_the_built_scheme():
@@ -129,7 +130,7 @@ def test_quotient_of_a_dict_coded_law_prices_eve_as_the_built_scheme():
     for joint in joints:
         two_hint = [build_two_hint(joint, *triple) for triple in ((2, 2, 2), (4, 4, 4))]
         for scheme in (*two_hint, build_delta_scheme(joint, 3, 2, 1, 4, 2, 2)):
-            recoded = replace(scheme, law=dict(scheme.law))
+            recoded = replace(scheme, law=oracles.coded(oracles.scheme_law(scheme)))
             assert len(joint.y_alphabet) == 1 or recoded.law.ys != joint.y_alphabet
             for rho in RHOS:
                 assert recoded.eve(rho) == scheme.eve(rho)
@@ -145,7 +146,7 @@ def tiny_rational_sources(draw, max_x: int):
 @given(tiny_rational_sources(3), st.integers(2, 3), st.integers(1, 2), st.integers(1, 2))
 def test_two_hint_quotient_equals_enumeration_on_the_full_law(joint, cs, c1, c2):
     scheme = build_two_hint(joint, cs, c1, c2)
-    full = Law.coded(oracles.full_law(scheme)).view(scheme.eve_positions)
+    full = oracles.coded(oracles.full_law(scheme)).view(scheme.eve_positions)
     for rho in RHOS:
         assert scheme.eve(rho) == pytest.approx(oracles.eve_exact_enumeration(full, rho, budget_bits=14), rel=1e-12)
 
@@ -154,7 +155,7 @@ def test_two_hint_quotient_equals_enumeration_on_the_full_law(joint, cs, c1, c2)
 @given(tiny_rational_sources(2), st.sampled_from([(3, 2, 1, 4, 2, 2), (3, 2, 1, 2, 0, 2)]))
 def test_delta_quotient_equals_enumeration_on_the_full_law(joint, params):
     scheme = build_delta_scheme(joint, *params)
-    full = Law.coded(oracles.full_law(scheme)).view(scheme.eve_positions)
+    full = oracles.coded(oracles.full_law(scheme)).view(scheme.eve_positions)
     for rho in RHOS:
         assert scheme.eve(rho) == pytest.approx(oracles.eve_exact_enumeration(full, rho, budget_bits=14), rel=1e-12)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import grouped_moment
+from oracles import as_view, grouped_moment, scheme_from_law
 from hintlock.adversary import support_moment
 from hintlock.guessing import optimal_guesser, random_joint
 from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy
@@ -19,7 +19,6 @@ from hintlock.twohint import (
     build_two_hint,
     choose_triple,
     eve_ambiguity_weak,
-    scheme_from_law,
     two_hint_exponents,
     verify_eve_list,
     verify_finite_blocklength,
@@ -41,7 +40,7 @@ def guess_moment_given(law, obs, rho):
 
 def list_moment_given(law, obs, rho):
     """E[|support of X given obs(key)|^rho], by the shared support moment."""
-    return support_moment(oracles.cells(law, lambda k: (obs(k),)), rho)
+    return support_moment(as_view(oracles.cells(law, lambda k: (obs(k),))), rho)
 
 
 def pad_pair_moment(scheme, rho):
@@ -105,9 +104,9 @@ def test_pad_coordinate_laws_equal_fraction_reference(exact, triple):
     joint = random_joint(np.random.default_rng(sum(triple)), 5, 3, exact=exact, zeros=0.2)
     s = build_two_hint(joint, *triple)
     assert typed_items(s.pad_coordinate_laws()) == typed_items(oracles.pad_coordinate_laws(s, oracles.full_law(s)))
-    law = dict(s.law)  # one quotient mass off: its pads still agree with the full law spread from it
+    law = oracles.law_dict(s.law)  # one quotient mass off: its pads still agree with the full law spread from it
     law[next(iter(law))] += Fraction(1, 2**40) if exact else 2.0**-40
-    off = dataclasses.replace(s, law=law)
+    off = dataclasses.replace(s, law=oracles.coded(law))
     spread = oracles.two_hint_spread(off)
     assert typed_items(off.pad_coordinate_laws()) == typed_items(oracles.pad_coordinate_laws(off, spread))
 
@@ -244,7 +243,7 @@ def test_secret_hint_examples_and_verify():
             assert all_passed(rows), [r for r in rows if not r.passed]
     # c = |X| with trivial secret part: the public hint reveals X
     sch = build_secret_hint(U4, 4, 1)
-    a_e = guess_moment_given(sch.law, lambda k: (k[1], k[2]), 1.0)
+    a_e = guess_moment_given(oracles.law_dict(sch.law), lambda k: (k[1], k[2]), 1.0)
     assert a_e == pytest.approx(1.0)
 
 
@@ -361,8 +360,21 @@ def test_scheme_json_round_trip():
     assert doc["cs"] == 2 and doc["m1_size"] == 4
     assert doc["kind"] == "two-hint"
     back = TwoHintScheme.from_json(s.to_json())
-    assert back.law == s.law
+    assert oracles.law_dict(back.law) == oracles.law_dict(s.law)
     assert back.bob(1.0, "guessing") == s.bob(1.0, "guessing")
+
+
+@pytest.mark.parametrize("field, value, match", [("m1_size", 1, "exceeds min"), ("version", "banana", "unknown version")])
+def test_from_json_refuses_what_the_builder_refuses(field, value, match):
+    from hintlock.twohint import TwoHintScheme
+    import json
+
+    doc = json.loads(build_two_hint(U4, 2, 2, 2).to_json())
+    params = {"version": doc["version"], "m1_size": doc["m1_size"], "m2_size": doc["m2_size"], field: value}
+    with pytest.raises(DomainError, match=match):
+        build_two_hint(U4, 2, 2, 2, **params)
+    with pytest.raises(DomainError, match=match):
+        TwoHintScheme.from_json(json.dumps({**doc, field: value}))
 
 
 def test_exponent_trend_finite_n():
