@@ -61,6 +61,12 @@ and `mds_check`, the batched elimination that decides both structure rows, on
 G_V, G_UW and G_UW's top eta = 1 row.  On criterion 08's largest case, `mds_check` of
 `rs_generator(8, 16, field_make(4))`: 12,870 column subsets of 8 x 8.
 
+The last input times one batched Blahut-Arimoto solve, `exponents._blahut_arimoto`,
+with the arguments rd-exponent's BA_JOB job passes at seed SEED (its default
+controls: `ba_iters` 400, tol 1e-10), recorded by running the job once: its
+multiplier-grid solve (20 multipliers x 4 context slices = 80 rows) and its
+first bisection solve (7 midpoints x 4 slices).
+
 The oracles layer (`--layer oracles`) times Eve's exact oracle, `scheme.eve(1.0)`,
 on a fresh scheme: the call pays for the scheme's Eve view, its slot graphs and
 the matching, and the build is not timed.  The schemes are
@@ -118,6 +124,7 @@ ROOT = Path(__file__).resolve().parents[1]
 RHO = 1.0
 SEED = 1  # the benchmark's default seed
 ORACLE_SIZES = (96, 256, 512)
+BA_JOB = "cond5-6x4/D0.2"  # rd-exponent's Blahut-Arimoto kernel input: 20 multipliers x 4 slices in its grid solve
 
 
 def _builders(hl, twohint, disks):
@@ -211,6 +218,25 @@ def _gf(hl, joint) -> dict:
     }
 
 
+def _blahut_arimoto_solves() -> dict:
+    """name -> one `_blahut_arimoto` call of rd-exponent's BA_JOB job at seed SEED:
+    its multiplier-grid solve and its first bisection solve, with the arguments
+    the job passes (recorded by running it once)."""
+    from unittest import mock
+
+    import workloads
+
+    from hintlock import exponents
+
+    with tempfile.TemporaryDirectory() as tmp:
+        (job,) = [job for job in workloads.rd_exponent(SEED, False, Path(tmp)) if job.key == BA_JOB]
+    solve = exponents._blahut_arimoto
+    with mock.patch.object(exponents, "_blahut_arimoto", wraps=solve) as spy:
+        job.run(None)
+    grid, bisection = (call.args for call in spy.call_args_list[:2])
+    return {"blahut_arimoto grid solve": lambda: solve(*grid), "blahut_arimoto bisection solve": lambda: solve(*bisection)}
+
+
 def kernels_child(reps: int) -> dict:
     """Reference seconds per call of each kernel, per input, one value per repetition."""
     import numpy as np
@@ -229,7 +255,9 @@ def kernels_child(reps: int) -> dict:
     inputs["16x32 sweep sources' delta-disk schemes (sum of three)"] = gf
     largest = rs_generator(8, 16, field_make(4))  # criterion 08's largest case: 12,870 column subsets
     inputs["rs_generator(8, 16, field_make(4))"] = [{"mds_check RS(8, 16)": lambda: mds_check(largest)}]
-    names = [*small, "order search", *gf[0], "mds_check RS(8, 16)"]
+    ba = _blahut_arimoto_solves()
+    inputs[f"rd-exponent's {BA_JOB} job, seed {SEED}"] = [ba]
+    names = [*small, "order search", *gf[0], "mds_check RS(8, 16)", *ba]
     out = {name: {label: [] for label, kernels in inputs.items() if name in kernels[0]} for name in names}
     clock = [kernel_seconds()]
     for _ in range(reps):
@@ -482,7 +510,9 @@ def main(argv=None) -> int:
             "unit": "reference seconds (perfbench/calibrate.py) per call, summed over an input's sources",
             "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints; one seeded 6x3 rational joint;"
             " the order search: a binary (0.7, 0.3) source, n = 3, Hamming Delta = 0.34;"
-            " GF: the sweep joints' delta-disk (4, 2, 1, 4, 2, 2) schemes, and rs_generator(8, 16, field_make(4))",
+            " GF: the sweep joints' delta-disk (4, 2, 1, 4, 2, 2) schemes, and rs_generator(8, 16, field_make(4));"
+            f" Blahut-Arimoto: rd-exponent's {BA_JOB} job at seed {SEED}, its grid solve (80 rows) and first"
+            " bisection solve",
             "rho": RHO,
         }
     elif args.layer == "e2e":

@@ -12,6 +12,11 @@ midpoints of all the paths its next levels could take, then walks its own
 path and drops the rest.  A row's arithmetic depends only on its own slice
 and multiplier, so this returns the bits of one solve per level (the tests
 check both, and R against a fine-grid channel search at small alphabets).
+Inside a solve the iterations run in blocks of _BLOCK: the iterates of a
+block are stacked in one buffer, at most _BLOCK + 1 times the q array, and
+the stopping test is read once per block on all of them.  Each row keeps its
+first iterate within tol, so the bits are those of a test read after every
+iteration, and a solve makes a few numpy calls per iteration, not a dozen.
 The tilted-source functional sup_Q [R(Q, Delta) - D(Q||P)/rho] is maximized
 by seeded multi-start search, with all starts scored in one batched call,
 and reported with a bracket whose upper end, the zero-distortion entropy, is
@@ -74,6 +79,7 @@ class ExponentResult:
 
 _CHUNK = 256  # laws per batched solve; bounds the tensors at a few MB
 _DEPTH = 3  # bisection levels settled by one solve (2^_DEPTH - 1 multipliers per law)
+_BLOCK = 8  # Blahut-Arimoto iterations between two reads of the stopping test
 
 
 def _blahut_arimoto(px: np.ndarray, lams: np.ndarray, d: np.ndarray, iters: int, tol: float):
@@ -81,34 +87,46 @@ def _blahut_arimoto(px: np.ndarray, lams: np.ndarray, d: np.ndarray, iters: int,
 
     Row b pairs the slice law px[b] with the multiplier lams[b] over the shared
     distortion matrix d.  A row iterates until its reconstruction law moves by
-    less than tol, or `iters` times, and then leaves the active set.  Returns
-    (mutual information bits, expected distortion) at each row's optimizer.
+    less than tol, or `iters` times, and then leaves the active set.  The
+    iterations run in blocks of _BLOCK, each stacking its iterates in one
+    buffer (at most _BLOCK + 1 times the q array); the stopping test is read
+    once per block, on every stacked step, and a row that met it keeps its
+    first iterate within tol.  So each row does the arithmetic and keeps the
+    bits of a test read after every iteration.  Returns (mutual information
+    bits, expected distortion) at each row's optimizer.
     """
     w = np.exp((-lams * LOG2)[:, None, None] * d)  # base-2 exponent tilt
     support = w > 0
     fallback = support / np.maximum(support.sum(axis=2, keepdims=True), 1)
 
     def channel(q, w, fallback):
-        raw = q[:, None, :] * w
+        raw = q * w
         sums = raw.sum(axis=2, keepdims=True)
+        if sums.min() >= 1e-300:  # then np.maximum(sums, 1e-300) is sums and no row falls back
+            return np.divide(raw, sums, out=raw)
         return np.where(sums > 0, raw / np.maximum(sums, 1e-300), fallback)
 
-    q = np.full((len(px), d.shape[1]), 1.0 / d.shape[1])
+    q = np.full((len(px), 1, d.shape[1]), 1.0 / d.shape[1])
     rows, qa, wa, fa, pa = np.arange(len(px)), q, w, fallback, px[:, None, :]  # the active rows
-    for _ in range(iters):
-        q_new = (pa @ channel(qa, wa, fa))[:, 0]
-        done = np.abs(q_new - qa).max(axis=1) < tol
-        qa = q_new
+    left = iters
+    while len(rows) and left:
+        block = min(_BLOCK, left)
+        left -= block
+        steps = np.empty((block + 1, *qa.shape))
+        steps[0] = qa
+        for t in range(block):
+            np.matmul(pa, channel(steps[t], wa, fa), out=steps[t + 1])
+        met = (np.abs(steps[1:] - steps[:-1]).max(axis=3) < tol)[:, :, 0]  # (step, row)
+        done = met.any(axis=0)
+        qa = steps[block]
         if done.any():
-            q[rows[done]] = qa[done]
+            q[rows[done]] = steps[met.argmax(axis=0)[done] + 1, done]  # each row's first step within tol
             going = ~done
             rows, qa, wa, fa, pa = rows[going], qa[going], wa[going], fa[going], pa[going]
-            if not len(rows):
-                break
     q[rows] = qa
     ch = channel(q, w, fallback)
     joint = px[:, :, None] * ch
-    ratio = np.where(joint > 0, ch / np.maximum(q[:, None, :], 1e-300), 1.0)
+    ratio = np.where(joint > 0, ch / np.maximum(q, 1e-300), 1.0)
     mi = (joint * np.log2(np.maximum(ratio, 1e-300))).reshape(len(px), -1).sum(axis=1)
     ed = (joint * d).reshape(len(px), -1).sum(axis=1)
     return np.maximum(mi, 0.0), ed

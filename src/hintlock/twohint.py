@@ -136,6 +136,9 @@ class TwoHintScheme(SchemeCells):
         if doc.get("kind") != "two-hint":
             raise DomainError(f"not a two-hint scheme document: kind={doc.get('kind')!r}")
         joint = JointPmf.from_json(json.dumps(doc["source"]))
+        for key in ("cs", "c1", "c2", "m1_size", "m2_size"):
+            if type(doc[key]) is not int:  # a JSON float (2.0 too) or a boolean
+                raise DomainError(f"{key} must be a JSON integer, not {json.dumps(doc[key])}")
         cs, c1, c2 = doc["cs"], doc["c1"], doc["c2"]
         descriptor = {tuple(k): tuple(v) for k, v in doc["descriptor"]}
         cells = [descriptor[(x, y)] for x, y, _ in joint.support_items()]

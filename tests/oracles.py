@@ -1032,6 +1032,40 @@ def variational_renyi_check(p_joint: JointPmf, rho: float, samples: int, seed: i
 LOG2 = math.log(2.0)
 
 
+def blahut_arimoto_per_iteration(px: np.ndarray, lams: np.ndarray, d: np.ndarray, iters: int, tol: float):
+    """Reference: the batched solver with the stopping test read after every
+    iteration, one numpy pass per step (`exponents._blahut_arimoto` reads it
+    once per block of iterations and must return these bits)."""
+    w = np.exp((-lams * LOG2)[:, None, None] * d)  # base-2 exponent tilt
+    support = w > 0
+    fallback = support / np.maximum(support.sum(axis=2, keepdims=True), 1)
+
+    def channel(q, w, fallback):
+        raw = q[:, None, :] * w
+        sums = raw.sum(axis=2, keepdims=True)
+        return np.where(sums > 0, raw / np.maximum(sums, 1e-300), fallback)
+
+    q = np.full((len(px), d.shape[1]), 1.0 / d.shape[1])
+    rows, qa, wa, fa, pa = np.arange(len(px)), q, w, fallback, px[:, None, :]  # the active rows
+    for _ in range(iters):
+        q_new = (pa @ channel(qa, wa, fa))[:, 0]
+        done = np.abs(q_new - qa).max(axis=1) < tol
+        qa = q_new
+        if done.any():
+            q[rows[done]] = qa[done]
+            going = ~done
+            rows, qa, wa, fa, pa = rows[going], qa[going], wa[going], fa[going], pa[going]
+            if not len(rows):
+                break
+    q[rows] = qa
+    ch = channel(q, w, fallback)
+    joint = px[:, :, None] * ch
+    ratio = np.where(joint > 0, ch / np.maximum(q[:, None, :], 1e-300), 1.0)
+    mi = (joint * np.log2(np.maximum(ratio, 1e-300))).reshape(len(px), -1).sum(axis=1)
+    ed = (joint * d).reshape(len(px), -1).sum(axis=1)
+    return np.maximum(mi, 0.0), ed
+
+
 def _slice_ba(px: np.ndarray, dmat: np.ndarray, lam: float, iters: int, tol: float):
     """Reference: min over channels of I(X; Xhat) + lam * E[d] for one context slice."""
     nx, nh = dmat.shape

@@ -9,8 +9,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
@@ -362,6 +363,38 @@ def joints(draw, max_x=4, max_y=3, min_x=2):
     cells = draw(st.lists(mass, min_size=nx * ny, max_size=nx * ny).filter(lambda c: sum(c) > 0))
     total = sum(cells)
     return JointPmf.of([[cells[i * ny + j] / total for j in range(ny)] for i in range(nx)])
+
+
+@st.composite
+def ba_solves(draw):
+    """Arguments of one batched Blahut-Arimoto solve: 1-6 slices with zero masses,
+    multipliers 0 or 1e-3..1e7, a distortion matrix or Delta = 0's pinned one
+    (which empties channel rows), an iteration cap mostly off the block size."""
+    nx, nh, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    px = draw(hnp.arrays(float, (rows, nx), elements=st.floats(0.0, 1.0)))
+    px[px < 0.3] = 0.0  # about a third of the masses
+    px[px.sum(axis=1) == 0.0, 0] = 1.0
+    px /= px.sum(axis=1, keepdims=True)
+    exps = draw(hnp.arrays(float, rows, elements=st.floats(-4.0, 7.0)))
+    lams = np.where(exps < -3.0, 0.0, 10.0**exps)
+    d = draw(hnp.arrays(float, (nx, nh), elements=st.floats(-1.0, 3.0)))
+    d[d < 0.0] = 0.0
+    if draw(st.booleans()):
+        d = np.where(d == 0.0, 0.0, 1e9)
+    iters = draw(st.integers(1, 3 * exponents._BLOCK + 1))
+    tol = 10.0 ** draw(st.floats(min_value=-13.0, max_value=-3.0))
+    return px, lams, d, iters, tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(ba_solves())
+@example((np.array([[0.5, 0.5, 0.0]]), np.array([1.0]), np.where(np.eye(3) == 1, 0.0, 1e9), 2000, 1e-13))
+def test_blocked_blahut_arimoto_equals_per_iteration_reference(solve):
+    """Reading the stopping test once per block of iterations keeps every row's bits."""
+    mi, ed = exponents._blahut_arimoto(*solve)
+    ref_mi, ref_ed = oracles.blahut_arimoto_per_iteration(*solve)
+    assert mi.tobytes() == ref_mi.tobytes()
+    assert ed.tobytes() == ref_ed.tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -377,6 +377,17 @@ def test_from_json_refuses_what_the_builder_refuses(field, value, match):
         TwoHintScheme.from_json(json.dumps({**doc, field: value}))
 
 
+@pytest.mark.parametrize("field, value", [("cs", 2.0), ("m2_size", 8.5), ("c1", True)])
+def test_from_json_refuses_a_cardinality_that_is_not_a_json_integer(field, value):
+    # these loaded as sizes (8.0, 16, 4, 4) and (8, 34.0, 4, 4), and passed every row
+    from hintlock.twohint import TwoHintScheme
+    import json
+
+    doc = json.loads(build_two_hint(U4, 2, 2, 2).to_json())
+    with pytest.raises(DomainError, match=f"{field} must be a JSON integer"):
+        TwoHintScheme.from_json(json.dumps({**doc, field: value}))
+
+
 def test_exponent_trend_finite_n():
     # IID uniform bit, R1 = R2 = 1: Bob pinned at 1, Eve's certified floor
     # exponent climbs to within 0.25 of rho*min(R1,R2,H) = 1 by n = 8
