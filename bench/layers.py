@@ -61,11 +61,15 @@ and `mds_check`, the batched elimination that decides both structure rows, on
 G_V, G_UW and G_UW's top eta = 1 row.  On criterion 08's largest case, `mds_check` of
 `rs_generator(8, 16, field_make(4))`: 12,870 column subsets of 8 x 8.
 
-The last input times one batched Blahut-Arimoto solve, `exponents._blahut_arimoto`,
+The next input times one batched Blahut-Arimoto solve, `exponents._blahut_arimoto`,
 with the arguments rd-exponent's BA_JOB job passes at seed SEED (its default
 controls: `ba_iters` 400, tol 1e-10), recorded by running the job once: its
 multiplier-grid solve (20 multipliers x 4 context slices = 80 rows) and its
-first bisection solve (7 midpoints x 4 slices).
+first bisection solve (7 midpoints x 4 slices).  The last input is a
+Delta = 0 solve, whose rows all stop after two iterations: the one in which
+`rd_exponent_functional` on the 3x2 table ZERO_TABLE (Hamming Delta = 0,
+rho = 1, 200 starts) scores all its starts (400 rows, 2,000 iterations at
+most, tol 1e-13).
 
 The oracles layer (`--layer oracles`) times Eve's exact oracle, `scheme.eve(1.0)`,
 on a fresh scheme: the call pays for the scheme's Eve view, its slot graphs and
@@ -125,6 +129,7 @@ RHO = 1.0
 SEED = 1  # the benchmark's default seed
 ORACLE_SIZES = (96, 256, 512)
 BA_JOB = "cond5-6x4/D0.2"  # rd-exponent's Blahut-Arimoto kernel input: 20 multipliers x 4 slices in its grid solve
+ZERO_TABLE = [[0.2, 0.1], [0.15, 0.25], [0.05, 0.25]]  # the Delta = 0 Blahut-Arimoto input: rows stop after 2 steps
 
 
 def _builders(hl, twohint, disks):
@@ -218,23 +223,36 @@ def _gf(hl, joint) -> dict:
     }
 
 
-def _blahut_arimoto_solves() -> dict:
-    """name -> one `_blahut_arimoto` call of rd-exponent's BA_JOB job at seed SEED:
-    its multiplier-grid solve and its first bisection solve, with the arguments
-    the job passes (recorded by running it once)."""
+def _blahut_arimoto_solves(hl) -> tuple:
+    """name -> one `_blahut_arimoto` call, with the arguments its caller passes
+    (recorded by running the caller once): rd-exponent's BA_JOB job at seed SEED,
+    its multiplier-grid solve and its first bisection solve; and, separately,
+    the Delta = 0 solve that scores all of ZERO_TABLE's starts."""
     from unittest import mock
 
     import workloads
 
     from hintlock import exponents
 
+    solve = exponents._blahut_arimoto
+
+    def calls(run) -> list:
+        with mock.patch.object(exponents, "_blahut_arimoto", wraps=solve) as spy:
+            run()
+        return [call.args for call in spy.call_args_list]
+
     with tempfile.TemporaryDirectory() as tmp:
         (job,) = [job for job in workloads.rd_exponent(SEED, False, Path(tmp)) if job.key == BA_JOB]
-    solve = exponents._blahut_arimoto
-    with mock.patch.object(exponents, "_blahut_arimoto", wraps=solve) as spy:
-        job.run(None)
-    grid, bisection = (call.args for call in spy.call_args_list[:2])
-    return {"blahut_arimoto grid solve": lambda: solve(*grid), "blahut_arimoto bisection solve": lambda: solve(*bisection)}
+    grid, bisection = calls(lambda: job.run(None))[:2]
+    joint = hl.JointPmf.of(ZERO_TABLE)
+    spec = hl.DistortionSpec.hamming(joint.x_alphabet, 0.0)
+    starts = hl.RdQuery(grid_points=200, polish_runs=5, polish_steps=40)
+    zero = calls(lambda: hl.rd_exponent_functional(joint, spec, RHO, starts))[0]
+    job_solves = {
+        "blahut_arimoto grid solve": lambda: solve(*grid),
+        "blahut_arimoto bisection solve": lambda: solve(*bisection),
+    }
+    return job_solves, {"blahut_arimoto Delta = 0 solve": lambda: solve(*zero)}
 
 
 def kernels_child(reps: int) -> dict:
@@ -255,9 +273,10 @@ def kernels_child(reps: int) -> dict:
     inputs["16x32 sweep sources' delta-disk schemes (sum of three)"] = gf
     largest = rs_generator(8, 16, field_make(4))  # criterion 08's largest case: 12,870 column subsets
     inputs["rs_generator(8, 16, field_make(4))"] = [{"mds_check RS(8, 16)": lambda: mds_check(largest)}]
-    ba = _blahut_arimoto_solves()
+    ba, zero = _blahut_arimoto_solves(hl)
     inputs[f"rd-exponent's {BA_JOB} job, seed {SEED}"] = [ba]
-    names = [*small, "order search", *gf[0], "mds_check RS(8, 16)", *ba]
+    inputs[f"{ZERO_TABLE}, Hamming Delta = 0, 200 starts"] = [zero]
+    names = [*small, "order search", *gf[0], "mds_check RS(8, 16)", *ba, *zero]
     out = {name: {label: [] for label, kernels in inputs.items() if name in kernels[0]} for name in names}
     clock = [kernel_seconds()]
     for _ in range(reps):
@@ -512,7 +531,7 @@ def main(argv=None) -> int:
             " the order search: a binary (0.7, 0.3) source, n = 3, Hamming Delta = 0.34;"
             " GF: the sweep joints' delta-disk (4, 2, 1, 4, 2, 2) schemes, and rs_generator(8, 16, field_make(4));"
             f" Blahut-Arimoto: rd-exponent's {BA_JOB} job at seed {SEED}, its grid solve (80 rows) and first"
-            " bisection solve",
+            f" bisection solve, and the Delta = 0 solve of rd_exponent_functional's 200 starts on {ZERO_TABLE}",
             "rho": RHO,
         }
     elif args.layer == "e2e":

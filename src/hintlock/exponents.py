@@ -12,11 +12,14 @@ midpoints of all the paths its next levels could take, then walks its own
 path and drops the rest.  A row's arithmetic depends only on its own slice
 and multiplier, so this returns the bits of one solve per level (the tests
 check both, and R against a fine-grid channel search at small alphabets).
-Inside a solve the iterations run in blocks of _BLOCK: the iterates of a
-block are stacked in one buffer, at most _BLOCK + 1 times the q array, and
-the stopping test is read once per block on all of them.  Each row keeps its
-first iterate within tol, so the bits are those of a test read after every
-iteration, and a solve makes a few numpy calls per iteration, not a dozen.
+Inside a solve the iterations run in blocks of 1, 1, 2, 4, then _BLOCK: the
+iterates of a block are stacked in one buffer, at most _BLOCK + 1 times the q
+array, and the stopping test is read once per block on all of them.  Each
+row keeps its first iterate within tol, so the bits are those of a test read
+after every iteration, and a long solve makes a few numpy calls per
+iteration, not a dozen.  No block is longer than the steps run before it, so
+a row that stops early (a Delta = 0 row stops after two) pays for at most as
+many extra steps as it ran.
 The tilted-source functional sup_Q [R(Q, Delta) - D(Q||P)/rho] is maximized
 by seeded multi-start search, with all starts scored in one batched call,
 and reported with a bracket whose upper end, the zero-distortion entropy, is
@@ -79,7 +82,7 @@ class ExponentResult:
 
 _CHUNK = 256  # laws per batched solve; bounds the tensors at a few MB
 _DEPTH = 3  # bisection levels settled by one solve (2^_DEPTH - 1 multipliers per law)
-_BLOCK = 8  # Blahut-Arimoto iterations between two reads of the stopping test
+_BLOCK = 8  # the most Blahut-Arimoto iterations between two reads of the stopping test
 
 
 def _blahut_arimoto(px: np.ndarray, lams: np.ndarray, d: np.ndarray, iters: int, tol: float):
@@ -88,12 +91,13 @@ def _blahut_arimoto(px: np.ndarray, lams: np.ndarray, d: np.ndarray, iters: int,
     Row b pairs the slice law px[b] with the multiplier lams[b] over the shared
     distortion matrix d.  A row iterates until its reconstruction law moves by
     less than tol, or `iters` times, and then leaves the active set.  The
-    iterations run in blocks of _BLOCK, each stacking its iterates in one
-    buffer (at most _BLOCK + 1 times the q array); the stopping test is read
-    once per block, on every stacked step, and a row that met it keeps its
-    first iterate within tol.  So each row does the arithmetic and keeps the
-    bits of a test read after every iteration.  Returns (mutual information
-    bits, expected distortion) at each row's optimizer.
+    iterations run in blocks of 1, 1, 2, 4, then _BLOCK (no block longer than
+    the steps before it), each stacking its iterates in one buffer (at most
+    _BLOCK + 1 times the q array); the stopping test is read once per block,
+    on every stacked step, and a row that met it keeps its first iterate
+    within tol.  So each row does the arithmetic and keeps the bits of a test
+    read after every iteration.  Returns (mutual information bits, expected
+    distortion) at each row's optimizer.
     """
     w = np.exp((-lams * LOG2)[:, None, None] * d)  # base-2 exponent tilt
     support = w > 0
@@ -108,10 +112,10 @@ def _blahut_arimoto(px: np.ndarray, lams: np.ndarray, d: np.ndarray, iters: int,
 
     q = np.full((len(px), 1, d.shape[1]), 1.0 / d.shape[1])
     rows, qa, wa, fa, pa = np.arange(len(px)), q, w, fallback, px[:, None, :]  # the active rows
-    left = iters
-    while len(rows) and left:
-        block = min(_BLOCK, left)
-        left -= block
+    ran = 0
+    while len(rows) and ran < iters:
+        block = min(_BLOCK, max(ran, 1), iters - ran)  # 1, 1, 2, 4, then _BLOCK: never more steps than have run
+        ran += block
         steps = np.empty((block + 1, *qa.shape))
         steps[0] = qa
         for t in range(block):
