@@ -62,9 +62,9 @@ G_V, G_UW and G_UW's top eta = 1 row.  On criterion 08's largest case, `mds_chec
 `rs_generator(8, 16, field_make(4))`: 12,870 column subsets of 8 x 8.
 
 The next input times one batched Blahut-Arimoto solve, `exponents._blahut_arimoto`,
-with the arguments rd-exponent's BA_JOB job passes at seed SEED (its default
-controls: `ba_iters` 400, tol 1e-10), recorded by running the job once: its
-multiplier-grid solve (20 multipliers x 4 context slices = 80 rows) and its
+with the arguments rd-exponent's BA_JOB job passes at seed SEED (`rd_function`'s
+sweep, `exponents._FINE`: 400 iterations, tol 1e-10), recorded by running the
+job once: its multiplier-grid solve (20 multipliers x 4 context slices = 80 rows) and its
 first bisection solve (7 midpoints x 4 slices).  The last input is a
 Delta = 0 solve, whose rows all stop after two iterations: the one in which
 `rd_exponent_functional` on the 3x2 table ZERO_TABLE (Hamming Delta = 0,
@@ -81,10 +81,10 @@ summed (16-cell components, which share calls); and the six two-hint guessing
 schemes of the `verify-all` battery (uniform and skewed 4-symbol sources,
 (cs, c1, c2) in (1, 4, 4), (2, 2, 2), (4, 1, 1), 4 x 4 hints), summed (chunks
 of 4 to 16 cells, matched in the package).  Two cases time the rate-distortion
-oracles on the benchmark's rd-exponent jobs at seed SEED, each job's own call
-with its default controls: `rd_function` on its nine sources (three binary
-p = 0.3 sources at Delta = 0.05, 0.1 and 0.2, and six near-uniform 3x2 to
-6x4 joints), summed; and its functional job, `rd_exponent_functional` on a
+oracles on the benchmark's rd-exponent jobs at seed SEED, each job's own call:
+`rd_function` on its nine sources (three binary p = 0.3 sources at
+Delta = 0.05, 0.1 and 0.2, and six near-uniform 3x2 to 6x4 joints), summed;
+and its functional job, `rd_exponent_functional` on a
 near-uniform 3x2 joint at Delta = 0.1 and rho = 1 with eight starts and no
 polish.
 
@@ -103,7 +103,9 @@ a function one tree lacks is dropped from that tree's run, and the record lists
 it under `skipped`.
 
 The output file keeps a trajectory: a list of records, oldest first.  Each run
-appends its record; a record for the same two commits replaces the older one.
+appends its record, which replaces every older record of the same two commits
+and every older record of the same base whose change was a working tree: a
+change measured before its commit and again after it keeps one record.
 """
 
 from __future__ import annotations
@@ -581,7 +583,13 @@ def main(argv=None) -> int:
     record["skipped"] = sorted(samples["base"].keys() ^ samples["change"].keys())
     out = Path(args.out or f"BENCH_{args.layer}.json")
     records = json.loads(out.read_text()) if out.exists() else []
-    records = [old for old in records if old["commits"] != record["commits"]]
+    base = record["commits"]["base"]
+    records = [
+        old
+        for old in records
+        if old["commits"] != record["commits"]
+        and not (old["commits"]["base"] == base and old["commits"]["change"].startswith("working tree on "))
+    ]
     out.write_text(json.dumps([*records, record], indent=1) + "\n")
     return 0
 

@@ -6,12 +6,13 @@ The conditional rate-distortion function is computed by one batched
 Blahut-Arimoto solver: each row of a (batch, nx, nh) tensor is one (law,
 Lagrange multiplier, context slice) triple over the shared distortion matrix.
 Every law runs its own sweep (log-spaced multipliers, then bisection on the
-distortion).  The multiplier grid of all laws is one solve, and each further
-solve settles _DEPTH bisection levels: every law still bisecting brings the
-midpoints of all the paths its next levels could take, then walks its own
-path and drops the rest.  A row's arithmetic depends only on its own slice
-and multiplier, so this returns the bits of one solve per level (the tests
-check both, and R against a fine-grid channel search at small alphabets).
+distortion): _FINE's, or _FAST's for the functional's search.  The
+multiplier grid of all laws is one solve, and each further solve settles
+_DEPTH bisection levels: every law still bisecting brings the midpoints of
+all the paths its next levels could take, then walks its own path and drops
+the rest.  A row's arithmetic depends only on its own slice and multiplier,
+so this returns the bits of one solve per level (the tests check both, and R
+against a fine-grid channel search at small alphabets).
 Inside a solve the iterations run in blocks of 1, 1, 2, 4, then _BLOCK: the
 iterates of a block are stacked in one buffer, at most _BLOCK + 1 times the q
 array, and the stopping test is read once per block on all of them.  Each
@@ -21,10 +22,11 @@ iteration, not a dozen.  No block is longer than the steps run before it, so
 a row that stops early (a Delta = 0 row stops after two) pays for at most as
 many extra steps as it ran.
 The tilted-source functional sup_Q [R(Q, Delta) - D(Q||P)/rho] is maximized
-by seeded multi-start search, with all starts scored in one batched call,
-and reported with a bracket whose upper end, the zero-distortion entropy, is
-a bound; its lower end is the optimizer's best point, and that point's R is
-itself a primal (upper) estimate, so the lower end is not certified.
+by seeded multi-start search, with all starts scored in one batched call and
+the polished leaders and P closed in another.  It is reported with a bracket
+whose upper end, the zero-distortion entropy, is a bound; its lower end is
+the optimizer's best point, and that point's R is itself a primal (upper)
+estimate, so the lower end is not certified.
 """
 
 from __future__ import annotations
@@ -50,18 +52,12 @@ class RdQuery:
     polish_runs: int = 20
     polish_steps: int = 60
     seed: int = 20_240_817
-    ba_iters: int = 400
-    ba_tol: float = 1e-10
-    lambda_points: int = 20
-    bisect_iters: int = 60
 
     def __post_init__(self):
         if self.grid_points <= 0 or self.polish_runs < 0 or self.polish_steps < 0:
             raise DomainError("invalid controls")
-        if self.lambda_points < 1 or self.ba_iters < 1 or self.bisect_iters < 0:
-            raise DomainError("the rate-distortion sweep needs a multiplier and an iteration")
-        if not self.ba_tol > 0:
-            raise DomainError("ba_tol must be positive")
+        if self.seed < 0:
+            raise DomainError(f"the seed must be a non-negative integer, not {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +79,9 @@ class ExponentResult:
 _CHUNK = 256  # laws per batched solve; bounds the tensors at a few MB
 _DEPTH = 3  # bisection levels settled by one solve (2^_DEPTH - 1 multipliers per law)
 _BLOCK = 8  # the most Blahut-Arimoto iterations between two reads of the stopping test
+# A Lagrange sweep: (iterations, tol, log-spaced multipliers, bisection levels).
+_FINE = (400, 1e-10, 20, 60)  # rd_function and the functional's close
+_FAST = (120, 1e-9, 8, 16)  # the functional's start scores and polish
 
 
 def _blahut_arimoto(px: np.ndarray, lams: np.ndarray, d: np.ndarray, iters: int, tol: float):
@@ -151,24 +150,25 @@ def _midpoints(lo: float, hi: float, depth: int) -> list:
     return tree
 
 
-def _rates(laws: list, spec: DistortionSpec, controls: RdQuery) -> list:
+def _rates(laws: list, spec: DistortionSpec, sweep: tuple = _FINE) -> list:
     """R_{X|Y}(Q, Delta) in bits for each law Q, every solve batched across laws.
 
-    Each law runs its own Lagrange sweep (log-spaced multipliers, then
-    bisection on the distortion) over its context slices.  The grid of all
-    laws is one Blahut-Arimoto solve.  Each bisection solve carries, for
-    every law still bisecting, the 2^depth - 1 midpoints of its next `depth`
-    levels (`_midpoints`, the floats the level-by-level loop would compute).
-    Each law then walks its own path down that tree: a feasible midpoint
-    joins its best and becomes hi, any other becomes lo, and the exit rule
-    is checked after every level, which `bisect_iters` counts.  Off-path
+    Each law runs its own Lagrange sweep over its context slices: `sweep`'s
+    log-spaced multipliers, then up to its count of bisection levels on the
+    distortion.  The grid of all laws is one Blahut-Arimoto solve.  Each
+    bisection solve carries, for every law still bisecting, the 2^depth - 1
+    midpoints of its next `depth` levels (`_midpoints`, the floats the
+    level-by-level loop would compute).  Each law then walks its own path
+    down that tree: a feasible midpoint joins its best and becomes hi, any
+    other becomes lo, and the exit rule is checked after every level.  Off-path
     points never reach best, and no row's bits depend on the rows beside it,
     so every value is the one-level-per-solve value.
     """
     if len(laws) > _CHUNK:
-        return _rates(laws[:_CHUNK], spec, controls) + _rates(laws[_CHUNK:], spec, controls)
+        return _rates(laws[:_CHUNK], spec, sweep) + _rates(laws[_CHUNK:], spec, sweep)
     if any(tuple(law.x_alphabet) != spec.x_alphabet for law in laws):
         raise DomainError("joint and distortion spec disagree on the source alphabet")
+    iters, tol, multipliers, levels = sweep
     d = np.array(spec.d, dtype=float)
     delta = spec.delta
     columns = [law.masses.T.copy() for law in laws]
@@ -177,9 +177,9 @@ def _rates(laws: list, spec: DistortionSpec, controls: RdQuery) -> list:
         py = cols.sum(axis=1)
         slices.append((py[py > 0], cols[py > 0] / py[py > 0, None]))
 
-    def sweep(points: list, lams: list, d: np.ndarray, iters: int, tol: float) -> list:
+    def solve(points: list, lams: list, d: np.ndarray = d, iters: int = iters, tol: float = tol) -> list:
         """(I, E[d]) at each (law, multiplier) point: p(y)-weighted sums over the
-        law's slices, in order."""
+        law's slices, in order; the sweep's solve unless told otherwise."""
         if not points:
             return []
         px = np.concatenate([slices[k][1] for k in points])
@@ -198,7 +198,7 @@ def _rates(laws: list, spec: DistortionSpec, controls: RdQuery) -> list:
     if delta == 0.0:
         # R(Q, 0): a huge multiplier pins the channel onto the zero-distortion support
         big = np.where(d == 0.0, 0.0, 1e9)
-        return [mi for mi, _ in sweep(list(range(len(laws))), [1.0] * len(laws), big, 2000, 1e-13)]
+        return [mi for mi, _ in solve(list(range(len(laws))), [1.0] * len(laws), big, 2000, 1e-13)]
     live = []  # laws that no per-context constant reconstruction serves within Delta
     for k, cols in enumerate(columns):
         corner = 0.0
@@ -214,10 +214,7 @@ def _rates(laws: list, spec: DistortionSpec, controls: RdQuery) -> list:
             best[k] = mi if best[k] is None else min(best[k], mi)
         return ed <= delta
 
-    def solve(points: list, lams: list) -> list:
-        return sweep(points, lams, d, controls.ba_iters, controls.ba_tol)
-
-    lams = np.logspace(-3, 3, controls.lambda_points)
+    lams = np.logspace(-3, 3, multipliers)
     grid = [(k, lam) for k in live for lam in lams]
     for (k, lam), point in zip(grid, solve([k for k, _ in grid], [lam for _, lam in grid])):
         if feasible(k, *point):
@@ -229,7 +226,7 @@ def _rates(laws: list, spec: DistortionSpec, controls: RdQuery) -> list:
         if not feasible(k, *point):
             raise DomainError("distortion target unreachable; check the spec")
         hi[k] = 1e7
-    active, levels = [k for k in live if lo[k] is not None], controls.bisect_iters
+    active = [k for k in live if lo[k] is not None]
     while active and levels:
         depth = min(_DEPTH, levels)
         levels -= depth
@@ -251,18 +248,19 @@ def _rates(laws: list, spec: DistortionSpec, controls: RdQuery) -> list:
     return [0.0 if b is None else max(b, 0.0) for b in best]
 
 
-def rd_function(q_joint: JointPmf, spec: DistortionSpec, controls: RdQuery = RdQuery()) -> float:
+def rd_function(q_joint: JointPmf, spec: DistortionSpec) -> float:
     """Conditional rate-distortion R_{X|Y}(Q, Delta) in bits.
 
-    The one-law case of the batched solver: all `lambda_points` log-spaced
-    multipliers and all context slices go into one Blahut-Arimoto solve, then
+    The one-law case of the batched solver with the _FINE sweep: all its 20
+    log-spaced multipliers and all context slices go into one Blahut-Arimoto
+    solve, then
     each solve over the slices settles _DEPTH bisection steps on the
     distortion (see `_rates`): a sweep that bisects 40 levels makes 15 solves,
     not 41.  The returned value is the smallest mutual information found at a
     feasible multiplier, a primal estimate from above; no dual bound certifies
     it from below.
     """
-    return _rates([q_joint], spec, controls)[0]
+    return _rates([q_joint], spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +275,15 @@ def rd_exponent_functional(
 
     Multi-start seeded search: the base law, the tilted closed-form optimum of
     the zero-distortion case and quasi-random Dirichlet draws are scored in
-    one batched rate-distortion call (each of its bisection solves settles
-    _DEPTH levels of every start's own bisection, as `_rates` says, and each
-    start gets the score it gets alone), then the leaders are polished one
-    move at a time.  The bracket is [best found, H_a(X|Y)]: the functional
-    is monotone in Delta and equals the entropy at Delta = 0, so only the
-    upper end is a bound; the best found is the optimizer's estimate.
+    one batched rate-distortion call with the _FAST sweep (each of its
+    bisection solves settles _DEPTH levels of every start's own bisection, as
+    `_rates` says, and each start gets the score it gets alone), then the
+    leaders are polished one move at a time from their scores.  One _FINE
+    call values the polished leaders and P itself, whose value is R(P, Delta)
+    and the floor; the first leader of the largest value is the witness.  The
+    bracket is [best found, H_a(X|Y)]: the functional is monotone in Delta
+    and equals the entropy at Delta = 0, so only the upper end is a bound;
+    the best found is the optimizer's estimate.
     """
     if not rho > 0:
         raise DomainError("rho must be positive")
@@ -299,19 +300,13 @@ def rd_exponent_functional(
             tuple(tuple(float(v) for v in vec.reshape(nx, ny)[i]) for i in range(nx)),
         )
 
-    fast = RdQuery(ba_iters=120, ba_tol=1e-9, lambda_points=8, bisect_iters=16)  # `_rates` reads only these
-
-    def objectives(vecs: list, query: RdQuery) -> list:
-        laws = [q_of(v) for v in vecs]
+    def objectives(laws: list, sweep: tuple) -> list:
         divs = [kl_divergence(qj, p_joint) for qj in laws]
         finite = [k for k, div in enumerate(divs) if not math.isinf(div)]
-        vals = [-math.inf] * len(vecs)
-        for k, r in zip(finite, _rates([laws[k] for k in finite], spec, query)):
+        vals = [-math.inf] * len(laws)
+        for k, r in zip(finite, _rates([laws[k] for k in finite], spec, sweep)):
             vals[k] = r - divs[k] / rho
         return vals
-
-    def objective(vec: np.ndarray, fine: bool = False) -> float:
-        return objectives([vec], controls if fine else fast)[0]
 
     rng = np.random.default_rng(controls.seed)
     tilt = 1.0 / (1.0 + rho)
@@ -320,11 +315,10 @@ def rd_exponent_functional(
     n_grid = max(controls.grid_points - len(starts), 0)
     if n_grid:
         starts.extend(rng.dirichlet(np.ones(nx * ny), size=n_grid))
-    scored = sorted(zip(objectives(starts, fast), range(len(starts))), reverse=True)
-    best_val, best_vec = -math.inf, None
-    for _, i in scored[: max(controls.polish_runs, 1)]:
+    scored = sorted(zip(objectives([*map(q_of, starts)], _FAST), range(len(starts))), reverse=True)
+    polished = []
+    for val, i in scored[: max(controls.polish_runs, 1)]:  # start ties go to the larger index
         vec = np.array(starts[i], dtype=float)
-        val = objective(vec)
         step = 0.25
         for _ in range(controls.polish_steps):
             improved = False
@@ -334,7 +328,7 @@ def rd_exponent_functional(
                     cand[k] = max(cand[k] + sign * step, 0.0)
                     if cand.sum() <= 0:
                         continue
-                    v = objective(cand)
+                    (v,) = objectives([q_of(cand)], _FAST)
                     if v > val + 1e-12:
                         vec, val = cand / cand.sum(), v
                         improved = True
@@ -342,12 +336,11 @@ def rd_exponent_functional(
                 step *= 0.5
                 if step < POLISH_EPS:
                     break
-        fine_val = objective(vec, fine=True)
-        if fine_val > best_val:
-            best_val, best_vec = fine_val, vec
-    witness = q_of(best_vec)
-    value = max(best_val, rd_function(p_joint, spec, controls))  # Q = P is always available
-    return ExponentResult(value=value, witness=witness, certified_bracket=(value, upper + 1e-9))
+        polished.append(q_of(vec))
+    *vals, base = objectives([*polished, p_joint], _FINE)  # Q = P is always available
+    best = vals.index(max(vals))  # the first leader of the largest value
+    value = max(vals[best], base)
+    return ExponentResult(value=value, witness=polished[best], certified_bracket=(value, upper + 1e-9))
 
 
 def rd_privacy_exponent(

@@ -22,7 +22,7 @@ from hintlock import adversary
 from hintlock.adversary import Cell, CellView, Law
 from hintlock.disks import DeltaHintScheme
 from hintlock.distortion import DistortionSpec
-from hintlock.exponents import RdQuery, variational_optimum
+from hintlock.exponents import variational_optimum
 from hintlock.adversary import rank_groups
 from hintlock.gf import PRIMITIVE_POLYS, field_make, rs_generator
 from hintlock.guessing import GuessingFunction, rank_row, sorted_moment
@@ -1092,8 +1092,10 @@ def _slice_ba(px: np.ndarray, dmat: np.ndarray, lam: float, iters: int, tol: flo
     return max(mi, 0.0), ed
 
 
-def reference_rd_function(q_joint: JointPmf, spec: DistortionSpec, controls: RdQuery) -> float:
-    """Reference: the per-slice, per-multiplier Lagrange sweep with bisection."""
+def reference_rd_function(q_joint: JointPmf, spec: DistortionSpec, sweep: tuple) -> float:
+    """Reference: the per-slice, per-multiplier Lagrange sweep with bisection;
+    `sweep` is (iterations, tol, multipliers, bisection levels)."""
+    iters, tol, multipliers, levels = sweep
     delta = spec.delta
     d = np.array(spec.d)
     if delta == 0.0:
@@ -1123,12 +1125,12 @@ def reference_rd_function(q_joint: JointPmf, spec: DistortionSpec, controls: RdQ
     def sweep(lam: float):
         mi_tot, ed_tot = 0.0, 0.0
         for py, px in slices:
-            mi, ed = _slice_ba(px, d, lam, controls.ba_iters, controls.ba_tol)
+            mi, ed = _slice_ba(px, d, lam, iters, tol)
             mi_tot += py * mi
             ed_tot += py * ed
         return mi_tot, ed_tot
 
-    lams = np.logspace(-3, 3, controls.lambda_points)
+    lams = np.logspace(-3, 3, multipliers)
     best_feasible = None
     lo, hi = None, None
     for lam in lams:
@@ -1146,7 +1148,7 @@ def reference_rd_function(q_joint: JointPmf, spec: DistortionSpec, controls: RdQ
             raise DomainError("distortion target unreachable; check the spec")
         best_feasible = mi
     if lo is not None and hi is not None:
-        for _ in range(controls.bisect_iters):
+        for _ in range(levels):
             mid = math.sqrt(lo * hi)
             mi, ed = sweep(mid)
             if ed <= delta:

@@ -460,6 +460,18 @@ MALFORMED = {
         "distortion",
         {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": [[0, 1], [-math.inf, 0]], "delta": 0.5}},
     ],
+    "functional-seed-negative": [
+        "exponent",
+        {
+            "source": {"x": [0, 1], "p": [0.3, 0.7]},
+            "rho": 1,
+            "rates": {"r1": 1, "r2": 1},
+            "distortion": {"hamming": True, "delta": 0.1},
+            "grid_points": 1,
+        },
+        "--seed",
+        "-1",
+    ],
     "exponent-witness-of-two-rhos": ["exponent", {**SMALL_FUNCTIONAL, "rho": [0.5, 2], "dump_witness": os.devnull}],
     "exponent-witness-without-distortion": [
         "exponent",

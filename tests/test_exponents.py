@@ -6,6 +6,7 @@ import pytest
 from hintlock.distortion import DistortionSpec
 from hintlock.exponents import (
     ExponentResult,
+    _rates,
     RdQuery,
     rd_exponent_functional,
     rd_function,
@@ -133,15 +134,11 @@ def test_exponent_result_validates_bracket():
 
 
 def test_controls_validation():
-    # such sweeps give wrong rates: on p = 0.3, Delta = 0.1 (R = 0.412), no grid gives H(X), no iteration 0.531
+    # no start, a negative polish, or a seed numpy's generator refuses
     for bad in (
         {"grid_points": 0},
-        {"lambda_points": 0},
-        {"ba_iters": 0},
-        {"bisect_iters": -1},
         {"polish_steps": -1},
-        {"ba_tol": 0.0},
-        {"ba_tol": -1e-9},
+        {"seed": -1},
     ):
         with pytest.raises(DomainError):
             RdQuery(**bad)
@@ -150,5 +147,5 @@ def test_controls_validation():
 def test_controls_at_their_smallest_admissible_values():
     q = JointPmf.from_marginal(Pmf.of([0.3, 0.7]))
     spec = DistortionSpec.hamming((0, 1), 0.1)
-    val = rd_function(q, spec, RdQuery(lambda_points=1, bisect_iters=0, polish_steps=0))
+    (val,) = _rates([q], spec, (400, 1e-10, 1, 0))  # one multiplier, no bisection level
     assert h2(0.3) - h2(0.1) - 1e-9 <= val <= h2(0.3) + 1e-9

@@ -1,7 +1,6 @@
 """Property tests: the shared moment kernels, the prepared cell view, Eve's
 oracle and the batched Blahut-Arimoto solver against slow oracles."""
 
-import dataclasses
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -22,7 +21,7 @@ from hintlock.disks import build_delta_scheme
 from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, rd_exponent_functional, rd_function
 from hintlock.guessing import random_joint
-from hintlock.prob import DomainError, JointPmf, Pmf
+from hintlock.prob import DomainError, JointPmf, Pmf, kl_divergence
 from hintlock.twohint import build_two_hint
 from oracles import (
     as_view,
@@ -350,8 +349,7 @@ def test_rectangular_lapjvsp_port_rejects_a_matrix_without_a_full_matching():
             port_columns(csr_array((np.ones(len(rows)), (rows, cols)), shape=shape))
 
 
-# The functional's fast controls for scoring and polishing.
-FAST = RdQuery(ba_iters=120, ba_tol=1e-9, lambda_points=8, bisect_iters=16)
+SWEEPS = st.sampled_from([exponents._FINE, exponents._FAST])
 DELTAS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
 
 
@@ -398,16 +396,16 @@ def test_blocked_blahut_arimoto_equals_per_iteration_reference(solve):
 
 
 @settings(max_examples=30, deadline=None)
-@given(joints(), DELTAS, st.sampled_from([RdQuery(), FAST]))
-def test_batched_rd_function_equals_per_slice_reference(joint, delta, controls):
+@given(joints(), DELTAS, SWEEPS)
+def test_batched_rd_function_equals_per_slice_reference(joint, delta, sweep):
     spec = DistortionSpec.hamming(joint.x_alphabet, delta)
     try:
-        expected = reference_rd_function(joint, spec, controls)
+        expected = reference_rd_function(joint, spec, sweep)
     except DomainError:
         with pytest.raises(DomainError):
-            rd_function(joint, spec, controls)
+            exponents._rates([joint], spec, sweep)
         return
-    assert rd_function(joint, spec, controls) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert exponents._rates([joint], spec, sweep)[0] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 @settings(max_examples=10, deadline=None)
@@ -421,8 +419,8 @@ def test_batched_start_scoring_equals_one_by_one(joint, delta, rho):
     def run(one_by_one: bool):
         scores = []
 
-        def recorded(laws, spec, query):
-            out = [r for law in laws for r in rates([law], spec, query)] if one_by_one else rates(laws, spec, query)
+        def recorded(laws, spec, sweep):
+            out = [r for law in laws for r in rates([law], spec, sweep)] if one_by_one else rates(laws, spec, sweep)
             scores.append(out)
             return out
 
@@ -437,6 +435,22 @@ def test_batched_start_scoring_equals_one_by_one(joint, delta, rho):
     assert batched.witness == single.witness
 
 
+def test_functional_scores_each_start_once_and_closes_in_one_solve():
+    """One fast call scores the starts, whose scores the leaders keep; one fine
+    call values the leaders, in score order, and then P itself."""
+    joint = JointPmf.of([[0.2, 0.1], [0.15, 0.25], [0.05, 0.25]])
+    spec = DistortionSpec.hamming(joint.x_alphabet, 0.1)
+    with mock.patch.object(exponents, "_rates", wraps=exponents._rates) as rates:
+        rd_exponent_functional(joint, spec, 1.0, RdQuery(grid_points=8, polish_runs=3, polish_steps=0))
+    assert rates.call_count == 2
+    (starts, _, fast), (close, _, fine) = (call.args for call in rates.call_args_list)
+    assert (len(starts), fast, fine) == (8, exponents._FAST, exponents._FINE)
+    scores = [r - kl_divergence(q, joint) for q, r in zip(starts, exponents._rates(starts, spec, fast))]
+    leaders = sorted(zip(scores, range(len(starts))), reverse=True)[:3]
+    assert close[:3] == [starts[i] for _, i in leaders]
+    assert len(close) == 4 and close[3] is joint
+
+
 @st.composite
 def law_batches(draw):
     """1-3 joint laws on one source alphabet."""
@@ -445,20 +459,20 @@ def law_batches(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(law_batches(), DELTAS, st.integers(0, 20), st.sampled_from([RdQuery(), FAST]))
-def test_speculative_bisection_equals_one_level_per_solve(laws, delta, bisect_iters, controls):
+@given(law_batches(), DELTAS, st.integers(0, 20), SWEEPS)
+def test_speculative_bisection_equals_one_level_per_solve(laws, delta, levels, sweep):
     """Settling several bisection levels per solve returns the bits of one level per
     solve, whether the level count is a multiple of the depth or a law exits mid-tree."""
     spec = DistortionSpec.hamming(laws[0].x_alphabet, delta)
-    controls = dataclasses.replace(controls, bisect_iters=bisect_iters)
+    sweep = (*sweep[:-1], levels)
     try:
-        speculative = exponents._rates(laws, spec, controls)
+        speculative = exponents._rates(laws, spec, sweep)
     except DomainError:
         with mock.patch.object(exponents, "_DEPTH", 1), pytest.raises(DomainError):
-            exponents._rates(laws, spec, controls)
+            exponents._rates(laws, spec, sweep)
         return
     with mock.patch.object(exponents, "_DEPTH", 1):
-        assert exponents._rates(laws, spec, controls) == speculative
+        assert exponents._rates(laws, spec, sweep) == speculative
 
 
 def test_rd_function_settles_three_levels_per_solve():
