@@ -136,20 +136,19 @@ they fit after every positive cell of a context and add 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
 import numpy as np
 
 from .bounds import theorem_rows
-from .prob import DomainError
+from .prob import DomainError, record
 
 CHUNK_CELLS = 128  # the most cells of several components that share one LAPJVsp call
 SMALL_CHUNK_CELLS = 16  # the most cells of a rectangular chunk matched in Python, not by scipy
 
 
-@dataclass(frozen=True)
+@record
 class Cell:
     prob: float
     x: object
@@ -285,7 +284,7 @@ class CellView:
 
 
 class SchemeCells:
-    """A scheme dataclass's `Law`, its cell views, prices and report rows.
+    """A scheme record's `Law`, its cell views, prices and report rows.
 
     Bob's view k shows y and the hints `bob_positions[k]` of the `law` (a
     padded scheme's pad quotient), Eve's those of `eve_positions[k]` cut to

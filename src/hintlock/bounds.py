@@ -16,9 +16,8 @@ Bob's two bounds are also Bunte-Lapidoth's task-encoding bounds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
-from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
+from .prob import DomainError, JointPmf, RenyiOrder, record, renyi_cond_entropy, replace
 from .report import ReportRow
 
 
@@ -96,7 +95,7 @@ def theorem_rows(
     return [ReportRow(suite, instance, f"{c}-{tag}", rel, lhs, rhs) for c, rel, lhs, rhs in checks]
 
 
-@dataclass(frozen=True)
+@record
 class ExponentOutcome:
     value: float  # -inf when Bob's constraint cannot be met
     witness: tuple | None  # (rate_pad, rate_1, rate_2) splitting, when achievable

@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +43,7 @@ from .prob import (
     Pmf,
     RenyiOrder,
     renyi_cond_entropy,
+    replace,
     validate,
 )
 from .report import ReportRow, all_passed, fmt, rows_to_csv, rows_to_markdown

@@ -20,7 +20,6 @@ minimize hers; both choices are made after the realization is known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .adversary import Law, SchemeCells, eve_exact_matching, moment_for_constant
 from .bounds import bob_converse, bob_direct, disk_exponents, eve_converse, eve_direct  # disk_exponents is re-exported
 from .gf import GenMatrix, field_make, mds_check, rs_generator
-from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
+from .prob import DomainError, JointPmf, RenyiOrder, record, renyi_cond_entropy
 from .report import ReportRow, fmt
 from .tasks import descriptor_map
 
@@ -46,7 +45,7 @@ def disk_sizes(delta: int, nu: int, eta: int, s: int, r: int) -> tuple[int, int,
     return 2 ** (nu * s - eta * r), 2 ** (nu * s), delta**eta * 2 ** (eta * (s - r)), 2 ** ((nu - eta) * s)
 
 
-@dataclass(frozen=True)
+@record
 class DeltaHintScheme(SchemeCells):
     """Priced on its pad quotient, Eve reading each hint's V-codeword coordinate."""
 

@@ -34,18 +34,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 from .guessing import GuessingFunction, in_order, power_moment, rank_row
-from .prob import BudgetExceededError, DomainError, JointPmf, product_pmf, tuple_alphabet
+from .prob import BudgetExceededError, DomainError, JointPmf, product_pmf, record, tuple_alphabet
 from .tasks import offset_refinement, shortest_lists_first
 
 BALL_SLACK = 1e-12  # float-mode boundary slack for "within Delta"
 ORDER_BUDGET = 1 << 22  # the default bound on the order search's 2^m * m steps per context
 
 
-@dataclass(frozen=True)
+@record
 class DistortionSpec:
     x_alphabet: tuple
     xhat_alphabet: tuple
@@ -90,7 +89,7 @@ def within(x_tuple, xhat_tuple, spec: DistortionSpec) -> bool:
     return avg_distortion(x_tuple, xhat_tuple, spec) <= spec.delta + BALL_SLACK
 
 
-@dataclass(frozen=True)
+@record
 class SuccessFunction:
     """Ranks of source tuples induced by a guessing order on reconstructions.
 

@@ -32,19 +32,18 @@ estimate, so the lower end is not certified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import two_hint_exponents
 from .distortion import DistortionSpec
-from .prob import DomainError, JointPmf, RenyiOrder, kl_divergence, renyi_cond_entropy
+from .prob import DomainError, JointPmf, RenyiOrder, kl_divergence, record, renyi_cond_entropy
 
 LOG2 = math.log(2.0)
 POLISH_EPS = 1e-6  # the polish stops once its step falls below this
 
 
-@dataclass(frozen=True)
+@record
 class RdQuery:
     """Optimizer controls for the functional search."""
 
@@ -60,7 +59,7 @@ class RdQuery:
             raise DomainError(f"the seed must be a non-negative integer, not {self.seed}")
 
 
-@dataclass(frozen=True)
+@record
 class ExponentResult:
     value: float
     witness: JointPmf | None

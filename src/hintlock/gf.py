@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
 
-from .prob import DomainError
+from .prob import DomainError, record
 
 # Primitive polynomial bitmasks (leading bit included) for degrees 1..16.
 PRIMITIVE_POLYS = {
@@ -43,7 +42,7 @@ PRIMITIVE_POLYS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class FieldTable:
     ell: int
     primitive_poly: int
@@ -89,7 +88,7 @@ def field_make(ell: int) -> FieldTable:
     return FieldTable(ell, poly, exp, log)
 
 
-@dataclass(frozen=True)
+@record
 class GenMatrix:
     k: int
     n: int

@@ -18,19 +18,18 @@ are this module's floats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING
 
 from .bounds import bob_converse
-from .prob import DomainError, JointPmf, RenyiOrder, rank_row, renyi_cond_entropy  # rank_row is re-exported
+from .prob import DomainError, JointPmf, RenyiOrder, rank_row, record, renyi_cond_entropy  # rank_row is re-exported
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
+@record
 class GuessingFunction:
     """Per-context bijection from symbols to guess ranks 1..|X|."""
 

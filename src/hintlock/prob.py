@@ -15,6 +15,13 @@ support's masses over one denominator; and `entropies`, by order.  This
 module imports numpy only when `masses` or `support` is first read, so the
 source side runs without it.
 
+The package's frozen records (`Pmf`, `JointPmf` and the like in every
+module) are made by `record`, not `dataclasses.dataclass`.  A cold `hintlock`
+command is mostly interpreter start and imports, and `dataclasses` costs it
+twice: its import loads `inspect`, `ast`, `dis` and `tokenize`, and each class
+it decorates `exec`s its generated methods.  `replace` stands in for
+`dataclasses.replace`.
+
 All entropies are in bits (log base 2).  The conditional Renyi entropy of
 order alpha is
 
@@ -29,10 +36,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:
@@ -57,6 +64,59 @@ class AlphabetMismatchError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured budget."""
+
+
+def _frozen(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+def record(cls):
+    """Make `cls` a frozen record of its annotated fields, in order.
+
+    As `dataclass(frozen=True)` would: `__init__` takes the fields by position
+    or keyword, a class attribute is a field's default, and `__post_init__`
+    runs last; `==` and `hash` read the fields' values, `==` only against the
+    same class; `repr` is `Name(field=...)`; setting or deleting an attribute
+    raises `AttributeError` (`object.__setattr__` and `cached_property` write
+    past it).  Unannotated class attributes stay class attributes.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = hasattr(cls, "__post_init__")
+    values = attrgetter(*names)  # one field's value itself, not a 1-tuple
+
+    def bind(args, kwargs) -> dict:  # every field by name, or TypeError
+        given = dict(zip(names, args))
+        if len(args) > len(names) or not given.keys().isdisjoint(kwargs) or not kwargs.keys() <= set(names):
+            raise TypeError(f"{cls.__name__}{names} got {len(args)} fields by position and {sorted(kwargs)} by keyword")
+        bound = {**defaults, **given, **kwargs}
+        if len(bound) < len(names):
+            raise TypeError(f"{cls.__name__}() is missing {[n for n in names if n not in bound]}")
+        return bound
+
+    def __init__(self, *args, **kwargs):
+        self.__dict__.update(bind(args, kwargs) if kwargs or len(args) != len(names) else zip(names, args))
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    cls._fields = names
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = __init__, __eq__, __hash__, __repr__
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of record `obj` with `changes`, built and validated again by its `__init__`."""
+    return type(obj)(**{n: getattr(obj, n) for n in obj._fields} | changes)
 
 
 def common_denominator(masses) -> tuple[tuple, int | None]:
@@ -98,7 +158,7 @@ def _as_number(v: Any, exact: bool) -> Number:
     return float(v)
 
 
-@dataclass(frozen=True)
+@record
 class Pmf:
     """A probability mass function on a finite list of opaque symbols."""
 
@@ -142,7 +202,7 @@ class Pmf:
         return cls(tuple(doc["x"]), tuple(probs))
 
 
-@dataclass(frozen=True)
+@record
 class JointPmf:
     """A joint PMF on X x Y stored as a dense |X| x |Y| table."""
 
@@ -248,7 +308,7 @@ class JointPmf:
         return cls(tuple(doc["x"]), tuple(doc["y"]), table)
 
 
-@dataclass(frozen=True)
+@record
 class RenyiOrder:
     """A Renyi order alpha in [0, inf]; alpha = 1/(1+rho) when used as a tilt."""
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+
+from .prob import record
 
 PASS_TOL = 1e-9
 
@@ -25,7 +26,7 @@ def fmt(v: float) -> str:
     return format(float(v), ".12g")
 
 
-@dataclass(frozen=True)
+@record
 class ReportRow:
     suite: str
     instance: str

@@ -19,14 +19,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 
 from .bounds import bunte_bounds, fact1_census, list_room  # the first two are re-exported
-from .prob import AlphabetMismatchError, DomainError, JointPmf
+from .prob import AlphabetMismatchError, DomainError, JointPmf, record
 from .guessing import GuessingFunction, power_moment, rank_row
 
 
-@dataclass(frozen=True)
+@record
 class DetTaskEncoder:
     """Deterministic description map: (x, ctx) -> z."""
 
@@ -53,7 +52,7 @@ class DetTaskEncoder:
         )
 
 
-@dataclass(frozen=True)
+@record
 class StochTaskEncoder:
     """Stochastic description law: rows[(x, ctx)] = dict z -> prob."""
 
@@ -69,7 +68,7 @@ class StochTaskEncoder:
         return self.rows[(x, ctx)].get(z, 0)
 
 
-@dataclass(frozen=True)
+@record
 class DecodingListTable:
     """lists[(ctx, z)] = tuple of symbols with positive posterior."""
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .adversary import CellView, Law, SchemeCells, moment_for_constant, rank_groups, support_moment
 from .bounds import bob_converse, bob_direct, list_room, two_hint_exponents  # the last one is re-exported
-from .prob import DomainError, JointPmf, RenyiOrder, renyi_cond_entropy
+from .prob import DomainError, JointPmf, RenyiOrder, record, renyi_cond_entropy
 from .report import ReportRow
 from .tasks import descriptor_map
 
@@ -54,7 +53,7 @@ def _pad_hints(cs: int, c1: int, c2: int, split) -> np.ndarray:
     return np.stack([vs * c1 + v1, v2], axis=1)
 
 
-@dataclass(frozen=True)
+@record
 class TwoHintScheme(SchemeCells):
     joint: JointPmf
     cs: int
@@ -252,7 +251,7 @@ def choose_triple(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SecretHintScheme(SchemeCells):
     joint: JointPmf
     c: int
@@ -291,7 +290,7 @@ def verify_secret_hint(scheme: SecretHintScheme, rho: float, instance: str = "")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SecretKeyScheme(SchemeCells):
     joint: JointPmf
     c: int
@@ -338,7 +337,7 @@ def verify_secret_key(scheme: SecretKeyScheme, rho: float, instance: str = "") -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EveListScheme(SchemeCells):
     joint: JointPmf
     cs: int

@@ -6,11 +6,14 @@ search (an upper bound), the full padded laws that the schemes' pad quotients
 stand for, and the earlier implementations that the columnar laws, the
 prepared cell view, the batched rate-distortion solver and the algebraic disk
 checks must reproduce: the same laws, the same floats, and the same exact
-verdicts, the disk checks' by enumerating the full law.  Sums here add their
+verdicts, the disk checks' by enumerating the full law.  Three records have
+`dataclass(frozen=True)` twins here, which the `prob.record` decorator must
+behave like.  Sums here add their
 terms one by one, left to right, so the references do not depend on how a
 Python version's `sum` adds floats.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -22,7 +25,7 @@ from hintlock import adversary
 from hintlock.adversary import Cell, CellView, Law
 from hintlock.disks import DeltaHintScheme
 from hintlock.distortion import DistortionSpec
-from hintlock.exponents import variational_optimum
+from hintlock.exponents import RdQuery, variational_optimum
 from hintlock.adversary import rank_groups
 from hintlock.gf import PRIMITIVE_POLYS, field_make, rs_generator
 from hintlock.guessing import GuessingFunction, rank_row, sorted_moment
@@ -1159,3 +1162,42 @@ def reference_rd_function(q_joint: JointPmf, spec: DistortionSpec, sweep: tuple)
             if hi / lo < 1 + 1e-12:
                 break
     return max(best_feasible, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Dataclass twins of three package records, the reference for `prob.record`.
+# Each has its record's fields, defaults, `__post_init__` and `__qualname__`,
+# so the two reprs compare directly.
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class ReportRowTwin:
+    __qualname__ = "ReportRow"
+    suite: str
+    instance: str
+    check: str
+    relation: str
+    lhs: float
+    rhs: float
+    note: str = ""
+
+
+@dataclasses.dataclass(frozen=True)
+class RdQueryTwin:
+    __qualname__ = "RdQuery"
+    grid_points: int = 10_000
+    polish_runs: int = 20
+    polish_steps: int = 60
+    seed: int = 20_240_817
+    __post_init__ = RdQuery.__post_init__
+
+
+@dataclasses.dataclass(frozen=True)
+class DistortionSpecTwin:
+    __qualname__ = "DistortionSpec"
+    x_alphabet: tuple
+    xhat_alphabet: tuple
+    d: tuple
+    delta: float
+    __post_init__ = DistortionSpec.__post_init__

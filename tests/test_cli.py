@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -18,7 +17,7 @@ import hintlock
 from hintlock import exponents
 from hintlock.cli import DISK, DISK_RATES, DISTORTION, KEYS, RATES, SCHEMES, main
 from hintlock.disks import build_delta_scheme
-from hintlock.prob import JointPmf, Pmf
+from hintlock.prob import JointPmf, Pmf, replace
 from hintlock.report import ReportRow, fmt, rows_to_csv
 from hintlock.twohint import build_eve_list_scheme, build_secret_hint, build_secret_key, build_two_hint
 
@@ -140,6 +139,29 @@ def test_entropy_layer_loads_no_numpy():
 def test_source_side_loads_no_numpy():
     loaded, numpy = _loaded_modules("import json, sys, hintlock.guessing, hintlock.tasks, hintlock.distortion")
     assert loaded == {"prob", "bounds", "report", "guessing", "tasks", "distortion"} and not numpy
+
+
+def test_commands_load_no_dataclasses():
+    """The records are `prob.record`s: importing `dataclasses` costs a cold
+    process `inspect`, `ast`, `dis` and `tokenize`, and each dataclass execs
+    its methods.  numpy imports `inspect` itself, so only the commands that
+    load no numpy are held to leaving it out."""
+    schemes = [
+        [command, json.dumps({"source": {"uniform": 4}, "rho": 1, "scheme": section})]
+        for command, section, _ in (SCHEME_KINDS["two-hint"], SCHEME_KINDS["disks"])
+    ]
+    runs = [([command, json.dumps(config)], ["dataclasses", "inspect"]) for command, config, *_ in LEAN_COMMANDS.values()]
+    runs += [(argv, ["dataclasses"]) for argv in [*schemes, ["verify-all", "{}"]]]
+    script = (
+        "import sys\n"
+        "from hintlock.cli import main\n"
+        f"for argv, unwanted in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded = [m for m in unwanted if m in sys.modules]\n"
+        "    assert not loaded, (argv[0], loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_entropy_at_orders_beyond_the_float_range(capsys):
@@ -271,7 +293,7 @@ def test_every_scheme_kind_reports_the_library_rows(tmp_path, command, section, 
     if command == "disks":
         checks = ("nu-subset-recovery", "eta-subset-independence")
         rows = [ReportRow("disks", "structure", check, "==", 1.0, 1.0) for check in checks] + rows
-    assert out.read_text() == rows_to_csv([dataclasses.replace(row, note="seed=5") for row in rows])
+    assert out.read_text() == rows_to_csv([replace(row, note="seed=5") for row in rows])
 
 
 def test_distortion_command(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +21,7 @@ from hintlock.disks import (
 )
 from hintlock.gf import field_make, rs_generator
 from hintlock.guessing import random_joint
-from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy
+from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy, replace
 from hintlock.report import all_passed
 
 U16 = JointPmf.from_marginal(Pmf.of([Fraction(1, 16)] * 16, exact=True))
@@ -97,7 +96,7 @@ def planted(g, kind: str, j: int):
     """`g` with column j zeroed, or with column j evaluating at column j - 1's point."""
     entries = g.entries.copy()
     entries[:, j] = 0 if kind == "zero" else entries[:, j - 1]
-    return dataclasses.replace(g, entries=entries)
+    return replace(g, entries=entries)
 
 
 PLANTED = [(3, 2, 1, 4, 2, 2), (3, 2, 1, 2, 0, 2), (3, 3, 2, 2, 0, 2), (3, 2, 1, 2, 2, 0), (2, 2, 0, 1, 1, 0)]
@@ -115,7 +114,7 @@ def test_planted_generators_are_rejected_by_both():
             if getattr(sch, code) is None:
                 continue
             for kind in ("zero", "equal"):
-                bad = dataclasses.replace(sch, **{code: planted(getattr(sch, code), kind, sch.delta - 1)})
+                bad = replace(sch, **{code: planted(getattr(sch, code), kind, sch.delta - 1)})
                 law = oracles.delta_law(bad)
                 assert not check_reconstruction(bad) and not oracles.check_reconstruction(bad, law)
                 # a pad column that is zero, or equal to another among eta >= 2 rows, leaks U
@@ -202,7 +201,7 @@ def test_views_that_rank_a_cell_differently_are_rejected():
     # Bob's view (0, 1) ranks x = 1 second behind x = 0; view (0, 2) ranks it first
     sch = build_delta_scheme(U4, 3, 2, 1, 2, 2, 0)
     law = {(0, 0, (0, 0, 0)): Fraction(1, 2), (1, 0, (0, 0, 1)): Fraction(3, 10), (2, 0, (1, 1, 1)): Fraction(1, 5)}
-    bad = dataclasses.replace(sch, law=oracles.coded(law))
+    bad = replace(sch, law=oracles.coded(law))
     assert not oracles.ranks_alike(list(bad.bob_cells))
     with pytest.raises(DomainError, match="rank a cell differently"):
         bad.bob(1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hintlock.prob import (
     AlphabetMismatchError,
     BudgetExceededError,
+    DomainError,
     JointPmf,
     NormalizationError,
     Pmf,
@@ -18,9 +20,13 @@ from hintlock.prob import (
     kl_divergence,
     product_pmf,
     renyi_cond_entropy,
+    replace,
     shannon_cond_entropy,
     validate,
 )
+from hintlock.distortion import DistortionSpec
+from hintlock.exponents import RdQuery
+from hintlock.report import ReportRow
 from hintlock.tasks import DetTaskEncoder, decoding_lists
 
 import oracles
@@ -285,3 +291,56 @@ def test_orders_beyond_the_float_range_stay_between_the_limits():
     # second column's inner sum is subnormal; both are scaled by their maxima
     values = [renyi_cond_entropy(joint, a) for a in (1e-300, 1e-20, 0.5, 2.0, 800.0, 2000.0, 1e308)]
     assert values == sorted(values, reverse=True)  # nonincreasing in the order
+
+
+# a record, its dataclass twin, every field by position, and how many fields lack a default
+RECORDS = {
+    "ReportRow": [ReportRow, oracles.ReportRowTwin, ("verify", "rho=1", "bob-direct-g", "<", 1.0, 2.5, "n"), 6],
+    "RdQuery": [RdQuery, oracles.RdQueryTwin, (500, 3, 4, 7), 0],
+    "DistortionSpec": [DistortionSpec, oracles.DistortionSpecTwin, ((0, 1), ("a", "b"), [[0, 1], [1, 0]], 0.5), 4],
+}
+
+
+@pytest.mark.parametrize("cls, twin, values, required", RECORDS.values(), ids=RECORDS)
+def test_records_behave_as_their_dataclass_twins(cls, twin, values, required):
+    names = [f.name for f in dataclasses.fields(twin)]
+    keywords = dict(zip(names, values))
+    calls = [  # (args, kwargs): by position, by keyword, mixed, from the defaults
+        (values, {}),
+        ((), keywords),
+        (values[:1], dict(list(keywords.items())[1:])),
+        (values[:required], {}),
+    ]
+    for args, kwargs in calls:
+        ours, ref = cls(*args, **kwargs), twin(*args, **kwargs)
+        assert repr(ours) == repr(ref) and hash(ours) == hash(ref)
+        assert ours == cls(*args, **kwargs) and not ours != cls(*args, **kwargs)
+        assert ours != ref and not ours == ref  # another class, though the fields are equal
+    ours, ref = cls(*values), twin(*values)
+    assert ours != replace(ours, **{names[-1]: values[-1] * 2})
+    bad_calls = [  # too many fields, an unknown one, a repeated one, and (if any is required) a missing one
+        (values + (0,), {}),
+        (values, {"bogus": 1}),
+        (values, {names[0]: values[0]}),
+        *([(values[: required - 1], {})] if required else []),
+    ]
+    for make in (cls, twin):
+        for args, kwargs in bad_calls:
+            with pytest.raises(TypeError):
+                make(*args, **kwargs)
+    for obj in (ours, ref):  # the dataclass raises FrozenInstanceError, an AttributeError
+        for name in (names[0], "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, values[0])
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert repr(ours) == repr(ref)
+
+
+def test_replace_builds_and_validates_again():
+    with pytest.raises(DomainError):
+        replace(RdQuery(), seed=-1)
+    fields = ("verify", "rho=1", "bob-direct-g", "<", 1.0, 2.5)
+    row = replace(ReportRow(*fields), note="seed=5")
+    assert repr(row) == repr(dataclasses.replace(oracles.ReportRowTwin(*fields), note="seed=5"))
+    assert replace(row, note="") == ReportRow(*fields)

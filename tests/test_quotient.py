@@ -1,7 +1,6 @@
 """Property tests: Bob and Eve priced on a padded scheme's law, its pad (or
 key) quotient, equal Bob and Eve priced on the full realized law of the oracles."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +15,7 @@ from hintlock.bounds import list_room
 from hintlock.disks import build_delta_scheme, disk_sizes
 from hintlock.gf import rs_generator
 from hintlock.guessing import random_joint
-from hintlock.prob import DomainError, JointPmf, Pmf
+from hintlock.prob import DomainError, JointPmf, Pmf, replace
 from hintlock.twohint import EveListScheme, TwoHintScheme, build_eve_list_scheme, build_secret_key, build_two_hint
 
 RHOS = (0.5, 1.0, 2.0)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ import oracles
 from oracles import as_view, grouped_moment, scheme_from_law
 from hintlock.adversary import support_moment
 from hintlock.guessing import optimal_guesser, random_joint
-from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy
+from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy, replace
 from hintlock.report import all_passed
 from hintlock.twohint import (
     InfeasibleBoundError,
@@ -106,7 +105,7 @@ def test_pad_coordinate_laws_equal_fraction_reference(exact, triple):
     assert typed_items(s.pad_coordinate_laws()) == typed_items(oracles.pad_coordinate_laws(s, oracles.full_law(s)))
     law = oracles.law_dict(s.law)  # one quotient mass off: its pads still agree with the full law spread from it
     law[next(iter(law))] += Fraction(1, 2**40) if exact else 2.0**-40
-    off = dataclasses.replace(s, law=oracles.coded(law))
+    off = replace(s, law=oracles.coded(law))
     spread = oracles.two_hint_spread(off)
     assert typed_items(off.pad_coordinate_laws()) == typed_items(oracles.pad_coordinate_laws(off, spread))
 
