@@ -65,7 +65,9 @@ The next input times one batched Blahut-Arimoto solve, `exponents._blahut_arimot
 with the arguments rd-exponent's BA_JOB job passes at seed SEED (`rd_function`'s
 sweep, `exponents._FINE`: 400 iterations, tol 1e-10), recorded by running the
 job once: its multiplier-grid solve (20 multipliers x 4 context slices = 80 rows) and its
-first bisection solve (7 midpoints x 4 slices).  The last input is a
+first bisection solve (7 midpoints x 4 slices).  A tree whose sweep skips the
+points that provably miss Delta (`exponents._misses`) records them with that
+rule patched to skip nothing, so every tree times the same 80-row solve.  The last input is a
 Delta = 0 solve, whose rows all stop after two iterations: the one in which
 `rd_exponent_functional` on the 3x2 table ZERO_TABLE (Hamming Delta = 0,
 rho = 1, 200 starts) scores all its starts (400 rows, 2,000 iterations at
@@ -91,7 +93,11 @@ polish.
 The end-to-end layer (`--layer e2e`) times whole cold processes: each
 command of the benchmark's cli-cold workload (`python -m hintlock.cli` on its
 configs at seed SEED, run from the tree's root), `python -c "import hintlock"`
-and `python -c "import hintlock.cli"`.  A small launcher starts each process
+and `python -c "import hintlock.cli"`; and, once per interpreter, the tree's
+tier-1 suite, `python -m pytest -q -p no:cacheprovider` from its root (the
+`tier-1` entry: its reference seconds, its count of passed tests and, under
+`tier-1 slowest`, the reference seconds of its ten slowest `--durations`; it
+writes no bytecode, so the cold processes after it still compile).  A small launcher starts each process
 and reads its wall time and, by `os.wait4`, its own peak resident size; the
 launcher is smaller than any of them, so the peak is the process's and not
 one inherited from a large parent.  Nothing is byte-compiled first, so each
@@ -111,9 +117,11 @@ change measured before its commit and again after it keeps one record.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -245,7 +253,9 @@ def _blahut_arimoto_solves(hl) -> tuple:
 
     with tempfile.TemporaryDirectory() as tmp:
         (job,) = [job for job in workloads.rd_exponent(SEED, False, Path(tmp)) if job.key == BA_JOB]
-    grid, bisection = calls(lambda: job.run(None))[:2]
+    solve_all = mock.patch.object(exponents, "_misses", lambda *args: False) if hasattr(exponents, "_misses") else None
+    with solve_all or contextlib.nullcontext():
+        grid, bisection = calls(lambda: job.run(None))[:2]
     joint = hl.JointPmf.of(ZERO_TABLE)
     spec = hl.DistortionSpec.hamming(joint.x_alphabet, 0.0)
     starts = hl.RdQuery(grid_points=200, polish_runs=5, polish_steps=40)
@@ -387,8 +397,30 @@ sys.exit(proc.returncode)
 """
 
 
+def _tier1(tree: Path, clock: list) -> dict:
+    """One run of the tree's tier-1 suite: its reference seconds and passed count,
+    and the reference seconds of its ten slowest --durations, against the kernel
+    runs just before (the last of `clock`) and just after (appended to it)."""
+    from calibrate import REFERENCE_S, kernel_seconds
+
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=10"]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.perf_counter()
+    run = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    clock.append(kernel_seconds())
+    scale = REFERENCE_S / ((clock[-2] + clock[-1]) / 2)
+    passed = re.search(r"(\d+) passed", run.stdout)
+    slowest = re.findall(r"^([\d.]+)s (\w+) +(\S+)$", run.stdout, re.M)
+    return {
+        "tier-1": {"cold": [seconds * scale], "passed": [int(passed[1]) if passed else 0]},
+        "tier-1 slowest": {f"{test} ({phase})": [float(s) * scale] for s, phase, test in slowest},
+    }
+
+
 def e2e_child(reps: int) -> dict:
-    """Reference seconds and peak resident MB of each cold process, one value per repetition."""
+    """Reference seconds and peak resident MB of each cold process, one value per
+    repetition, and one run of the tree's tier-1 suite."""
     import inspect
 
     import workloads
@@ -411,7 +443,7 @@ def e2e_child(reps: int) -> dict:
                 clock.append(kernel_seconds())
                 out[name]["cold"].append(seconds / ((clock[-2] + clock[-1]) / 2) * REFERENCE_S)
                 out[name]["peak_mb"].append(peak)
-    return out
+    return {**out, **_tier1(tree, clock)}
 
 
 def child(reps: int) -> dict:
@@ -480,10 +512,11 @@ def _describe(rev: str) -> str:
 
 
 def _quartiles(values: list) -> dict:
-    if len(values) < 2:
+    n = len(values)
+    if n < 2:
         values = values * 2  # one sample: its own quartiles
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(median, 9), "q1": round(q1, 9), "q3": round(q3, 9), "n": len(values)}
+    return {"median": round(median, 9), "q1": round(q1, 9), "q3": round(q3, 9), "n": n}
 
 
 def _cpu() -> str:
@@ -540,9 +573,11 @@ def main(argv=None) -> int:
         record = {
             "layer": "e2e",
             "unit": "cold: reference seconds (perfbench/calibrate.py) of one fresh process;"
-            " peak_mb: its own peak resident size in MB, by os.wait4",
+            " peak_mb: its own peak resident size in MB, by os.wait4; passed: tests passed;"
+            " tier-1 slowest: reference seconds of a test phase among a run's ten slowest",
             "sources": f"the cli-cold workload's commands and configs at seed {SEED}; python -c 'import hintlock'"
-            " and python -c 'import hintlock.cli'",
+            " and python -c 'import hintlock.cli'; tier-1: python -m pytest -q -p no:cacheprovider, once per"
+            " interpreter",
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
         }
     elif args.layer == "oracles":
@@ -575,8 +610,11 @@ def main(argv=None) -> int:
         }
     record["commits"] = {side: _describe(getattr(args, side)) for side in samples}
     record["machine"] = f"{_cpu()}, {os.cpu_count()} cores, one pinned; Python {platform.python_version()}"
-    record[args.layer] = {
-        name: {stage: {side: _quartiles(samples[side][name][stage]) for side in samples} for stage in stages}
+    record[args.layer] = {  # a stage one side lacks (a test among one tree's slowest) keeps the other side
+        name: {
+            stage: {side: _quartiles(samples[side][name][stage]) for side in samples if stage in samples[side][name]}
+            for stage in {**samples["base"][name], **stages}
+        }
         for name, stages in samples["change"].items()
         if name in samples["base"]
     }

@@ -66,8 +66,8 @@ class DistortionSpec:
                 raise DomainError(
                     f"row {i}: every source symbol needs a zero-distortion reconstruction"
                 )
-            if not all(v >= 0 for v in row):
-                raise DomainError("distortion entries must be nonnegative numbers")
+            if not all(0 <= v < math.inf for v in row):  # 0 * inf is NaN in E[d]
+                raise DomainError("distortion entries must be finite nonnegative numbers")
 
     @classmethod
     def hamming(cls, alphabet, delta: float = 0.0) -> "DistortionSpec":

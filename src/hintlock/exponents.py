@@ -13,6 +13,11 @@ all the paths its next levels could take, then walks its own path and drops
 the rest.  A row's arithmetic depends only on its own slice and multiplier,
 so this returns the bits of one solve per level (the tests check both, and R
 against a fine-grid channel search at small alphabets).
+A point whose E[d] provably exceeds Delta is not solved: every iterate has
+E[d] >= 2^(-lam dmax) * corner, with corner = sum_y min_xh sum_x P(x, y)
+d(x, xh) (proof in `_rates`, rounding margin in `_misses`).  Such a point
+only raises its law's lo, so skipping it moves no bit; it spares the grid's
+small multipliers, the slowest to converge.
 Inside a solve the iterations run in blocks of 1, 1, 2, 4, then _BLOCK: the
 iterates of a block are stacked in one buffer, at most _BLOCK + 1 times the q
 array, and the stopping test is read once per block on all of them.  Each
@@ -134,6 +139,30 @@ def _blahut_arimoto(px: np.ndarray, lams: np.ndarray, d: np.ndarray, iters: int,
     return np.maximum(mi, 0.0), ed
 
 
+def _misses(lam: float, delta: float, corner: float, dmax: float, roundings: int) -> bool:
+    """Whether the float E[d] of a law's point at multiplier lam >= 0 exceeds delta,
+    by the bound E[d] >= 2^(-lam dmax) * corner of `_rates`.
+
+    The margin bounds the float rounding, u = 2^-53 each.  numpy's and the C
+    library's exp are within 1 ulp (2u), and fl(fl(-lam ln 2) d) >=
+    fl(fl(-lam ln 2) dmax), so every weight w the solver forms is at least this
+    tilt times (1 - 4u).  The channel divides q w by the float sum of q w,
+    which is at most (1 + u)^nh times that of q, so the proof holds with q
+    scaled by its float sum.  Against the exact bound, the float E[d] of a law
+    with nx symbols, nh reconstructions and ny contexts loses at most a factor
+    (1 - u) per rounding: nh + 2 forming the channel, nx nh + 1 summing a
+    slice's E[d], 2 ny weighting the slices, 1 normalizing a slice, and
+    corner's own sums may round up by nx + ny.  `_rates` passes roundings =
+    nx nh + nx + nh + 3 ny + 16, whose last 12 cover the 4u of the weights,
+    this test's two products and underflow; prod (1 - u) >= 1 - roundings u.
+    The bar is at least 2^-995 max(dmax, 1): then 2^(-lam dmax) > 2^-996, so
+    every sum of q w stays above the solver's 1e-300 guard and no channel row
+    takes its fallback, and all underflow costs less than 2^-79 of the bound.
+    """
+    bar = max(delta, 2.0**-995 * max(dmax, 1.0))
+    return math.exp(-lam * LOG2 * dmax) * corner * (1 - roundings * 2.0**-53) > bar
+
+
 def _midpoints(lo: float, hi: float, depth: int) -> list:
     """The geometric midpoints of the next `depth` bisection levels of [lo, hi],
     level by level: node i's midpoint splits its interval, and its children are
@@ -162,6 +191,15 @@ def _rates(laws: list, spec: DistortionSpec, sweep: tuple = _FINE) -> list:
     other becomes lo, and the exit rule is checked after every level.  Off-path
     points never reach best, and no row's bits depend on the rows beside it,
     so every value is the one-level-per-solve value.
+
+    A grid, midpoint or last-resort (1e7) point that `_misses` Delta is not
+    solved.  At lam >= 0 the solver's channel is ch(xh|x) = q(xh) w(x, xh) /
+    sum_xh' q(xh') w(x, xh') with w = 2^(-lam d) <= 1 and sum q = 1, so
+    ch(xh|x) >= q(xh) 2^(-lam dmax); summed over x, xh and the slices, E[d] >=
+    2^(-lam dmax) * corner at every iterate.  So a point with 2^(-lam dmax) *
+    corner above Delta (1 + margin), the margin a bound on the float rounding
+    of E[d], is infeasible: it would only have become lo, and its I is never
+    read.  The solved rows keep their bits, so no value moves.
     """
     if len(laws) > _CHUNK:
         return _rates(laws[:_CHUNK], spec, sweep) + _rates(laws[_CHUNK:], spec, sweep)
@@ -169,7 +207,7 @@ def _rates(laws: list, spec: DistortionSpec, sweep: tuple = _FINE) -> list:
         raise DomainError("joint and distortion spec disagree on the source alphabet")
     iters, tol, multipliers, levels = sweep
     d = np.array(spec.d, dtype=float)
-    delta = spec.delta
+    delta, dmax, (nx, nh) = spec.delta, float(d.max()), d.shape
     columns = [law.masses.T.copy() for law in laws]
     slices = []  # per law: the context weights p(y) > 0 and the slice laws p(x|y)
     for cols in columns:
@@ -198,14 +236,23 @@ def _rates(laws: list, spec: DistortionSpec, sweep: tuple = _FINE) -> list:
         # R(Q, 0): a huge multiplier pins the channel onto the zero-distortion support
         big = np.where(d == 0.0, 0.0, 1e9)
         return [mi for mi, _ in solve(list(range(len(laws))), [1.0] * len(laws), big, 2000, 1e-13)]
-    live = []  # laws that no per-context constant reconstruction serves within Delta
-    for k, cols in enumerate(columns):
+    corners = []  # per law: the distortion of the best per-context constant reconstruction
+    for cols in columns:
         corner = 0.0
         for col in cols:
             corner += float((col[:, None] * d).sum(axis=0).min())
-        if corner > delta + 1e-15:
-            live.append(k)
+        corners.append(corner)
+    live = [k for k, corner in enumerate(corners) if corner > delta + 1e-15]
+    roundings = [nx * nh + nx + nh + 3 * len(cols) + 16 for cols in columns]  # see _misses
     best, lo, hi = [None] * len(laws), [None] * len(laws), [None] * len(laws)
+
+    def tried(pairs: list) -> list:
+        """(I, E[d]) at each (law, multiplier) pair; a pair that `_misses` Delta is not
+        solved and gets (nan, inf), so only its multiplier is read."""
+        skip = [_misses(lam, delta, corners[k], dmax, roundings[k]) for k, lam in pairs]
+        kept = [pair for pair, s in zip(pairs, skip) if not s]
+        solved = iter(solve([k for k, _ in kept], [lam for _, lam in kept]))
+        return [(math.nan, math.inf) if s else next(solved) for s in skip]
 
     def feasible(k: int, mi: float, ed: float) -> bool:
         """Whether a point of law k meets Delta; a feasible point's I joins the law's best."""
@@ -215,13 +262,13 @@ def _rates(laws: list, spec: DistortionSpec, sweep: tuple = _FINE) -> list:
 
     lams = np.logspace(-3, 3, multipliers)
     grid = [(k, lam) for k in live for lam in lams]
-    for (k, lam), point in zip(grid, solve([k for k, _ in grid], [lam for _, lam in grid])):
+    for (k, lam), point in zip(grid, tried(grid)):
         if feasible(k, *point):
             hi[k] = lam if hi[k] is None else min(hi[k], lam)
         else:
             lo[k] = lam if lo[k] is None else max(lo[k], lam)
     stuck = [k for k in live if best[k] is None]  # every grid multiplier missed Delta
-    for k, point in zip(stuck, solve(stuck, [1e7] * len(stuck))):
+    for k, point in zip(stuck, tried([(k, 1e7) for k in stuck])):
         if not feasible(k, *point):
             raise DomainError("distortion target unreachable; check the spec")
         hi[k] = 1e7
@@ -230,7 +277,7 @@ def _rates(laws: list, spec: DistortionSpec, sweep: tuple = _FINE) -> list:
         depth = min(_DEPTH, levels)
         levels -= depth
         trees = [_midpoints(lo[k], hi[k], depth) for k in active]
-        points = iter(solve([k for k, tree in zip(active, trees) for _ in tree], [m for tree in trees for m in tree]))
+        points = iter(tried([(k, m) for k, tree in zip(active, trees) for m in tree]))
         going = []
         for k, tree in zip(active, trees):
             results, node = [next(points) for _ in tree], 0
@@ -250,14 +297,16 @@ def _rates(laws: list, spec: DistortionSpec, sweep: tuple = _FINE) -> list:
 def rd_function(q_joint: JointPmf, spec: DistortionSpec) -> float:
     """Conditional rate-distortion R_{X|Y}(Q, Delta) in bits.
 
-    The one-law case of the batched solver with the _FINE sweep: all its 20
-    log-spaced multipliers and all context slices go into one Blahut-Arimoto
-    solve, then
-    each solve over the slices settles _DEPTH bisection steps on the
-    distortion (see `_rates`): a sweep that bisects 40 levels makes 15 solves,
-    not 41.  The returned value is the smallest mutual information found at a
-    feasible multiplier, a primal estimate from above; no dual bound certifies
-    it from below.
+    The one-law case of the batched solver with the _FINE sweep: its
+    log-spaced grid multipliers and all context slices go into one Blahut-Arimoto
+    solve, then each solve over the slices settles _DEPTH bisection steps on
+    the distortion (see `_rates`): a sweep that bisects 40 levels makes 15
+    solves, not 41.  A multiplier with 2^(-lam dmax) * corner above Delta, by
+    more than the rounding margin of `_misses`, is not solved, since E[d] is at
+    least that bound (`_rates`); binary p = 0.3 at Delta = 0.05 solves 9 of
+    its 20 grid multipliers.  The returned value is the smallest mutual
+    information found at a feasible multiplier, a primal estimate from above;
+    no dual bound certifies it from below.
     """
     return _rates([q_joint], spec)[0]
 

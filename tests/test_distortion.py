@@ -54,6 +54,13 @@ def test_spec_rejects_nan():
         DistortionSpec((0, 1), (0, 1), ((0.0, math.nan), (1.0, 0.0)), 0.1)
 
 
+def test_spec_rejects_an_infinite_entry():
+    """0 * inf is NaN in E[d], so an infinite entry made every Delta unreachable,
+    although the identity channel meets Delta = 0.2 here."""
+    with pytest.raises(DomainError, match="finite nonnegative"):
+        DistortionSpec((0, 1), (0, 1), [[0, math.inf], [1, 0]], 0.2)
+
+
 def test_spec_rejects_a_table_without_one_row_per_source_symbol():
     """Too few rows once read past the table's end, and a surplus row was ignored."""
     for d in (((0, 1),), ((0, 1), (1, 0), (0, 0))):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse import csr_array
@@ -473,6 +473,86 @@ def test_speculative_bisection_equals_one_level_per_solve(laws, delta, levels, s
         return
     with mock.patch.object(exponents, "_DEPTH", 1):
         assert exponents._rates(laws, spec, sweep) == speculative
+
+
+def corner(law, d: np.ndarray) -> float:
+    """The distortion of law's best per-context constant reconstruction, summed as `_rates` sums it."""
+    total = 0.0
+    for col in law.masses.T:
+        total += float((col[:, None] * d).sum(axis=0).min())
+    return total
+
+
+def point_distortion(law, lam: float, d: np.ndarray, sweep: tuple) -> float:
+    """E[d] of law at multiplier lam, solved alone and weighted as `_rates` weights it."""
+    cols = law.masses.T.copy()
+    py = cols.sum(axis=1)
+    keep = py > 0
+    _, ed = exponents._blahut_arimoto(cols[keep] / py[keep, None], np.full(keep.sum(), lam), d, *sweep[:2])
+    total = 0.0
+    for p, e in zip(py[keep], ed):
+        total += p * e
+    return total
+
+
+@st.composite
+def skip_cases(draw):
+    """1-3 laws with zero cells, a nonnegative table with a zero in each row and dmax
+    other than 1, a sweep, and Delta just below or above 2^(-lam dmax) * corner of
+    one law at one of the sweep's grid multipliers."""
+    nx, nh = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    laws = draw(st.lists(joints(min_x=nx, max_x=nx), min_size=1, max_size=3))
+    d = draw(hnp.arrays(float, (nx, nh), elements=st.floats(0.0, 4.0)))
+    d[np.arange(nx), draw(hnp.arrays(int, nx, elements=st.integers(0, nh - 1)))] = 0.0
+    assume(d.max() > 0 and d.max() != 1)
+    sweep = draw(SWEEPS)
+    lam = draw(st.sampled_from(list(np.logspace(-3, 3, sweep[2]))))
+    bound = 2.0 ** (-lam * d.max()) * corner(draw(st.sampled_from(laws)), d)
+    delta = bound * (1 + draw(st.sampled_from([-1e-3, -1e-9, -1e-13, 1e-13, 1e-9, 1e-3])))
+    assume(delta > 0)
+    return laws, DistortionSpec(laws[0].x_alphabet, tuple(range(nh)), d.tolist(), delta), sweep
+
+
+@settings(max_examples=30, deadline=None)
+@given(skip_cases())
+def test_skipping_the_points_that_miss_delta_keeps_every_bit(case):
+    """The rates are hex-equal to those of a sweep that solves every point, and every
+    (law, multiplier) point the rule skips misses Delta in its own solve."""
+    laws, spec, sweep = case
+    d, rule, skipped = np.array(spec.d), exponents._misses, []
+
+    def recorded(lam, delta, law_corner, dmax, roundings):
+        missed = rule(lam, delta, law_corner, dmax, roundings)
+        if missed:
+            skipped.append((lam, law_corner))
+        return missed
+
+    def rates() -> list | None:
+        try:
+            return [r.hex() for r in exponents._rates(laws, spec, sweep)]
+        except DomainError:
+            return None
+
+    with mock.patch.object(exponents, "_misses", recorded):
+        skipping = rates()
+    with mock.patch.object(exponents, "_misses", lambda *args: False):
+        assert rates() == skipping
+    for lam, law_corner in skipped:
+        for law in laws:
+            if corner(law, d) == law_corner:
+                assert point_distortion(law, lam, d, sweep) > spec.delta
+
+
+def test_rd_function_skips_the_grid_multipliers_that_miss_delta():
+    """Binary p = 0.3 at Delta = 0.05: 2^-lam * 0.3 > 0.05 below lam = log2(6), so the
+    grid solve carries 9 of the 20 multipliers, and the value is the full grid's."""
+    joint = JointPmf.from_marginal(Pmf.of([0.3, 0.7]))
+    spec = DistortionSpec.hamming(joint.x_alphabet, 0.05)
+    with mock.patch.object(exponents, "_blahut_arimoto", wraps=exponents._blahut_arimoto) as solves:
+        value = rd_function(joint, spec)
+    assert len(solves.call_args_list[0].args[0]) == 9
+    with mock.patch.object(exponents, "_misses", lambda *args: False):
+        assert rd_function(joint, spec).hex() == value.hex()
 
 
 def test_rd_function_settles_three_levels_per_solve():
