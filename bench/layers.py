@@ -46,7 +46,14 @@ run takes about 5 ms, and reports reference seconds per call:
 - `support_moment` on Bob's view, and Bob's guessing moment `scheme.bob(rho)`,
   both prepared (a tree that prices Bob on the pad quotient times that view).
 
-A third input times the exact order search of `distortion` at m = 8
+Two inputs time Eve's matching, `adversary.eve_exact_matching` at rho = 1 on
+the two-hint (4, 4, 4) scheme of twohint-eve's first seed-1 source (96x4,
+float: four 96-cell components) and of the first sweep source (16-cell
+components, packed into shared calls): `eve matching first use` clears the Eve
+view's memo first, so it pays for the slot graphs as well as the solves, and
+`eve matching prepared` reuses them, so it pays only for rho.
+
+A further input times the exact order search of `distortion` at m = 8
 reconstructions, `brute_optimal_distortion_guessers` at rho = 1 on cli-cold's
 kind of config: a binary (0.7, 0.3) source, n = 3, Hamming distortion within
 Delta = 0.34.  A tree whose search ranks all 8! orders in a table and one
@@ -203,6 +210,23 @@ def _kernels(hl, joint, triple) -> dict:
     }
 
 
+def _eve(hl, joint) -> dict:
+    """name -> one call of Eve's matching on `joint`'s two-hint (4, 4, 4) scheme at
+    rho = RHO: from a view whose memo is cleared (the slot graphs built), and prepared."""
+    from hintlock import adversary
+
+    view = hl.build_two_hint(joint, 4, 4, 4).eve_cells
+
+    def first_use():
+        view.memo.clear()
+        return adversary.eve_exact_matching(view, RHO)
+
+    return {
+        "eve matching first use": first_use,
+        "eve matching prepared": lambda: adversary.eve_exact_matching(view, RHO),
+    }
+
+
 def _order_search(hl) -> dict:
     """name -> one call of the distortion order search at m = 8."""
     from hintlock import distortion
@@ -280,6 +304,8 @@ def kernels_child(reps: int) -> dict:
     small = _kernels(hl, hl.random_joint(np.random.default_rng(SEED), 6, 3, exact=True), (2, 2, 2))
     inputs = {"16x32 sweep sources (sum of three)": [_kernels(hl, joint, (4, 4, 4)) for joint in joints]}
     inputs["6x3 table"] = [small]
+    eve = [_eve(hl, hl.random_joint(np.random.default_rng(SEED), 96, 4)), _eve(hl, joints[0])]
+    inputs[f"twohint-eve's seed-{SEED} 96x4 source"], inputs["the first 16x32 sweep source"] = eve[:1], eve[1:]
     inputs["binary n = 3, m = 8 reconstructions"] = [_order_search(hl)]
     gf = [_gf(hl, joint) for joint in joints]
     inputs["16x32 sweep sources' delta-disk schemes (sum of three)"] = gf
@@ -288,7 +314,7 @@ def kernels_child(reps: int) -> dict:
     ba, zero = _blahut_arimoto_solves(hl)
     inputs[f"rd-exponent's {BA_JOB} job, seed {SEED}"] = [ba]
     inputs[f"{ZERO_TABLE}, Hamming Delta = 0, 200 starts"] = [zero]
-    names = [*small, "order search", *gf[0], "mds_check RS(8, 16)", *ba, *zero]
+    names = [*small, *eve[0], "order search", *gf[0], "mds_check RS(8, 16)", *ba, *zero]
     out = {name: {label: [] for label, kernels in inputs.items() if name in kernels[0]} for name in names}
     clock = [kernel_seconds()]
     for _ in range(reps):
@@ -563,6 +589,8 @@ def main(argv=None) -> int:
             "layer": "kernels",
             "unit": "reference seconds (perfbench/calibrate.py) per call, summed over an input's sources",
             "sources": f"scheme-sweep-exact, seed {SEED}: three 16x32 rational joints; one seeded 6x3 rational joint;"
+            f" Eve's matching: twohint-eve's first seed-{SEED} source (random_joint(default_rng({SEED}), 96, 4),"
+            " float) and the first sweep joint, each on its two-hint (4, 4, 4) scheme;"
             " the order search: a binary (0.7, 0.3) source, n = 3, Hamming Delta = 0.34;"
             " GF: the sweep joints' delta-disk (4, 2, 1, 4, 2, 2) schemes, and rs_generator(8, 16, field_make(4));"
             f" Blahut-Arimoto: rd-exponent's {BA_JOB} job at seed {SEED}, its grid solve (80 rows) and first"

@@ -104,22 +104,25 @@ with pointer jumping over the cell-context incidences), are solved by
 Jonker and Volgenant's LAPJVsp a chunk at a time: consecutive whole
 components, packed while a chunk holds at most CHUNK_CELLS cells (a larger
 component alone).  Each component's rows go heaviest first, ties by cell
-index.  LAPJVsp augments one row at a time, and a heavy row that comes late
-pushes the lighter cells of its contexts down one slot each, along long
-augmenting paths; heaviest first, a new row's cheapest free slot sits just
-past its contexts' filled prefixes, and a 96-cell chunk is solved in less
-than half the time.  A chunk keeps the permutation back to cell order, and
-each component's terms are summed in that order, so a matching that puts
-every cell where rows in cell order put it gives that order's float to the
-bit.  Tied masses can land on another optimal matching, of the same exact
-cost, whose sum can round differently in the last bits.  A chunk's graph is
-block-diagonal in each component's own row and column order, and LAPJVsp's
-paths stay inside a component; the tests find each component assigned as a
-call of its own assigns it, tied costs included, while both matrices have
-more columns than rows.  scipy takes another path on a square matrix, where
-ties can go another way and round the sum differently, so a square component
-(one slot per cell) is always alone.  Packing saves scipy's fixed cost per
-call; the cap stays because LAPJVsp's work per row grows with the matrix.
+index, and are emitted in CSR order by construction: a row's (cell, context)
+incidences, ordered by their context's first column, expand to their q
+columns each, so no sort runs over the edges.  LAPJVsp augments one row at a
+time, and a heavy row that comes late pushes the lighter cells of its
+contexts down one slot each, along long augmenting paths; heaviest first, a
+new row's cheapest free slot sits just past its contexts' filled prefixes,
+and a 96-cell chunk is solved in less than half the time.  A chunk keeps the
+permutation back to cell order, and each component's terms are summed in that
+order, so a matching that puts every cell where rows in cell order put it
+gives that order's float to the bit.  Tied masses can land on another optimal
+matching, of the same exact cost, whose sum can round differently in the last
+bits.  A chunk's graph is block-diagonal in each component's own row and
+column order, and LAPJVsp's paths stay inside a component; the tests find each
+component assigned as a call of its own assigns it, tied costs included, while
+both matrices have more columns than rows.  scipy takes another path on a
+square matrix, where ties can go another way and round the sum differently, so
+a square component (one slot per cell) is always alone.  Packing saves scipy's
+fixed cost per call; the cap stays because LAPJVsp's work per row grows with
+the matrix.
 Two solvers share the chunks.  A rectangular chunk of at most
 SMALL_CHUNK_CELLS cells goes to `_lapjvsp_rectangular`, a Python port of the
 rectangular branch of scipy's `min_weight_full_bipartite_matching`; larger and
@@ -386,20 +389,13 @@ def _list_sizes(view: CellView, reduce) -> tuple[np.ndarray, np.ndarray]:
     return mass[seen], size[first[seen]]
 
 
-def _mergeable(view: CellView) -> bool:
-    """True if two distinct cells could land in one context with the same x."""
+def _components(view: CellView, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the mask `keep` component by component (components of the
+    shared-context graph, in the order of their first cell), each heaviest
+    first (ties by cell index); and each component's size."""
     cell, _, ctx = view.incidences
-    own = _distinct(cell * view.n_contexts + ctx)  # each cell's distinct contexts
-    return len(_distinct(own % view.n_contexts * len(view.xs) + view.x[own // view.n_contexts])) < len(own)
-
-
-def _components(view: CellView, keep: np.ndarray) -> list[np.ndarray]:
-    """The cells of `keep` (ascending) per component of the shared-context
-    graph, heaviest first (ties by cell index), components in the order of
-    their first cell."""
-    cell, _, ctx = view.incidences
-    mask = np.isin(cell, keep)
-    a, b = cell[mask], len(view) + ctx[mask]  # cell and context nodes of each incidence
+    inside = keep[cell]
+    a, b = cell[inside], len(view) + ctx[inside]  # cell and context nodes of each incidence
     label = np.arange(len(view) + view.n_contexts)  # every label is its own root
     while not np.array_equal(label[a], label[b]):
         low = np.minimum(label[a], label[b])
@@ -407,9 +403,9 @@ def _components(view: CellView, keep: np.ndarray) -> list[np.ndarray]:
         np.minimum.at(label, label[b], low)
         while not np.array_equal(up := label[label], label):  # pointer jumping, to the roots
             label = up
-    labels = _first_seen(label[keep])
-    order = np.lexsort((-view.prob[keep], labels))
-    return np.split(keep[order], np.cumsum(np.bincount(labels))[:-1]) if len(keep) else []
+    cells = np.flatnonzero(keep)
+    labels = _first_seen(label[cells])
+    return cells[np.lexsort((-view.prob[cells], labels))], np.bincount(labels)
 
 
 def eve_exact_matching(view: CellView, rho: float) -> float:
@@ -424,21 +420,22 @@ def eve_exact_matching(view: CellView, rho: float) -> float:
 def _slot_graphs(view: CellView) -> list:
     """Each chunk's truncated slot graph, up to its rho-dependent weights: a
     chunk is a run of whole components, packed while it holds at most
-    CHUNK_CELLS cells (a larger or square component is a chunk by itself)."""
-    if _mergeable(view):
-        raise DomainError("two cells with the same x share a context: the matching cannot price their merge")
+    CHUNK_CELLS cells (a larger or square component is a chunk by itself).
+    Rows come component by component, heaviest first; each row's incidences,
+    ordered by their context's first column and expanded to their q columns,
+    are its edges in CSR order, with no sort over the edges."""
     cell, _, ctx = view.incidences
-    positive = view.prob[cell] > 0
-    cell, ctx = cell[positive], ctx[positive]
     first = np.sort(np.unique(cell * view.n_contexts + ctx, return_index=True)[1])  # each view once
     cell, ctx = cell[first], ctx[first]
-    if np.count_nonzero(np.bincount(cell)) < np.count_nonzero(view.prob > 0):
+    if len(_distinct(ctx * len(view.xs) + view.x[cell])) < len(cell):
+        raise DomainError("two cells with the same x share a context: the matching cannot price their merge")
+    positive = view.prob > 0
+    cell, ctx = cell[positive[cell]], ctx[positive[cell]]
+    if np.count_nonzero(np.bincount(cell)) < np.count_nonzero(positive):
         raise DomainError("a cell of positive mass has no view: no accomplice map can route it")
     if not len(cell):
         return []
-    members = _components(view, np.flatnonzero(view.prob > 0))
-    sizes = [len(m) for m in members]
-    cells = np.concatenate(members)  # component-major, heaviest first: row r of the block-diagonal graph
+    cells, sizes = _components(view, positive)  # row r of the block-diagonal graph is cell cells[r]
     comp, row = np.zeros(len(view), dtype=np.int64), np.zeros(len(view), dtype=np.int64)
     comp[cells], row[cells] = np.repeat(np.arange(len(sizes)), sizes), np.arange(len(cells))
     by_cell = np.lexsort((cells, comp[cells]))  # the rows of each component in cell order
@@ -452,11 +449,12 @@ def _slot_graphs(view: CellView) -> list:
     run_ends = np.r_[(ctx[1:] != ctx[:-1]) | (mass[1:] != mass[:-1]), True]
     last = np.minimum.accumulate(np.where(run_ends, np.arange(len(ctx)), len(ctx))[::-1])[::-1]
     q = last - start + 1
-    offset = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)  # position - 1
-    e_row, e_col = row[np.repeat(cell, q)], np.repeat(start, q) + offset
-    csr = np.lexsort((e_col, e_row))  # CSR edge order
-    e_col, e_mass, offset = e_col[csr], np.repeat(mass, q)[csr], offset[csr]
-    indptr = np.r_[0, np.cumsum(np.bincount(e_row, minlength=len(cells)))]
+    csr = np.lexsort((start, row[cell]))  # by row, then first column: each row's edges ascend
+    q = q[csr]
+    ends = np.cumsum(q)
+    offset = np.arange(ends[-1]) - np.repeat(ends - q, q)  # position - 1
+    e_col, e_mass = np.repeat(start[csr], q) + offset, np.repeat(mass[csr], q)
+    indptr = np.r_[0, ends][np.searchsorted(row[cell[csr]], np.arange(len(cells) + 1))]
     row_bounds = np.r_[0, np.cumsum(sizes)].tolist()
     col_bounds = np.searchsorted(comp[cell], np.arange(len(sizes) + 1)).tolist()
     square = np.diff(row_bounds) == np.diff(col_bounds)  # one slot per cell

@@ -283,11 +283,9 @@ def _distortion_spec(joint: JointPmf, section: dict) -> DistortionSpec:
     if spec["hamming"]:
         return DistortionSpec.hamming(joint.x_alphabet, spec["delta"])
     xhat, d = spec["xhat"], spec["d"]
-    table = isinstance(d, list) and all(
-        isinstance(row, list) and all(isinstance(v, (int, float)) and math.isfinite(v) for v in row) for row in d
-    )
-    if not isinstance(xhat, list) or not table:
-        raise ConfigError("config error: a non-Hamming 'distortion' needs a list 'xhat' and a finite table 'd'")
+    table = isinstance(d, list) and all(isinstance(r, list) and all(isinstance(v, (int, float)) for v in r) for r in d)
+    if not isinstance(xhat, list) or not table:  # the spec refuses a non-finite or negative entry
+        raise ConfigError("config error: a non-Hamming 'distortion' needs a list 'xhat' and a table 'd' of numbers")
     return DistortionSpec(joint.x_alphabet, tuple(xhat), d, spec["delta"])
 
 

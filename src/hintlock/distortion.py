@@ -62,12 +62,10 @@ class DistortionSpec:
         for i, row in enumerate(self.d):
             if len(row) != len(self.xhat_alphabet):
                 raise DomainError("distortion table shape mismatch")
-            if min(row, default=1) != 0:
-                raise DomainError(
-                    f"row {i}: every source symbol needs a zero-distortion reconstruction"
-                )
-            if not all(0 <= v < math.inf for v in row):  # 0 * inf is NaN in E[d]
+            if not all(0 <= v < math.inf for v in row):  # 0 * inf is NaN in E[d]; before min, which NaN fools
                 raise DomainError("distortion entries must be finite nonnegative numbers")
+            if min(row, default=1) != 0:
+                raise DomainError(f"row {i}: every source symbol needs a zero-distortion reconstruction")
 
     @classmethod
     def hamming(cls, alphabet, delta: float = 0.0) -> "DistortionSpec":

@@ -615,7 +615,8 @@ def eve_exact_enumeration(cells, rho: float, budget_bits: int = 26) -> float:
     view = as_view(cells)
     n_views = (view.ctx >= 0).sum(axis=1)
     total = 0.0
-    for comp in adversary._components(view, np.arange(len(view))):
+    cells, sizes = adversary._components(view, np.ones(len(view), dtype=bool))
+    for comp in np.split(cells, np.cumsum(sizes)[:-1]):
         options = n_views[comp].tolist()
         bits = sum(math.log2(o) for o in options if o > 1)
         if bits > budget_bits:

@@ -61,6 +61,16 @@ def test_spec_rejects_an_infinite_entry():
         DistortionSpec((0, 1), (0, 1), [[0, math.inf], [1, 0]], 0.2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, -1.0])
+def test_spec_names_a_bad_entry_before_the_zero_distortion_rule(bad):
+    """min() of a row whose first entry is NaN is NaN, and of one with -inf or
+    -1 is negative: either way not 0, and the row was called one without a
+    zero-distortion reconstruction."""
+    for row in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(DomainError, match="finite nonnegative"):
+            DistortionSpec((0, 1), (0, 1), [row, [1.0, 0.0]], 0.5)
+
+
 def test_spec_rejects_a_table_without_one_row_per_source_symbol():
     """Too few rows once read past the table's end, and a surplus row was ignored."""
     for d in (((0, 1),), ((0, 1), (1, 0), (0, 0))):

@@ -287,6 +287,43 @@ def test_chunked_matching_on_tied_sources_equals_per_component_reference(joint, 
 
 
 @settings(max_examples=40, deadline=None)
+@given(tied_rational_sources(), st.sampled_from([(2, 2, 2), (4, 4, 4), (1, 4, 4), (2, 4, 2), (4, 2, 1, 4, 2, 2)]))
+@example(random_joint(np.random.default_rng(1), 96, 4), (4, 4, 4))
+def test_slot_graph_rows_are_in_csr_layout(joint, params):
+    # Each chunk's row r is the cell at place r of `_components`' order.  A
+    # column block (the columns of one start) belongs to the context whose
+    # positive cells are the rows that reach its first column, position 1.
+    view = (build_two_hint if len(params) == 3 else build_delta_scheme)(joint, *params).eve_cells
+    positive = view.prob > 0
+    incident: dict = {}  # context -> its positive cells
+    for i in np.flatnonzero(positive).tolist():
+        for c in set(view.ctx[i].tolist()) - {-1}:
+            incident.setdefault(c, set()).add(i)
+    cells = adversary._components(view, positive)[0].tolist()
+    for _, start, edge_mass, offset, indices, indptr, shape, _, _ in view.prepared("slot graphs", adversary._slot_graphs):
+        rows, cells = cells[: shape[0]], cells[shape[0] :]
+        assert indptr[0] == 0 and (np.diff(indptr) >= 0).all() and indptr[-1] == len(indices)
+        edges = [range(indptr[r], indptr[r + 1]) for r in range(shape[0])]
+        first = {}  # block start -> the cells of the rows at its first column
+        for r, span in enumerate(edges):
+            for j in indices[span][indices[span] == start[indices[span]]].tolist():
+                first.setdefault(j, set()).add(rows[r])
+        for r, span in enumerate(edges):
+            cols, mass = indices[span], view.prob[rows[r]]
+            assert (np.diff(cols) > 0).all()  # each row's columns rise strictly
+            assert (edge_mass[span] == mass).all() and (offset[span] == cols - start[cols]).all()
+            blocks = start[cols]
+            owners = [first[b] for b in dict.fromkeys(blocks.tolist())]
+            assert all(rows[r] in s and s in incident.values() for s in owners)  # contexts the row's cell views
+            mine = [incident[c] for c in set(view.ctx[rows[r]].tolist()) - {-1}]
+            assert sorted(map(sorted, owners)) == sorted(map(sorted, mine))  # each of them once
+            q = {b: sum(view.prob[i] >= mass for i in first[b]) for b in set(blocks.tolist())}
+            assert all(col - b + 1 <= q[b] for col, b in zip(cols.tolist(), blocks.tolist()))
+            assert len(cols) == sum(sum(view.prob[i] >= mass for i in s) for s in mine)
+    assert not cells
+
+
+@settings(max_examples=40, deadline=None)
 @given(tied_rational_sources(), st.sampled_from([(2, 2, 2), (4, 4, 4), (1, 4, 4), (2, 4, 2)]))
 def test_heaviest_first_rows_only_reround_ties(joint, triple):
     # Rows fed heaviest first can put tied cells on another optimal matching
