@@ -29,8 +29,8 @@ sources is `guessing.optimal_guesser`), `group_starts`, and `power_terms` and
 `in_order`, which give `guessing.power_moment`'s terms and sum to the bit.  A
 view keeps, from first use, what the descending-posterior order fixes for
 every rho, grouped in numpy (unique, lexsort, add.at): per position the rank
-table of the one grouped kernel (`_rank_table` on int columns: context, key,
-mass, tie order, ranked by `rank_groups`); that Bob's positions group the
+table of the one grouped kernel (`_rank_table` on int columns: context, key
+and mass, ranked by `rank_groups`); that Bob's positions group the
 cells alike; per `reduce` the mass and list size of each views tuple; Eve's
 components and slot graphs.  A rho then costs a t**rho table (Python's pow
 on ints: numpy's own pow on an int64 can differ in the last bit), one product
@@ -40,7 +40,9 @@ in entry order; in a context, descending masses in sequence; contexts, cells
 and views tuples in first-seen order, in sequence (`in_order`); each of Eve's
 components by np.sum (pairwise) over its cells in cell order, then the
 components in order, in sequence.
-Rank ties go by repr(x).  Nothing is cached at module level.
+Rank ties go by x code, the symbol's index, as in `JointPmf.ranks`: a moment
+reads only each context's masses in descending order, so the tie order is
+free, and one rule serves both.  Nothing is cached at module level.
 
 Both adversaries rest on two facts of every scheme built here.  Given y, any
 of Bob's views determines the descriptor and the pad, so all his views group
@@ -100,7 +102,8 @@ the cell's own, ties included.  Some optimal assignment lists every context
 by descending mass, so a cell at position t there has t - 1 predecessors of
 no smaller mass, and t <= q: the truncated graph keeps an optimal
 assignment.  Its connected components, labelled in numpy (min-label hooking
-with pointer jumping over the cell-context incidences), are solved by
+with pointer jumping over the positive (cell, context) pairs, each once, that
+the slot graph is built from), are solved by
 Jonker and Volgenant's LAPJVsp a chunk at a time: consecutive whole
 components, packed while a chunk holds at most CHUNK_CELLS cells (a larger
 component alone).  Each component's rows go heaviest first, ties by cell
@@ -164,15 +167,15 @@ def group_starts(keys: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(np.r_[True, keys[1:] != keys[:-1]], idx, 0))
 
 
-def rank_groups(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, tie: np.ndarray):
-    """The distinct (context, key) pairs of the entries (codes context * len(tie) + key,
-    sorted), their masses merged in entry order, their ranks from 1 in each context
-    by descending mass (ties by `tie[key]`), and the pair of each entry."""
-    nk = len(tie)
+def rank_groups(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, nk: int):
+    """The distinct (context, key) pairs of the entries, keys below `nk` (codes
+    context * nk + key, sorted), their masses merged in entry order, their ranks
+    from 1 in each context by descending mass (ties by key: the sort is stable),
+    and the pair of each entry."""
     keys, pair = np.unique(ctx * nk + key, return_inverse=True)
     merged = np.zeros(len(keys))
     np.add.at(merged, pair, mass)
-    order = np.lexsort((tie[keys % nk], -merged, keys // nk))
+    order = np.lexsort((-merged, keys // nk))
     rank = np.empty(len(keys), dtype=np.int64)
     rank[order] = np.arange(len(keys)) - group_starts(keys[order] // nk) + 1
     return keys, merged, rank, pair
@@ -260,8 +263,6 @@ class CellView:
 
     def __init__(self, prob: np.ndarray, x: np.ndarray, ctx: np.ndarray, xs: tuple):
         self.prob, self.x, self.ctx, self.xs = prob, x, ctx, xs
-        # the rank of each x code in repr order (numpy compares str by code point, as Python does)
-        self.xkey = np.argsort(np.argsort(np.array([repr(v) for v in xs], dtype=str), kind="stable"))
         self.n_contexts = int(ctx.max(initial=-1)) + 1
         self.memo: dict = {}
 
@@ -337,13 +338,13 @@ def _check_one_partition(view: CellView) -> None:
         raise DomainError("two of Bob's views rank a cell differently: their guessers need not be his min-max optimum")
 
 
-def _rank_table(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, tie: np.ndarray) -> tuple:
+def _rank_table(ctx: np.ndarray, key: np.ndarray, mass: np.ndarray, nk: int) -> tuple:
     """What the descending-posterior order fixes for every rho: the first-seen
     index, rank and merged mass of each (context, key) pair, ranks ascending
     within a context; and the number of contexts."""
     ctx = _first_seen(ctx)
-    keys, merged, rank, _ = rank_groups(ctx, key, mass, tie)
-    seen = keys // len(tie)
+    keys, merged, rank, _ = rank_groups(ctx, key, mass, nk)
+    seen = keys // nk
     order = np.lexsort((rank, seen))
     return seen[order], rank[order], merged[order], int(ctx.max(initial=-1)) + 1
 
@@ -360,7 +361,7 @@ def _table_moment(table: tuple, rho: float) -> float:
 
 def moment_for_constant(view: CellView, k: int, rho: float) -> float:
     """The optimal guessing moment given view position k (every cell routed to it)."""
-    return _table_moment(view.prepared(("rank", k), lambda v: _rank_table(v.ctx[:, k], v.x, v.prob, v.xkey)), rho)
+    return _table_moment(view.prepared(("rank", k), lambda v: _rank_table(v.ctx[:, k], v.x, v.prob, len(v.xs))), rho)
 
 
 def support_moment(view: CellView, rho: float, reduce=max) -> float:
@@ -389,14 +390,13 @@ def _list_sizes(view: CellView, reduce) -> tuple[np.ndarray, np.ndarray]:
     return mass[seen], size[first[seen]]
 
 
-def _components(view: CellView, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _components(n: int, keep: np.ndarray, cell: np.ndarray, ctx: np.ndarray, prob: np.ndarray) -> tuple:
     """The cells of the mask `keep` component by component (components of the
-    shared-context graph, in the order of their first cell), each heaviest
-    first (ties by cell index); and each component's size."""
-    cell, _, ctx = view.incidences
-    inside = keep[cell]
-    a, b = cell[inside], len(view) + ctx[inside]  # cell and context nodes of each incidence
-    label = np.arange(len(view) + view.n_contexts)  # every label is its own root
+    graph whose edges are the kept cells' incidences (`cell`, `ctx`), contexts
+    below `n`, in the order of their first cell), each heaviest by `prob` first
+    (ties by cell index); and each component's size."""
+    a, b = cell, len(keep) + ctx  # cell and context nodes of each incidence
+    label = np.arange(len(keep) + n)  # every label is its own root
     while not np.array_equal(label[a], label[b]):
         low = np.minimum(label[a], label[b])
         np.minimum.at(label, label[a], low)  # hook both roots onto the lower label
@@ -405,7 +405,7 @@ def _components(view: CellView, keep: np.ndarray) -> tuple[np.ndarray, np.ndarra
             label = up
     cells = np.flatnonzero(keep)
     labels = _first_seen(label[cells])
-    return cells[np.lexsort((-view.prob[cells], labels))], np.bincount(labels)
+    return cells[np.lexsort((-prob[cells], labels))], np.bincount(labels)
 
 
 def eve_exact_matching(view: CellView, rho: float) -> float:
@@ -435,7 +435,7 @@ def _slot_graphs(view: CellView) -> list:
         raise DomainError("a cell of positive mass has no view: no accomplice map can route it")
     if not len(cell):
         return []
-    cells, sizes = _components(view, positive)  # row r of the block-diagonal graph is cell cells[r]
+    cells, sizes = _components(view.n_contexts, positive, cell, ctx, view.prob)  # row r of the graph is cell cells[r]
     comp, row = np.zeros(len(view), dtype=np.int64), np.zeros(len(view), dtype=np.int64)
     comp[cells], row[cells] = np.repeat(np.arange(len(sizes)), sizes), np.arange(len(cells))
     by_cell = np.lexsort((cells, comp[cells]))  # the rows of each component in cell order

@@ -55,6 +55,10 @@ class DistortionSpec:
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
         object.__setattr__(self, "xhat_alphabet", tuple(self.xhat_alphabet))
         object.__setattr__(self, "d", tuple(tuple(row) for row in self.d))
+        for name, symbols in (("source", self.x_alphabet), ("reconstruction", self.xhat_alphabet)):
+            repeated = [s for i, s in enumerate(symbols) if symbols.index(s) < i]  # `dist` reads the first only
+            if repeated:
+                raise DomainError(f"{name} symbol {repeated[0]!r} repeats: each symbol needs one row or column of d")
         if len(self.d) != len(self.x_alphabet):
             raise DomainError("distortion table shape mismatch")
         if not self.delta >= 0:  # NaN fails this too

@@ -3,16 +3,15 @@
 A guessing function assigns, per observed context, a permutation rank to every
 source symbol; the rho-th guessing moment E[G(X|ctx)^rho] is the ambiguity
 measure used throughout.  The ranking rule is by descending posterior within a
-context, ties broken by a given order.  It is written twice: for sources, as
-`JointPmf.ranks` (kept on the joint; `optimal_guesser` reads it), a stable sort
-of each of `JointPmf.columns` (ties by symbol index, so zero-posterior symbols
-rank after positive ones), and in `adversary`, for realized laws, as
-`adversary.rank_groups` on numpy columns (ties by repr(x)).
-Ties never change a moment, but can change a cell's rank and so Bob's upper
-end.  Every expected power of a rank or list size on the source side is summed
-by `power_moment`, on Python floats, so this module, `tasks` and `distortion`
-load no numpy; the adversary keeps its numpy kernels, whose terms and sums
-are this module's floats.
+context, ties by symbol index.  It has two forms: for sources, `JointPmf.ranks`
+(kept on the joint; `optimal_guesser` reads it), a stable sort of each of
+`JointPmf.columns` (so zero-posterior symbols rank after positive ones), and
+for realized laws `adversary.rank_groups` on numpy columns, whose x codes are
+the symbol indices.  Ties never change a moment, but they set a cell's rank,
+which the eve-list builder's hints read.  Every expected power of a rank or
+list size on the source side is summed by `power_moment`, on Python floats, so
+this module, `tasks` and `distortion` load no numpy; the adversary keeps its
+numpy kernels, whose terms and sums are this module's floats.
 """
 
 from __future__ import annotations

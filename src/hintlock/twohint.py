@@ -179,15 +179,19 @@ def build_two_hint(
 
 
 def eve_ambiguity_weak(scheme, rho: float) -> float:
-    """Accomplice picks the hint before seeing the realization: min of two moments."""
-    return min(moment_for_constant(scheme.eve_cells, k, rho) for k in range(2))
+    """Accomplice picks the hint before seeing the realization: the min over
+    Eve's views of the moment given that view (with one view, that moment)."""
+    return min(moment_for_constant(scheme.eve_cells, k, rho) for k in range(len(scheme.eve_positions)))
 
 
 def verify_finite_blocklength(
-    scheme: TwoHintScheme, rho: float, version: str | None = None, instance: str = ""
+    scheme: SchemeCells, rho: float, version: str | None = None, instance: str = ""
 ) -> list[ReportRow]:
-    """Check the achievability and converse inequalities on the built scheme."""
+    """Check the achievability and converse inequalities on a built scheme of any kind here."""
     return scheme.rows(rho, version, instance)
+
+
+verify_secret_hint = verify_secret_key = verify_eve_list = verify_finite_blocklength  # one verifier, every scheme
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +271,7 @@ class SecretHintScheme(SchemeCells):
     def sizes(self) -> tuple:
         return self.c * self.ms_size, self.mp_size * self.ms_size, self.c, self.ms_size
 
-    def eve(self, rho: float) -> float:  # the guessing moment given the public hint
-        return moment_for_constant(self.eve_cells, 0, rho)
+    eve = eve_ambiguity_weak  # the guessing moment given the public hint
 
 
 def build_secret_hint(
@@ -279,10 +282,6 @@ def build_secret_hint(
         raise DomainError(f"need 1 <= c <= |Mp|, got c={c}, |Mp|={mp_size}")
     z = descriptor_map(joint, c * ms_size, version)
     return SecretHintScheme(joint, c, mp_size, ms_size, version, Law.on(joint, np.stack([z % c, z // c], axis=1)))
-
-
-def verify_secret_hint(scheme: SecretHintScheme, rho: float, instance: str = "") -> list[ReportRow]:
-    return scheme.rows(rho, instance=instance)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +308,7 @@ class SecretKeyScheme(SchemeCells):
     def public(self, hints: np.ndarray) -> np.ndarray:  # M mod c = mp (and the key column, 0, stays 0)
         return hints % self.c
 
-    def eve(self, rho: float) -> float:  # the guessing moment given the stored hint
-        return moment_for_constant(self.eve_cells, 0, rho)
+    eve = eve_ambiguity_weak  # the guessing moment given the stored hint
 
 
 def build_secret_key(
@@ -326,10 +324,6 @@ def build_secret_key(
     z = descriptor_map(joint, c * k_size, version)
     law = Law.on(joint, np.stack([np.zeros_like(z), (z % k_size) * c + z // k_size], axis=1))
     return SecretKeyScheme(joint, c, k_size, m_size, version, law)
-
-
-def verify_secret_key(scheme: SecretKeyScheme, rho: float, instance: str = "") -> list[ReportRow]:
-    return scheme.rows(rho, instance=instance)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +404,8 @@ def build_eve_list_scheme(
         mass = np.where(stays, mass[cell] * (1.0 - 2.0**-epsilon), mass[cell] * 2.0**-epsilon / (n - 1))
         cell, zp, mass = cell[mass > 0], zp[mass > 0], mass[mass > 0]
         nums = mass
-    _, _, rank, pair = rank_groups(y[cell] * n + zp, x[cell], mass, np.arange(nx))
+    _, _, rank, pair = rank_groups(y[cell] * n + zp, x[cell], mass, nx)
     vs = (np.frexp(rank[pair])[1] - 1).astype(np.int64)  # floor(log2) of X's posterior rank given (y, v1', v2')
     hints = _pad_hints(cs, c1, c2, lambda: (vs, zp % c1, zp // c1))
     law = Law(joint.x_alphabet, joint.y_alphabet, x[cell], y[cell], hints, mass, nums, scale)
     return EveListScheme(joint, cs, c1, c2, m1_size, m2_size, epsilon, law)
-
-
-def verify_eve_list(scheme: EveListScheme, rho: float, instance: str = "") -> list[ReportRow]:
-    return scheme.rows(rho, instance=instance)

@@ -603,7 +603,7 @@ def moment_for_assignment(cells, choice, rho: float) -> float:
     """Objective for one accomplice map: cells routed per `choice`, then sorted."""
     view = as_view(cells)
     routed = view.ctx[np.arange(len(view)), np.asarray(choice, dtype=np.int64)]
-    return adversary._table_moment(adversary._rank_table(routed, view.x, view.prob, view.xkey), rho)
+    return adversary._table_moment(adversary._rank_table(routed, view.x, view.prob, len(view.xs)), rho)
 
 
 def eve_exact_enumeration(cells, rho: float, budget_bits: int = 26) -> float:
@@ -615,14 +615,15 @@ def eve_exact_enumeration(cells, rho: float, budget_bits: int = 26) -> float:
     view = as_view(cells)
     n_views = (view.ctx >= 0).sum(axis=1)
     total = 0.0
-    cells, sizes = adversary._components(view, np.ones(len(view), dtype=bool))
+    cell, _, ctx = view.incidences
+    cells, sizes = adversary._components(view.n_contexts, np.ones(len(view), dtype=bool), cell, ctx, view.prob)
     for comp in np.split(cells, np.cumsum(sizes)[:-1]):
         options = n_views[comp].tolist()
         bits = sum(math.log2(o) for o in options if o > 1)
         if bits > budget_bits:
             raise BudgetExceededError(f"component needs {bits:.1f} assignment bits > budget {budget_bits}")
         if all(o == 1 for o in options):
-            table = adversary._rank_table(view.ctx[comp, 0], view.x[comp], view.prob[comp], view.xkey)
+            table = adversary._rank_table(view.ctx[comp, 0], view.x[comp], view.prob[comp], len(view.xs))
             total += adversary._table_moment(table, rho)
             continue
         total += _enumerate_component(view, comp, rho, options)
@@ -691,7 +692,7 @@ def eve_local_search(cells, rho: float) -> float:
         choice = k % n_views
         val = moment_for_assignment(view, choice, rho)
         for _ in range(50):
-            keys, _, rank, _ = rank_groups(view.ctx[rows, choice], view.x, view.prob, view.xkey)
+            keys, _, rank, _ = rank_groups(view.ctx[rows, choice], view.x, view.prob, nx)
             # unseen (ctx, x) would enter at the context's next free rank
             sizes = np.bincount(keys // nx, minlength=view.n_contexts)
             wanted = ctx * nx + view.x[cell]

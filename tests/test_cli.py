@@ -557,6 +557,10 @@ MALFORMED = {
         "distortion",
         {"source": {"uniform": 2}, "distortion": {"xhat": [0, 1], "d": [[0, 1], [1, 0], [0, 0]], "delta": 0.5}},
     ],
+    "distortion-xhat-repeated": [
+        "distortion",
+        {"source": {"uniform": 2}, "distortion": {"hamming": False, "xhat": [0, 0], "d": [[0, 1], [1, 0]]}},
+    ],
     "x-symbol-an-array": ["entropy", {"source": {"x": [[0], [1]], "p": [0.5, 0.5]}}],
     "y-symbol-an-array": ["entropy", {"source": {"x": [0, 1], "y": [[0]], "p": [[0.5], [0.5]]}}],
 }

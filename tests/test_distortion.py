@@ -80,6 +80,15 @@ def test_spec_rejects_a_table_without_one_row_per_source_symbol():
         DistortionSpec((0, 1), (), ((), ()), 0.5)
 
 
+def test_spec_rejects_a_repeated_symbol():
+    """`dist` finds a symbol's first row or column only: with xhat = (0, 0) the
+    second column was never read, and the order search died on an empty min."""
+    for x, xhat in (((0, 1), (0, 0)), ((0, 0), (0, 1)), ((0, 1), (1, 1.0))):
+        with pytest.raises(DomainError, match="repeats"):
+            DistortionSpec(x, xhat, [[0, 1], [1, 0]], 0.5)
+    assert DistortionSpec((0, 1), ([0], [1]), [[0, 1], [1, 0]], 0.5).dist(1, [1]) == 0  # unhashable symbols still work
+
+
 def test_success_function_examples():
     # Delta large enough that one ball covers everything: rank 1 everywhere
     big = DistortionSpec((0, 1, 2), (0, 1, 2), ASYM.d, 2.0)

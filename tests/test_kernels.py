@@ -15,7 +15,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 import oracles
-from hintlock.adversary import Cell, CellView, eve_exact_matching, support_moment
+from hintlock.adversary import Cell, CellView, Law, eve_exact_matching, support_moment
 from hintlock import adversary, exponents
 from hintlock.disks import build_delta_scheme
 from hintlock.distortion import DistortionSpec
@@ -66,25 +66,32 @@ def test_grouped_moment_is_min_over_orderings(triples, rho):
     assert grouped_kernel(triples, rho) == pytest.approx(brute, rel=1e-12)
 
 
-def grouped_kernel(triples, rho, tie=None):
+def grouped_kernel(triples, rho):
     """The rank-table kernel of `adversary` on the int columns of (context,
-    key, mass) triples; ties by `tie[key]`, by key when None."""
+    key, mass) triples; ties by key."""
     ctx, key = (np.array([t[i] for t in triples], dtype=np.int64) for i in range(2))
     mass = np.array([t[2] for t in triples], dtype=float)
-    tie = np.arange(key.max(initial=0) + 1) if tie is None else np.asarray(tie)
-    return adversary._table_moment(adversary._rank_table(ctx, key, mass, tie), rho)
+    return adversary._table_moment(adversary._rank_table(ctx, key, mass, int(key.max(initial=0)) + 1), rho)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6), st.floats(0.0, 1.0)), max_size=30),
     st.sampled_from([0.3, 1.0, 2.5]),
-    st.permutations(range(7)),
 )
-def test_grouped_kernel_equals_dict_reference(triples, rho, tie):
+def test_grouped_kernel_equals_dict_reference(triples, rho):
     # few contexts and keys, so (context, key) pairs repeat and their masses
-    # merge; equal masses tie, and no tie order changes the float
-    assert grouped_kernel(triples, rho, tie) == oracles.grouped_moment(triples, rho)
+    # merge; equal masses tie, and the dict reference sorts them its own way
+    assert grouped_kernel(triples, rho) == oracles.grouped_moment(triples, rho)
+
+
+def test_realized_law_ranks_ties_as_the_source_does():
+    # repr order ('a' < 'b' < 10 < 9) is not index order, and every context ties
+    w = Fraction(1, 6)
+    joint = JointPmf((9, 10, "b", "a"), (0, 1), ((w, 0), (w, w), (w, w), (0, w)))
+    view = Law.on(joint, np.zeros((len(joint.support[0]), 0), dtype=np.int64)).view([()])
+    _, _, rank, pair = adversary.rank_groups(view.ctx[:, 0], view.x, view.prob, len(view.xs))
+    assert rank[pair].tolist() == joint.support[3].tolist() == [1, 2, 1, 3, 2, 3]
 
 
 @settings(max_examples=100, deadline=None)
@@ -299,7 +306,9 @@ def test_slot_graph_rows_are_in_csr_layout(joint, params):
     for i in np.flatnonzero(positive).tolist():
         for c in set(view.ctx[i].tolist()) - {-1}:
             incident.setdefault(c, set()).add(i)
-    cells = adversary._components(view, positive)[0].tolist()
+    cell, _, ctx = view.incidences
+    kept = positive[cell]
+    cells = adversary._components(view.n_contexts, positive, cell[kept], ctx[kept], view.prob)[0].tolist()
     for _, start, edge_mass, offset, indices, indptr, shape, _, _ in view.prepared("slot graphs", adversary._slot_graphs):
         rows, cells = cells[: shape[0]], cells[shape[0] :]
         assert indptr[0] == 0 and (np.diff(indptr) >= 0).all() and indptr[-1] == len(indices)
@@ -321,6 +330,26 @@ def test_slot_graph_rows_are_in_csr_layout(joint, params):
             assert all(col - b + 1 <= q[b] for col, b in zip(cols.tolist(), blocks.tolist()))
             assert len(cols) == sum(sum(view.prob[i] >= mass for i in s) for s in mine)
     assert not cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(cell_lists(n_ctx=4, max_cells=9, masses=TIED_MASSES), st.data())
+def test_components_of_incidences_equal_those_of_their_pairs(cells, data):
+    # ragged views (a cell may show fewer, or none), repeated contexts and
+    # zero-mass cells; the kept cells are the positive ones, as Eve's
+    cells = [Cell(c.prob, c.x, c.views[: data.draw(st.integers(0, len(c.views)))]) for c in cells]
+    view = as_view(cells)
+    keep = view.prob > 0
+    cell, _, ctx = view.incidences
+    cell, ctx = cell[keep[cell]], ctx[keep[cell]]
+    every = adversary._components(view.n_contexts, keep, cell, ctx, view.prob)
+    pairs = np.unique(cell * view.n_contexts + ctx)  # each (cell, context) pair once
+    once = adversary._components(view.n_contexts, keep, pairs // view.n_contexts, pairs % view.n_contexts, view.prob)
+    assert [a.tolist() for a in every] == [a.tolist() for a in once]
+    index = {id(c): i for i, c in enumerate(cells)}
+    reference = [[index[id(c)] for c in comp] for comp in oracles.components([c for c in cells if c.prob > 0])]
+    found = [sorted(part.tolist()) for part in np.split(every[0], np.cumsum(every[1])[:-1]) if len(part)]
+    assert found == reference
 
 
 @settings(max_examples=40, deadline=None)
