@@ -18,6 +18,10 @@ each tree it collects:
 - the two CSV bodies of acceptance criterion 12, `hintlock verify-all --seed
   11` and `hintlock twohint --rational --seed 11` on the benchmark's
   CRITERION_12_TWOHINT config, with their exit codes;
+- the CSV body of `hintlock disks --rational --seed 11` on UNEQUAL_DISKS, with
+  its exit code: the unequal converse and equal-size envelope rows, which no
+  benchmark job runs (its 60-bit disk leaves one Bob step uncovered at
+  rho = 0.25 and 1, so the body holds both envelope outcomes);
 - the GF body, the integers of `hintlock.gf`: for the criterion-08 sweep
   (l = 2, 3, 4, every k <= n <= q) each `rs_generator(k, n)` entry, its
   `mds_check` verdict, and per k' < k the first k' rows and their verdict;
@@ -45,6 +49,12 @@ from layers import _export
 WORKLOADS = ("twohint-eve", "scheme-sweep-exact", "rd-exponent", "cli-cold")
 SEEDS = (1, 7, 31337)
 GF_BODY = "GF: criterion-08 sweep and GF(2^8) encode"
+UNEQUAL_DISKS = {
+    "source": {"x": [0, 1, 2, 3, 4, 5], "p": ["1/2", "1/4", "1/16", "1/16", "1/16", "1/16"]},
+    "rho": [0.25, 1, 8],
+    "scheme": {"delta": 3, "nu": 2, "eta": 1, "s": 2, "p": 2, "r": 0},
+    "unequal_sizes": [2, 3, 60],
+}
 
 
 def child(tree: Path) -> dict:
@@ -71,6 +81,9 @@ def child(tree: Path) -> dict:
         bodies = {
             "verify-all --seed 11": ["verify-all", "{}", "--seed", "11"],
             "twohint --rational --seed 11": ["twohint", str(config), "--rational", "--seed", "11"],
+            "disks unequal_sizes --rational --seed 11": [
+                "disks", json.dumps(UNEQUAL_DISKS), "--rational", "--seed", "11"
+            ],
         }
         for label, argv in bodies.items():
             body = tmp / "body.csv"
@@ -158,7 +171,7 @@ def main(argv=None) -> int:
     if differing:
         print(f"{len(differing)} of {len(keys)} jobs and bodies differ ({count} values at base)")
         return 1
-    print(f"equal: {len(base) - 3} jobs ({count} values as hex floats), 2 CSV bodies and the GF body")
+    print(f"equal: {len(base) - 4} jobs ({count} values as hex floats), 3 CSV bodies and the GF body")
     return 0
 
 

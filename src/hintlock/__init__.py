@@ -31,7 +31,7 @@ _NAMES = {  # module -> the public names it defines
     ),
     "bounds": "bunte_bounds fact1_census two_hint_exponents disk_exponents",
     "twohint": (
-        "TwoHintScheme build_two_hint eve_ambiguity_weak verify_finite_blocklength choose_triple"
+        "TwoHintScheme build_two_hint eve_ambiguity_weak verify_finite_blocklength"
         " build_secret_hint build_secret_key build_eve_list_scheme"
     ),
     "gf": "FieldTable GenMatrix field_make rs_generator mds_check",

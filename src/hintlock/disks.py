@@ -182,20 +182,21 @@ def unequal_converse_rows(
     ]
 
 
-def equal_size_envelope_rows(
-    sizes: tuple, nu: int, eta: int, rho: float, h: float, nx: int, grid: int = 5
-) -> list[ReportRow]:
+def equal_size_envelope_rows(sizes: tuple, nu: int, eta: int, rho: float, h: float, nx: int) -> list[ReportRow]:
     """Equal disks match the unequal converse box up to explicit polylog factors.
 
-    For sampled Bob targets b on the unequal converse frontier, some
-    admissible split (p, r) of the equal scheme's s-bar bits guarantees
+    For five Bob targets b on the unequal converse frontier, some admissible
+    split (p, r) of the equal scheme's s-bar bits guarantees
     Bob <= 1 + F*(b - 1 + base) and F * Eve-floor >= the frontier's Eve value,
-    where F collects the delta^eta and (1 + ln|X|) factors.
+    where F collects the delta^eta and (1 + ln|X|) factors.  Only the widest
+    pad that meets Bob's bound, `choose_pr`'s, needs Eve's test: as r grows,
+    Bob's descriptor 2^(nu*s-bar - eta*r) never grows, so his direct bound
+    never falls, and Eve's leak delta^eta * 2^(eta*(s-bar - r)) shrinks, so
+    her floor never falls.  A target no split meets covers nothing.
     """
     delta = len(sizes)
     ssort = sorted(sizes)
     sbar = sum(sizes) // delta
-    admissible_r = [r for r in range(sbar + 1) if _admissible(sbar - r, r, delta)]
     factor = (
         (2 * delta) ** (rho * eta)
         * (delta**eta * (1 + math.log(nx))) ** rho
@@ -205,17 +206,14 @@ def equal_size_envelope_rows(
     b_floor = bob_converse(h, rho, 2 ** sum(ssort[:nu]), nx, "guessing")
     base = 2 ** (rho * (h - nu * sbar + 1))
     rows = []
-    for t in range(grid):
+    for t in range(5):
         b = b_floor * 2 ** (rho * t)
         e = eve_converse(h, rho, 2 ** sum(ssort[: nu - eta]), b)
-        ok = False
-        for r in admissible_r:
-            z, _, leak, _ = disk_sizes(delta, nu, eta, sbar, r)
-            bob_rhs = bob_direct(h, rho, z, nx, "guessing")
-            eve_floor = eve_direct(h, rho, leak, nx)
-            if bob_rhs <= 1 + factor * max(b - 1, base) and factor * eve_floor >= e:
-                ok = True
-                break
+        try:
+            _, r = choose_pr(1 + factor * max(b - 1, base), sbar, nu, eta, delta, h, rho, "guessing", nx)
+            ok = factor * eve_direct(h, rho, disk_sizes(delta, nu, eta, sbar, r)[2], nx) >= e
+        except DomainError:
+            ok = False
         instance = f"sizes={sizes},rho={fmt(rho)},b-step={t}"
         rows.append(ReportRow("disks-envelope", instance, "equal-size-covers-corner", ">=", 1.0 if ok else 0.0, 1.0))
     return rows

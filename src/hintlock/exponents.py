@@ -321,9 +321,11 @@ def rd_exponent_functional(
 ) -> ExponentResult:
     """sup over source laws Q of [R(Q, Delta) - D(Q||P)/rho], with witness.
 
-    Multi-start seeded search: the base law, the tilted closed-form optimum of
-    the zero-distortion case and quasi-random Dirichlet draws are scored in
-    one batched rate-distortion call with the _FAST sweep (each of its
+    Multi-start seeded search: the base law, the uniform law, P^(1/(1+rho))
+    normalized (the zero-distortion optimum only when Y has one symbol; in
+    general that optimum is Q ~ S_y^rho * P^(1/(1+rho)), with S_y =
+    sum_x P(x, y)^(1/(1+rho))) and quasi-random Dirichlet draws are scored
+    in one batched rate-distortion call with the _FAST sweep (each of its
     bisection solves settles _DEPTH levels of every start's own bisection, as
     `_rates` says, and each start gets the score it gets alone), then the
     leaders are polished one move at a time from their scores.  One _FINE

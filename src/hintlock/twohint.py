@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .adversary import CellView, Law, SchemeCells, moment_for_constant, rank_groups, support_moment
-from .bounds import bob_converse, bob_direct, list_room, two_hint_exponents  # the last one is re-exported
+from .bounds import bob_converse, bob_direct, two_hint_exponents  # the last one is re-exported
 from .prob import DomainError, JointPmf, RenyiOrder, record, renyi_cond_entropy
 from .report import ReportRow
 from .tasks import descriptor_map
@@ -192,62 +191,6 @@ def verify_finite_blocklength(
 
 
 verify_secret_hint = verify_secret_key = verify_eve_list = verify_finite_blocklength  # one verifier, every scheme
-
-
-# ---------------------------------------------------------------------------
-# Picking (cs, c1, c2) from a Bob-ambiguity budget.
-# ---------------------------------------------------------------------------
-
-
-class InfeasibleBoundError(ValueError):
-    """The requested Bob bound is below the converse floor."""
-
-
-def choose_triple(
-    u_bound: float,
-    m1_size: int,
-    m2_size: int,
-    renyi_value: float,
-    rho: float,
-    version: str = "guessing",
-    nx: int | None = None,
-) -> tuple[int, int, int]:
-    """Pick (cs, c1, c2) guaranteeing Bob's ambiguity < u_bound.
-
-    Implements the three-case rule; the returned triple is admissible and its
-    direct bound `bounds.bob_direct` is at most u_bound.  Raises
-    InfeasibleBoundError when u_bound is under the converse floor,
-    DomainError when it is above the floor but below the achievability
-    threshold this rule needs.
-    """
-    h = renyi_value
-    if version == "list" and nx is None:
-        raise DomainError("list version needs nx (for the log|X| terms)")
-    swapped = m2_size > m1_size
-    big, small = (m2_size, m1_size) if swapped else (m1_size, m2_size)
-
-    def fits(z: int) -> bool:
-        return bob_direct(h, rho, z, nx, version) <= u_bound
-
-    if version == "list" and not list_room(big * small, nx):
-        raise DomainError("list version needs |M1||M2| > log2|X| + 2")
-    if nx is not None:
-        floor = bob_converse(h, rho, big * small, nx, version)
-        if u_bound < floor:
-            raise InfeasibleBoundError(f"u_bound {u_bound} below converse floor {floor}")
-    if not fits(big * small):
-        raise DomainError(f"u_bound {u_bound} below the achievability threshold")
-    if fits(small):
-        triple = (small, 1, 1)
-    elif fits(small * (big // small)):
-        # the smallest multiplier that fits: the direct bound falls as it grows
-        cb = 1 + bisect_left(range(1, big // small + 1), True, key=lambda c: fits(small * c))
-        triple = (small, cb, 1)
-    else:  # k = 1 fits: it is the big * small descriptor
-        k = max(k for k in range(1, small + 1) if fits(k * (big // k) * (small // k)))
-        triple = (k, big // k, small // k)
-    cs, cb, csm = triple
-    return (cs, csm, cb) if swapped else (cs, cb, csm)
 
 
 # ---------------------------------------------------------------------------

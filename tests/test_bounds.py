@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hintlock import bounds
 from hintlock.disks import build_delta_scheme, choose_pr
 from hintlock.prob import DomainError, JointPmf, Pmf
-from hintlock.twohint import InfeasibleBoundError, build_two_hint, choose_triple
 
 L4 = 1 + math.log(4)  # Arikan's (1 + ln|X|) at |X| = 4
 
@@ -77,25 +76,6 @@ VERSION = st.sampled_from(["guessing", "list"])
 NX = st.sampled_from([2, 4, 16])
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    m1=st.integers(1, 16),
-    m2=st.integers(1, 16),
-    h=st.floats(0.0, 6.0),
-    rho=RHO,
-    u_bound=st.floats(1.0, 1e3),
-    version=VERSION,
-    nx=NX,
-)
-def test_choose_triple_builds_and_fits(m1, m2, h, rho, u_bound, version, nx):
-    try:
-        cs, c1, c2 = choose_triple(u_bound, m1, m2, h, rho, version, nx)
-    except (DomainError, InfeasibleBoundError):
-        return
-    build_two_hint(uniform(nx), cs, c1, c2, version, m1, m2)
-    assert bounds.bob_direct(h, rho, cs * c1 * c2, nx, version) <= u_bound
-
-
 @st.composite
 def disk_shapes(draw):
     delta = draw(st.integers(1, 4))
@@ -109,7 +89,7 @@ def test_choose_pr_builds_and_fits(shape, h, rho, u_bound, version, nx):
     s, nu, eta, delta = shape
     try:
         p, r = choose_pr(u_bound, s, nu, eta, delta, h, rho, version, nx)
-    except (DomainError, InfeasibleBoundError):
+    except DomainError:
         return
     build_delta_scheme(uniform(nx), delta, nu, eta, s, p, r, version)
     assert bounds.bob_direct(h, rho, 2 ** (nu * s - eta * r), nx, version) <= u_bound

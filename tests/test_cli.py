@@ -9,6 +9,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import hintlock
 from hintlock import exponents
 from hintlock.cli import DISK, DISK_RATES, DISTORTION, KEYS, RATES, SCHEMES, main
-from hintlock.disks import build_delta_scheme
+from hintlock.disks import build_delta_scheme, choose_pr
 from hintlock.prob import JointPmf, Pmf, replace
 from hintlock.report import ReportRow, fmt, rows_to_csv
 from hintlock.twohint import build_eve_list_scheme, build_secret_hint, build_secret_key, build_two_hint
@@ -253,8 +254,10 @@ def test_disks_unequal_sizes_rows(capsys):
         "scheme": {"delta": 3, "nu": 2, "eta": 1, "s": 4, "p": 2, "r": 2},
         "unequal_sizes": [4, 5, 6],
     }
-    code, out, _ = run(capsys, "disks", json.dumps(cfg), "--rational")
+    with mock.patch.object(hintlock.disks, "choose_pr", wraps=choose_pr) as chooser:
+        code, out, _ = run(capsys, "disks", json.dumps(cfg), "--rational")
     assert code == 0
+    assert chooser.call_count == 10  # one split per (rho, Bob step)
     for check in ("bob-converse-unequal-g", "eve-converse-unequal"):
         assert sum(check in line for line in out.splitlines()) == 2
     assert sum("equal-size-covers-corner" in line for line in out.splitlines()) == 10

@@ -4,10 +4,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hintlock.bounds import bob_converse, bob_direct, eve_converse, eve_direct
 from hintlock.disks import (
     build_delta_scheme,
     disk_sizes,
@@ -259,6 +260,51 @@ def test_envelope_without_an_admissible_split_covers_nothing():
     # s-bar = 1 bit per disk: for delta = 4 each part must be 0 or at least 2 bits
     rows = equal_size_envelope_rows((1, 1, 1, 1), 2, 1, 1.0, 1.5, 4)
     assert [r.lhs for r in rows] == [0.0] * 5
+
+
+@st.composite
+def envelope_configs(draw):
+    """Disks up to 64 bits: with every disk at most 12 bits no admissible split was seen to fail."""
+    delta = draw(st.integers(1, 8))
+    nu = draw(st.integers(1, delta))
+    sizes = tuple(draw(st.lists(st.integers(0, 64), min_size=delta, max_size=delta)))
+    nx = draw(st.integers(1, 2**20))
+    eta, rho, h = draw(st.integers(0, nu - 1)), draw(st.floats(1e-3, 20.0)), draw(st.floats(0.0, math.log2(nx)))
+    return sizes, nu, eta, rho, h, nx
+
+
+@settings(max_examples=300, deadline=None)
+@given(envelope_configs())
+@example(((0, 28), 2, 1, 1.0, 0.0, 1))  # step 0: the widest split that fits Bob, r = 7, fails Eve
+def test_envelope_rows_follow_their_definition(config):
+    # a row covers its corner exactly when some admissible split meets both Bob's bound and Eve's floor
+    sizes, nu, eta, rho, h, nx = config
+    try:
+        rows = equal_size_envelope_rows(sizes, nu, eta, rho, h, nx)
+    except OverflowError:
+        return
+    delta, ssort = len(sizes), sorted(sizes)
+    sbar = sum(sizes) // delta
+    factor = (
+        (2 * delta) ** (rho * eta)
+        * (delta**eta * (1 + math.log(nx))) ** rho
+        * 2 ** (rho * (nu + 2))
+        * (1 + math.log(nx)) ** rho
+    )
+    b_floor = bob_converse(h, rho, 2 ** sum(ssort[:nu]), nx, "guessing")
+    base = 2 ** (rho * (h - nu * sbar + 1))
+    splits = [r for r in range(sbar + 1) if all(v == 0 or 2**v >= delta for v in (sbar - r, r))]
+    assert len(rows) == 5
+    for t, row in enumerate(rows):
+        b = b_floor * 2 ** (rho * t)
+        e = eve_converse(h, rho, 2 ** sum(ssort[: nu - eta]), b)
+
+        def meets_both(r: int) -> bool:
+            z, _, leak, _ = disk_sizes(delta, nu, eta, sbar, r)
+            bob_fits = bob_direct(h, rho, z, nx, "guessing") <= 1 + factor * max(b - 1, base)
+            return bob_fits and factor * eve_direct(h, rho, leak, nx) >= e
+
+        assert row.lhs == (1.0 if any(map(meets_both, splits)) else 0.0), (t, row)
 
 
 def test_choose_pr_examples():

@@ -11,12 +11,10 @@ from hintlock.guessing import optimal_guesser, random_joint
 from hintlock.prob import DomainError, JointPmf, Pmf, RenyiOrder, renyi_cond_entropy, replace
 from hintlock.report import all_passed
 from hintlock.twohint import (
-    InfeasibleBoundError,
     build_eve_list_scheme,
     build_secret_hint,
     build_secret_key,
     build_two_hint,
-    choose_triple,
     eve_ambiguity_weak,
     two_hint_exponents,
     verify_eve_list,
@@ -199,37 +197,6 @@ def test_universal_converses_on_random_schemes():
                 assert val <= min(m1, m2) ** rho * a_bg + 1e-9
                 assert val <= 2 ** (rho * h) + 1e-9
             assert a_e <= a_ew + 1e-12
-
-
-def test_choose_triple_cases_and_oracle():
-    h = renyi_cond_entropy(U4, RenyiOrder.from_rho(1.0))
-    assert choose_triple(100.0, 4, 4, h, 1.0, "guessing", nx=4) == (4, 1, 1)
-    assert choose_triple(1.6, 4, 4, h, 1.0, "guessing", nx=4) == (1, 4, 4)
-    with pytest.raises(InfeasibleBoundError):
-        choose_triple(0.9, 4, 4, h, 1.0, "guessing", nx=4)
-    # rebuilt scheme honors the budget; search oracle confirms the case rule
-    for u_bound in (1.55, 1.8, 2.5, 3.5, 10.0):
-        triple = choose_triple(u_bound, 4, 4, h, 1.0, "guessing", nx=4)
-        s = build_two_hint(U4, *triple, "guessing", 4, 4)
-        assert s.bob(1.0) < u_bound
-        # oracle: the rule's cs is the largest whose direct RHS fits the budget
-        # whenever the tight third case applies
-        feasible = [
-            (cs, c1, c2)
-            for (cs, c1, c2) in admissible_triples(4, 4)
-            if 1 + 2 ** (1.0 * (h - math.log2(cs * c1 * c2) + 1)) <= u_bound
-        ]
-        assert feasible, u_bound
-        assert triple in feasible
-
-
-def test_choose_triple_list_version():
-    h = renyi_cond_entropy(U4, RenyiOrder.from_rho(1.0))
-    triple = choose_triple(100.0, 4, 4, h, 1.0, "list", nx=4)
-    s = build_two_hint(U4, *triple, "list", 4, 4)
-    assert s.bob(1.0, "list") < 100.0
-    with pytest.raises(InfeasibleBoundError):
-        choose_triple(0.5, 4, 4, h, 1.0, "list", nx=4)
 
 
 def test_secret_hint_examples_and_verify():
