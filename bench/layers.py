@@ -39,8 +39,8 @@ rational table.  Each kernel runs on the source's two-hint (4, 4, 4) scheme
 ((2, 2, 2) on the small table) or directly on the source, repeated until the
 run takes about 5 ms, and reports reference seconds per call:
 
-- `sorted_moment` over every context's masses, `ceil_moment` at |Z| = 4 and
-  `list_moment` of the offset/refinement encoder (omega = 2);
+- `optimal_guess_moment` over every context's masses, `ceil_moment` at
+  |Z| = 4 and `list_moment` of the offset/refinement encoder (omega = 2);
 - `moment_for_constant` on Eve's view, on its first use (the rank table is
   built) and prepared (the table is kept on the view);
 - `support_moment` on Bob's view, and Bob's guessing moment `scheme.bob(rho)`,
@@ -190,7 +190,6 @@ def _kernels(hl, joint, triple) -> dict:
     from hintlock import adversary, guessing, tasks
 
     scheme = hl.build_two_hint(joint, *triple)
-    columns = [[float(p) for p in joint.y_column(j)] for j in range(len(joint.y_alphabet))]
     omega, nx = 2, len(joint.x_alphabet)
     enc = tasks.encoder_from_guessing(guessing.optimal_guesser(joint), omega, omega * tasks.s_alphabet_size(nx, omega))
     lists = tasks.decoding_lists(enc, joint)
@@ -200,7 +199,7 @@ def _kernels(hl, joint, triple) -> dict:
         return adversary.moment_for_constant(scheme.eve_cells, 0, RHO)
 
     return {
-        "sorted_moment": lambda: [guessing.sorted_moment(col, RHO) for col in columns],
+        "optimal_guess_moment": lambda: guessing.optimal_guess_moment(joint, RHO),
         "ceil_moment": lambda: guessing.ceil_moment(joint, 4, RHO),
         "list_moment": lambda: tasks.list_moment(lists, joint, RHO, enc),
         "moment_for_constant first use": first_use,

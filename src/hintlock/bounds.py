@@ -101,9 +101,6 @@ class ExponentOutcome:
     witness: tuple | None  # (rate_pad, rate_1, rate_2) splitting, when achievable
     boundary: bool = False  # True when the rate sum sits exactly on the threshold
 
-    def __float__(self):
-        return self.value
-
 
 def privacy_exponent(
     bob_rate: float, eve_rate: float, rho: float, h: float, e_bob: float | None = None

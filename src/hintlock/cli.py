@@ -401,6 +401,8 @@ def _read_config(arg: str) -> dict:
     """The JSON config in file `arg`, or `arg` itself as a literal document."""
     try:
         text, where = Path(arg).read_text(), f" in {arg}"
+    except UnicodeDecodeError as e:  # a file, but not UTF-8 text
+        raise ConfigError(f"config error in {arg}: {e}") from None
     except OSError:  # no such file, or too long to be a file name: a literal
         text, where = arg, ""
     try:

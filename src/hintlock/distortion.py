@@ -32,7 +32,6 @@ of `tasks` (the rank remainder, `offset_refinement` and
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import chain
 
@@ -109,9 +108,6 @@ class SuccessFunction:
     def moment(self, joint: JointPmf, rho: float) -> float:
         ranks = [self.ranks[(x, c)] for x in joint.x_alphabet for c in joint.y_alphabet]  # x-major
         return power_moment(chain.from_iterable(zip(*joint.columns)), ranks, rho)
-
-    def to_json(self) -> str:
-        return json.dumps({repr(k): v for k, v in sorted(self.ranks.items(), key=repr)})
 
 
 def success_function(

@@ -13,8 +13,6 @@ and every k x k column submatrix is nonsingular.
 
 from __future__ import annotations
 
-import csv
-import io
 from itertools import combinations, islice
 
 import numpy as np
@@ -52,9 +50,6 @@ class FieldTable:
     @property
     def q(self) -> int:
         return 1 << self.ell
-
-    def add(self, a, b):
-        return a ^ b
 
     def mul(self, a, b):
         """a * b on ints or broadcast int arrays; a numpy integer or array."""
@@ -104,13 +99,6 @@ class GenMatrix:
         """message (length k, or one message per row) times the matrix, over the field."""
         message = np.asarray(message, dtype=np.int64)
         return np.bitwise_xor.reduce(self.field.mul(message[..., None], self.entries), axis=-2)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        for row in self.entries:
-            w.writerow([int(v) for v in row])
-        return buf.getvalue()
 
 
 def rs_generator(k: int, n: int, field: FieldTable) -> GenMatrix:

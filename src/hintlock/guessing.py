@@ -16,9 +16,8 @@ numpy kernels, whose terms and sums are this module's floats.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from typing import TYPE_CHECKING
 
 from .bounds import bob_converse
@@ -52,9 +51,6 @@ class GuessingFunction:
         """Symbols in guessing order for one context."""
         row = self.ranks[self.context_alphabet.index(ctx)]
         return tuple(s for _, s in sorted(zip(row, self.x_alphabet)))
-
-    def to_json(self) -> str:
-        return json.dumps({repr(c): list(self.order(c)) for c in self.context_alphabet})
 
 
 def optimal_guesser(joint: JointPmf) -> GuessingFunction:
@@ -93,21 +89,9 @@ def power_moment(masses, ks, rho: float) -> float:
     return total
 
 
-def sorted_moment(masses, rho: float) -> float:
-    """Sum of p * rank^rho over masses guessed in descending order.
-
-    The scalar form of `power_moment` for one context's optimal order.
-    Terms are added in sequence.
-    """
-    total = 0.0
-    for r, p in enumerate(sorted(masses, reverse=True), start=1):
-        total += p * r**rho
-    return total
-
-
 def optimal_guess_moment(joint: JointPmf, rho: float) -> float:
-    """min over guessing functions of E[G(X|ctx)^rho]: sort each context."""
-    return in_order([sorted_moment(col, rho) for col in joint.columns])
+    """min over guessing functions of E[G(X|ctx)^rho]: each context's masses, sorted descending, at ranks 1, 2, ..."""
+    return in_order([power_moment(sorted(col, reverse=True), count(1), rho) for col in joint.columns])
 
 
 def arikan_bounds(joint: JointPmf, rho: float) -> tuple[float, float]:

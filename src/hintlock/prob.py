@@ -188,19 +188,6 @@ class Pmf:
         p = Fraction(1, n) if exact else 1.0 / n
         return cls(tuple(range(n)), (p,) * n)
 
-    def to_json(self) -> str:
-        if self.exact:
-            p = [str(x) for x in self.probs]
-        else:
-            p = list(self.probs)
-        return json.dumps({"x": list(self.symbols), "p": p})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Pmf":
-        doc = json.loads(text)
-        probs = [Fraction(v) if isinstance(v, str) else float(v) for v in doc["p"]]
-        return cls(tuple(doc["x"]), tuple(probs))
-
 
 @record
 class JointPmf:
@@ -299,14 +286,6 @@ class JointPmf:
             p = [list(row) for row in self.table]
         return json.dumps({"x": list(self.x_alphabet), "y": list(self.y_alphabet), "p": p})
 
-    @classmethod
-    def from_json(cls, text: str) -> "JointPmf":
-        doc = json.loads(text)
-        table = tuple(
-            tuple(Fraction(v) if isinstance(v, str) else float(v) for v in row) for row in doc["p"]
-        )
-        return cls(tuple(doc["x"]), tuple(doc["y"]), table)
-
 
 @record
 class RenyiOrder:
@@ -323,12 +302,6 @@ class RenyiOrder:
         if not rho > 0:
             raise DomainError(f"rho must be > 0, got {rho}")
         return cls(1.0 / (1.0 + rho))
-
-    @property
-    def rho(self) -> float:
-        if not (0 < self.alpha < 1):
-            raise DomainError("rho is defined only for alpha in (0,1)")
-        return 1.0 / self.alpha - 1.0
 
 
 def _coerce_order(alpha) -> float:
@@ -406,18 +379,11 @@ def shannon_cond_entropy(joint: JointPmf) -> float:
     return h
 
 
-def kl_divergence(q: JointPmf | Pmf, p: JointPmf | Pmf) -> float:
+def kl_divergence(q: JointPmf, p: JointPmf) -> float:
     """D(q || p) in bits; +inf if q is not absolutely continuous w.r.t. p."""
-    if isinstance(q, Pmf) != isinstance(p, Pmf):
-        raise AlphabetMismatchError("cannot mix Pmf and JointPmf")
-    if isinstance(q, Pmf):
-        if q.symbols != p.symbols:
-            raise AlphabetMismatchError("different alphabets")
-        pairs = zip(map(float, q.probs), map(float, p.probs))
-    else:
-        if q.x_alphabet != p.x_alphabet or q.y_alphabet != p.y_alphabet:
-            raise AlphabetMismatchError("different alphabets")
-        pairs = zip(chain.from_iterable(zip(*q.columns)), chain.from_iterable(zip(*p.columns)))  # x-major
+    if q.x_alphabet != p.x_alphabet or q.y_alphabet != p.y_alphabet:
+        raise AlphabetMismatchError("different alphabets")
+    pairs = zip(chain.from_iterable(zip(*q.columns)), chain.from_iterable(zip(*p.columns)))  # x-major
     div = 0.0
     for qf, pf in pairs:
         if qf == 0.0:

@@ -15,9 +15,6 @@ within Delta.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 
 from .bounds import bunte_bounds, fact1_census, list_room  # the first two are re-exported
@@ -31,7 +28,7 @@ class DetTaskEncoder:
 
     x_alphabet: tuple
     context_alphabet: tuple
-    z_alphabet: tuple | range  # a range is never written out: a descriptor alphabet may have 2^48 values
+    z_alphabet: tuple | range  # a range stays lazy: a descriptor alphabet may have 2^48 values
     mapping: dict  # (x, ctx) -> z, total
 
     def __post_init__(self):
@@ -45,11 +42,6 @@ class DetTaskEncoder:
 
     def prob(self, z, x, ctx) -> int:
         return 1 if self.mapping[(x, ctx)] == z else 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {repr(c): {repr(x): self.mapping[(x, c)] for x in self.x_alphabet} for c in self.context_alphabet}
-        )
 
 
 @record
@@ -76,14 +68,6 @@ class DecodingListTable:
 
     def list_for(self, ctx, z) -> tuple:
         return self.lists.get((ctx, z), ())
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["ctx", "z", "members"])
-        for (ctx, z) in sorted(self.lists, key=repr):
-            w.writerow([repr(ctx), repr(z), *map(repr, self.lists[(ctx, z)])])
-        return buf.getvalue()
 
 
 def decoding_lists(enc, joint: JointPmf) -> DecodingListTable:

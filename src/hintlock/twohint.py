@@ -18,7 +18,6 @@ list-forming Eve (its quotient: each smoothed (x, y, v1', v2') at U = 0).
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -43,12 +42,11 @@ HINT_LIMIT = 1 << 62  # the most values of a hint: its int64 codes and their mix
 
 def _pad_hints(cs: int, c1: int, c2: int, split) -> np.ndarray:
     """The pad quotient's hints of the descriptors (v_s, v_1, v_2) = split(), run once both hints fit
-    in int64: at pad U = 0, M1 = ((v_s + U) mod cs) * c1 + v_1 = v_s * c1 + v_1 and M2 = U * c2 + v_2 = v_2."""
+    in int64: at pad U = 0, M1 = ((v_s + U) mod cs) * c1 + v_1 = v_s * c1 + v_1 and M2 = U * c2 + v_2 = v_2.
+    Each builder's split lies in (cs, c1, c2) by construction, so the hints decode back to it."""
     if max(cs * c1, cs * c2) > HINT_LIMIT:
         raise DomainError(f"a hint of cs*c1 = {cs * c1} or cs*c2 = {cs * c2} values exceeds 2^62")
     vs, v1, v2 = split()
-    if not ((0 <= vs) & (vs < cs) & (0 <= v1) & (v1 < c1) & (0 <= v2) & (v2 < c2)).all():
-        raise DomainError(f"a descriptor lies outside cs={cs}, c1={c1}, c2={c2}")
     return np.stack([vs * c1 + v1, v2], axis=1)
 
 
@@ -108,56 +106,6 @@ class TwoHintScheme(SchemeCells):
             pad2[xy] = dict.fromkeys(range(cs), w)
         return pad1, pad2
 
-    def to_json(self) -> str:
-        law, c1 = self.law, self.c1  # the descriptor (v_s, v_1, v_2) of each support (x, y), read off its hints
-        cells = zip(law.x.tolist(), law.y.tolist(), *law.hints.T.tolist())
-        descriptor = sorted((((law.xs[x], law.ys[y]), (m1 // c1, m1 % c1, m2)) for x, y, m1, m2 in cells), key=repr)
-        if len({xy for xy, _ in descriptor}) < len(descriptor):  # only a law built outside `build_two_hint` can
-            raise DomainError("a law with several realizations of one (x, y) has no descriptor to write")
-        return json.dumps(
-            {
-                "kind": "two-hint",
-                "version": self.version,
-                "cs": self.cs,
-                "c1": self.c1,
-                "c2": self.c2,
-                "m1_size": self.m1_size,
-                "m2_size": self.m2_size,
-                "descriptor": [[list(k), list(v)] for k, v in descriptor],
-                "source": json.loads(self.joint.to_json()),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TwoHintScheme":
-        doc = json.loads(text)
-        if doc.get("kind") != "two-hint":
-            raise DomainError(f"not a two-hint scheme document: kind={doc.get('kind')!r}")
-        joint = JointPmf.from_json(json.dumps(doc["source"]))
-        for key in ("cs", "c1", "c2", "m1_size", "m2_size"):
-            if type(doc[key]) is not int:  # a JSON float (2.0 too) or a boolean
-                raise DomainError(f"{key} must be a JSON integer, not {json.dumps(doc[key])}")
-        cs, c1, c2 = doc["cs"], doc["c1"], doc["c2"]
-        descriptor = {tuple(k): tuple(v) for k, v in doc["descriptor"]}
-        cells = [descriptor[(x, y)] for x, y, _ in joint.support_items()]
-        law = Law.on(joint, _pad_hints(cs, c1, c2, lambda: np.array(cells, dtype=np.int64).reshape(-1, 3).T))
-        _check_admissible(cs, c1, c2, doc["m1_size"], doc["m2_size"], doc["version"])  # after the 2^62 check
-        return cls(joint, cs, c1, c2, doc["m1_size"], doc["m2_size"], doc["version"], law)
-
-
-def _check_admissible(cs: int, c1: int, c2: int, m1_size: int, m2_size: int, version: str) -> None:
-    """Raise DomainError unless (cs, c1, c2) fits |M1| and |M2| and the version is known."""
-    if min(cs, c1, c2) < 1:
-        raise DomainError("cs, c1, c2 must be positive integers")
-    if cs > min(m1_size, m2_size):
-        raise DomainError(f"cs={cs} exceeds min(|M1|,|M2|)={min(m1_size, m2_size)}")
-    if c1 > m1_size // cs:
-        raise DomainError(f"c1={c1} exceeds floor(|M1|/cs)={m1_size // cs}")
-    if c2 > m2_size // cs:
-        raise DomainError(f"c2={c2} exceeds floor(|M2|/cs)={m2_size // cs}")
-    if version not in ("guessing", "list"):
-        raise DomainError(f"unknown version {version!r}")
-
 
 def build_two_hint(
     joint: JointPmf,
@@ -171,7 +119,16 @@ def build_two_hint(
     """Build the padded two-hint scheme for an admissible (cs, c1, c2): its pad quotient, one row per support cell."""
     m1_size = m1_size if m1_size is not None else cs * c1
     m2_size = m2_size if m2_size is not None else cs * c2
-    _check_admissible(cs, c1, c2, m1_size, m2_size, version)
+    if min(cs, c1, c2) < 1:
+        raise DomainError("cs, c1, c2 must be positive integers")
+    if cs > min(m1_size, m2_size):
+        raise DomainError(f"cs={cs} exceeds min(|M1|,|M2|)={min(m1_size, m2_size)}")
+    if c1 > m1_size // cs:
+        raise DomainError(f"c1={c1} exceeds floor(|M1|/cs)={m1_size // cs}")
+    if c2 > m2_size // cs:
+        raise DomainError(f"c2={c2} exceeds floor(|M2|/cs)={m2_size // cs}")
+    if version not in ("guessing", "list"):
+        raise DomainError(f"unknown version {version!r}")
     z = descriptor_map(joint, cs * c1 * c2, version)
     law = Law.on(joint, _pad_hints(cs, c1, c2, lambda: (z % cs, z // cs % c1, z // (cs * c1))))
     return TwoHintScheme(joint, cs, c1, c2, m1_size, m2_size, version, law)

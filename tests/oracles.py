@@ -16,7 +16,7 @@ Python version's `sum` adds floats.
 import dataclasses
 import math
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from hintlock.distortion import DistortionSpec
 from hintlock.exponents import RdQuery, variational_optimum
 from hintlock.adversary import rank_groups
 from hintlock.gf import PRIMITIVE_POLYS, field_make, rs_generator
-from hintlock.guessing import GuessingFunction, rank_row, sorted_moment
+from hintlock.guessing import GuessingFunction, power_moment, rank_row
 from hintlock.prob import BudgetExceededError, DomainError, JointPmf, RenyiOrder, common_denominator, renyi_cond_entropy
 from hintlock.tasks import StochTaskEncoder, encoder_from_guessing, s_alphabet_size
 from hintlock.twohint import EveListScheme, SecretKeyScheme, TwoHintScheme
@@ -53,7 +53,7 @@ def grouped_moment(triples, rho: float) -> float:
     for ctx, key, p in triples:
         by_key = groups.setdefault(ctx, {})
         by_key[key] = by_key.get(key, 0.0) + p
-    return in_sequence(sorted_moment(by_key.values(), rho) for by_key in groups.values())
+    return in_sequence(power_moment(sorted(by_key.values(), reverse=True), count(1), rho) for by_key in groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +653,7 @@ def _enumerate_component(view, comp: np.ndarray, rho, options) -> float:
             for t, (x, p) in enumerate(members):
                 if mask >> t & 1:
                     by_x[x] = by_x.get(x, 0.0) + p
-            table[mask] = sorted_moment(by_x.values(), rho)
+            table[mask] = power_moment(sorted(by_x.values(), reverse=True), count(1), rho)
         tables.append(table)
     strides = np.cumprod([1] + options[:0:-1])[::-1]  # the product of the later cells' options
     total_assignments = int(strides[0]) * options[0]
@@ -834,7 +834,7 @@ def stochastic_side_info_moment(joint: JointPmf, z_rows: np.ndarray, rho: float)
         col = np.array([float(p) for p in joint.y_column(j)])
         mass = col[:, None] * z_rows[:, j, :]  # shape (nx, nz): P(x, Z=z | ctx total mass)
         for masses in mass.T.tolist():  # each (ctx, z) is a context of its own
-            total += sorted_moment(masses, rho)
+            total += power_moment(sorted(masses, reverse=True), count(1), rho)
     return total
 
 

@@ -377,6 +377,14 @@ def test_malformed_source_file_names_line_and_column(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_config_file_that_is_not_utf8_text_exits_2_naming_it(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(bytes.fromhex("fffe7b7d"))
+    assert_one_line_config_error("entropy", str(bad))
+    code, out, err = run(capsys, "entropy", str(bad))
+    assert code == 2 and out == "" and err.startswith(f"config error in {bad}: ")
+
+
 DISKS_3_2_1 = {"source": {"uniform": 4}, "scheme": {"delta": 3, "nu": 2, "eta": 1, "s": 2, "p": 2, "r": 0}}
 # command, config, and the key set to null: a dotted key is in a section
 NULL_MEANS_ABSENT = {

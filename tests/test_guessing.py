@@ -1,7 +1,6 @@
-import json
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from hintlock.guessing import (
     random_joint,
     side_info_encoder,
     side_info_lower_bound,
-    sorted_moment,
 )
 from hintlock.prob import JointPmf, Pmf
 from oracles import encoder_guess_moment, per_context_ranks, stochastic_side_info_moment
@@ -28,15 +26,27 @@ from oracles import encoder_guess_moment, per_context_ranks, stochastic_side_inf
 
 def test_sorted_moment_adds_left_to_right():
     # a compensated sum (the built-in from Python 3.12) would give 1.0
-    assert sorted_moment([0.1] * 10, 0.0) == 0.9999999999999999
+    assert power_moment([0.1] * 10, count(1), 0.0) == 0.9999999999999999
+    assert optimal_guess_moment(JointPmf.from_marginal(Pmf.of([0.1] * 10)), 0.0) == 0.9999999999999999
 
 
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12), st.sampled_from([0.5, 1.0, 2.0]))
-def test_sorted_moment_is_the_sequential_sum(masses, rho):
-    total = 0.0
-    for rank, p in enumerate(sorted(masses, reverse=True), start=1):
-        total += p * rank**rho
-    assert sorted_moment(masses, rho) == total
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_sorted_moment_is_the_sequential_sum(masses, rho, seed):
+    def sequential(col):
+        total = 0.0
+        for rank, p in enumerate(sorted(col, reverse=True), start=1):
+            total += p * rank**rho
+        return total
+
+    assert power_moment(sorted(masses, reverse=True), count(1), rho) == sequential(masses)
+    joint, total = random_joint(np.random.default_rng(seed), 6, 3, zeros=0.3), 0.0
+    for col in joint.columns:  # contexts in order, each over its masses in descending order
+        total += sequential(col)
+    assert optimal_guess_moment(joint, rho) == total
 
 
 @given(
@@ -61,6 +71,7 @@ def test_optimal_guesser_tie_break_and_order():
     assert optimal_guesser(j2).ranks[0] == (1, 2, 3)
     j3 = JointPmf.from_marginal(Pmf.of([0.2, 0.5, 0.3]))
     assert optimal_guesser(j3).ranks[0] == (3, 1, 2)
+    assert optimal_guesser(j3).order(0) == (1, 2, 0)
 
 
 @given(st.integers(1, 6), st.integers(1, 5), st.booleans(), st.data())
@@ -181,14 +192,6 @@ def test_equiv_exponential_bound():
             for z in (2, 3, 5):
                 achieved = encoder_guess_moment(j, side_info_encoder(j, z), rho)
                 assert achieved < 1 + 2 ** (rho * (h - math.log2(z) + 1))
-
-
-def test_serialization():
-    j = JointPmf.from_marginal(Pmf.of([0.2, 0.5, 0.3]))
-    g = optimal_guesser(j)
-    doc = json.loads(g.to_json())
-    assert doc["0"] == [1, 2, 0]
-    assert g.order(0) == (1, 2, 0)
 
 
 def test_rank_table_validation():

@@ -4,7 +4,6 @@ dict builders and the per-call oracles on plain `Cell` lists, coded by `oracles`
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +11,8 @@ import oracles
 from hintlock.adversary import Cell, CellView, Law
 from hintlock.disks import build_delta_scheme
 from hintlock.guessing import random_joint
-from hintlock.prob import DomainError, JointPmf, Pmf
+from hintlock.prob import JointPmf, Pmf
 from hintlock.twohint import (
-    TwoHintScheme,
     build_eve_list_scheme,
     build_secret_hint,
     build_secret_key,
@@ -54,8 +52,6 @@ def built_with_references(joint):
         views.append((s.eve_cells, oracles.two_hint_quotient(joint, 2, 2, 2, version), oracles.two_hint_eve_views))
         views.append((oracles.coded(full).view(s.eve_positions), full, oracles.two_hint_eve_views))
         out.append((s, law, views))
-    back, quotient = TwoHintScheme.from_json(s.to_json()), oracles.two_hint_quotient(joint, 2, 2, 2, "list")
-    out.append((back, law, [(back.eve_cells, quotient, oracles.two_hint_eve_views)]))
     sh, law = build_secret_hint(joint, 2, 4), oracles.secret_hint_law(joint, 2, 4, "guessing")
     out.append((sh, law, [(sh.bob_cells, law, oracles.bob_views), (sh.eve_cells, law, lambda k: ((k[1], k[2]),))]))
     sk, law = build_secret_key(joint, 2, 4), oracles.secret_key_law(joint, 2, 4, "guessing", quotient=True)
@@ -144,21 +140,3 @@ def test_dict_law_is_coded_without_its_zero_mass_keys():
     assert len(s.eve_cells) == 2  # the zero-mass key is off the support
     assert [c.prob for c in s.eve_cells] == [0.5, 0.5]
     assert all(isinstance(c, Cell) and len(c.views) == 2 for c in s.eve_cells)
-
-
-def test_from_json_rejects_a_descriptor_outside_the_cardinalities():
-    s = build_two_hint(JointPmf.from_marginal(Pmf.uniform(4, exact=True)), 2, 2, 1)
-    doc = s.to_json().replace('[[0, 0], [0, 0, 0]]', '[[0, 0], [0, 5, 0]]')
-    assert doc != s.to_json()
-    with pytest.raises(DomainError):
-        TwoHintScheme.from_json(doc)
-
-
-def test_to_json_refuses_a_law_with_several_realizations_of_one_cell():
-    # a stochastic law has no descriptor per (x, y): writing one would drop realizations
-    bit = JointPmf.from_marginal(Pmf.of([Fraction(1, 2)] * 2, exact=True))
-    law = {(0, 0, 0, 0): Fraction(1, 4), (0, 0, 1, 1): Fraction(1, 4), (1, 0, 1, 0): Fraction(1, 2)}
-    with pytest.raises(DomainError, match="several realizations"):
-        oracles.scheme_from_law(bit, law, 2, 2).to_json()
-    one_each = oracles.scheme_from_law(bit, {(0, 0, 0, 1): Fraction(1, 2), (1, 0, 1, 0): Fraction(1, 2)}, 2, 2)
-    assert oracles.law_dict(TwoHintScheme.from_json(one_each.to_json()).law) == oracles.law_dict(one_each.law)

@@ -198,14 +198,6 @@ def test_fact1_census():
         )
 
 
-def test_lists_csv_export():
-    enc = det_encoder({(x, 0): x % 2 for x in range(4)}, 2)
-    lists = decoding_lists(enc, U4)
-    text = lists.to_csv()
-    assert text.splitlines()[0] == "ctx,z,members"
-    assert len(text.splitlines()) == 3
-
-
 def test_coverage_violation_raises():
     lists_obj = decoding_lists(det_encoder({(x, 0): 0 for x in range(4)}, 1), U4)
     partial = type(lists_obj)({(0, 0): (0, 1)})  # drops two positive-mass symbols
